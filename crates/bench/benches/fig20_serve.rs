@@ -8,11 +8,12 @@
 //!   fsync-per-batch, then `step_batch` on a persistent pool session),
 //!   the fastest any durable consumer can go;
 //! * **daemon (request/reply)** — the same batches through `ter_serve`
-//!   over localhost TCP with one batch in flight: framing + CRC, the
-//!   bounded ordered queue, WAL-before-ack, and the checkpoint cadence
-//!   all included;
-//! * **daemon (pipelined, W unacked batches)** — the v2 windowed
-//!   protocol: the round-trip hides behind the window and the daemon
+//!   over localhost TCP with one batch in flight (`Client::ingest_wait`,
+//!   the sequenced ingest verb at window 1): framing + CRC, the bounded
+//!   ordered queue, WAL-before-ack, and the checkpoint cadence all
+//!   included;
+//! * **daemon (pipelined, W unacked batches)** — the same verb with a
+//!   window of `W`: the round-trip hides behind the window and the daemon
 //!   overlaps batch `n+1`'s WAL fsync with batch `n`'s compute.
 //!
 //! plus two sweeps over the event-driven front end:
@@ -130,10 +131,11 @@ fn main() {
     let lib_tps = arrivals.len() as f64 / lib_secs;
     println!("library+wal         {lib_secs:>9.2}s {lib_tps:>12.1} tuples/s");
 
-    // One daemon run over a fresh directory; `window == 1` is strict
-    // request/reply, `window > 1` the pipelined v2 driver. `idle_conns`
-    // standing connections are parked on the poll loop for the duration.
-    // The daemon runs in-process (a scoped thread), so the returned
+    // One daemon run over a fresh directory; `window == 1` feeds one
+    // batch at a time through `ingest_wait`, `window > 1` runs the
+    // windowed `ingest_pipelined` driver. `idle_conns` standing
+    // connections are parked on the poll loop for the duration. The
+    // daemon runs in-process (a scoped thread), so the returned
     // critical-path table is the trace registry's delta across the run:
     // the attribution of exactly this feed's acked batches.
     // (wall secs, per-batch served matches, report, trace-table delta)

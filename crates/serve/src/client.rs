@@ -1,19 +1,19 @@
 //! The client side of the wire protocol.
 //!
-//! [`Client`] is the synchronous request/reply core over one TCP
-//! connection: each call writes one framed request and blocks for its
-//! framed reply. [`Client::ingest`] surfaces [`Reply::Busy`] to the
-//! caller; [`Client::ingest_wait`] retries it with a small backoff — the
-//! polite default for feeders that just want their stream committed.
+//! [`Client`] is the synchronous core over one TCP connection: each
+//! call writes one framed request and blocks for its framed reply.
 //!
-//! [`Client::ingest_pipelined`] is the windowed (v2) driver: it keeps up
-//! to `W` sequence-tagged batches unacked on the wire, hiding the
-//! round-trip and letting the daemon overlap WAL fsync with engine
-//! compute. Backpressure is go-back-N: on any [`Reply::IngestBusy`] the
-//! client drains every outstanding reply, rewinds to its lowest unacked
-//! batch, and resends — the daemon's in-sequence gate guarantees batches
-//! commit in client order or not at all, so the result stream is
-//! bit-identical to a strict request/reply feed.
+//! Ingest is one driver, [`Client::ingest_pipelined`]: it keeps up to
+//! `W` sequence-tagged batches unacked on the wire, hiding the round
+//! trip and letting the daemon overlap WAL fsync with engine compute.
+//! [`Client::ingest_wait`] is the same driver at `W = 1` — plain
+//! request/reply — and both draw their sequence tags from one
+//! per-connection counter, so the two mix freely on a connection.
+//! Backpressure is go-back-N: on any [`Reply::IngestBusy`] the client
+//! drains every outstanding reply, rewinds to its lowest unacked batch,
+//! and resends after a small backoff — the daemon's in-sequence gate
+//! guarantees batches commit in client order or not at all, so the
+//! result stream is bit-identical at every window.
 //!
 //! [`ResilientClient`] wraps all of that with transparent
 //! re-dial-and-resume: on a connection loss it reconnects with backoff,
@@ -30,8 +30,8 @@ use ter_stream::Arrival;
 use ter_obs::{MetricRow, TraceEvent};
 
 use crate::wire::{
-    decode_reply, encode_ingest_seq, encode_request, encode_stats_v3, read_message, write_message,
-    EntityInfo, Query, Reply, Request, StatsExInfo, StatsInfo, WindowInfo, WireError,
+    decode_reply, encode_ingest_seq, encode_request, read_message, write_message, EntityInfo,
+    Query, Reply, Request, StatsInfo, WindowInfo, WireError,
 };
 
 /// Why a client call failed.
@@ -161,9 +161,10 @@ pub struct PipelinedIngest {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// Next pipelined-ingest sequence tag. Per-connection monotonic — the
-    /// daemon's in-sequence gate pins the connection to this counter, so
-    /// it never resets while the connection lives.
+    /// Next ingest sequence tag, shared by every ingest call.
+    /// Per-connection monotonic — the daemon's in-sequence gate pins the
+    /// connection to this counter, so it never resets while the
+    /// connection lives.
     pipeline_seq: u64,
     /// Pushed subscription events that arrived interleaved with a
     /// request/reply exchange; [`Client::next_event`] drains these before
@@ -218,10 +219,18 @@ impl Client {
     /// so control verbs stay usable on a subscriber connection.
     pub fn call(&mut self, req: &Request) -> Result<Reply, ClientError> {
         write_message(&mut self.stream, &encode_request(req))?;
+        match self.read_reply()? {
+            Reply::Error(msg) => Err(ClientError::Server(msg)),
+            reply => Ok(reply),
+        }
+    }
+
+    /// The next reply off the wire, diverting pushed subscription events
+    /// to the [`Client::next_event`] queue. `Error` is returned as-is.
+    fn read_reply(&mut self) -> Result<Reply, ClientError> {
         loop {
             let payload = read_message(&mut self.stream)?;
             match decode_reply(&payload)? {
-                Reply::Error(msg) => return Err(ClientError::Server(msg)),
                 Reply::Notify {
                     sub_id,
                     seq,
@@ -253,26 +262,13 @@ impl Client {
         }
     }
 
-    /// Ingests one batch. `Ok(Some(per_arrival_matches))` on commit,
-    /// `Ok(None)` when the daemon answered [`Reply::Busy`] — the batch
-    /// was *not* committed and should be resent.
-    pub fn ingest(&mut self, batch: &[Arrival]) -> Result<Option<BatchMatches>, ClientError> {
-        match self.call(&Request::Ingest(batch.to_vec()))? {
-            Reply::Matches(per_arrival) => Ok(Some(per_arrival)),
-            Reply::Busy => Ok(None),
-            _ => Err(ClientError::Unexpected("ingest")),
-        }
-    }
-
-    /// Ingests one batch, retrying `Busy` replies with a small backoff
-    /// until the daemon commits it.
+    /// Ingests one batch and returns its per-arrival match lists once the
+    /// daemon commits it: [`Client::ingest_pipelined`] at window 1, so
+    /// `IngestBusy` is retried with a small backoff and an error poisons
+    /// the connection the same way.
     pub fn ingest_wait(&mut self, batch: &[Arrival]) -> Result<BatchMatches, ClientError> {
-        loop {
-            if let Some(matches) = self.ingest(batch)? {
-                return Ok(matches);
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let mut acked = self.ingest_pipelined(&[batch], 1)?.per_batch;
+        Ok(acked.pop().expect("a completed run acks every batch"))
     }
 
     /// Window occupancy and live ids.
@@ -294,8 +290,7 @@ impl Client {
     /// The live result set, `(min, max)`-normalized and sorted.
     pub fn results(&mut self) -> Result<Vec<(u64, u64)>, ClientError> {
         match self.call_wait(&Request::Query(Query::Results))? {
-            Reply::Matches(mut lists) if lists.len() == 1 => Ok(lists.pop().unwrap()),
-            Reply::Matches(_) => Err(ClientError::Unexpected("results")),
+            Reply::Matches(pairs) => Ok(pairs),
             _ => Err(ClientError::Unexpected("results")),
         }
     }
@@ -370,7 +365,8 @@ impl Client {
         }
     }
 
-    /// Service counters.
+    /// Service counters: stream position, WAL size, pruning statistics,
+    /// and daemon uptime, live connections, subscribers, and fsyncs.
     pub fn stats(&mut self) -> Result<StatsInfo, ClientError> {
         match self.call_wait(&Request::Stats)? {
             Reply::Stats(info) => Ok(info),
@@ -378,45 +374,9 @@ impl Client {
         }
     }
 
-    /// Extended service counters (protocol v3): the classic
-    /// [`StatsInfo`] plus daemon uptime, live connection and subscriber
-    /// counts, and the cumulative fsync count. Requires a v3 daemon —
-    /// older daemons reject the payload version.
-    pub fn stats_ex(&mut self) -> Result<StatsExInfo, ClientError> {
-        loop {
-            write_message(&mut self.stream, &encode_stats_v3())?;
-            loop {
-                let payload = read_message(&mut self.stream)?;
-                match decode_reply(&payload)? {
-                    Reply::Error(msg) => return Err(ClientError::Server(msg)),
-                    Reply::Busy => {
-                        std::thread::sleep(Duration::from_millis(2));
-                        break; // re-send the request
-                    }
-                    Reply::Notify {
-                        sub_id,
-                        seq,
-                        added,
-                        retracted,
-                    } => self.pending.push_back(SubEvent::Notify {
-                        sub_id,
-                        seq,
-                        added,
-                        retracted,
-                    }),
-                    Reply::Lagged { sub_id, resync_seq } => self
-                        .pending
-                        .push_back(SubEvent::Lagged { sub_id, resync_seq }),
-                    Reply::StatsEx(info) => return Ok(info),
-                    _ => return Err(ClientError::Unexpected("stats_ex")),
-                }
-            }
-        }
-    }
-
-    /// Scrapes the daemon's metric registry and flight-recorder ring
-    /// (protocol v3): every counter/gauge/histogram as wire rows, plus
-    /// the most recent trace events, oldest first.
+    /// Scrapes the daemon's metric registry and flight-recorder ring:
+    /// every counter/gauge/histogram as wire rows, plus the most recent
+    /// trace events, oldest first.
     pub fn metrics_dump(&mut self) -> Result<(Vec<MetricRow>, Vec<TraceEvent>), ClientError> {
         match self.call_wait(&Request::MetricsDump)? {
             Reply::Metrics { rows, flight } => Ok((rows, flight)),
@@ -424,9 +384,9 @@ impl Client {
         }
     }
 
-    /// Scrapes the daemon's causal trace surface (protocol v3): the
-    /// cumulative critical-path attribution table plus the tail
-    /// sampler's retained traces, oldest first.
+    /// Scrapes the daemon's causal trace surface: the cumulative
+    /// critical-path attribution table plus the tail sampler's retained
+    /// traces, oldest first.
     pub fn trace_dump(
         &mut self,
     ) -> Result<(ter_obs::trace::CriticalPath, Vec<ter_obs::trace::Trace>), ClientError> {
@@ -456,25 +416,13 @@ impl Client {
         }
     }
 
-    /// One framed reply off the wire, *without* mapping `Error` — the
-    /// pipelined loop needs the raw variant to account replies.
-    fn read_raw_reply(&mut self) -> Result<Reply, ClientError> {
-        let payload = read_message(&mut self.stream)?;
-        Ok(decode_reply(&payload)?)
-    }
-
-    /// Ingests `batches` with up to `window` unacked batches in flight
-    /// (protocol v2). Every batch is committed exactly once, in order:
-    /// the daemon's per-connection gate admits only the in-sequence
-    /// prefix, and on any [`Reply::IngestBusy`] this driver drains all
-    /// outstanding replies, rewinds to its lowest unacked batch, and
-    /// resends (go-back-N) after a small backoff. Blocks until every
-    /// batch is acked; the returned per-batch match lists concatenate to
-    /// exactly what a strict request/reply feed would have seen.
-    ///
-    /// Do not interleave other verbs on this connection while a
-    /// pipelined run is in flight — their replies would race the tagged
-    /// acks.
+    /// Ingests `batches` with up to `window` unacked batches in flight.
+    /// Every batch is committed exactly once, in order: the daemon's
+    /// per-connection gate admits only the in-sequence prefix, and on any
+    /// [`Reply::IngestBusy`] this driver drains all outstanding replies,
+    /// rewinds to its lowest unacked batch, and resends (go-back-N) after
+    /// a small backoff. Blocks until every batch is acked; the returned
+    /// per-batch match lists are the same at every window.
     ///
     /// On *any* error the connection is poisoned (shut down): replies
     /// for in-flight frames may still be on the wire and the daemon's
@@ -483,12 +431,12 @@ impl Client {
     /// operation fails fast with a transport error — reconnect (or use
     /// [`ResilientClient`], which does) instead of retrying on the dead
     /// connection.
-    pub fn ingest_pipelined(
+    pub fn ingest_pipelined<B: AsRef<[Arrival]>>(
         &mut self,
-        batches: &[Vec<Arrival>],
+        batches: &[B],
         window: usize,
     ) -> Result<PipelinedIngest, ClientError> {
-        match self.ingest_pipelined_inner(batches, window) {
+        match self.go_back_n(batches, window.max(1)) {
             Ok(out) => Ok(out),
             Err(e) => {
                 // Undrained tagged replies + a diverged server-side
@@ -500,12 +448,11 @@ impl Client {
         }
     }
 
-    fn ingest_pipelined_inner(
+    fn go_back_n<B: AsRef<[Arrival]>>(
         &mut self,
-        batches: &[Vec<Arrival>],
-        window: usize,
+        batches: &[B],
+        w: usize,
     ) -> Result<PipelinedIngest, ClientError> {
-        let w = window.max(1);
         let n = batches.len();
         let base = self.pipeline_seq;
         let mut out = PipelinedIngest {
@@ -513,57 +460,45 @@ impl Client {
             busy_retries: 0,
         };
         let mut next_send = 0usize; // next batch index to (re)send
-        let mut next_ack = 0usize; // acked prefix length
         let mut in_flight = 0usize; // frames whose reply is still owed
-        while next_ack < n {
+        while out.per_batch.len() < n {
             while next_send < n && in_flight < w {
                 // Borrow-encoding: no per-frame batch clone, even on
                 // go-back-N retransmits.
-                let payload = encode_ingest_seq(base + next_send as u64, &batches[next_send]);
+                let payload =
+                    encode_ingest_seq(base + next_send as u64, batches[next_send].as_ref());
                 write_message(&mut self.stream, &payload)?;
                 next_send += 1;
                 in_flight += 1;
             }
-            match self.read_raw_reply()? {
-                Reply::IngestAck { seq, per_arrival } => {
-                    in_flight -= 1;
-                    // The daemon enqueues only the in-sequence prefix and
-                    // acks in commit order, so acks arrive densely.
-                    if seq != base + next_ack as u64 {
-                        return Err(ClientError::Unexpected("pipelined ack order"));
-                    }
-                    out.per_batch.push(per_arrival);
-                    next_ack += 1;
-                }
-                Reply::IngestBusy { .. } => {
-                    in_flight -= 1;
-                    out.busy_retries += 1;
-                    // Go-back-N: drain the reply owed by every other frame
-                    // still on the wire (acks may interleave with the
-                    // rejected tail), then rewind and resend.
-                    while in_flight > 0 {
-                        match self.read_raw_reply()? {
-                            Reply::IngestAck { seq, per_arrival } => {
-                                in_flight -= 1;
-                                if seq != base + next_ack as u64 {
-                                    return Err(ClientError::Unexpected("pipelined ack order"));
-                                }
-                                out.per_batch.push(per_arrival);
-                                next_ack += 1;
-                            }
-                            Reply::IngestBusy { .. } => {
-                                in_flight -= 1;
-                                out.busy_retries += 1;
-                            }
-                            Reply::Error(msg) => return Err(ClientError::Server(msg)),
-                            _ => return Err(ClientError::Unexpected("pipelined ingest")),
+            // One reply — or, after a rejection, every reply still owed
+            // (acks may interleave with the rejected tail).
+            let mut rejected = false;
+            while in_flight > 0 {
+                in_flight -= 1;
+                match self.read_reply()? {
+                    Reply::IngestAck { seq, per_arrival } => {
+                        // The daemon enqueues only the in-sequence prefix
+                        // and acks in commit order, so acks arrive densely.
+                        if seq != base + out.per_batch.len() as u64 {
+                            return Err(ClientError::Unexpected("pipelined ack order"));
                         }
+                        out.per_batch.push(per_arrival);
                     }
-                    next_send = next_ack;
-                    std::thread::sleep(Duration::from_millis(2));
+                    Reply::IngestBusy { .. } => {
+                        out.busy_retries += 1;
+                        rejected = true;
+                    }
+                    Reply::Error(msg) => return Err(ClientError::Server(msg)),
+                    _ => return Err(ClientError::Unexpected("pipelined ingest")),
                 }
-                Reply::Error(msg) => return Err(ClientError::Server(msg)),
-                _ => return Err(ClientError::Unexpected("pipelined ingest")),
+                if !rejected {
+                    break;
+                }
+            }
+            if rejected {
+                next_send = out.per_batch.len();
+                std::thread::sleep(Duration::from_millis(2));
             }
         }
         self.pipeline_seq = base + n as u64;

@@ -5,24 +5,24 @@
 //! `step_batch` in-process. This crate is the missing subsystem that
 //! turns the library into a long-lived daemon:
 //!
-//! * [`wire`] — the versioned, length-prefixed binary protocol
-//!   (CRC-32-framed, reusing the `ter_store` codec, so an `Arrival`
-//!   travels over TCP bit-identically to how it lands in the WAL); v2
-//!   adds windowed, sequence-tagged pipelined ingest, v1 peers keep
-//!   working;
-//! * [`server`] — the daemon: accept loop, reader + writer threads per
-//!   connection, one bounded ordered queue into a two-stage engine
-//!   pipeline (WAL/checkpoint stage overlapping batch `n+1`'s fsync with
-//!   batch `n`'s step on a persistent worker-pool session;
-//!   WAL-before-ack per sequence, checkpoint cadence, two-generation WAL
-//!   compaction, `Busy`/`IngestBusy` backpressure, per-connection
-//!   go-back-N ingest gate);
-//! * [`client`] — the client library: strict request/reply calls, the
-//!   windowed [`Client::ingest_pipelined`] driver, and the
-//!   reconnect-and-resume [`ResilientClient`] wrapper.
+//! * [`wire`] — the length-prefixed binary protocol (CRC-32-framed,
+//!   reusing the `ter_store` codec, so an `Arrival` travels over TCP
+//!   bit-identically to how it lands in the WAL), with one
+//!   sequence-tagged ingest verb that pipelines up to `W` batches;
+//! * [`server`] — the daemon: a bounded pool of `poll(2)` I/O threads
+//!   serving every connection, one bounded ordered queue into a
+//!   two-stage engine pipeline (WAL/checkpoint stage overlapping batch
+//!   `n+1`'s fsync with batch `n`'s step on a persistent worker-pool
+//!   session; WAL-before-ack per sequence, checkpoint cadence,
+//!   two-generation WAL compaction, `Busy`/`IngestBusy` backpressure,
+//!   per-connection go-back-N ingest gate);
+//! * [`client`] — the client library: request/reply calls, the windowed
+//!   [`Client::ingest_pipelined`] driver ([`Client::ingest_wait`] is its
+//!   window-1 case), and the reconnect-and-resume [`ResilientClient`]
+//!   wrapper.
 //!
-//! Protocol v3 adds the declarative query layer (`ter_query`) over the
-//! wire: one-shot pattern queries ([`Client::pattern_query`]) and
+//! The declarative query layer (`ter_query`) rides the same wire:
+//! one-shot pattern queries ([`Client::pattern_query`]) and
 //! *standing* queries — [`Client::subscribe`] registers a pattern, the
 //! daemon pushes incremental [`SubEvent::Notify`] match/retraction
 //! events through the same per-connection writer path as every other
@@ -54,7 +54,7 @@ pub use client::{
     SubEvent, SubscriptionFold,
 };
 pub use server::{CkptMode, ServeError, ServeOptions, ServeReport, Server};
-pub use wire::{Query, Reply, Request, StatsExInfo, StatsInfo, WindowInfo, WireError};
+pub use wire::{Query, Reply, Request, StatsInfo, WindowInfo, WireError};
 
 #[cfg(test)]
 mod tests {
@@ -268,6 +268,64 @@ mod tests {
             client.shutdown().unwrap();
             let report = handle.join().unwrap();
             assert_eq!(report.batches, batches.len() as u64);
+        });
+    }
+
+    /// `ingest_wait` and `ingest_pipelined` draw sequence tags from one
+    /// per-connection counter, so interleaving them on a connection
+    /// commits every batch once, in order, with acks equal to the library
+    /// engine batch for batch.
+    #[test]
+    fn one_connection_mixes_ingest_styles() {
+        let (ctx, streams) = scenario();
+        let params = Params::default();
+        let dir = TempDir::new("mixed_ingest");
+        let batches = streams.arrival_batches(1);
+        assert_eq!(batches.len(), 4);
+
+        let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let oracle_acks: Vec<Vec<Vec<(u64, u64)>>> = batches
+            .iter()
+            .map(|b| {
+                oracle
+                    .step_batch(b)
+                    .into_iter()
+                    .map(|o| o.new_matches)
+                    .collect()
+            })
+            .collect();
+
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().unwrap();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.run(&ctx, params, dir.path(), &opts()).unwrap());
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let batches = &batches;
+            let feeder = scope.spawn(move || {
+                let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+                let mut acks = vec![client.ingest_wait(&batches[0]).unwrap()];
+                let run = client.ingest_pipelined(&batches[1..3], 4).unwrap();
+                acks.extend(run.per_batch);
+                acks.push(client.ingest_wait(&batches[3]).unwrap());
+                let next_batch_seq = client.stats().unwrap().next_batch_seq;
+                let _ = done_tx.send(());
+                (acks, next_batch_seq)
+            });
+            // Diverged sequence counters fail the feeder or livelock it on
+            // IngestBusy; either way the daemon must stop before the scope
+            // can join, so bound the feed and shut down from the side.
+            let finished = done_rx.recv_timeout(Duration::from_secs(30)).is_ok();
+            let mut control = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+            control.shutdown().unwrap();
+            handle.join().unwrap();
+            let fed = feeder.join();
+            assert!(
+                finished,
+                "mixed feed did not complete: the ingest calls disagree on sequence tags"
+            );
+            let (acks, next_batch_seq) = fed.unwrap();
+            assert_eq!(acks, oracle_acks, "mixed ingest diverged from library");
+            assert_eq!(next_batch_seq, batches.len() as u64);
         });
     }
 

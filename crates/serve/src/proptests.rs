@@ -48,16 +48,15 @@ fn arb_arrivals() -> impl Strategy<Value = Vec<Arrival>> {
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0u8..10, arb_arrivals(), any::<u64>()).prop_map(|(kind, batch, id)| match kind {
-        0 => Request::Ingest(batch),
+    (0u8..9, arb_arrivals(), any::<u64>()).prop_map(|(kind, batch, id)| match kind {
+        0 => Request::IngestSeq { seq: id, batch },
         1 => Request::Query(Query::Window),
         2 => Request::Query(Query::Entity(id)),
         3 => Request::Query(Query::Results),
         4 => Request::Stats,
         5 => Request::Checkpoint,
-        6 => Request::IngestSeq { seq: id, batch },
-        7 => Request::MetricsDump,
-        8 => Request::TraceDump,
+        6 => Request::MetricsDump,
+        7 => Request::TraceDump,
         _ => Request::Shutdown,
     })
 }
@@ -125,7 +124,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         .prop_map(|(kind, pairs, ids, (a, b, c, d), traces)| match kind {
             0 => Reply::Error(format!("error {a}")),
             1 => Reply::Busy,
-            2 => Reply::Matches(pairs),
+            2 => Reply::Matches(pairs.concat()),
             3 => Reply::Window(WindowInfo {
                 len: d as usize,
                 capacity: ids.len() * 2,
@@ -137,6 +136,10 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 wal_bytes: c,
                 window_len: d as usize,
                 stats: Default::default(),
+                uptime_micros: a ^ c,
+                connections: d as u64,
+                subscribers: ids.len() as u64,
+                fsyncs: b ^ c,
             }),
             5 => Reply::IngestAck {
                 seq: a,

@@ -27,7 +27,7 @@
 //! matter how many connections interleave: results are **bit-identical**
 //! to a library run feeding the same batches in the same commit order.
 //! The queue is bounded; when it is full the I/O thread replies
-//! [`Reply::Busy`] (or the sequence-tagged [`Reply::IngestBusy`])
+//! [`Reply::Busy`] (the sequence-tagged [`Reply::IngestBusy`] for ingest)
 //! immediately instead of buffering unboundedly (explicit backpressure).
 //!
 //! # The front end
@@ -37,7 +37,7 @@
 //! its share of connections with a vendored readiness poller
 //! ([`minipoll`]) over non-blocking sockets. The I/O thread owns the
 //! connection's read buffer (frame reassembly, CRC check, request
-//! decode, the pipelined-ingest go-back-N gate) and write buffer
+//! decode, the ingest go-back-N gate) and write buffer
 //! (encoded replies, flushed as the socket accepts them) — so 256 or
 //! 10 000 connections cost file descriptors and buffer bytes, not
 //! threads. Replies travel from the engine back to the owning I/O thread
@@ -72,7 +72,7 @@
 //! position ([`TerStore::checkpoint_at`]) and force a flush first, so a
 //! manifest never names state the log could lose.
 //!
-//! Durability: `Ingest`/`IngestSeq` ack only after the batch is stepped,
+//! Durability: `IngestSeq` acks only after the batch is stepped,
 //! WAL-appended, and covered by a group fsync. Every `checkpoint_every`
 //! batches the engine state is checkpointed, and the store's retention
 //! policy (two checkpoint generations, WAL compacted beneath the older
@@ -101,8 +101,8 @@ use ter_store::{context_fingerprint, CompactionPolicy, StoreError, TerStore};
 use ter_stream::Arrival;
 
 use crate::wire::{
-    decode_request_versioned, encode_reply, write_message, EntityInfo, Query, Reply, Request,
-    StatsExInfo, StatsInfo, WindowInfo, MAX_WIRE_LEN, PROTO_V1, PROTO_V3,
+    decode_request, encode_reply, write_message, EntityInfo, Query, Reply, Request, StatsInfo,
+    WindowInfo, MAX_WIRE_LEN,
 };
 
 /// What the checkpoint cadence writes.
@@ -265,7 +265,6 @@ enum IoMsg {
     /// the connection's write buffer — the write-back instant.
     Reply {
         token: u64,
-        proto: u8,
         reply: Reply,
         trace_seq: u64,
     },
@@ -289,8 +288,8 @@ struct ReplyHandle {
 }
 
 impl ReplyHandle {
-    fn send(&self, proto: u8, reply: Reply) {
-        self.send_with_trace(proto, reply, 0);
+    fn send(&self, reply: Reply) {
+        self.send_with_trace(reply, 0);
     }
 
     /// Like [`send`], but tags the reply with its batch's causal trace
@@ -298,16 +297,15 @@ impl ReplyHandle {
     /// span) when the reply reaches the connection's write buffer.
     ///
     /// [`send`]: ReplyHandle::send
-    fn send_traced(&self, proto: u8, reply: Reply, seq: u64) {
-        self.send_with_trace(proto, reply, seq + 1);
+    fn send_traced(&self, reply: Reply, seq: u64) {
+        self.send_with_trace(reply, seq + 1);
     }
 
-    fn send_with_trace(&self, proto: u8, reply: Reply, trace_seq: u64) {
+    fn send_with_trace(&self, reply: Reply, trace_seq: u64) {
         if self
             .tx
             .send(IoMsg::Reply {
                 token: self.token,
-                proto,
                 reply,
                 trace_seq,
             })
@@ -321,10 +319,9 @@ impl ReplyHandle {
     }
 }
 
-/// One queued operation: the decoded request, the protocol version it
-/// arrived in (replies echo it), and the route back to the connection.
+/// One queued operation: the decoded request and the route back to the
+/// connection.
 struct Job {
-    proto: u8,
     request: Request,
     reply: ReplyHandle,
     /// Trace stamps, zero when tracing is off: when the I/O thread
@@ -347,7 +344,6 @@ enum StoreReq {
     Commit {
         seq: u64,
         batch: Arc<Vec<Arrival>>,
-        proto: u8,
         reply: Reply,
         handle: ReplyHandle,
     },
@@ -380,7 +376,6 @@ enum StoreResp {
 /// covering group fsync lands.
 struct PendingAck {
     seq: u64,
-    proto: u8,
     reply: Reply,
     handle: ReplyHandle,
 }
@@ -436,7 +431,7 @@ impl CommitStage {
                     // when the ack reaches the connection's write
                     // buffer.
                     ter_obs::trace::add(ack.seq, ter_obs::trace::kind::WRITE_BACK, now, 0);
-                    ack.handle.send_traced(ack.proto, ack.reply, ack.seq);
+                    ack.handle.send_traced(ack.reply, ack.seq);
                 }
             }
             Err(e) => {
@@ -444,7 +439,7 @@ impl CommitStage {
                 let msg = format!("wal sync failed: {e}");
                 for ack in self.pending.drain(..) {
                     ter_obs::trace::abandon(ack.seq);
-                    ack.handle.send(ack.proto, Reply::Error(msg.clone()));
+                    ack.handle.send(Reply::Error(msg.clone()));
                 }
             }
         }
@@ -454,12 +449,9 @@ impl CommitStage {
     fn handle_commit(&mut self, batch: &[Arrival], ack: PendingAck) {
         if self.append_failed {
             ter_obs::trace::abandon(ack.seq);
-            ack.handle.send(
-                ack.proto,
-                Reply::Error(
-                    "wal disabled after an earlier append failure (restart the daemon)".into(),
-                ),
-            );
+            ack.handle.send(Reply::Error(
+                "wal disabled after an earlier append failure (restart the daemon)".into(),
+            ));
             return;
         }
         let len_before = self.store.wal_len_bytes();
@@ -491,7 +483,7 @@ impl CommitStage {
                 self.append_failed = true;
                 ter_obs::trace::abandon(ack.seq);
                 ack.handle
-                    .send(ack.proto, Reply::Error(format!("wal append failed: {e}")));
+                    .send(Reply::Error(format!("wal append failed: {e}")));
             }
         }
     }
@@ -552,18 +544,9 @@ impl CommitStage {
                 StoreReq::Commit {
                     seq,
                     batch,
-                    proto,
                     reply,
                     handle,
-                } => self.handle_commit(
-                    &batch,
-                    PendingAck {
-                        seq,
-                        proto,
-                        reply,
-                        handle,
-                    },
-                ),
+                } => self.handle_commit(&batch, PendingAck { seq, reply, handle }),
                 StoreReq::Checkpoint { wal_seq, state } => {
                     self.flush();
                     let (result, delta) = if self.append_failed {
@@ -859,13 +842,11 @@ impl Server {
     }
 }
 
-/// One registered standing query: the incrementally-maintained state,
-/// the route back to its connection, and the protocol version its
-/// notifications are stamped with.
+/// One registered standing query: the incrementally-maintained state and
+/// the route back to its connection.
 struct Subscription {
     standing: StandingQuery,
     handle: ReplyHandle,
-    proto: u8,
 }
 
 /// The engine thread's state: the pooled engine, the channel pair to the
@@ -930,8 +911,7 @@ impl StepStage<'_, '_, '_> {
     fn handle_ingest(
         &mut self,
         batch: Vec<Arrival>,
-        client_seq: Option<u64>,
-        proto: u8,
+        client_seq: u64,
         handle: ReplyHandle,
         t_recv: u64,
         t_enqueue: u64,
@@ -980,19 +960,13 @@ impl StepStage<'_, '_, '_> {
         } else {
             Some(BatchDelta::from_steps(&batch, &outputs))
         };
-        let per_arrival: Vec<Vec<(u64, u64)>> =
-            outputs.into_iter().map(|o| o.new_matches).collect();
-        let reply = match client_seq {
-            Some(client_seq) => Reply::IngestAck {
-                seq: client_seq,
-                per_arrival,
-            },
-            None => Reply::Matches(per_arrival),
+        let reply = Reply::IngestAck {
+            seq: client_seq,
+            per_arrival: outputs.into_iter().map(|o| o.new_matches).collect(),
         };
         self.send_store(StoreReq::Commit {
             seq,
             batch: Arc::new(batch),
-            proto,
             reply,
             handle,
         });
@@ -1057,13 +1031,10 @@ impl StepStage<'_, '_, '_> {
             }
             ter_obs::OBS.backlog_high_water.max(backlog as u64);
             if backlog > self.opts.notify_buffer {
-                sub.handle.send(
-                    sub.proto,
-                    Reply::Lagged {
-                        sub_id: key.1,
-                        resync_seq: seq,
-                    },
-                );
+                sub.handle.send(Reply::Lagged {
+                    sub_id: key.1,
+                    resync_seq: seq,
+                });
                 ter_obs::OBS.shed.inc();
                 ter_obs::flight(ter_obs::kind::SHED, seq, key.1, backlog as u64, 0);
                 shed.push(key);
@@ -1075,15 +1046,12 @@ impl StepStage<'_, '_, '_> {
                 ter_obs::OBS.notify_events.inc();
                 ter_obs::OBS.notify_rows.add(rows);
                 ter_obs::flight(ter_obs::kind::NOTIFY, seq, key.1, rows, 0);
-                sub.handle.send(
-                    sub.proto,
-                    Reply::Notify {
-                        sub_id: key.1,
-                        seq,
-                        added,
-                        retracted,
-                    },
-                );
+                sub.handle.send(Reply::Notify {
+                    sub_id: key.1,
+                    seq,
+                    added,
+                    retracted,
+                });
             }
         }
         for key in shed {
@@ -1098,7 +1066,6 @@ impl StepStage<'_, '_, '_> {
     /// through the group-commit stage, which flushes first.
     fn handle(&mut self, job: Job) {
         let Job {
-            proto,
             request,
             reply,
             t_recv,
@@ -1107,12 +1074,8 @@ impl StepStage<'_, '_, '_> {
         // Mirrors the `add(1)` at the I/O threads' successful try_send.
         ter_obs::OBS.engine_queue_depth.sub(1);
         let out = match request {
-            Request::Ingest(batch) => {
-                self.handle_ingest(batch, None, proto, reply, t_recv, t_enqueue);
-                return; // acked by the group-commit stage after the fsync
-            }
             Request::IngestSeq { seq, batch } => {
-                self.handle_ingest(batch, Some(seq), proto, reply, t_recv, t_enqueue);
+                self.handle_ingest(batch, seq, reply, t_recv, t_enqueue);
                 return; // acked by the group-commit stage after the fsync
             }
             Request::Query(Query::Window) => {
@@ -1151,7 +1114,7 @@ impl StepStage<'_, '_, '_> {
             Request::Query(Query::Results) => {
                 let mut pairs: Vec<(u64, u64)> = self.pe.engine().results().iter().collect();
                 pairs.sort_unstable();
-                Reply::Matches(vec![pairs])
+                Reply::Matches(pairs)
             }
             Request::PatternQuery(src) => match Pattern::parse(&src) {
                 Ok(pattern) => {
@@ -1202,7 +1165,6 @@ impl StepStage<'_, '_, '_> {
                         Subscription {
                             standing,
                             handle: reply.clone(),
-                            proto,
                         },
                     );
                     ter_obs::OBS.subscribers.set(self.subs.len() as u64);
@@ -1218,26 +1180,17 @@ impl StepStage<'_, '_, '_> {
             Request::Stats => {
                 let (next_seq, wal_bytes, fsyncs) = self.store_stats();
                 let eng = self.pe.engine();
-                let base = StatsInfo {
+                Reply::Stats(StatsInfo {
                     next_batch_seq: next_seq,
                     session_arrivals: self.report.arrivals + self.report.replayed as u64,
                     wal_bytes,
                     window_len: eng.window_len(),
                     stats: eng.prune_stats(),
-                };
-                if proto >= PROTO_V3 {
-                    // A v3 Stats payload opts into the extended reply;
-                    // v1/v2 callers keep the exact bytes they always got.
-                    Reply::StatsEx(StatsExInfo {
-                        base,
-                        uptime_micros: ter_obs::epoch_micros(),
-                        connections: ter_obs::OBS.connections.get(),
-                        subscribers: self.subs.len() as u64,
-                        fsyncs,
-                    })
-                } else {
-                    Reply::Stats(base)
-                }
+                    uptime_micros: ter_obs::epoch_micros(),
+                    connections: ter_obs::OBS.connections.get(),
+                    subscribers: self.subs.len() as u64,
+                    fsyncs,
+                })
             }
             Request::MetricsDump => Reply::Metrics {
                 rows: ter_obs::snapshot(),
@@ -1277,7 +1230,7 @@ impl StepStage<'_, '_, '_> {
                 }
             }
         };
-        reply.send(proto, out);
+        reply.send(out);
     }
 }
 
@@ -1296,7 +1249,7 @@ struct Conn {
     wbuf: Vec<u8>,
     /// How much of `wbuf` has reached the kernel.
     wpos: usize,
-    /// The pipelined-ingest gate (`None` until the first `IngestSeq`).
+    /// The ingest gate (`None` until the first `IngestSeq`).
     expected_seq: Option<u64>,
     /// Flush remaining replies, then close (set on EOF, frame-level
     /// garbage, or engine disconnect).
@@ -1387,10 +1340,9 @@ impl IoThread {
                 }
                 Ok(IoMsg::Reply {
                     token,
-                    proto,
                     reply,
                     trace_seq,
-                }) => self.queue_reply(token, proto, &reply, trace_seq),
+                }) => self.queue_reply(token, &reply, trace_seq),
                 Err(mpsc::TryRecvError::Empty) => return true,
                 Err(mpsc::TryRecvError::Disconnected) => return false,
             }
@@ -1426,7 +1378,7 @@ impl IoThread {
 
     /// Buffers one reply from the engine side and pushes it toward the
     /// socket immediately (the common case: an idle, writable peer).
-    fn queue_reply(&mut self, token: u64, proto: u8, reply: &Reply, trace_seq: u64) {
+    fn queue_reply(&mut self, token: u64, reply: &Reply, trace_seq: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             if trace_seq > 0 {
                 // The connection died before its ack could be written
@@ -1435,7 +1387,7 @@ impl IoThread {
             }
             return; // connection died while its job was in flight
         };
-        append_reply(conn, proto, reply);
+        append_reply(conn, reply);
         if trace_seq > 0 {
             // The ack is in the connection's write buffer: the batch's
             // causal chain ends here, closing the open write-back span.
@@ -1522,7 +1474,7 @@ impl IoThread {
 
 /// Encodes one reply into the connection's write buffer. A reply too
 /// large for the wire cap degrades to an in-protocol error.
-fn append_reply(conn: &mut Conn, proto: u8, reply: &Reply) {
+fn append_reply(conn: &mut Conn, reply: &Reply) {
     let mut encoded = encode_reply(reply);
     if encoded.len() > MAX_WIRE_LEN {
         encoded = encode_reply(&Reply::Error(format!(
@@ -1530,14 +1482,6 @@ fn append_reply(conn: &mut Conn, proto: u8, reply: &Reply) {
             encoded.len()
         )));
     }
-    // `proto` is the version the request arrived in; replies to v1
-    // requests only ever use v1 tags, so no re-encoding is needed — the
-    // assertion documents the invariant.
-    debug_assert!(
-        proto >= encoded[0],
-        "v{} reply to a v{proto} request",
-        encoded[0]
-    );
     if matches!(reply, Reply::Notify { .. }) {
         ter_obs::OBS.notify_bytes.add(encoded.len() as u64);
     }
@@ -1581,8 +1525,8 @@ fn flush_writes(conn: &mut Conn) -> Action {
 /// and closes the connection — a byte stream cannot resynchronize after
 /// a corrupt frame. Payload-level garbage (intact frame, invalid
 /// request) gets an error reply and the connection continues. A full
-/// queue gets [`Reply::Busy`] (v1) or the sequence-tagged
-/// [`Reply::IngestBusy`] (v2); a stopped engine gets a final error
+/// queue gets [`Reply::Busy`], or the sequence-tagged
+/// [`Reply::IngestBusy`] for ingest; a stopped engine gets a final error
 /// reply.
 ///
 /// The go-back-N gate: the first [`Request::IngestSeq`] fixes the
@@ -1634,7 +1578,6 @@ fn read_and_parse(
         if len > MAX_WIRE_LEN {
             append_reply(
                 conn,
-                PROTO_V1,
                 &Reply::Error(format!("bad frame: length {len} exceeds the wire cap")),
             );
             conn.closing = true;
@@ -1645,20 +1588,16 @@ fn read_and_parse(
         }
         let crc_ok = ter_store::crc32(&conn.rbuf[pos + 8..pos + 8 + len]) == crc;
         if !crc_ok {
-            append_reply(
-                conn,
-                PROTO_V1,
-                &Reply::Error("bad frame: CRC mismatch".into()),
-            );
+            append_reply(conn, &Reply::Error("bad frame: CRC mismatch".into()));
             conn.closing = true;
             break;
         }
-        let decoded = decode_request_versioned(&conn.rbuf[pos + 8..pos + 8 + len]);
+        let decoded = decode_request(&conn.rbuf[pos + 8..pos + 8 + len]);
         pos += 8 + len;
-        let (proto, request) = match decoded {
+        let request = match decoded {
             Ok(r) => r,
             Err(e) => {
-                append_reply(conn, PROTO_V1, &Reply::Error(format!("bad request: {e}")));
+                append_reply(conn, &Reply::Error(format!("bad request: {e}")));
                 continue;
             }
         };
@@ -1668,54 +1607,40 @@ fn read_and_parse(
             waker: Arc::clone(waker),
             gauge: Arc::clone(&conn.gauge),
         };
-        // ---- the pipelined-ingest gate ----
-        if let Request::IngestSeq { seq, .. } = &request {
-            let seq = *seq;
-            if conn.expected_seq.is_some_and(|e| seq != e) {
-                ter_obs::OBS.busy.inc();
-                ter_obs::flight(ter_obs::kind::BUSY, seq, token, 0, 0);
-                append_reply(conn, proto, &Reply::IngestBusy { seq });
-                continue;
-            }
-            match job_tx.try_send(Job {
-                proto,
-                request,
-                reply: handle,
-                t_recv,
-                t_enqueue: ter_obs::trace::now(),
-            }) {
-                Ok(()) => {
-                    conn.expected_seq = Some(seq + 1);
-                    ter_obs::OBS.engine_queue_depth.add(1);
-                }
-                Err(mpsc::TrySendError::Full(_)) => {
-                    ter_obs::OBS.busy.inc();
-                    ter_obs::flight(ter_obs::kind::BUSY, seq, token, 0, 0);
-                    append_reply(conn, proto, &Reply::IngestBusy { seq });
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    append_reply(conn, proto, &Reply::Error("service shutting down".into()));
-                    conn.closing = true;
-                }
-            }
+        // ---- the ingest gate: out-of-sequence batches never queue ----
+        let ingest_seq = match &request {
+            Request::IngestSeq { seq, .. } => Some(*seq),
+            _ => None,
+        };
+        let busy = match ingest_seq {
+            Some(seq) => Reply::IngestBusy { seq },
+            None => Reply::Busy,
+        };
+        if matches!((ingest_seq, conn.expected_seq), (Some(seq), Some(e)) if seq != e) {
+            ter_obs::OBS.busy.inc();
+            ter_obs::flight(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
+            append_reply(conn, &busy);
             continue;
         }
-        // ---- strict request/reply verbs ----
         match job_tx.try_send(Job {
-            proto,
             request,
             reply: handle,
             t_recv,
             t_enqueue: ter_obs::trace::now(),
         }) {
-            Ok(()) => ter_obs::OBS.engine_queue_depth.add(1),
+            Ok(()) => {
+                if let Some(seq) = ingest_seq {
+                    conn.expected_seq = Some(seq + 1);
+                }
+                ter_obs::OBS.engine_queue_depth.add(1);
+            }
             Err(mpsc::TrySendError::Full(_)) => {
                 ter_obs::OBS.busy.inc();
-                ter_obs::flight(ter_obs::kind::BUSY, 0, token, 0, 0);
-                append_reply(conn, proto, &Reply::Busy);
+                ter_obs::flight(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
+                append_reply(conn, &busy);
             }
             Err(mpsc::TrySendError::Disconnected(_)) => {
-                append_reply(conn, proto, &Reply::Error("service shutting down".into()));
+                append_reply(conn, &Reply::Error("service shutting down".into()));
                 conn.closing = true;
             }
         }

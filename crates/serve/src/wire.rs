@@ -1,62 +1,39 @@
-//! The versioned wire protocol: every message travelling either direction
-//! is one `ter_store` frame (`[len: u32 LE][crc: u32 LE][payload]`,
+//! The wire protocol: every message travelling either direction is one
+//! `ter_store` frame (`[len: u32 LE][crc: u32 LE][payload]`,
 //! `crc = CRC-32/IEEE(payload)`) whose payload is
 //!
 //! ```text
-//! payload := [proto: u8 = 1 | 2][tag: u8][body]
+//! payload := [proto: u8 = PROTO_VERSION][tag: u8][body]
 //! ```
 //!
 //! with the body encoded by the same hand-rolled codec the persistence
 //! layer uses, so an `Arrival` travels over the wire bit-identically to
-//! how it lands in the WAL. Decoding is strict: unknown protocol bytes
-//! and tags, truncated bodies, and trailing bytes are all rejected with a
-//! clean [`WireError`] — never a panic (property-tested, mirroring the
-//! `ter_store` codec proptests) — and the frame CRC rejects any bit flip
-//! in transit before the decoder even runs.
+//! how it lands in the WAL. Decoding is strict: any protocol byte other
+//! than [`PROTO_VERSION`], unknown tags, truncated bodies, and trailing
+//! bytes are all rejected with a clean [`WireError`] — never a panic
+//! (property-tested, mirroring the `ter_store` codec proptests) — and the
+//! frame CRC rejects any bit flip in transit before the decoder even
+//! runs.
 //!
-//! # Versions
+//! Ingest has one verb, [`Request::IngestSeq`]: each batch carries a
+//! client-chosen, per-connection-monotonic sequence number, and the
+//! daemon answers each frame with exactly one sequence-tagged
+//! [`Reply::IngestAck`] (committed + stepped) or [`Reply::IngestBusy`]
+//! (queue full *or* out of sequence — the go-back-N signal). A window of
+//! up to `W` unacked batches rides one connection; request/reply is
+//! `W = 1`. Every other verb is strict request/reply and answers
+//! [`Reply::Busy`] when the queue is full.
 //!
-//! * **v1** — strict request/reply: [`Request::Ingest`],
-//!   [`Request::Query`], [`Request::Stats`], [`Request::Checkpoint`],
-//!   [`Request::Shutdown`]; replies carry result data, an error string,
-//!   or the explicit [`Reply::Busy`] backpressure signal. One request in
-//!   flight per connection.
-//! * **v2** — adds *pipelined ingest*: [`Request::IngestSeq`] tags each
-//!   batch with a client-chosen, per-connection-monotonic sequence
-//!   number, and the daemon answers out of band with the sequence-tagged
-//!   [`Reply::IngestAck`] (committed + stepped) or [`Reply::IngestBusy`]
-//!   (queue full *or* out of sequence — the go-back-N signal). A window
-//!   of up to `W` unacked batches rides one connection; acks arrive in
-//!   sequence order because the daemon enqueues only the in-sequence
-//!   prefix.
-//! * **v3** — adds the *declarative query layer*:
-//!   [`Request::PatternQuery`] evaluates a `ter_query` pattern one-shot
-//!   against the live engine ([`Reply::Rows`], stamped with the batch
-//!   position it saw); [`Request::Subscribe`] registers the pattern as a
-//!   *standing* query (the [`Reply::SubAck`] snapshot is the fold's
-//!   starting point) after which the daemon pushes one unsolicited
-//!   [`Reply::Notify`] per arrival batch that net-changed the result.
-//!   A subscriber that cannot drain fast enough is dropped with
-//!   [`Reply::Lagged`] carrying the `resync_seq` to resubscribe from —
-//!   shedding, never stalling ingest. [`Request::Unsubscribe`]
-//!   deregisters explicitly.
-//!   v3 also carries the *observability* surface:
-//!   [`Request::MetricsDump`] returns the daemon's full `ter_obs`
-//!   registry plus its flight-recorder ring as [`Reply::Metrics`], and a
-//!   `Stats` verb sent inside a v3 payload is answered with the enriched
-//!   [`Reply::StatsEx`] (uptime, live connections, subscribers,
-//!   cumulative fsyncs) instead of the v1 [`Reply::Stats`].
-//!   [`Request::TraceDump`] returns the causal per-batch trace surface —
-//!   the critical-path attribution table plus the tail-sampled retained
-//!   traces — as [`Reply::Traces`].
-//!
-//! Both sides speak the *lowest* version a message needs: v1 verbs and
-//! replies are emitted as v1 payloads (so an old peer interoperates
-//! untouched), the pipelined messages as v2, the query-layer messages as
-//! v3. Decoders accept every version; newer tags inside an older payload
-//! are rejected. (The converse — an *older* tag inside a newer payload —
-//! is accepted, which is how [`encode_stats_v3`] asks for the enriched
-//! stats reply without a new verb.)
+//! [`Request::PatternQuery`] evaluates a `ter_query` pattern one-shot
+//! against the live engine ([`Reply::Rows`], stamped with the batch
+//! position it saw); [`Request::Subscribe`] registers the pattern as a
+//! *standing* query (the [`Reply::SubAck`] snapshot is the fold's
+//! starting point) after which the daemon pushes one unsolicited
+//! [`Reply::Notify`] per arrival batch that net-changed the result. A
+//! subscriber that cannot drain fast enough is dropped with
+//! [`Reply::Lagged`] carrying the `resync_seq` to resubscribe from —
+//! shedding, never stalling ingest. [`Request::MetricsDump`] and
+//! [`Request::TraceDump`] carry the observability surface.
 
 use std::io::{Read, Write};
 
@@ -66,14 +43,10 @@ use ter_obs::{MetricRow, TraceEvent};
 use ter_store::{crc32, Codec, CodecError, Decoder, Encoder};
 use ter_stream::Arrival;
 
-/// The original request/reply protocol version.
-pub const PROTO_V1: u8 = 1;
-/// The pipelined-ingest protocol version.
-pub const PROTO_V2: u8 = 2;
-/// The standing-query protocol version.
-pub const PROTO_V3: u8 = 3;
-/// Newest protocol version this build speaks.
-pub const PROTO_VERSION: u8 = PROTO_V3;
+/// The protocol version byte every payload carries. A peer speaking any
+/// other value is refused with [`WireError::Version`]: bytes 1–3 named
+/// earlier body layouts that no longer decode.
+pub const PROTO_VERSION: u8 = 4;
 
 /// Hard cap on a wire frame's payload (16 MiB) — a corrupt or hostile
 /// length field must not drive a pathological allocation.
@@ -126,9 +99,9 @@ impl From<CodecError> for WireError {
 
 /// Reads one framed payload off a *blocking* byte stream. Fails cleanly
 /// on EOF, truncation, oversized lengths, and CRC mismatches. (The
-/// server's reader threads cannot use this — they read under a timeout
-/// and must reassemble across partial reads — so `serve_connection`
-/// carries a shutdown-polling fork of the same frame grammar.)
+/// daemon's I/O threads cannot use this — they reassemble frames across
+/// non-blocking partial reads — so the server carries its own parser of
+/// the same frame grammar.)
 pub fn read_message(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
@@ -177,22 +150,20 @@ pub enum Query {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Append one arrival batch: WAL-commit, step the engine, and return
-    /// the per-arrival match lists. Strict request/reply (v1).
-    Ingest(Vec<Arrival>),
-    /// Pipelined ingest (v2): like [`Request::Ingest`], but tagged with a
-    /// client-chosen sequence number so up to `W` batches ride the
-    /// connection unacked. The daemon enqueues only the in-sequence
-    /// prefix (per connection) and answers each frame with exactly one
-    /// [`Reply::IngestAck`] or [`Reply::IngestBusy`].
+    /// the per-arrival match lists. Tagged with a client-chosen sequence
+    /// number so up to `W` batches ride the connection unacked. The
+    /// daemon enqueues only the in-sequence prefix (per connection) and
+    /// answers each frame with exactly one [`Reply::IngestAck`] or
+    /// [`Reply::IngestBusy`].
     IngestSeq { seq: u64, batch: Vec<Arrival> },
     /// Introspect the engine without mutating it.
     Query(Query),
-    /// Evaluate a `ter_query` pattern one-shot against the live engine
-    /// (v3). The pattern travels as source text and is parsed (and
-    /// rejected with [`Reply::Error`] on a syntax error) server-side.
+    /// Evaluate a `ter_query` pattern one-shot against the live engine.
+    /// The pattern travels as source text and is parsed (and rejected
+    /// with [`Reply::Error`] on a syntax error) server-side.
     PatternQuery(String),
     /// Register the pattern as a standing query under the client-chosen
-    /// `sub_id` (v3). `resync_seq` is 0 on a fresh subscription, or the
+    /// `sub_id`. `resync_seq` is 0 on a fresh subscription, or the
     /// batch position from a [`Reply::Lagged`] / the last folded
     /// [`Reply::Notify`] when reconciling after a lag or a reconnect —
     /// the daemon always answers with a full [`Reply::SubAck`] snapshot,
@@ -202,21 +173,18 @@ pub enum Request {
         resync_seq: u64,
         pattern: String,
     },
-    /// Deregister a standing query (v3). Acknowledged with
-    /// [`Reply::Ack`]`(1)` if the subscription existed, `(0)` otherwise.
+    /// Deregister a standing query. Acknowledged with [`Reply::Ack`]`(1)`
+    /// if the subscription existed, `(0)` otherwise.
     Unsubscribe { sub_id: u64 },
-    /// Service counters: stream position, WAL size, pruning statistics.
-    /// Sent inside a v3 payload (see [`encode_stats_v3`]) the daemon
-    /// answers with the enriched [`Reply::StatsEx`]; inside a v1/v2
-    /// payload it answers [`Reply::Stats`], so old clients are
-    /// unaffected.
+    /// Service counters: stream position, WAL size, pruning statistics,
+    /// and daemon liveness, answered with [`Reply::Stats`].
     Stats,
-    /// The full observability registry + flight-recorder snapshot (v3),
+    /// The full observability registry + flight-recorder snapshot,
     /// answered with [`Reply::Metrics`]. Read-only and engine-thread
     /// serialized like every introspection verb, so the snapshot is
     /// consistent with a batch boundary.
     MetricsDump,
-    /// The causal per-batch trace surface (v3): the cumulative
+    /// The causal per-batch trace surface: the cumulative
     /// critical-path attribution table plus the tail sampler's retained
     /// traces, answered with [`Reply::Traces`]. Read-only and
     /// engine-thread serialized like [`Request::MetricsDump`].
@@ -227,7 +195,6 @@ pub enum Request {
     Shutdown,
 }
 
-const TAG_INGEST: u8 = 0x01;
 const TAG_QUERY: u8 = 0x02;
 const TAG_STATS: u8 = 0x03;
 const TAG_CHECKPOINT: u8 = 0x04;
@@ -253,20 +220,7 @@ const TAG_SUB_ACK: u8 = 0x8A;
 const TAG_NOTIFY: u8 = 0x8B;
 const TAG_LAGGED: u8 = 0x8C;
 const TAG_METRICS: u8 = 0x8D;
-const TAG_STATS_EX: u8 = 0x8E;
 const TAG_TRACES: u8 = 0x8F;
-
-/// The lowest protocol version that carries `tag` — both sides emit it,
-/// so v1 peers keep interoperating until a v2+ message is actually needed.
-fn tag_version(tag: u8) -> u8 {
-    match tag {
-        TAG_INGEST_SEQ | TAG_INGEST_ACK | TAG_INGEST_BUSY => PROTO_V2,
-        TAG_PATTERN_QUERY | TAG_SUBSCRIBE | TAG_UNSUBSCRIBE | TAG_ROWS | TAG_SUB_ACK
-        | TAG_NOTIFY | TAG_LAGGED | TAG_METRICS_DUMP | TAG_METRICS | TAG_STATS_EX
-        | TAG_TRACE_DUMP | TAG_TRACES => PROTO_V3,
-        _ => PROTO_V1,
-    }
-}
 
 /// Window introspection reply body.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -311,15 +265,6 @@ pub struct StatsInfo {
     pub window_len: usize,
     /// Cumulative pruning counters (bit-identical to the library engine's).
     pub stats: PruneStats,
-}
-
-/// Enriched service counters (v3): everything in [`StatsInfo`] plus the
-/// liveness numbers a v1/v2 client could previously only scrape from the
-/// daemon's stdout.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsExInfo {
-    /// The v1 counters, unchanged.
-    pub base: StatsInfo,
     /// Microseconds since the daemon process started observing.
     pub uptime_micros: u64,
     /// Connections currently admitted to the I/O pool.
@@ -330,35 +275,17 @@ pub struct StatsExInfo {
     pub fsyncs: u64,
 }
 
-impl Codec for StatsExInfo {
-    fn encode(&self, enc: &mut Encoder) {
-        self.base.encode(enc);
-        enc.u64(self.uptime_micros);
-        enc.u64(self.connections);
-        enc.u64(self.subscribers);
-        enc.u64(self.fsyncs);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(StatsExInfo {
-            base: StatsInfo::decode(dec)?,
-            uptime_micros: dec.u64()?,
-            connections: dec.u64()?,
-            subscribers: dec.u64()?,
-            fsyncs: dec.u64()?,
-        })
-    }
-}
-
 /// A server reply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// The request failed; the service state is unchanged.
     Error(String),
-    /// The bounded ingest queue is full — retry after draining.
+    /// The bounded engine queue is full — retry after a backoff. Ingest
+    /// answers the sequence-tagged [`Reply::IngestBusy`] instead.
     Busy,
-    /// Per-arrival match lists for one ingested batch, in arrival order,
-    /// each `(min, max)`-normalized and sorted.
-    Matches(Vec<Vec<(u64, u64)>>),
+    /// The live result set `ES` (answer to [`Query::Results`]): every
+    /// currently-matched pair, `(min, max)`-normalized and sorted.
+    Matches(Vec<(u64, u64)>),
     /// Window introspection.
     Window(WindowInfo),
     /// Entity introspection.
@@ -368,22 +295,23 @@ pub enum Reply {
     /// Verb acknowledged; the payload is verb-specific (checkpoint bytes
     /// for `Checkpoint`, total batches served for `Shutdown`).
     Ack(u64),
-    /// Pipelined ingest commit (v2): batch `seq` is WAL-durable and
-    /// stepped; `per_arrival` carries its match lists in arrival order.
+    /// Ingest commit: batch `seq` is WAL-durable and stepped;
+    /// `per_arrival` carries its match lists in arrival order, each
+    /// `(min, max)`-normalized and sorted.
     IngestAck {
         seq: u64,
         per_arrival: Vec<Vec<(u64, u64)>>,
     },
-    /// Pipelined ingest rejection (v2): batch `seq` was *not* committed —
-    /// the queue was full or the frame arrived out of sequence behind an
-    /// earlier rejection. The client rewinds to its lowest unacked batch
+    /// Ingest rejection: batch `seq` was *not* committed — the queue was
+    /// full or the frame arrived out of sequence behind an earlier
+    /// rejection. The client rewinds to its lowest unacked batch
     /// and resends (go-back-N).
     IngestBusy { seq: u64 },
-    /// One-shot pattern result (v3): the projected rows, sorted and
+    /// One-shot pattern result: the projected rows, sorted and
     /// deduped, plus the batch position of the engine state they were
     /// evaluated against.
     Rows { seq: u64, rows: Vec<Vec<u64>> },
-    /// Subscription accepted (v3): the full snapshot of the pattern's
+    /// Subscription accepted: the full snapshot of the pattern's
     /// rows at batch position `seq`. Every later [`Reply::Notify`] for
     /// this `sub_id` folds on top of it.
     SubAck {
@@ -391,7 +319,7 @@ pub enum Reply {
         seq: u64,
         rows: Vec<Vec<u64>>,
     },
-    /// Standing-query push (v3): after the arrival batch ending at
+    /// Standing-query push: after the arrival batch ending at
     /// position `seq`, `added` rows entered the result and `retracted`
     /// rows left it (both sorted, disjoint). Batches that net-change
     /// nothing send nothing.
@@ -401,15 +329,12 @@ pub enum Reply {
         added: Vec<Vec<u64>>,
         retracted: Vec<Vec<u64>>,
     },
-    /// Subscriber shed (v3): its notification backlog exceeded the
+    /// Subscriber shed: its notification backlog exceeded the
     /// daemon's buffer bound, so the subscription was dropped rather
     /// than stalling ingest. Notifications after `resync_seq` were lost;
     /// resubscribe (with `resync_seq`) for a fresh snapshot.
     Lagged { sub_id: u64, resync_seq: u64 },
-    /// Enriched service counters (v3) — the answer to a `Stats` verb
-    /// that arrived inside a v3 payload.
-    StatsEx(StatsExInfo),
-    /// The observability registry + flight recorder (v3) — the answer to
+    /// The observability registry + flight recorder — the answer to
     /// [`Request::MetricsDump`].
     Metrics {
         /// Every registry metric, in declaration order.
@@ -417,7 +342,7 @@ pub enum Reply {
         /// The flight ring's retained events, oldest → newest.
         flight: Vec<TraceEvent>,
     },
-    /// The causal per-batch trace surface (v3) — the answer to
+    /// The causal per-batch trace surface — the answer to
     /// [`Request::TraceDump`].
     Traces {
         /// Cumulative critical-path attribution over every completed
@@ -548,26 +473,21 @@ fn decode_trace(dec: &mut Decoder<'_>) -> Result<Trace, CodecError> {
 
 fn payload_with(tag: u8) -> Encoder {
     let mut enc = Encoder::new();
-    enc.u8(tag_version(tag));
+    enc.u8(PROTO_VERSION);
     enc.u8(tag);
     enc
 }
 
-/// Splits a received payload into its protocol version, verb/reply tag,
-/// and body decoder. Accepts every version this build speaks and rejects
-/// tags newer than the payload's declared version — a v1 payload cannot
-/// smuggle v2 verbs.
-fn open_payload(payload: &[u8]) -> Result<(u8, u8, Decoder<'_>), WireError> {
+/// Splits a received payload into its verb/reply tag and body decoder,
+/// refusing any protocol byte but [`PROTO_VERSION`].
+fn open_payload(payload: &[u8]) -> Result<(u8, Decoder<'_>), WireError> {
     let mut dec = Decoder::new(payload);
     let proto = dec.u8()?;
-    if proto == 0 || proto > PROTO_VERSION {
+    if proto != PROTO_VERSION {
         return Err(WireError::Version(proto));
     }
     let tag = dec.u8()?;
-    if tag_version(tag) > proto {
-        return Err(WireError::UnknownTag(tag));
-    }
-    Ok((proto, tag, dec))
+    Ok((tag, dec))
 }
 
 fn finish<T>(dec: &Decoder<'_>, v: T) -> Result<T, WireError> {
@@ -577,15 +497,9 @@ fn finish<T>(dec: &Decoder<'_>, v: T) -> Result<T, WireError> {
     Ok(v)
 }
 
-/// Encodes a request into a wire payload (version + tag + body). The
-/// version byte is the lowest that carries the verb.
+/// Encodes a request into a wire payload (version + tag + body).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::Ingest(batch) => {
-            let mut enc = payload_with(TAG_INGEST);
-            batch.encode(&mut enc);
-            enc.into_bytes()
-        }
         Request::IngestSeq { seq, batch } => encode_ingest_seq(*seq, batch),
         Request::Query(q) => {
             let mut enc = payload_with(TAG_QUERY);
@@ -628,16 +542,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     }
 }
 
-/// Encodes a [`Request::Stats`] stamped [`PROTO_V3`] instead of its
-/// minimal v1 — the opt-in for the enriched [`Reply::StatsEx`]. Decoders
-/// accept old tags in new payloads, so an old daemon still answers (with
-/// plain [`Reply::Stats`]).
-pub fn encode_stats_v3() -> Vec<u8> {
-    let mut payload = encode_request(&Request::Stats);
-    payload[0] = PROTO_V3;
-    payload
-}
-
 /// Encodes a [`Request::IngestSeq`] payload from a *borrowed* batch —
 /// byte-identical to `encode_request` on the owned variant, without
 /// cloning the batch into a `Request` first. The pipelined client sends
@@ -657,19 +561,8 @@ pub fn encode_ingest_seq(seq: u64, batch: &[Arrival]) -> Vec<u8> {
 /// Decodes a request payload. Any malformed input yields `Err`, never a
 /// panic; the body must consume the payload exactly.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    decode_request_versioned(payload).map(|(_, req)| req)
-}
-
-/// [`decode_request`] that also reports the payload's protocol version,
-/// so the daemon can answer each request in the version it arrived in
-/// (a v1 client never sees a v2 reply).
-pub fn decode_request_versioned(payload: &[u8]) -> Result<(u8, Request), WireError> {
-    let (proto, tag, mut dec) = open_payload(payload)?;
-    let req = match tag {
-        TAG_INGEST => {
-            let batch = Vec::<Arrival>::decode(&mut dec)?;
-            finish(&dec, Request::Ingest(batch))
-        }
+    let (tag, mut dec) = open_payload(payload)?;
+    match tag {
         TAG_INGEST_SEQ => {
             let seq = dec.u64()?;
             let batch = Vec::<Arrival>::decode(&mut dec)?;
@@ -711,8 +604,7 @@ pub fn decode_request_versioned(payload: &[u8]) -> Result<(u8, Request), WireErr
         TAG_CHECKPOINT => finish(&dec, Request::Checkpoint),
         TAG_SHUTDOWN => finish(&dec, Request::Shutdown),
         t => Err(WireError::UnknownTag(t)),
-    }?;
-    Ok((proto, req))
+    }
 }
 
 impl Codec for WindowInfo {
@@ -756,6 +648,10 @@ impl Codec for StatsInfo {
         enc.u64(self.wal_bytes);
         enc.usize(self.window_len);
         self.stats.encode(enc);
+        enc.u64(self.uptime_micros);
+        enc.u64(self.connections);
+        enc.u64(self.subscribers);
+        enc.u64(self.fsyncs);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(StatsInfo {
@@ -764,6 +660,10 @@ impl Codec for StatsInfo {
             wal_bytes: dec.u64()?,
             window_len: dec.usize()?,
             stats: PruneStats::decode(dec)?,
+            uptime_micros: dec.u64()?,
+            connections: dec.u64()?,
+            subscribers: dec.u64()?,
+            fsyncs: dec.u64()?,
         })
     }
 }
@@ -777,9 +677,9 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             enc.into_bytes()
         }
         Reply::Busy => payload_with(TAG_BUSY).into_bytes(),
-        Reply::Matches(per_arrival) => {
+        Reply::Matches(pairs) => {
             let mut enc = payload_with(TAG_MATCHES);
-            per_arrival.encode(&mut enc);
+            pairs.encode(&mut enc);
             enc.into_bytes()
         }
         Reply::Window(info) => {
@@ -845,11 +745,6 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             enc.u64(*resync_seq);
             enc.into_bytes()
         }
-        Reply::StatsEx(info) => {
-            let mut enc = payload_with(TAG_STATS_EX);
-            info.encode(&mut enc);
-            enc.into_bytes()
-        }
         Reply::Metrics { rows, flight } => {
             let mut enc = payload_with(TAG_METRICS);
             enc.usize(rows.len());
@@ -879,7 +774,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 
 /// Decodes a reply payload (strict, panic-free — see [`decode_request`]).
 pub fn decode_reply(payload: &[u8]) -> Result<Reply, WireError> {
-    let (_proto, tag, mut dec) = open_payload(payload)?;
+    let (tag, mut dec) = open_payload(payload)?;
     match tag {
         TAG_ERROR => {
             let msg = dec.str()?;
@@ -887,8 +782,8 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, WireError> {
         }
         TAG_BUSY => finish(&dec, Reply::Busy),
         TAG_MATCHES => {
-            let per_arrival = Vec::<Vec<(u64, u64)>>::decode(&mut dec)?;
-            finish(&dec, Reply::Matches(per_arrival))
+            let pairs = Vec::<(u64, u64)>::decode(&mut dec)?;
+            finish(&dec, Reply::Matches(pairs))
         }
         TAG_WINDOW => {
             let info = WindowInfo::decode(&mut dec)?;
@@ -945,10 +840,6 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, WireError> {
             let sub_id = dec.u64()?;
             let resync_seq = dec.u64()?;
             finish(&dec, Reply::Lagged { sub_id, resync_seq })
-        }
-        TAG_STATS_EX => {
-            let info = StatsExInfo::decode(&mut dec)?;
-            finish(&dec, Reply::StatsEx(info))
         }
         TAG_METRICS => {
             let n = dec.usize()?;
@@ -1009,11 +900,13 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let reqs = [
-            Request::Ingest(sample_batch()),
-            Request::Ingest(Vec::new()),
             Request::IngestSeq {
                 seq: 7,
                 batch: sample_batch(),
+            },
+            Request::IngestSeq {
+                seq: 0,
+                batch: Vec::new(),
             },
             Request::Query(Query::Window),
             Request::Query(Query::Entity(42)),
@@ -1056,132 +949,13 @@ mod tests {
         );
     }
 
-    /// v1 verbs are emitted as v1 payloads (an old daemon keeps working);
-    /// pipelined messages as v2; and a v1 payload cannot smuggle a v2 tag.
-    #[test]
-    fn versions_are_minimal_and_enforced() {
-        assert_eq!(encode_request(&Request::Stats)[0], PROTO_V1);
-        assert_eq!(encode_request(&Request::Ingest(Vec::new()))[0], PROTO_V1);
-        let seq_payload = encode_request(&Request::IngestSeq {
-            seq: 0,
-            batch: Vec::new(),
-        });
-        assert_eq!(seq_payload[0], PROTO_V2);
-        assert_eq!(encode_reply(&Reply::Busy)[0], PROTO_V1);
-        assert_eq!(encode_reply(&Reply::IngestBusy { seq: 3 })[0], PROTO_V2);
-
-        // Version downgrade on a v2-only tag must be rejected.
-        let mut smuggled = seq_payload.clone();
-        smuggled[0] = PROTO_V1;
-        assert!(matches!(
-            decode_request(&smuggled),
-            Err(WireError::UnknownTag(_))
-        ));
-
-        // The query-layer messages are v3, and cannot be smuggled into a
-        // v2 (or v1) payload either.
-        let sub_payload = encode_request(&Request::Subscribe {
-            sub_id: 1,
-            resync_seq: 0,
-            pattern: "live(a)".into(),
-        });
-        assert_eq!(sub_payload[0], PROTO_V3);
-        assert_eq!(
-            encode_request(&Request::PatternQuery("live(a)".into()))[0],
-            PROTO_V3
-        );
-        assert_eq!(
-            encode_request(&Request::Unsubscribe { sub_id: 1 })[0],
-            PROTO_V3
-        );
-        assert_eq!(
-            encode_reply(&Reply::Notify {
-                sub_id: 0,
-                seq: 0,
-                added: vec![],
-                retracted: vec![],
-            })[0],
-            PROTO_V3
-        );
-        assert_eq!(
-            encode_reply(&Reply::Lagged {
-                sub_id: 0,
-                resync_seq: 0
-            })[0],
-            PROTO_V3
-        );
-        for downgrade in [PROTO_V1, PROTO_V2] {
-            let mut smuggled = sub_payload.clone();
-            smuggled[0] = downgrade;
-            assert!(matches!(
-                decode_request(&smuggled),
-                Err(WireError::UnknownTag(_))
-            ));
-        }
-
-        // The observability surface is v3 on both directions, and its
-        // tags cannot be smuggled into older payloads either.
-        let metrics_payload = encode_request(&Request::MetricsDump);
-        assert_eq!(metrics_payload[0], PROTO_V3);
-        assert_eq!(
-            encode_reply(&Reply::Metrics {
-                rows: vec![],
-                flight: vec![]
-            })[0],
-            PROTO_V3
-        );
-        assert_eq!(
-            encode_reply(&Reply::StatsEx(StatsExInfo::default()))[0],
-            PROTO_V3
-        );
-        for downgrade in [PROTO_V1, PROTO_V2] {
-            let mut smuggled = metrics_payload.clone();
-            smuggled[0] = downgrade;
-            assert!(matches!(
-                decode_request(&smuggled),
-                Err(WireError::UnknownTag(_))
-            ));
-        }
-        // The tracing surface rides v3 too, both directions.
-        let trace_payload = encode_request(&Request::TraceDump);
-        assert_eq!(trace_payload[0], PROTO_V3);
-        assert_eq!(
-            encode_reply(&Reply::Traces {
-                critical_path: CriticalPath::ZERO,
-                traces: vec![]
-            })[0],
-            PROTO_V3
-        );
-        for downgrade in [PROTO_V1, PROTO_V2] {
-            let mut smuggled = trace_payload.clone();
-            smuggled[0] = downgrade;
-            assert!(matches!(
-                decode_request(&smuggled),
-                Err(WireError::UnknownTag(_))
-            ));
-        }
-        // A Stats verb re-stamped v3 is legal (old tag, new payload) and
-        // decodes to the same verb — the StatsEx opt-in.
-        let v3_stats = encode_stats_v3();
-        assert_eq!(v3_stats[0], PROTO_V3);
-        let (proto, req) = decode_request_versioned(&v3_stats).unwrap();
-        assert_eq!(proto, PROTO_V3);
-        assert!(matches!(req, Request::Stats));
-
-        // The versioned decoder reports what arrived.
-        let (proto, req) = decode_request_versioned(&seq_payload).unwrap();
-        assert_eq!(proto, PROTO_V2);
-        assert!(matches!(req, Request::IngestSeq { seq: 0, .. }));
-        let (proto, _) = decode_request_versioned(&encode_request(&Request::Stats)).unwrap();
-        assert_eq!(proto, PROTO_V1);
-    }
-
     #[test]
     fn replies_round_trip() {
         let replies = [
             Reply::Error("boom".into()),
             Reply::Busy,
-            Reply::Matches(vec![vec![(1, 2), (3, 4)], vec![], vec![(5, 9)]]),
+            Reply::Matches(vec![(1, 2), (3, 4), (5, 9)]),
+            Reply::Matches(Vec::new()),
             Reply::Window(WindowInfo {
                 len: 2,
                 capacity: 400,
@@ -1204,6 +978,10 @@ mod tests {
                     matches: 2,
                     ..Default::default()
                 },
+                uptime_micros: 55_000,
+                connections: 3,
+                subscribers: 2,
+                fsyncs: 40,
             }),
             Reply::Ack(77),
             Reply::IngestAck {
@@ -1230,19 +1008,6 @@ mod tests {
                 sub_id: 8,
                 resync_seq: 13,
             },
-            Reply::StatsEx(StatsExInfo {
-                base: StatsInfo {
-                    next_batch_seq: 12,
-                    session_arrivals: 1200,
-                    wal_bytes: 4096,
-                    window_len: 400,
-                    stats: PruneStats::default(),
-                },
-                uptime_micros: 55_000,
-                connections: 3,
-                subscribers: 2,
-                fsyncs: 40,
-            }),
             Reply::Metrics {
                 rows: vec![
                     MetricRow {
@@ -1328,21 +1093,40 @@ mod tests {
         assert!(matches!(read_message(&mut cursor), Err(WireError::Io(_))));
     }
 
+    /// Every protocol byte but [`PROTO_VERSION`] is refused — the
+    /// retired bytes 1–3 included — on requests and replies alike.
     #[test]
     fn wrong_version_and_unknown_tags_rejected() {
-        let mut payload = encode_request(&Request::Stats);
-        payload[0] = 9;
-        assert!(matches!(
-            decode_request(&payload),
-            Err(WireError::Version(9))
-        ));
-        let mut enc = Encoder::new();
-        enc.u8(PROTO_VERSION);
-        enc.u8(0x7F);
-        assert!(matches!(
-            decode_request(&enc.into_bytes()),
-            Err(WireError::UnknownTag(0x7F))
-        ));
+        let request = encode_request(&Request::Stats);
+        let reply = encode_reply(&Reply::Busy);
+        for version in [0, 1, 2, 3, 9] {
+            let mut payload = request.clone();
+            payload[0] = version;
+            assert!(
+                matches!(decode_request(&payload), Err(WireError::Version(v)) if v == version),
+                "request version {version} accepted"
+            );
+            let mut payload = reply.clone();
+            payload[0] = version;
+            assert!(
+                matches!(decode_reply(&payload), Err(WireError::Version(v)) if v == version),
+                "reply version {version} accepted"
+            );
+        }
+        // 0x01 was the unsequenced ingest verb and 0x8E the extended
+        // stats reply; neither decodes any more.
+        for (tag, is_request) in [(0x7F, true), (0x01, true), (0x8E, false)] {
+            let payload = [PROTO_VERSION, tag];
+            let outcome = if is_request {
+                decode_request(&payload).map(|_| ())
+            } else {
+                decode_reply(&payload).map(|_| ())
+            };
+            assert!(
+                matches!(outcome, Err(WireError::UnknownTag(t)) if t == tag),
+                "tag {tag:#04x} accepted"
+            );
+        }
     }
 
     #[test]

@@ -28,23 +28,23 @@
 //! `feed --from auto` (the default) asks the daemon where its WAL ends
 //! and resumes the stream cursor there — after a `kill -9`, rerunning the
 //! same `feed` command completes the stream without double-feeding.
-//! `--pipeline W` keeps up to `W` unacked batches on the wire (protocol
-//! v2 windowed ingest — the daemon overlaps each batch's fsync with the
-//! previous batch's compute); `--resilient` additionally survives daemon
-//! restarts mid-feed by re-dialing and resuming from the daemon's own
-//! committed position. `--oracle-check` replays the whole stream through
-//! an in-process engine and insists the daemon's final statistics are
-//! bit-identical.
+//! `--pipeline W` keeps up to `W` unacked batches on the wire (the daemon
+//! overlaps each batch's fsync with the previous batch's compute; the
+//! default `W = 1` is request/reply); `--resilient` additionally
+//! survives daemon restarts mid-feed by re-dialing and resuming from the
+//! daemon's own committed position. `--oracle-check` replays the whole
+//! stream through an in-process engine and insists the daemon's final
+//! statistics are bit-identical.
 //!
-//! `query --pattern` runs a one-shot declarative pattern query (protocol
-//! v3); `subscribe` registers the pattern as a *standing* query and
+//! `query --pattern` runs a one-shot declarative pattern query;
+//! `subscribe` registers the pattern as a *standing* query and
 //! streams the daemon's incremental match/retraction notifications to
 //! stdout as the window slides — one line per event, `LAGGED` when the
 //! daemon shed the subscription under backpressure (rerun `subscribe`
 //! quoting the printed resync position).
 //!
 //! `metrics` scrapes the daemon's telemetry registry over the wire
-//! (protocol v3 `MetricsDump`) and prints it in the `ter_obs` text
+//! (the `MetricsDump` verb) and prints it in the `ter_obs` text
 //! exposition format; `--watch N` re-scrapes every N seconds and renders
 //! counter/histogram *deltas* instead — a poor-man's `top` for the
 //! daemon. `serve --metrics-text <path|->` additionally makes the daemon
@@ -52,8 +52,8 @@
 //! cadence checkpoint, at shutdown, and on a step-stage panic) — the
 //! flight-recorder dump a post-mortem reads after a `kill -9`.
 //!
-//! `trace` scrapes the daemon's causal per-batch traces (protocol v3
-//! `TraceDump`): first the cumulative critical-path attribution table —
+//! `trace` scrapes the daemon's causal per-batch traces (the `TraceDump`
+//! verb): first the cumulative critical-path attribution table —
 //! where each acked batch's end-to-end latency went, segment by segment
 //! — then the slowest retained traces rendered as span trees.
 //! `--slowest N` bounds the tree count; `--follow` keeps re-scraping and
@@ -83,7 +83,8 @@ fn usage() -> ! {
          \x20        [--flush-window 1] [--flush-interval-ms 5]\n\
          \x20        [--notify-buffer 262144] [--metrics-text PATH|-]\n\
          feed     --addr ADDR [--preset ebooks] [--scale 1.0] [--window 400]\n\
-         \x20        [--batch 64] [--from auto|N] [--batches N] [--pipeline W]\n\
+         \x20        [--batch 64] [--from auto|N] [--batches N]\n\
+         \x20        [--pipeline W (unacked batches in flight; 1 = request/reply)]\n\
          \x20        [--resilient] [--oracle-check] [--quiet]\n\
          query    --addr ADDR [--id ID] [--pattern 'match(a, b)']\n\
          subscribe --addr ADDR --pattern 'match(a, b)' [--sub-id 1]\n\
@@ -362,13 +363,11 @@ fn cmd_feed(flags: &Flags) -> ExitCode {
         if !quiet {
             println!(
                 "feeding resiliently: {} of {} batches committed, window {}",
-                already,
-                end,
-                pipeline.max(2)
+                already, end, pipeline
             );
         }
         let start = Instant::now();
-        let report = match rc.feed(&all[..end], pipeline.max(2)) {
+        let report = match rc.feed(&all[..end], pipeline) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("resilient feed failed: {e}");
@@ -412,7 +411,7 @@ fn cmd_feed(flags: &Flags) -> ExitCode {
             usage();
         }),
     };
-    let mut cursor = streams.cursor_at(from, batch);
+    let cursor = streams.cursor_at(from, batch);
     let total = cursor.remaining();
     if !quiet {
         println!(
@@ -421,40 +420,21 @@ fn cmd_feed(flags: &Flags) -> ExitCode {
         );
     }
     let start = Instant::now();
-    let mut matches = 0usize;
-    let mut fed = 0usize;
-    if pipeline > 1 {
-        // ---- windowed (v2) ingest: one go-back-N run over the tail ----
-        let batches: Vec<Vec<ter_stream::Arrival>> = cursor.by_ref().take(limit).collect();
-        fed = batches.iter().map(Vec::len).sum();
-        match client.ingest_pipelined(&batches, pipeline) {
-            Ok(run) => {
-                matches = run.per_batch.iter().flatten().map(Vec::len).sum::<usize>();
-                if !quiet && run.busy_retries > 0 {
-                    println!("absorbed {} busy retries", run.busy_retries);
-                }
+    // ---- one go-back-N run over the tail, `pipeline` batches in flight ----
+    let batches: Vec<Vec<ter_stream::Arrival>> = cursor.take(limit).collect();
+    let fed: usize = batches.iter().map(Vec::len).sum();
+    let matches = match client.ingest_pipelined(&batches, pipeline) {
+        Ok(run) => {
+            if !quiet && run.busy_retries > 0 {
+                println!("absorbed {} busy retries", run.busy_retries);
             }
-            Err(e) => {
-                eprintln!("pipelined ingest failed: {e}");
-                return ExitCode::from(1);
-            }
+            run.per_batch.iter().flatten().map(Vec::len).sum::<usize>()
         }
-    } else {
-        for (i, b) in cursor.by_ref().enumerate() {
-            if i >= limit {
-                break;
-            }
-            let per_arrival = match client.ingest_wait(&b) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("ingest failed at arrival {fed}: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            fed += b.len();
-            matches += per_arrival.iter().map(Vec::len).sum::<usize>();
+        Err(e) => {
+            eprintln!("ingest failed: {e}");
+            return ExitCode::from(1);
         }
-    }
+    };
     let secs = start.elapsed().as_secs_f64();
     println!(
         "fed {fed} arrivals in {secs:.2}s ({:.0} tuples/s), {matches} matches reported",
@@ -700,7 +680,7 @@ fn print_trace(t: &ter_obs::trace::Trace) {
     }
 }
 
-/// Scrapes the daemon's causal trace surface (protocol v3 `TraceDump`):
+/// Scrapes the daemon's causal trace surface (the `TraceDump` verb):
 /// attribution table first, then the `--slowest N` retained traces as
 /// span trees. `--follow` re-scrapes every 2 seconds and prints traces
 /// not shown before.

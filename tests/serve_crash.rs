@@ -34,7 +34,7 @@ use ter_serve::{Client, ClientError, Reply, ResilientClient, SubscriptionFold};
 use ter_stream::Arrival;
 
 /// Feeds a batch slice either strictly request/reply (`window == 1`) or
-/// through the pipelined v2 driver, returning the concatenated
+/// through the pipelined driver, returning the concatenated
 /// per-arrival match lists in batch order.
 fn feed_batches(
     client: &mut Client,
@@ -59,8 +59,8 @@ fn feed_batches(
 /// Controlled kill between acks: every pre-kill batch was acked, so the
 /// concatenation of (pre-kill acks, post-restart acks) must reproduce the
 /// oracle's per-arrival output stream exactly — with the feed strictly
-/// request/reply (`window == 1`) or pipelined (`window > 1`, the v2
-/// windowed protocol with the WAL/step stages overlapped in the daemon).
+/// request/reply (`window == 1`) or pipelined (`window > 1`, with the
+/// WAL/step stages overlapped in the daemon).
 fn sigkill_between_batches(window: usize, tag: &str) {
     let (ctx, streams, params) = build_oracle_inputs();
     let batches = streams.arrival_batches(BATCH);

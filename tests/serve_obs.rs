@@ -26,7 +26,7 @@ fn value_of(rows: &[ter_obs::MetricRow], name: &str) -> u64 {
 /// A live daemon's registry, scraped over the wire mid-run, must show
 /// every layer moving: engine stage histograms, store WAL/fsync
 /// counters, serve connection/read/write counters, query notify
-/// counters — and the numbers must be consistent with what `StatsEx`
+/// counters — and the numbers must be consistent with what `Stats`
 /// and the final `ServeReport` say about the same run.
 #[test]
 fn metrics_dump_reports_every_layer_of_a_live_daemon() {
@@ -61,7 +61,7 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
     assert_eq!(rows, want, "pattern query parity while instrumented");
 
     let (metric_rows, flight) = feeder.metrics_dump().unwrap();
-    let stats_ex = feeder.stats_ex().unwrap();
+    let stats = feeder.stats().unwrap();
 
     // ---- engine: every stage histogram saw every batch ----
     let n = batches.len() as u64;
@@ -103,15 +103,15 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
     );
     assert!(value_of(&metric_rows, "ter_query_notify_bytes_total") > 0);
 
-    // ---- StatsEx consistency with the registry ----
-    assert_eq!(stats_ex.base.next_batch_seq, n);
-    assert!(stats_ex.uptime_micros > 0);
-    assert_eq!(stats_ex.subscribers, 1);
-    assert!(stats_ex.connections >= 2);
+    // ---- Stats consistency with the registry ----
+    assert_eq!(stats.next_batch_seq, n);
+    assert!(stats.uptime_micros > 0);
+    assert_eq!(stats.subscribers, 1);
+    assert!(stats.connections >= 2);
     assert!(
-        stats_ex.fsyncs >= fsyncs,
-        "stats_ex fsyncs ({}) behind an earlier scrape ({fsyncs})",
-        stats_ex.fsyncs
+        stats.fsyncs >= fsyncs,
+        "stats fsyncs ({}) behind an earlier scrape ({fsyncs})",
+        stats.fsyncs
     );
 
     // ---- flight recorder: batches, fsyncs, checkpoints, query trace ----

@@ -145,7 +145,7 @@ fn soak_connections_bounded_threads_and_oracle_parity() {
     // connections drop, the daemon must notice every EOF and walk the
     // gauge back to (about) this one surviving control connection — a
     // leak here means dead Conn entries pinned in the poll loop.
-    let inflated = client.stats_ex().expect("stats_ex").connections;
+    let inflated = client.stats().expect("stats").connections;
     assert!(
         inflated as usize > conns,
         "gauge {inflated} never counted the {conns}-connection herd"
@@ -153,7 +153,7 @@ fn soak_connections_bounded_threads_and_oracle_parity() {
     drop(idle);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let settled = loop {
-        let now = client.stats_ex().expect("stats_ex").connections;
+        let now = client.stats().expect("stats").connections;
         if now <= 2 {
             break now;
         }
