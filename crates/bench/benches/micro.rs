@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the hot primitives: Jaccard on token
-//! sets, aR-tree maintenance/queries, ER-grid maintenance, imputation of
-//! one tuple, and one full engine step.
+//! sets, aR-tree maintenance/queries, ER-grid maintenance, the DR-index's
+//! range search, imputation of one tuple, and one full engine step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -93,6 +93,25 @@ fn bench_imputation(c: &mut Criterion) {
         RuleRetrieval::Linear,
         ImputeConfig::default(),
     );
+    // The DR-index's range search alone: every present value of the
+    // tuple against its own attribute's domain, through the token
+    // postings (`hi < 1`) — the retrieval step indexed imputation runs
+    // per determinant and per voting value.
+    let present: Vec<(usize, &TokenSet)> = (0..ctx.arity())
+        .filter_map(|j| incomplete.attr(j).map(|v| (j, v)))
+        .collect();
+    c.bench_function("dr_index/values_within [0, 0.5]", |bench| {
+        bench.iter(|| {
+            present
+                .iter()
+                .map(|&(j, v)| {
+                    ctx.dr_index
+                        .values_within(&ctx.repo, j, v, Interval::new(0.0, 0.5))
+                        .len()
+                })
+                .sum::<usize>()
+        })
+    });
     let ictx = ImputeContext::default();
     c.bench_function("impute/indexed (CDD-index + DR-index)", |bench| {
         bench.iter(|| std::hint::black_box(indexed.impute(&incomplete, &ictx).instance_count()))

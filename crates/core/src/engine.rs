@@ -64,7 +64,8 @@ pub struct TerContext {
 }
 
 impl TerContext {
-    /// Runs the offline pre-computation phase.
+    /// Runs the offline pre-computation phase. `fanout` is passed on to
+    /// [`DrIndex::build`], which ignores it.
     pub fn build(
         repo: Repository,
         keywords: KeywordSet,

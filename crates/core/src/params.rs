@@ -31,7 +31,10 @@ pub struct Params {
     pub window: usize,
     /// ER-grid resolution: cells per dimension.
     pub grid_cells: u16,
-    /// aR-tree fanout for the DR-index and CDD-index.
+    /// Fanout of the pivot aR-tree the DR-index used to be. No index
+    /// reads it now (the DR-index is inverted postings, and the CDD-index
+    /// sizes its own trees); only the store's context fingerprint does,
+    /// so existing stores keep opening under the same parameters.
     pub fanout: usize,
     /// Imputation candidate cap.
     pub impute: ImputeConfig,

@@ -5,9 +5,9 @@
 //! **bit-identical** to the sequential [`ter_ids::TerIdsEngine`] for any
 //! shard count, thread count, batch size, and drive mode. The
 //! per-arrival pipeline is decomposed into the named stages of
-//! [`stages`](crate::stages) — **impute → traverse → refine → merge** —
+//! `stages` — **impute → traverse → refine → merge** —
 //! and executed by the persistent worker pool of
-//! [`pool`](crate::pool):
+//! `pool`:
 //!
 //! 1. **Impute** — rule selection, imputation, and [`TupleMeta`]
 //!    derivation read only the static [`TerContext`], so the whole batch
@@ -37,7 +37,7 @@
 //! ([`ExecConfig::overlap`], the default) halves that: after imputation
 //! both arrival `i`'s refine *and* arrival `i+1`'s traverse inputs are
 //! known (the eviction schedule is a pure function of the window and the
-//! arrival order — [`stages::eviction_schedule`](crate::stages)), so the
+//! arrival order — `stages::eviction_schedule`), so the
 //! merge thread queues `Refine(i)` and `Step(i+1)` together and pays one
 //! combined wait. Workers answer in FIFO order, so the interleaving is
 //! deterministic; the op order seen by every grid cell and the merge

@@ -5,9 +5,9 @@
 //! a single reported pair or statistic:
 //!
 //! * [`ShardRouter`] hash-partitions the ER-grid's cells into `S` shards;
-//! * [`stages`] names the per-arrival pipeline — **impute → traverse →
+//! * `stages` names the per-arrival pipeline — **impute → traverse →
 //!   refine → merge** — as pure stage kernels;
-//! * [`pool`] keeps a persistent worker pool alive across batches
+//! * `pool` keeps a persistent worker pool alive across batches
 //!   (spawn once per [`ShardedTerIdsEngine::with_pool`] session, not per
 //!   batch), each worker owning its shard group for a batch and its
 //!   imputer for the session;

@@ -7,13 +7,22 @@
 //!    uses the CDD-index `I_j`; linear retrieval scans the rule list.
 //! 2. **Sample retrieval** — for each rule, find repository samples `s`
 //!    satisfying the determinant constraints w.r.t. `r`. Indexed retrieval
-//!    derives main-pivot distance bounds per constraint (triangle
-//!    inequality for intervals, exact coordinates for constants) and
-//!    range-queries the DR-index `I_R`; linear retrieval scans `R`.
+//!    turns each determinant into the exact set of domain values that
+//!    pass it — a constant's own id, or the values within the interval of
+//!    `r[A_x]` found through the DR-index `I_R`'s token postings — then
+//!    enumerates the samples of the most selective determinant through
+//!    `I_R`'s value postings and checks the others by domain id. `I_R` is
+//!    an inverted index rather than the paper's pivot aR-tree because the
+//!    pivot distances collapse on this data (most values are at distance
+//!    1 from every pivot; see `ter_repo::drindex`). Linear retrieval scans
+//!    `R` and is the reference the indexed path is tested against.
 //! 3. **Candidate collection** — every matching `(rule, sample)` pair votes
 //!    for the domain values `val ∈ dom(A_j)` with
 //!    `dist(s[A_j], val) ∈ A_j.I`; frequencies are combined across rules
-//!    and normalized into existence probabilities (Equation 4).
+//!    and normalized into existence probabilities (Equation 4). The vote
+//!    runs once per distinct `s[A_j]` of a rule's matches, adding its
+//!    multiplicity, and finds the values in `A_j.I` with the same exact
+//!    range search as step 2 (a domain scan under linear retrieval).
 //!
 //! The two retrieval modes return identical candidates (property-tested),
 //! which is why the paper reports identical F-scores for `TER-iDS`,
@@ -22,7 +31,7 @@
 use ter_repo::{DrIndex, PivotTable, Record, Repository};
 use ter_rules::{Cdd, CddIndex, Constraint};
 use ter_stream::{AttrCandidates, ProbTuple};
-use ter_text::Interval;
+use ter_text::{Interval, TokenSet};
 
 use crate::{ImputeConfig, ImputeContext, Imputer};
 
@@ -49,10 +58,6 @@ pub struct RuleImputer<'a> {
     rules: &'a [Cdd],
     retrieval: RuleRetrieval<'a>,
     cfg: ImputeConfig,
-    /// Pre-converted main-pivot coordinates of every domain value, per
-    /// attribute — lets candidate collection skip domain values by the
-    /// triangle inequality without recomputing distances.
-    domain_coords: Vec<Vec<f64>>,
 }
 
 impl<'a> RuleImputer<'a> {
@@ -65,16 +70,6 @@ impl<'a> RuleImputer<'a> {
         retrieval: RuleRetrieval<'a>,
         cfg: ImputeConfig,
     ) -> Self {
-        let d = repo.schema().arity();
-        let domain_coords = (0..d)
-            .map(|j| {
-                repo.domain(j)
-                    .values()
-                    .iter()
-                    .map(|v| pivots.convert_value(j, v))
-                    .collect()
-            })
-            .collect();
         Self {
             name,
             repo,
@@ -82,7 +77,6 @@ impl<'a> RuleImputer<'a> {
             rules,
             retrieval,
             cfg,
-            domain_coords,
         }
     }
 
@@ -125,37 +119,59 @@ impl<'a> RuleImputer<'a> {
         ProbTuple::new(record.clone(), imputed)
     }
 
-    /// Samples matching `rule` w.r.t. `record` (positions into `R`).
-    fn matching_samples(&self, record: &Record, rule: &Cdd) -> Vec<usize> {
+    /// Ids of the values of `dom(A_attr)` at a Jaccard distance in `range`
+    /// from `q`, ascending: through the DR-index's token postings when
+    /// indexed, by a domain scan when linear. Both are exact.
+    fn values_within(&self, attr: usize, q: &TokenSet, range: Interval) -> Vec<u32> {
         match &self.retrieval {
-            RuleRetrieval::Linear => (0..self.repo.len())
-                .filter(|&i| rule.sample_matches(record, self.repo.sample(i)))
-                .collect(),
+            RuleRetrieval::Linear => self.repo.domain(attr).scan_within(q, range),
             RuleRetrieval::Indexed { dr_index, .. } => {
-                let d = self.repo.schema().arity();
-                let mut bounds: Vec<Option<Interval>> = vec![None; d];
-                for (a, c) in rule.determinants() {
-                    let rv = record.attr(*a).expect("determinant present");
-                    let r_coord = self.pivots.convert_value(*a, rv);
-                    bounds[*a] = Some(match c {
-                        // Triangle inequality: dist(s, piv) ∈
-                        // [dist(r,piv) − ε.max, dist(r,piv) + ε.max].
-                        Constraint::Interval(i) => {
-                            Interval::new((r_coord - i.hi).max(0.0), (r_coord + i.hi).min(1.0))
-                        }
-                        // Constant v: s[A_x] = v ⇒ identical coordinate.
-                        Constraint::Constant(v) => {
-                            Interval::point(self.pivots.convert_value(*a, v))
-                        }
-                    });
-                }
-                dr_index
-                    .candidate_samples(&bounds)
-                    .into_iter()
-                    .filter(|&i| rule.sample_matches(record, self.repo.sample(i)))
-                    .collect()
+                dr_index.values_within(self.repo, attr, q, range)
             }
         }
+    }
+
+    /// Samples matching `rule` w.r.t. `record` (positions into `R`).
+    fn matching_samples(&self, record: &Record, rule: &Cdd) -> Vec<usize> {
+        let RuleRetrieval::Indexed { dr_index, .. } = &self.retrieval else {
+            return (0..self.repo.len())
+                .filter(|&i| rule.sample_matches(record, self.repo.sample(i)))
+                .collect();
+        };
+        // The domain ids passing each determinant, ascending; a
+        // determinant every value passes (`[0, 1]` or wider) drops out.
+        let mut passing: Vec<(usize, Vec<u32>, usize)> = Vec::new();
+        for (a, c) in rule.determinants() {
+            let rv = record.attr(*a).expect("determinant present");
+            let ids = match c {
+                Constraint::Constant(v) if rv == v => {
+                    self.repo.domain(*a).lookup(v).into_iter().collect()
+                }
+                Constraint::Constant(_) => Vec::new(),
+                Constraint::Interval(i) if i.lo <= 0.0 && i.hi >= 1.0 => continue,
+                Constraint::Interval(i) => self.values_within(*a, rv, *i),
+            };
+            let samples = ids
+                .iter()
+                .map(|&v| dr_index.samples_with_value(*a, v).len())
+                .sum();
+            passing.push((*a, ids, samples));
+        }
+        // Enumerate the most selective determinant's samples; check the
+        // others by domain id.
+        let Some(best) = (0..passing.len()).min_by_key(|&k| passing[k].2) else {
+            return (0..self.repo.len()).collect();
+        };
+        let (a0, ids0, _) = passing.swap_remove(best);
+        ids0.iter()
+            .flat_map(|&v| dr_index.samples_with_value(a0, v))
+            .map(|&pos| pos as usize)
+            .filter(|&pos| {
+                passing
+                    .iter()
+                    .all(|(a, ids, _)| ids.binary_search(&self.repo.value_id(pos, *a)).is_ok())
+            })
+            .collect()
     }
 
     /// Equation 3/4: frequency-vote domain values across all rules/samples.
@@ -168,25 +184,18 @@ impl<'a> RuleImputer<'a> {
         let domain = self.repo.domain(attr);
         let mut freq = vec![0u32; domain.len()];
         for rule in rules {
-            let iv = rule.dependent_interval;
-            for sample_pos in self.matching_samples(record, rule) {
-                let s_val_id = self.repo.value_id(sample_pos, attr);
-                let s_coord = self.domain_coords[attr][s_val_id as usize];
-                let s_val = domain.value(s_val_id);
-                for (vid, coord) in self.domain_coords[attr].iter().enumerate() {
-                    // Triangle filter: |d(val,piv) − d(s,piv)| ≤ d(val,s);
-                    // if even the lower bound exceeds ε.max, skip.
-                    if (coord - s_coord).abs() > iv.hi {
-                        continue;
-                    }
-                    let dist = if vid as u32 == s_val_id {
-                        0.0
-                    } else {
-                        s_val.jaccard_distance(domain.value(vid as u32))
-                    };
-                    if iv.contains(dist) {
-                        freq[vid] += 1;
-                    }
+            // One vote per distinct dependent value, weighted by how many
+            // matching samples hold it.
+            let mut dependents: Vec<u32> = self
+                .matching_samples(record, rule)
+                .into_iter()
+                .map(|pos| self.repo.value_id(pos, attr))
+                .collect();
+            dependents.sort_unstable();
+            for run in dependents.chunk_by(|a, b| a == b) {
+                let q = domain.value(run[0]);
+                for vid in self.values_within(attr, q, rule.dependent_interval) {
+                    freq[vid as usize] += run.len() as u32;
                 }
             }
         }
@@ -217,9 +226,11 @@ impl Imputer for RuleImputer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use ter_repo::{PivotConfig, Schema};
     use ter_rules::{detect_cdds, DiscoveryConfig};
-    use ter_text::{Dictionary, KeywordSet};
+    use ter_text::{Dictionary, KeywordSet, Token};
 
     /// Repository in which gender+symptom determine diagnosis tightly.
     fn setup() -> (Repository, PivotTable, Dictionary) {
@@ -286,69 +297,132 @@ mod tests {
         );
     }
 
-    #[test]
-    fn indexed_equals_linear() {
-        let (repo, pivots, mut dict) = setup();
-        let rules = detect_cdds(&repo, &DiscoveryConfig::default());
-        let d = repo.schema().arity();
-        let cdd_indexes: Vec<CddIndex> = (0..d)
-            .map(|j| CddIndex::build(j, &rules, &pivots))
+    // Random repositories for `indexed_equals_linear`, over a small token
+    // alphabet so values repeat, overlap partly, and include the empty set.
+    const ARITY: usize = 3;
+    /// Interval endpoints, including `lo > 0` with `hi = 1`.
+    const GRID: [f64; 7] = [0.0, 0.2, 0.25, 0.5, 0.6, 0.75, 1.0];
+
+    fn value(rng: &mut TestRng) -> TokenSet {
+        let n = rng.gen_usize(0, 4, false);
+        TokenSet::new((0..n).map(|_| Token(rng.gen_u32(0, 7, false))).collect())
+    }
+
+    fn interval(rng: &mut TestRng) -> Interval {
+        let a = GRID[rng.gen_usize(0, GRID.len(), false)];
+        let b = GRID[rng.gen_usize(0, GRID.len(), false)];
+        Interval::new(a.min(b), a.max(b))
+    }
+
+    /// A record whose values come from `pools` (or are fresh), with
+    /// each attribute missing with probability `missing`.
+    fn record(rng: &mut TestRng, id: u64, pools: &[Vec<TokenSet>], missing: f64) -> Record {
+        let attrs = pools
+            .iter()
+            .map(|pool| {
+                if rng.gen_f64(0.0, 1.0) < missing {
+                    None
+                } else if rng.gen_usize(0, 5, false) == 0 {
+                    Some(value(rng))
+                } else {
+                    Some(pool[rng.gen_usize(0, pool.len(), false)].clone())
+                }
+            })
             .collect();
-        let dr = DrIndex::build(&repo, &pivots, &KeywordSet::universe(), 8);
+        Record::new(&Schema::new(vec!["a", "b", "c"]), id, attrs)
+    }
 
-        let linear = RuleImputer::new(
-            "CDD",
-            &repo,
-            &pivots,
-            &rules,
-            RuleRetrieval::Linear,
-            ImputeConfig::default(),
-        );
-        let indexed = RuleImputer::new(
-            "TER-iDS",
-            &repo,
-            &pivots,
-            &rules,
-            RuleRetrieval::Indexed {
-                cdd_indexes: &cdd_indexes,
-                dr_index: &dr,
-            },
-            ImputeConfig::default(),
-        );
+    fn rule(rng: &mut TestRng, pools: &[Vec<TokenSet>]) -> Cdd {
+        let dependent = rng.gen_usize(0, ARITY, false);
+        let others: Vec<usize> = (0..ARITY).filter(|&a| a != dependent).collect();
+        // One or both of the other attributes.
+        let determinants = match rng.gen_usize(0, 3, false) {
+            0 => vec![others[0]],
+            1 => vec![others[1]],
+            _ => others,
+        }
+        .into_iter()
+        .map(|a| {
+            let c = if rng.gen_usize(0, 3, false) == 0 {
+                let pool = &pools[a];
+                Constraint::Constant(pool[rng.gen_usize(0, pool.len(), false)].clone())
+            } else {
+                Constraint::Interval(interval(rng))
+            };
+            (a, c)
+        })
+        .collect();
+        Cdd::new(determinants, dependent, interval(rng))
+    }
 
-        let cases = [
-            incomplete(&mut dict),
-            Record::from_texts(
-                &Schema::new(vec!["gender", "symptom", "diagnosis"]),
-                101,
-                &[Some("female"), None, Some("seasonal flu")],
-                &mut dict,
-            ),
-            Record::from_texts(
-                &Schema::new(vec!["gender", "symptom", "diagnosis"]),
-                102,
-                &[Some("female"), None, None],
-                &mut dict,
-            ),
-        ];
-        for r in &cases {
-            let a = linear.impute(r, &ImputeContext::default());
-            let b = indexed.impute(r, &ImputeContext::default());
-            assert_eq!(a.imputed.len(), b.imputed.len(), "record {}", r.id);
-            for (ca, cb) in a.imputed.iter().zip(&b.imputed) {
-                let mut va: Vec<_> = ca
-                    .candidates
-                    .iter()
-                    .map(|(v, p)| (format!("{v:?}"), (p * 1e9).round() as i64))
-                    .collect();
-                let mut vb: Vec<_> = cb
-                    .candidates
-                    .iter()
-                    .map(|(v, p)| (format!("{v:?}"), (p * 1e9).round() as i64))
-                    .collect();
-                va.sort();
-                vb.sort();
-                assert_eq!(va, vb, "record {} attr {}", r.id, ca.attr);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Indexed retrieval and its vote give the same candidates,
+        /// bit for bit, as the linear scans — also for samples added
+        /// after the DR-index was built.
+        #[test]
+        fn indexed_equals_linear(seed in any::<u64>()) {
+            let mut rng = TestRng::seeded(seed);
+            let pools: Vec<Vec<TokenSet>> = (0..ARITY)
+                .map(|_| {
+                    let mut pool: Vec<TokenSet> =
+                        (0..rng.gen_usize(2, 7, true)).map(|_| value(&mut rng)).collect();
+                    pool.push(TokenSet::empty());
+                    pool
+                })
+                .collect();
+            let complete = |rng: &mut TestRng, id| record(rng, id, &pools, 0.0);
+            let schema = Schema::new(vec!["a", "b", "c"]);
+            let n = rng.gen_usize(1, 20, true);
+            let mut repo = Repository::from_records(
+                schema,
+                (0..n as u64).map(|id| complete(&mut rng, id)).collect(),
+            );
+            let pivots = PivotTable::select(&repo, &PivotConfig::default());
+            let kw = KeywordSet::universe();
+            let mut dr = DrIndex::build(&repo, &pivots, &kw, 4);
+            for id in 0..rng.gen_usize(0, 8, true) as u64 {
+                repo.insert(complete(&mut rng, 1000 + id));
+                dr.insert_sample(&repo, &pivots, &kw, repo.len() - 1);
+            }
+            prop_assert_eq!(dr.len(), repo.len());
+
+            let rules: Vec<Cdd> =
+                (0..rng.gen_usize(1, 8, true)).map(|_| rule(&mut rng, &pools)).collect();
+            let cdd_indexes: Vec<CddIndex> =
+                (0..ARITY).map(|j| CddIndex::build(j, &rules, &pivots)).collect();
+            let cfg = ImputeConfig { max_candidates_per_attr: usize::MAX };
+            let linear =
+                RuleImputer::new("CDD", &repo, &pivots, &rules, RuleRetrieval::Linear, cfg);
+            let indexed = RuleImputer::new(
+                "TER-iDS",
+                &repo,
+                &pivots,
+                &rules,
+                RuleRetrieval::Indexed { cdd_indexes: &cdd_indexes, dr_index: &dr },
+                cfg,
+            );
+            let ctx = ImputeContext::default();
+            for id in 0..6 {
+                let r = record(&mut rng, 2000 + id, &pools, 0.4);
+                // Same rules in, same candidates out: retrieval and
+                // vote alone, then the whole path with rule selection.
+                let selected = linear.select_rules(&r);
+                prop_assert_eq!(
+                    indexed.impute_with_rules(&r, &selected).imputed,
+                    linear.impute_with_rules(&r, &selected).imputed,
+                    "seed {} record {:?}",
+                    seed,
+                    r
+                );
+                prop_assert_eq!(
+                    indexed.impute(&r, &ctx).imputed,
+                    linear.impute(&r, &ctx).imputed,
+                    "seed {} record {:?}",
+                    seed,
+                    r
+                );
             }
         }
     }

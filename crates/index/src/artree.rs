@@ -4,8 +4,8 @@
 //! Approximate Aggregate Queries With A Multi-Resolution Tree Structure").
 //! Every node carries, besides its MBR, the merge of the [`Aggregate`]s of
 //! all data entries beneath it; traversals can prune a whole subtree from
-//! its aggregate alone. The DR-index `I_R` and the per-group trees of the
-//! CDD-index `I_j` are instances of this structure.
+//! its aggregate alone. The per-group trees of the CDD-index `I_j` are
+//! instances of this structure.
 //!
 //! Implementation notes: arena-allocated nodes, margin-based
 //! choose-subtree, widest-dimension midpoint split, STR bulk loading, and
@@ -81,7 +81,7 @@ impl<P, A: Aggregate> ArTree<P, A> {
     }
 
     /// Bulk loads with Sort-Tile-Recursive packing; much better node overlap
-    /// than repeated inserts for the (static) DR-index.
+    /// than repeated inserts for a static point set.
     pub fn bulk_load(dim: usize, max_fanout: usize, items: Vec<Entry<P, A>>) -> Self {
         let mut tree = Self::new(dim, max_fanout);
         if items.is_empty() {

@@ -4,6 +4,8 @@
 //! the CDD-index `I_j` (aR-trees under a lattice of combined rules), the
 //! DR-index `I_R` (an aR-tree over pivot-converted repository points), and
 //! the ER-grid `G_ER` (a grid synopsis over pivot-converted stream tuples).
+//! This reproduction keeps `I_R` as inverted postings instead (see
+//! `ter_repo::drindex`), so only `I_j` and `G_ER` are built from here.
 //!
 //! This crate provides the generic building blocks:
 //!
@@ -16,8 +18,7 @@
 //!   and O(1) insert/evict, the backbone of the ER-grid.
 //!
 //! The TER-iDS-specific aggregate contents live in the crates that own the
-//! semantics (`ter-rules` for the CDD-index, `ter-repo` for the DR-index,
-//! `ter-ids` for the ER-grid).
+//! semantics (`ter-rules` for the CDD-index, `ter-ids` for the ER-grid).
 
 pub mod artree;
 pub mod grid;

@@ -5,7 +5,7 @@
 //! # Design
 //!
 //! The hot path never allocates. Spans for in-flight batches live in a
-//! fixed table of [`SLOTS`] slots of plain `AtomicU64` words (relaxed
+//! fixed table of `SLOTS` slots of plain `AtomicU64` words (relaxed
 //! orderings, like the registry): slot `seq % SLOTS` holds, per span
 //! [`kind`], a start timestamp and an accumulated duration. Layers that
 //! know their batch sequence ([`add`]) write straight into the slot;

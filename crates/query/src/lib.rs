@@ -5,7 +5,7 @@
 //! * [`pattern`] — the AST and parser for the conjunctive pattern
 //!   grammar (`match`/`live` atoms, `stream`/`topical`/`ts`/`id`
 //!   selections, optional projection);
-//! * [`plan`] — statistics-free greedy join ordering driven entirely by
+//! * [`plan`](mod@plan) — statistics-free greedy join ordering driven entirely by
 //!   counters the engine already maintains (live/pair/stream/topical
 //!   counts, grid cell occupancy, prune stats), with up-front
 //!   empty-result detection;

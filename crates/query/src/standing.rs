@@ -7,7 +7,7 @@
 //! batch's [`StepOutput`] match/retraction/expiry lists — and emits the
 //! *net* row additions and retractions. The contract, enforced by the
 //! differential oracle suites: folding those notifications over the
-//! subscription snapshot reproduces a from-scratch [`evaluate`] of the
+//! subscription snapshot reproduces a from-scratch [`evaluate`](crate::eval::evaluate) of the
 //! pattern against the post-batch engine state, bit-identically, after
 //! every batch.
 //!

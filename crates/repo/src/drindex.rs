@@ -1,169 +1,171 @@
-//! The DR-index `I_R` (§5.1): an aR-tree over pivot-converted repository
-//! samples.
+//! The DR-index `I_R` (§5.1), kept as exact inverted postings.
 //!
-//! Each sample `s ∈ R` becomes the `d`-dimensional point
-//! `(dist(s[A_1], piv_1[A_1]), …, dist(s[A_d], piv_1[A_d]))`. Leaf entries
-//! carry the paper's three aggregate kinds, and inner nodes their merge:
+//! The paper builds `I_R` as an aR-tree over pivot-converted samples: each
+//! sample becomes the point of its Jaccard distances to one main pivot per
+//! attribute, and imputation range-queries that space with bounds derived
+//! from the CDD constraints. That only prunes when the distances spread
+//! out. On this repository's generated data they do not: most attribute
+//! values share no token with any pivot, so they sit at distance exactly 1
+//! from all of them. On two `impute_heavy` datasets (seed 7), 88% of the
+//! values of attributes 1–3 (16,620 of 18,819) were at distance 1 from the
+//! main pivot and from both auxiliary pivots, and the pivot range query
+//! returned 129 samples for every one that matched. More pivots cannot
+//! separate values that share no token with any of them.
 //!
-//! 1. a Boolean keyword vector `V_s`;
-//! 2. intervals bounding the distances to the *auxiliary* pivots
-//!    `dist(s[A_x], piv_a[A_x])`, `a ≥ 2`;
-//! 3. intervals bounding the token-set sizes `|T(s[A_x])|`.
+//! An exact inverted index can. Per attribute `A_j`, the index keeps
 //!
-//! During imputation the engine range-queries the tree with per-attribute
-//! main-pivot distance bounds derived from the CDD constraints, pruning
-//! subtrees by aggregate before verifying samples exactly.
+//! * **value postings** — domain id → positions of the samples holding
+//!   that value ([`DrIndex::samples_with_value`]);
+//! * **token postings** — token → ids of the domain values containing it.
+//!
+//! [`DrIndex::values_within`] answers "which values of `dom(A_j)` lie at a
+//! Jaccard distance in `[lo, hi]` of `q`" by counting each value's token
+//! overlap `o` with `q` through the token postings: its distance is
+//! `1 − o/(|q|+|v|−o)`, the same integers and formula as
+//! [`TokenSet::jaccard_distance`]. A value that shares no token with a
+//! non-empty `q` is at distance 1, so for `hi < 1` only values reached
+//! through the postings can qualify. The work scales with the values that
+//! share a token with `q`, not with the domain. Value postings then turn
+//! the qualifying values into samples.
+//!
+//! Both postings are sized to what the repository holds: the token
+//! postings are a hash map over the tokens present, not a table over the
+//! whole dictionary.
 
-use ter_index::{ArTree, Entry, Rect};
-use ter_text::{Interval, KeywordSet, TopicVector};
+use ter_text::fxhash::FxHashMap;
+use ter_text::{Interval, KeywordSet, Token, TokenSet};
 
 use crate::pivot::PivotTable;
 use crate::repository::Repository;
 
-/// Node/leaf aggregate of the DR-index (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct DrAggregate {
-    /// OR of keyword vectors of all samples beneath.
-    pub topics: TopicVector,
-    /// Minimal bounding intervals of auxiliary-pivot distances, flattened
-    /// in the layout given by [`DrIndex::aux_offset`].
-    pub aux: Vec<Interval>,
-    /// Minimal bounding intervals of token-set sizes, one per attribute.
-    pub token_sizes: Vec<Interval>,
+/// Postings of one attribute (see the [module docs](self)).
+#[derive(Debug, Clone, Default)]
+struct AttrPostings {
+    /// `values[v]` = positions of the samples whose value has domain id
+    /// `v`, ascending.
+    values: Vec<Vec<u32>>,
+    /// Token → ids of the domain values containing it, ascending.
+    tokens: FxHashMap<Token, Vec<u32>>,
 }
 
-impl ter_index::Aggregate for DrAggregate {
-    fn merge(&mut self, other: &Self) {
-        self.topics.or_assign(&other.topics);
-        for (a, b) in self.aux.iter_mut().zip(&other.aux) {
-            a.expand_interval(b);
-        }
-        for (a, b) in self.token_sizes.iter_mut().zip(&other.token_sizes) {
-            a.expand_interval(b);
-        }
-    }
-}
-
-/// The DR-index over a repository. Payloads are sample positions in `R`.
+/// The DR-index over a repository (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct DrIndex {
-    tree: ArTree<usize, DrAggregate>,
-    /// `aux_offsets[j]` = start of attribute `j`'s auxiliary intervals in
-    /// [`DrAggregate::aux`]; `aux_offsets[d]` = total length.
-    aux_offsets: Vec<usize>,
+    attrs: Vec<AttrPostings>,
+    /// Number of samples indexed.
+    len: usize,
 }
 
 impl DrIndex {
-    /// Bulk-builds the index over every sample of `repo`.
+    /// Builds the postings over every sample of `repo`.
     ///
-    /// `keywords` fixes the keyword universe for the Boolean vectors; use
-    /// [`KeywordSet::universe`] when topics are unconstrained.
+    /// `_pivots`, `_keywords` and `_max_fanout` are unused: they configured
+    /// the pivot aR-tree this index replaces, and the signature is kept for
+    /// callers that build it alongside the pivot-based CDD-indexes.
     pub fn build(
         repo: &Repository,
-        pivots: &PivotTable,
-        keywords: &KeywordSet,
-        max_fanout: usize,
+        _pivots: &PivotTable,
+        _keywords: &KeywordSet,
+        _max_fanout: usize,
     ) -> Self {
-        let d = repo.schema().arity();
-        let mut aux_offsets = Vec::with_capacity(d + 1);
-        let mut off = 0;
-        for j in 0..d {
-            aux_offsets.push(off);
-            off += pivots.aux_count(j);
+        let mut index = Self {
+            attrs: vec![AttrPostings::default(); repo.schema().arity()],
+            len: 0,
+        };
+        for pos in 0..repo.len() {
+            index.add(repo, pos);
         }
-        aux_offsets.push(off);
-
-        let entries: Vec<Entry<usize, DrAggregate>> = (0..repo.len())
-            .map(|i| {
-                let s = repo.sample(i);
-                let point = pivots.convert_complete(&s.attrs).into_boxed_slice();
-                Entry {
-                    point,
-                    payload: i,
-                    agg: leaf_aggregate(repo, pivots, keywords, &aux_offsets, i),
-                }
-            })
-            .collect();
-        Self {
-            tree: ArTree::bulk_load(d, max_fanout, entries),
-            aux_offsets,
-        }
+        index
     }
 
-    /// Inserts one more sample (dynamic repository, §5.5). `pos` must be
-    /// the sample's position in the repository.
+    /// Appends one more sample to the postings (dynamic repository,
+    /// §5.5). `pos` must be the sample's position in the repository, and
+    /// every sample inserted into the repository must be added here too
+    /// for retrieval to see it. `_pivots` and `_keywords` are unused (see
+    /// [`DrIndex::build`]).
     pub fn insert_sample(
         &mut self,
         repo: &Repository,
-        pivots: &PivotTable,
-        keywords: &KeywordSet,
+        _pivots: &PivotTable,
+        _keywords: &KeywordSet,
         pos: usize,
     ) {
-        let s = repo.sample(pos);
-        let point = pivots.convert_complete(&s.attrs);
-        let agg = leaf_aggregate(repo, pivots, keywords, &self.aux_offsets, pos);
-        self.tree.insert(point, pos, agg);
+        self.add(repo, pos);
     }
 
-    /// The underlying aR-tree (for the engine's 3-way index join).
-    pub fn tree(&self) -> &ArTree<usize, DrAggregate> {
-        &self.tree
-    }
-
-    /// Start of attribute `j`'s auxiliary-interval block in the aggregate.
-    pub fn aux_offset(&self, j: usize) -> usize {
-        self.aux_offsets[j]
-    }
-
-    /// Sample positions whose converted point falls inside the given
-    /// per-attribute main-pivot distance bounds (`None` = unconstrained).
-    /// This is the coarse candidate retrieval of the index join; callers
-    /// verify exact CDD constraints on the returned samples.
-    pub fn candidate_samples(&self, bounds: &[Option<Interval>]) -> Vec<usize> {
-        let rect = Rect::new(
-            bounds
-                .iter()
-                .map(|b| clamp_unit(b.unwrap_or_else(Interval::unit)))
-                .collect(),
-        );
-        self.tree
-            .range_query(&rect)
-            .into_iter()
-            .map(|e| e.payload)
-            .collect()
-    }
-}
-
-/// Clamps a query interval to the valid distance range `[0,1]`.
-fn clamp_unit(i: Interval) -> Interval {
-    Interval::new(
-        i.lo.clamp(0.0, 1.0),
-        i.hi.clamp(0.0, 1.0).max(i.lo.clamp(0.0, 1.0)),
-    )
-}
-
-fn leaf_aggregate(
-    repo: &Repository,
-    pivots: &PivotTable,
-    keywords: &KeywordSet,
-    aux_offsets: &[usize],
-    pos: usize,
-) -> DrAggregate {
-    let d = repo.schema().arity();
-    let s = repo.sample(pos);
-    let mut aux = vec![Interval::empty(); aux_offsets[d]];
-    let mut token_sizes = Vec::with_capacity(d);
-    for j in 0..d {
-        let v = s.attr(j).unwrap();
-        for a in 0..pivots.aux_count(j) {
-            aux[aux_offsets[j] + a] = Interval::point(pivots.aux_distance(j, a, v));
+    fn add(&mut self, repo: &Repository, pos: usize) {
+        for (j, postings) in self.attrs.iter_mut().enumerate() {
+            let domain = repo.domain(j);
+            let vid = repo.value_id(pos, j) as usize;
+            // Domain ids are dense and assigned on first occurrence, so a
+            // new value extends the value postings by exactly its id.
+            while postings.values.len() <= vid {
+                let id = postings.values.len() as u32;
+                postings.values.push(Vec::new());
+                for &t in domain.value(id).tokens() {
+                    postings.tokens.entry(t).or_default().push(id);
+                }
+            }
+            postings.values[vid].push(pos as u32);
         }
-        token_sizes.push(Interval::point(v.len() as f64));
+        self.len += 1;
     }
-    DrAggregate {
-        topics: keywords.topic_vector(&s.all_tokens()),
-        aux,
-        token_sizes,
+
+    /// Number of samples indexed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no sample is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Positions of the samples whose attribute `j` has domain id `vid`,
+    /// ascending.
+    pub fn samples_with_value(&self, j: usize, vid: u32) -> &[u32] {
+        self.attrs[j]
+            .values
+            .get(vid as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Ids of the values of `dom(A_j)` whose Jaccard distance to `q` lies
+    /// in `range`, ascending. Exact: the same set as
+    /// [`Domain::scan_within`](crate::repository::Domain::scan_within).
+    ///
+    /// For `range.hi < 1` and a non-empty `q` only values sharing a token
+    /// with `q` can qualify, and they are found through the token
+    /// postings. Otherwise (every value at distance 1 may qualify, or `q`
+    /// is empty and shares no token with anything) the domain is scanned.
+    pub fn values_within(
+        &self,
+        repo: &Repository,
+        j: usize,
+        q: &TokenSet,
+        range: Interval,
+    ) -> Vec<u32> {
+        let domain = repo.domain(j);
+        if range.hi >= 1.0 || q.is_empty() {
+            return domain.scan_within(q, range);
+        }
+        let tokens = &self.attrs[j].tokens;
+        let mut hits: Vec<u32> = q
+            .tokens()
+            .iter()
+            .filter_map(|t| tokens.get(t))
+            .flatten()
+            .copied()
+            .collect();
+        hits.sort_unstable();
+        hits.chunk_by(|a, b| a == b)
+            .filter(|run| {
+                let v = domain.value(run[0]);
+                let d = 1.0 - TokenSet::jaccard_from_counts(run.len(), q.len(), v.len());
+                range.contains(d)
+            })
+            .map(|run| run[0])
+            .collect()
     }
 }
 
@@ -186,6 +188,7 @@ mod tests {
             ("probabilistic entity linking networks", "sigmod"),
             ("temporal record linking profiles", "icde"),
             ("meta blocking entity resolution", "tkde"),
+            ("", "tkde"),
         ];
         let recs = texts
             .iter()
@@ -201,63 +204,66 @@ mod tests {
 
     #[test]
     fn build_indexes_all_samples() {
-        let (repo, pivots, dict) = setup();
-        let kw = KeywordSet::parse("entity", &dict);
-        let idx = DrIndex::build(&repo, &pivots, &kw, 4);
-        assert_eq!(idx.tree().len(), repo.len());
-        // Unconstrained query returns everything.
-        let all = idx.candidate_samples(&[None, None]);
-        assert_eq!(all.len(), repo.len());
+        let (repo, pivots, _) = setup();
+        let idx = DrIndex::build(&repo, &pivots, &KeywordSet::universe(), 4);
+        assert_eq!(idx.len(), repo.len());
+        for j in 0..2 {
+            let mut all: Vec<u32> = (0..repo.domain(j).len() as u32)
+                .flat_map(|v| idx.samples_with_value(j, v).to_vec())
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..repo.len() as u32).collect::<Vec<_>>());
+        }
+        // "sigmod" is held by samples 0, 1 and 5.
+        let sigmod = repo.domain(1).value(repo.value_id(0, 1)).clone();
+        let vid = repo.domain(1).lookup(&sigmod).unwrap();
+        assert_eq!(idx.samples_with_value(1, vid), &[0, 1, 5]);
     }
 
     #[test]
     fn candidate_query_matches_linear_scan() {
-        let (repo, pivots, dict) = setup();
-        let kw = KeywordSet::parse("entity", &dict);
-        let idx = DrIndex::build(&repo, &pivots, &kw, 4);
-        let bound = Interval::new(0.0, 0.4);
-        let mut got = idx.candidate_samples(&[Some(bound), None]);
-        got.sort_unstable();
-        let expect: Vec<usize> = (0..repo.len())
-            .filter(|&i| {
-                let v = repo.sample(i).attr(0).unwrap();
-                bound.contains(pivots.convert_value(0, v))
-            })
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn root_aggregate_covers_all_topics() {
-        let (repo, pivots, dict) = setup();
-        let kw = KeywordSet::parse("entity skyline", &dict);
-        let idx = DrIndex::build(&repo, &pivots, &kw, 4);
-        let root = idx.tree().root_agg().unwrap();
-        assert_eq!(root.topics.count_ones(), 2); // both keywords occur in R
-                                                 // Token-size aggregate covers each sample's sizes.
-        for i in 0..repo.len() {
-            for j in 0..2 {
-                let sz = repo.sample(i).attr(j).unwrap().len() as f64;
-                assert!(root.token_sizes[j].contains(sz));
+        let (repo, pivots, mut dict) = setup();
+        let idx = DrIndex::build(&repo, &pivots, &KeywordSet::universe(), 4);
+        let queries = [
+            "entity resolution",
+            "record linking",
+            "streams",
+            "unseen words only",
+            "",
+        ];
+        let ranges = [
+            Interval::new(0.0, 0.0),
+            Interval::new(0.0, 0.5),
+            Interval::new(0.25, 0.8),
+            Interval::new(0.5, 1.0),
+            Interval::new(1.0, 1.0),
+            Interval::unit(),
+        ];
+        for text in queries {
+            let q = ter_text::tokenize(text, &mut dict);
+            for range in ranges {
+                assert_eq!(
+                    idx.values_within(&repo, 0, &q, range),
+                    repo.domain(0).scan_within(&q, range),
+                    "q = {text:?}, range = {range:?}"
+                );
             }
         }
     }
 
     #[test]
-    fn aux_intervals_bound_every_sample() {
-        let (repo, pivots, dict) = setup();
-        let kw = KeywordSet::universe();
-        let idx = DrIndex::build(&repo, &pivots, &kw, 4);
-        let root = idx.tree().root_agg().unwrap();
-        let _ = dict;
-        for i in 0..repo.len() {
-            for j in 0..2 {
-                for a in 0..pivots.aux_count(j) {
-                    let d = pivots.aux_distance(j, a, repo.sample(i).attr(j).unwrap());
-                    assert!(root.aux[idx.aux_offset(j) + a].contains(d));
-                }
-            }
-        }
+    fn out_of_range_bounds_are_clamped() {
+        let (repo, pivots, mut dict) = setup();
+        let idx = DrIndex::build(&repo, &pivots, &KeywordSet::universe(), 4);
+        // Every distance lies in [0,1]; wider bounds take the whole domain.
+        let q = ter_text::tokenize("entity resolution", &mut dict);
+        let got = idx.values_within(&repo, 0, &q, Interval::new(-0.5, 1.5));
+        assert_eq!(got.len(), repo.domain(0).len());
+        let near = idx.values_within(&repo, 0, &q, Interval::new(-0.5, 0.5));
+        assert_eq!(
+            near,
+            idx.values_within(&repo, 0, &q, Interval::new(0.0, 0.5))
+        );
     }
 
     #[test]
@@ -272,20 +278,16 @@ mod tests {
             &[Some("crowdsourced entity matching oracle"), Some("vldb")],
             &mut dict,
         ));
-        idx.insert_sample(&repo, &pivots, &kw, repo.len() - 1);
-        assert_eq!(idx.tree().len(), repo.len());
-        let all = idx.candidate_samples(&[None, None]);
-        assert!(all.contains(&(repo.len() - 1)));
-    }
-
-    #[test]
-    fn out_of_range_bounds_are_clamped() {
-        let (repo, pivots, dict) = setup();
-        let kw = KeywordSet::universe();
-        let _ = dict;
-        let idx = DrIndex::build(&repo, &pivots, &kw, 4);
-        // Triangle-inequality-derived bounds can exceed [0,1]; must clamp.
-        let got = idx.candidate_samples(&[Some(Interval::new(-0.5, 1.5)), None]);
-        assert_eq!(got.len(), repo.len());
+        let pos = repo.len() - 1;
+        idx.insert_sample(&repo, &pivots, &kw, pos);
+        assert_eq!(idx.len(), repo.len());
+        // The new value and its new tokens are reachable.
+        let q = ter_text::tokenize("crowdsourced oracle", &mut dict);
+        let got = idx.values_within(&repo, 0, &q, Interval::new(0.0, 0.6));
+        assert_eq!(got, vec![repo.value_id(pos, 0)]);
+        assert_eq!(idx.samples_with_value(0, got[0]), &[pos as u32]);
+        // An existing value gains the new sample in its postings.
+        let vldb = repo.value_id(pos, 1);
+        assert_eq!(idx.samples_with_value(1, vldb), &[2, 3, pos as u32]);
     }
 }

@@ -13,17 +13,18 @@
 //! * [`pivot`] — the cost-model-based pivot selection of §5.4/Appendix B
 //!   (Shannon-entropy quality measure, `P` buckets, `eMin`, `cntMax`,
 //!   main + auxiliary pivots);
-//! * [`DrIndex`] — the DR-index `I_R` of §5.1: an aR-tree over
-//!   pivot-converted repository points whose nodes aggregate keyword
-//!   vectors, auxiliary-pivot distance intervals, and token-set-size
-//!   intervals.
+//! * [`DrIndex`] — the DR-index `I_R` of §5.1, kept as exact inverted
+//!   postings per attribute (domain value → samples, token → domain
+//!   values) instead of the paper's aR-tree over pivot distances: on this
+//!   repository's data most values sit at distance exactly 1 from every
+//!   pivot, so the pivot space cannot prune (see [`drindex`]).
 
 pub mod drindex;
 pub mod pivot;
 pub mod record;
 pub mod repository;
 
-pub use drindex::{DrAggregate, DrIndex};
+pub use drindex::DrIndex;
 pub use pivot::{AttributePivots, PivotConfig, PivotTable};
 pub use record::{Record, RecordId, Schema};
 pub use repository::Repository;

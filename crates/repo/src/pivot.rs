@@ -1,7 +1,8 @@
 //! Cost-model-based pivot selection (§5.4 and Appendix B).
 //!
 //! Textual attribute values are converted to numbers via Jaccard distance to
-//! *pivot* strings; all indexes operate in that converted space. A good
+//! *pivot* strings; the CDD-index and the ER-grid operate in that converted
+//! space (the DR-index is token postings, see [`crate::drindex`]). A good
 //! pivot spreads the converted values evenly, which the paper measures with
 //! the Shannon entropy of a `P`-bucket histogram (Equation 5):
 //!
@@ -131,24 +132,6 @@ impl PivotTable {
     /// Number of auxiliary pivots of attribute `j`.
     pub fn aux_count(&self, j: usize) -> usize {
         self.per_attr[j].count() - 1
-    }
-
-    /// Converts a complete record into its `d`-dimensional point.
-    ///
-    /// # Panics
-    /// Panics if any attribute is missing — incomplete tuples are converted
-    /// to *regions*, not points (see the imputation bounds in `ter-impute`).
-    pub fn convert_complete(&self, attrs: &[Option<TokenSet>]) -> Vec<f64> {
-        attrs
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                self.convert_value(
-                    j,
-                    v.as_ref().expect("attribute missing in convert_complete"),
-                )
-            })
-            .collect()
     }
 }
 
@@ -364,17 +347,6 @@ mod tests {
         let v = ter_text::tokenize("alpha beta", &mut dict);
         let expected = table.attr(0).main().jaccard_distance(&v);
         assert_eq!(table.convert_value(0, &v), expected);
-    }
-
-    #[test]
-    fn convert_complete_produces_unit_coordinates() {
-        let (repo, _) = repo_with_values(&["alpha", "beta", "gamma", "alpha beta gamma"]);
-        let table = PivotTable::select(&repo, &PivotConfig::default());
-        for s in repo.samples() {
-            let p = table.convert_complete(&s.attrs);
-            assert_eq!(p.len(), 1);
-            assert!((0.0..=1.0).contains(&p[0]));
-        }
     }
 
     #[test]

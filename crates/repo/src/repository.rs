@@ -8,7 +8,7 @@
 //! sample's value as a *domain id*, so step (2) never re-hashes token sets.
 
 use ter_text::fxhash::FxHashMap;
-use ter_text::TokenSet;
+use ter_text::{Interval, TokenSet};
 
 use crate::record::{Record, RecordId, Schema};
 
@@ -44,6 +44,14 @@ impl Domain {
     /// All distinct values.
     pub fn values(&self) -> &[TokenSet] {
         &self.values
+    }
+
+    /// Ids of the values whose Jaccard distance to `q` lies in `range`,
+    /// ascending — an exact scan of the whole domain.
+    pub fn scan_within(&self, q: &TokenSet, range: Interval) -> Vec<u32> {
+        (0..self.values.len() as u32)
+            .filter(|&id| range.contains(q.jaccard_distance(self.value(id))))
+            .collect()
     }
 
     /// Number of distinct values.

@@ -14,8 +14,8 @@
 //!   verified exactly after retrieval).
 //!
 //! Tree nodes aggregate the minimal interval bounding the dependent
-//! constraints `A_j.I` beneath them — the coarse ranges that seed the
-//! DR-index/ER-grid sides of the 3-way index join (§5.3).
+//! constraints `A_j.I` beneath them — the coarse dependent ranges of the
+//! 3-way index join (§5.3).
 
 use ter_index::{ArTree, Rect};
 use ter_repo::{PivotTable, Record};
@@ -195,8 +195,7 @@ impl CddIndex {
 
     /// Coarse bound on the dependent constraint over the rules applicable
     /// to `record`: the minimal interval covering their `A_j.I`s, from
-    /// aggregates where possible. `None` when no rule applies. This seeds
-    /// the DR-index query ranges in the index join (§5.3).
+    /// aggregates where possible. `None` when no rule applies.
     pub fn dependent_bound(&self, record: &Record, pivots: &PivotTable) -> Option<Interval> {
         let mut acc = Interval::empty();
         for rule in self.applicable_rules(record, pivots) {

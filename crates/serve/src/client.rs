@@ -155,6 +155,9 @@ pub struct PipelinedIngest {
     /// `IngestBusy` rejections absorbed (backpressure events the go-back-N
     /// loop retried).
     pub busy_retries: u64,
+    /// The most batches sent and not yet acked at any one time:
+    /// `min(window, batches)` for a run that completes.
+    pub max_in_flight: usize,
 }
 
 /// One connection to a `ter_serve` daemon.
@@ -458,6 +461,7 @@ impl Client {
         let mut out = PipelinedIngest {
             per_batch: Vec::with_capacity(n),
             busy_retries: 0,
+            max_in_flight: 0,
         };
         let mut next_send = 0usize; // next batch index to (re)send
         let mut in_flight = 0usize; // frames whose reply is still owed
@@ -471,6 +475,7 @@ impl Client {
                 next_send += 1;
                 in_flight += 1;
             }
+            out.max_in_flight = out.max_in_flight.max(in_flight);
             // One reply — or, after a rejection, every reply still owed
             // (acks may interleave with the rejected tail).
             let mut rejected = false;

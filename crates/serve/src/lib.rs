@@ -256,6 +256,7 @@ mod tests {
             let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
             let run = client.ingest_pipelined(&batches, 4).unwrap();
             assert_eq!(run.per_batch.len(), batches.len());
+            assert_eq!(run.max_in_flight, 4.min(batches.len()), "window filled");
             let served: Vec<Vec<(u64, u64)>> = run.per_batch.into_iter().flatten().collect();
             assert_eq!(served, oracle_matches, "pipelined feed diverged");
 

@@ -42,8 +42,8 @@
 //! 10 000 connections cost file descriptors and buffer bytes, not
 //! threads. Replies travel from the engine back to the owning I/O thread
 //! over a channel paired with a [`minipoll::Waker`]. A connection that
-//! stops draining replies is dropped after [`WRITE_TIMEOUT`] without
-//! progress, and its buffered outbound bytes never exceed [`WBUF_CAP`].
+//! stops draining replies is dropped after `WRITE_TIMEOUT` without
+//! progress, and its buffered outbound bytes never exceed `WBUF_CAP`.
 //!
 //! All I/O threads are scoped: [`Server::run`] joins them, and on
 //! shutdown each thread first drains every reply still in flight (the

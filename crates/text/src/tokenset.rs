@@ -111,8 +111,16 @@ impl TokenSet {
     /// convention that two absent attribute values agree; this keeps
     /// `jaccard_distance` a metric on the whole domain.
     pub fn jaccard(&self, other: &TokenSet) -> f64 {
-        let inter = self.intersection_size(other);
-        let union = self.len() + other.len() - inter;
+        Self::jaccard_from_counts(self.intersection_size(other), self.len(), other.len())
+    }
+
+    /// Jaccard similarity of two sets of sizes `len_a` and `len_b` that
+    /// share `inter` tokens — the arithmetic of [`TokenSet::jaccard`], for
+    /// callers that count the overlap themselves (an inverted index), so
+    /// their distances are bit-identical to [`TokenSet::jaccard_distance`].
+    #[inline]
+    pub fn jaccard_from_counts(inter: usize, len_a: usize, len_b: usize) -> f64 {
+        let union = len_a + len_b - inter;
         if union == 0 {
             1.0
         } else {

@@ -158,7 +158,7 @@ fn dynamic_repository_extension() {
     let pivots = ter_repo::PivotTable::select(&ds.repo, &PivotConfig::default());
     let mut repo = ds.repo.clone();
     let mut dr = DrIndex::build(&repo, &pivots, &keywords, 16);
-    let before = dr.tree().len();
+    let before = dr.len();
 
     // Promote the first 10 complete stream tuples into R (batch update).
     let newcomers: Vec<_> = ds
@@ -176,7 +176,7 @@ fn dynamic_repository_extension() {
         repo.insert(r);
         dr.insert_sample(&repo, &pivots, &keywords, repo.len() - 1);
     }
-    assert_eq!(dr.tree().len(), before + 10);
+    assert_eq!(dr.len(), before + 10);
 
     // Rules can be re-detected over the grown repository.
     let rules_after = ter_rules::detect_cdds(&repo, &DiscoveryConfig::default());
