@@ -476,19 +476,22 @@ fn main() {
             )
         })
         .collect();
-    // Single-threaded replay can't oversubscribe, but the schema gate
-    // requires every BENCH_*.json to carry the honesty fields.
+    // Replay runs on one thread, so the run is undersubscribed only when
+    // the host does not show even one CPU (an unknown count reads as 0).
+    const REPLAY_THREADS: usize = 1;
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(0);
+    let undersubscribed = REPLAY_THREADS > host_cpus;
     let json = format!(
-        "{{\n  \"bench\": \"fig19_recovery\",\n{}\n  \"preset\": \"{}\",\n  \"scale\": {},\n  \"window\": {},\n  \"batch\": {},\n  \"host_cpus\": {},\n  \"undersubscribed\": false,\n  \"arrivals\": {},\n  \"live_tuples\": {},\n  \"checkpoint_bytes\": {},\n  \"checkpoint_write_mb_per_sec\": {:.1},\n  \"wal_append_tuples_per_sec\": {:.1},\n  \"churn_gate\": {CHURN_GATE},\n  \"delta_ratio_ceiling\": {DELTA_RATIO_CEILING},\n  \"recovery\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fig19_recovery\",\n{}\n  \"preset\": \"{}\",\n  \"scale\": {},\n  \"window\": {},\n  \"batch\": {},\n  \"host_cpus\": {},\n  \"undersubscribed\": {},\n  \"arrivals\": {},\n  \"live_tuples\": {},\n  \"checkpoint_bytes\": {},\n  \"checkpoint_write_mb_per_sec\": {:.1},\n  \"wal_append_tuples_per_sec\": {:.1},\n  \"churn_gate\": {CHURN_GATE},\n  \"delta_ratio_ceiling\": {DELTA_RATIO_CEILING},\n  \"recovery\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ]\n}}\n",
         RunStamp::capture().json_fields(),
         preset.name(),
         scale,
         params.window,
         BATCH,
         host_cpus,
+        undersubscribed,
         arrivals.len(),
         state.live_count(),
         ck_bytes,

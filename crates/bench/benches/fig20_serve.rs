@@ -250,8 +250,10 @@ fn main() {
         gc8_matches, lib_matches,
         "flush_window=8 daemon results diverged from the library engine"
     );
+    // At least 4x fewer fsyncs than batches; a run of fewer than 8
+    // batches may still need its one fsync.
     assert!(
-        gc8_report.fsyncs * 4 <= gc8_report.batches,
+        gc8_report.fsyncs <= (gc8_report.batches / 4).max(1),
         "group commit at flush_window=8 must cover {} batches with at \
          least 4x fewer fsyncs (got {})",
         gc8_report.batches,

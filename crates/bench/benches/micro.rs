@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the hot primitives: Jaccard on token
-//! sets, aR-tree maintenance/queries, ER-grid maintenance, the DR-index's
-//! range search, imputation of one tuple, and one full engine step.
+//! sets, aR-tree maintenance/queries, the DR-index's range search,
+//! imputation of one tuple, refinement of one imputed pair, and one full
+//! engine step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
+use ter_ids::refine::{exact_probability, refine_pair};
+use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine, TupleMeta};
 use ter_impute::{ImputeConfig, ImputeContext, Imputer, RuleImputer, RuleRetrieval};
 use ter_index::{ArTree, Rect};
 use ter_repo::PivotConfig;
@@ -121,6 +123,63 @@ fn bench_imputation(c: &mut Criterion) {
     });
 }
 
+/// Refinement of one pair of imputed tuples: the exact probability
+/// (every instance pair, Equation 2) and the Theorem 4.4 cascade at a
+/// threshold no prefix decides, so both walk the full instance product.
+fn bench_refine(c: &mut Criterion) {
+    let ds = preset(
+        Preset::Citations,
+        &GenOptions {
+            scale: 0.2,
+            ..GenOptions::default()
+        },
+    );
+    let ctx = TerContext::build(
+        ds.repo.clone(),
+        ds.keywords(),
+        &PivotConfig::default(),
+        &DiscoveryConfig::default(),
+        16,
+    );
+    let imputer = ctx.indexed_imputer(ImputeConfig::default());
+    let ictx = ImputeContext::default();
+    // The two incomplete tuples with the most instances.
+    let mut metas: Vec<TupleMeta> = ds
+        .streams
+        .arrivals()
+        .iter()
+        .filter(|a| !a.record.is_complete())
+        .map(|a| {
+            let pt = imputer.impute(&a.record, &ictx);
+            TupleMeta::build(
+                a.record.id,
+                a.stream_id,
+                a.timestamp,
+                pt,
+                &ctx.pivots,
+                &ctx.layout,
+                &ctx.keywords,
+            )
+        })
+        .collect();
+    metas.sort_by_key(|m| std::cmp::Reverse(m.tuple.instance_count()));
+    let (a, b) = (&metas[0], &metas[1]);
+    let shape = format!("{}x{}", a.tuple.instance_count(), b.tuple.instance_count());
+    let gamma = Params::default().gamma(ctx.arity());
+    c.bench_function(
+        &format!("refine/exact probability ({shape} instances)"),
+        |bench| bench.iter(|| std::hint::black_box(exact_probability(a, b, &ctx.keywords, gamma))),
+    );
+    let exact = exact_probability(a, b, &ctx.keywords, gamma);
+    // Just above the exact value: no prefix accepts, and the optimistic
+    // bound only falls below alpha at the end.
+    let alpha = (exact + 1e-9).min(1.0);
+    c.bench_function(
+        &format!("refine/early-terminated ({shape} instances)"),
+        |bench| bench.iter(|| std::hint::black_box(refine_pair(a, b, &ctx.keywords, gamma, alpha))),
+    );
+}
+
 fn bench_engine_step(c: &mut Criterion) {
     let ds = preset(
         Preset::Anime,
@@ -165,6 +224,6 @@ fn bench_tokenize(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_jaccard, bench_tokenize, bench_artree, bench_imputation, bench_engine_step
+    targets = bench_jaccard, bench_tokenize, bench_artree, bench_imputation, bench_refine, bench_engine_step
 }
 criterion_main!(benches);

@@ -1,53 +1,143 @@
-//! Candidate selection and pair accounting, shared by the sequential
+//! Candidate enumeration and pair accounting, shared by the sequential
 //! engine and the sharded batch-parallel engine (`ter_exec`).
 //!
-//! Both engines must take identical decisions about *which* surfaced
-//! tuples are examined (Theorem 4.1's topical inverted list, self/stream
-//! filtering) and how never-examined pairs are attributed in the pruning
-//! statistics — any divergence breaks the bit-identical-stats contract
-//! their differential tests enforce. Generic over the meta storage so the
-//! sequential engine's `TupleMeta` map and the sharded engine's
-//! `Arc<TupleMeta>` map use the same code path.
+//! Both engines must take identical decisions about *which* live tuples
+//! are examined (cell-level pruning, Theorem 4.1's topical restriction,
+//! stream filtering) and how never-examined pairs are attributed in the
+//! pruning statistics — any divergence breaks the bit-identical-stats
+//! contract their differential tests enforce. So there is one enumeration,
+//! [`examined_ids`]: the sequential engine runs it over its single grid,
+//! the sharded engine over each worker's shard group, and the per-worker
+//! id lists merge as sorted vectors.
 
-use std::borrow::Borrow;
+use ter_index::RegionGrid;
 
-use ter_text::fxhash::{FxHashMap, FxHashSet};
-
-use crate::meta::TupleMeta;
+use crate::meta::{ErAggregate, TupleMeta};
 use crate::metrics::PruneStats;
+use crate::pruning::cell_survives;
 
-/// The candidates the pair-level cascade must examine for `probe`:
-/// surfaced live tuples (restricted to the topical inverted list when the
-/// probe cannot be topical — Theorem 4.1), excluding the probe itself and
-/// same-stream tuples, in ascending-id order so any partition of the
-/// returned slice is deterministic.
-pub fn examined_candidates<'m, M: Borrow<TupleMeta>>(
-    probe: &TupleMeta,
-    surfaced: &FxHashSet<u64>,
-    topical_ids: &FxHashSet<u64>,
-    metas: &'m FxHashMap<u64, M>,
-) -> Vec<&'m M> {
-    let mut ids: Vec<u64> = if probe.possibly_topical {
-        surfaced.iter().copied().collect()
-    } else {
-        topical_ids
-            .iter()
-            .copied()
-            .filter(|id| surfaced.contains(id))
-            .collect()
-    };
-    ids.sort_unstable();
-    ids.into_iter()
-        .filter(|&id| id != probe.id)
-        .filter_map(|id| metas.get(&id))
-        .filter(|m| {
-            let m: &TupleMeta = (*m).borrow();
-            m.stream_id != probe.stream_id
-        })
-        .collect()
+/// What an ER-grid entry carries besides its aggregate: the tuple id and
+/// the two attributes candidate selection filters on, so the cell walk
+/// decides each entry without a metadata lookup. Equality is on the id
+/// alone — the id names the tuple, the rest is derived from it.
+#[derive(Debug, Clone, Copy)]
+pub struct ErPayload {
+    /// Tuple id.
+    pub id: u64,
+    /// Source stream.
+    pub stream: u32,
+    /// Whether some instance can contain a query keyword.
+    pub topical: bool,
 }
 
-/// Counts this arrival's candidate pairs into `stats`: `eligible` total
+impl ErPayload {
+    /// The payload registering `meta` in the ER-grid.
+    pub fn of(meta: &TupleMeta) -> Self {
+        Self {
+            id: meta.id,
+            stream: u32::try_from(meta.stream_id).expect("stream id exceeds u32"),
+            topical: meta.possibly_topical,
+        }
+    }
+}
+
+impl PartialEq for ErPayload {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+
+/// The ER-grid `G_ER`, or one shard of it.
+pub type ErGrid = RegionGrid<ErPayload, ErAggregate>;
+
+/// The ids the pair-level cascade must examine for `probe`, ascending and
+/// deduplicated: every entry of a cell that survives cell-level pruning
+/// ([`cell_survives`]) whose tuple comes from another stream (the problem
+/// statement pairs tuples "from two of n data streams") and — unless the
+/// probe itself may be topical — may be topical (Theorem 4.1). A region
+/// spanning several surviving cells is reported once.
+///
+/// `grids` is the whole ER-grid or any group of its shards; the results
+/// of disjoint shard groups merge with a sorted-vector union.
+pub fn examined_ids<'g>(
+    grids: impl IntoIterator<Item = &'g ErGrid>,
+    probe: &TupleMeta,
+    gamma: f64,
+    aux_counts: &[usize],
+) -> Vec<u64> {
+    let mut ids = Vec::new();
+    for grid in grids {
+        grid.traverse(
+            |_rect, agg| cell_survives(probe, agg, gamma, aux_counts),
+            |entry| {
+                let e = entry.payload;
+                if e.stream as usize != probe.stream_id && (probe.possibly_topical || e.topical) {
+                    ids.push(e.id);
+                }
+            },
+        );
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Live and possibly-topical tuple counts per stream — what
+/// [`account_pairs`] needs, kept up to date at insert and expiry so pair
+/// accounting costs O(streams), not O(window).
+#[derive(Debug, Clone, Default)]
+pub struct StreamCounts {
+    live: Vec<usize>,
+    topical: Vec<usize>,
+}
+
+impl StreamCounts {
+    /// Counts for a restored window: the persisted per-stream live counts
+    /// (which may carry zero entries for streams with no live tuple) and
+    /// topical counts derived from the live metadata.
+    pub fn restore(live: &[usize], metas: &[TupleMeta]) -> Self {
+        let mut topical = vec![0; live.len()];
+        for meta in metas.iter().filter(|m| m.possibly_topical) {
+            topical[meta.stream_id] += 1;
+        }
+        Self {
+            live: live.to_vec(),
+            topical,
+        }
+    }
+
+    /// Counts a tuple entering the window.
+    pub fn add(&mut self, meta: &TupleMeta) {
+        if self.live.len() <= meta.stream_id {
+            self.live.resize(meta.stream_id + 1, 0);
+            self.topical.resize(meta.stream_id + 1, 0);
+        }
+        self.live[meta.stream_id] += 1;
+        if meta.possibly_topical {
+            self.topical[meta.stream_id] += 1;
+        }
+    }
+
+    /// Uncounts a tuple leaving the window.
+    pub fn remove(&mut self, meta: &TupleMeta) {
+        self.live[meta.stream_id] -= 1;
+        if meta.possibly_topical {
+            self.topical[meta.stream_id] -= 1;
+        }
+    }
+
+    /// Live tuple count per stream id.
+    pub fn live(&self) -> &[usize] {
+        &self.live
+    }
+
+    /// Number of live tuples flagged possibly-topical.
+    pub fn topical_total(&self) -> usize {
+        self.topical.iter().sum()
+    }
+}
+
+/// Counts this arrival's candidate pairs into `stats`: the eligible total
 /// pairs (live tuples of other streams), plus bulk attribution of the
 /// pairs never examined —
 ///
@@ -58,33 +148,27 @@ pub fn examined_candidates<'m, M: Borrow<TupleMeta>>(
 ///   (Theorem 4.1, `topic`) plus cell-pruned topical ones (`sim`).
 ///
 /// Call after the examined candidates were decided (their outcomes are
-/// tallied by the caller).
-pub fn account_pairs<M: Borrow<TupleMeta>>(
+/// tallied by the caller) and before the probe is counted in `counts`.
+pub fn account_pairs(
     probe: &TupleMeta,
     examined: u64,
-    stream_counts: &[usize],
-    topical_ids: &FxHashSet<u64>,
-    metas: &FxHashMap<u64, M>,
+    counts: &StreamCounts,
     stats: &mut PruneStats,
 ) {
-    let eligible: u64 = stream_counts
-        .iter()
-        .enumerate()
-        .filter(|(sid, _)| *sid != probe.stream_id)
-        .map(|(_, &c)| c as u64)
-        .sum();
+    let other = |per_stream: &[usize]| -> u64 {
+        per_stream
+            .iter()
+            .enumerate()
+            .filter(|(sid, _)| *sid != probe.stream_id)
+            .map(|(_, &c)| c as u64)
+            .sum()
+    };
+    let eligible = other(&counts.live);
     stats.total_pairs += eligible;
     if probe.possibly_topical {
         stats.sim += eligible - examined;
     } else {
-        let topical_eligible: u64 = topical_ids
-            .iter()
-            .filter(|id| {
-                metas
-                    .get(id)
-                    .is_some_and(|m| m.borrow().stream_id != probe.stream_id)
-            })
-            .count() as u64;
+        let topical_eligible = other(&counts.topical);
         stats.topic += eligible - topical_eligible;
         stats.sim += topical_eligible - examined;
     }

@@ -10,7 +10,9 @@
 //!    `I_j ⋈ I_R` side; both phases timed separately for Figure 6).
 //! 3. **Candidate retrieval** — the ER-grid is traversed with cell-level
 //!    topic/similarity pruning (the `⋈ G_ER` side of the 3-way join);
-//!    surviving cells surface candidate tuples (lines 9, 14–25).
+//!    the entries of surviving cells are filtered in the same walk (other
+//!    stream; possibly topical unless the probe is) into the sorted
+//!    candidate id list ([`candidates::examined_ids`], lines 9, 14–25).
 //! 4. **Pair pruning & refinement** — Theorems 4.1 → 4.2 → 4.3 in order,
 //!    then Theorem 4.4 early-terminated exact refinement; survivors enter
 //!    the result set (lines 15–26).
@@ -18,19 +20,17 @@
 use std::time::Instant;
 
 use ter_impute::{ImputeConfig, RuleImputer, RuleRetrieval};
-use ter_index::RegionGrid;
 use ter_repo::{DrIndex, PivotConfig, PivotTable, Repository};
 use ter_rules::{detect_cdds, detect_dds, detect_editing_rules, Cdd, CddIndex, DiscoveryConfig};
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 use ter_text::KeywordSet;
 
-use crate::candidates;
-use crate::meta::{AuxLayout, ErAggregate, TupleMeta};
+use crate::candidates::{self, ErGrid, ErPayload, StreamCounts};
+use crate::meta::{AuxLayout, TupleMeta};
 use crate::metrics::{PhaseTiming, PruneStats};
 use crate::params::Params;
 pub use crate::params::PruningMode;
-use crate::pruning;
 use crate::refine::{decide_pair, PairContext, PairDecision};
 use crate::results::{norm_pair, ResultSet};
 use crate::state::EngineState;
@@ -152,15 +152,12 @@ pub struct TerIdsEngine<'a> {
     mode: PruningMode,
     gamma: f64,
     imputer: RuleImputer<'a>,
-    grid: RegionGrid<u64, ErAggregate>,
+    grid: ErGrid,
     window: SlidingWindow<u64>,
     metas: FxHashMap<u64, TupleMeta>,
-    /// Live tuple count per stream (for O(1) candidate-pair accounting).
-    stream_counts: Vec<usize>,
-    /// Live tuples with `possibly_topical = true` — the inverted list
-    /// realizing Theorem 4.1: a non-topical arrival can only match a
-    /// topical counterpart, so only this (small) set is ever examined.
-    topical_ids: FxHashSet<u64>,
+    /// Live and topical tuple counts per stream (O(streams) pair
+    /// accounting).
+    counts: StreamCounts,
     results: ResultSet,
     reported: FxHashSet<(u64, u64)>,
     stats: PruneStats,
@@ -180,11 +177,10 @@ impl<'a> TerIdsEngine<'a> {
             mode,
             gamma: params.gamma(d),
             imputer,
-            grid: RegionGrid::new(d, params.grid_cells),
+            grid: ErGrid::new(d, params.grid_cells),
             window: SlidingWindow::new(params.window),
             metas: FxHashMap::default(),
-            stream_counts: Vec::new(),
-            topical_ids: FxHashSet::default(),
+            counts: StreamCounts::default(),
             results: ResultSet::new(),
             reported: FxHashSet::default(),
             stats: PruneStats::default(),
@@ -241,7 +237,7 @@ impl<'a> TerIdsEngine<'a> {
         let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
             .grid
             .iter_cells()
-            .map(|(k, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
+            .map(|(k, entries)| (k.clone(), entries.map(|e| e.payload.id).collect()))
             .collect();
         cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         EngineState {
@@ -249,7 +245,7 @@ impl<'a> TerIdsEngine<'a> {
             grid_cells: self.params.grid_cells,
             window,
             metas,
-            stream_counts: self.stream_counts.clone(),
+            stream_counts: self.counts.live().to_vec(),
             results,
             reported,
             stats: self.stats,
@@ -266,19 +262,21 @@ impl<'a> TerIdsEngine<'a> {
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         let d = self.ctx.arity();
         state.validate(d, self.params.window, self.params.grid_cells)?;
-        let mut metas: FxHashMap<u64, TupleMeta> = FxHashMap::default();
-        let mut topical_ids: FxHashSet<u64> = FxHashSet::default();
-        for meta in &state.metas {
-            if meta.possibly_topical {
-                topical_ids.insert(meta.id);
-            }
-            metas.insert(meta.id, meta.clone());
-        }
-        let mut grid = RegionGrid::new(d, self.params.grid_cells);
-        for (key, ids) in &state.cells {
+        let metas: FxHashMap<u64, TupleMeta> = state
+            .metas
+            .iter()
+            .map(|meta| (meta.id, meta.clone()))
+            .collect();
+        let mut grid = ErGrid::new(d, self.params.grid_cells);
+        for (key, ids) in state.cells_in_window_order() {
             for id in ids {
-                let meta = &metas[id];
-                grid.insert_at([key.clone()], &meta.region(), *id, meta.aggregate());
+                let meta = &metas[&id];
+                grid.insert_at(
+                    [key.clone()],
+                    &meta.region(),
+                    ErPayload::of(meta),
+                    meta.aggregate(),
+                );
             }
         }
         let mut window = SlidingWindow::new(self.params.window);
@@ -294,8 +292,7 @@ impl<'a> TerIdsEngine<'a> {
         self.grid = grid;
         self.window = window;
         self.metas = metas;
-        self.stream_counts = state.stream_counts.clone();
-        self.topical_ids = topical_ids;
+        self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);
         self.results = results;
         self.reported = state.reported.iter().copied().collect();
         self.stats = state.stats;
@@ -308,11 +305,9 @@ impl<'a> TerIdsEngine<'a> {
     /// (the step's retraction delta).
     fn expire(&mut self, old_id: u64) -> Vec<(u64, u64)> {
         if let Some(meta) = self.metas.remove(&old_id) {
-            self.grid.evict(&meta.region(), &old_id);
-            let removed = self.results.remove_involving(old_id);
-            self.stream_counts[meta.stream_id] -= 1;
-            self.topical_ids.remove(&old_id);
-            removed
+            self.grid.evict(&meta.region(), &ErPayload::of(&meta));
+            self.counts.remove(&meta);
+            self.results.remove_involving(old_id)
         } else {
             Vec::new()
         }
@@ -330,12 +325,12 @@ impl<'a> TerIdsEngine<'a> {
 
     /// Live tuple count per stream id.
     pub fn stream_tuple_counts(&self) -> &[usize] {
-        &self.stream_counts
+        self.counts.live()
     }
 
     /// Number of live tuples currently flagged possibly-topical.
     pub fn topical_count(&self) -> usize {
-        self.topical_ids.len()
+        self.counts.topical_total()
     }
 }
 
@@ -384,26 +379,15 @@ impl ErProcessor for TerIdsEngine<'_> {
         );
 
         // ---- candidate retrieval through the ER-grid ----
+        // Cell pruning, the stream and Theorem 4.1 filters, and the bulk
+        // attribution of never-examined pairs live in [`candidates`],
+        // shared with the sharded engine.
         let gamma = self.gamma;
         let aux_counts = &self.ctx.aux_counts;
-        let mut surfaced: FxHashSet<u64> = FxHashSet::default();
-        self.grid.traverse(
-            |_rect, agg| pruning::cell_survives(&meta, agg, gamma, aux_counts),
-            |entry| {
-                surfaced.insert(entry.payload);
-            },
-        );
-
-        // ---- pair-level pruning + refinement ----
-        // Candidate pairs = live tuples of *other* streams (the problem
-        // statement pairs tuples "from two of n data streams"); selection,
-        // Theorem 4.1's inverted list, and the bulk attribution of pairs
-        // in pruned-out cells live in [`candidates`], shared with the
-        // sharded engine.
-        let cands =
-            candidates::examined_candidates(&meta, &surfaced, &self.topical_ids, &self.metas);
+        let cands = candidates::examined_ids([&self.grid], &meta, gamma, aux_counts);
         let examined = cands.len() as u64;
 
+        // ---- pair-level pruning + refinement ----
         let pair_ctx = PairContext {
             keywords: &self.ctx.keywords,
             gamma,
@@ -412,7 +396,8 @@ impl ErProcessor for TerIdsEngine<'_> {
             mode: self.mode,
         };
         let mut new_matches = Vec::new();
-        for other in cands {
+        for id in &cands {
+            let other = &self.metas[id];
             match decide_pair(&meta, other, &pair_ctx) {
                 PairDecision::SimPruned => self.stats.sim += 1,
                 PairDecision::ProbPruned => self.stats.prob += 1,
@@ -423,14 +408,7 @@ impl ErProcessor for TerIdsEngine<'_> {
                 }
             }
         }
-        candidates::account_pairs(
-            &meta,
-            examined,
-            &self.stream_counts,
-            &self.topical_ids,
-            &self.metas,
-            &mut self.stats,
-        );
+        candidates::account_pairs(&meta, examined, &self.counts, &mut self.stats);
         // Candidates are examined in ascending-id order and pairs are
         // normalized, so a step's match list is a deterministic function
         // of the arrival order — directly comparable with the sharded
@@ -442,14 +420,9 @@ impl ErProcessor for TerIdsEngine<'_> {
         }
 
         // ---- register the new tuple (lines 11–13) ----
-        self.grid.insert(meta.region(), meta.id, meta.aggregate());
-        if self.stream_counts.len() <= meta.stream_id {
-            self.stream_counts.resize(meta.stream_id + 1, 0);
-        }
-        self.stream_counts[meta.stream_id] += 1;
-        if meta.possibly_topical {
-            self.topical_ids.insert(meta.id);
-        }
+        self.grid
+            .insert(meta.region(), ErPayload::of(&meta), meta.aggregate());
+        self.counts.add(&meta);
         let prev = self.metas.insert(meta.id, meta);
         assert!(prev.is_none(), "duplicate tuple id {}", arrival.record.id);
         step_timing.er += t.elapsed();
@@ -703,6 +676,206 @@ mod tests {
             }
             assert_eq!(second.export_state(), oracle.export_state(), "cut {cut}");
         }
+    }
+
+    /// The candidate definition before the grid drove enumeration: every
+    /// id surfaced by a surviving cell, intersected with the live topical
+    /// tuples unless the probe may be topical, minus the probe and its
+    /// own stream. Kept here only as the reference for the test below.
+    fn surfaced_then_filtered(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
+        let mut surfaced: FxHashSet<u64> = FxHashSet::default();
+        engine.grid.traverse(
+            |_, agg| {
+                crate::pruning::cell_survives(probe, agg, engine.gamma, &engine.ctx.aux_counts)
+            },
+            |e| {
+                surfaced.insert(e.payload.id);
+            },
+        );
+        let topical_ids: FxHashSet<u64> = engine
+            .metas
+            .values()
+            .filter(|m| m.possibly_topical)
+            .map(|m| m.id)
+            .collect();
+        let mut ids: Vec<u64> = if probe.possibly_topical {
+            surfaced.iter().copied().collect()
+        } else {
+            topical_ids
+                .iter()
+                .copied()
+                .filter(|id| surfaced.contains(id))
+                .collect()
+        };
+        ids.sort_unstable();
+        ids.into_iter()
+            .filter(|&id| id != probe.id)
+            .filter(|id| {
+                engine
+                    .metas
+                    .get(id)
+                    .is_some_and(|m| m.stream_id != probe.stream_id)
+            })
+            .collect()
+    }
+
+    /// A generated scenario over the unit tests' schema: a repository of
+    /// 60 tuples and three streams of `n` tuples in total, titles and tags
+    /// drawn from small vocabularies (so regions overlap and cells fill),
+    /// a third of the stream tags missing. A title's first word fixes only
+    /// two of three tags, so imputation yields several candidates and
+    /// imputed regions span several cells; some tags are topical.
+    fn generated_scenario(n: u64) -> (TerContext, StreamSet) {
+        let schema = Schema::new(vec!["title", "tags"]);
+        let mut dict = Dictionary::new();
+        let titles = ["space", "cowboy", "adventure", "saga", "high", "school"];
+        let tags = ["scifi", "western", "drama", "comedy", "food", "music"];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % m
+        };
+        let mut record = |id: u64, missing: bool, dict: &mut Dictionary| {
+            // The title's first word fixes two of the three tags: a
+            // dependency CDD discovery finds, with the third left to
+            // chance.
+            let lead = next(6);
+            let title = format!("{} {}", titles[lead], titles[next(6)]);
+            let tag = format!("{} {} {}", tags[lead], tags[(lead + 1) % 6], tags[next(6)]);
+            let tag = (!missing).then_some(tag.as_str());
+            Record::from_texts(&schema, id, &[Some(&title), tag], dict)
+        };
+        let repo_recs = (0..60)
+            .map(|i| record(10_000 + i, false, &mut dict))
+            .collect();
+        let mut streams = vec![Vec::new(), Vec::new(), Vec::new()];
+        for id in 0..n {
+            streams[(id % 3) as usize].push(record(id, id % 3 == 1, &mut dict));
+        }
+        let repo = Repository::from_records(schema.clone(), repo_recs);
+        let keywords = KeywordSet::parse("scifi", &dict);
+        let ctx = TerContext::build(
+            repo,
+            keywords,
+            &PivotConfig::default(),
+            &DiscoveryConfig {
+                min_support: 2,
+                min_constant_support: 2,
+                ..DiscoveryConfig::default()
+            },
+            16,
+        );
+        (ctx, StreamSet::new(streams))
+    }
+
+    /// The grid-driven candidate list equals the old "surfaced ∩ filter"
+    /// definition at every step, and O(streams) pair accounting equals
+    /// the old walk over the topical inverted list.
+    #[test]
+    fn grid_driven_candidates_equal_surfaced_then_filtered() {
+        let (ctx, streams) = generated_scenario(240);
+        for grid_cells in [2u16, 5] {
+            let params = Params {
+                window: 30,
+                grid_cells,
+                ..Params::default()
+            };
+            let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+            let (mut nonempty, mut spanning) = (0, 0);
+            for a in streams.arrivals() {
+                let pt = if a.record.is_complete() {
+                    ProbTuple::certain(a.record.clone())
+                } else {
+                    let rules = engine.imputer.select_rules(&a.record);
+                    engine.imputer.impute_with_rules(&a.record, &rules)
+                };
+                let probe = TupleMeta::build(
+                    a.record.id,
+                    a.stream_id,
+                    a.timestamp,
+                    pt,
+                    &ctx.pivots,
+                    &ctx.layout,
+                    &ctx.keywords,
+                );
+                // Expire first, as `process` does, so both definitions
+                // see the window the probe is matched against.
+                let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+                shadow.import_state(&engine.export_state()).unwrap();
+                if let Some((_, old_id)) = shadow.window.push(a.timestamp, a.record.id) {
+                    shadow.expire(old_id);
+                }
+                let expect = surfaced_then_filtered(&shadow, &probe);
+                let got =
+                    candidates::examined_ids([&shadow.grid], &probe, shadow.gamma, &ctx.aux_counts);
+                assert_eq!(got, expect, "arrival {}", a.record.id);
+                nonempty += usize::from(!got.is_empty());
+
+                let mut old = PruneStats::default();
+                let topical_other = shadow
+                    .metas
+                    .values()
+                    .filter(|m| m.possibly_topical && m.stream_id != probe.stream_id)
+                    .count() as u64;
+                let eligible: u64 = shadow
+                    .metas
+                    .values()
+                    .filter(|m| m.stream_id != probe.stream_id)
+                    .count() as u64;
+                let examined = got.len() as u64;
+                old.total_pairs = eligible;
+                if probe.possibly_topical {
+                    old.sim = eligible - examined;
+                } else {
+                    old.topic = eligible - topical_other;
+                    old.sim = topical_other - examined;
+                }
+                let mut new = PruneStats::default();
+                candidates::account_pairs(&probe, examined, &shadow.counts, &mut new);
+                assert_eq!(new, old, "arrival {}", a.record.id);
+
+                engine.process(&a);
+                spanning = spanning.max(engine.grid.cell_entry_count() - engine.window_len());
+            }
+            assert!(nonempty > 100, "only {nonempty} arrivals had candidates");
+            assert!(spanning > 0, "no region spans two cells");
+        }
+    }
+
+    /// Snapshots written before cells kept window order may list a
+    /// cell's ids in any order. Import puts them back in window order, so
+    /// the restored cells evict oldest-first and the run continues
+    /// exactly as the uninterrupted one.
+    #[test]
+    fn import_restores_window_order_of_scrambled_cells() {
+        let (ctx, streams) = generated_scenario(120);
+        let arrivals = streams.arrivals();
+        let params = Params {
+            window: 25,
+            grid_cells: 2,
+            ..Params::default()
+        };
+        let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        for a in &arrivals[..60] {
+            oracle.process(a);
+        }
+        let mut scrambled = oracle.export_state();
+        assert!(scrambled.cells.iter().any(|(_, ids)| ids.len() > 2));
+        for (_, ids) in &mut scrambled.cells {
+            ids.reverse();
+        }
+        let mut restored = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        restored.import_state(&scrambled).unwrap();
+        assert_eq!(restored.export_state(), oracle.export_state());
+        for a in &arrivals[60..] {
+            assert_eq!(
+                restored.process(a).new_matches,
+                oracle.process(a).new_matches
+            );
+        }
+        assert_eq!(restored.export_state(), oracle.export_state());
     }
 
     #[test]

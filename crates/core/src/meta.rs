@@ -155,11 +155,15 @@ impl TupleMeta {
 
     /// The grid/cell aggregate contributed by this tuple.
     pub fn aggregate(&self) -> ErAggregate {
+        let bounds = [&self.main_bounds, &self.aux_bounds, &self.size_bounds]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
         ErAggregate {
             topics: self.topics.clone(),
-            main: self.main_bounds.clone(),
-            aux: self.aux_bounds.clone(),
-            sizes: self.size_bounds.clone(),
+            bounds,
+            arity: self.arity(),
         }
     }
 }
@@ -167,28 +171,41 @@ impl TupleMeta {
 /// The ER-grid cell aggregate (§5.2): topic vector, main/auxiliary pivot
 /// distance intervals, and token-set-size intervals — merged over every
 /// tuple intersecting the cell.
-#[derive(Debug, Clone)]
+///
+/// The grid keeps one aggregate per cell entry, so the three interval
+/// lists share one allocation.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErAggregate {
     /// OR of tuple keyword vectors.
     pub topics: TopicVector,
+    /// `[main (d) | aux (flattened) | sizes (d)]`.
+    bounds: Box<[Interval]>,
+    /// The arity `d`.
+    arity: usize,
+}
+
+impl ErAggregate {
     /// Bounds of main-pivot distances per attribute.
-    pub main: Vec<Interval>,
-    /// Bounds of auxiliary-pivot distances (flattened).
-    pub aux: Vec<Interval>,
+    pub fn main(&self) -> &[Interval] {
+        &self.bounds[..self.arity]
+    }
+
+    /// Bounds of auxiliary-pivot distances (flattened via
+    /// [`AuxLayout`]).
+    pub fn aux(&self) -> &[Interval] {
+        &self.bounds[self.arity..self.bounds.len() - self.arity]
+    }
+
     /// Bounds of token-set sizes per attribute.
-    pub sizes: Vec<Interval>,
+    pub fn sizes(&self) -> &[Interval] {
+        &self.bounds[self.bounds.len() - self.arity..]
+    }
 }
 
 impl Aggregate for ErAggregate {
     fn merge(&mut self, other: &Self) {
         self.topics.or_assign(&other.topics);
-        for (a, b) in self.main.iter_mut().zip(&other.main) {
-            a.expand_interval(b);
-        }
-        for (a, b) in self.aux.iter_mut().zip(&other.aux) {
-            a.expand_interval(b);
-        }
-        for (a, b) in self.sizes.iter_mut().zip(&other.sizes) {
+        for (a, b) in self.bounds.iter_mut().zip(other.bounds.iter()) {
             a.expand_interval(b);
         }
     }
@@ -314,9 +331,9 @@ mod tests {
         let mut agg = m1.aggregate();
         agg.merge(&m2.aggregate());
         for j in 0..2 {
-            assert!(agg.main[j].contains_interval(&m1.main_bounds[j]));
-            assert!(agg.main[j].contains_interval(&m2.main_bounds[j]));
-            assert!(agg.sizes[j].contains_interval(&m2.size_bounds[j]));
+            assert!(agg.main()[j].contains_interval(&m1.main_bounds[j]));
+            assert!(agg.main()[j].contains_interval(&m2.main_bounds[j]));
+            assert!(agg.sizes()[j].contains_interval(&m2.size_bounds[j]));
         }
     }
 

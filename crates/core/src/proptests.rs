@@ -103,6 +103,30 @@ proptest! {
         }
     }
 
+    /// The early-exit threshold test refinement uses decides exactly like
+    /// comparing the full similarity sum — at thresholds on the sums
+    /// themselves, just beside them, and on the attribute-count grid
+    /// where the early-exit bound lands.
+    #[test]
+    fn similarity_threshold_test_matches_the_sum(
+        ta in arb_prob_tuple(1),
+        tb in arb_prob_tuple(2),
+        gamma_pct in 0u32..=100,
+    ) {
+        let fx = fixture();
+        let a = build_meta(&fx, 1, ta.0, ta.1);
+        let b = build_meta(&fx, 2, tb.0, tb.1);
+        for ia in a.tuple.instances() {
+            for ib in b.tuple.instances() {
+                let s = ia.similarity(&ib);
+                let grid = 2.0 * gamma_pct as f64 / 100.0;
+                for t in [s, s - 1e-12, s + 1e-12, grid, 0.0, 1.0, 2.0] {
+                    prop_assert_eq!(ia.similarity_exceeds(&ib, t), s > t, "sim {} vs {}", s, t);
+                }
+            }
+        }
+    }
+
     /// Lemma 4.3: the Paley–Zygmund bound dominates the exact probability
     /// for every γ.
     #[test]

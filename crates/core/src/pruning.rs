@@ -28,18 +28,19 @@ pub fn cell_survives(
     }
     // Similarity UB via pivot gaps + token sizes against the cell.
     let d = meta.arity() as f64;
+    let (main, aux, sizes) = (agg.main(), agg.aux(), agg.sizes());
     let mut gap_sum = 0.0;
     let mut size_ub = 0.0;
     let mut aux_off = 0;
     for k in 0..meta.arity() {
-        let mut gap = meta.main_bounds[k].min_gap(&agg.main[k]);
+        let mut gap = meta.main_bounds[k].min_gap(&main[k]);
         for s in 0..aux_counts[k] {
             let slot = aux_off + s;
-            gap = gap.max(meta.aux_bounds[slot].min_gap(&agg.aux[slot]));
+            gap = gap.max(meta.aux_bounds[slot].min_gap(&aux[slot]));
         }
         aux_off += aux_counts[k];
         gap_sum += gap;
-        size_ub += ub_sim_attr_size(&meta.size_bounds[k], &agg.sizes[k]);
+        size_ub += ub_sim_attr_size(&meta.size_bounds[k], &sizes[k]);
     }
     (d - gap_sum).min(size_ub) > gamma
 }

@@ -1,8 +1,10 @@
 //! Exact `Pr_TER-iDS` computation (Equation 2) and the instance-pair-level
 //! pruning / early termination of Theorem 4.4.
 //!
-//! Refinement enumerates instance pairs `(r_{i,m}, r_{j,m'})` in
-//! probability-mass order is not required for correctness; Theorem 4.4 only
+//! Refinement enumerates instance pairs `(r_{i,m}, r_{j,m'})` with the
+//! first tuple's instances outer and the second's inner, each in odometer
+//! order, without allocating (an instance is a view naming its index). No
+//! probability-mass order is needed for correctness; Theorem 4.4 only
 //! needs the running sums: after processing a set `S` of pairs,
 //!
 //! ```text
@@ -77,7 +79,7 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
         PruningMode::Full => {
             // Theorem 4.1 cannot fire here: callers only examine pairs
             // where one side is possibly topical (the probe, or a
-            // candidate drawn from the topical inverted list).
+            // candidate the grid walk kept for being possibly topical).
             debug_assert!(!pruning::topic_prunable(a, b));
             if pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma {
                 return PairDecision::SimPruned;
@@ -105,15 +107,13 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
 /// Exact probability (Equation 2), no early termination. Exposed for
 /// tests, the oracle, and the no-pruning baselines.
 pub fn exact_probability(a: &TupleMeta, b: &TupleMeta, keywords: &KeywordSet, gamma: f64) -> f64 {
-    let a_insts: Vec<_> = a.tuple.instances().collect();
-    let b_insts: Vec<_> = b.tuple.instances().collect();
     let mut pr = 0.0;
-    for ia in &a_insts {
+    for ia in a.tuple.instances() {
         let a_topical = keywords.is_universe() || ia.contains_any_token(keywords.tokens());
-        for ib in &b_insts {
+        for ib in b.tuple.instances() {
             let topical =
                 a_topical || keywords.is_universe() || ib.contains_any_token(keywords.tokens());
-            if topical && ia.similarity(ib) > gamma {
+            if topical && ia.similarity_exceeds(&ib, gamma) {
                 pr += ia.prob * ib.prob;
             }
         }
@@ -129,17 +129,15 @@ pub fn refine_pair(
     gamma: f64,
     alpha: f64,
 ) -> Refinement {
-    let a_insts: Vec<_> = a.tuple.instances().collect();
-    let b_insts: Vec<_> = b.tuple.instances().collect();
     let mut qualifying = 0.0; // Σ_S Pr(pair)
     let mut processed = 0.0; // Σ_S p_i · p_j
     let mut examined = 0usize;
-    for ia in &a_insts {
+    for ia in a.tuple.instances() {
         let a_topical = keywords.is_universe() || ia.contains_any_token(keywords.tokens());
-        for ib in &b_insts {
+        for ib in b.tuple.instances() {
             let mass = ia.prob * ib.prob;
             let topical = a_topical || ib.contains_any_token(keywords.tokens());
-            if topical && ia.similarity(ib) > gamma {
+            if topical && ia.similarity_exceeds(&ib, gamma) {
                 qualifying += mass;
             }
             processed += mass;

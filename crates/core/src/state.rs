@@ -12,11 +12,10 @@
 //!
 //! The representation is canonical — window entries in arrival order,
 //! result/reported pairs sorted, grid cells sorted by key with entries in
-//! insertion order — so the sequential `TerIdsEngine` and the sharded
+//! window order — so the sequential `TerIdsEngine` and the sharded
 //! `ShardedTerIdsEngine` export *equal* states at the same stream
-//! position (their per-cell op histories are identical by the PR 2
-//! sharding invariant), and a checkpoint taken from one engine restores
-//! into the other.
+//! position (every cell is a FIFO of the window in both), and a
+//! checkpoint taken from one engine restores into the other.
 //!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
 //! every cross-field invariant (window/meta agreement, timestamp
@@ -26,7 +25,7 @@
 //! past the frame CRCs.
 
 use ter_index::CellKey;
-use ter_text::fxhash::FxHashSet;
+use ter_text::fxhash::{FxHashMap, FxHashSet};
 
 use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
@@ -57,10 +56,11 @@ pub struct EngineState {
     pub reported: Vec<(u64, u64)>,
     /// Cumulative pruning counters.
     pub stats: PruneStats,
-    /// ER-grid cells: `(cell key, payload ids in entry order)`, sorted by
-    /// key. Entry order is preserved exactly so the restored grid is
-    /// indistinguishable from the crashed one (cell aggregates are left
-    /// folds over the entry sequence; same sequence ⇒ same bits).
+    /// ER-grid cells: `(cell key, ids of the tuples in the cell)`, sorted
+    /// by key, each cell's ids in window order (oldest first) — the order
+    /// of the cell's FIFO, which eviction relies on. Cell aggregates merge
+    /// with min/max/OR, so they do not depend on the order; importers
+    /// restore it with [`EngineState::cells_in_window_order`].
     pub cells: Vec<(CellKey, Vec<u64>)>,
 }
 
@@ -190,6 +190,26 @@ impl EngineState {
     /// Number of live tuples in the snapshot.
     pub fn live_count(&self) -> usize {
         self.window.len()
+    }
+
+    /// The persisted cells with each cell's ids in window order — the
+    /// order an importing engine re-inserts them in, so every restored
+    /// cell is again a FIFO of the window and evicts its oldest entry
+    /// first. Snapshots written before cells kept window order hold some
+    /// cells out of order; they restore through this sort too. Call on a
+    /// [validated](Self::validate) state (every cell id is live).
+    pub fn cells_in_window_order(&self) -> impl Iterator<Item = (&CellKey, Vec<u64>)> {
+        let position: FxHashMap<u64, usize> = self
+            .window
+            .iter()
+            .enumerate()
+            .map(|(pos, &(_, id))| (id, pos))
+            .collect();
+        self.cells.iter().map(move |(key, ids)| {
+            let mut ids = ids.clone();
+            ids.sort_by_key(|id| position[id]);
+            (key, ids)
+        })
     }
 }
 

@@ -17,13 +17,16 @@
 //!    cell-key hash ([`ShardRouter`]); each worker owns a disjoint shard
 //!    group for the batch and applies grid mutations (the previous
 //!    arrival's insert, this arrival's expiry) in arrival order before
-//!    traversing with the shared cell-level predicate, so every cell
-//!    sees exactly the op sequence the monolithic grid would.
-//! 3. **Refine** — the surfaced union is filtered and partitioned; each
-//!    worker routes its slice through the shared cascade
-//!    ([`ter_ids::decide_pair`]). Small candidate sets are refined on the
-//!    driving thread instead — a synchronization barrier is not worth a
-//!    handful of pairs (`refine_fanout_min`).
+//!    enumerating its candidates with the sequential engine's own
+//!    [`candidates::examined_ids`] — cell pruning plus the stream and
+//!    topical filters in one walk — so every cell sees exactly the op
+//!    sequence the monolithic grid would and yields the same ids.
+//! 3. **Refine** — the workers' sorted id lists are merged into one
+//!    sorted candidate list and partitioned; each worker routes its slice
+//!    through the shared cascade ([`ter_ids::decide_pair`]). Small
+//!    candidate sets are refined on the driving thread instead — a
+//!    synchronization barrier is not worth a handful of pairs
+//!    (`refine_fanout_min`).
 //! 4. **Merge** — window maintenance, expiry, result-set and statistics
 //!    updates happen on the driving thread in arrival order (per-worker
 //!    tallies merged deterministically, matches ordered by
@@ -60,14 +63,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ter_ids::candidates;
+use ter_ids::candidates::{self, ErPayload, StreamCounts};
 use ter_ids::meta::TupleMeta;
 use ter_ids::{
     EngineState, ErProcessor, Params, PhaseTiming, PruneStats, PruningMode, ResultSet,
     StageMetrics, StepOutput, TerContext,
 };
 use ter_impute::RuleImputer;
-use ter_index::RegionGrid;
 use ter_stream::{Arrival, SlidingWindow};
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
@@ -146,8 +148,7 @@ pub struct ShardedTerIdsEngine<'a> {
     shards: Vec<ShardGrid>,
     window: SlidingWindow<u64>,
     metas: FxHashMap<u64, Arc<TupleMeta>>,
-    stream_counts: Vec<usize>,
-    topical_ids: FxHashSet<u64>,
+    counts: StreamCounts,
     results: ResultSet,
     reported: FxHashSet<(u64, u64)>,
     stats: PruneStats,
@@ -172,12 +173,11 @@ impl<'a> ShardedTerIdsEngine<'a> {
             router: ShardRouter::new(exec.shards),
             imputer: ctx.indexed_imputer(params.impute),
             shards: (0..exec.shards)
-                .map(|_| RegionGrid::new(d, params.grid_cells))
+                .map(|_| ShardGrid::new(d, params.grid_cells))
                 .collect(),
             window: SlidingWindow::new(params.window),
             metas: FxHashMap::default(),
-            stream_counts: Vec::new(),
-            topical_ids: FxHashSet::default(),
+            counts: StreamCounts::default(),
             results: ResultSet::new(),
             reported: FxHashSet::default(),
             stats: PruneStats::default(),
@@ -251,12 +251,12 @@ impl<'a> ShardedTerIdsEngine<'a> {
 
     /// Live tuple count per stream id.
     pub fn stream_tuple_counts(&self) -> &[usize] {
-        &self.stream_counts
+        self.counts.live()
     }
 
     /// Number of live tuples currently flagged possibly-topical.
     pub fn topical_count(&self) -> usize {
-        self.topical_ids.len()
+        self.counts.topical_total()
     }
 
     /// Runs `f` against this engine with a **persistent** worker pool
@@ -323,9 +323,9 @@ impl<'a> ShardedTerIdsEngine<'a> {
     /// Snapshots the engine's dynamic state. The representation is the
     /// canonical engine-agnostic [`EngineState`]: shard grids are merged
     /// back into one sorted logical cell list (the router partitions
-    /// cells, so the union is disjoint), and per-cell entry order is the
-    /// monolithic grid's by the sharding invariant — the exported state is
-    /// *equal* to the sequential engine's at the same stream position.
+    /// cells, so the union is disjoint), and every cell lists its entries
+    /// in window order, as the monolithic grid's do — the exported state
+    /// is *equal* to the sequential engine's at the same stream position.
     pub fn export_state(&self) -> EngineState {
         let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
         let metas = window
@@ -340,7 +340,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
             .shards
             .iter()
             .flat_map(|g| g.iter_cells())
-            .map(|(k, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
+            .map(|(k, entries)| (k.clone(), entries.map(|e| e.payload.id).collect()))
             .collect();
         cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         EngineState {
@@ -348,7 +348,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
             grid_cells: self.params.grid_cells,
             window,
             metas,
-            stream_counts: self.stream_counts.clone(),
+            stream_counts: self.counts.live().to_vec(),
             results,
             reported,
             stats: self.stats,
@@ -364,22 +364,24 @@ impl<'a> ShardedTerIdsEngine<'a> {
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         let d = self.ctx.arity();
         state.validate(d, self.params.window, self.params.grid_cells)?;
-        let mut metas: FxHashMap<u64, Arc<TupleMeta>> = FxHashMap::default();
-        let mut topical_ids: FxHashSet<u64> = FxHashSet::default();
-        for meta in &state.metas {
-            if meta.possibly_topical {
-                topical_ids.insert(meta.id);
-            }
-            metas.insert(meta.id, Arc::new(meta.clone()));
-        }
-        let mut shards: Vec<ShardGrid> = (0..self.exec.shards)
-            .map(|_| RegionGrid::new(d, self.params.grid_cells))
+        let metas: FxHashMap<u64, Arc<TupleMeta>> = state
+            .metas
+            .iter()
+            .map(|meta| (meta.id, Arc::new(meta.clone())))
             .collect();
-        for (key, ids) in &state.cells {
+        let mut shards: Vec<ShardGrid> = (0..self.exec.shards)
+            .map(|_| ShardGrid::new(d, self.params.grid_cells))
+            .collect();
+        for (key, ids) in state.cells_in_window_order() {
             let shard = &mut shards[self.router.shard_of(key)];
             for id in ids {
-                let meta = &metas[id];
-                shard.insert_at([key.clone()], &meta.region(), *id, meta.aggregate());
+                let meta = &metas[&id];
+                shard.insert_at(
+                    [key.clone()],
+                    &meta.region(),
+                    ErPayload::of(meta),
+                    meta.aggregate(),
+                );
             }
         }
         let mut window = SlidingWindow::new(self.params.window);
@@ -393,8 +395,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
         self.shards = shards;
         self.window = window;
         self.metas = metas;
-        self.stream_counts = state.stream_counts.clone();
-        self.topical_ids = topical_ids;
+        self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);
         self.results = results;
         self.reported = state.reported.iter().copied().collect();
         self.stats = state.stats;
@@ -410,10 +411,14 @@ impl<'a> ShardedTerIdsEngine<'a> {
         let Some(meta) = self.metas.remove(&old_id) else {
             return (None, Vec::new());
         };
+        self.counts.remove(&meta);
         let removed = self.results.remove_involving(old_id);
-        self.stream_counts[meta.stream_id] -= 1;
-        self.topical_ids.remove(&old_id);
         (Some(meta), removed)
+    }
+
+    /// The metadata of the examined candidates, in id order.
+    fn candidate_metas(&self, ids: &[u64]) -> Vec<Arc<TupleMeta>> {
+        ids.iter().map(|id| Arc::clone(&self.metas[id])).collect()
     }
 
     /// The merge stage for one arrival: fold the refine outcome into the
@@ -431,26 +436,13 @@ impl<'a> ShardedTerIdsEngine<'a> {
         self.stats.prob += outcome.prob;
         self.stats.instance += outcome.instance;
         self.stats.matches += outcome.matches.len() as u64;
-        candidates::account_pairs(
-            meta,
-            examined,
-            &self.stream_counts,
-            &self.topical_ids,
-            &self.metas,
-            &mut self.stats,
-        );
+        candidates::account_pairs(meta, examined, &self.counts, &mut self.stats);
         let new_matches = outcome.matches; // sorted by norm_pair
         for &(a, b) in &new_matches {
             self.results.insert(a, b);
             self.reported.insert((a, b));
         }
-        if self.stream_counts.len() <= meta.stream_id {
-            self.stream_counts.resize(meta.stream_id + 1, 0);
-        }
-        self.stream_counts[meta.stream_id] += 1;
-        if meta.possibly_topical {
-            self.topical_ids.insert(meta.id);
-        }
+        self.counts.add(meta);
         let prev = self.metas.insert(meta.id, Arc::clone(meta));
         assert!(prev.is_none(), "duplicate tuple id {}", meta.id);
         new_matches
@@ -473,14 +465,15 @@ enum BatchWorkers<'p, 'a> {
 }
 
 impl BatchWorkers<'_, '_> {
-    /// Traverse stage for one arrival: grid maintenance + shard traversal.
+    /// Traverse stage for one arrival: grid maintenance + candidate
+    /// enumeration; returns the sorted candidate ids.
     fn step(
         &mut self,
         insert: Option<&Arc<TupleMeta>>,
         evict: Option<&Arc<TupleMeta>>,
         probe: &Arc<TupleMeta>,
         metrics: &mut StageMetrics,
-    ) -> FxHashSet<u64> {
+    ) -> Vec<u64> {
         match self {
             BatchWorkers::Inline { shards, wctx } => {
                 if let Some(meta) = insert {
@@ -489,9 +482,7 @@ impl BatchWorkers<'_, '_> {
                 if let Some(meta) = evict {
                     crate::stages::apply_evict(shards, meta);
                 }
-                let mut surfaced = FxHashSet::default();
-                crate::stages::traverse_shards(shards, wctx, probe, &mut surfaced);
-                surfaced
+                crate::stages::traverse_shards(shards, wctx, probe)
             }
             BatchWorkers::Pool { pool, .. } => {
                 pool.send_step(insert, evict, probe);
@@ -604,15 +595,10 @@ fn drive_lockstep<'a>(
         );
         lap(t0, &mut traverse_us);
 
-        // ---- candidate selection (shared with the sequential engine:
-        // Theorem 4.1 inverted list, ascending-id order so the slice
+        // ---- candidate selection (ascending-id order, so the slice
         // partition across workers is deterministic) ----
         t0 = ter_obs::timer();
-        let cands: Vec<Arc<TupleMeta>> =
-            candidates::examined_candidates(meta, &surfaced, &eng.topical_ids, &eng.metas)
-                .into_iter()
-                .map(Arc::clone)
-                .collect();
+        let cands = eng.candidate_metas(&surfaced);
         let examined = cands.len() as u64;
 
         // ---- refine ----
@@ -712,11 +698,7 @@ fn drive_overlapped<'a>(
 
         // ---- candidate selection ----
         t0 = ter_obs::timer();
-        let cands: Vec<Arc<TupleMeta>> =
-            candidates::examined_candidates(meta, &surfaced, &eng.topical_ids, &eng.metas)
-                .into_iter()
-                .map(Arc::clone)
-                .collect();
+        let cands = eng.candidate_metas(&surfaced);
         let examined = cands.len() as u64;
 
         // ---- queue refine(i), then traverse(i+1), then wait once ----

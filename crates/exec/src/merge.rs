@@ -7,17 +7,15 @@
 //! deterministic function of the arrival order alone (property-tested in
 //! `proptests.rs`).
 
-use ter_text::fxhash::FxHashSet;
-
-/// Union of per-shard surfaced candidate ids. A region spanning cells in
-/// several shards surfaces once per shard; the union deduplicates exactly
-/// like the sequential engine's surfaced set.
-pub fn merge_surfaced(per_shard: &[Vec<u64>]) -> FxHashSet<u64> {
-    let mut out = FxHashSet::default();
-    for part in per_shard {
-        out.extend(part.iter().copied());
-    }
-    out
+/// Union of per-worker candidate id lists, each sorted and deduplicated.
+/// A region spanning cells owned by several workers is reported by each;
+/// the union keeps it once, so the result — sorted, deduplicated — equals
+/// the sequential engine's candidate list.
+pub fn merge_surfaced(parts: Vec<Vec<u64>>) -> Vec<u64> {
+    let mut ids = parts.concat();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// One worker's pair-decision tallies over its candidate slice.
@@ -62,10 +60,10 @@ mod tests {
 
     #[test]
     fn surfaced_union_deduplicates() {
-        let merged = merge_surfaced(&[vec![1, 2, 3], vec![3, 4], vec![], vec![2]]);
-        let mut ids: Vec<u64> = merged.into_iter().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
+        let merged = merge_surfaced(vec![vec![1, 2, 3], vec![3, 4], vec![], vec![2]]);
+        assert_eq!(merged, vec![1, 2, 3, 4]);
+        assert_eq!(merge_surfaced(vec![vec![], vec![5, 9]]), vec![5, 9]);
+        assert_eq!(merge_surfaced(Vec::new()), Vec::<u64>::new());
     }
 
     #[test]

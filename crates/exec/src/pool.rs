@@ -35,7 +35,6 @@ use ter_ids::meta::TupleMeta;
 use ter_ids::{PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
 use ter_stream::Arrival;
-use ter_text::fxhash::FxHashSet;
 
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
 use crate::stages::{
@@ -52,8 +51,8 @@ pub(crate) enum Req {
     Begin { group: Vec<(usize, ShardGrid)> },
     /// Apply the previous arrival's grid insert and this arrival's expiry
     /// to the owned shards (in that order — exactly the monolithic grid's
-    /// op sequence), then traverse them with cell-level pruning for
-    /// `probe` and report the surfaced candidate ids.
+    /// op sequence), then enumerate `probe`'s candidates in them and
+    /// report the sorted ids.
     Step {
         insert: Option<Arc<TupleMeta>>,
         evict: Option<Arc<TupleMeta>>,
@@ -116,9 +115,8 @@ pub(crate) fn worker_loop<'a>(
                 if let Some(meta) = evict {
                     apply_evict(&mut shards, &meta);
                 }
-                let mut surfaced: FxHashSet<u64> = FxHashSet::default();
-                traverse_shards(&shards, &wctx, &probe, &mut surfaced);
-                let _ = resp_tx.send(Resp::Surfaced(surfaced.into_iter().collect()));
+                let ids = traverse_shards(&shards, &wctx, &probe);
+                let _ = resp_tx.send(Resp::Surfaced(ids));
             }
             Req::Refine { probe, cands } => {
                 let _ = resp_tx.send(Resp::Refined(refine_slice(&wctx, &probe, &cands)));
@@ -238,10 +236,9 @@ impl Pool {
         });
     }
 
-    /// Collects one `Surfaced` reply per worker and merges them — the
-    /// union deduplicates exactly like the sequential engine's surfaced
-    /// set.
-    pub fn collect_surfaced(&self) -> FxHashSet<u64> {
+    /// Collects one `Surfaced` reply per worker and merges the sorted id
+    /// lists — the union equals the sequential engine's candidate list.
+    pub fn collect_surfaced(&self) -> Vec<u64> {
         let mut parts = Vec::with_capacity(self.len());
         for w in 0..self.len() {
             match self.recv(w) {
@@ -249,7 +246,7 @@ impl Pool {
                 _ => unreachable!("protocol violation: expected Surfaced"),
             }
         }
-        merge_surfaced(&parts)
+        merge_surfaced(parts)
     }
 
     /// Queues one arrival's refine stage, chunked across the pool in

@@ -47,7 +47,6 @@ fn placement(grids: &[RegionGrid<u64, Count>]) -> Vec<(Vec<u16>, u64)> {
         .flat_map(|g| {
             g.iter_cells().flat_map(|(key, entries)| {
                 entries
-                    .iter()
                     .map(move |e| (key.to_vec(), e.payload))
                     .collect::<Vec<_>>()
             })
@@ -151,16 +150,16 @@ proptest! {
         prop_assert_eq!(baseline.matches, other.matches);
         prop_assert_eq!(baseline.sim + baseline.instance > 0, !pairs.is_empty());
 
-        // Surfaced-id union: partition- and order-insensitive too.
+        // Surfaced-id union of sorted per-worker lists: partition- and
+        // order-insensitive too, and equal to the sorted distinct ids.
         let ids: Vec<u64> = pairs.iter().map(|&(a, _)| a).collect();
-        let mut one: Vec<u64> = merge_surfaced(std::slice::from_ref(&ids))
-            .into_iter()
-            .collect();
-        let chunked: Vec<Vec<u64>> =
-            ids.chunks(split.max(1)).rev().map(<[u64]>::to_vec).collect();
-        let mut many: Vec<u64> = merge_surfaced(&chunked).into_iter().collect();
-        one.sort_unstable();
-        many.sort_unstable();
-        prop_assert_eq!(one, many);
+        let sorted = |part: &[u64]| {
+            let mut v = part.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let chunked: Vec<Vec<u64>> = ids.chunks(split.max(1)).rev().map(sorted).collect();
+        prop_assert_eq!(merge_surfaced(chunked), sorted(&ids));
     }
 }

@@ -9,7 +9,9 @@
 //!   record alone, which is what lets whole batches impute concurrently.
 //! * [`apply_insert`] / [`apply_evict`] / [`traverse_shards`] — the
 //!   traverse stage: grid maintenance in arrival order followed by
-//!   cell-level pruning over a worker's shard group.
+//!   candidate enumeration over a worker's shard group — cell-level
+//!   pruning and the stream/topical filters in one walk, the sequential
+//!   engine's own [`examined_ids`].
 //! * [`refine_slice`] — the refine stage: the Theorem 4.1–4.4
 //!   pair-decision cascade over a candidate slice.
 //! * [`eviction_schedule`] — the merge stage's look-ahead: which tuple
@@ -26,20 +28,18 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use ter_ids::candidates::{examined_ids, ErGrid, ErPayload};
 use ter_ids::meta::TupleMeta;
-use ter_ids::pruning::cell_survives;
 use ter_ids::results::norm_pair;
-use ter_ids::{decide_pair, ErAggregate, PairContext, PairDecision, PhaseTiming, TerContext};
+use ter_ids::{decide_pair, PairContext, PairDecision, PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
-use ter_index::RegionGrid;
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
-use ter_text::fxhash::FxHashSet;
 
 use crate::merge::RefineOutcome;
 use crate::router::ShardRouter;
 
 /// One shard of the partitioned ER-grid.
-pub(crate) type ShardGrid = RegionGrid<u64, ErAggregate>;
+pub(crate) type ShardGrid = ErGrid;
 
 /// Inputs shared by every ER worker for the duration of a pool session.
 /// Borrows only from the static [`TerContext`] (never from the engine),
@@ -103,6 +103,7 @@ pub(crate) fn apply_insert(
     let keys = first.cell_keys_of(&region);
     let owners: Vec<usize> = keys.iter().map(|k| router.shard_of(k)).collect();
     let agg = meta.aggregate();
+    let payload = ErPayload::of(meta);
     for (sid, grid) in shards.iter_mut() {
         let mut owned = keys
             .iter()
@@ -111,7 +112,7 @@ pub(crate) fn apply_insert(
             .map(|(k, _)| k.clone())
             .peekable();
         if owned.peek().is_some() {
-            grid.insert_at(owned, &region, meta.id, agg.clone());
+            grid.insert_at(owned, &region, payload, agg.clone());
         }
     }
 }
@@ -119,26 +120,26 @@ pub(crate) fn apply_insert(
 /// Evicts one tuple from a worker's shard group. Cells the group does not
 /// own are simply absent and no-op.
 pub(crate) fn apply_evict(shards: &mut [(usize, ShardGrid)], meta: &TupleMeta) {
+    let region = meta.region();
+    let payload = ErPayload::of(meta);
     for (_, grid) in shards.iter_mut() {
-        grid.evict(&meta.region(), &meta.id);
+        grid.evict(&region, &payload);
     }
 }
 
-/// Traverses a worker's shard group with cell-level pruning for `probe`.
+/// The candidate ids `probe` must examine within a worker's shard group,
+/// sorted and deduplicated.
 pub(crate) fn traverse_shards(
     shards: &[(usize, ShardGrid)],
     ctx: &WorkerCtx<'_>,
     probe: &TupleMeta,
-    surfaced: &mut FxHashSet<u64>,
-) {
-    for (_, grid) in shards.iter() {
-        grid.traverse(
-            |_rect, agg| cell_survives(probe, agg, ctx.pair.gamma, ctx.pair.aux_counts),
-            |entry| {
-                surfaced.insert(entry.payload);
-            },
-        );
-    }
+) -> Vec<u64> {
+    examined_ids(
+        shards.iter().map(|(_, grid)| grid),
+        probe,
+        ctx.pair.gamma,
+        ctx.pair.aux_counts,
+    )
 }
 
 /// Runs the pair-decision cascade over a candidate slice.

@@ -3,13 +3,34 @@
 //! The ER-grid `G_ER` of §5.2 divides the pivot-converted data space into
 //! same-size cells; each cell stores the tuples whose converted points fall
 //! into it plus merged aggregates used for pruning. The grid supports the
-//! sliding-window maintenance of §5.2: O(1) insert of arriving tuples and
-//! O(cell) eviction of expired tuples with aggregate recomputation.
+//! sliding-window maintenance of §5.2 (Algorithm 2) in amortized O(1)
+//! merges per cell operation:
+//!
+//! * each cell is a **FIFO**: its entries stay in arrival order. A
+//!   count-based window expires tuples in arrival order, so the expiring
+//!   tuple is the oldest entry of every cell it occupies and eviction
+//!   pops it without a scan;
+//! * each cell keeps a **two-stack sliding aggregate** (Tangwongsan et al.,
+//!   "General Incremental Sliding-Window Aggregation", PVLDB 2015): a
+//!   front stack of suffix aggregates over the oldest entries plus one
+//!   running aggregate over the entries behind them. The cell aggregate is
+//!   the merge of the two. An insert merges into the running aggregate;
+//!   an eviction pops the front stack, which is refilled from the entries
+//!   behind it whenever it runs dry. Each entry is folded into the front
+//!   stack once, so no survivor is ever re-merged — which matters because
+//!   the merges (min, max, OR) cannot be undone. Suffix aggregates of such
+//!   merges change only when an older entry widens a bound, so the front
+//!   stack stores each distinct suffix once with its run length: its
+//!   memory grows with the number of those changes, not with the cell.
+//!
+//! Removing an entry that is not the oldest of its cell is still allowed
+//! (the API takes any payload) and stays exact through a full rebuild of
+//! that cell's aggregate; window maintenance never takes that path.
 //!
 //! This module is generic over the aggregate and payload; the TER-iDS
 //! engine instantiates it with the paper's 4-part tuple aggregates.
 
-use std::collections::hash_map;
+use std::collections::{hash_map, vec_deque, VecDeque};
 
 use ter_text::fxhash::FxHashMap;
 use ter_text::Interval;
@@ -31,11 +52,123 @@ pub struct GridEntry<P, A> {
     pub agg: A,
 }
 
+/// One grid cell: a FIFO of entries with a two-stack sliding aggregate
+/// (see the [module docs](self)).
+///
+/// The entries split into a *front* — the oldest ones, as many as the
+/// run lengths in `front` add up to — and the *back* behind it. Unrolled,
+/// `front` lists for each front entry, newest first, the merge of that
+/// entry and every newer front entry; equal neighbours share one
+/// `(aggregate, run length)` pair. The stack top `front.last()` thus
+/// covers the whole front, and shortening its run as the oldest entry
+/// leaves yields the aggregate of the remaining front entries.
 #[derive(Debug, Clone)]
 struct Cell<P, A> {
-    entries: Vec<GridEntry<P, A>>,
-    /// Merge of `entries`' aggregates; `None` only transiently.
-    agg: Option<A>,
+    /// Entries, oldest first.
+    entries: VecDeque<GridEntry<P, A>>,
+    /// Run-length encoded suffix aggregates of the front entries, newest
+    /// entry first.
+    front: Vec<(A, usize)>,
+    /// Merge of the back entries; `None` when the back is empty.
+    back: Option<A>,
+    /// The cell aggregate: the front top merged with `back`.
+    agg: A,
+}
+
+impl<P, A: Aggregate + PartialEq> Cell<P, A> {
+    fn new(entry: GridEntry<P, A>) -> Self {
+        Self {
+            agg: entry.agg.clone(),
+            back: Some(entry.agg.clone()),
+            front: Vec::new(),
+            entries: VecDeque::from([entry]),
+        }
+    }
+
+    /// Appends the newest entry: one merge into the back aggregate and
+    /// one into the cell aggregate.
+    fn push(&mut self, entry: GridEntry<P, A>) {
+        match &mut self.back {
+            Some(back) => back.merge(&entry.agg),
+            None => self.back = Some(entry.agg.clone()),
+        }
+        self.agg.merge(&entry.agg);
+        self.entries.push_back(entry);
+    }
+
+    /// Removes the entry carrying `payload`. `None` if the cell holds no
+    /// such entry, else whether the cell still holds entries.
+    fn remove(&mut self, payload: &P) -> Option<bool>
+    where
+        P: PartialEq,
+    {
+        // Window expiry removes the oldest entry, found at position 0.
+        let pos = self.entries.iter().position(|e| &e.payload == payload)?;
+        if pos == 0 {
+            if self.front.is_empty() {
+                self.refill_front();
+            }
+            let (_, run) = self.front.last_mut().expect("refilled front");
+            *run -= 1;
+            if *run == 0 {
+                self.front.pop();
+            }
+            self.entries.pop_front();
+        } else {
+            self.entries.remove(pos);
+            self.rebuild();
+        }
+        Some(self.refresh_agg())
+    }
+
+    /// Moves every entry onto the (empty) front stack, folding the suffix
+    /// aggregates newest-first: one merge per entry.
+    fn refill_front(&mut self) {
+        debug_assert!(self.front.is_empty());
+        for e in self.entries.iter().rev() {
+            let mut suffix = e.agg.clone();
+            match self.front.last_mut() {
+                Some((newer, run)) => {
+                    suffix.merge(newer);
+                    if suffix == *newer {
+                        *run += 1;
+                    } else {
+                        self.front.push((suffix, 1));
+                    }
+                }
+                None => self.front.push((suffix, 1)),
+            }
+        }
+        self.back = None;
+    }
+
+    /// Recomputes the aggregates from scratch with every entry in the
+    /// back — the exact fallback after removing a non-oldest entry.
+    fn rebuild(&mut self) {
+        self.front.clear();
+        let mut entries = self.entries.iter();
+        self.back = entries.next().map(|first| {
+            let mut agg = first.agg.clone();
+            for e in entries {
+                agg.merge(&e.agg);
+            }
+            agg
+        });
+    }
+
+    /// Re-derives the cell aggregate from the front top and the back.
+    /// Returns `false` when the cell is empty.
+    fn refresh_agg(&mut self) -> bool {
+        match (self.front.last().map(|(agg, _)| agg), &self.back) {
+            (Some(front), Some(back)) => {
+                self.agg.clone_from(front);
+                self.agg.merge(back);
+            }
+            (Some(only), None) | (None, Some(only)) => self.agg.clone_from(only),
+            (None, None) => return false,
+        }
+        true
+    }
 }
 
 /// The grid synopsis. See the [module docs](self).
@@ -47,7 +180,7 @@ pub struct Grid<P, A: Aggregate> {
     len: usize,
 }
 
-impl<P, A: Aggregate> Grid<P, A> {
+impl<P, A: Aggregate + PartialEq> Grid<P, A> {
     /// Creates a grid with `cells_per_dim` cells along each of `dim` axes
     /// (cell width `1 / cells_per_dim`).
     pub fn new(dim: usize, cells_per_dim: u16) -> Self {
@@ -109,23 +242,28 @@ impl<P, A: Aggregate> Grid<P, A> {
         )
     }
 
-    /// Inserts an item (O(1): one merge into the cell aggregate).
+    /// Inserts an item (O(1): two merges into the cell's aggregates).
     pub fn insert(&mut self, point: Vec<f64>, payload: P, agg: A) {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
         let key = self.key_of(&point);
-        let cell = self.cells.entry(key).or_insert_with(|| Cell {
-            entries: Vec::new(),
-            agg: None,
-        });
-        match &mut cell.agg {
-            None => cell.agg = Some(agg.clone()),
-            Some(a) => a.merge(&agg),
+        self.push_entry(
+            key,
+            GridEntry {
+                payload,
+                point: point.into_boxed_slice(),
+                agg,
+            },
+        );
+    }
+
+    /// Appends `entry` to cell `key`, creating the cell if needed.
+    fn push_entry(&mut self, key: CellKey, entry: GridEntry<P, A>) {
+        match self.cells.entry(key) {
+            hash_map::Entry::Occupied(mut occ) => occ.get_mut().push(entry),
+            hash_map::Entry::Vacant(vac) => {
+                vac.insert(Cell::new(entry));
+            }
         }
-        cell.entries.push(GridEntry {
-            payload,
-            point: point.into_boxed_slice(),
-            agg,
-        });
         self.len += 1;
     }
 
@@ -140,11 +278,7 @@ impl<P, A: Aggregate> Grid<P, A> {
         mut on_entry: impl FnMut(&'a GridEntry<P, A>),
     ) {
         for (key, cell) in &self.cells {
-            let agg = match &cell.agg {
-                Some(a) => a,
-                None => continue,
-            };
-            if !visit_cell(&self.cell_rect(key), agg) {
+            if !visit_cell(&self.cell_rect(key), &cell.agg) {
                 continue;
             }
             for e in &cell.entries {
@@ -179,6 +313,10 @@ impl<P, A: Aggregate> Grid<P, A> {
             if cell.entries.is_empty() {
                 return Err("empty cell retained".into());
             }
+            let front_len: usize = cell.front.iter().map(|(_, run)| run).sum();
+            if front_len > cell.entries.len() || cell.front.iter().any(|(_, run)| *run == 0) {
+                return Err(format!("front stack of cell {key:?} is malformed"));
+            }
             for e in &cell.entries {
                 if self.key_of(&e.point) != *key {
                     return Err(format!("entry in wrong cell {key:?}"));
@@ -193,34 +331,30 @@ impl<P, A: Aggregate> Grid<P, A> {
     }
 }
 
-impl<P: PartialEq, A: Aggregate> Grid<P, A> {
+impl<P: PartialEq, A: Aggregate + PartialEq> Grid<P, A> {
     /// Evicts the item with the given payload located at `point`
-    /// (the sliding-window expiry of §5.2). Recomputes the cell aggregate
-    /// from the survivors and drops the cell if it became empty.
+    /// (the sliding-window expiry of §5.2). Amortized O(1) merges when the
+    /// item is the oldest of its cell; drops the cell if it became empty.
     ///
     /// Returns `true` if an item was removed.
     pub fn evict(&mut self, point: &[f64], payload: &P) -> bool {
         let key = self.key_of(point);
+        self.remove_from(key, payload)
+    }
+
+    /// Removes the entry carrying `payload` from cell `key`, dropping the
+    /// cell once empty. Returns `true` if an entry was removed.
+    fn remove_from(&mut self, key: CellKey, payload: &P) -> bool {
         let hash_map::Entry::Occupied(mut occ) = self.cells.entry(key) else {
             return false;
         };
-        let cell = occ.get_mut();
-        let Some(pos) = cell.entries.iter().position(|e| &e.payload == payload) else {
+        let Some(nonempty) = occ.get_mut().remove(payload) else {
             return false;
         };
-        cell.entries.swap_remove(pos);
-        self.len -= 1;
-        if cell.entries.is_empty() {
+        if !nonempty {
             occ.remove();
-        } else {
-            // Exact aggregate recomputation ("update the aggregate
-            // information of cells", Algorithm 2 lines 6–7).
-            let mut agg = cell.entries[0].agg.clone();
-            for e in &cell.entries[1..] {
-                agg.merge(&e.agg);
-            }
-            cell.agg = Some(agg);
         }
+        self.len -= 1;
         true
     }
 }
@@ -241,7 +375,7 @@ pub struct RegionGrid<P, A: Aggregate> {
     inner: Grid<P, A>,
 }
 
-impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
+impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
     /// Creates a region grid with `cells_per_dim` cells per axis.
     pub fn new(dim: usize, cells_per_dim: u16) -> Self {
         Self {
@@ -343,29 +477,18 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
         assert_eq!(rect.dim(), self.inner.dim);
         for key in keys {
             debug_assert_eq!(key.len(), self.inner.dim);
-            let cell = self.inner.cells.entry(key).or_insert_with(|| Cell {
-                entries: Vec::new(),
-                agg: None,
-            });
-            match &mut cell.agg {
-                None => cell.agg = Some(agg.clone()),
-                Some(a) => a.merge(&agg),
-            }
-            // Reuse GridEntry's point slot for the rect's low corner; the
-            // rect itself is recoverable from the payload owner. To keep
-            // eviction exact we store the rect per entry via the aggregate
-            // pairing below.
-            cell.entries.push(GridEntry {
-                payload: payload.clone(),
-                point: rect
-                    .dims()
-                    .iter()
-                    .map(|iv| iv.lo)
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                agg: agg.clone(),
-            });
-            self.inner.len += 1;
+            // The entry's point slot holds the region's low corner; the
+            // region itself stays with the caller, who passes it back on
+            // eviction.
+            let point = rect.dims().iter().map(|iv| iv.lo).collect();
+            self.inner.push_entry(
+                key,
+                GridEntry {
+                    payload: payload.clone(),
+                    point,
+                    agg: agg.clone(),
+                },
+            );
         }
     }
 
@@ -374,24 +497,7 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
     pub fn evict(&mut self, rect: &Rect, payload: &P) -> bool {
         let mut removed_any = false;
         for key in self.keys_of_rect(rect) {
-            let hash_map::Entry::Occupied(mut occ) = self.inner.cells.entry(key) else {
-                continue;
-            };
-            let cell = occ.get_mut();
-            if let Some(pos) = cell.entries.iter().position(|e| &e.payload == payload) {
-                cell.entries.swap_remove(pos);
-                self.inner.len -= 1;
-                removed_any = true;
-                if cell.entries.is_empty() {
-                    occ.remove();
-                } else {
-                    let mut agg = cell.entries[0].agg.clone();
-                    for e in &cell.entries[1..] {
-                        agg.merge(&e.agg);
-                    }
-                    cell.agg = Some(agg);
-                }
-            }
+            removed_any |= self.inner.remove_from(key, payload);
         }
         removed_any
     }
@@ -416,14 +522,14 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
         out
     }
 
-    /// Iterates over non-empty cells as `(cell key, entries)` pairs, in
-    /// unspecified order — lets differential tests compare a set of shard
-    /// grids cell-by-cell against a monolithic grid.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (&CellKey, &[GridEntry<P, A>])> {
-        self.inner
-            .cells
-            .iter()
-            .map(|(k, c)| (k, c.entries.as_slice()))
+    /// Iterates over non-empty cells as `(cell key, entries)` pairs, cells
+    /// in unspecified order and each cell's entries oldest first — lets
+    /// differential tests compare a set of shard grids cell-by-cell against
+    /// a monolithic grid, and checkpoints persist each cell in window order.
+    pub fn iter_cells(
+        &self,
+    ) -> impl Iterator<Item = (&CellKey, vec_deque::Iter<'_, GridEntry<P, A>>)> {
+        self.inner.cells.iter().map(|(k, c)| (k, c.entries.iter()))
     }
 }
 
@@ -615,6 +721,88 @@ mod tests {
         assert!(even.evict(&r, &1));
         assert!(odd.evict(&r, &1));
         assert_eq!(even.cell_entry_count() + odd.cell_entry_count(), 0);
+    }
+
+    thread_local! {
+        static MERGES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An OR aggregate (not invertible, like the ER-grid's) that counts
+    /// its merges.
+    #[derive(Debug, Clone, PartialEq)]
+    struct CountedOr(u64);
+    impl Aggregate for CountedOr {
+        fn merge(&mut self, o: &Self) {
+            MERGES.with(|m| m.set(m.get() + 1));
+            self.0 |= o.0;
+        }
+    }
+
+    /// FIFO churn on one cell costs at most 3 merges per operation,
+    /// amortized — independent of the cell's size — and leaves the cell
+    /// aggregate exact.
+    #[test]
+    fn fifo_churn_costs_amortized_constant_merges() {
+        let bit = |i: u64| CountedOr(1 << (i % 61));
+        for w in [1u64, 7, 64, 500] {
+            let mut g: Grid<u64, CountedOr> = Grid::new(1, 1);
+            MERGES.with(|m| m.set(0));
+            let mut ops = 0;
+            for i in 0..w {
+                g.insert(vec![0.5], i, bit(i));
+                ops += 1;
+            }
+            for i in w..w + 3000 {
+                assert!(g.evict(&[0.5], &(i - w)));
+                g.insert(vec![0.5], i, bit(i));
+                ops += 2;
+            }
+            let merges = MERGES.with(|m| m.get());
+            assert!(
+                merges <= 3 * ops,
+                "w={w}: {merges} merges for {ops} operations"
+            );
+            let mut agg = None;
+            g.traverse(
+                |_, a| {
+                    agg = Some(a.0);
+                    true
+                },
+                |_| {},
+            );
+            let expect = (3000..w + 3000).fold(0, |acc, i| acc | bit(i).0);
+            assert_eq!(agg, Some(expect), "w={w}");
+            g.check_invariants().unwrap();
+        }
+    }
+
+    /// Entries stay in arrival order through evictions of the oldest,
+    /// and a non-oldest removal keeps the aggregate exact via a rebuild.
+    #[test]
+    fn cell_keeps_arrival_order_and_rebuilds_on_inner_removal() {
+        let mut g: RegionGrid<u64, CountedOr> = RegionGrid::new(1, 1);
+        let r = Rect::unit(1);
+        for i in 0..6u64 {
+            g.insert(r.clone(), i, CountedOr(1 << i));
+        }
+        assert!(g.evict(&r, &0));
+        assert!(g.evict(&r, &3)); // not the oldest: rebuild path
+        g.insert(r.clone(), 6, CountedOr(1 << 6));
+        assert!(g.evict(&r, &1));
+        let order: Vec<u64> = g
+            .iter_cells()
+            .flat_map(|(_, entries)| entries.map(|e| e.payload))
+            .collect();
+        assert_eq!(order, vec![2, 4, 5, 6]);
+        let mut agg = None;
+        g.traverse(
+            |_, a| {
+                agg = Some(a.0);
+                true
+            },
+            |_| {},
+        );
+        assert_eq!(agg, Some(0b111_0100));
     }
 
     #[test]

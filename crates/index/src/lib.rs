@@ -14,8 +14,9 @@
 //! * [`ArTree`] — an aggregate R-tree ([Lazaridis & Mehrotra, SIGMOD'01],
 //!   reference \[20\] of the paper) with STR bulk loading, incremental
 //!   insert/delete, and pruning traversal driven by node aggregates;
-//! * [`Grid`] — an equi-width grid over `[0,1]^d` with per-cell aggregates
-//!   and O(1) insert/evict, the backbone of the ER-grid.
+//! * [`Grid`] — an equi-width grid over `[0,1]^d` whose cells are FIFOs
+//!   with two-stack sliding aggregates: O(1) insert and amortized O(1)
+//!   expiry of a cell's oldest entry, the backbone of the ER-grid.
 //!
 //! The TER-iDS-specific aggregate contents live in the crates that own the
 //! semantics (`ter-rules` for the CDD-index, `ter-ids` for the ER-grid).

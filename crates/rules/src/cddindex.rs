@@ -192,21 +192,6 @@ impl CddIndex {
         }
         out
     }
-
-    /// Coarse bound on the dependent constraint over the rules applicable
-    /// to `record`: the minimal interval covering their `A_j.I`s, from
-    /// aggregates where possible. `None` when no rule applies.
-    pub fn dependent_bound(&self, record: &Record, pivots: &PivotTable) -> Option<Interval> {
-        let mut acc = Interval::empty();
-        for rule in self.applicable_rules(record, pivots) {
-            acc.expand_interval(&rule.dependent_interval);
-        }
-        if acc.is_empty() {
-            None
-        } else {
-            Some(acc)
-        }
-    }
 }
 
 /// The constraint point of `rule` within its group (see module docs).
@@ -372,31 +357,13 @@ mod tests {
     }
 
     #[test]
-    fn dependent_bound_covers_applicable_rules() {
-        let (_, pivots, mut dict) = setup();
-        let rules = test_rules(&mut dict);
-        let idx = CddIndex::build(2, &rules, &pivots);
-        let s = schema();
-        let rec = Record::from_texts(
-            &s,
-            30,
-            &[Some("male"), Some("weight loss"), None],
-            &mut dict,
-        );
-        let bound = idx.dependent_bound(&rec, &pivots).unwrap();
-        for r in idx.applicable_rules(&rec, &pivots) {
-            assert!(bound.contains_interval(&r.dependent_interval));
-        }
-    }
-
-    #[test]
     fn no_applicable_rules_gives_none_bound() {
         let (_, pivots, mut dict) = setup();
         let rules = test_rules(&mut dict);
         let idx = CddIndex::build(2, &rules, &pivots);
         let s = schema();
         let all_missing = Record::from_texts(&s, 40, &[None, None, None], &mut dict);
-        assert!(idx.dependent_bound(&all_missing, &pivots).is_none());
+        assert!(idx.applicable_rules(&all_missing, &pivots).is_empty());
     }
 
     #[test]

@@ -115,26 +115,15 @@ impl ProbTuple {
             .max(1)
     }
 
-    /// Enumerates all instances with their probabilities.
+    /// Enumerates all instances with their probabilities, in odometer
+    /// order (the first imputed attribute's candidate varies fastest).
+    /// Allocation-free: an instance is a view naming its index.
     pub fn instances(&self) -> InstanceIter<'_> {
         InstanceIter {
             tuple: self,
-            odometer: vec![0; self.imputed.len()],
-            done: false,
+            next: 0,
+            count: self.instance_count(),
         }
-    }
-
-    /// The value of attribute `j` in instance `m` (odometer order).
-    fn attr_of_instance(&self, odo: &[usize], j: usize) -> &TokenSet {
-        if let Some(v) = self.base.attr(j) {
-            return v;
-        }
-        let slot = self
-            .imputed
-            .iter()
-            .position(|c| c.attr == j)
-            .expect("missing attribute without candidates");
-        &self.imputed[slot].candidates[odo[slot]].0
     }
 
     /// Token-set-size bounds `[|T⁻(r^p[A_j])|, |T⁺(r^p[A_j])|]` over all
@@ -179,11 +168,14 @@ impl ProbTuple {
     }
 }
 
-/// One instance `r_{i,m}` of an imputed tuple.
-#[derive(Debug, Clone)]
+/// One instance `r_{i,m}` of an imputed tuple: a view naming the instance
+/// by its index `m` in odometer order, whose digits (mixed radix, the
+/// candidate counts of the imputed attributes, first attribute least
+/// significant) pick one candidate per imputed attribute.
+#[derive(Debug, Clone, Copy)]
 pub struct Instance<'a> {
     tuple: &'a ProbTuple,
-    odometer: Vec<usize>,
+    index: usize,
     /// Existence probability `r_{i,m}.p`.
     pub prob: f64,
 }
@@ -191,7 +183,18 @@ pub struct Instance<'a> {
 impl<'a> Instance<'a> {
     /// The instance's value on attribute `j`.
     pub fn attr(&self, j: usize) -> &'a TokenSet {
-        self.tuple.attr_of_instance(&self.odometer, j)
+        if let Some(v) = self.tuple.base.attr(j) {
+            return v;
+        }
+        let mut rest = self.index;
+        for c in &self.tuple.imputed {
+            let n = c.candidates.len();
+            if c.attr == j {
+                return &c.candidates[rest % n].0;
+            }
+            rest /= n;
+        }
+        panic!("missing attribute {j} without candidates")
     }
 
     /// Summed Jaccard similarity between two instances (Definition 5).
@@ -203,6 +206,26 @@ impl<'a> Instance<'a> {
             .sum()
     }
 
+    /// Whether `self.similarity(other) > threshold` — the same decision,
+    /// bit for bit, reached without computing every attribute: each term
+    /// is at most 1 and float addition is monotone, so the running sum
+    /// plus 1 per remaining attribute (added one at a time, as the sum
+    /// adds its terms) bounds the finished sum from above, and the walk
+    /// stops once that bound is at most `threshold`.
+    pub fn similarity_exceeds(&self, other: &Instance<'_>, threshold: f64) -> bool {
+        let d = self.tuple.base.attrs.len();
+        debug_assert_eq!(d, other.tuple.base.attrs.len());
+        let mut sum = 0.0;
+        for j in 0..d {
+            let bound = (j..d).fold(sum, |acc, _| acc + 1.0);
+            if bound <= threshold {
+                return false;
+            }
+            sum += self.attr(j).er_similarity(other.attr(j));
+        }
+        sum > threshold
+    }
+
     /// Whether any attribute of the instance contains a token of `ts`.
     pub fn contains_any_token(&self, ts: &TokenSet) -> bool {
         let d = self.tuple.base.attrs.len();
@@ -210,51 +233,48 @@ impl<'a> Instance<'a> {
     }
 }
 
-/// Iterator over all instances (odometer over candidate indices).
+/// Iterator over all instances, in odometer order.
 pub struct InstanceIter<'a> {
     tuple: &'a ProbTuple,
-    odometer: Vec<usize>,
-    done: bool,
+    next: usize,
+    count: usize,
 }
 
 impl<'a> Iterator for InstanceIter<'a> {
     type Item = Instance<'a>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
+        if self.next == self.count {
             return None;
         }
+        let index = self.next;
+        self.next += 1;
+        let mut rest = index;
         let prob = self
             .tuple
             .imputed
             .iter()
-            .zip(&self.odometer)
-            .map(|(c, &i)| c.candidates[i].1)
+            .map(|c| {
+                let n = c.candidates.len();
+                let p = c.candidates[rest % n].1;
+                rest /= n;
+                p
+            })
             .product::<f64>();
-        let item = Instance {
+        Some(Instance {
             tuple: self.tuple,
-            odometer: self.odometer.clone(),
+            index,
             prob,
-        };
-        // Advance the odometer.
-        let mut carried = true;
-        for (slot, c) in self.tuple.imputed.iter().enumerate() {
-            if !carried {
-                break;
-            }
-            self.odometer[slot] += 1;
-            if self.odometer[slot] < c.candidates.len() {
-                carried = false;
-            } else {
-                self.odometer[slot] = 0;
-            }
-        }
-        if carried {
-            self.done = true;
-        }
-        Some(item)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.count - self.next;
+        (left, Some(left))
     }
 }
+
+impl ExactSizeIterator for InstanceIter<'_> {}
 
 #[cfg(test)]
 mod tests {
