@@ -68,7 +68,7 @@ pub fn examined_ids<'g>(
     let mut ids = Vec::new();
     for grid in grids {
         grid.traverse(
-            |_rect, agg| cell_survives(probe, agg, gamma, aux_counts),
+            |_key, agg| cell_survives(probe, agg, gamma, aux_counts),
             |entry| {
                 let e = entry.payload;
                 if e.stream as usize != probe.stream_id && (probe.possibly_topical || e.topical) {

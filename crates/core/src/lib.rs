@@ -11,10 +11,11 @@
 //! * [`params`] — the Table 5 parameters (`α`, `ρ = γ/d`, `w`, …);
 //! * [`meta`] — per-tuple derived state: imputed probabilistic tuple,
 //!   pivot-distance bounds/expectations, token-size bounds, topic vectors,
-//!   and the grid region (§5.2's per-tuple aggregates);
+//!   per-attribute token signatures, and the grid region (§5.2's
+//!   per-tuple aggregates);
 //! * [`pruning`] — Theorems 4.1–4.3 with Lemmas 4.1–4.3 (topic-keyword,
-//!   similarity-upper-bound via token sizes and via pivots, Paley–Zygmund
-//!   probability upper bound);
+//!   similarity-upper-bound via token sizes, via pivots and via token
+//!   signatures, Paley–Zygmund probability upper bound);
 //! * [`refine`] — exact `Pr_TER-iDS` (Equation 2) and the
 //!   instance-pair-level early termination of Theorem 4.4;
 //! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with ER-grid

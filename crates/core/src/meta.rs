@@ -6,12 +6,14 @@
 //! (Lemma 4.1), the topic vector over *possible* tokens (Theorem 4.1), and
 //! the rectangle of the converted space the imputed tuple occupies (its
 //! ER-grid region). These are exactly the four aggregate kinds §5.2 stores
-//! per tuple and, merged, per grid cell.
+//! per tuple and, merged, per grid cell. Each tuple also carries one 64-bit
+//! token signature per attribute, which the pair-level similarity bound
+//! ([`crate::pruning::ub_sim_signature`]) reads; it is not aggregated.
 
 use ter_index::{Aggregate, Rect};
 use ter_repo::PivotTable;
 use ter_stream::ProbTuple;
-use ter_text::{Interval, KeywordSet, TokenSet, TopicVector};
+use ter_text::{Interval, KeywordSet, Token, TokenSet, TopicVector};
 
 /// Flattened layout of per-(attribute, auxiliary-pivot) slots.
 #[derive(Debug, Clone)]
@@ -79,6 +81,22 @@ pub struct TupleMeta {
     pub possibly_topical: bool,
     /// Union of tokens over all instances.
     pub possible_tokens: TokenSet,
+    /// Per-attribute token signatures over the attribute's *possible*
+    /// tokens (see [`TupleMeta::signatures_of`]). Derived from `tuple`
+    /// alone, so checkpoints do not store them.
+    pub signatures: Box<[u64]>,
+}
+
+/// The signature bit of one token: the top six bits of its id times
+/// `2⁶⁴ / φ` (Fibonacci hashing), so nearby ids spread over the word.
+#[inline]
+fn token_bit(t: Token) -> u64 {
+    1 << (u64::from(t.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// The OR of the signature bits of every token in `v` (0 for `∅`).
+fn value_signature(v: &TokenSet) -> u64 {
+    v.tokens().iter().fold(0, |sig, &t| sig | token_bit(t))
 }
 
 impl TupleMeta {
@@ -115,6 +133,7 @@ impl TupleMeta {
         let possible_tokens = tuple.possible_tokens();
         let topics = keywords.topic_vector(&possible_tokens);
         let possibly_topical = keywords.matches(&possible_tokens);
+        let signatures = Self::signatures_of(&tuple);
         Self {
             id,
             stream_id,
@@ -127,7 +146,29 @@ impl TupleMeta {
             topics,
             possibly_topical,
             possible_tokens,
+            signatures,
         }
+    }
+
+    /// Per-attribute token signatures of `tuple`: bit `h(t)` is set in
+    /// attribute `j`'s word for every token `t` some instance can hold in
+    /// `A_j` — the base value's tokens, or the union over the imputed
+    /// candidates. Disjoint words mean no instance pair shares a token in
+    /// that attribute (the bound of [`crate::pruning::ub_sim_signature`]).
+    pub fn signatures_of(tuple: &ProbTuple) -> Box<[u64]> {
+        let mut sigs: Box<[u64]> = tuple
+            .base
+            .attrs
+            .iter()
+            .map(|v| v.as_ref().map_or(0, value_signature))
+            .collect();
+        for c in &tuple.imputed {
+            sigs[c.attr] = c
+                .candidates
+                .iter()
+                .fold(0, |sig, (v, _)| sig | value_signature(v));
+        }
+        sigs
     }
 
     /// Arity `d`.
@@ -276,6 +317,24 @@ mod tests {
         let expect = 0.75 * d1 + 0.25 * d2;
         assert!((meta.main_expect[1] - expect).abs() < 1e-12);
         assert!(meta.main_bounds[1].contains(meta.main_expect[1]));
+    }
+
+    #[test]
+    fn signatures_cover_every_possible_token() {
+        let (_, pivots, mut dict, schema) = setup();
+        let layout = AuxLayout::new(&pivots);
+        let kw = KeywordSet::universe();
+        let base = Record::from_texts(&schema, 14, &[Some(""), None], &mut dict);
+        let c1 = ter_text::tokenize("scifi western", &mut dict);
+        let c2 = ter_text::tokenize("comedy food", &mut dict);
+        let cand = AttrCandidates::normalized(1, vec![(c1.clone(), 1.0), (c2.clone(), 1.0)]);
+        let pt = ProbTuple::new(base, vec![cand]);
+        let meta = TupleMeta::build(14, 0, 0, pt, &pivots, &layout, &kw);
+        // An empty value has no token, so no bit.
+        assert_eq!(meta.signatures[0], 0);
+        let bits = c1.tokens().iter().chain(c2.tokens()).map(|&t| token_bit(t));
+        assert_eq!(meta.signatures[1], bits.fold(0, |s, b| s | b));
+        assert_eq!(meta.signatures, TupleMeta::signatures_of(&meta.tuple));
     }
 
     #[test]

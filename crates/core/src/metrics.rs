@@ -72,7 +72,8 @@ pub struct PruneStats {
     pub total_pairs: u64,
     /// Pruned by Theorem 4.1 (topic keywords).
     pub topic: u64,
-    /// Pruned by Theorem 4.2 (similarity upper bound).
+    /// Pruned by Theorem 4.2 (a similarity upper bound: token signatures,
+    /// or pivot distances and token-set sizes; pair or cell level).
     pub sim: u64,
     /// Pruned by Theorem 4.3 (probability upper bound).
     pub prob: u64,

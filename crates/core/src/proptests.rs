@@ -79,8 +79,104 @@ fn build_meta(fx: &Fx, id: u64, a0: TokenSet, cands: Vec<(TokenSet, f64)>) -> Tu
     )
 }
 
+/// One attribute of a [`arb_signature_tuple`]: present with a value, or
+/// missing and imputed; values and candidates may be empty. Tokens come
+/// from 12 ids, so attributes often share some.
+type SigAttr = (bool, TokenSet, Vec<(TokenSet, u32)>);
+
+fn arb_sig_value() -> impl Strategy<Value = TokenSet> {
+    proptest::collection::vec(0u32..12, 0..4)
+        .prop_map(|v| TokenSet::new(v.into_iter().map(Token).collect()))
+}
+
+fn arb_signature_tuple() -> impl Strategy<Value = Vec<SigAttr>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            arb_sig_value(),
+            proptest::collection::vec((arb_sig_value(), 1u32..5), 1..4),
+        ),
+        3,
+    )
+}
+
+/// Metadata of a 3-attribute tuple built from `attrs`.
+fn signature_meta(fx: &Fx, id: u64, attrs: &[SigAttr]) -> TupleMeta {
+    let schema = Schema::new(vec!["a", "b", "c"]);
+    let values = attrs
+        .iter()
+        .map(|(present, v, _)| present.then(|| v.clone()))
+        .collect();
+    let imputed = attrs
+        .iter()
+        .enumerate()
+        .filter(|(_, (present, _, _))| !present)
+        .map(|(j, (_, _, cands))| {
+            AttrCandidates::normalized(
+                j,
+                cands.iter().map(|(v, w)| (v.clone(), *w as f64)).collect(),
+            )
+        })
+        .collect();
+    let pt = ProbTuple::new(Record::new(&schema, id, values), imputed);
+    TupleMeta::build(
+        id,
+        (id % 2) as usize,
+        id,
+        pt,
+        &fx.pivots,
+        &fx.layout,
+        &KeywordSet::universe(),
+    )
+}
+
+/// [`fixture`] over the 3-attribute schema of [`signature_meta`].
+fn fixture3() -> Fx {
+    let schema = Schema::new(vec!["a", "b", "c"]);
+    let mut dict = Dictionary::new();
+    let recs: Vec<Record> = (0..12u64)
+        .map(|i| {
+            let t: Vec<String> = [(3, 5), (7, 11), (2, 9)]
+                .iter()
+                .map(|(x, y)| format!("w{} w{}", (i * x) % 12, (i * y) % 12))
+                .collect();
+            Record::from_texts(
+                &schema,
+                i,
+                &[Some(&t[0]), Some(&t[1]), Some(&t[2])],
+                &mut dict,
+            )
+        })
+        .collect();
+    let repo = Repository::from_records(schema, recs);
+    let pivots = PivotTable::select(&repo, &PivotConfig::default());
+    let layout = AuxLayout::new(&pivots);
+    Fx { pivots, layout }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The token-signature bound is exact: no instance pair's summed
+    /// similarity exceeds the number of attributes whose signatures
+    /// intersect — imputed multi-candidate attributes, empty values and
+    /// `∅`/`∅` pairs included. Compared without tolerance.
+    #[test]
+    fn signature_bound_dominates_every_instance_pair(
+        ta in arb_signature_tuple(),
+        tb in arb_signature_tuple(),
+    ) {
+        let fx = fixture3();
+        let a = signature_meta(&fx, 1, &ta);
+        let b = signature_meta(&fx, 2, &tb);
+        let ub = pruning::ub_sim_signature(&a, &b);
+        for ia in a.tuple.instances() {
+            for ib in b.tuple.instances() {
+                let s = ia.similarity(&ib);
+                prop_assert!(s <= ub, "instance sim {} > signature bound {}", s, ub);
+            }
+        }
+    }
 
     /// Lemma 4.1 + Lemma 4.2 (`ub_sim`): never below any instance pair's
     /// true similarity.

@@ -13,6 +13,12 @@
 //! ```
 //!
 //! so the loop stops as soon as either bound decides the pair.
+//!
+//! [`decide_pair`] runs refinement last: a pair reaches it only when
+//! neither similarity bound of Theorem 4.2 (the token-signature count,
+//! then the pivot and token-size bounds) nor the probability bound of
+//! Theorem 4.3 rejects it. The `SimPruned` outcome counts both similarity
+//! bounds.
 
 use ter_text::KeywordSet;
 
@@ -57,7 +63,8 @@ pub struct PairContext<'a> {
 /// i.e. one that survived Theorem 4.1 and cell-level pruning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairDecision {
-    /// Pruned by Theorem 4.2 (similarity upper bound).
+    /// Pruned by Theorem 4.2 (a similarity upper bound: token signatures,
+    /// or pivot distances and token-set sizes).
     SimPruned,
     /// Pruned by Theorem 4.3 (probability upper bound).
     ProbPruned,
@@ -81,7 +88,12 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
             // where one side is possibly topical (the probe, or a
             // candidate the grid walk kept for being possibly topical).
             debug_assert!(!pruning::topic_prunable(a, b));
-            if pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma {
+            // Theorem 4.2 twice: the signature bound costs a few word
+            // ANDs and decides most examined pairs, the pivot/size bound
+            // costs a pass over every pivot interval.
+            if pruning::ub_sim_signature(a, b) <= ctx.gamma
+                || pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma
+            {
                 return PairDecision::SimPruned;
             }
             if pruning::prob_prunable(a, b, ctx.gamma, ctx.alpha) {
@@ -303,6 +315,34 @@ mod tests {
             Refinement::PrunedEarly { pairs_examined } => assert_eq!(pairs_examined, 1),
             other => panic!("expected early prune, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn pair_sharing_tokens_in_at_most_gamma_attributes_is_sim_pruned() {
+        let mut f = fx();
+        let kw = KeywordSet::universe();
+        // Same first attribute; second attributes that share no token with
+        // each other nor with any pivot, so their pivot distances agree.
+        let a = certain(&mut f, 1, "alpha beta", "purple orange", &kw);
+        let b = certain(&mut f, 2, "alpha beta", "pink white", &kw);
+        assert_eq!(crate::pruning::ub_sim_signature(&a, &b), 1.0);
+        let aux_counts: Vec<usize> = (0..f.pivots.arity())
+            .map(|j| f.pivots.aux_count(j))
+            .collect();
+        let ctx = PairContext {
+            keywords: &kw,
+            gamma: 1.0,
+            alpha: 0.0,
+            aux_counts: &aux_counts,
+            mode: PruningMode::Full,
+        };
+        // The pivot and size bounds alone let the pair through.
+        assert!(crate::pruning::ub_sim(&a, &b, &aux_counts) > ctx.gamma);
+        assert_eq!(decide_pair(&a, &b, &ctx), PairDecision::SimPruned);
+        // Sharing tokens in both attributes (> γ) is not signature-pruned:
+        // the identical pair matches.
+        let c = certain(&mut f, 3, "alpha beta", "purple orange", &kw);
+        assert_eq!(decide_pair(&a, &c, &ctx), PairDecision::Match);
     }
 
     #[test]

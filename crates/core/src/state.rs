@@ -582,11 +582,13 @@ mod tests {
         let schema = Schema::new(vec!["a", "b"]);
         let mut dict = Dictionary::new();
         let rec = Record::from_texts(&schema, id, &[Some("x"), Some("y")], &mut dict);
+        let tuple = ProbTuple::certain(rec);
         TupleMeta {
             id,
             stream_id,
             timestamp,
-            tuple: ProbTuple::certain(rec),
+            signatures: TupleMeta::signatures_of(&tuple),
+            tuple,
             main_bounds: vec![ter_text::Interval::point(0.1); 2],
             main_expect: vec![0.1; 2],
             aux_bounds: vec![],

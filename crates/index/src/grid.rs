@@ -41,13 +41,17 @@ use crate::Aggregate;
 /// Integer coordinates of a grid cell.
 pub type CellKey = Box<[u16]>;
 
-/// One stored item: an opaque id, its converted point, and its aggregate.
+/// One stored item: an opaque id, its location, and its aggregate.
+///
+/// The location `L` is the converted point in a point [`Grid`], and `()`
+/// in a [`RegionGrid`], whose caller keeps the region and passes it back
+/// on eviction.
 #[derive(Debug, Clone)]
-pub struct GridEntry<P, A> {
+pub struct GridEntry<P, A, L = Box<[f64]>> {
     /// Caller-owned identifier (tuple id).
     pub payload: P,
-    /// Point in the converted space.
-    pub point: Box<[f64]>,
+    /// Location in the converted space.
+    pub point: L,
     /// Per-item aggregate.
     pub agg: A,
 }
@@ -63,9 +67,9 @@ pub struct GridEntry<P, A> {
 /// covers the whole front, and shortening its run as the oldest entry
 /// leaves yields the aggregate of the remaining front entries.
 #[derive(Debug, Clone)]
-struct Cell<P, A> {
+struct Cell<P, A, L> {
     /// Entries, oldest first.
-    entries: VecDeque<GridEntry<P, A>>,
+    entries: VecDeque<GridEntry<P, A, L>>,
     /// Run-length encoded suffix aggregates of the front entries, newest
     /// entry first.
     front: Vec<(A, usize)>,
@@ -75,8 +79,8 @@ struct Cell<P, A> {
     agg: A,
 }
 
-impl<P, A: Aggregate + PartialEq> Cell<P, A> {
-    fn new(entry: GridEntry<P, A>) -> Self {
+impl<P, A: Aggregate + PartialEq, L> Cell<P, A, L> {
+    fn new(entry: GridEntry<P, A, L>) -> Self {
         Self {
             agg: entry.agg.clone(),
             back: Some(entry.agg.clone()),
@@ -87,7 +91,7 @@ impl<P, A: Aggregate + PartialEq> Cell<P, A> {
 
     /// Appends the newest entry: one merge into the back aggregate and
     /// one into the cell aggregate.
-    fn push(&mut self, entry: GridEntry<P, A>) {
+    fn push(&mut self, entry: GridEntry<P, A, L>) {
         match &mut self.back {
             Some(back) => back.merge(&entry.agg),
             None => self.back = Some(entry.agg.clone()),
@@ -171,16 +175,17 @@ impl<P, A: Aggregate + PartialEq> Cell<P, A> {
     }
 }
 
-/// The grid synopsis. See the [module docs](self).
+/// The grid synopsis. See the [module docs](self). `L` is the entries'
+/// location type (see [`GridEntry`]).
 #[derive(Debug, Clone)]
-pub struct Grid<P, A: Aggregate> {
+pub struct Grid<P, A: Aggregate, L = Box<[f64]>> {
     dim: usize,
     cells_per_dim: u16,
-    cells: FxHashMap<CellKey, Cell<P, A>>,
+    cells: FxHashMap<CellKey, Cell<P, A, L>>,
     len: usize,
 }
 
-impl<P, A: Aggregate + PartialEq> Grid<P, A> {
+impl<P, A: Aggregate + PartialEq, L> Grid<P, A, L> {
     /// Creates a grid with `cells_per_dim` cells along each of `dim` axes
     /// (cell width `1 / cells_per_dim`).
     pub fn new(dim: usize, cells_per_dim: u16) -> Self {
@@ -242,6 +247,64 @@ impl<P, A: Aggregate + PartialEq> Grid<P, A> {
         )
     }
 
+    /// Appends `entry` to cell `key`, creating the cell if needed.
+    fn push_entry(&mut self, key: CellKey, entry: GridEntry<P, A, L>) {
+        match self.cells.entry(key) {
+            hash_map::Entry::Occupied(mut occ) => occ.get_mut().push(entry),
+            hash_map::Entry::Vacant(vac) => {
+                vac.insert(Cell::new(entry));
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Visits cells and their entries with aggregate-based pruning.
+    ///
+    /// `visit_cell` receives each non-empty cell's key and merged
+    /// aggregate (a visitor that needs the cell's extent asks
+    /// [`Grid::cell_rect`]); returning `false` skips the cell. Surviving
+    /// entries are handed to `on_entry`.
+    pub fn traverse<'a>(
+        &'a self,
+        mut visit_cell: impl FnMut(&[u16], &A) -> bool,
+        mut on_entry: impl FnMut(&'a GridEntry<P, A, L>),
+    ) {
+        for (key, cell) in &self.cells {
+            if !visit_cell(key, &cell.agg) {
+                continue;
+            }
+            for e in &cell.entries {
+                on_entry(e);
+            }
+        }
+    }
+
+    /// Iterates over every stored entry.
+    pub fn iter(&self) -> impl Iterator<Item = &GridEntry<P, A, L>> {
+        self.cells.values().flat_map(|c| c.entries.iter())
+    }
+
+    /// Removes the entry carrying `payload` from cell `key`, dropping the
+    /// cell once empty. Returns `true` if an entry was removed.
+    fn remove_from(&mut self, key: CellKey, payload: &P) -> bool
+    where
+        P: PartialEq,
+    {
+        let hash_map::Entry::Occupied(mut occ) = self.cells.entry(key) else {
+            return false;
+        };
+        let Some(nonempty) = occ.get_mut().remove(payload) else {
+            return false;
+        };
+        if !nonempty {
+            occ.remove();
+        }
+        self.len -= 1;
+        true
+    }
+}
+
+impl<P, A: Aggregate + PartialEq> Grid<P, A> {
     /// Inserts an item (O(1): two merges into the cell's aggregates).
     pub fn insert(&mut self, point: Vec<f64>, payload: P, agg: A) {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
@@ -256,42 +319,11 @@ impl<P, A: Aggregate + PartialEq> Grid<P, A> {
         );
     }
 
-    /// Appends `entry` to cell `key`, creating the cell if needed.
-    fn push_entry(&mut self, key: CellKey, entry: GridEntry<P, A>) {
-        match self.cells.entry(key) {
-            hash_map::Entry::Occupied(mut occ) => occ.get_mut().push(entry),
-            hash_map::Entry::Vacant(vac) => {
-                vac.insert(Cell::new(entry));
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Visits cells and their entries with aggregate-based pruning.
-    ///
-    /// `visit_cell` receives each non-empty cell's rectangle and merged
-    /// aggregate; returning `false` skips the cell. Surviving entries are
-    /// handed to `on_entry`.
-    pub fn traverse<'a>(
-        &'a self,
-        mut visit_cell: impl FnMut(&Rect, &A) -> bool,
-        mut on_entry: impl FnMut(&'a GridEntry<P, A>),
-    ) {
-        for (key, cell) in &self.cells {
-            if !visit_cell(&self.cell_rect(key), &cell.agg) {
-                continue;
-            }
-            for e in &cell.entries {
-                on_entry(e);
-            }
-        }
-    }
-
     /// All entries whose point lies inside `range`.
     pub fn range_query(&self, range: &Rect) -> Vec<&GridEntry<P, A>> {
         let mut out = Vec::new();
         self.traverse(
-            |rect, _| range.intersects(rect),
+            |key, _| range.intersects(&self.cell_rect(key)),
             |e| {
                 if range.contains_point(&e.point) {
                     out.push(e);
@@ -301,9 +333,17 @@ impl<P, A: Aggregate + PartialEq> Grid<P, A> {
         out
     }
 
-    /// Iterates over every stored entry.
-    pub fn iter(&self) -> impl Iterator<Item = &GridEntry<P, A>> {
-        self.cells.values().flat_map(|c| c.entries.iter())
+    /// Evicts the item with the given payload located at `point`
+    /// (the sliding-window expiry of §5.2). Amortized O(1) merges when the
+    /// item is the oldest of its cell; drops the cell if it became empty.
+    ///
+    /// Returns `true` if an item was removed.
+    pub fn evict(&mut self, point: &[f64], payload: &P) -> bool
+    where
+        P: PartialEq,
+    {
+        let key = self.key_of(point);
+        self.remove_from(key, payload)
     }
 
     /// Checks invariants: cell membership of points and the length counter.
@@ -331,34 +371,6 @@ impl<P, A: Aggregate + PartialEq> Grid<P, A> {
     }
 }
 
-impl<P: PartialEq, A: Aggregate + PartialEq> Grid<P, A> {
-    /// Evicts the item with the given payload located at `point`
-    /// (the sliding-window expiry of §5.2). Amortized O(1) merges when the
-    /// item is the oldest of its cell; drops the cell if it became empty.
-    ///
-    /// Returns `true` if an item was removed.
-    pub fn evict(&mut self, point: &[f64], payload: &P) -> bool {
-        let key = self.key_of(point);
-        self.remove_from(key, payload)
-    }
-
-    /// Removes the entry carrying `payload` from cell `key`, dropping the
-    /// cell once empty. Returns `true` if an entry was removed.
-    fn remove_from(&mut self, key: CellKey, payload: &P) -> bool {
-        let hash_map::Entry::Occupied(mut occ) = self.cells.entry(key) else {
-            return false;
-        };
-        let Some(nonempty) = occ.get_mut().remove(payload) else {
-            return false;
-        };
-        if !nonempty {
-            occ.remove();
-        }
-        self.len -= 1;
-        true
-    }
-}
-
 /// A grid storing *regions* (rectangles) instead of points.
 ///
 /// §5.2: "we insert the converted data point of r into cells c such that the
@@ -372,7 +384,7 @@ impl<P: PartialEq, A: Aggregate + PartialEq> Grid<P, A> {
 /// tuple id).
 #[derive(Debug, Clone)]
 pub struct RegionGrid<P, A: Aggregate> {
-    inner: Grid<P, A>,
+    inner: Grid<P, A, ()>,
 }
 
 impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
@@ -477,15 +489,11 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
         assert_eq!(rect.dim(), self.inner.dim);
         for key in keys {
             debug_assert_eq!(key.len(), self.inner.dim);
-            // The entry's point slot holds the region's low corner; the
-            // region itself stays with the caller, who passes it back on
-            // eviction.
-            let point = rect.dims().iter().map(|iv| iv.lo).collect();
             self.inner.push_entry(
                 key,
                 GridEntry {
                     payload: payload.clone(),
-                    point,
+                    point: (),
                     agg: agg.clone(),
                 },
             );
@@ -507,8 +515,8 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
     /// deduplicate by payload.
     pub fn traverse<'a>(
         &'a self,
-        visit_cell: impl FnMut(&Rect, &A) -> bool,
-        on_entry: impl FnMut(&'a GridEntry<P, A>),
+        visit_cell: impl FnMut(&[u16], &A) -> bool,
+        on_entry: impl FnMut(&'a GridEntry<P, A, ()>),
     ) {
         self.inner.traverse(visit_cell, on_entry);
     }
@@ -518,7 +526,10 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
     /// typically collect into a set).
     pub fn candidates_in(&self, range: &Rect) -> Vec<&P> {
         let mut out = Vec::new();
-        self.traverse(|rect, _| range.intersects(rect), |e| out.push(&e.payload));
+        self.traverse(
+            |key, _| range.intersects(&self.inner.cell_rect(key)),
+            |e| out.push(&e.payload),
+        );
         out
     }
 
@@ -528,7 +539,7 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
     /// a monolithic grid, and checkpoints persist each cell in window order.
     pub fn iter_cells(
         &self,
-    ) -> impl Iterator<Item = (&CellKey, vec_deque::Iter<'_, GridEntry<P, A>>)> {
+    ) -> impl Iterator<Item = (&CellKey, vec_deque::Iter<'_, GridEntry<P, A, ()>>)> {
         self.inner.cells.iter().map(|(k, c)| (k, c.entries.iter()))
     }
 }
@@ -634,7 +645,7 @@ mod tests {
         }
         let mut seen = 0;
         let range = Rect::new(vec![Interval::new(0.0, 0.15)]);
-        g.traverse(|rect, _| rect.intersects(&range), |_| seen += 1);
+        g.traverse(|key, _| g.cell_rect(key).intersects(&range), |_| seen += 1);
         assert!(seen <= 20, "visited {seen} of 100");
     }
 

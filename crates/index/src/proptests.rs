@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use crate::artree::{ArTree, Entry};
-use crate::grid::{Grid, RegionGrid};
+use crate::grid::{CellKey, Grid, RegionGrid};
 use crate::rect::Rect;
 use crate::Aggregate;
 
@@ -209,19 +209,16 @@ proptest! {
                     prop_assert!(grid.evict(&r, &id));
                 }
             }
-            let seen: RefCell<Vec<(Rect, Ids, Vec<u64>)>> = RefCell::new(Vec::new());
+            let seen: RefCell<Vec<(CellKey, Ids, Vec<u64>)>> = RefCell::new(Vec::new());
             grid.traverse(
-                |rect, agg| {
-                    seen.borrow_mut().push((rect.clone(), agg.clone(), Vec::new()));
+                |key, agg| {
+                    seen.borrow_mut().push((key.into(), agg.clone(), Vec::new()));
                     true
                 },
                 |e| seen.borrow_mut().last_mut().unwrap().2.push(e.payload),
             );
             let mut covered = 0;
-            for (rect, agg, payloads) in seen.into_inner() {
-                let center: Vec<f64> =
-                    rect.dims().iter().map(|iv| (iv.lo + iv.hi) / 2.0).collect();
-                let key = grid.cell_keys_of(&Rect::point(&center)).remove(0);
+            for (key, agg, payloads) in seen.into_inner() {
                 let expect: Vec<u64> = live
                     .iter()
                     .filter(|(_, r)| grid.cell_keys_of(r).contains(&key))

@@ -8,7 +8,12 @@
 //! an unbound atom scans its relation. Predicates are applied the moment
 //! their variable binds, so a selective predicate prunes the stream at
 //! the earliest possible stage. An empty intermediate terminates the
-//! whole pipeline for free — `flat_map` over nothing is nothing.
+//! whole pipeline for free — `flat_map` over nothing is nothing. An
+//! unbound `live(v)` scans the window once per evaluation: the
+//! predicate-filtered live ids of `v` are computed on first use and kept
+//! in `LiveSets` for every later partial binding.
+
+use std::cell::OnceCell;
 
 use crate::pattern::{Atom, Pattern, Pred, VarId};
 use crate::plan::{plan, PlanStats};
@@ -105,6 +110,27 @@ pub(crate) fn var_ok<V: QueryView + ?Sized>(
     })
 }
 
+/// Each variable's live ids that pass its predicates, ascending — computed
+/// on first use and shared by every partial binding of one evaluation.
+/// Only valid while the view it was filled from stays unchanged.
+pub(crate) struct LiveSets(Vec<OnceCell<Vec<u64>>>);
+
+impl LiveSets {
+    /// Empty caches, one per pattern variable.
+    pub(crate) fn new(pattern: &Pattern) -> Self {
+        Self(pattern.vars.iter().map(|_| OnceCell::new()).collect())
+    }
+
+    fn of<V: QueryView + ?Sized>(&self, pattern: &Pattern, view: &V, v: VarId) -> &[u64] {
+        self.0[v].get_or_init(|| {
+            view.live_ids()
+                .into_iter()
+                .filter(|&id| var_ok(pattern, view, v, id))
+                .collect()
+        })
+    }
+}
+
 fn bind(b: &[Option<u64>], v: VarId, id: u64) -> Vec<Option<u64>> {
     let mut nb = b.to_vec();
     nb[v] = Some(id);
@@ -117,6 +143,7 @@ fn bind(b: &[Option<u64>], v: VarId, id: u64) -> Vec<Option<u64>> {
 fn extend<V: QueryView + ?Sized>(
     pattern: &Pattern,
     view: &V,
+    live: &LiveSets,
     b: &[Option<u64>],
     atom: Atom,
 ) -> Vec<Vec<Option<u64>>> {
@@ -129,11 +156,10 @@ fn extend<V: QueryView + ?Sized>(
                     Vec::new()
                 }
             }
-            None => view
-                .live_ids()
-                .into_iter()
-                .filter(|&id| var_ok(pattern, view, v, id))
-                .map(|id| bind(b, v, id))
+            None => live
+                .of(pattern, view, v)
+                .iter()
+                .map(|&id| bind(b, v, id))
                 .collect(),
         },
         Atom::Match(x, y) => match (b[x], b[y]) {
@@ -174,17 +200,19 @@ fn extend<V: QueryView + ?Sized>(
 
 /// Runs the atoms in `order` as a streaming iterator pipeline from the
 /// given seed binding, returning every fully-ground variable assignment.
-/// Seed bindings must already satisfy their variables' predicates.
+/// Seed bindings must already satisfy their variables' predicates. `live`
+/// may be shared by several calls against the same, unchanged view.
 pub(crate) fn eval_from<V: QueryView + ?Sized>(
     pattern: &Pattern,
     order: &[usize],
     view: &V,
+    live: &LiveSets,
     seed: Vec<Option<u64>>,
 ) -> Vec<Vec<u64>> {
     let mut it: Box<dyn Iterator<Item = Vec<Option<u64>>> + '_> = Box::new(std::iter::once(seed));
     for &ai in order {
         let atom = pattern.atoms[ai];
-        it = Box::new(it.flat_map(move |b| extend(pattern, view, &b, atom)));
+        it = Box::new(it.flat_map(move |b| extend(pattern, view, live, &b, atom)));
     }
     it.map(|b| {
         b.into_iter()
@@ -201,7 +229,14 @@ pub(crate) fn full_bindings<V: QueryView + ?Sized>(pattern: &Pattern, view: &V) 
     if plan.empty {
         return Vec::new();
     }
-    eval_from(pattern, &plan.order, view, vec![None; pattern.vars.len()])
+    let live = LiveSets::new(pattern);
+    eval_from(
+        pattern,
+        &plan.order,
+        view,
+        &live,
+        vec![None; pattern.vars.len()],
+    )
 }
 
 /// Projects one full binding onto the pattern's output columns.
@@ -259,12 +294,13 @@ pub fn evaluate_traced<V: QueryView + ?Sized>(
         trace.atom_rows = vec![0; plan.order.len()];
         return (Vec::new(), trace);
     }
+    let live = LiveSets::new(pattern);
     let mut frontier: Vec<Vec<Option<u64>>> = vec![vec![None; pattern.vars.len()]];
     for &ai in &plan.order {
         let atom = pattern.atoms[ai];
         frontier = frontier
             .iter()
-            .flat_map(|b| extend(pattern, view, b, atom))
+            .flat_map(|b| extend(pattern, view, &live, b, atom))
             .collect();
         trace.atom_rows.push(frontier.len() as u64);
     }

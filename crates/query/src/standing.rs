@@ -30,7 +30,7 @@ use ter_ids::StepOutput;
 use ter_stream::Arrival;
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
-use crate::eval::{eval_from, full_bindings, project_one, var_ok, QueryView};
+use crate::eval::{eval_from, full_bindings, project_one, var_ok, LiveSets, QueryView};
 use crate::pattern::{Atom, Pattern};
 use crate::plan::plan;
 
@@ -184,6 +184,7 @@ impl StandingQuery {
         // ---- addition phase: seed each new fact at each atom ----
         let order = plan(&self.pattern, &view.plan_stats()).order;
         let nvars = self.pattern.vars.len();
+        let live = LiveSets::new(&self.pattern);
         let mut found: Vec<Vec<u64>> = Vec::new();
         for (ai, atom) in self.pattern.atoms.iter().enumerate() {
             let rest: Vec<usize> = order.iter().copied().filter(|&i| i != ai).collect();
@@ -201,7 +202,7 @@ impl StandingQuery {
                                 let mut seed = vec![None; nvars];
                                 seed[x] = Some(ida);
                                 seed[y] = Some(idc);
-                                found.extend(eval_from(&self.pattern, &rest, view, seed));
+                                found.extend(eval_from(&self.pattern, &rest, view, &live, seed));
                             }
                         }
                     }
@@ -212,7 +213,7 @@ impl StandingQuery {
                         if var_ok(&self.pattern, view, v, id) {
                             let mut seed = vec![None; nvars];
                             seed[v] = Some(id);
-                            found.extend(eval_from(&self.pattern, &rest, view, seed));
+                            found.extend(eval_from(&self.pattern, &rest, view, &live, seed));
                         }
                     }
                 }

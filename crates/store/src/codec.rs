@@ -479,11 +479,15 @@ impl Codec for TupleMeta {
         self.possible_tokens.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let (id, stream_id, timestamp) = (dec.u64()?, dec.usize()?, dec.u64()?);
+        let tuple = ProbTuple::decode(dec)?;
+        // Signatures are derived from the tuple, never stored.
+        let signatures = TupleMeta::signatures_of(&tuple);
         Ok(TupleMeta {
-            id: dec.u64()?,
-            stream_id: dec.usize()?,
-            timestamp: dec.u64()?,
-            tuple: ProbTuple::decode(dec)?,
+            id,
+            stream_id,
+            timestamp,
+            tuple,
             main_bounds: Vec::decode(dec)?,
             main_expect: Vec::decode(dec)?,
             aux_bounds: Vec::decode(dec)?,
@@ -491,6 +495,7 @@ impl Codec for TupleMeta {
             topics: TopicVector::decode(dec)?,
             possibly_topical: dec.bool()?,
             possible_tokens: TokenSet::decode(dec)?,
+            signatures,
         })
     }
 }

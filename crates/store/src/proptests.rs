@@ -104,6 +104,9 @@ fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
                     id: tuple.base.id,
                     stream_id,
                     timestamp,
+                    // Decode re-derives the signatures from the tuple, so
+                    // the round trip checks that derivation.
+                    signatures: TupleMeta::signatures_of(&tuple),
                     tuple,
                     main_bounds: bounds.clone(),
                     main_expect: expect,
