@@ -23,8 +23,8 @@ struct Measured {
     threads: usize,
     secs: f64,
     tuples_per_sec: f64,
-    /// Merge-thread barrier rounds per arrival (2 lock-step, ~1
-    /// overlapped — the pipelined drive's claim, measured).
+    /// Merge-thread barrier rounds per arrival (~1 — the pooled drive's
+    /// claim, measured).
     barriers_per_arrival: f64,
     /// The timed run's reported pairs, sorted — parity-checked against the
     /// sequential oracle (timing only the grid-mutation side of the engine
@@ -149,14 +149,15 @@ fn main() {
             m.reported, seq_reported,
             "sharded engine (T={threads}) diverged from sequential"
         );
-        // The overlapped drive's structural claim, asserted where it is
-        // measured: one combined barrier round per arrival (the lockstep
-        // drive needs two). Independent of CPU count — barriers are
-        // counted, not timed — so this gates even undersubscribed runs.
+        // The pooled drive's structural claim, asserted where it is
+        // measured: one combined barrier round per arrival (waiting for a
+        // fanned refine before queuing the next traverse would need two).
+        // Independent of CPU count — barriers are counted, not timed — so
+        // this gates even undersubscribed runs.
         if threads > 1 {
             assert!(
                 m.barriers_per_arrival <= 1.01,
-                "overlapped drive at T={threads} spent {:.3} barriers/arrival \
+                "pooled drive at T={threads} spent {:.3} barriers/arrival \
                  (claim: ≤ 1 + rounding)",
                 m.barriers_per_arrival
             );

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use ter_bench::{critical_path_json, header, prepare, RunStamp};
 use ter_datasets::{GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{ErProcessor, Params, PruningMode};
+use ter_ids::{Params, PruningMode};
 use ter_obs::trace::CriticalPath;
 use ter_serve::{Client, ServeOptions, ServeReport, Server};
 use ter_store::{context_fingerprint, TerStore};
@@ -126,7 +126,9 @@ fn main() {
             let seq = store.log_batch(batch).expect("wal append");
             lib_matches.extend(pe.step_batch(batch).into_iter().map(|o| o.new_matches));
             if (seq + 1) % CHECKPOINT_EVERY == 0 {
-                store.checkpoint(&pe.export_state()).expect("checkpoint");
+                store
+                    .checkpoint(&pe.engine().export_state())
+                    .expect("checkpoint");
             }
         }
     });

@@ -17,23 +17,25 @@
 //!    then Theorem 4.4 early-terminated exact refinement; survivors enter
 //!    the result set (lines 15–26).
 
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ter_impute::{ImputeConfig, RuleImputer, RuleRetrieval};
 use ter_repo::{DrIndex, PivotConfig, PivotTable, Repository};
 use ter_rules::{detect_cdds, detect_dds, detect_editing_rules, Cdd, CddIndex, DiscoveryConfig};
-use ter_stream::{Arrival, ProbTuple, SlidingWindow};
-use ter_text::fxhash::{FxHashMap, FxHashSet};
+use ter_stream::{Arrival, ProbTuple};
+use ter_text::fxhash::FxHashSet;
 use ter_text::KeywordSet;
 
-use crate::candidates::{self, ErGrid, ErPayload, StreamCounts};
+use crate::candidates::{self, ErPayload};
+use crate::live::LiveState;
 use crate::meta::{AuxLayout, TupleMeta};
 use crate::metrics::{PhaseTiming, PruneStats};
 use crate::params::Params;
 pub use crate::params::PruningMode;
-use crate::refine::{decide_pair, PairContext, PairDecision};
+use crate::refine::{decide_pair, PairContext, PairDecision, RefineOutcome};
 use crate::results::{norm_pair, ResultSet};
-use crate::state::EngineState;
 use crate::ErProcessor;
 
 /// Everything built in the offline pre-computation phase (Algorithm 1
@@ -146,22 +148,18 @@ pub struct StepOutput {
 }
 
 /// The TER-iDS engine. See the [module docs](self).
+///
+/// Its dynamic state is a one-shard [`LiveState`], which it dereferences
+/// to: the window, result and metadata accessors and
+/// [`LiveState::export_state`] / [`LiveState::import_state`] are the
+/// state's, shared with the sharded engine.
 pub struct TerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
     mode: PruningMode,
     gamma: f64,
     imputer: RuleImputer<'a>,
-    grid: ErGrid,
-    window: SlidingWindow<u64>,
-    metas: FxHashMap<u64, TupleMeta>,
-    /// Live and topical tuple counts per stream (O(streams) pair
-    /// accounting).
-    counts: StreamCounts,
-    results: ResultSet,
-    reported: FxHashSet<(u64, u64)>,
-    stats: PruneStats,
-    timing: PhaseTiming,
+    live: LiveState,
     name: &'static str,
 }
 
@@ -177,14 +175,7 @@ impl<'a> TerIdsEngine<'a> {
             mode,
             gamma: params.gamma(d),
             imputer,
-            grid: ErGrid::new(d, params.grid_cells),
-            window: SlidingWindow::new(params.window),
-            metas: FxHashMap::default(),
-            counts: StreamCounts::default(),
-            results: ResultSet::new(),
-            reported: FxHashSet::default(),
-            stats: PruneStats::default(),
-            timing: PhaseTiming::default(),
+            live: LiveState::new(d, params.window, params.grid_cells, 1),
             name: match mode {
                 PruningMode::Full => "TER-iDS",
                 PruningMode::GridOnly => "Ij+GER",
@@ -196,141 +187,19 @@ impl<'a> TerIdsEngine<'a> {
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
+}
 
-    /// Number of unexpired tuples.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
+impl Deref for TerIdsEngine<'_> {
+    type Target = LiveState;
+
+    fn deref(&self) -> &LiveState {
+        &self.live
     }
+}
 
-    /// Window capacity `w`.
-    pub fn window_capacity(&self) -> usize {
-        self.params.window
-    }
-
-    /// Metadata of a live tuple.
-    pub fn meta(&self, id: u64) -> Option<&TupleMeta> {
-        self.metas.get(&id)
-    }
-
-    /// Ids of the unexpired tuples, ascending (for differential tests
-    /// against the batch-parallel engine).
-    pub fn live_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.metas.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Snapshots the engine's dynamic state in the canonical
-    /// [`EngineState`] representation (window order, sorted pairs, sorted
-    /// cell keys). The sharded engine exports an *equal* state at the same
-    /// stream position, so checkpoints are portable across engines.
-    pub fn export_state(&self) -> EngineState {
-        let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
-        let metas = window
-            .iter()
-            .map(|(_, id)| self.metas[id].clone())
-            .collect();
-        let mut results: Vec<(u64, u64)> = self.results.iter().collect();
-        results.sort_unstable();
-        let mut reported: Vec<(u64, u64)> = self.reported.iter().copied().collect();
-        reported.sort_unstable();
-        let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
-            .grid
-            .iter_cells()
-            .map(|(k, entries)| (k.clone(), entries.map(|e| e.payload.id).collect()))
-            .collect();
-        cells.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineState {
-            window_capacity: self.params.window,
-            grid_cells: self.params.grid_cells,
-            window,
-            metas,
-            stream_counts: self.counts.live().to_vec(),
-            results,
-            reported,
-            stats: self.stats,
-            cells,
-        }
-    }
-
-    /// Replaces the engine's dynamic state with a validated snapshot
-    /// (recovery: load the newest checkpoint, then replay the WAL suffix
-    /// through [`ErProcessor::step_batch`]). The static context, params,
-    /// and pruning mode stay as constructed; phase timings restart at zero
-    /// (wall clock is not recoverable state). On `Err` the engine is left
-    /// untouched — the recovery path must never panic or half-apply.
-    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        let d = self.ctx.arity();
-        state.validate(d, self.params.window, self.params.grid_cells)?;
-        let metas: FxHashMap<u64, TupleMeta> = state
-            .metas
-            .iter()
-            .map(|meta| (meta.id, meta.clone()))
-            .collect();
-        let mut grid = ErGrid::new(d, self.params.grid_cells);
-        for (key, ids) in state.cells_in_window_order() {
-            for id in ids {
-                let meta = &metas[&id];
-                grid.insert_at(
-                    [key.clone()],
-                    &meta.region(),
-                    ErPayload::of(meta),
-                    meta.aggregate(),
-                );
-            }
-        }
-        let mut window = SlidingWindow::new(self.params.window);
-        for &(ts, id) in &state.window {
-            // validate() bounds the length by the capacity and checks
-            // monotonic timestamps, so no push can evict or assert.
-            window.push(ts, id);
-        }
-        let mut results = ResultSet::new();
-        for &(a, b) in &state.results {
-            results.insert(a, b);
-        }
-        self.grid = grid;
-        self.window = window;
-        self.metas = metas;
-        self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);
-        self.results = results;
-        self.reported = state.reported.iter().copied().collect();
-        self.stats = state.stats;
-        self.timing = PhaseTiming::default();
-        Ok(())
-    }
-
-    /// Evicts the expired tuple from grid, metadata, and result set;
-    /// returns the live pairs the eviction dropped, normalized and sorted
-    /// (the step's retraction delta).
-    fn expire(&mut self, old_id: u64) -> Vec<(u64, u64)> {
-        if let Some(meta) = self.metas.remove(&old_id) {
-            self.grid.evict(&meta.region(), &ErPayload::of(&meta));
-            self.counts.remove(&meta);
-            self.results.remove_involving(old_id)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Cell keys currently holding at least one live tuple, with their
-    /// entry counts — the density statistic the query planner's greedy
-    /// join-order heuristic reads instead of maintaining histograms.
-    pub fn cell_entry_counts(&self) -> Vec<usize> {
-        self.grid
-            .iter_cells()
-            .map(|(_, entries)| entries.len())
-            .collect()
-    }
-
-    /// Live tuple count per stream id.
-    pub fn stream_tuple_counts(&self) -> &[usize] {
-        self.counts.live()
-    }
-
-    /// Number of live tuples currently flagged possibly-topical.
-    pub fn topical_count(&self) -> usize {
-        self.counts.topical_total()
+impl DerefMut for TerIdsEngine<'_> {
+    fn deref_mut(&mut self) -> &mut LiveState {
+        &mut self.live
     }
 }
 
@@ -347,11 +216,9 @@ impl ErProcessor for TerIdsEngine<'_> {
 
         // ---- expiry (Algorithm 2 lines 2–7) ----
         let er_start = Instant::now();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        if let Some((_, old_id)) = self.window.push(arrival.timestamp, arrival.record.id) {
-            expired.push(old_id);
-            retractions = self.expire(old_id);
+        let (evicted, mut out) = self.live.advance_window(arrival);
+        if let Some(old) = evicted {
+            self.live.shards[0].evict(&old.region(), &ErPayload::of(&old));
         }
         step_timing.er += er_start.elapsed();
 
@@ -384,7 +251,7 @@ impl ErProcessor for TerIdsEngine<'_> {
         // shared with the sharded engine.
         let gamma = self.gamma;
         let aux_counts = &self.ctx.aux_counts;
-        let cands = candidates::examined_ids([&self.grid], &meta, gamma, aux_counts);
+        let cands = candidates::examined_ids(&self.live.shards, &meta, gamma, aux_counts);
         let examined = cands.len() as u64;
 
         // ---- pair-level pruning + refinement ----
@@ -395,61 +262,48 @@ impl ErProcessor for TerIdsEngine<'_> {
             aux_counts,
             mode: self.mode,
         };
-        let mut new_matches = Vec::new();
+        let mut outcome = RefineOutcome::default();
         for id in &cands {
-            let other = &self.metas[id];
+            let other = &self.live.metas[id];
             match decide_pair(&meta, other, &pair_ctx) {
-                PairDecision::SimPruned => self.stats.sim += 1,
-                PairDecision::ProbPruned => self.stats.prob += 1,
-                PairDecision::InstancePruned => self.stats.instance += 1,
-                PairDecision::Match => {
-                    self.stats.matches += 1;
-                    new_matches.push(norm_pair(meta.id, other.id));
-                }
+                PairDecision::SimPruned => outcome.sim += 1,
+                PairDecision::ProbPruned => outcome.prob += 1,
+                PairDecision::InstancePruned => outcome.instance += 1,
+                PairDecision::Match => outcome.matches.push(norm_pair(meta.id, other.id)),
             }
         }
-        candidates::account_pairs(&meta, examined, &self.counts, &mut self.stats);
         // Candidates are examined in ascending-id order and pairs are
         // normalized, so a step's match list is a deterministic function
         // of the arrival order — directly comparable with the sharded
         // engine's merged output.
-        new_matches.sort_unstable();
-        for &(a, b) in &new_matches {
-            self.results.insert(a, b);
-            self.reported.insert((a, b));
-        }
+        outcome.matches.sort_unstable();
 
         // ---- register the new tuple (lines 11–13) ----
-        self.grid
-            .insert(meta.region(), ErPayload::of(&meta), meta.aggregate());
-        self.counts.add(&meta);
-        let prev = self.metas.insert(meta.id, meta);
-        assert!(prev.is_none(), "duplicate tuple id {}", arrival.record.id);
+        self.live.shards[0].insert(meta.region(), ErPayload::of(&meta), meta.aggregate());
+        out.new_matches = self
+            .live
+            .finalize_arrival(Arc::new(meta), examined, outcome);
         step_timing.er += t.elapsed();
 
-        self.timing.accumulate(&step_timing);
-        StepOutput {
-            new_matches,
-            retractions,
-            expired,
-            timing: step_timing,
-        }
+        self.live.accumulate_timing(&step_timing);
+        out.timing = step_timing;
+        out
     }
 
     fn results(&self) -> &ResultSet {
-        &self.results
+        self.live.results()
     }
 
     fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.reported
+        self.live.reported()
     }
 
     fn prune_stats(&self) -> PruneStats {
-        self.stats
+        self.live.prune_stats()
     }
 
     fn timing(&self) -> PhaseTiming {
-        self.timing
+        self.live.timing()
     }
 }
 
@@ -684,7 +538,7 @@ mod tests {
     /// own stream. Kept here only as the reference for the test below.
     fn surfaced_then_filtered(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
         let mut surfaced: FxHashSet<u64> = FxHashSet::default();
-        engine.grid.traverse(
+        engine.live.shards[0].traverse(
             |_, agg| {
                 crate::pruning::cell_survives(probe, agg, engine.gamma, &engine.ctx.aux_counts)
             },
@@ -693,6 +547,7 @@ mod tests {
             },
         );
         let topical_ids: FxHashSet<u64> = engine
+            .live
             .metas
             .values()
             .filter(|m| m.possibly_topical)
@@ -712,6 +567,7 @@ mod tests {
             .filter(|&id| id != probe.id)
             .filter(|id| {
                 engine
+                    .live
                     .metas
                     .get(id)
                     .is_some_and(|m| m.stream_id != probe.stream_id)
@@ -804,22 +660,28 @@ mod tests {
                 // see the window the probe is matched against.
                 let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
                 shadow.import_state(&engine.export_state()).unwrap();
-                if let Some((_, old_id)) = shadow.window.push(a.timestamp, a.record.id) {
-                    shadow.expire(old_id);
+                if let (Some(old), _) = shadow.live.advance_window(&a) {
+                    shadow.live.shards[0].evict(&old.region(), &ErPayload::of(&old));
                 }
                 let expect = surfaced_then_filtered(&shadow, &probe);
-                let got =
-                    candidates::examined_ids([&shadow.grid], &probe, shadow.gamma, &ctx.aux_counts);
+                let got = candidates::examined_ids(
+                    &shadow.live.shards,
+                    &probe,
+                    shadow.gamma,
+                    &ctx.aux_counts,
+                );
                 assert_eq!(got, expect, "arrival {}", a.record.id);
                 nonempty += usize::from(!got.is_empty());
 
                 let mut old = PruneStats::default();
                 let topical_other = shadow
+                    .live
                     .metas
                     .values()
                     .filter(|m| m.possibly_topical && m.stream_id != probe.stream_id)
                     .count() as u64;
                 let eligible: u64 = shadow
+                    .live
                     .metas
                     .values()
                     .filter(|m| m.stream_id != probe.stream_id)
@@ -833,11 +695,12 @@ mod tests {
                     old.sim = topical_other - examined;
                 }
                 let mut new = PruneStats::default();
-                candidates::account_pairs(&probe, examined, &shadow.counts, &mut new);
+                candidates::account_pairs(&probe, examined, &shadow.live.counts, &mut new);
                 assert_eq!(new, old, "arrival {}", a.record.id);
 
                 engine.process(&a);
-                spanning = spanning.max(engine.grid.cell_entry_count() - engine.window_len());
+                spanning =
+                    spanning.max(engine.live.shards[0].cell_entry_count() - engine.window_len());
             }
             assert!(nonempty > 100, "only {nonempty} arrivals had candidates");
             assert!(spanning > 0, "no region spans two cells");

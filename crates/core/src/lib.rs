@@ -20,6 +20,10 @@
 //!   instance-pair-level early termination of Theorem 4.4;
 //! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with ER-grid
 //!   maintenance and the imputation/pruning/refinement pipeline;
+//! * [`live`] — the dynamic state both TER-iDS engines (this crate's and
+//!   the sharded one in `ter_exec`) keep, export and import
+//!   ([`LiveState`]), with the [`router`] that splits its ER-grid into
+//!   shards;
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
 //!   `er+ER`, `con+ER`);
 //! * [`metrics`] — precision/recall/F-score (Equation 6) and pruning-power
@@ -31,12 +35,14 @@
 pub mod baselines;
 pub mod candidates;
 pub mod engine;
+pub mod live;
 pub mod meta;
 pub mod metrics;
 pub mod params;
 pub mod pruning;
 pub mod refine;
 pub mod results;
+pub mod router;
 pub mod state;
 
 #[cfg(test)]
@@ -44,11 +50,13 @@ mod proptests;
 
 pub use baselines::NaiveEngine;
 pub use engine::{PruningMode, StepOutput, TerContext, TerIdsEngine};
+pub use live::LiveState;
 pub use meta::{ErAggregate, TupleMeta};
 pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats, StageMetrics};
 pub use params::Params;
-pub use refine::{decide_pair, PairContext, PairDecision};
+pub use refine::{decide_pair, PairContext, PairDecision, RefineOutcome};
 pub use results::ResultSet;
+pub use router::ShardRouter;
 pub use state::{delta_between, EngineState, StateDelta};
 
 use ter_stream::Arrival;
@@ -87,7 +95,7 @@ pub trait ErProcessor {
     fn timing(&self) -> PhaseTiming;
 
     /// Execution-shape counters of a staged run ([`StageMetrics`]):
-    /// barrier rounds, fanned refines, overlapped arrivals. Purely
+    /// barrier rounds, fanned refines, pooled batches. Purely
     /// observational — results must not depend on them. Sequential
     /// engines and baselines keep the all-zero default.
     fn stage_metrics(&self) -> StageMetrics {

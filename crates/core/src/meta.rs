@@ -79,8 +79,6 @@ pub struct TupleMeta {
     /// Whether some instance can contain a query keyword (`¬` this for
     /// both tuples ⇒ Theorem 4.1 prunes the pair).
     pub possibly_topical: bool,
-    /// Union of tokens over all instances.
-    pub possible_tokens: TokenSet,
     /// Per-attribute token signatures over the attribute's *possible*
     /// tokens (see [`TupleMeta::signatures_of`]). Derived from `tuple`
     /// alone, so checkpoints do not store them.
@@ -145,7 +143,6 @@ impl TupleMeta {
             size_bounds,
             topics,
             possibly_topical,
-            possible_tokens,
             signatures,
         }
     }

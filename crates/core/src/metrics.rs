@@ -150,18 +150,18 @@ impl PhaseTiming {
 /// [`PruneStats`] these describe *how* the work was scheduled, not what
 /// it computed — two runs with different stage metrics must still produce
 /// bit-identical results, which is exactly what the parity suites check.
-/// Sequential engines report all zeros.
+/// Sequential engines, and the sharded engine's inline (one-thread)
+/// drive, report all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Synchronization rounds where the driving (merge) thread blocked on
-    /// worker responses. The lock-step drive pays two per arrival
-    /// (traverse, then fanned refine); the overlapped drive pays one.
+    /// worker responses. The pooled drive waits once per arrival for the
+    /// next traverse and a fanned refine together, plus once per batch
+    /// for the first traverse.
     pub er_barriers: u64,
     /// Arrivals whose refine stage was fanned out to the worker pool
-    /// (candidate set at or above the fan-out threshold, and non-empty).
+    /// (candidate set at or above the fan-out threshold).
     pub fanned_refines: u64,
-    /// Arrivals processed by the overlapped (software-pipelined) drive.
-    pub overlapped_arrivals: u64,
     /// Batches executed against an attached worker pool.
     pub pooled_batches: u64,
 }

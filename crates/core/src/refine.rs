@@ -75,6 +75,30 @@ pub enum PairDecision {
     Match,
 }
 
+/// The [`PairDecision`] tallies of one arrival's examined candidates, or
+/// of one worker's slice of them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RefineOutcome {
+    /// Pairs pruned by Theorem 4.2 (similarity upper bound).
+    pub sim: u64,
+    /// Pairs pruned by Theorem 4.3 (probability upper bound).
+    pub prob: u64,
+    /// Pairs rejected at the instance-pair level (Theorem 4.4).
+    pub instance: u64,
+    /// Matching pairs, already `(min, max)`-normalized.
+    pub matches: Vec<(u64, u64)>,
+}
+
+impl RefineOutcome {
+    /// Folds another worker's tallies into this one.
+    pub fn absorb(&mut self, other: RefineOutcome) {
+        self.sim += other.sim;
+        self.prob += other.prob;
+        self.instance += other.instance;
+        self.matches.extend(other.matches);
+    }
+}
+
 /// The pair-level pruning → refinement cascade (Theorems 4.2 → 4.3 → 4.4,
 /// in the paper's order) for one examined pair. A pure function of its
 /// inputs: the sequential engine and every shard worker of the

@@ -9,7 +9,7 @@
 //! sequence against any shard count produces the same per-cell entry and
 //! aggregate history as the monolithic grid — the foundation of the
 //! engine-level bit-for-bit parity guarantee (property-tested in
-//! `proptests.rs`).
+//! `ter_exec`). [`LiveState`](crate::LiveState) keeps the shards.
 
 use std::hash::Hasher;
 

@@ -574,7 +574,7 @@ mod tests {
     use super::*;
     use ter_repo::{Record, Schema};
     use ter_stream::ProbTuple;
-    use ter_text::{Dictionary, TokenSet, TopicVector};
+    use ter_text::{Dictionary, TopicVector};
 
     /// A minimal hand-built meta (field-literal; validation only looks at
     /// id/stream/timestamp/arity).
@@ -595,7 +595,6 @@ mod tests {
             size_bounds: vec![ter_text::Interval::point(1.0); 2],
             topics: TopicVector::zeros(1),
             possibly_topical: false,
-            possible_tokens: TokenSet::empty(),
         }
     }
 

@@ -3,82 +3,85 @@
 //! [`ShardedTerIdsEngine`] processes arrivals in batches
 //! ([`ter_ids::ErProcessor::step_batch`]) and produces output
 //! **bit-identical** to the sequential [`ter_ids::TerIdsEngine`] for any
-//! shard count, thread count, batch size, and drive mode. The
-//! per-arrival pipeline is decomposed into the named stages of
-//! `stages` — **impute → traverse → refine → merge** —
-//! and executed by the persistent worker pool of
-//! `pool`:
+//! shard count, thread count and batch size. Its dynamic state is the
+//! same [`LiveState`] the sequential engine keeps, with `S` grid shards.
+//! The per-arrival pipeline is decomposed into the named stages of
+//! `stages` — **impute → traverse → refine → merge** — and executed by
+//! the persistent worker pool of `pool`:
 //!
 //! 1. **Impute** — rule selection, imputation, and [`TupleMeta`]
 //!    derivation read only the static [`TerContext`], so the whole batch
 //!    is imputed concurrently (contiguous chunks across workers) with
 //!    per-arrival results equal to the sequential engine's.
 //! 2. **Traverse** — the ER-grid is partitioned into `S` shards by
-//!    cell-key hash ([`ShardRouter`]); each worker owns a disjoint shard
-//!    group for the batch and applies grid mutations (the previous
-//!    arrival's insert, this arrival's expiry) in arrival order before
-//!    enumerating its candidates with the sequential engine's own
-//!    [`candidates::examined_ids`] — cell pruning plus the stream and
-//!    topical filters in one walk — so every cell sees exactly the op
-//!    sequence the monolithic grid would and yields the same ids.
+//!    cell-key hash ([`ter_ids::ShardRouter`]); each worker owns a
+//!    disjoint shard group for the batch and applies grid mutations (the
+//!    previous arrival's insert, this arrival's expiry) in arrival order
+//!    before enumerating its candidates with the sequential engine's own
+//!    [`ter_ids::candidates::examined_ids`] — cell pruning plus the
+//!    stream and topical filters in one walk — so every cell sees exactly
+//!    the op sequence the monolithic grid would and yields the same ids.
 //! 3. **Refine** — the workers' sorted id lists are merged into one
 //!    sorted candidate list and partitioned; each worker routes its slice
-//!    through the shared cascade ([`ter_ids::decide_pair`]). Small
-//!    candidate sets are refined on the driving thread instead — a
-//!    synchronization barrier is not worth a handful of pairs
-//!    (`refine_fanout_min`).
+//!    through the shared cascade ([`ter_ids::decide_pair`]). Candidate
+//!    sets below [`REFINE_FANOUT_MIN`] are refined on the driving thread
+//!    instead.
 //! 4. **Merge** — window maintenance, expiry, result-set and statistics
-//!    updates happen on the driving thread in arrival order (per-worker
-//!    tallies merged deterministically, matches ordered by
-//!    `(arrival_seq, norm_pair)`), so window semantics are unchanged.
+//!    updates happen on the driving thread in arrival order
+//!    ([`LiveState::advance_window`], [`LiveState::finalize_arrival`]), so
+//!    window semantics are unchanged.
 //!
-//! # Drive modes
-//!
-//! The lock-step drive pays two barriers per arrival: the merge thread
-//! waits for every worker's traverse, computes the candidate set, fans
-//! the refine out, and waits again. The **overlapped** drive
-//! ([`ExecConfig::overlap`], the default) halves that: after imputation
-//! both arrival `i`'s refine *and* arrival `i+1`'s traverse inputs are
-//! known (the eviction schedule is a pure function of the window and the
-//! arrival order — `stages::eviction_schedule`), so the
-//! merge thread queues `Refine(i)` and `Step(i+1)` together and pays one
-//! combined wait. Workers answer in FIFO order, so the interleaving is
-//! deterministic; the op order seen by every grid cell and the merge
-//! order are *identical* to the lock-step drive, which is why the parity
-//! suites can require bit-equality across both modes. The saving is
-//! instrumented: [`StageMetrics::er_barriers`] counts the merge thread's
-//! wait rounds.
-//!
-//! # Pool sessions
+//! # Drives
 //!
 //! With `threads == 1` the whole pipeline runs inline on the driving
 //! thread — no pool, no channels — so the single-thread configuration is
-//! a fair baseline rather than a message-passing straw man. With more
-//! threads, a plain [`ErProcessor::step_batch`] call spins the pool up
-//! for that one batch; long-lived consumers (the `ter_serve` daemon, the
-//! benches) wrap their feed loop in [`ShardedTerIdsEngine::with_pool`]
-//! so the workers persist across batches and only the shard groups
-//! travel per batch.
+//! a fair baseline rather than a message-passing straw man.
+//!
+//! With more threads, one drive runs against the pool. Waiting for each
+//! arrival's traverse and then for its fanned refine would cost the
+//! driving thread two barriers per arrival. Instead, once arrival `i`'s
+//! candidates are known, both `i`'s refine *and* `i+1`'s traverse inputs
+//! are known too (the eviction schedule is a pure function of the window
+//! and the arrival order — `stages::eviction_schedule`), so the drive
+//! queues `Refine(i)` and `Step(i+1)` together and pays one combined
+//! wait: at most one barrier per arrival plus one prologue per batch.
+//! Workers answer in FIFO order, so the interleaving is deterministic and
+//! every grid cell sees the same op order as in the inline drive.
+//! [`StageMetrics::er_barriers`] counts the waits.
+//!
+//! # Pool sessions
+//!
+//! A plain [`ErProcessor::step_batch`] call spins the pool up for that
+//! one batch; long-lived consumers (the `ter_serve` daemon, the benches)
+//! wrap their feed loop in [`ShardedTerIdsEngine::with_pool`] so the
+//! workers persist across batches and only the shard groups travel per
+//! batch.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ter_ids::candidates::{self, ErPayload, StreamCounts};
 use ter_ids::meta::TupleMeta;
 use ter_ids::{
-    EngineState, ErProcessor, Params, PhaseTiming, PruneStats, PruningMode, ResultSet,
-    StageMetrics, StepOutput, TerContext,
+    ErProcessor, LiveState, Params, PhaseTiming, PruneStats, PruningMode, ResultSet, StageMetrics,
+    StepOutput, TerContext,
 };
 use ter_impute::RuleImputer;
-use ter_stream::{Arrival, SlidingWindow};
+use ter_stream::Arrival;
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
 use crate::merge::{merge_outcomes, RefineOutcome};
 use crate::pool::{pool_channels, worker_loop, Pool};
-use crate::router::ShardRouter;
 use crate::stages::{
-    apply_insert, eviction_schedule, impute_one, refine_slice, ShardGrid, WorkerCtx,
+    apply_evict, apply_insert, eviction_schedule, impute_one, refine_slice, traverse_shards,
+    ShardGrid, WorkerCtx,
 };
+
+/// Candidate sets smaller than this are refined on the driving thread
+/// rather than fanned out to the pool: a barrier costs more than deciding
+/// a few pairs. Result-invariant — both paths run the same
+/// [`decide_pair`](ter_ids::decide_pair) cascade.
+pub const REFINE_FANOUT_MIN: usize = 16;
 
 /// Parallel execution knobs.
 #[derive(Debug, Clone, Copy)]
@@ -90,16 +93,6 @@ pub struct ExecConfig {
     /// Worker threads `T` driving imputation, traversal, and refinement.
     /// Result-invariant; `1` runs the whole pipeline inline.
     pub threads: usize,
-    /// Overlap arrival `i`'s refine with arrival `i+1`'s traverse,
-    /// halving the merge thread's barrier count per arrival.
-    /// Result-invariant (enforced by the parity suites); ignored when
-    /// `threads == 1`.
-    pub overlap: bool,
-    /// Candidate sets smaller than this are refined on the driving
-    /// thread: the per-arrival fan-out barrier costs more than deciding
-    /// a few pairs. Result-invariant — both paths run the same
-    /// [`decide_pair`](ter_ids::decide_pair) cascade.
-    pub refine_fanout_min: usize,
 }
 
 impl Default for ExecConfig {
@@ -107,52 +100,30 @@ impl Default for ExecConfig {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        Self {
-            shards: 8,
-            threads,
-            overlap: true,
-            refine_fanout_min: 16,
-        }
+        Self::new(8, threads)
     }
 }
 
 impl ExecConfig {
-    /// `shards`/`threads` with the default drive knobs (overlap on,
-    /// fan-out threshold 16).
+    /// `shards` grid shards driven by `threads` threads.
     pub fn new(shards: usize, threads: usize) -> Self {
-        Self {
-            shards,
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// The same configuration with the overlapped drive toggled.
-    pub fn with_overlap(self, overlap: bool) -> Self {
-        Self { overlap, ..self }
+        Self { shards, threads }
     }
 }
 
 /// The sharded, batch-parallel TER-iDS engine. See the [module docs](self).
+///
+/// Like the sequential engine it dereferences to its [`LiveState`], which
+/// holds the window, the metadata, the results and the `S` grid shards,
+/// and provides the accessors and the state export and import.
 pub struct ShardedTerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
     mode: PruningMode,
     exec: ExecConfig,
     gamma: f64,
-    router: ShardRouter,
     imputer: RuleImputer<'a>,
-    /// The partitioned ER-grid; shard `s` holds exactly the cells with
-    /// `router.shard_of(key) == s`. Handed to the workers for the
-    /// duration of a batch and reassembled afterwards.
-    shards: Vec<ShardGrid>,
-    window: SlidingWindow<u64>,
-    metas: FxHashMap<u64, Arc<TupleMeta>>,
-    counts: StreamCounts,
-    results: ResultSet,
-    reported: FxHashSet<(u64, u64)>,
-    stats: PruneStats,
-    timing: PhaseTiming,
+    live: LiveState,
     metrics: StageMetrics,
     name: &'static str,
 }
@@ -170,93 +141,14 @@ impl<'a> ShardedTerIdsEngine<'a> {
             mode,
             exec,
             gamma: params.gamma(d),
-            router: ShardRouter::new(exec.shards),
             imputer: ctx.indexed_imputer(params.impute),
-            shards: (0..exec.shards)
-                .map(|_| ShardGrid::new(d, params.grid_cells))
-                .collect(),
-            window: SlidingWindow::new(params.window),
-            metas: FxHashMap::default(),
-            counts: StreamCounts::default(),
-            results: ResultSet::new(),
-            reported: FxHashSet::default(),
-            stats: PruneStats::default(),
-            timing: PhaseTiming::default(),
+            live: LiveState::new(d, params.window, params.grid_cells, exec.shards),
             metrics: StageMetrics::default(),
             name: match mode {
                 PruningMode::Full => "TER-iDS(shard)",
                 PruningMode::GridOnly => "Ij+GER(shard)",
             },
         }
-    }
-
-    /// The similarity threshold `γ = ρ · d` in use.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// Shard count `S`.
-    pub fn shard_count(&self) -> usize {
-        self.exec.shards
-    }
-
-    /// Worker thread count `T`.
-    pub fn thread_count(&self) -> usize {
-        self.exec.threads
-    }
-
-    /// Number of unexpired tuples.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Window capacity `w` (the service layer reports it alongside the
-    /// occupancy).
-    pub fn window_capacity(&self) -> usize {
-        self.params.window
-    }
-
-    /// Metadata (including the imputed probabilistic tuple) of a live
-    /// tuple.
-    pub fn meta(&self, id: u64) -> Option<&TupleMeta> {
-        self.metas.get(&id).map(Arc::as_ref)
-    }
-
-    /// Ids of the unexpired tuples, ascending (for differential tests
-    /// against the sequential engine).
-    pub fn live_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.metas.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Cell-entry count per shard (diagnostics: shows how the router
-    /// spreads grid load).
-    pub fn shard_entry_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(ShardGrid::cell_entry_count)
-            .collect()
-    }
-
-    /// Entry counts of every occupied grid cell across all shards — the
-    /// density statistic the query planner's greedy join-order heuristic
-    /// reads instead of maintaining histograms.
-    pub fn cell_entry_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .flat_map(|g| g.iter_cells().map(|(_, entries)| entries.len()))
-            .collect()
-    }
-
-    /// Live tuple count per stream id.
-    pub fn stream_tuple_counts(&self) -> &[usize] {
-        self.counts.live()
-    }
-
-    /// Number of live tuples currently flagged possibly-topical.
-    pub fn topical_count(&self) -> usize {
-        self.counts.topical_total()
     }
 
     /// Runs `f` against this engine with a **persistent** worker pool
@@ -309,7 +201,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
     fn worker_ctx(&self) -> WorkerCtx<'a> {
         let ctx = self.ctx;
         WorkerCtx {
-            router: self.router,
+            router: self.live.router(),
             pair: ter_ids::PairContext {
                 keywords: &ctx.keywords,
                 gamma: self.gamma,
@@ -319,203 +211,19 @@ impl<'a> ShardedTerIdsEngine<'a> {
             },
         }
     }
+}
 
-    /// Snapshots the engine's dynamic state. The representation is the
-    /// canonical engine-agnostic [`EngineState`]: shard grids are merged
-    /// back into one sorted logical cell list (the router partitions
-    /// cells, so the union is disjoint), and every cell lists its entries
-    /// in window order, as the monolithic grid's do — the exported state
-    /// is *equal* to the sequential engine's at the same stream position.
-    pub fn export_state(&self) -> EngineState {
-        let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
-        let metas = window
-            .iter()
-            .map(|(_, id)| self.metas[id].as_ref().clone())
-            .collect();
-        let mut results: Vec<(u64, u64)> = self.results.iter().collect();
-        results.sort_unstable();
-        let mut reported: Vec<(u64, u64)> = self.reported.iter().copied().collect();
-        reported.sort_unstable();
-        let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
-            .shards
-            .iter()
-            .flat_map(|g| g.iter_cells())
-            .map(|(k, entries)| (k.clone(), entries.map(|e| e.payload.id).collect()))
-            .collect();
-        cells.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineState {
-            window_capacity: self.params.window,
-            grid_cells: self.params.grid_cells,
-            window,
-            metas,
-            stream_counts: self.counts.live().to_vec(),
-            results,
-            reported,
-            stats: self.stats,
-            cells,
-        }
-    }
+impl Deref for ShardedTerIdsEngine<'_> {
+    type Target = LiveState;
 
-    /// Replaces the engine's dynamic state with a validated snapshot,
-    /// routing each persisted cell to its owning shard. Accepts snapshots
-    /// exported by either engine (the representation is shard-agnostic),
-    /// so a sequential checkpoint restores into a sharded engine and vice
-    /// versa. On `Err` the engine is left untouched.
-    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        let d = self.ctx.arity();
-        state.validate(d, self.params.window, self.params.grid_cells)?;
-        let metas: FxHashMap<u64, Arc<TupleMeta>> = state
-            .metas
-            .iter()
-            .map(|meta| (meta.id, Arc::new(meta.clone())))
-            .collect();
-        let mut shards: Vec<ShardGrid> = (0..self.exec.shards)
-            .map(|_| ShardGrid::new(d, self.params.grid_cells))
-            .collect();
-        for (key, ids) in state.cells_in_window_order() {
-            let shard = &mut shards[self.router.shard_of(key)];
-            for id in ids {
-                let meta = &metas[&id];
-                shard.insert_at(
-                    [key.clone()],
-                    &meta.region(),
-                    ErPayload::of(meta),
-                    meta.aggregate(),
-                );
-            }
-        }
-        let mut window = SlidingWindow::new(self.params.window);
-        for &(ts, id) in &state.window {
-            window.push(ts, id);
-        }
-        let mut results = ResultSet::new();
-        for &(a, b) in &state.results {
-            results.insert(a, b);
-        }
-        self.shards = shards;
-        self.window = window;
-        self.metas = metas;
-        self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);
-        self.results = results;
-        self.reported = state.reported.iter().copied().collect();
-        self.stats = state.stats;
-        self.timing = PhaseTiming::default();
-        Ok(())
-    }
-
-    /// Removes the expired tuple from the merge-level maps. Returns its
-    /// metadata so the workers can evict it from their shards, plus the
-    /// live pairs the eviction dropped (normalized and sorted — the
-    /// step's retraction delta).
-    fn expire(&mut self, old_id: u64) -> (Option<Arc<TupleMeta>>, Vec<(u64, u64)>) {
-        let Some(meta) = self.metas.remove(&old_id) else {
-            return (None, Vec::new());
-        };
-        self.counts.remove(&meta);
-        let removed = self.results.remove_involving(old_id);
-        (Some(meta), removed)
-    }
-
-    /// The metadata of the examined candidates, in id order.
-    fn candidate_metas(&self, ids: &[u64]) -> Vec<Arc<TupleMeta>> {
-        ids.iter().map(|id| Arc::clone(&self.metas[id])).collect()
-    }
-
-    /// The merge stage for one arrival: fold the refine outcome into the
-    /// statistics, attribute never-examined pairs, publish matches, and
-    /// register the new tuple. Strictly sequential, in arrival order —
-    /// shared verbatim by every drive mode, which is what keeps them
-    /// bit-identical.
-    fn finalize_arrival(
-        &mut self,
-        meta: &Arc<TupleMeta>,
-        examined: u64,
-        outcome: RefineOutcome,
-    ) -> Vec<(u64, u64)> {
-        self.stats.sim += outcome.sim;
-        self.stats.prob += outcome.prob;
-        self.stats.instance += outcome.instance;
-        self.stats.matches += outcome.matches.len() as u64;
-        candidates::account_pairs(meta, examined, &self.counts, &mut self.stats);
-        let new_matches = outcome.matches; // sorted by norm_pair
-        for &(a, b) in &new_matches {
-            self.results.insert(a, b);
-            self.reported.insert((a, b));
-        }
-        self.counts.add(meta);
-        let prev = self.metas.insert(meta.id, Arc::clone(meta));
-        assert!(prev.is_none(), "duplicate tuple id {}", meta.id);
-        new_matches
+    fn deref(&self) -> &LiveState {
+        &self.live
     }
 }
 
-/// How one batch executes the traverse/refine stages: inline on the
-/// driving thread (`threads == 1`) or against the session's worker pool.
-/// Both variants apply the same ops in the same order; the lock-step
-/// merge loop ([`drive_lockstep`]) is shared.
-enum BatchWorkers<'p, 'a> {
-    Inline {
-        shards: Vec<(usize, ShardGrid)>,
-        wctx: WorkerCtx<'a>,
-    },
-    Pool {
-        pool: &'p Pool,
-        wctx: WorkerCtx<'a>,
-    },
-}
-
-impl BatchWorkers<'_, '_> {
-    /// Traverse stage for one arrival: grid maintenance + candidate
-    /// enumeration; returns the sorted candidate ids.
-    fn step(
-        &mut self,
-        insert: Option<&Arc<TupleMeta>>,
-        evict: Option<&Arc<TupleMeta>>,
-        probe: &Arc<TupleMeta>,
-        metrics: &mut StageMetrics,
-    ) -> Vec<u64> {
-        match self {
-            BatchWorkers::Inline { shards, wctx } => {
-                if let Some(meta) = insert {
-                    apply_insert(shards, wctx.router, meta);
-                }
-                if let Some(meta) = evict {
-                    crate::stages::apply_evict(shards, meta);
-                }
-                crate::stages::traverse_shards(shards, wctx, probe)
-            }
-            BatchWorkers::Pool { pool, .. } => {
-                pool.send_step(insert, evict, probe);
-                metrics.er_barriers += 1;
-                pool.collect_surfaced()
-            }
-        }
-    }
-
-    /// Refine stage for one arrival: the pair-decision cascade over the
-    /// examined candidates, fanned out when it is worth a barrier.
-    fn refine(
-        &mut self,
-        probe: &Arc<TupleMeta>,
-        cands: &[Arc<TupleMeta>],
-        fanout_min: usize,
-        metrics: &mut StageMetrics,
-    ) -> RefineOutcome {
-        match self {
-            BatchWorkers::Inline { wctx, .. } => merge_outcomes([refine_slice(wctx, probe, cands)]),
-            BatchWorkers::Pool { pool, wctx } => {
-                if cands.len() < fanout_min {
-                    return merge_outcomes([refine_slice(wctx, probe, cands)]);
-                }
-                let sent = pool.send_refine(probe, cands);
-                if sent == 0 {
-                    return RefineOutcome::default();
-                }
-                metrics.er_barriers += 1;
-                metrics.fanned_refines += 1;
-                pool.collect_refined(sent)
-            }
-        }
+impl DerefMut for ShardedTerIdsEngine<'_> {
+    fn deref_mut(&mut self) -> &mut LiveState {
+        &mut self.live
     }
 }
 
@@ -544,6 +252,22 @@ fn record_stage_batch(traverse_us: u64, refine_us: u64, merge_us: u64, barrier_u
     }
 }
 
+/// Runs a batch's impute stage and records it as one observation.
+fn impute_stage<T>(batch: &[Arrival], impute: impl FnOnce() -> T) -> T {
+    let t0 = ter_obs::timer();
+    let per_arrival = impute();
+    let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
+    ter_obs::flight(
+        ter_obs::kind::IMPUTE,
+        ter_obs::OBS.engine_batches.get(),
+        batch.len() as u64,
+        0,
+        impute_us,
+    );
+    ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
+    per_arrival
+}
+
 /// Adds the microseconds since an enabled [`ter_obs::timer`] to a local
 /// stage accumulator (free when disabled).
 fn lap(t0: Option<Instant>, acc: &mut u64) {
@@ -552,77 +276,71 @@ fn lap(t0: Option<Instant>, acc: &mut u64) {
     }
 }
 
-/// The lock-step drive: per arrival, wait for the traverse, then wait for
-/// the fanned refine — two barriers. Shared by the inline path (where
-/// the "waits" are plain function calls and cost nothing).
-fn drive_lockstep<'a>(
-    eng: &mut ShardedTerIdsEngine<'a>,
-    batch: &[Arrival],
-    per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-    workers: &mut BatchWorkers<'_, 'a>,
-) -> (Vec<StepOutput>, Option<Arc<TupleMeta>>) {
+/// The inline drive (`threads == 1`): every stage of every arrival runs
+/// on the driving thread, over all shards, in arrival order.
+fn drive_inline(eng: &mut ShardedTerIdsEngine<'_>, batch: &[Arrival]) -> Vec<StepOutput> {
+    let wctx = eng.worker_ctx();
+    let per_arrival: Vec<(Arc<TupleMeta>, PhaseTiming)> = impute_stage(batch, || {
+        batch
+            .iter()
+            .map(|a| impute_one(&eng.imputer, eng.ctx, a))
+            .collect()
+    });
+    let mut shards: Vec<(usize, ShardGrid)> =
+        eng.live.take_shards().into_iter().enumerate().collect();
     let mut outputs = Vec::with_capacity(batch.len());
     let (mut traverse_us, mut refine_us, mut merge_us) = (0u64, 0u64, 0u64);
-    // The previous arrival's tuple; inserted into the grid by the
-    // workers at the start of the *next* step, preserving the
-    // sequential op order insert(i) → evict(i+1) → traverse(i+1).
+    // The previous arrival's tuple; inserted into the grid at the start
+    // of the *next* step, preserving the sequential op order
+    // insert(i) → evict(i+1) → traverse(i+1).
     let mut pending_insert: Option<Arc<TupleMeta>> = None;
-    for (arrival, (meta, imp_timing)) in batch.iter().zip(per_arrival) {
+    for (arrival, (meta, imp_timing)) in batch.iter().zip(&per_arrival) {
         let er_start = Instant::now();
 
         // ---- expiry (merge phase: window semantics unchanged) ----
         let mut t0 = ter_obs::timer();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        let evicted = eng
-            .window
-            .push(arrival.timestamp, arrival.record.id)
-            .and_then(|(_, old_id)| {
-                expired.push(old_id);
-                let (meta, removed) = eng.expire(old_id);
-                retractions = removed;
-                meta
-            });
+        let (evicted, mut out) = eng.live.advance_window(arrival);
         lap(t0, &mut merge_us);
 
         // ---- traverse ----
         t0 = ter_obs::timer();
-        let surfaced = workers.step(
-            pending_insert.as_ref(),
-            evicted.as_ref(),
-            meta,
-            &mut eng.metrics,
-        );
+        if let Some(meta) = &pending_insert {
+            apply_insert(&mut shards, wctx.router, meta);
+        }
+        if let Some(meta) = &evicted {
+            apply_evict(&mut shards, meta);
+        }
+        let surfaced = traverse_shards(&shards, &wctx, meta);
         lap(t0, &mut traverse_us);
 
-        // ---- candidate selection (ascending-id order, so the slice
-        // partition across workers is deterministic) ----
+        // ---- refine (candidates in ascending-id order) ----
         t0 = ter_obs::timer();
-        let cands = eng.candidate_metas(&surfaced);
+        let cands = eng.live.candidate_metas(&surfaced);
         let examined = cands.len() as u64;
-
-        // ---- refine ----
-        let outcome = workers.refine(meta, &cands, eng.exec.refine_fanout_min, &mut eng.metrics);
+        let outcome = merge_outcomes([refine_slice(&wctx, meta, &cands)]);
         lap(t0, &mut refine_us);
 
         // ---- merge ----
         t0 = ter_obs::timer();
-        let new_matches = eng.finalize_arrival(meta, examined, outcome);
+        out.new_matches = eng
+            .live
+            .finalize_arrival(Arc::clone(meta), examined, outcome);
         lap(t0, &mut merge_us);
         pending_insert = Some(Arc::clone(meta));
 
         let mut step_timing = *imp_timing;
         step_timing.er += er_start.elapsed();
-        eng.timing.accumulate(&step_timing);
-        outputs.push(StepOutput {
-            new_matches,
-            retractions,
-            expired,
-            timing: step_timing,
-        });
+        eng.live.accumulate_timing(&step_timing);
+        out.timing = step_timing;
+        outputs.push(out);
     }
     record_stage_batch(traverse_us, refine_us, merge_us, None);
-    (outputs, pending_insert)
+    if let Some(meta) = pending_insert {
+        apply_insert(&mut shards, wctx.router, &meta);
+    }
+    eng.live
+        .restore_shards(shards.into_iter().map(|(_, g)| g).collect());
+    outputs
 }
 
 /// Resolves a scheduled eviction to its metadata: an in-batch arrival
@@ -631,29 +349,51 @@ fn scheduled_evict_meta(
     scheduled: Option<u64>,
     idx_of: &FxHashMap<u64, usize>,
     per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-    metas: &FxHashMap<u64, Arc<TupleMeta>>,
+    live: &LiveState,
 ) -> Option<Arc<TupleMeta>> {
     scheduled.map(|id| match idx_of.get(&id) {
         Some(&k) => Arc::clone(&per_arrival[k].0),
-        None => Arc::clone(metas.get(&id).expect("scheduled eviction of unknown tuple")),
+        None => Arc::clone(
+            live.meta_arc(id)
+                .expect("scheduled eviction of unknown tuple"),
+        ),
     })
 }
 
-/// The overlapped drive: one combined barrier per arrival. Arrival
-/// `i+1`'s traverse (insert `i`, evict per the precomputed schedule,
-/// probe `i+1`) is queued right after arrival `i`'s refine, so the
-/// workers flow from refining `i` straight into traversing `i+1` while
-/// the merge thread finalizes `i`. Grid op order and merge order are
-/// identical to the lock-step drive — only the waiting changes.
-fn drive_overlapped<'a>(
-    eng: &mut ShardedTerIdsEngine<'a>,
+/// The pooled drive: one combined barrier per arrival. Arrival `i+1`'s
+/// traverse (insert `i`, evict per the precomputed schedule, probe
+/// `i+1`) is queued right after arrival `i`'s refine, so the workers flow
+/// from refining `i` straight into traversing `i+1` while the driving
+/// thread finalizes `i`. Grid op order and merge order are those of the
+/// inline drive — only the waiting differs.
+fn drive_pooled(
+    eng: &mut ShardedTerIdsEngine<'_>,
     pool: &Pool,
-    wctx: WorkerCtx<'a>,
     batch: &[Arrival],
-    per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-) -> (Vec<StepOutput>, Option<Arc<TupleMeta>>) {
+) -> Vec<StepOutput> {
+    eng.metrics.pooled_batches += 1;
+    let wctx = eng.worker_ctx();
+    let per_arrival: Vec<(Arc<TupleMeta>, PhaseTiming)> = impute_stage(batch, || {
+        if batch.len() == 1 {
+            vec![impute_one(&eng.imputer, eng.ctx, &batch[0])]
+        } else {
+            pool.impute_batch(batch)
+        }
+    });
+    // Workers own disjoint shard groups for the whole batch (shard s →
+    // worker s mod T), so each cell's op sequence is applied by exactly
+    // one worker, in arrival order — identical to the monolithic grid.
+    let shards = eng.live.take_shards();
+    let shard_count = shards.len();
+    let threads = pool.len();
+    let mut groups: Vec<Vec<(usize, ShardGrid)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (sid, grid) in shards.into_iter().enumerate() {
+        groups[sid % threads].push((sid, grid));
+    }
+    pool.begin(groups);
+
     let n = batch.len();
-    let sched = eviction_schedule(&eng.window, batch);
+    let sched = eviction_schedule(eng.live.window(), batch);
     let idx_of: FxHashMap<u64, usize> = batch
         .iter()
         .enumerate()
@@ -662,7 +402,7 @@ fn drive_overlapped<'a>(
 
     // Prologue: arrival 0's traverse has no pending insert (the previous
     // batch's final insert was applied at its `End`).
-    let ev0 = scheduled_evict_meta(sched[0], &idx_of, per_arrival, &eng.metas);
+    let ev0 = scheduled_evict_meta(sched[0], &idx_of, &per_arrival, &eng.live);
     pool.send_step(None, ev0.as_ref(), &per_arrival[0].0);
     eng.metrics.er_barriers += 1;
     let (mut traverse_us, mut refine_us, mut merge_us, mut barrier_us) = (0u64, 0u64, 0u64, 0u64);
@@ -678,17 +418,7 @@ fn drive_overlapped<'a>(
 
         // ---- expiry (the real push; the schedule must agree) ----
         t0 = ter_obs::timer();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        let evicted = eng
-            .window
-            .push(batch[i].timestamp, batch[i].record.id)
-            .and_then(|(_, old_id)| {
-                expired.push(old_id);
-                let (meta, removed) = eng.expire(old_id);
-                retractions = removed;
-                meta
-            });
+        let (evicted, mut out) = eng.live.advance_window(&batch[i]);
         debug_assert_eq!(
             evicted.as_ref().map(|m| m.id),
             sched[i],
@@ -698,17 +428,17 @@ fn drive_overlapped<'a>(
 
         // ---- candidate selection ----
         t0 = ter_obs::timer();
-        let cands = eng.candidate_metas(&surfaced);
+        let cands = eng.live.candidate_metas(&surfaced);
         let examined = cands.len() as u64;
 
         // ---- queue refine(i), then traverse(i+1), then wait once ----
-        let fan_sent = if cands.len() >= eng.exec.refine_fanout_min {
+        let fan_sent = if cands.len() >= REFINE_FANOUT_MIN {
             pool.send_refine(meta, &cands)
         } else {
             0
         };
         if i + 1 < n {
-            let ev = scheduled_evict_meta(sched[i + 1], &idx_of, per_arrival, &eng.metas);
+            let ev = scheduled_evict_meta(sched[i + 1], &idx_of, &per_arrival, &eng.live);
             pool.send_step(Some(meta), ev.as_ref(), &per_arrival[i + 1].0);
         }
         // A small candidate set refines here, on the driving thread,
@@ -740,28 +470,28 @@ fn drive_overlapped<'a>(
 
         // ---- merge ----
         t0 = ter_obs::timer();
-        let new_matches = eng.finalize_arrival(meta, examined, outcome);
+        out.new_matches = eng
+            .live
+            .finalize_arrival(Arc::clone(meta), examined, outcome);
         lap(t0, &mut merge_us);
         let mut step_timing = *imp_timing;
         step_timing.er += er_start.elapsed();
-        eng.timing.accumulate(&step_timing);
-        outputs.push(StepOutput {
-            new_matches,
-            retractions,
-            expired,
-            timing: step_timing,
-        });
+        eng.live.accumulate_timing(&step_timing);
+        out.timing = step_timing;
+        outputs.push(out);
     }
-    eng.metrics.overlapped_arrivals += n as u64;
     record_stage_batch(traverse_us, refine_us, merge_us, Some(barrier_us));
-    (outputs, Some(Arc::clone(&per_arrival[n - 1].0)))
+    let last = Arc::clone(&per_arrival[n - 1].0);
+    eng.live
+        .restore_shards(pool.finish(Some(last), shard_count));
+    outputs
 }
 
 /// An engine with a live pool session attached (see
 /// [`ShardedTerIdsEngine::with_pool`]). Drives batches through the
 /// persistent workers; between batches the full state lives in the
 /// engine, so state export/import and every read accessor work
-/// mid-session.
+/// mid-session through [`PooledEngine::engine`].
 pub struct PooledEngine<'s, 'a> {
     eng: &'s mut ShardedTerIdsEngine<'a>,
     pool: Option<Pool>,
@@ -773,24 +503,10 @@ impl<'a> PooledEngine<'_, 'a> {
         self.eng
     }
 
-    /// Mutable access to the underlying engine (the pool holds no engine
-    /// state between batches, so any engine operation is safe here).
-    pub fn engine_mut(&mut self) -> &mut ShardedTerIdsEngine<'a> {
-        self.eng
-    }
-
-    /// [`ShardedTerIdsEngine::export_state`] pass-through.
-    pub fn export_state(&self) -> EngineState {
-        self.eng.export_state()
-    }
-
-    /// [`ShardedTerIdsEngine::import_state`] pass-through.
-    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        self.eng.import_state(state)
-    }
-
-    /// Phases 1–4 for one batch through the session's workers.
-    fn step_batch_impl(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
+    /// Phases 1–4 for one batch through the session's workers, one
+    /// [`StepOutput`] per arrival in arrival order (the
+    /// [`ErProcessor::step_batch`] contract).
+    pub fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -801,79 +517,9 @@ impl<'a> PooledEngine<'_, 'a> {
         // In daemon mode the serve step stage owns the trace and this is
         // a no-op.
         let self_rooted = ter_obs::trace::root_if_unattached(ter_obs::OBS.engine_batches.get());
-        let eng = &mut *self.eng;
-        let wctx = eng.worker_ctx();
         let outputs = match &self.pool {
-            None => {
-                // Inline fast path: same ops, same order, no pool.
-                let t0 = ter_obs::timer();
-                let per_arrival: Vec<(Arc<TupleMeta>, PhaseTiming)> = batch
-                    .iter()
-                    .map(|a| impute_one(&eng.imputer, eng.ctx, a))
-                    .collect();
-                let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
-                ter_obs::flight(
-                    ter_obs::kind::IMPUTE,
-                    ter_obs::OBS.engine_batches.get(),
-                    batch.len() as u64,
-                    0,
-                    impute_us,
-                );
-                ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
-                let owned: Vec<(usize, ShardGrid)> = eng.shards.drain(..).enumerate().collect();
-                let mut workers = BatchWorkers::Inline {
-                    shards: owned,
-                    wctx,
-                };
-                let (outputs, pending) = drive_lockstep(eng, batch, &per_arrival, &mut workers);
-                let BatchWorkers::Inline { mut shards, .. } = workers else {
-                    unreachable!()
-                };
-                if let Some(meta) = pending {
-                    apply_insert(&mut shards, eng.router, &meta);
-                }
-                eng.shards = shards.into_iter().map(|(_, g)| g).collect();
-                outputs
-            }
-            Some(pool) => {
-                eng.metrics.pooled_batches += 1;
-                // ---- impute stage ----
-                let t0 = ter_obs::timer();
-                let per_arrival = if batch.len() == 1 {
-                    vec![impute_one(&eng.imputer, eng.ctx, &batch[0])]
-                } else {
-                    pool.impute_batch(batch)
-                };
-                let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
-                ter_obs::flight(
-                    ter_obs::kind::IMPUTE,
-                    ter_obs::OBS.engine_batches.get(),
-                    batch.len() as u64,
-                    0,
-                    impute_us,
-                );
-                ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
-                // Workers own disjoint shard groups for the whole batch
-                // (shard s → worker s mod T), so each cell's op sequence
-                // is applied by exactly one worker, in arrival order —
-                // identical to the monolithic grid.
-                let shard_count = eng.shards.len();
-                let threads = pool.len();
-                let mut groups: Vec<Vec<(usize, ShardGrid)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (sid, grid) in eng.shards.drain(..).enumerate() {
-                    groups[sid % threads].push((sid, grid));
-                }
-                pool.begin(groups);
-                let (outputs, pending) = if eng.exec.overlap {
-                    drive_overlapped(eng, pool, wctx, batch, &per_arrival)
-                } else {
-                    let mut workers = BatchWorkers::Pool { pool, wctx };
-                    drive_lockstep(eng, batch, &per_arrival, &mut workers)
-                };
-                eng.shards = pool.finish(pending, shard_count);
-                outputs
-            }
+            None => drive_inline(self.eng, batch),
+            Some(pool) => drive_pooled(self.eng, pool, batch),
         };
         let batch_us = batch_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
         ter_obs::flight(
@@ -888,42 +534,6 @@ impl<'a> PooledEngine<'_, 'a> {
             ter_obs::trace::end_current();
         }
         outputs
-    }
-}
-
-impl ErProcessor for PooledEngine<'_, '_> {
-    fn name(&self) -> &'static str {
-        self.eng.name
-    }
-
-    fn process(&mut self, arrival: &Arrival) -> StepOutput {
-        self.step_batch_impl(std::slice::from_ref(arrival))
-            .pop()
-            .expect("one output per arrival")
-    }
-
-    fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
-        self.step_batch_impl(batch)
-    }
-
-    fn results(&self) -> &ResultSet {
-        &self.eng.results
-    }
-
-    fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.eng.reported
-    }
-
-    fn prune_stats(&self) -> PruneStats {
-        self.eng.stats
-    }
-
-    fn timing(&self) -> PhaseTiming {
-        self.eng.timing
-    }
-
-    fn stage_metrics(&self) -> StageMetrics {
-        self.eng.metrics
     }
 }
 
@@ -945,23 +555,23 @@ impl ErProcessor for ShardedTerIdsEngine<'_> {
         if batch.is_empty() {
             return Vec::new();
         }
-        self.with_pool(|pe| pe.step_batch_impl(batch))
+        self.with_pool(|pe| pe.step_batch(batch))
     }
 
     fn results(&self) -> &ResultSet {
-        &self.results
+        self.live.results()
     }
 
     fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.reported
+        self.live.reported()
     }
 
     fn prune_stats(&self) -> PruneStats {
-        self.stats
+        self.live.prune_stats()
     }
 
     fn timing(&self) -> PhaseTiming {
-        self.timing
+        self.live.timing()
     }
 
     fn stage_metrics(&self) -> StageMetrics {
@@ -1069,19 +679,17 @@ mod tests {
         }
         for batch in 1..=5 {
             for threads in [1usize, 2] {
-                for overlap in [false, true] {
-                    let exec = ExecConfig::new(3, threads).with_overlap(overlap);
-                    let mut par =
-                        ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, exec);
-                    let mut par_steps = Vec::new();
-                    for chunk in streams.arrival_batches(batch) {
-                        par_steps.extend(par.step_batch(&chunk).into_iter().map(|o| o.new_matches));
-                    }
-                    let tag = format!("batch {batch}, threads {threads}, overlap {overlap}");
-                    assert_eq!(par_steps, seq_steps, "{tag}");
-                    assert_eq!(par.prune_stats(), seq.prune_stats(), "{tag}");
-                    assert_eq!(par.live_ids(), seq.live_ids(), "{tag}");
+                let exec = ExecConfig::new(3, threads);
+                let mut par =
+                    ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, exec);
+                let mut par_steps = Vec::new();
+                for chunk in streams.arrival_batches(batch) {
+                    par_steps.extend(par.step_batch(&chunk).into_iter().map(|o| o.new_matches));
                 }
+                let tag = format!("batch {batch}, threads {threads}");
+                assert_eq!(par_steps, seq_steps, "{tag}");
+                assert_eq!(par.prune_stats(), seq.prune_stats(), "{tag}");
+                assert_eq!(par.live_ids(), seq.live_ids(), "{tag}");
             }
         }
     }
@@ -1114,67 +722,71 @@ mod tests {
                 steps.extend(pe.step_batch(chunk).into_iter().map(|o| o.new_matches));
             }
             // State is fully materialized between batches mid-session.
-            assert_eq!(pe.export_state(), pe.engine().export_state());
-            steps
+            (steps, pe.engine().export_state())
         });
+        let (p_steps, mid_session) = p_steps;
         assert_eq!(p_steps, t_steps);
+        assert_eq!(mid_session, transient.export_state());
         assert_eq!(pooled.prune_stats(), transient.prune_stats());
         assert_eq!(pooled.export_state(), transient.export_state());
         assert_eq!(pooled.stage_metrics().pooled_batches, 2);
-        assert!(pooled.stage_metrics().overlapped_arrivals >= 4);
     }
 
-    /// The instrumented barrier claim: with every refine forced onto the
-    /// pool, the lock-step drive pays exactly two barriers per arrival
-    /// (traverse + refine), the overlapped drive at most one plus one
-    /// prologue per batch.
+    /// The instrumented barrier claim at preset scale: the pooled drive
+    /// pays at most one barrier per arrival plus one prologue per batch,
+    /// even though more arrivals fan their refine out than there are
+    /// batches — a drive that waited on each fanned refine before queuing
+    /// the next traverse would pay one barrier per arrival plus one per
+    /// fanned refine. Results stay equal to the inline drive's.
     #[test]
-    fn overlap_halves_the_barrier_count() {
-        let (ctx, streams) = scenario();
-        let arrivals = streams.arrivals();
-        let base = ExecConfig {
-            shards: 4,
-            threads: 2,
-            overlap: false,
-            refine_fanout_min: 0, // always fan out (when candidates exist)
+    fn pooled_drive_pays_one_barrier_per_arrival() {
+        let ds = ter_datasets::preset(
+            ter_datasets::Preset::Citations,
+            &ter_datasets::GenOptions {
+                scale: 0.16,
+                missing_rate: 0.3,
+                missing_attrs: 1,
+                ..ter_datasets::GenOptions::default()
+            },
+        );
+        let ctx = TerContext::build(
+            ds.repo.clone(),
+            ds.keywords(),
+            &PivotConfig::default(),
+            &DiscoveryConfig::default(),
+            16,
+        );
+        let params = Params {
+            window: 60,
+            ..Params::default()
         };
-
-        let mut lockstep =
-            ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, base);
-        lockstep.step_batch(&arrivals);
-        let lm = lockstep.stage_metrics();
-        assert_eq!(
-            lm.er_barriers,
-            arrivals.len() as u64 + lm.fanned_refines,
-            "lock-step: one traverse barrier per arrival + one per fanned refine"
-        );
-        assert!(lm.fanned_refines > 0, "scenario exercises fanned refines");
-        assert_eq!(lm.overlapped_arrivals, 0);
-
-        let mut overlapped = ShardedTerIdsEngine::new(
-            &ctx,
-            Params::default(),
-            PruningMode::Full,
-            base.with_overlap(true),
-        );
-        overlapped.step_batch(&arrivals);
-        let om = overlapped.stage_metrics();
-        let batches = 1;
+        let arrivals = ds.streams.arrivals();
+        let n = arrivals.len() as u64;
+        let batch = 32;
+        let batches = arrivals.len().div_ceil(batch) as u64;
+        let run = |exec: ExecConfig| {
+            let mut e = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, exec);
+            for chunk in arrivals.chunks(batch) {
+                e.step_batch(chunk);
+            }
+            (e.stage_metrics(), e.export_state())
+        };
+        let (m, pooled) = run(ExecConfig::new(4, 3));
         assert!(
-            om.er_barriers <= arrivals.len() as u64 + batches,
-            "overlapped: at most one barrier per arrival plus one prologue per batch \
-             (got {} for {} arrivals)",
-            om.er_barriers,
-            arrivals.len()
+            m.fanned_refines > batches,
+            "only {} of {n} arrivals fanned out a refine over {batches} batches",
+            m.fanned_refines
         );
         assert!(
-            om.er_barriers < lm.er_barriers,
-            "overlap must reduce barriers"
+            m.er_barriers <= n + batches,
+            "at most one barrier per arrival plus one prologue per batch \
+             (got {} for {n} arrivals in {batches} batches)",
+            m.er_barriers
         );
-        assert_eq!(om.overlapped_arrivals, arrivals.len() as u64);
-
-        // And the outputs are still bit-identical.
-        assert_eq!(overlapped.export_state(), lockstep.export_state());
+        assert_eq!(m.pooled_batches, batches);
+        let (inline_metrics, inline) = run(ExecConfig::new(4, 1));
+        assert_eq!(inline_metrics, StageMetrics::default());
+        assert_eq!(pooled, inline, "the drives must agree");
     }
 
     #[test]
@@ -1196,8 +808,9 @@ mod tests {
     }
 
     /// A window smaller than the batch forces in-batch arrivals to expire
-    /// before the batch ends — the eviction schedule must resolve their
-    /// metadata from the batch itself, in both drive modes.
+    /// before the batch ends — the pooled drive's eviction schedule must
+    /// resolve their metadata from the batch itself. Both drives (inline
+    /// and pooled) must agree with the sequential engine.
     #[test]
     fn in_batch_expiry_is_bit_identical_across_drives() {
         let (ctx, streams) = scenario();
@@ -1210,11 +823,11 @@ mod tests {
         for a in &arrivals {
             seq.process(a);
         }
-        for overlap in [false, true] {
-            let exec = ExecConfig::new(3, 2).with_overlap(overlap);
+        for threads in [1, 2] {
+            let exec = ExecConfig::new(3, threads);
             let mut par = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, exec);
             par.step_batch(&arrivals);
-            assert_eq!(par.export_state(), seq.export_state(), "overlap {overlap}");
+            assert_eq!(par.export_state(), seq.export_state(), "threads {threads}");
         }
     }
 
@@ -1265,26 +878,6 @@ mod tests {
         let mut back = TerIdsEngine::new(&ctx, params, PruningMode::Full);
         back.import_state(&par.export_state()).unwrap();
         assert_eq!(back.export_state(), state);
-    }
-
-    #[test]
-    fn import_rejects_mismatched_window() {
-        let (ctx, streams) = scenario();
-        let exec = ExecConfig::new(2, 1);
-        let mut e = ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, exec);
-        e.step_batch(&streams.arrivals());
-        let state = e.export_state();
-        let mut other = ShardedTerIdsEngine::new(
-            &ctx,
-            Params {
-                window: 9,
-                ..Params::default()
-            },
-            PruningMode::Full,
-            exec,
-        );
-        assert!(other.import_state(&state).is_err());
-        assert_eq!(other.window_len(), 0);
     }
 
     #[test]

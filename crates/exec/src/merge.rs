@@ -7,6 +7,8 @@
 //! deterministic function of the arrival order alone (property-tested in
 //! `proptests.rs`).
 
+pub use ter_ids::RefineOutcome;
+
 /// Union of per-worker candidate id lists, each sorted and deduplicated.
 /// A region spanning cells owned by several workers is reported by each;
 /// the union keeps it once, so the result — sorted, deduplicated — equals
@@ -16,29 +18,6 @@ pub fn merge_surfaced(parts: Vec<Vec<u64>>) -> Vec<u64> {
     ids.sort_unstable();
     ids.dedup();
     ids
-}
-
-/// One worker's pair-decision tallies over its candidate slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RefineOutcome {
-    /// Pairs pruned by Theorem 4.2 (similarity upper bound).
-    pub sim: u64,
-    /// Pairs pruned by Theorem 4.3 (probability upper bound).
-    pub prob: u64,
-    /// Pairs rejected at the instance-pair level (Theorem 4.4).
-    pub instance: u64,
-    /// Matching pairs, already `(min, max)`-normalized.
-    pub matches: Vec<(u64, u64)>,
-}
-
-impl RefineOutcome {
-    /// Folds another worker's tallies into this one.
-    pub fn absorb(&mut self, other: RefineOutcome) {
-        self.sim += other.sim;
-        self.prob += other.prob;
-        self.instance += other.instance;
-        self.matches.extend(other.matches);
-    }
 }
 
 /// Merges per-worker outcomes into one arrival-level outcome. Counters

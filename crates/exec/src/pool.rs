@@ -25,8 +25,8 @@
 //! channel, so the driving thread can pipeline: after queueing
 //! `Refine(i)` and `Step(i+1)` it knows the `Refined` reply precedes the
 //! `Surfaced` reply on every worker it sent both to. That FIFO guarantee
-//! is what the overlapped drive's single-barrier-per-arrival schedule
-//! rests on.
+//! is what the pooled drive's single-barrier-per-arrival schedule rests
+//! on.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;

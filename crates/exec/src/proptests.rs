@@ -18,7 +18,7 @@ use ter_index::{Aggregate, Rect, RegionGrid};
 use ter_text::Interval;
 
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
-use crate::router::ShardRouter;
+use ter_ids::ShardRouter;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Count(usize);

@@ -17,12 +17,12 @@
 //! * [`eviction_schedule`] — the merge stage's look-ahead: which tuple
 //!   each arrival of a batch will expire, a pure function of the window
 //!   contents and the arrival order. Knowing the schedule up front is
-//!   what allows the overlapped drive to hand arrival `i+1`'s traverse to
+//!   what allows the pooled drive to hand arrival `i+1`'s traverse to
 //!   the workers while arrival `i` is still refining.
 //!
 //! The merge stage itself (window/expiry bookkeeping, statistics,
 //! result-set maintenance) stays sequential on the driving thread — see
-//! `ShardedTerIdsEngine::finalize_arrival` — so window semantics are
+//! [`ter_ids::LiveState::finalize_arrival`] — so window semantics are
 //! exactly the sequential engine's.
 
 use std::sync::Arc;
@@ -36,7 +36,7 @@ use ter_impute::RuleImputer;
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
 
 use crate::merge::RefineOutcome;
-use crate::router::ShardRouter;
+use ter_ids::ShardRouter;
 
 /// One shard of the partitioned ER-grid.
 pub(crate) type ShardGrid = ErGrid;
@@ -163,7 +163,7 @@ pub(crate) fn refine_slice(
 /// The batch's eviction look-ahead: which tuple id (if any) each arrival
 /// will expire when pushed. A pure function of the current window and the
 /// arrival order — simulated on a clone, the real window is untouched.
-/// The overlapped drive uses entry `i+1` to dispatch arrival `i+1`'s
+/// The pooled drive uses entry `i+1` to dispatch arrival `i+1`'s
 /// grid maintenance before arrival `i` has merged; the merge loop then
 /// asserts the real eviction agrees.
 pub(crate) fn eviction_schedule(

@@ -14,14 +14,16 @@
 //! in `LiveSets` for every later partial binding.
 
 use std::cell::OnceCell;
+use std::ops::Deref;
 
 use crate::pattern::{Atom, Pattern, Pred, VarId};
 use crate::plan::{plan, PlanStats};
-use ter_ids::{ErProcessor, ResultSet, TupleMeta};
+use ter_ids::{LiveState, ResultSet, TupleMeta};
 
 /// Read access to the live engine state a query runs against. Both the
-/// sequential and the sharded engine implement this, which is what lets
-/// every differential suite run the same pattern against both sides.
+/// sequential and the sharded engine implement this through the
+/// [`LiveState`] they dereference to, which is what lets every
+/// differential suite run the same pattern against both sides.
 pub trait QueryView {
     /// Ids of the unexpired tuples, ascending.
     fn live_ids(&self) -> Vec<u64>;
@@ -33,9 +35,9 @@ pub trait QueryView {
     fn plan_stats(&self) -> PlanStats;
 }
 
-impl QueryView for ter_ids::TerIdsEngine<'_> {
+impl<E: Deref<Target = LiveState>> QueryView for E {
     fn live_ids(&self) -> Vec<u64> {
-        self.live_ids()
+        LiveState::live_ids(self)
     }
 
     fn meta_of(&self, id: u64) -> Option<&TupleMeta> {
@@ -43,46 +45,20 @@ impl QueryView for ter_ids::TerIdsEngine<'_> {
     }
 
     fn result_set(&self) -> &ResultSet {
-        self.results()
+        LiveState::results(self)
     }
 
     fn plan_stats(&self) -> PlanStats {
-        let cells = self.cell_entry_counts();
+        let live: &LiveState = self;
+        let cells = live.cell_entry_counts();
         PlanStats {
-            live: self.window_len(),
-            pairs: self.results().len(),
-            stream_counts: self.stream_tuple_counts().to_vec(),
-            topical: self.topical_count(),
+            live: live.window_len(),
+            pairs: live.results().len(),
+            stream_counts: live.stream_tuple_counts().to_vec(),
+            topical: live.topical_count(),
             occupied_cells: cells.len(),
             max_cell_entries: cells.iter().copied().max().unwrap_or(0),
-            prune: self.prune_stats(),
-        }
-    }
-}
-
-impl QueryView for ter_exec::ShardedTerIdsEngine<'_> {
-    fn live_ids(&self) -> Vec<u64> {
-        self.live_ids()
-    }
-
-    fn meta_of(&self, id: u64) -> Option<&TupleMeta> {
-        self.meta(id)
-    }
-
-    fn result_set(&self) -> &ResultSet {
-        self.results()
-    }
-
-    fn plan_stats(&self) -> PlanStats {
-        let cells = self.cell_entry_counts();
-        PlanStats {
-            live: self.window_len(),
-            pairs: self.results().len(),
-            stream_counts: self.stream_tuple_counts().to_vec(),
-            topical: self.topical_count(),
-            occupied_cells: cells.len(),
-            max_cell_entries: cells.iter().copied().max().unwrap_or(0),
-            prune: self.prune_stats(),
+            prune: live.prune_stats(),
         }
     }
 }

@@ -18,9 +18,10 @@
 //!   additions/retractions per batch whose fold is bit-identical to
 //!   from-scratch re-evaluation after every batch.
 //!
-//! Both [`ter_ids::TerIdsEngine`] and [`ter_exec::ShardedTerIdsEngine`]
-//! implement [`QueryView`], so every suite can differential-test the
-//! layer across engines.
+//! Every engine that dereferences to a [`ter_ids::LiveState`] — the
+//! sequential [`ter_ids::TerIdsEngine`] and the sharded
+//! `ter_exec::ShardedTerIdsEngine` — implements [`QueryView`], so every
+//! suite can differential-test the layer across engines.
 
 pub mod eval;
 pub mod pattern;

@@ -780,7 +780,10 @@ impl Server {
             // scope joins them before this panic can propagate.
             let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine.with_pool(|pe| {
-                    report.replayed = recovery.replay_into(pe);
+                    for batch in &recovery.suffix {
+                        pe.step_batch(batch);
+                    }
+                    report.replayed = recovery.suffix.iter().map(Vec::len).sum();
                     let mut stage = StepStage {
                         pe,
                         store_tx: &store_tx,
@@ -877,7 +880,7 @@ impl StepStage<'_, '_, '_> {
     /// open flush window first) and waits for it. Returns the stamp's
     /// byte size and whether it was an incremental delta.
     fn request_checkpoint(&mut self, wal_seq: Option<u64>) -> Result<(u64, bool), String> {
-        let state = Box::new(self.pe.export_state());
+        let state = Box::new(self.pe.engine().export_state());
         self.send_store(StoreReq::Checkpoint { wal_seq, state });
         match self.store_rx.recv().expect("store stage hung up") {
             StoreResp::Checkpointed { result, delta } => result.map(|bytes| (bytes, delta)),

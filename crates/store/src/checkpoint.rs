@@ -40,7 +40,7 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TERCKPT1";
 /// Magic prefix of the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TERMANI1";
 /// Current payload version of both file kinds.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoded checkpoint: the engine state after `wal_seq` WAL batches.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,6 +256,34 @@ mod tests {
                 Checkpoint::load(&path, 0xABCD).is_err(),
                 "corruption at byte {i} accepted"
             );
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A checkpoint written by an older format (here version 1, which
+    /// still stored each tuple's possible-token set) is refused with the
+    /// version error rather than misdecoded; recovery then falls back to
+    /// an older consistent pair or a full WAL replay.
+    #[test]
+    fn checkpoint_rejects_older_format_version() {
+        let path = temp("v1");
+        let ck = sample();
+        let mut payload = Encoder::new();
+        payload.u32(1);
+        payload.u64(ck.fingerprint);
+        payload.u64(ck.wal_seq);
+        ck.state.encode(&mut payload);
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        write_frame(&mut bytes, &payload.into_bytes());
+        fs::write(&path, &bytes).unwrap();
+        match Checkpoint::load(&path, ck.fingerprint) {
+            Err(StoreError::Mismatch(msg)) => {
+                assert_eq!(
+                    msg,
+                    format!("checkpoint version 1 (expected {FORMAT_VERSION})")
+                )
+            }
+            other => panic!("version-1 checkpoint not refused: {other:?}"),
         }
         let _ = fs::remove_file(&path);
     }

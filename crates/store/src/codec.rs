@@ -476,7 +476,6 @@ impl Codec for TupleMeta {
         self.size_bounds.encode(enc);
         self.topics.encode(enc);
         enc.bool(self.possibly_topical);
-        self.possible_tokens.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let (id, stream_id, timestamp) = (dec.u64()?, dec.usize()?, dec.u64()?);
@@ -494,7 +493,6 @@ impl Codec for TupleMeta {
             size_bounds: Vec::decode(dec)?,
             topics: TopicVector::decode(dec)?,
             possibly_topical: dec.bool()?,
-            possible_tokens: TokenSet::decode(dec)?,
             signatures,
         })
     }

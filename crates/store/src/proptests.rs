@@ -96,10 +96,10 @@ fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
         proptest::collection::vec(arb_interval(), 1..4),
         proptest::collection::vec((0u32..=1000).prop_map(|v| v as f64 / 1000.0), 1..4),
         proptest::collection::vec(arb_interval(), 0..7),
-        (arb_topics(), any::<bool>(), arb_tokenset()),
+        (arb_topics(), any::<bool>()),
     )
         .prop_map(
-            |(tuple, (stream_id, timestamp), bounds, expect, aux, (topics, topical, tokens))| {
+            |(tuple, (stream_id, timestamp), bounds, expect, aux, (topics, topical))| {
                 TupleMeta {
                     id: tuple.base.id,
                     stream_id,
@@ -114,7 +114,6 @@ fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
                     size_bounds: bounds,
                     topics,
                     possibly_topical: topical,
-                    possible_tokens: tokens,
                 }
             },
         )

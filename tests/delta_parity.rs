@@ -14,6 +14,7 @@
 //! stream, comparing every observable against an uninterrupted oracle.
 
 use std::fs;
+use std::ops::DerefMut;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -22,7 +23,8 @@ use proptest::prelude::*;
 use ter_datasets::{preset, GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{
-    delta_between, EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine,
+    delta_between, EngineState, ErProcessor, LiveState, Params, PruningMode, TerContext,
+    TerIdsEngine,
 };
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
@@ -98,29 +100,14 @@ impl Drop for TempDir {
 }
 
 /// The minimal engine surface a restore needs (the state hooks live on
-/// the concrete types, not on `ErProcessor`).
+/// the `LiveState` both engines dereference to, not on `ErProcessor`).
 trait Restorable {
     fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>>;
     fn export(&self) -> EngineState;
     fn import(&mut self, state: &EngineState) -> Result<(), String>;
 }
 
-impl Restorable for TerIdsEngine<'_> {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
-        self.step_batch(batch)
-            .into_iter()
-            .map(|o| o.new_matches)
-            .collect()
-    }
-    fn export(&self) -> EngineState {
-        self.export_state()
-    }
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
-    }
-}
-
-impl Restorable for ShardedTerIdsEngine<'_> {
+impl<E: ErProcessor + DerefMut<Target = LiveState>> Restorable for E {
     fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
         self.step_batch(batch)
             .into_iter()

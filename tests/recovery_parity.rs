@@ -22,11 +22,12 @@
 //! dropped from a snapshot.
 
 use std::fs;
+use std::ops::DerefMut;
 use std::path::{Path, PathBuf};
 
 use ter_datasets::{preset, GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
+use ter_ids::{EngineState, ErProcessor, LiveState, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_store::{context_fingerprint, TerStore};
@@ -109,29 +110,15 @@ fn make_engine<'a>(
 }
 
 /// The engine surface a recovery scenario needs: processing plus the
-/// state hooks (which live on the concrete types, not on `ErProcessor`).
+/// state hooks (which live on the `LiveState` both engines dereference
+/// to, not on `ErProcessor`).
 trait EngineUnderTest {
     fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>>;
     fn export(&self) -> EngineState;
     fn import(&mut self, state: &EngineState) -> Result<(), String>;
 }
 
-impl EngineUnderTest for TerIdsEngine<'_> {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
-        self.step_batch(batch)
-            .into_iter()
-            .map(|o| o.new_matches)
-            .collect()
-    }
-    fn export(&self) -> EngineState {
-        self.export_state()
-    }
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
-    }
-}
-
-impl EngineUnderTest for ShardedTerIdsEngine<'_> {
+impl<E: ErProcessor + DerefMut<Target = LiveState>> EngineUnderTest for E {
     fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
         self.step_batch(batch)
             .into_iter()
