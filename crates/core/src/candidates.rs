@@ -3,9 +3,10 @@
 //!
 //! Both engines must take identical decisions about *which* live tuples
 //! are examined (cell-level pruning, Theorem 4.1's topical restriction,
-//! stream filtering) and how never-examined pairs are attributed in the
-//! pruning statistics — any divergence breaks the bit-identical-stats
-//! contract their differential tests enforce. So there is one enumeration,
+//! stream filtering, the per-entry token-signature bound) and how
+//! never-examined pairs are attributed in the pruning statistics — any
+//! divergence breaks the bit-identical-stats contract their
+//! differential tests enforce. So there is one enumeration,
 //! [`examined_ids`]: the sequential engine runs it over its single grid,
 //! the sharded engine over each worker's shard group, and the per-worker
 //! id lists merge as sorted vectors.
@@ -14,7 +15,7 @@ use ter_index::RegionGrid;
 
 use crate::meta::{ErAggregate, TupleMeta};
 use crate::metrics::PruneStats;
-use crate::pruning::cell_survives;
+use crate::pruning::{cell_survives, signature_overlap};
 
 /// What an ER-grid entry carries besides its aggregate: the tuple id and
 /// the two attributes candidate selection filters on, so the cell walk
@@ -52,9 +53,16 @@ pub type ErGrid = RegionGrid<ErPayload, ErAggregate>;
 
 /// The ids the pair-level cascade must examine for `probe`, ascending and
 /// deduplicated: every entry of a cell that survives cell-level pruning
-/// ([`cell_survives`]) whose tuple comes from another stream (the problem
-/// statement pairs tuples "from two of n data streams") and — unless the
-/// probe itself may be topical — may be topical (Theorem 4.1). A region
+/// ([`cell_survives`], which includes the cell's OR-merged token
+/// signatures) whose tuple comes from another stream (the problem
+/// statement pairs tuples "from two of n data streams"), may be topical
+/// unless the probe itself may be (Theorem 4.1), and shares tokens with
+/// the probe in more than `γ` attributes (Theorem 4.2 by the signature
+/// bound, [`ub_sim_signature`](crate::pruning::ub_sim_signature), read off
+/// the entry's aggregate). Each test runs before the id is collected, so
+/// a rejected entry costs no sort, no metadata lookup and no
+/// [`decide_pair`](crate::decide_pair) call; it would have been
+/// `SimPruned` there, and [`account_pairs`] counts it as `sim`. A region
 /// spanning several surviving cells is reported once.
 ///
 /// `grids` is the whole ER-grid or any group of its shards; the results
@@ -71,7 +79,10 @@ pub fn examined_ids<'g>(
             |_key, agg| cell_survives(probe, agg, gamma, aux_counts),
             |entry| {
                 let e = entry.payload;
-                if e.stream as usize != probe.stream_id && (probe.possibly_topical || e.topical) {
+                if e.stream as usize != probe.stream_id
+                    && (probe.possibly_topical || e.topical)
+                    && signature_overlap(&probe.signatures, entry.agg.signatures()) > gamma
+                {
                     ids.push(e.id);
                 }
             },
@@ -141,11 +152,12 @@ impl StreamCounts {
 /// pairs (live tuples of other streams), plus bulk attribution of the
 /// pairs never examined —
 ///
-/// * topical probe: everything skipped was cell-pruned, and a cell
-///   visited for a topical tuple can only fail the similarity check →
-///   `sim`;
+/// * topical probe: everything skipped was cell-pruned or rejected by
+///   the entry's signature bound, and a cell visited for a topical tuple
+///   can only fail a similarity check → `sim`;
 /// * non-topical probe: skipped tuples are the non-topical ones
-///   (Theorem 4.1, `topic`) plus cell-pruned topical ones (`sim`).
+///   (Theorem 4.1, `topic`) plus topical ones that were cell-pruned or
+///   signature-rejected (`sim`).
 ///
 /// Call after the examined candidates were decided (their outcomes are
 /// tallied by the caller) and before the probe is counted in `counts`.

@@ -532,23 +532,28 @@ mod tests {
         }
     }
 
-    /// The candidate definition before the grid drove enumeration: every
-    /// id surfaced by a surviving cell, intersected with the live topical
-    /// tuples unless the probe may be topical, minus the probe and its
-    /// own stream. Kept here only as the reference for the test below.
+    /// The candidate definition, spelled out step by step instead of in
+    /// one fused walk: every id held by a cell whose aggregate, re-merged
+    /// here from the live metadata of its entries, survives cell-level
+    /// pruning (topic, the cell's OR-merged signatures, pivot and size
+    /// bounds), intersected with the live topical tuples unless the probe
+    /// may be topical, minus the probe and its own stream, minus the
+    /// tuples whose own signatures intersect the probe's in at most `γ`
+    /// attributes. Kept here only as the reference for the test below.
     fn surfaced_then_filtered(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
+        let (metas, gamma) = (&engine.live.metas, engine.gamma);
         let mut surfaced: FxHashSet<u64> = FxHashSet::default();
-        engine.live.shards[0].traverse(
-            |_, agg| {
-                crate::pruning::cell_survives(probe, agg, engine.gamma, &engine.ctx.aux_counts)
-            },
-            |e| {
-                surfaced.insert(e.payload.id);
-            },
-        );
-        let topical_ids: FxHashSet<u64> = engine
-            .live
-            .metas
+        for (_, entries) in engine.live.shards[0].iter_cells() {
+            let ids: Vec<u64> = entries.map(|e| e.payload.id).collect();
+            let mut agg = metas[&ids[0]].aggregate();
+            for id in &ids[1..] {
+                ter_index::Aggregate::merge(&mut agg, &metas[id].aggregate());
+            }
+            if crate::pruning::cell_survives(probe, &agg, gamma, &engine.ctx.aux_counts) {
+                surfaced.extend(ids);
+            }
+        }
+        let topical_ids: FxHashSet<u64> = metas
             .values()
             .filter(|m| m.possibly_topical)
             .map(|m| m.id)
@@ -565,13 +570,8 @@ mod tests {
         ids.sort_unstable();
         ids.into_iter()
             .filter(|&id| id != probe.id)
-            .filter(|id| {
-                engine
-                    .live
-                    .metas
-                    .get(id)
-                    .is_some_and(|m| m.stream_id != probe.stream_id)
-            })
+            .filter(|id| metas[id].stream_id != probe.stream_id)
+            .filter(|id| crate::pruning::ub_sim_signature(probe, &metas[id]) > gamma)
             .collect()
     }
 
@@ -626,9 +626,9 @@ mod tests {
         (ctx, StreamSet::new(streams))
     }
 
-    /// The grid-driven candidate list equals the old "surfaced ∩ filter"
-    /// definition at every step, and O(streams) pair accounting equals
-    /// the old walk over the topical inverted list.
+    /// The grid-driven candidate list equals the step-by-step definition
+    /// at every step, and O(streams) pair accounting equals the old walk
+    /// over the topical inverted list.
     #[test]
     fn grid_driven_candidates_equal_surfaced_then_filtered() {
         let (ctx, streams) = generated_scenario(240);

@@ -7,8 +7,10 @@
 //! the rectangle of the converted space the imputed tuple occupies (its
 //! ER-grid region). These are exactly the four aggregate kinds §5.2 stores
 //! per tuple and, merged, per grid cell. Each tuple also carries one 64-bit
-//! token signature per attribute, which the pair-level similarity bound
-//! ([`crate::pruning::ub_sim_signature`]) reads; it is not aggregated.
+//! token signature per attribute, which the similarity bound
+//! [`crate::pruning::ub_sim_signature`] reads. The signatures are aggregated
+//! too: OR-merged per grid cell, so the ER-grid walk applies the bound to
+//! whole cells and to each entry it surfaces.
 
 use ter_index::{Aggregate, Rect};
 use ter_repo::PivotTable;
@@ -193,29 +195,34 @@ impl TupleMeta {
 
     /// The grid/cell aggregate contributed by this tuple.
     pub fn aggregate(&self) -> ErAggregate {
+        let words = [self.topics.words(), &self.signatures]
+            .concat()
+            .into_boxed_slice();
         let bounds = [&self.main_bounds, &self.aux_bounds, &self.size_bounds]
             .into_iter()
             .flatten()
             .copied()
             .collect();
         ErAggregate {
-            topics: self.topics.clone(),
+            words,
             bounds,
             arity: self.arity(),
         }
     }
 }
 
-/// The ER-grid cell aggregate (§5.2): topic vector, main/auxiliary pivot
-/// distance intervals, and token-set-size intervals — merged over every
-/// tuple intersecting the cell.
+/// The ER-grid cell aggregate (§5.2): topic vector, per-attribute token
+/// signatures, main/auxiliary pivot distance intervals, and token-set-size
+/// intervals — merged over every tuple intersecting the cell.
 ///
-/// The grid keeps one aggregate per cell entry, so the three interval
-/// lists share one allocation.
+/// The grid keeps one aggregate per cell entry, so the words merged by OR
+/// (topic bits and signatures) share one allocation, and the three
+/// interval lists another. Like the tuple's own signatures, the merged
+/// ones are derived state: checkpoints do not store aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErAggregate {
-    /// OR of tuple keyword vectors.
-    pub topics: TopicVector,
+    /// `[topic vector words | signatures (d)]`, OR-merged.
+    words: Box<[u64]>,
     /// `[main (d) | aux (flattened) | sizes (d)]`.
     bounds: Box<[Interval]>,
     /// The arity `d`.
@@ -223,6 +230,20 @@ pub struct ErAggregate {
 }
 
 impl ErAggregate {
+    /// Whether some tuple in the aggregate may be topical: the OR of the
+    /// tuple keyword vectors has a bit set.
+    pub fn any_topical(&self) -> bool {
+        self.words[..self.words.len() - self.arity]
+            .iter()
+            .any(|&w| w != 0)
+    }
+
+    /// Per-attribute token signatures: the OR of the signatures
+    /// ([`TupleMeta::signatures_of`]) of every tuple in the aggregate.
+    pub fn signatures(&self) -> &[u64] {
+        &self.words[self.words.len() - self.arity..]
+    }
+
     /// Bounds of main-pivot distances per attribute.
     pub fn main(&self) -> &[Interval] {
         &self.bounds[..self.arity]
@@ -242,7 +263,9 @@ impl ErAggregate {
 
 impl Aggregate for ErAggregate {
     fn merge(&mut self, other: &Self) {
-        self.topics.or_assign(&other.topics);
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+            *a |= b;
+        }
         for (a, b) in self.bounds.iter_mut().zip(other.bounds.iter()) {
             a.expand_interval(b);
         }
@@ -385,12 +408,15 @@ mod tests {
         let m1 = TupleMeta::build(1, 0, 0, ProbTuple::certain(r1), &pivots, &layout, &kw);
         let m2 = TupleMeta::build(2, 0, 1, ProbTuple::certain(r2), &pivots, &layout, &kw);
         let mut agg = m1.aggregate();
+        assert_eq!(agg.signatures(), &m1.signatures[..]);
         agg.merge(&m2.aggregate());
         for j in 0..2 {
             assert!(agg.main()[j].contains_interval(&m1.main_bounds[j]));
             assert!(agg.main()[j].contains_interval(&m2.main_bounds[j]));
             assert!(agg.sizes()[j].contains_interval(&m2.size_bounds[j]));
+            assert_eq!(agg.signatures()[j], m1.signatures[j] | m2.signatures[j]);
         }
+        assert!(agg.any_topical());
     }
 
     #[test]

@@ -10,9 +10,11 @@ pub enum PruningMode {
     /// Cell-level + all four pair-level prunings + early-terminated
     /// refinement — the full TER-iDS method.
     Full,
-    /// Only grid (cell-level) retrieval; surfaced candidates are refined
-    /// by full exact probability. This is the `I_j+G_ER` baseline:
-    /// indexes applied, but no join-time pair pruning.
+    /// Only ER-grid retrieval; the candidates it yields are refined by
+    /// full exact probability. This is the `I_j+G_ER` baseline: indexes
+    /// applied, but no pair pruning after the grid walk. The walk itself
+    /// is shared with [`PruningMode::Full`], token-signature tests
+    /// included, so pairs those tests reject count as `sim` here too.
     GridOnly,
 }
 

@@ -5,13 +5,19 @@
 
 use proptest::prelude::*;
 
+use ter_index::Aggregate;
 use ter_repo::{PivotConfig, PivotTable, Record, Repository, Schema};
 use ter_stream::{AttrCandidates, ProbTuple};
+use ter_text::fxhash::FxHashMap;
 use ter_text::{Dictionary, KeywordSet, Token, TokenSet};
 
-use crate::meta::{AuxLayout, TupleMeta};
+use crate::candidates::{examined_ids, ErGrid, ErPayload};
+use crate::meta::{AuxLayout, ErAggregate, TupleMeta};
+use crate::params::PruningMode;
 use crate::pruning;
-use crate::refine::{exact_probability, refine_pair, Refinement};
+use crate::refine::{
+    decide_pair, exact_probability, refine_pair, PairContext, PairDecision, Refinement,
+};
 
 /// A compact fixture: vocabulary of 40 tokens, 2-attribute schema,
 /// repository of token-set samples to select pivots from.
@@ -152,6 +158,31 @@ fn fixture3() -> Fx {
     let pivots = PivotTable::select(&repo, &PivotConfig::default());
     let layout = AuxLayout::new(&pivots);
     Fx { pivots, layout }
+}
+
+/// Auxiliary-pivot counts per attribute of a fixture.
+fn aux_counts(fx: &Fx) -> Vec<usize> {
+    (0..fx.pivots.arity())
+        .map(|j| fx.pivots.aux_count(j))
+        .collect()
+}
+
+/// Registers `meta` in `grid`, as the sequential engine does.
+fn grid_insert(grid: &mut ErGrid, meta: &TupleMeta) {
+    grid.insert(meta.region(), ErPayload::of(meta), meta.aggregate());
+}
+
+/// Every occupied cell's aggregate, by key.
+fn cell_aggregates(grid: &ErGrid) -> FxHashMap<Vec<u16>, ErAggregate> {
+    let mut aggs = FxHashMap::default();
+    grid.traverse(
+        |key, agg| {
+            aggs.insert(key.to_vec(), agg.clone());
+            false
+        },
+        |_| {},
+    );
+    aggs
 }
 
 proptest! {
@@ -310,6 +341,116 @@ proptest! {
         if pruning::topic_prunable(&a, &b) {
             let exact = exact_probability(&a, &b, &kw, 0.0);
             prop_assert!(exact <= 1e-12, "topic-pruned pair has Pr={exact}");
+        }
+    }
+
+    /// The grid walk's signature tests only drop pairs the cascade would
+    /// reject as `SimPruned`: every other-stream entry whose own
+    /// signatures, or whose cell's OR-merged ones, intersect the probe's
+    /// in at most `γ` attributes is missing from `examined_ids` and is
+    /// `SimPruned` by `decide_pair`; every examined id passes the
+    /// per-entry test.
+    #[test]
+    fn walk_drops_only_sim_pruned_entries(
+        window in proptest::collection::vec(arb_signature_tuple(), 1..12),
+        probe in arb_signature_tuple(),
+        grid_cells in 1u16..5,
+        gamma_pct in 0u32..=100,
+    ) {
+        let fx = fixture3();
+        let counts = aux_counts(&fx);
+        let gamma = 3.0 * gamma_pct as f64 / 100.0;
+        let kw = KeywordSet::universe();
+        let ctx = PairContext {
+            keywords: &kw,
+            gamma,
+            alpha: 0.5,
+            aux_counts: &counts,
+            mode: PruningMode::Full,
+        };
+        let metas: FxHashMap<u64, TupleMeta> = window
+            .iter()
+            .enumerate()
+            .map(|(i, attrs)| (i as u64, signature_meta(&fx, i as u64, attrs)))
+            .collect();
+        let mut grid = ErGrid::new(3, grid_cells);
+        for id in 0..window.len() as u64 {
+            grid_insert(&mut grid, &metas[&id]);
+        }
+        let probe = signature_meta(&fx, 99, &probe);
+        let examined = examined_ids([&grid], &probe, gamma, &counts);
+        let aggs = cell_aggregates(&grid);
+        for (key, entries) in grid.iter_cells() {
+            let cell_sigs = aggs[&key.to_vec()].signatures();
+            for e in entries {
+                let other = &metas[&e.payload.id];
+                if other.stream_id == probe.stream_id {
+                    continue;
+                }
+                let by_cell = pruning::signature_overlap(&probe.signatures, cell_sigs) <= gamma;
+                let by_entry =
+                    pruning::signature_overlap(&probe.signatures, e.agg.signatures()) <= gamma;
+                if by_cell || by_entry {
+                    prop_assert!(!examined.contains(&other.id), "dropped id {} examined", other.id);
+                    prop_assert_eq!(decide_pair(&probe, other, &ctx), PairDecision::SimPruned);
+                }
+            }
+        }
+        for id in &examined {
+            prop_assert!(pruning::ub_sim_signature(&probe, &metas[id]) > gamma);
+        }
+    }
+
+    /// Under window churn (insert the newest, evict the oldest, by region
+    /// or by key), each cell's aggregate signatures are the OR over its
+    /// live entries' signatures, and its whole aggregate is the merge of
+    /// its live entries' aggregates. The front stack's run-length
+    /// equality compares signatures too, so a run that merged unequal
+    /// signatures would show here.
+    #[test]
+    fn cell_signatures_are_the_or_of_live_entries(
+        stream in proptest::collection::vec(arb_signature_tuple(), 1..24),
+        w in 1usize..8,
+        grid_cells in 1u16..5,
+    ) {
+        let fx = fixture3();
+        let metas: Vec<TupleMeta> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, attrs)| signature_meta(&fx, i as u64, attrs))
+            .collect();
+        let mut grid = ErGrid::new(3, grid_cells);
+        for (i, meta) in metas.iter().enumerate() {
+            if i >= w {
+                let old = &metas[i - w];
+                let payload = ErPayload::of(old);
+                let removed = if i % 2 == 0 {
+                    grid.evict(&old.region(), &payload)
+                } else {
+                    grid.evict_at(grid.cell_keys_of(&old.region()), &payload)
+                };
+                prop_assert!(removed);
+            }
+            grid_insert(&mut grid, meta);
+            let aggs = cell_aggregates(&grid);
+            for (key, entries) in grid.iter_cells() {
+                let mut or = [0u64; 3];
+                let mut merged: Option<ErAggregate> = None;
+                for e in entries {
+                    let live = &metas[e.payload.id as usize];
+                    prop_assert_eq!(e.agg.signatures(), &live.signatures[..]);
+                    for (acc, sig) in or.iter_mut().zip(live.signatures.iter()) {
+                        *acc |= sig;
+                    }
+                    match &mut merged {
+                        Some(m) => m.merge(&live.aggregate()),
+                        None => merged = Some(live.aggregate()),
+                    }
+                }
+                let agg = &aggs[&key.to_vec()];
+                prop_assert_eq!(agg.signatures(), &or[..]);
+                prop_assert_eq!(Some(agg), merged.as_ref());
+            }
         }
     }
 }

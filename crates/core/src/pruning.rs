@@ -11,20 +11,28 @@
 //! exact set-similarity joins (Sandes, Teodoro and Melo, *Information
 //! Systems* 2020) counted per attribute. It costs a few word ANDs, and on
 //! streams where most window tuples share no token with the probe it
-//! decides almost every examined pair before the pivot, probability and
-//! instance-level checks run; the engines count those pairs as
-//! similarity-pruned.
+//! rejects almost every pair the pivot and size bounds let through. The
+//! ER-grid walk applies it twice ([`crate::candidates::examined_ids`]):
+//! to a cell's OR-merged signatures in [`cell_survives`], and to each
+//! surfaced entry's own signatures before the entry becomes a candidate.
+//! A pair it rejects there is never examined, and the engines count it
+//! as similarity-pruned with the other never-examined pairs. For the
+//! pairs that are examined, the same test at the head of
+//! [`crate::decide_pair`] is a re-check that no longer rejects anything.
 
 use ter_text::Interval;
 
 use crate::meta::{ErAggregate, TupleMeta};
 
 /// Cell-level pruning predicate: Theorems 4.1 and 4.2 evaluated on a grid
-/// cell's merged aggregate. Cell aggregates are supersets of per-tuple
-/// bounds, so a pruned cell can only contain pair-level-prunable tuples
-/// (soundness is preserved). Shared by the sequential engine and the
-/// per-shard traversal of the batch-parallel engine (`ter_exec`): both
-/// must take identical cell-level decisions for bit-identical statistics.
+/// cell's merged aggregate — the topic vector, the token signatures (a
+/// cell whose OR-merged signatures intersect the probe's in at most `γ`
+/// attributes is rejected), then the pivot-distance and token-size
+/// bounds. Cell aggregates are supersets of per-tuple bounds, so a pruned
+/// cell can only contain pair-level-prunable tuples (soundness is
+/// preserved). Called by [`crate::candidates::examined_ids`], the one
+/// grid walk of both engines and every shard worker, so their cell-level
+/// decisions are identical.
 #[allow(clippy::needless_range_loop)] // k indexes four parallel arrays
 pub fn cell_survives(
     meta: &TupleMeta,
@@ -34,7 +42,12 @@ pub fn cell_survives(
 ) -> bool {
     // Topic: if the new tuple can't be topical and nothing in the cell
     // can be either, no pair from this cell can qualify.
-    if !meta.possibly_topical && !agg.topics.any() {
+    if !meta.possibly_topical && !agg.any_topical() {
+        return false;
+    }
+    // Token signatures: no tuple of the cell shares tokens with the probe
+    // in more attributes than the cell's OR does.
+    if signature_overlap(&meta.signatures, agg.signatures()) <= gamma {
         return false;
     }
     // Similarity UB via pivot gaps + token sizes against the cell.
@@ -90,11 +103,16 @@ pub fn ub_sim_attr_size(a: &Interval, b: &Interval) -> f64 {
 /// and a float sum of `k` terms each at most 1 is at most `k`.
 #[inline]
 pub fn ub_sim_signature(a: &TupleMeta, b: &TupleMeta) -> f64 {
-    a.signatures
-        .iter()
-        .zip(b.signatures.iter())
-        .filter(|(x, y)| *x & *y != 0)
-        .count() as f64
+    signature_overlap(&a.signatures, &b.signatures)
+}
+
+/// The number of attributes whose signature words intersect, as the
+/// `f64` that [`ub_sim_signature`] compares with `γ`. Takes words, not
+/// tuples, so the grid walk tests an entry's or a cell's aggregate
+/// ([`ErAggregate::signatures`]) against the probe.
+#[inline]
+pub fn signature_overlap(a: &[u64], b: &[u64]) -> f64 {
+    a.iter().zip(b).filter(|(x, y)| *x & *y != 0).count() as f64
 }
 
 /// Lemma 4.1 summed over attributes: `ub_sim(r_i, r_j) = Σ_k ub_k`.

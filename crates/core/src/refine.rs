@@ -18,7 +18,10 @@
 //! neither similarity bound of Theorem 4.2 (the token-signature count,
 //! then the pivot and token-size bounds) nor the probability bound of
 //! Theorem 4.3 rejects it. The `SimPruned` outcome counts both similarity
-//! bounds.
+//! bounds. The ER-grid walk ([`crate::candidates::examined_ids`]) already
+//! drops every entry the signature count rejects, so for the pairs the
+//! engines examine the signature test here is a re-check that passes;
+//! it stays so that `decide_pair` decides any pair on its own.
 
 use ter_text::KeywordSet;
 
@@ -113,8 +116,8 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
             // candidate the grid walk kept for being possibly topical).
             debug_assert!(!pruning::topic_prunable(a, b));
             // Theorem 4.2 twice: the signature bound costs a few word
-            // ANDs and decides most examined pairs, the pivot/size bound
-            // costs a pass over every pivot interval.
+            // ANDs (the grid walk already applied it to examined pairs),
+            // the pivot/size bound a pass over every pivot interval.
             if pruning::ub_sim_signature(a, b) <= ctx.gamma
                 || pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma
             {

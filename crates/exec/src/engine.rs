@@ -19,8 +19,9 @@
 //!    previous arrival's insert, this arrival's expiry) in arrival order
 //!    before enumerating its candidates with the sequential engine's own
 //!    [`ter_ids::candidates::examined_ids`] — cell pruning plus the
-//!    stream and topical filters in one walk — so every cell sees exactly
-//!    the op sequence the monolithic grid would and yields the same ids.
+//!    stream, topical and signature filters in one walk — so every cell
+//!    sees exactly the op sequence the monolithic grid would and yields
+//!    the same ids.
 //! 3. **Refine** — the workers' sorted id lists are merged into one
 //!    sorted candidate list and partitioned; each worker routes its slice
 //!    through the shared cascade ([`ter_ids::decide_pair`]). Candidate
@@ -308,7 +309,7 @@ fn drive_inline(eng: &mut ShardedTerIdsEngine<'_>, batch: &[Arrival]) -> Vec<Ste
             apply_insert(&mut shards, wctx.router, meta);
         }
         if let Some(meta) = &evicted {
-            apply_evict(&mut shards, meta);
+            apply_evict(&mut shards, wctx.router, meta);
         }
         let surfaced = traverse_shards(&shards, &wctx, meta);
         lap(t0, &mut traverse_us);
@@ -737,13 +738,16 @@ mod tests {
     /// even though more arrivals fan their refine out than there are
     /// batches — a drive that waited on each fanned refine before queuing
     /// the next traverse would pay one barrier per arrival plus one per
-    /// fanned refine. Results stay equal to the inline drive's.
+    /// fanned refine. Results stay equal to the inline drive's. The grid
+    /// walk's signature tests leave few candidates per arrival, so the
+    /// scenario needs a large window for refines to fan out: 1,176
+    /// arrivals at `w` = 600 give 37 batches and 95 fanned refines.
     #[test]
     fn pooled_drive_pays_one_barrier_per_arrival() {
         let ds = ter_datasets::preset(
             ter_datasets::Preset::Citations,
             &ter_datasets::GenOptions {
-                scale: 0.16,
+                scale: 1.2,
                 missing_rate: 0.3,
                 missing_attrs: 1,
                 ..ter_datasets::GenOptions::default()
@@ -757,7 +761,7 @@ mod tests {
             16,
         );
         let params = Params {
-            window: 60,
+            window: 600,
             ..Params::default()
         };
         let arrivals = ds.streams.arrivals();

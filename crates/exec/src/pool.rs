@@ -113,7 +113,7 @@ pub(crate) fn worker_loop<'a>(
                     apply_insert(&mut shards, wctx.router, &meta);
                 }
                 if let Some(meta) = evict {
-                    apply_evict(&mut shards, &meta);
+                    apply_evict(&mut shards, wctx.router, &meta);
                 }
                 let ids = traverse_shards(&shards, &wctx, &probe);
                 let _ = resp_tx.send(Resp::Surfaced(ids));

@@ -8,10 +8,11 @@
 //!   derivation; a function of the static [`TerContext`] and the arriving
 //!   record alone, which is what lets whole batches impute concurrently.
 //! * [`apply_insert`] / [`apply_evict`] / [`traverse_shards`] — the
-//!   traverse stage: grid maintenance in arrival order followed by
-//!   candidate enumeration over a worker's shard group — cell-level
-//!   pruning and the stream/topical filters in one walk, the sequential
-//!   engine's own [`examined_ids`].
+//!   traverse stage: grid maintenance in arrival order (each cell key
+//!   routed once, to the shard owning it) followed by candidate
+//!   enumeration over a worker's shard group — cell-level pruning, the
+//!   stream/topical filters and the per-entry signature bound in one
+//!   walk, the sequential engine's own [`examined_ids`].
 //! * [`refine_slice`] — the refine stage: the Theorem 4.1–4.4
 //!   pair-decision cascade over a candidate slice.
 //! * [`eviction_schedule`] — the merge stage's look-ahead: which tuple
@@ -33,6 +34,7 @@ use ter_ids::meta::TupleMeta;
 use ter_ids::results::norm_pair;
 use ter_ids::{decide_pair, PairContext, PairDecision, PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
+use ter_index::{CellKey, Rect};
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
 
 use crate::merge::RefineOutcome;
@@ -87,6 +89,24 @@ pub(crate) fn impute_one(
     (Arc::new(meta), timing)
 }
 
+/// The cells `region` intersects, each with the id of the shard that owns
+/// it. All shard grids share dimensions, so any of them enumerates the
+/// keys; an empty group has none.
+fn routed_keys(
+    shards: &[(usize, ShardGrid)],
+    router: ShardRouter,
+    region: &Rect,
+) -> Vec<(usize, CellKey)> {
+    let Some((_, first)) = shards.first() else {
+        return Vec::new();
+    };
+    first
+        .cell_keys_of(region)
+        .into_iter()
+        .map(|key| (router.shard_of(&key), key))
+        .collect()
+}
+
 /// Applies one tuple's grid insert to a worker's shard group: the
 /// region's cells are enumerated and routed once, then each shard grid
 /// receives exactly its owned subset.
@@ -95,21 +115,15 @@ pub(crate) fn apply_insert(
     router: ShardRouter,
     meta: &TupleMeta,
 ) {
-    let Some((_, first)) = shards.first() else {
-        return;
-    };
     let region = meta.region();
-    // All shard grids share dimensions, so any of them enumerates the keys.
-    let keys = first.cell_keys_of(&region);
-    let owners: Vec<usize> = keys.iter().map(|k| router.shard_of(k)).collect();
+    let routed = routed_keys(shards, router, &region);
     let agg = meta.aggregate();
     let payload = ErPayload::of(meta);
     for (sid, grid) in shards.iter_mut() {
-        let mut owned = keys
+        let mut owned = routed
             .iter()
-            .zip(&owners)
-            .filter(|(_, owner)| **owner == *sid)
-            .map(|(k, _)| k.clone())
+            .filter(|(owner, _)| owner == sid)
+            .map(|(_, k)| k.clone())
             .peekable();
         if owned.peek().is_some() {
             grid.insert_at(owned, &region, payload, agg.clone());
@@ -117,13 +131,20 @@ pub(crate) fn apply_insert(
     }
 }
 
-/// Evicts one tuple from a worker's shard group. Cells the group does not
-/// own are simply absent and no-op.
-pub(crate) fn apply_evict(shards: &mut [(usize, ShardGrid)], meta: &TupleMeta) {
-    let region = meta.region();
+/// Evicts one tuple from a worker's shard group: the region's cells are
+/// enumerated and routed once, as on insert, and each cell is evicted
+/// from the shard owning it. Cells owned outside the group are skipped.
+pub(crate) fn apply_evict(
+    shards: &mut [(usize, ShardGrid)],
+    router: ShardRouter,
+    meta: &TupleMeta,
+) {
+    let routed = routed_keys(shards, router, &meta.region());
     let payload = ErPayload::of(meta);
-    for (_, grid) in shards.iter_mut() {
-        grid.evict(&region, &payload);
+    for (owner, key) in routed {
+        if let Some((_, grid)) = shards.iter_mut().find(|(sid, _)| *sid == owner) {
+            grid.evict_at([key], &payload);
+        }
     }
 }
 

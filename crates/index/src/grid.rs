@@ -249,6 +249,7 @@ impl<P, A: Aggregate + PartialEq, L> Grid<P, A, L> {
 
     /// Appends `entry` to cell `key`, creating the cell if needed.
     fn push_entry(&mut self, key: CellKey, entry: GridEntry<P, A, L>) {
+        debug_assert_eq!(key.len(), self.dim);
         match self.cells.entry(key) {
             hash_map::Entry::Occupied(mut occ) => occ.get_mut().push(entry),
             hash_map::Entry::Vacant(vac) => {
@@ -478,7 +479,9 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
     /// subset of [`RegionGrid::cell_keys_of`]`(rect)` — callers that fan
     /// one insert out to several shard grids enumerate and route the keys
     /// once instead of once per shard, then hand each shard its owned
-    /// subset. Eviction with the same `rect` removes the entries.
+    /// subset. Eviction with the same `rect`, or [`RegionGrid::evict_at`]
+    /// with the same keys, removes the entries. The last key's entry takes
+    /// `payload` and `agg` themselves; only the others hold clones.
     pub fn insert_at(
         &mut self,
         keys: impl IntoIterator<Item = CellKey>,
@@ -487,24 +490,43 @@ impl<P: Clone + PartialEq, A: Aggregate + PartialEq> RegionGrid<P, A> {
         agg: A,
     ) {
         assert_eq!(rect.dim(), self.inner.dim);
-        for key in keys {
-            debug_assert_eq!(key.len(), self.inner.dim);
-            self.inner.push_entry(
-                key,
-                GridEntry {
-                    payload: payload.clone(),
-                    point: (),
-                    agg: agg.clone(),
-                },
-            );
+        let mut keys = keys.into_iter();
+        let Some(mut key) = keys.next() else {
+            return;
+        };
+        for next in keys {
+            let entry = GridEntry {
+                payload: payload.clone(),
+                point: (),
+                agg: agg.clone(),
+            };
+            self.inner
+                .push_entry(std::mem::replace(&mut key, next), entry);
         }
+        let entry = GridEntry {
+            payload,
+            point: (),
+            agg,
+        };
+        self.inner.push_entry(key, entry);
     }
 
     /// Removes a region (must pass the same rect used at insert).
     /// Returns `true` if at least one cell entry was removed.
     pub fn evict(&mut self, rect: &Rect, payload: &P) -> bool {
+        let keys = self.keys_of_rect(rect);
+        self.evict_at(keys, payload)
+    }
+
+    /// Removes the entries carrying `payload` from exactly the given
+    /// cells — the counterpart of [`RegionGrid::insert_at`], so a caller
+    /// that routes one region's keys across shard grids evicts each key
+    /// from the shard owning it. Cells not holding the entry no-op.
+    /// Returns `true` if at least one cell entry was removed.
+    pub fn evict_at(&mut self, keys: impl IntoIterator<Item = CellKey>, payload: &P) -> bool {
         let mut removed_any = false;
-        for key in self.keys_of_rect(rect) {
+        for key in keys {
+            debug_assert_eq!(key.len(), self.inner.dim);
             removed_any |= self.inner.remove_from(key, payload);
         }
         removed_any
@@ -732,6 +754,34 @@ mod tests {
         assert!(even.evict(&r, &1));
         assert!(odd.evict(&r, &1));
         assert_eq!(even.cell_entry_count() + odd.cell_entry_count(), 0);
+    }
+
+    /// Keys routed once and handed to each grid, as a sharded caller
+    /// does: `insert_at` and `evict_at` with the same owned keys leave
+    /// both grids empty, and evicting from a grid that does not hold the
+    /// entry no-ops.
+    #[test]
+    fn evict_at_removes_the_entries_insert_at_added() {
+        let r = Rect::new(vec![
+            ter_text::Interval::new(0.1, 0.9), // spans cells 0–3 of 4
+            ter_text::Interval::new(0.1, 0.2),
+        ]);
+        let mut grids: [RegionGrid<u64, Count>; 2] = [RegionGrid::new(2, 4), RegionGrid::new(2, 4)];
+        let keys = grids[0].cell_keys_of(&r);
+        let owned = |g: usize| {
+            keys.iter()
+                .filter(move |k| usize::from(k[0] % 2) == g)
+                .cloned()
+        };
+        for (g, grid) in grids.iter_mut().enumerate() {
+            grid.insert_at(owned(g), &r, 1, Count(1));
+            assert_eq!(grid.cell_entry_count(), 2);
+        }
+        assert!(!grids[0].evict_at(owned(1), &1));
+        for (g, grid) in grids.iter_mut().enumerate() {
+            assert!(grid.evict_at(owned(g), &1));
+            assert_eq!(grid.occupied_cells(), 0);
+        }
     }
 
     thread_local! {

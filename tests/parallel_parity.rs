@@ -115,9 +115,15 @@ fn trace_sharded(
     (trace, metrics)
 }
 
-/// Runs the full shard × thread sweep for one preset and asserts every
-/// configuration reproduces the sequential trace exactly.
-fn assert_parity(p: Preset, scale: f64) {
+/// Window of the fan-out scenarios. The grid walk rejects most entries by
+/// their token signatures, so at the sweep's `w` = 60 no arrival keeps
+/// `REFINE_FANOUT_MIN` (16) candidates and no refine fans out; on streams
+/// of about 1,200 arrivals at `w` = 600 every preset has arrivals that do.
+const FAN_WINDOW: usize = 600;
+
+/// The generated stream of preset `p` at `scale` (30% of one attribute
+/// missing) and its pre-computed context.
+fn prepare(p: Preset, scale: f64) -> (TerContext, Vec<Arrival>) {
     let ds = preset(
         p,
         &GenOptions {
@@ -134,11 +140,19 @@ fn assert_parity(p: Preset, scale: f64) {
         &DiscoveryConfig::default(),
         16,
     );
+    (ctx, ds.streams.arrivals())
+}
+
+/// Runs the full shard × thread sweep for one preset and asserts every
+/// configuration reproduces the sequential trace exactly; then runs the
+/// fan-out scenario on the same preset at `fan_scale` (a stream of about
+/// 1,200 arrivals) with a [`FAN_WINDOW`] window.
+fn assert_parity(p: Preset, scale: f64, fan_scale: f64) {
+    let (ctx, arrivals) = prepare(p, scale);
     let params = Params {
         window: 60,
         ..Params::default()
     };
-    let arrivals = ds.streams.arrivals();
     assert!(
         arrivals.len() > 60,
         "{}: stream too small to churn",
@@ -178,65 +192,64 @@ fn assert_parity(p: Preset, scale: f64) {
     // Refines fanned out to the pool interleave their replies with the
     // next arrival's traverse; the run must exercise that and stay
     // bit-identical.
+    let (ctx, arrivals) = prepare(p, fan_scale);
+    let params = Params {
+        window: FAN_WINDOW,
+        ..Params::default()
+    };
+    assert!(
+        arrivals.len() > FAN_WINDOW,
+        "{}: fan-out stream too small to churn",
+        p.name()
+    );
     let (par, metrics) = trace_sharded(&ctx, &arrivals, params, ExecConfig::new(4, 3), 17, true);
     assert!(
         metrics.fanned_refines > 0,
         "{}: no refine fanned out to the pool",
         p.name()
     );
-    assert_eq!(par, seq, "{}: fanned-out refines diverged", p.name());
+    assert_eq!(
+        par,
+        trace_sequential(&ctx, &arrivals, params),
+        "{}: fanned-out refines diverged",
+        p.name()
+    );
 }
 
 #[test]
 fn citations_parity() {
-    assert_parity(Preset::Citations, 0.16);
+    assert_parity(Preset::Citations, 0.16, 1.2);
 }
 
 #[test]
 fn anime_parity() {
-    assert_parity(Preset::Anime, 0.14);
+    assert_parity(Preset::Anime, 0.14, 1.0);
 }
 
 #[test]
 fn bikes_parity() {
-    assert_parity(Preset::Bikes, 0.12);
+    assert_parity(Preset::Bikes, 0.12, 0.9);
 }
 
 #[test]
 fn ebooks_parity() {
-    assert_parity(Preset::EBooks, 0.12);
+    assert_parity(Preset::EBooks, 0.12, 0.8);
 }
 
 #[test]
 fn songs_parity() {
-    assert_parity(Preset::Songs, 0.06);
+    assert_parity(Preset::Songs, 0.06, 0.4);
 }
 
 /// The GridOnly (`I_j+G_ER`) mode must shard identically as well — it
 /// shares candidate retrieval but refines by full exact probability.
 #[test]
 fn grid_only_mode_parity() {
-    let ds = preset(
-        Preset::Citations,
-        &GenOptions {
-            scale: 0.12,
-            missing_rate: 0.3,
-            missing_attrs: 1,
-            ..GenOptions::default()
-        },
-    );
-    let ctx = TerContext::build(
-        ds.repo.clone(),
-        ds.keywords(),
-        &PivotConfig::default(),
-        &DiscoveryConfig::default(),
-        16,
-    );
+    let (ctx, arrivals) = prepare(Preset::Citations, 0.12);
     let params = Params {
         window: 50,
         ..Params::default()
     };
-    let arrivals = ds.streams.arrivals();
     let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::GridOnly);
     for a in &arrivals {
         seq.process(a);
@@ -259,30 +272,15 @@ fn grid_only_mode_parity() {
 /// out than there are batches (a drive that waited on each fanned refine
 /// before queuing the next traverse would pay one barrier per arrival
 /// plus one per fanned refine) — and the results stay bit-identical to
-/// the sequential engine's.
+/// the sequential engine's. Runs at [`FAN_WINDOW`], where refines fan
+/// out: 1,176 arrivals in 37 batches, 95 of them fanned out.
 #[test]
 fn pooled_drive_pays_one_barrier_per_arrival_at_preset_scale() {
-    let ds = preset(
-        Preset::Citations,
-        &GenOptions {
-            scale: 0.16,
-            missing_rate: 0.3,
-            missing_attrs: 1,
-            ..GenOptions::default()
-        },
-    );
-    let ctx = TerContext::build(
-        ds.repo.clone(),
-        ds.keywords(),
-        &PivotConfig::default(),
-        &DiscoveryConfig::default(),
-        16,
-    );
+    let (ctx, arrivals) = prepare(Preset::Citations, 1.2);
     let params = Params {
-        window: 60,
+        window: FAN_WINDOW,
         ..Params::default()
     };
-    let arrivals = ds.streams.arrivals();
     let n = arrivals.len() as u64;
     let batch = 32usize;
     let batches = arrivals.len().div_ceil(batch) as u64;
