@@ -27,7 +27,7 @@ struct Measured {
     /// claim, measured).
     barriers_per_arrival: f64,
     /// The timed run's reported pairs, sorted — parity-checked against the
-    /// sequential oracle (timing only the grid-mutation side of the engine
+    /// sequential oracle (timing only the list-mutation side of the engine
     /// would be pointless if its answers drifted).
     reported: Vec<(u64, u64)>,
     /// Summed per-batch wall time, measured at the call site — the

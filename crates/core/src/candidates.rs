@@ -1,95 +1,147 @@
 //! Candidate enumeration and pair accounting, shared by the sequential
 //! engine and the sharded batch-parallel engine (`ter_exec`).
 //!
+//! The live tuples are kept in [`CandidateLists`]: one FIFO list per
+//! (stream, topicality) pair, each holding the tuples' ids and, beside
+//! them, their per-attribute token signatures. This replaces the paper's
+//! pivot-space ER-grid `G_ER` (§5.2). On the benchmark streams nearly the
+//! whole window sat in one grid cell, and a flat scan with the stream,
+//! topical and signature tests kept exactly the candidates the cell walk
+//! kept, at lower cost; the cells' pivot and size bounds removed nothing
+//! the signature test does not.
+//!
 //! Both engines must take identical decisions about *which* live tuples
-//! are examined (cell-level pruning, Theorem 4.1's topical restriction,
-//! stream filtering, the per-entry token-signature bound) and how
-//! never-examined pairs are attributed in the pruning statistics — any
-//! divergence breaks the bit-identical-stats contract their
-//! differential tests enforce. So there is one enumeration,
-//! [`examined_ids`]: the sequential engine runs it over its single grid,
-//! the sharded engine over each worker's shard group, and the per-worker
-//! id lists merge as sorted vectors.
+//! are examined (stream filtering, Theorem 4.1's topical restriction, the
+//! per-entry token-signature bound) and how never-examined pairs are
+//! attributed in the pruning statistics — any divergence breaks the
+//! bit-identical-stats contract their differential tests enforce. So
+//! there is one enumeration, [`examined_ids`]: the sequential engine runs
+//! it over its single set of lists, the sharded engine over each worker's
+//! shard group, and the per-worker id lists merge as sorted vectors.
 
-use ter_index::RegionGrid;
+use std::collections::VecDeque;
 
-use crate::meta::{ErAggregate, TupleMeta};
+use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
-use crate::pruning::{cell_survives, signature_overlap};
+use crate::pruning::signature_overlap;
 
-/// What an ER-grid entry carries besides its aggregate: the tuple id and
-/// the two attributes candidate selection filters on, so the cell walk
-/// decides each entry without a metadata lookup. Equality is on the id
-/// alone — the id names the tuple, the rest is derived from it.
-#[derive(Debug, Clone, Copy)]
-pub struct ErPayload {
-    /// Tuple id.
-    pub id: u64,
-    /// Source stream.
-    pub stream: u32,
-    /// Whether some instance can contain a query keyword.
-    pub topical: bool,
+/// One FIFO list of live tuples, structure-of-arrays: the ids in arrival
+/// order, and beside them each entry's `d` signature words, entry after
+/// entry.
+#[derive(Debug, Clone, Default)]
+struct SignatureList {
+    ids: VecDeque<u64>,
+    words: VecDeque<u64>,
 }
 
-impl ErPayload {
-    /// The payload registering `meta` in the ER-grid.
-    pub fn of(meta: &TupleMeta) -> Self {
+/// The live tuples of one shard, split into one signature list per
+/// (stream, topicality) pair. Every list is a subsequence of the window,
+/// so the tuple the window evicts is always the front of its list:
+/// insert is a push at the back, expiry a pop at the front.
+#[derive(Debug, Clone)]
+pub struct CandidateLists {
+    arity: usize,
+    /// `lists[stream][possibly_topical as usize]`.
+    lists: Vec<[SignatureList; 2]>,
+}
+
+impl CandidateLists {
+    /// Empty lists for tuples of arity `arity`.
+    pub fn new(arity: usize) -> Self {
         Self {
-            id: meta.id,
-            stream: u32::try_from(meta.stream_id).expect("stream id exceeds u32"),
-            topical: meta.possibly_topical,
+            arity,
+            lists: Vec::new(),
+        }
+    }
+
+    /// Appends a tuple entering the window to its list.
+    pub fn insert(&mut self, meta: &TupleMeta) {
+        debug_assert_eq!(meta.signatures.len(), self.arity);
+        if self.lists.len() <= meta.stream_id {
+            self.lists.resize_with(meta.stream_id + 1, Default::default);
+        }
+        let list = &mut self.lists[meta.stream_id][usize::from(meta.possibly_topical)];
+        list.ids.push_back(meta.id);
+        list.words.extend(meta.signatures.iter().copied());
+    }
+
+    /// Removes a tuple leaving the window, which is the oldest entry of
+    /// its list.
+    pub fn evict(&mut self, meta: &TupleMeta) {
+        let list = &mut self.lists[meta.stream_id][usize::from(meta.possibly_topical)];
+        let front = list.ids.pop_front();
+        debug_assert_eq!(
+            front,
+            Some(meta.id),
+            "evicted tuple is not its list's oldest"
+        );
+        list.words.drain(..self.arity);
+    }
+
+    /// Number of entries over all lists.
+    pub fn len(&self) -> usize {
+        self.lists.iter().flatten().map(|l| l.ids.len()).sum()
+    }
+
+    /// Whether no list holds an entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The lengths of the non-empty lists.
+    pub fn list_lengths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lists
+            .iter()
+            .flatten()
+            .map(|l| l.ids.len())
+            .filter(|&n| n > 0)
+    }
+
+    /// Pushes the ids of `list` whose signatures intersect `probe` in
+    /// more than `gamma` attributes.
+    fn scan(&self, list: &SignatureList, probe: &[u64], gamma: f64, out: &mut Vec<u64>) {
+        let mut words = list.words.iter();
+        for &id in &list.ids {
+            if signature_overlap(probe, words.by_ref().take(self.arity)) > gamma {
+                out.push(id);
+            }
         }
     }
 }
 
-impl PartialEq for ErPayload {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-/// The ER-grid `G_ER`, or one shard of it.
-pub type ErGrid = RegionGrid<ErPayload, ErAggregate>;
-
-/// The ids the pair-level cascade must examine for `probe`, ascending and
-/// deduplicated: every entry of a cell that survives cell-level pruning
-/// ([`cell_survives`], which includes the cell's OR-merged token
-/// signatures) whose tuple comes from another stream (the problem
-/// statement pairs tuples "from two of n data streams"), may be topical
-/// unless the probe itself may be (Theorem 4.1), and shares tokens with
-/// the probe in more than `γ` attributes (Theorem 4.2 by the signature
-/// bound, [`ub_sim_signature`](crate::pruning::ub_sim_signature), read off
-/// the entry's aggregate). Each test runs before the id is collected, so
-/// a rejected entry costs no sort, no metadata lookup and no
-/// [`decide_pair`](crate::decide_pair) call; it would have been
-/// `SimPruned` there, and [`account_pairs`] counts it as `sim`. A region
-/// spanning several surviving cells is reported once.
+/// The ids the pair-level cascade must examine for `probe`, ascending:
+/// every live tuple that comes from another stream (the problem statement
+/// pairs tuples "from two of n data streams"), may be topical unless the
+/// probe itself may be (Theorem 4.1), and shares tokens with the probe in
+/// more than `γ` attributes (Theorem 4.2 by the signature bound,
+/// [`ub_sim_signature`](crate::pruning::ub_sim_signature)). The first two
+/// tests pick the lists to scan: the other streams' topical lists, and
+/// their non-topical lists only for a possibly topical probe. The third
+/// runs per entry before its id is collected, so a rejected entry costs no
+/// sort, no metadata lookup and no [`decide_pair`](crate::decide_pair)
+/// call; it would have been `SimPruned` there, and [`account_pairs`]
+/// counts it as `sim`.
 ///
-/// `grids` is the whole ER-grid or any group of its shards; the results
-/// of disjoint shard groups merge with a sorted-vector union.
-pub fn examined_ids<'g>(
-    grids: impl IntoIterator<Item = &'g ErGrid>,
+/// `shards` is every shard's lists or any group of them; the results of
+/// disjoint shard groups merge with a sorted-vector union.
+pub fn examined_ids<'l>(
+    shards: impl IntoIterator<Item = &'l CandidateLists>,
     probe: &TupleMeta,
     gamma: f64,
-    aux_counts: &[usize],
 ) -> Vec<u64> {
     let mut ids = Vec::new();
-    for grid in grids {
-        grid.traverse(
-            |_key, agg| cell_survives(probe, agg, gamma, aux_counts),
-            |entry| {
-                let e = entry.payload;
-                if e.stream as usize != probe.stream_id
-                    && (probe.possibly_topical || e.topical)
-                    && signature_overlap(&probe.signatures, entry.agg.signatures()) > gamma
-                {
-                    ids.push(e.id);
-                }
-            },
-        );
+    for shard in shards {
+        for (stream, [plain, topical]) in shard.lists.iter().enumerate() {
+            if stream == probe.stream_id {
+                continue;
+            }
+            shard.scan(topical, &probe.signatures, gamma, &mut ids);
+            if probe.possibly_topical {
+                shard.scan(plain, &probe.signatures, gamma, &mut ids);
+            }
+        }
     }
     ids.sort_unstable();
-    ids.dedup();
     ids
 }
 
@@ -152,12 +204,11 @@ impl StreamCounts {
 /// pairs (live tuples of other streams), plus bulk attribution of the
 /// pairs never examined —
 ///
-/// * topical probe: everything skipped was cell-pruned or rejected by
-///   the entry's signature bound, and a cell visited for a topical tuple
-///   can only fail a similarity check → `sim`;
+/// * topical probe: everything skipped was rejected by its signature
+///   bound → `sim`;
 /// * non-topical probe: skipped tuples are the non-topical ones
-///   (Theorem 4.1, `topic`) plus topical ones that were cell-pruned or
-///   signature-rejected (`sim`).
+///   (Theorem 4.1, `topic`) plus topical ones rejected by their
+///   signature bound (`sim`).
 ///
 /// Call after the examined candidates were decided (their outcomes are
 /// tallied by the caller) and before the probe is counted in `counts`.

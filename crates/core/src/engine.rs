@@ -2,16 +2,18 @@
 //!
 //! Per arriving tuple:
 //!
-//! 1. **Expiry** — the tuple leaving the window is evicted from the
-//!    ER-grid and its pairs removed from the result set (lines 2–7).
+//! 1. **Expiry** — the tuple leaving the window is popped from its
+//!    candidate list and its pairs removed from the result set (lines
+//!    2–7).
 //! 2. **Imputation** — applicable CDD rules are selected through the
 //!    CDD-indexes, matching samples retrieved through the DR-index, and
 //!    the imputed probabilistic tuple assembled (line 9's
 //!    `I_j ⋈ I_R` side; both phases timed separately for Figure 6).
-//! 3. **Candidate retrieval** — the ER-grid is traversed with cell-level
-//!    topic/similarity pruning (the `⋈ G_ER` side of the 3-way join);
-//!    the entries of surviving cells are filtered in the same walk (other
-//!    stream; possibly topical unless the probe is) into the sorted
+//! 3. **Candidate retrieval** — the other streams' candidate lists are
+//!    scanned (the `⋈ G_ER` side of the 3-way join, with per-stream
+//!    signature lists in place of the paper's ER-grid): only the topical
+//!    lists unless the probe may be topical, and only entries whose token
+//!    signatures pass Theorem 4.2's signature bound, into the sorted
 //!    candidate id list ([`candidates::examined_ids`], lines 9, 14–25).
 //! 4. **Pair pruning & refinement** — Theorems 4.1 → 4.2 → 4.3 in order,
 //!    then Theorem 4.4 early-terminated exact refinement; survivors enter
@@ -28,7 +30,7 @@ use ter_stream::{Arrival, ProbTuple};
 use ter_text::fxhash::FxHashSet;
 use ter_text::KeywordSet;
 
-use crate::candidates::{self, ErPayload};
+use crate::candidates;
 use crate::live::LiveState;
 use crate::meta::{AuxLayout, TupleMeta};
 use crate::metrics::{PhaseTiming, PruneStats};
@@ -175,7 +177,7 @@ impl<'a> TerIdsEngine<'a> {
             mode,
             gamma: params.gamma(d),
             imputer,
-            live: LiveState::new(d, params.window, params.grid_cells, 1),
+            live: LiveState::new(d, params.window, 1),
             name: match mode {
                 PruningMode::Full => "TER-iDS",
                 PruningMode::GridOnly => "Ij+GER",
@@ -218,7 +220,7 @@ impl ErProcessor for TerIdsEngine<'_> {
         let er_start = Instant::now();
         let (evicted, mut out) = self.live.advance_window(arrival);
         if let Some(old) = evicted {
-            self.live.shards[0].evict(&old.region(), &ErPayload::of(&old));
+            self.live.shards[0].evict(&old);
         }
         step_timing.er += er_start.elapsed();
 
@@ -245,13 +247,13 @@ impl ErProcessor for TerIdsEngine<'_> {
             &self.ctx.keywords,
         );
 
-        // ---- candidate retrieval through the ER-grid ----
-        // Cell pruning, the stream and Theorem 4.1 filters, and the bulk
+        // ---- candidate retrieval through the candidate lists ----
+        // The stream, Theorem 4.1 and signature filters, and the bulk
         // attribution of never-examined pairs live in [`candidates`],
         // shared with the sharded engine.
         let gamma = self.gamma;
         let aux_counts = &self.ctx.aux_counts;
-        let cands = candidates::examined_ids(&self.live.shards, &meta, gamma, aux_counts);
+        let cands = candidates::examined_ids(&self.live.shards, &meta, gamma);
         let examined = cands.len() as u64;
 
         // ---- pair-level pruning + refinement ----
@@ -279,7 +281,7 @@ impl ErProcessor for TerIdsEngine<'_> {
         outcome.matches.sort_unstable();
 
         // ---- register the new tuple (lines 11–13) ----
-        self.live.shards[0].insert(meta.region(), ErPayload::of(&meta), meta.aggregate());
+        self.live.shards[0].insert(&meta);
         out.new_matches = self
             .live
             .finalize_arrival(Arc::new(meta), examined, outcome);
@@ -532,55 +534,31 @@ mod tests {
         }
     }
 
-    /// The candidate definition, spelled out step by step instead of in
-    /// one fused walk: every id held by a cell whose aggregate, re-merged
-    /// here from the live metadata of its entries, survives cell-level
-    /// pruning (topic, the cell's OR-merged signatures, pivot and size
-    /// bounds), intersected with the live topical tuples unless the probe
-    /// may be topical, minus the probe and its own stream, minus the
-    /// tuples whose own signatures intersect the probe's in at most `γ`
-    /// attributes. Kept here only as the reference for the test below.
-    fn surfaced_then_filtered(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
-        let (metas, gamma) = (&engine.live.metas, engine.gamma);
-        let mut surfaced: FxHashSet<u64> = FxHashSet::default();
-        for (_, entries) in engine.live.shards[0].iter_cells() {
-            let ids: Vec<u64> = entries.map(|e| e.payload.id).collect();
-            let mut agg = metas[&ids[0]].aggregate();
-            for id in &ids[1..] {
-                ter_index::Aggregate::merge(&mut agg, &metas[id].aggregate());
-            }
-            if crate::pruning::cell_survives(probe, &agg, gamma, &engine.ctx.aux_counts) {
-                surfaced.extend(ids);
-            }
-        }
-        let topical_ids: FxHashSet<u64> = metas
+    /// The candidate definition, spelled out over the live metadata
+    /// instead of the lists: every live tuple of another stream, topical
+    /// unless the probe may be, whose token signatures intersect the
+    /// probe's in more than `γ` attributes, ascending. Kept here only as
+    /// the reference for the test below.
+    fn filtered_window(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
+        let mut ids: Vec<u64> = engine
+            .live
+            .metas
             .values()
-            .filter(|m| m.possibly_topical)
+            .filter(|m| m.stream_id != probe.stream_id)
+            .filter(|m| probe.possibly_topical || m.possibly_topical)
+            .filter(|m| crate::pruning::ub_sim_signature(probe, m) > engine.gamma)
             .map(|m| m.id)
             .collect();
-        let mut ids: Vec<u64> = if probe.possibly_topical {
-            surfaced.iter().copied().collect()
-        } else {
-            topical_ids
-                .iter()
-                .copied()
-                .filter(|id| surfaced.contains(id))
-                .collect()
-        };
         ids.sort_unstable();
-        ids.into_iter()
-            .filter(|&id| id != probe.id)
-            .filter(|id| metas[id].stream_id != probe.stream_id)
-            .filter(|id| crate::pruning::ub_sim_signature(probe, &metas[id]) > gamma)
-            .collect()
+        ids
     }
 
     /// A generated scenario over the unit tests' schema: a repository of
     /// 60 tuples and three streams of `n` tuples in total, titles and tags
-    /// drawn from small vocabularies (so regions overlap and cells fill),
-    /// a third of the stream tags missing. A title's first word fixes only
-    /// two of three tags, so imputation yields several candidates and
-    /// imputed regions span several cells; some tags are topical.
+    /// drawn from small vocabularies (so signatures often intersect), a
+    /// third of the stream tags missing. A title's first word fixes only
+    /// two of three tags, so imputation yields several candidates; some
+    /// tags are topical.
     fn generated_scenario(n: u64) -> (TerContext, StreamSet) {
         let schema = Schema::new(vec!["title", "tags"]);
         let mut dict = Dictionary::new();
@@ -626,119 +604,77 @@ mod tests {
         (ctx, StreamSet::new(streams))
     }
 
-    /// The grid-driven candidate list equals the step-by-step definition
-    /// at every step, and O(streams) pair accounting equals the old walk
-    /// over the topical inverted list.
+    /// The list-scan candidate list equals the filter over the live
+    /// metadata at every step, and O(streams) pair accounting equals the
+    /// walk over the live tuples.
     #[test]
-    fn grid_driven_candidates_equal_surfaced_then_filtered() {
+    fn list_scan_candidates_equal_filtered_window() {
         let (ctx, streams) = generated_scenario(240);
-        for grid_cells in [2u16, 5] {
-            let params = Params {
-                window: 30,
-                grid_cells,
-                ..Params::default()
-            };
-            let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-            let (mut nonempty, mut spanning) = (0, 0);
-            for a in streams.arrivals() {
-                let pt = if a.record.is_complete() {
-                    ProbTuple::certain(a.record.clone())
-                } else {
-                    let rules = engine.imputer.select_rules(&a.record);
-                    engine.imputer.impute_with_rules(&a.record, &rules)
-                };
-                let probe = TupleMeta::build(
-                    a.record.id,
-                    a.stream_id,
-                    a.timestamp,
-                    pt,
-                    &ctx.pivots,
-                    &ctx.layout,
-                    &ctx.keywords,
-                );
-                // Expire first, as `process` does, so both definitions
-                // see the window the probe is matched against.
-                let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-                shadow.import_state(&engine.export_state()).unwrap();
-                if let (Some(old), _) = shadow.live.advance_window(&a) {
-                    shadow.live.shards[0].evict(&old.region(), &ErPayload::of(&old));
-                }
-                let expect = surfaced_then_filtered(&shadow, &probe);
-                let got = candidates::examined_ids(
-                    &shadow.live.shards,
-                    &probe,
-                    shadow.gamma,
-                    &ctx.aux_counts,
-                );
-                assert_eq!(got, expect, "arrival {}", a.record.id);
-                nonempty += usize::from(!got.is_empty());
-
-                let mut old = PruneStats::default();
-                let topical_other = shadow
-                    .live
-                    .metas
-                    .values()
-                    .filter(|m| m.possibly_topical && m.stream_id != probe.stream_id)
-                    .count() as u64;
-                let eligible: u64 = shadow
-                    .live
-                    .metas
-                    .values()
-                    .filter(|m| m.stream_id != probe.stream_id)
-                    .count() as u64;
-                let examined = got.len() as u64;
-                old.total_pairs = eligible;
-                if probe.possibly_topical {
-                    old.sim = eligible - examined;
-                } else {
-                    old.topic = eligible - topical_other;
-                    old.sim = topical_other - examined;
-                }
-                let mut new = PruneStats::default();
-                candidates::account_pairs(&probe, examined, &shadow.live.counts, &mut new);
-                assert_eq!(new, old, "arrival {}", a.record.id);
-
-                engine.process(&a);
-                spanning =
-                    spanning.max(engine.live.shards[0].cell_entry_count() - engine.window_len());
-            }
-            assert!(nonempty > 100, "only {nonempty} arrivals had candidates");
-            assert!(spanning > 0, "no region spans two cells");
-        }
-    }
-
-    /// Snapshots written before cells kept window order may list a
-    /// cell's ids in any order. Import puts them back in window order, so
-    /// the restored cells evict oldest-first and the run continues
-    /// exactly as the uninterrupted one.
-    #[test]
-    fn import_restores_window_order_of_scrambled_cells() {
-        let (ctx, streams) = generated_scenario(120);
-        let arrivals = streams.arrivals();
         let params = Params {
-            window: 25,
-            grid_cells: 2,
+            window: 30,
             ..Params::default()
         };
-        let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-        for a in &arrivals[..60] {
-            oracle.process(a);
-        }
-        let mut scrambled = oracle.export_state();
-        assert!(scrambled.cells.iter().any(|(_, ids)| ids.len() > 2));
-        for (_, ids) in &mut scrambled.cells {
-            ids.reverse();
-        }
-        let mut restored = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-        restored.import_state(&scrambled).unwrap();
-        assert_eq!(restored.export_state(), oracle.export_state());
-        for a in &arrivals[60..] {
-            assert_eq!(
-                restored.process(a).new_matches,
-                oracle.process(a).new_matches
+        let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let (mut nonempty, mut plain_probes) = (0, 0);
+        for a in streams.arrivals() {
+            let pt = if a.record.is_complete() {
+                ProbTuple::certain(a.record.clone())
+            } else {
+                let rules = engine.imputer.select_rules(&a.record);
+                engine.imputer.impute_with_rules(&a.record, &rules)
+            };
+            let probe = TupleMeta::build(
+                a.record.id,
+                a.stream_id,
+                a.timestamp,
+                pt,
+                &ctx.pivots,
+                &ctx.layout,
+                &ctx.keywords,
             );
+            // Expire first, as `process` does, so both definitions see
+            // the window the probe is matched against.
+            let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+            shadow.import_state(&engine.export_state()).unwrap();
+            if let (Some(old), _) = shadow.live.advance_window(&a) {
+                shadow.live.shards[0].evict(&old);
+            }
+            let expect = filtered_window(&shadow, &probe);
+            let got = candidates::examined_ids(&shadow.live.shards, &probe, shadow.gamma);
+            assert_eq!(got, expect, "arrival {}", a.record.id);
+            nonempty += usize::from(!got.is_empty());
+            plain_probes += usize::from(!probe.possibly_topical);
+
+            let mut old = PruneStats::default();
+            let topical_other = shadow
+                .live
+                .metas
+                .values()
+                .filter(|m| m.possibly_topical && m.stream_id != probe.stream_id)
+                .count() as u64;
+            let eligible: u64 = shadow
+                .live
+                .metas
+                .values()
+                .filter(|m| m.stream_id != probe.stream_id)
+                .count() as u64;
+            let examined = got.len() as u64;
+            old.total_pairs = eligible;
+            if probe.possibly_topical {
+                old.sim = eligible - examined;
+            } else {
+                old.topic = eligible - topical_other;
+                old.sim = topical_other - examined;
+            }
+            let mut new = PruneStats::default();
+            candidates::account_pairs(&probe, examined, &shadow.live.counts, &mut new);
+            assert_eq!(new, old, "arrival {}", a.record.id);
+
+            engine.process(&a);
+            assert_eq!(engine.live.shards[0].len(), engine.window_len());
         }
-        assert_eq!(restored.export_state(), oracle.export_state());
+        assert!(nonempty > 100, "only {nonempty} arrivals had candidates");
+        assert!(plain_probes > 50, "only {plain_probes} non-topical probes");
     }
 
     #[test]
@@ -758,17 +694,6 @@ mod tests {
             PruningMode::Full,
         );
         assert!(other.import_state(&state).is_err());
-        // A different grid resolution is refused too — the persisted cell
-        // keys would land in wrong rectangles.
-        let mut coarse = TerIdsEngine::new(
-            &ctx,
-            Params {
-                grid_cells: 11,
-                ..Params::default()
-            },
-            PruningMode::Full,
-        );
-        assert!(coarse.import_state(&state).is_err());
         // The failed import must leave the engine untouched and usable.
         assert_eq!(other.window_len(), 0);
         for a in streams.arrivals() {

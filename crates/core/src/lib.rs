@@ -10,20 +10,23 @@
 //!
 //! * [`params`] — the Table 5 parameters (`α`, `ρ = γ/d`, `w`, …);
 //! * [`meta`] — per-tuple derived state: imputed probabilistic tuple,
-//!   pivot-distance bounds/expectations, token-size bounds, topic vectors,
-//!   per-attribute token signatures, and the grid region (§5.2's
-//!   per-tuple aggregates);
+//!   pivot-distance bounds/expectations, token-size bounds, topic vectors
+//!   and per-attribute token signatures (§5.2's per-tuple aggregates);
 //! * [`pruning`] — Theorems 4.1–4.3 with Lemmas 4.1–4.3 (topic-keyword,
 //!   similarity-upper-bound via token sizes, via pivots and via token
 //!   signatures, Paley–Zygmund probability upper bound);
 //! * [`refine`] — exact `Pr_TER-iDS` (Equation 2) and the
 //!   instance-pair-level early termination of Theorem 4.4;
-//! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with ER-grid
-//!   maintenance and the imputation/pruning/refinement pipeline;
+//! * [`candidates`] — the per-stream FIFO signature lists that replace
+//!   the paper's ER-grid, the one candidate scan both engines run, and the
+//!   accounting of never-examined pairs;
+//! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with
+//!   candidate-list maintenance and the imputation/pruning/refinement
+//!   pipeline;
 //! * [`live`] — the dynamic state both TER-iDS engines (this crate's and
 //!   the sharded one in `ter_exec`) keep, export and import
-//!   ([`LiveState`]), with the [`router`] that splits its ER-grid into
-//!   shards;
+//!   ([`LiveState`]), with the [`router`] that splits its candidate lists
+//!   into shards by tuple id;
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
 //!   `er+ER`, `con+ER`);
 //! * [`metrics`] — precision/recall/F-score (Equation 6) and pruning-power
@@ -51,7 +54,7 @@ mod proptests;
 pub use baselines::NaiveEngine;
 pub use engine::{PruningMode, StepOutput, TerContext, TerIdsEngine};
 pub use live::LiveState;
-pub use meta::{ErAggregate, TupleMeta};
+pub use meta::TupleMeta;
 pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats, StageMetrics};
 pub use params::Params;
 pub use refine::{decide_pair, PairContext, PairDecision, RefineOutcome};

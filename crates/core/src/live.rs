@@ -3,19 +3,20 @@
 //! [`LiveState`] is everything that changes as tuples arrive and expire:
 //! the sliding window, the live tuples' metadata, the per-stream counts,
 //! the result set `ES`, the reported history, the pruning statistics, the
-//! phase timings, and the ER-grid as `S` shards whose cells a
-//! [`ShardRouter`] assigns. The sequential [`TerIdsEngine`](crate::TerIdsEngine)
+//! phase timings, and the candidate lists
+//! ([`CandidateLists`]) as `S` shards whose tuples a [`ShardRouter`]
+//! assigns by id. The sequential [`TerIdsEngine`](crate::TerIdsEngine)
 //! keeps one shard; the sharded engine in `ter_exec` keeps `S` and hands
 //! them to its workers for the length of a batch.
 //!
 //! Both engines run the same per-arrival bookkeeping through it:
 //!
 //! 1. [`LiveState::advance_window`] — the window push and the expiry of
-//!    the tuple it evicts (Algorithm 2 lines 2–7). The grid evict is left
-//!    to the engine, which owns the traversal of its shards.
+//!    the tuple it evicts (Algorithm 2 lines 2–7). The list evict is left
+//!    to the engine, which owns the scan of its shards.
 //! 2. [`LiveState::finalize_arrival`] — statistics, the result set, the
 //!    reported history, the stream counts and the metadata of the new
-//!    tuple (lines 11–13, 15–26), again without the grid insert.
+//!    tuple (lines 11–13, 15–26), again without the list insert.
 //!
 //! Export and import of the canonical [`EngineState`] and every read
 //! accessor live here too, so a checkpoint taken from either engine
@@ -24,15 +25,14 @@
 //! `engine.live_ids()` or `engine.export_state()` reach these methods.
 //! The other mutating methods are an engine's building blocks and keep
 //! the state consistent only in the order an engine calls them, with
-//! the grid updates in between.
+//! the list updates in between.
 
 use std::sync::Arc;
 
-use ter_index::CellKey;
 use ter_stream::{Arrival, SlidingWindow};
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
-use crate::candidates::{account_pairs, ErGrid, ErPayload, StreamCounts};
+use crate::candidates::{account_pairs, CandidateLists, StreamCounts};
 use crate::engine::StepOutput;
 use crate::meta::TupleMeta;
 use crate::metrics::{PhaseTiming, PruneStats};
@@ -44,11 +44,10 @@ use crate::state::EngineState;
 /// The dynamic state of one engine. See the [module docs](self).
 pub struct LiveState {
     arity: usize,
-    grid_cells: u16,
     router: ShardRouter,
-    /// The partitioned ER-grid; shard `s` holds exactly the cells with
-    /// `router.shard_of(key) == s`.
-    pub(crate) shards: Vec<ErGrid>,
+    /// The partitioned candidate lists; shard `s` holds exactly the live
+    /// tuples with `router.shard_of(id) == s`.
+    pub(crate) shards: Vec<CandidateLists>,
     pub(crate) window: SlidingWindow<u64>,
     pub(crate) metas: FxHashMap<u64, Arc<TupleMeta>>,
     /// Live and topical tuple counts per stream (O(streams) pair
@@ -62,15 +61,13 @@ pub struct LiveState {
 
 impl LiveState {
     /// An empty state: a window of capacity `window` over tuples of
-    /// arity `arity`, and an ER-grid of `grid_cells` cells per dimension
-    /// split into `shards` shards.
-    pub fn new(arity: usize, window: usize, grid_cells: u16, shards: usize) -> Self {
+    /// arity `arity`, and candidate lists split into `shards` shards.
+    pub fn new(arity: usize, window: usize, shards: usize) -> Self {
         let router = ShardRouter::new(shards);
         Self {
             arity,
-            grid_cells,
             router,
-            shards: Self::empty_shards(arity, grid_cells, router),
+            shards: Self::empty_shards(arity, router),
             window: SlidingWindow::new(window),
             metas: FxHashMap::default(),
             counts: StreamCounts::default(),
@@ -81,27 +78,27 @@ impl LiveState {
         }
     }
 
-    fn empty_shards(arity: usize, grid_cells: u16, router: ShardRouter) -> Vec<ErGrid> {
+    fn empty_shards(arity: usize, router: ShardRouter) -> Vec<CandidateLists> {
         (0..router.shard_count())
-            .map(|_| ErGrid::new(arity, grid_cells))
+            .map(|_| CandidateLists::new(arity))
             .collect()
     }
 
-    /// The router assigning grid cells to shards.
+    /// The router assigning tuples to shards.
     pub fn router(&self) -> ShardRouter {
         self.router
     }
 
-    /// Takes the grid shards out, in shard order, for a batch's traversal.
+    /// Takes the list shards out, in shard order, for a batch's scans.
     /// They must come back through [`LiveState::restore_shards`] before
     /// the state is read or exported again.
-    pub fn take_shards(&mut self) -> Vec<ErGrid> {
+    pub fn take_shards(&mut self) -> Vec<CandidateLists> {
         std::mem::take(&mut self.shards)
     }
 
     /// Puts back the shards [`LiveState::take_shards`] took, in shard
     /// order.
-    pub fn restore_shards(&mut self, shards: Vec<ErGrid>) {
+    pub fn restore_shards(&mut self, shards: Vec<CandidateLists>) {
         debug_assert_eq!(shards.len(), self.router.shard_count());
         self.shards = shards;
     }
@@ -109,7 +106,7 @@ impl LiveState {
     /// Pushes `arrival` into the window and expires the tuple it evicts
     /// from the metadata, the stream counts and the result set. Returns
     /// the evicted tuple's metadata, which the caller must still evict
-    /// from its grid shards, and the step's output with `expired` and
+    /// from its list shards, and the step's output with `expired` and
     /// `retractions` (normalized, sorted) filled in.
     pub fn advance_window(&mut self, arrival: &Arrival) -> (Option<Arc<TupleMeta>>, StepOutput) {
         let mut out = StepOutput::default();
@@ -134,7 +131,7 @@ impl LiveState {
     /// The merge step for one arrival: folds the refine outcome (matches
     /// sorted by normalized pair) into the statistics, attributes the
     /// never-examined pairs, publishes the matches, and registers the new
-    /// tuple everywhere but in the grid. Returns the step's new matches.
+    /// tuple everywhere but in the lists. Returns the step's new matches.
     pub fn finalize_arrival(
         &mut self,
         meta: Arc<TupleMeta>,
@@ -196,20 +193,21 @@ impl LiveState {
         ids
     }
 
-    /// Entry counts of every occupied grid cell across all shards — the
-    /// density statistic the query planner's greedy join-order heuristic
-    /// reads instead of maintaining histograms.
+    /// The lengths of the non-empty candidate lists, over all shards: one
+    /// per (shard, stream, topicality) that holds a live tuple. A
+    /// diagnostic of how the window splits; the benchmark reports their
+    /// count and the largest one's share of the window.
     pub fn cell_entry_counts(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .flat_map(|g| g.iter_cells().map(|(_, entries)| entries.len()))
+            .flat_map(CandidateLists::list_lengths)
             .collect()
     }
 
-    /// Cell-entry count per shard (diagnostics: shows how the router
-    /// spreads grid load).
+    /// Live tuples per shard (diagnostics: shows how the router spreads
+    /// the lists).
     pub fn shard_entry_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(ErGrid::cell_entry_count).collect()
+        self.shards.iter().map(CandidateLists::len).collect()
     }
 
     /// Live tuple count per stream id.
@@ -243,11 +241,10 @@ impl LiveState {
     }
 
     /// Snapshots the state in the canonical [`EngineState`]
-    /// representation: window order, sorted pairs, and the shards merged
-    /// back into one cell list sorted by key (the router partitions the
-    /// cells, so the union is disjoint), each cell listing its entries in
-    /// window order. The export is therefore independent of the shard
-    /// count, and equal across engines at the same stream position.
+    /// representation: window order and sorted pairs. The candidate lists
+    /// are not exported; they are the window split by stream, topicality
+    /// and shard. The export is therefore independent of the shard count,
+    /// and equal across engines at the same stream position.
     pub fn export_state(&self) -> EngineState {
         let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
         let metas = window
@@ -258,52 +255,35 @@ impl LiveState {
         results.sort_unstable();
         let mut reported: Vec<(u64, u64)> = self.reported.iter().copied().collect();
         reported.sort_unstable();
-        let mut cells: Vec<(CellKey, Vec<u64>)> = self
-            .shards
-            .iter()
-            .flat_map(|g| g.iter_cells())
-            .map(|(k, entries)| (k.clone(), entries.map(|e| e.payload.id).collect()))
-            .collect();
-        cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         EngineState {
             window_capacity: self.window.capacity(),
-            grid_cells: self.grid_cells,
             window,
             metas,
             stream_counts: self.counts.live().to_vec(),
             results,
             reported,
             stats: self.stats,
-            cells,
         }
     }
 
     /// Replaces the state with a validated snapshot (recovery: load the
-    /// newest checkpoint, then replay the WAL suffix), routing each
-    /// persisted cell to its owning shard. Snapshots from either engine
+    /// newest checkpoint, then replay the WAL suffix), rebuilding the
+    /// candidate lists by inserting the window in order, each tuple into
+    /// its owning shard. Snapshots from either engine
     /// and any shard count are accepted. Phase timings restart at zero
     /// (wall clock is not recoverable state). On `Err` the state is left
     /// untouched — the recovery path must never panic or half-apply.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        state.validate(self.arity, self.window.capacity(), self.grid_cells)?;
+        state.validate(self.arity, self.window.capacity())?;
+        let mut shards = Self::empty_shards(self.arity, self.router);
+        for meta in &state.metas {
+            shards[self.router.shard_of(meta.id)].insert(meta);
+        }
         let metas: FxHashMap<u64, Arc<TupleMeta>> = state
             .metas
             .iter()
             .map(|meta| (meta.id, Arc::new(meta.clone())))
             .collect();
-        let mut shards = Self::empty_shards(self.arity, self.grid_cells, self.router);
-        for (key, ids) in state.cells_in_window_order() {
-            let shard = &mut shards[self.router.shard_of(key)];
-            for id in ids {
-                let meta = &metas[&id];
-                shard.insert_at(
-                    [key.clone()],
-                    &meta.region(),
-                    ErPayload::of(meta),
-                    meta.aggregate(),
-                );
-            }
-        }
         let mut window = SlidingWindow::new(self.window.capacity());
         for &(ts, id) in &state.window {
             // validate() bounds the length by the capacity and checks

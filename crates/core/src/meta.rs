@@ -1,18 +1,14 @@
-//! Per-tuple derived state and ER-grid aggregates (§5.2).
+//! Per-tuple derived state (§5.2's per-tuple aggregates).
 //!
 //! When a tuple arrives and is imputed, the engine derives everything the
 //! pruning rules will ever ask about it: main/auxiliary pivot-distance
 //! bounds and expectations (for Lemmas 4.2/4.3), token-set-size bounds
-//! (Lemma 4.1), the topic vector over *possible* tokens (Theorem 4.1), and
-//! the rectangle of the converted space the imputed tuple occupies (its
-//! ER-grid region). These are exactly the four aggregate kinds §5.2 stores
-//! per tuple and, merged, per grid cell. Each tuple also carries one 64-bit
-//! token signature per attribute, which the similarity bound
-//! [`crate::pruning::ub_sim_signature`] reads. The signatures are aggregated
-//! too: OR-merged per grid cell, so the ER-grid walk applies the bound to
-//! whole cells and to each entry it surfaces.
+//! (Lemma 4.1), and the topic vector over *possible* tokens (Theorem 4.1).
+//! Each tuple also carries one 64-bit token signature per attribute, which
+//! the similarity bound [`crate::pruning::ub_sim_signature`] reads and the
+//! candidate lists ([`crate::candidates::CandidateLists`]) keep beside the
+//! tuple's id.
 
-use ter_index::{Aggregate, Rect};
 use ter_repo::PivotTable;
 use ter_stream::ProbTuple;
 use ter_text::{Interval, KeywordSet, Token, TokenSet, TopicVector};
@@ -175,12 +171,6 @@ impl TupleMeta {
         self.main_bounds.len()
     }
 
-    /// The rectangle of the converted space occupied by the imputed tuple —
-    /// its ER-grid region (§5.2).
-    pub fn region(&self) -> Rect {
-        Rect::new(self.main_bounds.clone())
-    }
-
     /// Total main-pivot distance bounds `[lb_X, ub_X] = Σ_k [lb_X_k, ub_X_k]`.
     pub fn total_main_bounds(&self) -> Interval {
         let lo = self.main_bounds.iter().map(|i| i.lo).sum();
@@ -191,84 +181,6 @@ impl TupleMeta {
     /// Total expectation `E(X) = Σ_k E(X_k)`.
     pub fn total_main_expect(&self) -> f64 {
         self.main_expect.iter().sum()
-    }
-
-    /// The grid/cell aggregate contributed by this tuple.
-    pub fn aggregate(&self) -> ErAggregate {
-        let words = [self.topics.words(), &self.signatures]
-            .concat()
-            .into_boxed_slice();
-        let bounds = [&self.main_bounds, &self.aux_bounds, &self.size_bounds]
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
-        ErAggregate {
-            words,
-            bounds,
-            arity: self.arity(),
-        }
-    }
-}
-
-/// The ER-grid cell aggregate (§5.2): topic vector, per-attribute token
-/// signatures, main/auxiliary pivot distance intervals, and token-set-size
-/// intervals — merged over every tuple intersecting the cell.
-///
-/// The grid keeps one aggregate per cell entry, so the words merged by OR
-/// (topic bits and signatures) share one allocation, and the three
-/// interval lists another. Like the tuple's own signatures, the merged
-/// ones are derived state: checkpoints do not store aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErAggregate {
-    /// `[topic vector words | signatures (d)]`, OR-merged.
-    words: Box<[u64]>,
-    /// `[main (d) | aux (flattened) | sizes (d)]`.
-    bounds: Box<[Interval]>,
-    /// The arity `d`.
-    arity: usize,
-}
-
-impl ErAggregate {
-    /// Whether some tuple in the aggregate may be topical: the OR of the
-    /// tuple keyword vectors has a bit set.
-    pub fn any_topical(&self) -> bool {
-        self.words[..self.words.len() - self.arity]
-            .iter()
-            .any(|&w| w != 0)
-    }
-
-    /// Per-attribute token signatures: the OR of the signatures
-    /// ([`TupleMeta::signatures_of`]) of every tuple in the aggregate.
-    pub fn signatures(&self) -> &[u64] {
-        &self.words[self.words.len() - self.arity..]
-    }
-
-    /// Bounds of main-pivot distances per attribute.
-    pub fn main(&self) -> &[Interval] {
-        &self.bounds[..self.arity]
-    }
-
-    /// Bounds of auxiliary-pivot distances (flattened via
-    /// [`AuxLayout`]).
-    pub fn aux(&self) -> &[Interval] {
-        &self.bounds[self.arity..self.bounds.len() - self.arity]
-    }
-
-    /// Bounds of token-set sizes per attribute.
-    pub fn sizes(&self) -> &[Interval] {
-        &self.bounds[self.bounds.len() - self.arity..]
-    }
-}
-
-impl Aggregate for ErAggregate {
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-        for (a, b) in self.bounds.iter_mut().zip(other.bounds.iter()) {
-            a.expand_interval(b);
-        }
     }
 }
 
@@ -386,56 +298,6 @@ mod tests {
         let kw = KeywordSet::parse("scifi", &dict);
         let meta = TupleMeta::build(13, 0, 0, ProbTuple::certain(r), &pivots, &layout, &kw);
         assert!(!meta.possibly_topical);
-    }
-
-    #[test]
-    fn aggregate_merge_covers_both() {
-        let (_, pivots, mut dict, schema) = setup();
-        let layout = AuxLayout::new(&pivots);
-        let kw = KeywordSet::universe();
-        let r1 = Record::from_texts(
-            &schema,
-            1,
-            &[Some("space cowboy"), Some("scifi")],
-            &mut dict,
-        );
-        let r2 = Record::from_texts(
-            &schema,
-            2,
-            &[Some("romance"), Some("drama comedy long tags here")],
-            &mut dict,
-        );
-        let m1 = TupleMeta::build(1, 0, 0, ProbTuple::certain(r1), &pivots, &layout, &kw);
-        let m2 = TupleMeta::build(2, 0, 1, ProbTuple::certain(r2), &pivots, &layout, &kw);
-        let mut agg = m1.aggregate();
-        assert_eq!(agg.signatures(), &m1.signatures[..]);
-        agg.merge(&m2.aggregate());
-        for j in 0..2 {
-            assert!(agg.main()[j].contains_interval(&m1.main_bounds[j]));
-            assert!(agg.main()[j].contains_interval(&m2.main_bounds[j]));
-            assert!(agg.sizes()[j].contains_interval(&m2.size_bounds[j]));
-            assert_eq!(agg.signatures()[j], m1.signatures[j] | m2.signatures[j]);
-        }
-        assert!(agg.any_topical());
-    }
-
-    #[test]
-    fn region_matches_main_bounds() {
-        let (_, pivots, mut dict, schema) = setup();
-        let layout = AuxLayout::new(&pivots);
-        let kw = KeywordSet::universe();
-        let r = Record::from_texts(
-            &schema,
-            3,
-            &[Some("mecha battle"), Some("action")],
-            &mut dict,
-        );
-        let meta = TupleMeta::build(3, 0, 0, ProbTuple::certain(r), &pivots, &layout, &kw);
-        let region = meta.region();
-        assert_eq!(region.dim(), 2);
-        for j in 0..2 {
-            assert_eq!(*region.dim_interval(j), meta.main_bounds[j]);
-        }
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub struct PruneStats {
     /// Pruned by Theorem 4.1 (topic keywords).
     pub topic: u64,
     /// Pruned by Theorem 4.2 (a similarity upper bound: token signatures,
-    /// or pivot distances and token-set sizes; pair or cell level).
+    /// or pivot distances and token-set sizes; pairs the candidate scan
+    /// rejects by signature are counted here too).
     pub sim: u64,
     /// Pruned by Theorem 4.3 (probability upper bound).
     pub prob: u64,

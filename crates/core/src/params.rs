@@ -7,14 +7,16 @@ use ter_impute::ImputeConfig;
 /// which must agree bit-for-bit under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruningMode {
-    /// Cell-level + all four pair-level prunings + early-terminated
-    /// refinement — the full TER-iDS method.
+    /// All four pair-level prunings + early-terminated refinement — the
+    /// full TER-iDS method.
     Full,
-    /// Only ER-grid retrieval; the candidates it yields are refined by
-    /// full exact probability. This is the `I_j+G_ER` baseline: indexes
-    /// applied, but no pair pruning after the grid walk. The walk itself
-    /// is shared with [`PruningMode::Full`], token-signature tests
-    /// included, so pairs those tests reject count as `sim` here too.
+    /// Index pruning only; the candidates it yields are refined by full
+    /// exact probability. This is the `I_j+G_ER` baseline: indexes
+    /// applied, but none of the probability or instance-level pruning.
+    /// The candidate scan is shared with [`PruningMode::Full`], signature
+    /// test included, and the pivot and size bound the ER-grid's cells
+    /// used to apply is applied per pair instead, so pairs either rejects
+    /// count as `sim` here too.
     GridOnly,
 }
 
@@ -31,8 +33,6 @@ pub struct Params {
     pub rho: f64,
     /// Sliding-window size `w` (count-based, Definition 2).
     pub window: usize,
-    /// ER-grid resolution: cells per dimension.
-    pub grid_cells: u16,
     /// Fanout of the pivot aR-tree the DR-index used to be. No index
     /// reads it now (the DR-index is inverted postings, and the CDD-index
     /// sizes its own trees); only the store's context fingerprint does,
@@ -50,7 +50,6 @@ impl Default for Params {
             alpha: 0.5,
             rho: 0.5,
             window: 400,
-            grid_cells: 5,
             fanout: 16,
             impute: ImputeConfig::default(),
             donors: 3,
@@ -75,9 +74,6 @@ impl Params {
         }
         if self.window == 0 {
             return Err("window must be positive".into());
-        }
-        if self.grid_cells == 0 {
-            return Err("grid_cells must be positive".into());
         }
         Ok(())
     }

@@ -5,14 +5,12 @@
 
 use proptest::prelude::*;
 
-use ter_index::Aggregate;
 use ter_repo::{PivotConfig, PivotTable, Record, Repository, Schema};
 use ter_stream::{AttrCandidates, ProbTuple};
-use ter_text::fxhash::FxHashMap;
 use ter_text::{Dictionary, KeywordSet, Token, TokenSet};
 
-use crate::candidates::{examined_ids, ErGrid, ErPayload};
-use crate::meta::{AuxLayout, ErAggregate, TupleMeta};
+use crate::candidates::{examined_ids, CandidateLists};
+use crate::meta::{AuxLayout, TupleMeta};
 use crate::params::PruningMode;
 use crate::pruning;
 use crate::refine::{
@@ -167,22 +165,29 @@ fn aux_counts(fx: &Fx) -> Vec<usize> {
         .collect()
 }
 
-/// Registers `meta` in `grid`, as the sequential engine does.
-fn grid_insert(grid: &mut ErGrid, meta: &TupleMeta) {
-    grid.insert(meta.region(), ErPayload::of(meta), meta.aggregate());
-}
-
-/// Every occupied cell's aggregate, by key.
-fn cell_aggregates(grid: &ErGrid) -> FxHashMap<Vec<u16>, ErAggregate> {
-    let mut aggs = FxHashMap::default();
-    grid.traverse(
-        |key, agg| {
-            aggs.insert(key.to_vec(), agg.clone());
-            false
-        },
-        |_| {},
-    );
-    aggs
+/// The candidate definition over plain metadata: every tuple of
+/// `live` from another stream than `probe`'s, topical unless the probe
+/// may be, whose signatures intersect the probe's in more than `gamma`
+/// attributes, ascending.
+fn brute_force_candidates<'m>(
+    live: impl IntoIterator<Item = &'m TupleMeta>,
+    probe: &TupleMeta,
+    gamma: f64,
+) -> Vec<u64> {
+    let mut ids: Vec<u64> = live
+        .into_iter()
+        .filter(|m| m.stream_id != probe.stream_id)
+        .filter(|m| probe.possibly_topical || m.possibly_topical)
+        .filter(|m| {
+            let shared = (0..m.arity())
+                .filter(|&j| m.signatures[j] & probe.signatures[j] != 0)
+                .count();
+            shared as f64 > gamma
+        })
+        .map(|m| m.id)
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 proptest! {
@@ -344,17 +349,15 @@ proptest! {
         }
     }
 
-    /// The grid walk's signature tests only drop pairs the cascade would
-    /// reject as `SimPruned`: every other-stream entry whose own
-    /// signatures, or whose cell's OR-merged ones, intersect the probe's
-    /// in at most `γ` attributes is missing from `examined_ids` and is
-    /// `SimPruned` by `decide_pair`; every examined id passes the
-    /// per-entry test.
+    /// The scan's signature test only drops pairs the cascade would
+    /// reject as `SimPruned`: every other-stream entry whose signatures
+    /// intersect the probe's in at most `γ` attributes is missing from
+    /// `examined_ids` and is `SimPruned` by `decide_pair`; every examined
+    /// id passes the test.
     #[test]
     fn walk_drops_only_sim_pruned_entries(
         window in proptest::collection::vec(arb_signature_tuple(), 1..12),
         probe in arb_signature_tuple(),
-        grid_cells in 1u16..5,
         gamma_pct in 0u32..=100,
     ) {
         let fx = fixture3();
@@ -368,88 +371,79 @@ proptest! {
             aux_counts: &counts,
             mode: PruningMode::Full,
         };
-        let metas: FxHashMap<u64, TupleMeta> = window
-            .iter()
-            .enumerate()
-            .map(|(i, attrs)| (i as u64, signature_meta(&fx, i as u64, attrs)))
-            .collect();
-        let mut grid = ErGrid::new(3, grid_cells);
-        for id in 0..window.len() as u64 {
-            grid_insert(&mut grid, &metas[&id]);
-        }
-        let probe = signature_meta(&fx, 99, &probe);
-        let examined = examined_ids([&grid], &probe, gamma, &counts);
-        let aggs = cell_aggregates(&grid);
-        for (key, entries) in grid.iter_cells() {
-            let cell_sigs = aggs[&key.to_vec()].signatures();
-            for e in entries {
-                let other = &metas[&e.payload.id];
-                if other.stream_id == probe.stream_id {
-                    continue;
-                }
-                let by_cell = pruning::signature_overlap(&probe.signatures, cell_sigs) <= gamma;
-                let by_entry =
-                    pruning::signature_overlap(&probe.signatures, e.agg.signatures()) <= gamma;
-                if by_cell || by_entry {
-                    prop_assert!(!examined.contains(&other.id), "dropped id {} examined", other.id);
-                    prop_assert_eq!(decide_pair(&probe, other, &ctx), PairDecision::SimPruned);
-                }
-            }
-        }
-        for id in &examined {
-            prop_assert!(pruning::ub_sim_signature(&probe, &metas[id]) > gamma);
-        }
-    }
-
-    /// Under window churn (insert the newest, evict the oldest, by region
-    /// or by key), each cell's aggregate signatures are the OR over its
-    /// live entries' signatures, and its whole aggregate is the merge of
-    /// its live entries' aggregates. The front stack's run-length
-    /// equality compares signatures too, so a run that merged unequal
-    /// signatures would show here.
-    #[test]
-    fn cell_signatures_are_the_or_of_live_entries(
-        stream in proptest::collection::vec(arb_signature_tuple(), 1..24),
-        w in 1usize..8,
-        grid_cells in 1u16..5,
-    ) {
-        let fx = fixture3();
-        let metas: Vec<TupleMeta> = stream
+        let metas: Vec<TupleMeta> = window
             .iter()
             .enumerate()
             .map(|(i, attrs)| signature_meta(&fx, i as u64, attrs))
             .collect();
-        let mut grid = ErGrid::new(3, grid_cells);
-        for (i, meta) in metas.iter().enumerate() {
-            if i >= w {
-                let old = &metas[i - w];
-                let payload = ErPayload::of(old);
-                let removed = if i % 2 == 0 {
-                    grid.evict(&old.region(), &payload)
-                } else {
-                    grid.evict_at(grid.cell_keys_of(&old.region()), &payload)
-                };
-                prop_assert!(removed);
+        let mut lists = CandidateLists::new(3);
+        for meta in &metas {
+            lists.insert(meta);
+        }
+        let probe = signature_meta(&fx, 99, &probe);
+        let examined = examined_ids([&lists], &probe, gamma);
+        for other in metas.iter().filter(|m| m.stream_id != probe.stream_id) {
+            if pruning::ub_sim_signature(&probe, other) <= gamma {
+                prop_assert!(!examined.contains(&other.id), "dropped id {} examined", other.id);
+                prop_assert_eq!(decide_pair(&probe, other, &ctx), PairDecision::SimPruned);
             }
-            grid_insert(&mut grid, meta);
-            let aggs = cell_aggregates(&grid);
-            for (key, entries) in grid.iter_cells() {
-                let mut or = [0u64; 3];
-                let mut merged: Option<ErAggregate> = None;
-                for e in entries {
-                    let live = &metas[e.payload.id as usize];
-                    prop_assert_eq!(e.agg.signatures(), &live.signatures[..]);
-                    for (acc, sig) in or.iter_mut().zip(live.signatures.iter()) {
-                        *acc |= sig;
-                    }
-                    match &mut merged {
-                        Some(m) => m.merge(&live.aggregate()),
-                        None => merged = Some(live.aggregate()),
-                    }
+        }
+        for &id in &examined {
+            prop_assert!(pruning::ub_sim_signature(&probe, &metas[id as usize]) > gamma);
+        }
+    }
+
+    /// Under FIFO churn (insert the newest, evict the oldest) with the
+    /// live tuples split over `S` ∈ {1, 3, 8} id shards, and tuples drawn
+    /// from three streams with mixed topicality, the scan over all shards
+    /// equals the brute-force filter over the live metadata at every
+    /// step: other stream, topical unless the probe may be, signatures
+    /// intersecting in more than `γ` attributes, ascending ids.
+    #[test]
+    fn examined_ids_equal_brute_force_under_fifo_churn(
+        stream in proptest::collection::vec(
+            (arb_signature_tuple(), 0usize..3, any::<bool>()),
+            1..40,
+        ),
+        w in 1usize..12,
+        half_gamma in 0u32..=6,
+    ) {
+        let fx = fixture3();
+        // Integer thresholds are where `>` and `≥` differ.
+        let gamma = f64::from(half_gamma) / 2.0;
+        // Ids are not in arrival order, so the scan has to sort.
+        let metas: Vec<TupleMeta> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, (attrs, sid, topical))| {
+                let id = (i as u64 * 7919) % 1000;
+                let mut meta = signature_meta(&fx, id, attrs);
+                meta.stream_id = *sid;
+                meta.possibly_topical = *topical;
+                meta
+            })
+            .collect();
+        for shards in [1usize, 3, 8] {
+            let router = crate::ShardRouter::new(shards);
+            let mut lists: Vec<CandidateLists> =
+                (0..shards).map(|_| CandidateLists::new(3)).collect();
+            for (i, probe) in metas.iter().enumerate() {
+                // The engines' order: expire, scan, insert.
+                if i >= w {
+                    let old = &metas[i - w];
+                    lists[router.shard_of(old.id)].evict(old);
                 }
-                let agg = &aggs[&key.to_vec()];
-                prop_assert_eq!(agg.signatures(), &or[..]);
-                prop_assert_eq!(Some(agg), merged.as_ref());
+                let live = &metas[(i + 1).saturating_sub(w)..i];
+                prop_assert_eq!(
+                    examined_ids(&lists, probe, gamma),
+                    brute_force_candidates(live, probe, gamma),
+                    "S = {}, arrival {}",
+                    shards,
+                    i
+                );
+                lists[router.shard_of(probe.id)].insert(probe);
+                let held: usize = lists.iter().map(CandidateLists::len).sum();
+                prop_assert_eq!(held, (i + 1).min(w));
             }
         }
     }

@@ -12,62 +12,16 @@
 //! Systems* 2020) counted per attribute. It costs a few word ANDs, and on
 //! streams where most window tuples share no token with the probe it
 //! rejects almost every pair the pivot and size bounds let through. The
-//! ER-grid walk applies it twice ([`crate::candidates::examined_ids`]):
-//! to a cell's OR-merged signatures in [`cell_survives`], and to each
-//! surfaced entry's own signatures before the entry becomes a candidate.
-//! A pair it rejects there is never examined, and the engines count it
-//! as similarity-pruned with the other never-examined pairs. For the
-//! pairs that are examined, the same test at the head of
-//! [`crate::decide_pair`] is a re-check that no longer rejects anything.
+//! candidate scan ([`crate::candidates::examined_ids`]) applies it to each
+//! live tuple's signatures before the tuple becomes a candidate. A pair it
+//! rejects there is never examined, and the engines count it as
+//! similarity-pruned with the other never-examined pairs. For the pairs
+//! that are examined, the same test at the head of [`crate::decide_pair`]
+//! is a re-check that no longer rejects anything.
 
 use ter_text::Interval;
 
-use crate::meta::{ErAggregate, TupleMeta};
-
-/// Cell-level pruning predicate: Theorems 4.1 and 4.2 evaluated on a grid
-/// cell's merged aggregate — the topic vector, the token signatures (a
-/// cell whose OR-merged signatures intersect the probe's in at most `γ`
-/// attributes is rejected), then the pivot-distance and token-size
-/// bounds. Cell aggregates are supersets of per-tuple bounds, so a pruned
-/// cell can only contain pair-level-prunable tuples (soundness is
-/// preserved). Called by [`crate::candidates::examined_ids`], the one
-/// grid walk of both engines and every shard worker, so their cell-level
-/// decisions are identical.
-#[allow(clippy::needless_range_loop)] // k indexes four parallel arrays
-pub fn cell_survives(
-    meta: &TupleMeta,
-    agg: &ErAggregate,
-    gamma: f64,
-    aux_counts: &[usize],
-) -> bool {
-    // Topic: if the new tuple can't be topical and nothing in the cell
-    // can be either, no pair from this cell can qualify.
-    if !meta.possibly_topical && !agg.any_topical() {
-        return false;
-    }
-    // Token signatures: no tuple of the cell shares tokens with the probe
-    // in more attributes than the cell's OR does.
-    if signature_overlap(&meta.signatures, agg.signatures()) <= gamma {
-        return false;
-    }
-    // Similarity UB via pivot gaps + token sizes against the cell.
-    let d = meta.arity() as f64;
-    let (main, aux, sizes) = (agg.main(), agg.aux(), agg.sizes());
-    let mut gap_sum = 0.0;
-    let mut size_ub = 0.0;
-    let mut aux_off = 0;
-    for k in 0..meta.arity() {
-        let mut gap = meta.main_bounds[k].min_gap(&main[k]);
-        for s in 0..aux_counts[k] {
-            let slot = aux_off + s;
-            gap = gap.max(meta.aux_bounds[slot].min_gap(&aux[slot]));
-        }
-        aux_off += aux_counts[k];
-        gap_sum += gap;
-        size_ub += ub_sim_attr_size(&meta.size_bounds[k], &sizes[k]);
-    }
-    (d - gap_sum).min(size_ub) > gamma
-}
+use crate::meta::TupleMeta;
 
 /// Theorem 4.1 (topic keyword pruning): the pair can be pruned iff *no*
 /// instance of either imputed tuple can contain a query keyword.
@@ -103,16 +57,16 @@ pub fn ub_sim_attr_size(a: &Interval, b: &Interval) -> f64 {
 /// and a float sum of `k` terms each at most 1 is at most `k`.
 #[inline]
 pub fn ub_sim_signature(a: &TupleMeta, b: &TupleMeta) -> f64 {
-    signature_overlap(&a.signatures, &b.signatures)
+    signature_overlap(&a.signatures, b.signatures.iter())
 }
 
 /// The number of attributes whose signature words intersect, as the
 /// `f64` that [`ub_sim_signature`] compares with `γ`. Takes words, not
-/// tuples, so the grid walk tests an entry's or a cell's aggregate
-/// ([`ErAggregate::signatures`]) against the probe.
+/// tuples, so the candidate scan tests the words it keeps beside each
+/// live tuple's id against the probe.
 #[inline]
-pub fn signature_overlap(a: &[u64], b: &[u64]) -> f64 {
-    a.iter().zip(b).filter(|(x, y)| *x & *y != 0).count() as f64
+pub fn signature_overlap<'w>(a: &[u64], b: impl IntoIterator<Item = &'w u64>) -> f64 {
+    a.iter().zip(b).filter(|(x, y)| *x & **y != 0).count() as f64
 }
 
 /// Lemma 4.1 summed over attributes: `ub_sim(r_i, r_j) = Σ_k ub_k`.

@@ -18,7 +18,7 @@
 //! neither similarity bound of Theorem 4.2 (the token-signature count,
 //! then the pivot and token-size bounds) nor the probability bound of
 //! Theorem 4.3 rejects it. The `SimPruned` outcome counts both similarity
-//! bounds. The ER-grid walk ([`crate::candidates::examined_ids`]) already
+//! bounds. The candidate scan ([`crate::candidates::examined_ids`]) already
 //! drops every entry the signature count rejects, so for the pairs the
 //! engines examine the signature test here is a re-check that passes;
 //! it stays so that `decide_pair` decides any pair on its own.
@@ -63,7 +63,8 @@ pub struct PairContext<'a> {
 }
 
 /// Outcome of the pair-level cascade for one *examined* candidate pair,
-/// i.e. one that survived Theorem 4.1 and cell-level pruning.
+/// i.e. one that survived Theorem 4.1 and the candidate scan's
+/// signature test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairDecision {
     /// Pruned by Theorem 4.2 (a similarity upper bound: token signatures,
@@ -113,10 +114,10 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
         PruningMode::Full => {
             // Theorem 4.1 cannot fire here: callers only examine pairs
             // where one side is possibly topical (the probe, or a
-            // candidate the grid walk kept for being possibly topical).
+            // candidate the scan kept for being possibly topical).
             debug_assert!(!pruning::topic_prunable(a, b));
             // Theorem 4.2 twice: the signature bound costs a few word
-            // ANDs (the grid walk already applied it to examined pairs),
+            // ANDs (the scan already applied it to examined pairs),
             // the pivot/size bound a pass over every pivot interval.
             if pruning::ub_sim_signature(a, b) <= ctx.gamma
                 || pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma
@@ -134,6 +135,11 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
             }
         }
         PruningMode::GridOnly => {
+            // The pivot and size bound the ER-grid applied per cell,
+            // applied per pair: index pruning, then exact probability.
+            if pruning::ub_sim(a, b, ctx.aux_counts) <= ctx.gamma {
+                return PairDecision::SimPruned;
+            }
             if exact_probability(a, b, ctx.keywords, ctx.gamma) > ctx.alpha {
                 PairDecision::Match
             } else {

@@ -1,21 +1,16 @@
-//! Cell → shard routing.
+//! Tuple → shard routing.
 //!
-//! The logical ER-grid is partitioned across `S` shards by hashing grid
-//! cell keys: every cell is owned by exactly one shard, and a tuple's
-//! region is materialized cell-by-cell in whichever shards own its cells
-//! (mirroring §5.2's "insert into every intersecting cell", just spread
-//! over shards). Because the routing is a pure function of the cell key
-//! and the shard count, replaying the same per-arrival insert/evict
-//! sequence against any shard count produces the same per-cell entry and
-//! aggregate history as the monolithic grid — the foundation of the
-//! engine-level bit-for-bit parity guarantee (property-tested in
-//! `ter_exec`). [`LiveState`](crate::LiveState) keeps the shards.
+//! The candidate lists ([`CandidateLists`](crate::candidates::CandidateLists))
+//! are partitioned across `S` shards by tuple id: every live tuple is held
+//! by exactly one shard, in its (stream, topicality) list there. Because
+//! the routing is a pure function of the id and the shard count, each
+//! shard's lists are subsequences of the monolithic lists, and the union of
+//! the shards' candidates for a probe is the monolithic candidate set —
+//! the foundation of the engine-level bit-for-bit parity guarantee
+//! (property-tested in `ter_exec`). [`LiveState`](crate::LiveState) keeps
+//! the shards.
 
-use std::hash::Hasher;
-
-use ter_text::fxhash::FxHasher;
-
-/// Deterministic partitioner of grid cells across `S` shards.
+/// Deterministic partitioner of tuple ids across `S` shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: usize,
@@ -36,19 +31,18 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The shard owning grid cell `key` — a pure function of the cell key
-    /// and the shard count, so every cell routes to exactly one shard.
-    pub fn shard_of(&self, key: &[u16]) -> usize {
-        let mut h = FxHasher::default();
-        for &k in key {
-            h.write_u32(k as u32);
-        }
-        (h.finish() % self.shards as u64) as usize
+    /// The shard holding tuple `id` — a pure function of the id and the
+    /// shard count. The id is mixed by Fibonacci hashing and mapped to
+    /// `0..S` from the high bits, so ids with a common stride (say, one
+    /// stream's) still spread over every shard.
+    pub fn shard_of(&self, id: u64) -> usize {
+        let mixed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(mixed) * self.shards as u128) >> 64) as usize
     }
 
-    /// Whether shard `shard` owns cell `key`.
-    pub fn owns(&self, shard: usize, key: &[u16]) -> bool {
-        self.shard_of(key) == shard
+    /// Whether shard `shard` holds tuple `id`.
+    pub fn owns(&self, shard: usize, id: u64) -> bool {
+        self.shard_of(id) == shard
     }
 }
 
@@ -59,9 +53,9 @@ mod tests {
     #[test]
     fn single_shard_owns_everything() {
         let r = ShardRouter::new(1);
-        for key in [&[0u16, 0][..], &[3, 7], &[65535, 0]] {
-            assert_eq!(r.shard_of(key), 0);
-            assert!(r.owns(0, key));
+        for id in [0, 7, 1 << 40, u64::MAX] {
+            assert_eq!(r.shard_of(id), 0);
+            assert!(r.owns(0, id));
         }
     }
 
@@ -69,26 +63,30 @@ mod tests {
     fn routing_is_deterministic_and_in_range() {
         for shards in 1..=8 {
             let r = ShardRouter::new(shards);
-            for a in 0..16u16 {
-                for b in 0..16u16 {
-                    let s = r.shard_of(&[a, b]);
-                    assert!(s < shards);
-                    assert_eq!(s, r.shard_of(&[a, b]));
-                }
+            for id in (0..256).chain([u64::MAX - 1, u64::MAX]) {
+                let s = r.shard_of(id);
+                assert!(s < shards);
+                assert_eq!(s, r.shard_of(id));
             }
         }
     }
 
+    /// Every shard is used, also by ids that share a stride with the
+    /// shard count (here every eighth id, as one of eight interleaved
+    /// streams would have).
     #[test]
     fn multiple_shards_are_actually_used() {
         let r = ShardRouter::new(4);
-        let mut seen = [false; 4];
-        for a in 0..32u16 {
-            for b in 0..32u16 {
-                seen[r.shard_of(&[a, b])] = true;
+        for stride in [1u64, 4, 8] {
+            let mut seen = [false; 4];
+            for i in 0..64u64 {
+                seen[r.shard_of(i * stride + 3)] = true;
             }
+            assert!(
+                seen.iter().all(|&s| s),
+                "stride {stride}: unused shard {seen:?}"
+            );
         }
-        assert!(seen.iter().all(|&s| s), "unused shard: {seen:?}");
     }
 
     #[test]

@@ -3,29 +3,30 @@
 //! [`EngineState`] captures everything that changes as arrivals are
 //! consumed — the sliding window, per-tuple metadata (including the
 //! imputed probabilistic tuples), per-stream live counts, the live result
-//! set `ES`, the reported-pair history, cumulative prune statistics, and
-//! the ER-grid's per-cell entry lists. Everything an engine derives from
-//! the static [`TerContext`](crate::TerContext) (pivots, rules, indexes,
-//! keywords) is deliberately *not* here: the offline pre-computation is a
-//! deterministic function of the repository, so a restarted service
-//! rebuilds it and grafts this state on top.
+//! set `ES`, the reported-pair history and cumulative prune statistics.
+//! Everything an engine derives from the static
+//! [`TerContext`](crate::TerContext) (pivots, rules, indexes, keywords) is
+//! deliberately *not* here: the offline pre-computation is a deterministic
+//! function of the repository, so a restarted service rebuilds it and
+//! grafts this state on top. Neither are the candidate lists
+//! ([`CandidateLists`](crate::candidates::CandidateLists)): they are the
+//! window split by stream and topicality, and an importing engine rebuilds
+//! them by inserting the window in order.
 //!
 //! The representation is canonical — window entries in arrival order,
-//! result/reported pairs sorted, grid cells sorted by key with entries in
-//! window order — so the sequential `TerIdsEngine` and the sharded
-//! `ShardedTerIdsEngine` export *equal* states at the same stream
-//! position (every cell is a FIFO of the window in both), and a
-//! checkpoint taken from one engine restores into the other.
+//! result/reported pairs sorted — so the sequential `TerIdsEngine` and the
+//! sharded `ShardedTerIdsEngine` export *equal* states at the same stream
+//! position, and a checkpoint taken from one engine restores into the
+//! other.
 //!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
 //! every cross-field invariant (window/meta agreement, timestamp
-//! monotonicity, id uniqueness, stream-count consistency, pair liveness,
-//! cell-key shape) and returns `Err` instead of panicking, because the
+//! monotonicity, id uniqueness, stream-count consistency, pair liveness)
+//! and returns `Err` instead of panicking, because the
 //! recovery path must survive arbitrary on-disk corruption that slipped
 //! past the frame CRCs.
 
-use ter_index::CellKey;
-use ter_text::fxhash::{FxHashMap, FxHashSet};
+use ter_text::fxhash::FxHashSet;
 
 use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
@@ -37,11 +38,6 @@ pub struct EngineState {
     /// engine with a different `w` is refused — the result set would not
     /// be comparable).
     pub window_capacity: usize,
-    /// ER-grid resolution (cells per dimension) the cell keys were
-    /// computed under. Import into a grid of a different resolution is
-    /// refused — the keys would land in wrong rectangles and evictions
-    /// would miss them.
-    pub grid_cells: u16,
     /// `(timestamp, tuple id)` of every unexpired tuple, oldest first.
     pub window: Vec<(u64, u64)>,
     /// Metadata of the unexpired tuples, in window (arrival) order.
@@ -56,34 +52,17 @@ pub struct EngineState {
     pub reported: Vec<(u64, u64)>,
     /// Cumulative pruning counters.
     pub stats: PruneStats,
-    /// ER-grid cells: `(cell key, ids of the tuples in the cell)`, sorted
-    /// by key, each cell's ids in window order (oldest first) — the order
-    /// of the cell's FIFO, which eviction relies on. Cell aggregates merge
-    /// with min/max/OR, so they do not depend on the order; importers
-    /// restore it with [`EngineState::cells_in_window_order`].
-    pub cells: Vec<(CellKey, Vec<u64>)>,
 }
 
 impl EngineState {
     /// Checks every invariant an importing engine relies on, against the
-    /// engine's schema arity, configured window capacity, and grid
-    /// resolution. Returns a description of the first violation.
-    pub fn validate(
-        &self,
-        arity: usize,
-        window_capacity: usize,
-        grid_cells: u16,
-    ) -> Result<(), String> {
+    /// engine's schema arity and configured window capacity. Returns a
+    /// description of the first violation.
+    pub fn validate(&self, arity: usize, window_capacity: usize) -> Result<(), String> {
         if self.window_capacity != window_capacity {
             return Err(format!(
                 "state window capacity {} != engine window {}",
                 self.window_capacity, window_capacity
-            ));
-        }
-        if self.grid_cells != grid_cells {
-            return Err(format!(
-                "state grid resolution {} != engine grid_cells {}",
-                self.grid_cells, grid_cells
             ));
         }
         if self.window.len() > window_capacity {
@@ -117,6 +96,13 @@ impl EngineState {
                 return Err(format!(
                     "meta {id} has arity {} but engine schema has {arity}",
                     meta.arity()
+                ));
+            }
+            // The candidate lists store `arity` signature words per entry.
+            if meta.signatures.len() != arity {
+                return Err(format!(
+                    "meta {id} has {} signature words for arity {arity}",
+                    meta.signatures.len()
                 ));
             }
             if !ids.insert(*id) {
@@ -160,56 +146,12 @@ impl EngineState {
                 return Err(format!("reported pair ({a}, {b}) not normalized"));
             }
         }
-        let mut prev_key: Option<&CellKey> = None;
-        for (key, entries) in &self.cells {
-            if key.len() != arity {
-                return Err(format!(
-                    "cell key of {} dims in a {arity}-dim grid",
-                    key.len()
-                ));
-            }
-            if key.iter().any(|&k| k >= grid_cells) {
-                return Err(format!("cell key {key:?} outside a {grid_cells}-cell grid"));
-            }
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err("cell keys not strictly sorted".into());
-            }
-            prev_key = Some(key);
-            if entries.is_empty() {
-                return Err("empty grid cell persisted".into());
-            }
-            for id in entries {
-                if !ids.contains(id) {
-                    return Err(format!("cell entry {id} is not a live tuple"));
-                }
-            }
-        }
         Ok(())
     }
 
     /// Number of live tuples in the snapshot.
     pub fn live_count(&self) -> usize {
         self.window.len()
-    }
-
-    /// The persisted cells with each cell's ids in window order — the
-    /// order an importing engine re-inserts them in, so every restored
-    /// cell is again a FIFO of the window and evicts its oldest entry
-    /// first. Snapshots written before cells kept window order hold some
-    /// cells out of order; they restore through this sort too. Call on a
-    /// [validated](Self::validate) state (every cell id is live).
-    pub fn cells_in_window_order(&self) -> impl Iterator<Item = (&CellKey, Vec<u64>)> {
-        let position: FxHashMap<u64, usize> = self
-            .window
-            .iter()
-            .enumerate()
-            .map(|(pos, &(_, id))| (id, pos))
-            .collect();
-        self.cells.iter().map(move |(key, ids)| {
-            let mut ids = ids.clone();
-            ids.sort_by_key(|id| position[id]);
-            (key, ids)
-        })
     }
 }
 
@@ -223,8 +165,7 @@ impl EngineState {
 /// suffix that is bit-identical in the successor. The delta then carries
 /// exactly the evicted ids, the new arrivals (with their metas), the
 /// result-set adds/removes, the reported-pair additions (reported is
-/// append-only), and a full replacement for every *touched* grid cell —
-/// plus the small whole-copy fields (stream counts, prune counters) whose
+/// append-only), plus the small whole-copy fields (stream counts, prune counters) whose
 /// size does not grow with the window. At low churn the encoded delta is
 /// proportional to the churn, not to the window.
 ///
@@ -236,8 +177,6 @@ impl EngineState {
 pub struct StateDelta {
     /// Window capacity both snapshots were taken under.
     pub window_capacity: usize,
-    /// Grid resolution both snapshots were taken under.
-    pub grid_cells: u16,
     /// Ids evicted from the window front since the base, oldest first.
     pub evicted: Vec<u64>,
     /// `(timestamp, id)` of entries appended since the base, in arrival
@@ -256,9 +195,6 @@ pub struct StateDelta {
     pub reported_added: Vec<(u64, u64)>,
     /// Full replacement of the cumulative prune counters (small).
     pub stats: PruneStats,
-    /// Touched grid cells, sorted by key: the successor's full entry
-    /// list for that key, or an empty list when the cell disappeared.
-    pub cells_changed: Vec<(CellKey, Vec<u64>)>,
 }
 
 impl StateDelta {
@@ -269,7 +205,6 @@ impl StateDelta {
             && self.results_added.is_empty()
             && self.results_removed.is_empty()
             && self.reported_added.is_empty()
-            && self.cells_changed.is_empty()
     }
 
     /// Number of window entries the delta touches (arrivals + evictions)
@@ -280,8 +215,8 @@ impl StateDelta {
 
     /// Reconstructs the successor snapshot from the base. Validating, not
     /// trusting: every structural assumption (eviction prefix matches,
-    /// added pairs absent from the base, removed pairs present, cell keys
-    /// sorted) is checked and a violation returns `Err` — the recovery
+    /// added pairs absent from the base, removed pairs present) is
+    /// checked and a violation returns `Err` — the recovery
     /// path feeds this arbitrary on-disk bytes and must degrade, never
     /// panic. The result still goes through the importing engine's
     /// [`EngineState::validate`], so this only needs to be
@@ -291,12 +226,6 @@ impl StateDelta {
             return Err(format!(
                 "delta window capacity {} != base {}",
                 self.window_capacity, base.window_capacity
-            ));
-        }
-        if self.grid_cells != base.grid_cells {
-            return Err(format!(
-                "delta grid resolution {} != base {}",
-                self.grid_cells, base.grid_cells
             ));
         }
         if self.arrival_metas.len() != self.arrivals.len() {
@@ -332,54 +261,14 @@ impl StateDelta {
             "result",
         )?;
         let reported = apply_pair_delta(&base.reported, &self.reported_added, &[], "reported")?;
-        // Merge the touched cells over the base's sorted cell list: both
-        // sides sorted by key, one linear walk. An empty replacement
-        // deletes the cell.
-        let mut cells: Vec<(CellKey, Vec<u64>)> =
-            Vec::with_capacity(base.cells.len() + self.cells_changed.len());
-        let mut prev_key: Option<&CellKey> = None;
-        for (key, _) in &self.cells_changed {
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err("delta cell keys not strictly sorted".into());
-            }
-            prev_key = Some(key);
-        }
-        let (mut bi, mut di) = (0, 0);
-        while bi < base.cells.len() || di < self.cells_changed.len() {
-            let take_delta = match (base.cells.get(bi), self.cells_changed.get(di)) {
-                (Some((bk, _)), Some((dk, _))) => {
-                    if bk == dk {
-                        bi += 1; // replaced (or deleted) below
-                        true
-                    } else {
-                        dk < bk
-                    }
-                }
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => unreachable!(),
-            };
-            if take_delta {
-                let (key, entries) = &self.cells_changed[di];
-                di += 1;
-                if !entries.is_empty() {
-                    cells.push((key.clone(), entries.clone()));
-                }
-            } else {
-                cells.push(base.cells[bi].clone());
-                bi += 1;
-            }
-        }
         Ok(EngineState {
             window_capacity: self.window_capacity,
-            grid_cells: self.grid_cells,
             window,
             metas,
             stream_counts: self.stream_counts.clone(),
             results,
             reported,
             stats: self.stats,
-            cells,
         })
     }
 }
@@ -448,12 +337,6 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
             base.window_capacity, next.window_capacity
         ));
     }
-    if base.grid_cells != next.grid_cells {
-        return Err(format!(
-            "grid resolution changed {} -> {}",
-            base.grid_cells, next.grid_cells
-        ));
-    }
     // Survivors of the base window are exactly its entries whose id is
     // still live in `next`; evict-only-from-front means they must form a
     // suffix of the base *and* a prefix of the successor, bit-identical
@@ -487,41 +370,8 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
         ));
     }
 
-    // Touched cells: one merge walk over the two sorted cell lists.
-    let mut cells_changed: Vec<(CellKey, Vec<u64>)> = Vec::new();
-    let (mut bi, mut ni) = (0, 0);
-    while bi < base.cells.len() || ni < next.cells.len() {
-        match (base.cells.get(bi), next.cells.get(ni)) {
-            (Some((bk, bv)), Some((nk, nv))) => {
-                if bk == nk {
-                    if bv != nv {
-                        cells_changed.push((nk.clone(), nv.clone()));
-                    }
-                    bi += 1;
-                    ni += 1;
-                } else if bk < nk {
-                    cells_changed.push((bk.clone(), Vec::new()));
-                    bi += 1;
-                } else {
-                    cells_changed.push((nk.clone(), nv.clone()));
-                    ni += 1;
-                }
-            }
-            (Some((bk, _)), None) => {
-                cells_changed.push((bk.clone(), Vec::new()));
-                bi += 1;
-            }
-            (None, Some((nk, nv))) => {
-                cells_changed.push((nk.clone(), nv.clone()));
-                ni += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-
     Ok(StateDelta {
         window_capacity: next.window_capacity,
-        grid_cells: next.grid_cells,
         evicted,
         arrivals,
         arrival_metas,
@@ -530,7 +380,6 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
         results_removed,
         reported_added,
         stats: next.stats,
-        cells_changed,
     })
 }
 
@@ -601,20 +450,18 @@ mod tests {
     fn valid_state() -> EngineState {
         EngineState {
             window_capacity: 4,
-            grid_cells: 5,
             window: vec![(0, 10), (1, 11)],
             metas: vec![meta(10, 0, 0), meta(11, 1, 1)],
             stream_counts: vec![1, 1],
             results: vec![(10, 11)],
             reported: vec![(10, 11)],
             stats: PruneStats::default(),
-            cells: vec![(vec![0, 0].into_boxed_slice(), vec![10, 11])],
         }
     }
 
     #[test]
     fn valid_state_passes() {
-        valid_state().validate(2, 4, 5).unwrap();
+        valid_state().validate(2, 4).unwrap();
     }
 
     type Mutation = Box<dyn Fn(&mut EngineState)>;
@@ -623,53 +470,38 @@ mod tests {
     fn rejections() {
         let cases: Vec<(&str, Mutation)> = vec![
             ("capacity", Box::new(|s| s.window_capacity = 8)),
-            ("grid resolution", Box::new(|s| s.grid_cells = 9)),
-            (
-                "cell key range",
-                Box::new(|s| s.cells[0].0 = vec![0, 5].into_boxed_slice()),
-            ),
             ("meta count", Box::new(|s| s.metas.truncate(1))),
             ("timestamps", Box::new(|s| s.window[1].0 = 0)),
             ("id mismatch", Box::new(|s| s.window[1].1 = 99)),
             ("stream counts", Box::new(|s| s.stream_counts = vec![2, 0])),
+            (
+                "signature width",
+                Box::new(|s| s.metas[1].signatures = vec![0; 3].into()),
+            ),
             ("result liveness", Box::new(|s| s.results = vec![(10, 99)])),
             (
                 "result normalization",
                 Box::new(|s| s.results = vec![(11, 10)]),
             ),
-            ("cell entry liveness", Box::new(|s| s.cells[0].1.push(99))),
-            (
-                "cell key dims",
-                Box::new(|s| s.cells[0].0 = vec![0].into_boxed_slice()),
-            ),
-            (
-                "cell key order",
-                Box::new(|s| {
-                    let c = s.cells[0].clone();
-                    s.cells.push(c);
-                }),
-            ),
         ];
         for (label, mutate) in cases {
             let mut s = valid_state();
             mutate(&mut s);
-            assert!(s.validate(2, 4, 5).is_err(), "{label} accepted");
+            assert!(s.validate(2, 4).is_err(), "{label} accepted");
         }
     }
 
     #[test]
     fn window_overflow_rejected() {
         let s = valid_state();
-        assert!(s.validate(2, 1, 5).is_err());
+        assert!(s.validate(2, 1).is_err());
     }
 
     /// A successor of `valid_state`: entry 10 evicted, 12 and 13 arrived,
-    /// one result removed with the eviction, one added, one cell touched,
-    /// one cell gone, one cell new.
+    /// one result removed with the eviction, one added.
     fn successor_state() -> EngineState {
         EngineState {
             window_capacity: 4,
-            grid_cells: 5,
             window: vec![(1, 11), (2, 12), (3, 13)],
             metas: vec![meta(11, 1, 1), meta(12, 0, 2), meta(13, 0, 3)],
             stream_counts: vec![2, 1],
@@ -679,10 +511,6 @@ mod tests {
                 total_pairs: 7,
                 ..PruneStats::default()
             },
-            cells: vec![
-                (vec![0, 0].into_boxed_slice(), vec![11, 12]),
-                (vec![1, 1].into_boxed_slice(), vec![13]),
-            ],
         }
     }
 
@@ -697,10 +525,8 @@ mod tests {
         assert_eq!(d.results_added, vec![(11, 12)]);
         assert_eq!(d.results_removed, vec![(10, 11)]);
         assert_eq!(d.reported_added, vec![(11, 12)]);
-        // One replaced cell, one new; validates apply merges correctly.
-        assert_eq!(d.cells_changed.len(), 2);
         assert_eq!(d.apply(&base).unwrap(), next);
-        next.validate(2, 4, 5).unwrap();
+        next.validate(2, 4).unwrap();
     }
 
     #[test]
@@ -718,14 +544,12 @@ mod tests {
         // Nothing survives: both base entries evicted, two fresh ones.
         let next = EngineState {
             window_capacity: 4,
-            grid_cells: 5,
             window: vec![(5, 20), (6, 21)],
             metas: vec![meta(20, 0, 5), meta(21, 1, 6)],
             stream_counts: vec![1, 1],
             results: vec![],
             reported: vec![(10, 11)],
             stats: PruneStats::default(),
-            cells: vec![(vec![2, 2].into_boxed_slice(), vec![20, 21])],
         };
         let d = delta_between(&base, &next).unwrap();
         assert_eq!(d.evicted, vec![10, 11]);
@@ -779,9 +603,9 @@ mod tests {
         let mut d = good.clone();
         d.arrival_metas.pop();
         assert!(d.apply(&base).is_err());
-        // Unsorted touched-cell keys.
+        // Unsorted result pairs.
         let mut d = good.clone();
-        d.cells_changed.reverse();
+        d.results_added = vec![(12, 13), (11, 12)];
         assert!(d.apply(&base).is_err());
         // Capacity mismatch.
         let mut d = good.clone();

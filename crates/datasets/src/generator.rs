@@ -88,8 +88,8 @@ pub struct GenOptions {
     /// Topic-popularity skew exponent. `0.0` (the default) keeps the
     /// original uniform topic draw — and the exact historical RNG
     /// stream, so every existing dataset stays byte-identical. `> 0.0`
-    /// draws topics Zipf-style (`P(t) ∝ 1/(t+1)^skew`): a few topics —
-    /// and with them a few ER-grid cells — run hot, the
+    /// draws topics Zipf-style (`P(t) ∝ 1/(t+1)^skew`): a few topics
+    /// run hot, the
     /// skewed-entity/hot-key shape of production streams.
     pub entity_skew: f64,
     /// RNG seed.

@@ -207,7 +207,7 @@ pub fn preset(p: Preset, opts: &GenOptions) -> Dataset {
 pub enum ScaleShape {
     /// Uniform topics, steady arrival rate (the baseline shape).
     Uniform,
-    /// Zipf-skewed topic popularity — a few ER-grid cells run hot, the
+    /// Zipf-skewed topic popularity — a few topics run hot, the
     /// skewed-entity shape of production key distributions.
     HotKey {
         /// Skew exponent fed to [`GenOptions::entity_skew`].

@@ -4,7 +4,8 @@
 //! ([`ter_ids::ErProcessor::step_batch`]) and produces output
 //! **bit-identical** to the sequential [`ter_ids::TerIdsEngine`] for any
 //! shard count, thread count and batch size. Its dynamic state is the
-//! same [`LiveState`] the sequential engine keeps, with `S` grid shards.
+//! same [`LiveState`] the sequential engine keeps, with `S` candidate-list
+//! shards.
 //! The per-arrival pipeline is decomposed into the named stages of
 //! `stages` — **impute → traverse → refine → merge** — and executed by
 //! the persistent worker pool of `pool`:
@@ -13,15 +14,14 @@
 //!    derivation read only the static [`TerContext`], so the whole batch
 //!    is imputed concurrently (contiguous chunks across workers) with
 //!    per-arrival results equal to the sequential engine's.
-//! 2. **Traverse** — the ER-grid is partitioned into `S` shards by
-//!    cell-key hash ([`ter_ids::ShardRouter`]); each worker owns a
-//!    disjoint shard group for the batch and applies grid mutations (the
-//!    previous arrival's insert, this arrival's expiry) in arrival order
-//!    before enumerating its candidates with the sequential engine's own
-//!    [`ter_ids::candidates::examined_ids`] — cell pruning plus the
-//!    stream, topical and signature filters in one walk — so every cell
-//!    sees exactly the op sequence the monolithic grid would and yields
-//!    the same ids.
+//! 2. **Traverse** — the candidate lists are partitioned into `S` shards
+//!    by tuple id ([`ter_ids::ShardRouter`]); each worker owns a disjoint
+//!    shard group for the batch and applies list mutations (the previous
+//!    arrival's insert, this arrival's expiry) in arrival order before
+//!    scanning for its candidates with the sequential engine's own
+//!    [`ter_ids::candidates::examined_ids`] — the stream, topical and
+//!    signature filters — so every shard's lists are the monolithic lists
+//!    restricted to its ids, and the shards together yield the same ids.
 //! 3. **Refine** — the workers' sorted id lists are merged into one
 //!    sorted candidate list and partitioned; each worker routes its slice
 //!    through the shared cascade ([`ter_ids::decide_pair`]). Candidate
@@ -47,7 +47,7 @@
 //! queues `Refine(i)` and `Step(i+1)` together and pays one combined
 //! wait: at most one barrier per arrival plus one prologue per batch.
 //! Workers answer in FIFO order, so the interleaving is deterministic and
-//! every grid cell sees the same op order as in the inline drive.
+//! every list sees the same op order as in the inline drive.
 //! [`StageMetrics::er_barriers`] counts the waits.
 //!
 //! # Pool sessions
@@ -62,6 +62,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ter_ids::candidates::CandidateLists;
 use ter_ids::meta::TupleMeta;
 use ter_ids::{
     ErProcessor, LiveState, Params, PhaseTiming, PruneStats, PruningMode, ResultSet, StageMetrics,
@@ -75,7 +76,7 @@ use crate::merge::{merge_outcomes, RefineOutcome};
 use crate::pool::{pool_channels, worker_loop, Pool};
 use crate::stages::{
     apply_evict, apply_insert, eviction_schedule, impute_one, refine_slice, traverse_shards,
-    ShardGrid, WorkerCtx,
+    WorkerCtx,
 };
 
 /// Candidate sets smaller than this are refined on the driving thread
@@ -87,26 +88,27 @@ pub const REFINE_FANOUT_MIN: usize = 16;
 /// Parallel execution knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Number of ER-grid shards `S` (cells are hash-partitioned across
-    /// them). Result-invariant; more shards than threads lets the router
-    /// balance cell load across workers.
+    /// Number of candidate-list shards `S` (live tuples are partitioned
+    /// across them by id). Result-invariant; more shards than threads
+    /// lets the router balance list load across workers.
     pub shards: usize,
     /// Worker threads `T` driving imputation, traversal, and refinement.
     /// Result-invariant; `1` runs the whole pipeline inline.
     pub threads: usize,
 }
 
+/// Eight shards driven inline (`threads == 1`). The pooled drive pays a
+/// barrier per arrival, which costs more than an arrival's work, so it
+/// runs several times slower than the inline drive at two threads; more
+/// threads are for callers that measured otherwise.
 impl Default for ExecConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(8, threads)
+        Self::new(8, 1)
     }
 }
 
 impl ExecConfig {
-    /// `shards` grid shards driven by `threads` threads.
+    /// `shards` list shards driven by `threads` threads.
     pub fn new(shards: usize, threads: usize) -> Self {
         Self { shards, threads }
     }
@@ -115,7 +117,7 @@ impl ExecConfig {
 /// The sharded, batch-parallel TER-iDS engine. See the [module docs](self).
 ///
 /// Like the sequential engine it dereferences to its [`LiveState`], which
-/// holds the window, the metadata, the results and the `S` grid shards,
+/// holds the window, the metadata, the results and the `S` list shards,
 /// and provides the accessors and the state export and import.
 pub struct ShardedTerIdsEngine<'a> {
     ctx: &'a TerContext,
@@ -143,7 +145,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
             exec,
             gamma: params.gamma(d),
             imputer: ctx.indexed_imputer(params.impute),
-            live: LiveState::new(d, params.window, params.grid_cells, exec.shards),
+            live: LiveState::new(d, params.window, exec.shards),
             metrics: StageMetrics::default(),
             name: match mode {
                 PruningMode::Full => "TER-iDS(shard)",
@@ -287,11 +289,11 @@ fn drive_inline(eng: &mut ShardedTerIdsEngine<'_>, batch: &[Arrival]) -> Vec<Ste
             .map(|a| impute_one(&eng.imputer, eng.ctx, a))
             .collect()
     });
-    let mut shards: Vec<(usize, ShardGrid)> =
+    let mut shards: Vec<(usize, CandidateLists)> =
         eng.live.take_shards().into_iter().enumerate().collect();
     let mut outputs = Vec::with_capacity(batch.len());
     let (mut traverse_us, mut refine_us, mut merge_us) = (0u64, 0u64, 0u64);
-    // The previous arrival's tuple; inserted into the grid at the start
+    // The previous arrival's tuple; inserted into the lists at the start
     // of the *next* step, preserving the sequential op order
     // insert(i) → evict(i+1) → traverse(i+1).
     let mut pending_insert: Option<Arc<TupleMeta>> = None;
@@ -365,7 +367,7 @@ fn scheduled_evict_meta(
 /// traverse (insert `i`, evict per the precomputed schedule, probe
 /// `i+1`) is queued right after arrival `i`'s refine, so the workers flow
 /// from refining `i` straight into traversing `i+1` while the driving
-/// thread finalizes `i`. Grid op order and merge order are those of the
+/// thread finalizes `i`. List op order and merge order are those of the
 /// inline drive — only the waiting differs.
 fn drive_pooled(
     eng: &mut ShardedTerIdsEngine<'_>,
@@ -382,14 +384,15 @@ fn drive_pooled(
         }
     });
     // Workers own disjoint shard groups for the whole batch (shard s →
-    // worker s mod T), so each cell's op sequence is applied by exactly
-    // one worker, in arrival order — identical to the monolithic grid.
+    // worker s mod T), so each list's op sequence is applied by exactly
+    // one worker, in arrival order — the monolithic lists restricted to
+    // the shard's ids.
     let shards = eng.live.take_shards();
     let shard_count = shards.len();
     let threads = pool.len();
-    let mut groups: Vec<Vec<(usize, ShardGrid)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (sid, grid) in shards.into_iter().enumerate() {
-        groups[sid % threads].push((sid, grid));
+    let mut groups: Vec<Vec<(usize, CandidateLists)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (sid, lists) in shards.into_iter().enumerate() {
+        groups[sid % threads].push((sid, lists));
     }
     pool.begin(groups);
 
@@ -738,8 +741,8 @@ mod tests {
     /// even though more arrivals fan their refine out than there are
     /// batches — a drive that waited on each fanned refine before queuing
     /// the next traverse would pay one barrier per arrival plus one per
-    /// fanned refine. Results stay equal to the inline drive's. The grid
-    /// walk's signature tests leave few candidates per arrival, so the
+    /// fanned refine. Results stay equal to the inline drive's. The
+    /// candidate scan's signature test leaves few candidates per arrival, so the
     /// scenario needs a large window for refines to fan out: 1,176
     /// arrivals at `w` = 600 give 37 batches and 95 fanned refines.
     #[test]
@@ -851,8 +854,8 @@ mod tests {
     }
 
     /// The sharded engine's exported state must be byte-for-byte the
-    /// sequential engine's (same canonical representation, same per-cell
-    /// entry order), and checkpoints must restore across engine kinds.
+    /// sequential engine's (same canonical representation), and
+    /// checkpoints must restore across engine kinds.
     #[test]
     fn state_is_engine_agnostic() {
         let (ctx, streams) = scenario();
@@ -885,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_load_is_spread_across_shards() {
+    fn list_load_is_spread_across_shards() {
         let (ctx, streams) = scenario();
         let mut e = ShardedTerIdsEngine::new(
             &ctx,
@@ -896,6 +899,10 @@ mod tests {
         e.step_batch(&streams.arrivals());
         let counts = e.shard_entry_counts();
         assert_eq!(counts.len(), 8);
-        assert!(counts.iter().sum::<usize>() > 0);
+        assert_eq!(counts.iter().sum::<usize>(), e.window_len());
+        assert!(
+            counts.iter().filter(|&&n| n > 0).count() > 1,
+            "one shard holds every tuple: {counts:?}"
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! a single reported pair or statistic:
 //!
 //! * [`ShardRouter`] (defined in `ter_ids`, beside the
-//!   [`ter_ids::LiveState`] whose grid shards it assigns) hash-partitions
-//!   the ER-grid's cells into `S` shards;
+//!   [`ter_ids::LiveState`] whose list shards it assigns) partitions the
+//!   live tuples' candidate lists into `S` shards by tuple id;
 //! * `stages` names the per-arrival pipeline — **impute → traverse →
 //!   refine → merge** — as pure stage kernels;
 //! * `pool` keeps a persistent worker pool alive across batches

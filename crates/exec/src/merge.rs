@@ -10,9 +10,8 @@
 pub use ter_ids::RefineOutcome;
 
 /// Union of per-worker candidate id lists, each sorted and deduplicated.
-/// A region spanning cells owned by several workers is reported by each;
-/// the union keeps it once, so the result — sorted, deduplicated — equals
-/// the sequential engine's candidate list.
+/// The shard groups partition the live tuples, so the union — sorted,
+/// deduplicated — equals the sequential engine's candidate list.
 pub fn merge_surfaced(parts: Vec<Vec<u64>>) -> Vec<u64> {
     let mut ids = parts.concat();
     ids.sort_unstable();

@@ -31,6 +31,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
+use ter_ids::candidates::CandidateLists;
 use ter_ids::meta::TupleMeta;
 use ter_ids::{PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
@@ -38,7 +39,7 @@ use ter_stream::Arrival;
 
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
 use crate::stages::{
-    apply_evict, apply_insert, impute_one, refine_slice, traverse_shards, ShardGrid, WorkerCtx,
+    apply_evict, apply_insert, impute_one, refine_slice, traverse_shards, WorkerCtx,
 };
 
 /// One instruction to an ER worker.
@@ -48,9 +49,9 @@ pub(crate) enum Req {
     /// in arrival order.
     Impute { arrivals: Vec<Arrival>, base: usize },
     /// Start of batch: take ownership of a shard group for its duration.
-    Begin { group: Vec<(usize, ShardGrid)> },
-    /// Apply the previous arrival's grid insert and this arrival's expiry
-    /// to the owned shards (in that order — exactly the monolithic grid's
+    Begin { group: Vec<(usize, CandidateLists)> },
+    /// Apply the previous arrival's list insert and this arrival's expiry
+    /// to the owned shards (in that order — exactly the monolithic lists'
     /// op sequence), then enumerate `probe`'s candidates in them and
     /// report the sorted ids.
     Step {
@@ -76,11 +77,11 @@ pub(crate) enum Resp {
     },
     Surfaced(Vec<u64>),
     Refined(RefineOutcome),
-    Shards(Vec<(usize, ShardGrid)>),
+    Shards(Vec<(usize, CandidateLists)>),
 }
 
 /// An ER worker: lives for the pool session, owns its shard group
-/// between `Begin` and `End`, applies grid mutations in arrival order,
+/// between `Begin` and `End`, applies list mutations in arrival order,
 /// and answers requests strictly in order. Exits when the request sender
 /// is dropped.
 pub(crate) fn worker_loop<'a>(
@@ -90,7 +91,7 @@ pub(crate) fn worker_loop<'a>(
     req_rx: Receiver<Req>,
     resp_tx: Sender<Resp>,
 ) {
-    let mut shards: Vec<(usize, ShardGrid)> = Vec::new();
+    let mut shards: Vec<(usize, CandidateLists)> = Vec::new();
     while let Ok(req) = req_rx.recv() {
         match req {
             Req::Impute { arrivals, base } => {
@@ -215,7 +216,7 @@ impl Pool {
     }
 
     /// Hands each worker its shard group for the batch.
-    pub fn begin(&self, groups: Vec<Vec<(usize, ShardGrid)>>) {
+    pub fn begin(&self, groups: Vec<Vec<(usize, CandidateLists)>>) {
         debug_assert_eq!(groups.len(), self.len());
         for (w, group) in groups.into_iter().enumerate() {
             self.send(w, Req::Begin { group });
@@ -280,11 +281,15 @@ impl Pool {
 
     /// End of batch: apply the final pending insert, then take every
     /// shard group back, reassembled in shard order.
-    pub fn finish(&self, insert: Option<Arc<TupleMeta>>, shard_count: usize) -> Vec<ShardGrid> {
+    pub fn finish(
+        &self,
+        insert: Option<Arc<TupleMeta>>,
+        shard_count: usize,
+    ) -> Vec<CandidateLists> {
         self.broadcast(|| Req::End {
             insert: insert.clone(),
         });
-        let mut returned: Vec<(usize, ShardGrid)> = Vec::with_capacity(shard_count);
+        let mut returned: Vec<(usize, CandidateLists)> = Vec::with_capacity(shard_count);
         for w in 0..self.len() {
             match self.recv(w) {
                 Resp::Shards(group) => returned.extend(group),

@@ -1,12 +1,15 @@
-//! Property tests for the shard router and the deterministic merge.
+//! Property tests for the shard router, the list-maintenance stages and
+//! the deterministic merge.
 //!
 //! Three guarantees underpin the engine-level parity proof:
 //!
-//! 1. the router partitions cells — every cell (hence every cell of every
-//!    tuple's region) routes to exactly one shard;
-//! 2. replaying a sliding-window insert/evict history against any shard
-//!    count leaves the union of shard grids cell-for-cell equal to the
-//!    monolithic grid — retained vs expired tuples relative to the window
+//! 1. the router partitions tuples — every id routes to exactly one
+//!    shard;
+//! 2. replaying a sliding-window insert/evict history through the
+//!    traverse stage's kernels against any shard count and any grouping
+//!    of shards into workers leaves every live tuple in exactly the shard
+//!    its id routes to, and the merged per-worker scans equal the
+//!    monolithic scan — retained vs expired tuples relative to the window
 //!    bounds never depend on the shard count;
 //! 3. the merged output is a deterministic function of the input contents
 //!    and arrival order — never of worker count, slice partition, or
@@ -14,109 +17,148 @@
 
 use proptest::prelude::*;
 
-use ter_index::{Aggregate, Rect, RegionGrid};
-use ter_text::Interval;
+use ter_ids::candidates::{examined_ids, CandidateLists};
+use ter_ids::meta::TupleMeta;
+use ter_ids::{PairContext, PruningMode, ShardRouter};
+use ter_repo::{Record, Schema};
+use ter_stream::ProbTuple;
+use ter_text::{Dictionary, Interval, KeywordSet, TopicVector};
 
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
-use ter_ids::ShardRouter;
+use crate::stages::{apply_evict, apply_insert, traverse_shards, WorkerCtx};
 
-#[derive(Debug, Clone, PartialEq)]
-struct Count(usize);
-impl Aggregate for Count {
-    fn merge(&mut self, o: &Self) {
-        self.0 += o.0;
+/// A hand-built 3-attribute meta: the candidate lists read only its id,
+/// stream, topicality and signatures, so the pivot fields are dummies.
+fn meta(id: u64, stream_id: usize, topical: bool, signatures: [u64; 3]) -> TupleMeta {
+    let schema = Schema::new(vec!["a", "b", "c"]);
+    let rec = Record::from_texts(&schema, id, &[Some("x"); 3], &mut Dictionary::new());
+    TupleMeta {
+        id,
+        stream_id,
+        timestamp: id,
+        tuple: ProbTuple::certain(rec),
+        main_bounds: vec![Interval::point(0.0); 3],
+        main_expect: vec![0.0; 3],
+        aux_bounds: vec![],
+        size_bounds: vec![Interval::point(0.0); 3],
+        topics: TopicVector::zeros(1),
+        possibly_topical: topical,
+        signatures: signatures.into(),
     }
 }
 
-fn arb_rect(dim: usize) -> impl Strategy<Value = Rect> {
-    proptest::collection::vec(
-        ((0u32..=100), (0u32..=100)).prop_map(|(a, b)| {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            Interval::new(lo as f64 / 100.0, hi as f64 / 100.0)
-        }),
-        dim,
-    )
-    .prop_map(Rect::new)
+/// Signature words over four bits, so attributes often intersect.
+fn arb_meta_parts() -> impl Strategy<Value = (usize, bool, [u64; 3])> {
+    (0usize..3, any::<bool>(), (0u64..16, 0u64..16, 0u64..16))
+        .prop_map(|(sid, topical, (a, b, c))| (sid, topical, [a, b, c]))
 }
 
-/// Sorted `(cell key, payload)` pairs of one or more grids — the exact
-/// placement, comparable across shardings.
-fn placement(grids: &[RegionGrid<u64, Count>]) -> Vec<(Vec<u16>, u64)> {
-    let mut out: Vec<(Vec<u16>, u64)> = grids
+/// `(shard, id)` of every entry of every shard, sorted — the exact
+/// placement, comparable across shardings. A probe from no stream, with
+/// every signature bit set and a negative threshold, passes every test
+/// of the scan, so the scan lists a shard's whole contents.
+fn placement(shards: &[(usize, CandidateLists)]) -> Vec<(usize, u64)> {
+    let everything = meta(u64::MAX, usize::MAX, true, [u64::MAX; 3]);
+    let mut out: Vec<(usize, u64)> = shards
         .iter()
-        .flat_map(|g| {
-            g.iter_cells().flat_map(|(key, entries)| {
-                entries
-                    .map(move |e| (key.to_vec(), e.payload))
-                    .collect::<Vec<_>>()
-            })
+        .flat_map(|(sid, lists)| {
+            examined_ids([lists], &everything, -1.0)
+                .into_iter()
+                .map(move |id| (*sid, id))
         })
         .collect();
-    out.sort();
+    out.sort_unstable();
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property 1: for every cell key and shard count, exactly one shard
-    /// owns the cell, and the owner is a pure function of the key.
+    /// Property 1: for every id and shard count, exactly one shard owns
+    /// the tuple, and the owner is a pure function of the id.
     #[test]
-    fn every_cell_routes_to_exactly_one_shard(
-        key in proptest::collection::vec(0u16..64, 1..5),
+    fn every_tuple_routes_to_exactly_one_shard(
+        id in any::<u64>(),
         shards in 1usize..=8,
     ) {
         let router = ShardRouter::new(shards);
-        let owners: Vec<usize> =
-            (0..shards).filter(|&s| router.owns(s, &key)).collect();
-        prop_assert_eq!(owners.len(), 1, "key {:?} owned by {:?}", key, owners);
-        prop_assert_eq!(owners[0], router.shard_of(&key));
-        prop_assert_eq!(router.shard_of(&key), router.shard_of(&key));
+        let owners: Vec<usize> = (0..shards).filter(|&s| router.owns(s, id)).collect();
+        prop_assert_eq!(owners.len(), 1, "id {} owned by {:?}", id, owners);
+        prop_assert_eq!(owners[0], router.shard_of(id));
+        prop_assert_eq!(router.shard_of(id), router.shard_of(id));
     }
 
-    /// Property 2: replaying a sliding-window history (insert the arriving
-    /// region, evict the one leaving the window) against S shard grids
-    /// leaves their union cell-for-cell identical to the monolithic grid,
-    /// for every S — so which tuples are retained vs expired relative to
-    /// the window bounds never depends on the shard count.
+    /// Property 2: replaying a sliding-window history (evict the tuple
+    /// leaving the window, scan for the arriving one, insert it) through
+    /// `apply_evict` / `traverse_shards` / `apply_insert` against S shards
+    /// grouped over T workers leaves every live tuple in exactly the shard
+    /// its id routes to, and the merged worker scans equal the scan of one
+    /// monolithic set of lists, for every S and T.
     #[test]
     fn sharded_window_churn_equals_monolithic(
-        rects in proptest::collection::vec(arb_rect(2), 1..24),
+        parts in proptest::collection::vec(arb_meta_parts(), 1..32),
         window in 1usize..=6,
-        cells in 2u16..=6,
+        gamma in 0u32..3,
     ) {
-        let mono_placement = {
-            let mut mono: RegionGrid<u64, Count> = RegionGrid::new(2, cells);
-            for (i, r) in rects.iter().enumerate() {
-                mono.insert(r.clone(), i as u64, Count(1));
-                if i >= window {
-                    let old = i - window;
-                    mono.evict(&rects[old], &(old as u64));
-                }
-            }
-            placement(std::slice::from_ref(&mono))
-        };
+        let metas: Vec<TupleMeta> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, &(sid, topical, sigs))| meta((i as u64 * 37) % 101, sid, topical, sigs))
+            .collect();
+        let kw = KeywordSet::universe();
+        let gamma = f64::from(gamma);
         for shards in [1usize, 2, 3, 4, 8] {
             let router = ShardRouter::new(shards);
-            let mut grids: Vec<RegionGrid<u64, Count>> =
-                (0..shards).map(|_| RegionGrid::new(2, cells)).collect();
-            for (i, r) in rects.iter().enumerate() {
-                for (s, g) in grids.iter_mut().enumerate() {
-                    g.insert_where(r.clone(), i as u64, Count(1), |key| router.owns(s, key));
+            let ctx = WorkerCtx {
+                router,
+                pair: PairContext {
+                    keywords: &kw,
+                    gamma,
+                    alpha: 0.5,
+                    aux_counts: &[0; 3],
+                    mode: PruningMode::Full,
+                },
+            };
+            for threads in [1usize, 2, 3] {
+                let mut mono = CandidateLists::new(3);
+                let mut groups: Vec<Vec<(usize, CandidateLists)>> =
+                    (0..threads).map(|_| Vec::new()).collect();
+                for sid in 0..shards {
+                    groups[sid % threads].push((sid, CandidateLists::new(3)));
                 }
-                if i >= window {
-                    let old = i - window;
-                    for g in grids.iter_mut() {
-                        g.evict(&rects[old], &(old as u64));
+                for (i, probe) in metas.iter().enumerate() {
+                    if i >= window {
+                        let old = &metas[i - window];
+                        mono.evict(old);
+                        for group in &mut groups {
+                            apply_evict(group, router, old);
+                        }
+                    }
+                    let parts: Vec<Vec<u64>> = groups
+                        .iter()
+                        .map(|group| traverse_shards(group, &ctx, probe))
+                        .collect();
+                    prop_assert_eq!(
+                        merge_surfaced(parts),
+                        examined_ids([&mono], probe, gamma),
+                        "S = {}, T = {}, arrival {}",
+                        shards,
+                        threads,
+                        i
+                    );
+                    mono.insert(probe);
+                    for group in &mut groups {
+                        apply_insert(group, router, probe);
                     }
                 }
+                let mut all: Vec<(usize, CandidateLists)> = groups.into_iter().flatten().collect();
+                all.sort_by_key(|(sid, _)| *sid);
+                let live = &metas[metas.len().saturating_sub(window)..];
+                let mut expect: Vec<(usize, u64)> =
+                    live.iter().map(|m| (router.shard_of(m.id), m.id)).collect();
+                expect.sort_unstable();
+                prop_assert_eq!(placement(&all), expect, "S = {}, T = {}", shards, threads);
             }
-            prop_assert_eq!(
-                placement(&grids),
-                mono_placement.clone(),
-                "shard count {}",
-                shards
-            );
         }
     }
 

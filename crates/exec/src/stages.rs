@@ -8,11 +8,11 @@
 //!   derivation; a function of the static [`TerContext`] and the arriving
 //!   record alone, which is what lets whole batches impute concurrently.
 //! * [`apply_insert`] / [`apply_evict`] / [`traverse_shards`] — the
-//!   traverse stage: grid maintenance in arrival order (each cell key
-//!   routed once, to the shard owning it) followed by candidate
-//!   enumeration over a worker's shard group — cell-level pruning, the
-//!   stream/topical filters and the per-entry signature bound in one
-//!   walk, the sequential engine's own [`examined_ids`].
+//!   traverse stage: candidate-list maintenance in arrival order (each
+//!   tuple pushed to, and later popped from, the one shard its id routes
+//!   to) followed by the candidate scan over a worker's shard group — the
+//!   stream/topical list choice and the per-entry signature bound, the
+//!   sequential engine's own [`examined_ids`].
 //! * [`refine_slice`] — the refine stage: the Theorem 4.1–4.4
 //!   pair-decision cascade over a candidate slice.
 //! * [`eviction_schedule`] — the merge stage's look-ahead: which tuple
@@ -29,19 +29,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ter_ids::candidates::{examined_ids, ErGrid, ErPayload};
+use ter_ids::candidates::{examined_ids, CandidateLists};
 use ter_ids::meta::TupleMeta;
 use ter_ids::results::norm_pair;
 use ter_ids::{decide_pair, PairContext, PairDecision, PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
-use ter_index::{CellKey, Rect};
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
 
 use crate::merge::RefineOutcome;
 use ter_ids::ShardRouter;
-
-/// One shard of the partitioned ER-grid.
-pub(crate) type ShardGrid = ErGrid;
 
 /// Inputs shared by every ER worker for the duration of a pool session.
 /// Borrows only from the static [`TerContext`] (never from the engine),
@@ -89,78 +85,52 @@ pub(crate) fn impute_one(
     (Arc::new(meta), timing)
 }
 
-/// The cells `region` intersects, each with the id of the shard that owns
-/// it. All shard grids share dimensions, so any of them enumerates the
-/// keys; an empty group has none.
-fn routed_keys(
-    shards: &[(usize, ShardGrid)],
+/// The list shard of a worker's group that holds `meta`, if the group
+/// has it.
+fn owning_shard<'g>(
+    shards: &'g mut [(usize, CandidateLists)],
     router: ShardRouter,
-    region: &Rect,
-) -> Vec<(usize, CellKey)> {
-    let Some((_, first)) = shards.first() else {
-        return Vec::new();
-    };
-    first
-        .cell_keys_of(region)
-        .into_iter()
-        .map(|key| (router.shard_of(&key), key))
-        .collect()
+    meta: &TupleMeta,
+) -> Option<&'g mut CandidateLists> {
+    let owner = router.shard_of(meta.id);
+    shards
+        .iter_mut()
+        .find(|(sid, _)| *sid == owner)
+        .map(|(_, lists)| lists)
 }
 
-/// Applies one tuple's grid insert to a worker's shard group: the
-/// region's cells are enumerated and routed once, then each shard grid
-/// receives exactly its owned subset.
+/// Applies one tuple's insert to a worker's shard group: the shard its
+/// id routes to appends it, if the group holds that shard.
 pub(crate) fn apply_insert(
-    shards: &mut [(usize, ShardGrid)],
+    shards: &mut [(usize, CandidateLists)],
     router: ShardRouter,
     meta: &TupleMeta,
 ) {
-    let region = meta.region();
-    let routed = routed_keys(shards, router, &region);
-    let agg = meta.aggregate();
-    let payload = ErPayload::of(meta);
-    for (sid, grid) in shards.iter_mut() {
-        let mut owned = routed
-            .iter()
-            .filter(|(owner, _)| owner == sid)
-            .map(|(_, k)| k.clone())
-            .peekable();
-        if owned.peek().is_some() {
-            grid.insert_at(owned, &region, payload, agg.clone());
-        }
+    if let Some(lists) = owning_shard(shards, router, meta) {
+        lists.insert(meta);
     }
 }
 
-/// Evicts one tuple from a worker's shard group: the region's cells are
-/// enumerated and routed once, as on insert, and each cell is evicted
-/// from the shard owning it. Cells owned outside the group are skipped.
+/// Evicts one tuple from a worker's shard group: the shard its id routes
+/// to pops it, if the group holds that shard.
 pub(crate) fn apply_evict(
-    shards: &mut [(usize, ShardGrid)],
+    shards: &mut [(usize, CandidateLists)],
     router: ShardRouter,
     meta: &TupleMeta,
 ) {
-    let routed = routed_keys(shards, router, &meta.region());
-    let payload = ErPayload::of(meta);
-    for (owner, key) in routed {
-        if let Some((_, grid)) = shards.iter_mut().find(|(sid, _)| *sid == owner) {
-            grid.evict_at([key], &payload);
-        }
+    if let Some(lists) = owning_shard(shards, router, meta) {
+        lists.evict(meta);
     }
 }
 
 /// The candidate ids `probe` must examine within a worker's shard group,
-/// sorted and deduplicated.
+/// ascending.
 pub(crate) fn traverse_shards(
-    shards: &[(usize, ShardGrid)],
+    shards: &[(usize, CandidateLists)],
     ctx: &WorkerCtx<'_>,
     probe: &TupleMeta,
 ) -> Vec<u64> {
-    examined_ids(
-        shards.iter().map(|(_, grid)| grid),
-        probe,
-        ctx.pair.gamma,
-        ctx.pair.aux_counts,
-    )
+    examined_ids(shards.iter().map(|(_, lists)| lists), probe, ctx.pair.gamma)
 }
 
 /// Runs the pair-decision cascade over a candidate slice.
@@ -185,7 +155,7 @@ pub(crate) fn refine_slice(
 /// will expire when pushed. A pure function of the current window and the
 /// arrival order — simulated on a clone, the real window is untouched.
 /// The pooled drive uses entry `i+1` to dispatch arrival `i+1`'s
-/// grid maintenance before arrival `i` has merged; the merge loop then
+/// list maintenance before arrival `i` has merged; the merge loop then
 /// asserts the real eviction agrees.
 pub(crate) fn eviction_schedule(
     window: &SlidingWindow<u64>,

@@ -5,7 +5,8 @@
 //! DR-index `I_R` (an aR-tree over pivot-converted repository points), and
 //! the ER-grid `G_ER` (a grid synopsis over pivot-converted stream tuples).
 //! This reproduction keeps `I_R` as inverted postings instead (see
-//! `ter_repo::drindex`), so only `I_j` and `G_ER` are built from here.
+//! `ter_repo::drindex`) and `G_ER` as per-stream token-signature lists
+//! (see `ter_ids::candidates`), so only `I_j` is built from here.
 //!
 //! This crate provides the generic building blocks:
 //!
@@ -13,28 +14,22 @@
 //!   intervals, token-size intervals, …);
 //! * [`ArTree`] — an aggregate R-tree ([Lazaridis & Mehrotra, SIGMOD'01],
 //!   reference \[20\] of the paper) with STR bulk loading, incremental
-//!   insert/delete, and pruning traversal driven by node aggregates;
-//! * [`Grid`] — an equi-width grid over `[0,1]^d` whose cells are FIFOs
-//!   with two-stack sliding aggregates: O(1) insert and amortized O(1)
-//!   expiry of a cell's oldest entry, the backbone of the ER-grid.
+//!   insert/delete, and pruning traversal driven by node aggregates.
 //!
-//! The TER-iDS-specific aggregate contents live in the crates that own the
-//! semantics (`ter-rules` for the CDD-index, `ter-ids` for the ER-grid).
+//! The TER-iDS-specific aggregate contents live in the crate that owns
+//! the semantics (`ter-rules` for the CDD-index).
 
 pub mod artree;
-pub mod grid;
 pub mod rect;
 
 pub use artree::{ArTree, Entry};
-pub use grid::{CellKey, Grid, RegionGrid};
 pub use rect::Rect;
 
 /// A merge-able aggregate summary.
 ///
-/// Inner aR-tree nodes and grid cells carry the merge of the aggregates of
-/// everything beneath them; pruning rules inspect the merged summary to
-/// discard whole subtrees/cells (Theorems 4.1–4.3 all operate on such
-/// summaries before touching tuples).
+/// Inner aR-tree nodes carry the merge of the aggregates of everything
+/// beneath them; pruning rules inspect the merged summary to discard whole
+/// subtrees before touching entries.
 pub trait Aggregate: Clone {
     /// Folds `other` into `self`. Must be commutative and associative so
     /// that node summaries are independent of insertion order.

@@ -4,11 +4,7 @@
 use proptest::prelude::*;
 use ter_text::Interval;
 
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-
 use crate::artree::{ArTree, Entry};
-use crate::grid::{CellKey, Grid, RegionGrid};
 use crate::rect::Rect;
 use crate::Aggregate;
 
@@ -17,16 +13,6 @@ struct Count(usize);
 impl Aggregate for Count {
     fn merge(&mut self, o: &Self) {
         self.0 += o.0;
-    }
-}
-
-/// Set union: idempotent and not invertible, like the ER-grid's OR/min/max
-/// merges, and exact enough to expose any stale or missing contribution.
-#[derive(Debug, Clone, PartialEq)]
-struct Ids(BTreeSet<u64>);
-impl Aggregate for Ids {
-    fn merge(&mut self, o: &Self) {
-        self.0.extend(o.0.iter().copied());
     }
 }
 
@@ -130,105 +116,5 @@ proptest! {
         got.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
-    }
-
-    /// Grid range query ≡ linear scan under insert/evict churn.
-    #[test]
-    fn grid_matches_scan_under_churn(
-        ops in proptest::collection::vec((arb_point(2), any::<bool>()), 1..100),
-        range in arb_rect(2),
-    ) {
-        let mut grid: Grid<usize, Count> = Grid::new(2, 7);
-        let mut model: Vec<(Vec<f64>, usize)> = Vec::new();
-        let mut next_id = 0usize;
-        for (point, is_insert) in ops {
-            if is_insert || model.is_empty() {
-                grid.insert(point.clone(), next_id, Count(1));
-                model.push((point, next_id));
-                next_id += 1;
-            } else {
-                let (p, id) = model.remove(0); // FIFO, like window expiry
-                prop_assert!(grid.evict(&p, &id));
-            }
-            grid.check_invariants().unwrap();
-        }
-        let mut got: Vec<usize> = grid.range_query(&range).iter().map(|e| e.payload).collect();
-        let mut expect: Vec<usize> = model
-            .iter()
-            .filter(|(p, _)| range.contains_point(p))
-            .map(|(_, id)| *id)
-            .collect();
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    /// Cell aggregates always equal the merge of their entries' aggregates
-    /// (checked via total count conservation).
-    #[test]
-    fn grid_aggregate_conservation(points in proptest::collection::vec(arb_point(1), 1..60)) {
-        let mut grid: Grid<usize, Count> = Grid::new(1, 5);
-        for (i, p) in points.iter().enumerate() {
-            grid.insert(p.clone(), i, Count(1));
-        }
-        let mut total = 0;
-        grid.traverse(|_, agg| { total += agg.0; false }, |_| {});
-        prop_assert_eq!(total, points.len());
-    }
-
-    /// FIFO cells under random insert, oldest-evict and arbitrary-evict
-    /// sequences: after every operation each cell's aggregate equals a
-    /// from-scratch fold of its entries, and its entries are exactly the
-    /// surviving regions that cover it, in insertion order. An entry's
-    /// aggregate is its id (exposing any stale or missing contribution)
-    /// or, with `few_classes`, its id modulo 3 (making neighbouring suffix
-    /// aggregates equal, so the front stack's runs merge).
-    #[test]
-    fn region_grid_cells_stay_exact_under_churn(
-        ops in proptest::collection::vec((arb_rect(2), 0u8..4, 0usize..64), 1..60),
-        cells in 1u16..=4,
-        few_classes in any::<bool>(),
-    ) {
-        let class = |id: u64| if few_classes { id % 3 } else { id };
-        let mut grid: RegionGrid<u64, Ids> = RegionGrid::new(2, cells);
-        let mut live: Vec<(u64, Rect)> = Vec::new();
-        for (i, (rect, kind, pick)) in ops.into_iter().enumerate() {
-            let i = i as u64;
-            match kind {
-                0 | 1 => {
-                    grid.insert(rect.clone(), i, Ids(BTreeSet::from([class(i)])));
-                    live.push((i, rect));
-                }
-                _ if live.is_empty() => {}
-                2 => {
-                    let (id, r) = live.remove(0);
-                    prop_assert!(grid.evict(&r, &id));
-                }
-                _ => {
-                    let (id, r) = live.remove(pick % live.len());
-                    prop_assert!(grid.evict(&r, &id));
-                }
-            }
-            let seen: RefCell<Vec<(CellKey, Ids, Vec<u64>)>> = RefCell::new(Vec::new());
-            grid.traverse(
-                |key, agg| {
-                    seen.borrow_mut().push((key.into(), agg.clone(), Vec::new()));
-                    true
-                },
-                |e| seen.borrow_mut().last_mut().unwrap().2.push(e.payload),
-            );
-            let mut covered = 0;
-            for (key, agg, payloads) in seen.into_inner() {
-                let expect: Vec<u64> = live
-                    .iter()
-                    .filter(|(_, r)| grid.cell_keys_of(r).contains(&key))
-                    .map(|(id, _)| *id)
-                    .collect();
-                prop_assert_eq!(&payloads, &expect);
-                prop_assert_eq!(agg, Ids(payloads.iter().map(|&id| class(id)).collect()));
-                covered += payloads.len();
-            }
-            prop_assert_eq!(covered, grid.cell_entry_count());
-        }
     }
 }

@@ -3,8 +3,8 @@
 use ter_text::Interval;
 
 /// A `d`-dimensional axis-aligned rectangle: one closed [`Interval`] per
-/// dimension. The MBR type of [`crate::ArTree`] nodes and the query-range
-/// type of both the tree and the grid.
+/// dimension. The MBR type of [`crate::ArTree`] nodes and the tree's
+/// query-range type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     dims: Box<[Interval]>,

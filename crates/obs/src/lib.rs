@@ -355,7 +355,7 @@ pub mod kind {
     pub const BATCH: u8 = 1;
     /// Engine impute stage for one batch; `seq` = engine batch ordinal.
     pub const IMPUTE: u8 = 2;
-    /// Engine traverse stage (grid maintenance + shard traversal waits).
+    /// Engine traverse stage (list maintenance + candidate-scan waits).
     pub const TRAVERSE: u8 = 3;
     /// Engine refine stage (cascade over examined candidates).
     pub const REFINE: u8 = 4;
@@ -552,7 +552,7 @@ registry! {
     engine_batches: Counter = "ter_engine_batches_total",
     /// Impute-stage wall time per batch.
     engine_impute_micros: Histogram = "ter_engine_impute_micros",
-    /// Traverse-stage wall time per batch (grid ops + surfaced waits).
+    /// Traverse-stage wall time per batch (list ops + surfaced waits).
     engine_traverse_micros: Histogram = "ter_engine_traverse_micros",
     /// Refine-stage wall time per batch (candidate selection + cascade).
     engine_refine_micros: Histogram = "ter_engine_refine_micros",

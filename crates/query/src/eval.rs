@@ -50,14 +50,11 @@ impl<E: Deref<Target = LiveState>> QueryView for E {
 
     fn plan_stats(&self) -> PlanStats {
         let live: &LiveState = self;
-        let cells = live.cell_entry_counts();
         PlanStats {
             live: live.window_len(),
             pairs: live.results().len(),
             stream_counts: live.stream_tuple_counts().to_vec(),
             topical: live.topical_count(),
-            occupied_cells: cells.len(),
-            max_cell_entries: cells.iter().copied().max().unwrap_or(0),
             prune: live.prune_stats(),
         }
     }

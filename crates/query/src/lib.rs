@@ -7,8 +7,7 @@
 //!   selections, optional projection);
 //! * [`plan`](mod@plan) — statistics-free greedy join ordering driven entirely by
 //!   counters the engine already maintains (live/pair/stream/topical
-//!   counts, grid cell occupancy, prune stats), with up-front
-//!   empty-result detection;
+//!   counts, prune stats), with up-front empty-result detection;
 //! * [`eval`] — evaluation as composable streaming iterators: one
 //!   `flat_map` stage per atom, predicates applied at first binding,
 //!   results in canonical sorted-deduped row form;

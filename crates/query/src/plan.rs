@@ -3,7 +3,7 @@
 //! There are no histograms to maintain: every input the cost model needs
 //! is a counter the engine already keeps for its own pruning — live
 //! tuple count, live pair count, per-stream counts, the topical-id set
-//! size, grid cell occupancy, and the cumulative [`PruneStats`]. The
+//! size, and the cumulative [`PruneStats`]. The
 //! planner repeatedly picks the cheapest not-yet-placed atom given the
 //! variables bound so far (classic greedy selectivity ordering), and
 //! recognises guaranteed-empty queries up front so evaluation can
@@ -25,10 +25,6 @@ pub struct PlanStats {
     pub stream_counts: Vec<usize>,
     /// Live tuples flagged possibly-topical.
     pub topical: usize,
-    /// Occupied ER-grid cells.
-    pub occupied_cells: usize,
-    /// Entries in the fullest occupied grid cell.
-    pub max_cell_entries: usize,
     /// Cumulative pruning counters (the refine cascade's history).
     pub prune: PruneStats,
 }
@@ -38,11 +34,6 @@ impl PlanStats {
     /// cascade as matches — a density prior for unbound pair scans.
     pub fn match_survival(&self) -> f64 {
         self.prune.matches as f64 / self.prune.total_pairs.max(1) as f64
-    }
-
-    /// Mean entries per occupied grid cell (diagnostics / `explain`).
-    pub fn cell_density(&self) -> f64 {
-        self.live as f64 / self.occupied_cells.max(1) as f64
     }
 }
 
@@ -162,8 +153,6 @@ mod tests {
             pairs: 40,
             stream_counts: vec![60, 30, 10],
             topical: 20,
-            occupied_cells: 25,
-            max_cell_entries: 9,
             prune: PruneStats {
                 total_pairs: 1000,
                 matches: 50,

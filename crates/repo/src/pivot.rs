@@ -1,8 +1,9 @@
 //! Cost-model-based pivot selection (§5.4 and Appendix B).
 //!
 //! Textual attribute values are converted to numbers via Jaccard distance to
-//! *pivot* strings; the CDD-index and the ER-grid operate in that converted
-//! space (the DR-index is token postings, see [`crate::drindex`]). A good
+//! *pivot* strings; the CDD-index and the pair-level pivot bounds operate
+//! in that converted space (the DR-index is token postings, see
+//! [`crate::drindex`]). A good
 //! pivot spreads the converted values evenly, which the paper measures with
 //! the Shannon entropy of a `P`-bucket histogram (Equation 5):
 //!

@@ -165,6 +165,14 @@ mod tests {
         }
     }
 
+    /// The daemon runs the inline drive unless told otherwise: the
+    /// pooled drive pays a barrier per arrival, which costs more than an
+    /// arrival's work.
+    #[test]
+    fn default_options_run_the_inline_drive() {
+        assert_eq!(ServeOptions::default().exec.threads, 1);
+    }
+
     /// Full daemon round trip: serve, ingest, introspect, shut down —
     /// per-arrival matches bit-identical to the library engine.
     #[test]

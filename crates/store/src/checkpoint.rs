@@ -39,8 +39,10 @@ use crate::StoreError;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TERCKPT1";
 /// Magic prefix of the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TERMANI1";
-/// Current payload version of both file kinds.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current payload version of both file kinds. Version 3 dropped the
+/// ER-grid's cells from the engine state (importers rebuild the candidate
+/// lists from the window), version 2 each tuple's possible-token set.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A decoded checkpoint: the engine state after `wal_seq` WAL batches.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,32 +262,34 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
-    /// A checkpoint written by an older format (here version 1, which
-    /// still stored each tuple's possible-token set) is refused with the
-    /// version error rather than misdecoded; recovery then falls back to
-    /// an older consistent pair or a full WAL replay.
+    /// A checkpoint written by an older format (version 1 still stored
+    /// each tuple's possible-token set, version 2 the ER-grid's cells) is
+    /// refused with the version error rather than misdecoded; recovery
+    /// then falls back to an older consistent pair or a full WAL replay.
     #[test]
     fn checkpoint_rejects_older_format_version() {
-        let path = temp("v1");
-        let ck = sample();
-        let mut payload = Encoder::new();
-        payload.u32(1);
-        payload.u64(ck.fingerprint);
-        payload.u64(ck.wal_seq);
-        ck.state.encode(&mut payload);
-        let mut bytes = CHECKPOINT_MAGIC.to_vec();
-        write_frame(&mut bytes, &payload.into_bytes());
-        fs::write(&path, &bytes).unwrap();
-        match Checkpoint::load(&path, ck.fingerprint) {
-            Err(StoreError::Mismatch(msg)) => {
-                assert_eq!(
-                    msg,
-                    format!("checkpoint version 1 (expected {FORMAT_VERSION})")
-                )
+        for version in [1, 2] {
+            let path = temp(&format!("v{version}"));
+            let ck = sample();
+            let mut payload = Encoder::new();
+            payload.u32(version);
+            payload.u64(ck.fingerprint);
+            payload.u64(ck.wal_seq);
+            ck.state.encode(&mut payload);
+            let mut bytes = CHECKPOINT_MAGIC.to_vec();
+            write_frame(&mut bytes, &payload.into_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match Checkpoint::load(&path, ck.fingerprint) {
+                Err(StoreError::Mismatch(msg)) => {
+                    assert_eq!(
+                        msg,
+                        format!("checkpoint version {version} (expected {FORMAT_VERSION})")
+                    )
+                }
+                other => panic!("version-{version} checkpoint not refused: {other:?}"),
             }
-            other => panic!("version-1 checkpoint not refused: {other:?}"),
+            let _ = fs::remove_file(&path);
         }
-        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use ter_ids::meta::TupleMeta;
 use ter_ids::{EngineState, PruneStats, StateDelta};
-use ter_index::CellKey;
 use ter_repo::Record;
 use ter_stream::{Arrival, AttrCandidates, ProbTuple};
 use ter_text::{Interval, Token, TokenSet, TopicVector};
@@ -317,24 +316,6 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-/// Grid cell key (`Box<[u16]>`).
-impl Codec for CellKey {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.len());
-        for &k in self.iter() {
-            enc.u16(k);
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let n = dec.len_capped(2)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(dec.u16()?);
-        }
-        Ok(out.into_boxed_slice())
-    }
-}
-
 impl Codec for TokenSet {
     fn encode(&self, enc: &mut Encoder) {
         enc.usize(self.len());
@@ -522,26 +503,22 @@ impl Codec for PruneStats {
 impl Codec for EngineState {
     fn encode(&self, enc: &mut Encoder) {
         enc.usize(self.window_capacity);
-        enc.u16(self.grid_cells);
         self.window.encode(enc);
         self.metas.encode(enc);
         self.stream_counts.encode(enc);
         self.results.encode(enc);
         self.reported.encode(enc);
         self.stats.encode(enc);
-        self.cells.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(EngineState {
             window_capacity: dec.usize()?,
-            grid_cells: dec.u16()?,
             window: Vec::decode(dec)?,
             metas: Vec::decode(dec)?,
             stream_counts: Vec::decode(dec)?,
             results: Vec::decode(dec)?,
             reported: Vec::decode(dec)?,
             stats: PruneStats::decode(dec)?,
-            cells: Vec::decode(dec)?,
         })
     }
 }
@@ -549,7 +526,6 @@ impl Codec for EngineState {
 impl Codec for StateDelta {
     fn encode(&self, enc: &mut Encoder) {
         enc.usize(self.window_capacity);
-        enc.u16(self.grid_cells);
         self.evicted.encode(enc);
         self.arrivals.encode(enc);
         self.arrival_metas.encode(enc);
@@ -558,12 +534,10 @@ impl Codec for StateDelta {
         self.results_removed.encode(enc);
         self.reported_added.encode(enc);
         self.stats.encode(enc);
-        self.cells_changed.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(StateDelta {
             window_capacity: dec.usize()?,
-            grid_cells: dec.u16()?,
             evicted: Vec::decode(dec)?,
             arrivals: Vec::decode(dec)?,
             arrival_metas: Vec::decode(dec)?,
@@ -572,7 +546,6 @@ impl Codec for StateDelta {
             results_removed: Vec::decode(dec)?,
             reported_added: Vec::decode(dec)?,
             stats: PruneStats::decode(dec)?,
-            cells_changed: Vec::decode(dec)?,
         })
     }
 }

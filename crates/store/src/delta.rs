@@ -21,9 +21,9 @@
 //!
 //! Deltas are legal because window entries are append/evict-only (see
 //! [`ter_ids::state`]): a delta between two exported snapshots is exactly
-//! the arrivals/evictions, result-set adds/removes, reported additions,
-//! and touched grid cells — size proportional to the churn between the
-//! stamps, not to the window.
+//! the arrivals/evictions, result-set adds/removes and reported
+//! additions — size proportional to the churn between the stamps, not to
+//! the window.
 
 use std::path::Path;
 

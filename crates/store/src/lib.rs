@@ -1,8 +1,8 @@
 //! `ter_store`: write-ahead log + checkpoint persistence with
 //! bit-identical crash recovery.
 //!
-//! A TER-iDS service must not lose its sliding-window state, ER-grid, and
-//! result set on restart — without persistence a crash means replaying
+//! A TER-iDS service must not lose its sliding-window state and result
+//! set on restart — without persistence a crash means replaying
 //! the whole stream from tuple 0. This crate makes both engines durable:
 //!
 //! * [`codec`] — a hand-rolled, versioned binary codec (the workspace is

@@ -138,35 +138,19 @@ fn arb_engine_state() -> impl Strategy<Value = EngineState> {
     // Structurally arbitrary (round-trip does not require the cross-field
     // invariants `EngineState::validate` enforces at import).
     (
-        (
-            0usize..500,
-            any::<u16>(),
-            proptest::collection::vec(any::<u64>(), 0..6),
-        ),
+        (0usize..500, proptest::collection::vec(any::<u64>(), 0..6)),
         proptest::collection::vec(arb_tuple_meta(), 0..4),
         (arb_pairs(), arb_pairs(), arb_prune_stats()),
-        proptest::collection::vec(
-            (
-                proptest::collection::vec(any::<u16>(), 1..4),
-                proptest::collection::vec(any::<u64>(), 1..5),
-            ),
-            0..5,
-        ),
     )
         .prop_map(
-            |((cap, grid, counts), metas, (results, reported, stats), cells)| EngineState {
+            |((cap, counts), metas, (results, reported, stats))| EngineState {
                 window_capacity: cap,
-                grid_cells: grid,
                 window: metas.iter().map(|m| (m.timestamp, m.id)).collect(),
                 metas,
                 stream_counts: counts.into_iter().map(|c| c as usize).collect(),
                 results,
                 reported,
                 stats,
-                cells: cells
-                    .into_iter()
-                    .map(|(k, ids)| (k.into_boxed_slice(), ids))
-                    .collect(),
             },
         )
 }

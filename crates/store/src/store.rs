@@ -55,7 +55,6 @@ pub fn context_fingerprint(ctx: &TerContext, params: &Params) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(ctx.arity() as u64);
     h.write_u64(params.window as u64);
-    h.write_u64(params.grid_cells as u64);
     h.write_u64(params.alpha.to_bits());
     h.write_u64(params.rho.to_bits());
     h.write_u64(params.fanout as u64);

@@ -44,7 +44,7 @@ impl<T> SlidingWindow<T> {
 
     /// Pushes an item arriving at `timestamp`; returns the expired oldest
     /// item when the window was full (Algorithm 1 lines 7–9 evict exactly
-    /// this tuple from the ER-grid and result set).
+    /// this tuple from the candidate lists and result set).
     ///
     /// Simultaneous arrivals (equal timestamps) are legal: eviction is
     /// count-based, so ties resolve by arrival order, which the single

@@ -4,7 +4,7 @@
 //! `[ε.min, ε.max]` (Definition 3), token-set-size bounds
 //! `[|T⁻|, |T⁺|]` (Lemma 4.1), pivot-distance bounds `[lb_X, ub_X]`
 //! (Lemmas 4.2/4.3), and the per-node aggregate intervals of the aR-tree
-//! and ER-grid (§5.1–5.2).
+//! (§5.1).
 
 /// A closed interval `[lo, hi]` over `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]

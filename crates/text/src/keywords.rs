@@ -89,8 +89,8 @@ impl KeywordSet {
 
 /// A compact bit vector marking keyword (non-)existence.
 ///
-/// This is the aggregate `V` stored in ER-grid cells and imputed tuples
-/// (§5.1–5.2): an OR over the vectors of everything beneath.
+/// This is the aggregate `V` §5.1–5.2 store in index nodes and with
+/// imputed tuples: an OR over the vectors of everything beneath.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TopicVector {
     bits: Vec<u64>,

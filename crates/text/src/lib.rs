@@ -15,7 +15,7 @@
 //!   [`TokenSet::jaccard_distance`]);
 //! * [`tokenize()`](tokenize::tokenize) — the tokenizer used for every attribute value;
 //! * [`KeywordSet`] / [`TopicVector`] — query-topic membership and the
-//!   Boolean aggregate vectors stored in index nodes and grid cells;
+//!   Boolean aggregate vectors stored in index nodes and imputed tuples;
 //! * [`Interval`] — closed `f64` intervals used by rules, aggregates, and
 //!   pruning bounds throughout the system.
 

@@ -4,7 +4,7 @@
 //! ```text
 //! ter_serve serve --dir DIR [--addr 127.0.0.1:7341] [--preset ebooks]
 //!                 [--scale 1.0] [--window 400] [--checkpoint-every 8]
-//!                 [--queue-depth 16] [--shards 8] [--threads T]
+//!                 [--queue-depth 16] [--shards 8] [--threads 1]
 //!                 [--io-threads 2] [--flush-window 1]
 //!                 [--flush-interval-ms 5] [--fsync-delay-ms 0]
 //! ter_serve feed  --addr ADDR [--preset ebooks] [--scale 1.0]
@@ -79,7 +79,7 @@ fn usage() -> ! {
          \x20        [--window 400] [--checkpoint-every 8] [--queue-depth 16]\n\
          \x20        [--ckpt-mode full|delta] [--checkpoint-bytes N]\n\
          \x20        [--max-chain-len 16] [--max-chain-bytes 0]\n\
-         \x20        [--shards 8] [--threads T] [--io-threads 2]\n\
+         \x20        [--shards 8] [--threads 1] [--io-threads 2]\n\
          \x20        [--flush-window 1] [--flush-interval-ms 5]\n\
          \x20        [--notify-buffer 262144] [--metrics-text PATH|-]\n\
          feed     --addr ADDR [--preset ebooks] [--scale 1.0] [--window 400]\n\

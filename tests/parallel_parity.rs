@@ -8,9 +8,9 @@
 //! other half as per-batch transient sessions — so both session shapes
 //! are enforced too.
 //!
-//! Exact float equality is intentional: both engines route every pair
-//! through the same `decide_pair` cascade and every cell through the same
-//! `cell_survives` predicate, so any divergence — numeric, ordering, or
+//! Exact float equality is intentional: both engines pick candidates with
+//! the same `examined_ids` scan and route every pair through the same
+//! `decide_pair` cascade, so any divergence — numeric, ordering, or
 //! accounting — is a bug, not noise.
 
 use ter_datasets::{preset, GenOptions, Preset};
@@ -115,7 +115,7 @@ fn trace_sharded(
     (trace, metrics)
 }
 
-/// Window of the fan-out scenarios. The grid walk rejects most entries by
+/// Window of the fan-out scenarios. The candidate scan rejects most entries by
 /// their token signatures, so at the sweep's `w` = 60 no arrival keeps
 /// `REFINE_FANOUT_MIN` (16) candidates and no refine fans out; on streams
 /// of about 1,200 arrivals at `w` = 600 every preset has arrivals that do.

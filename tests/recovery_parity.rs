@@ -210,7 +210,7 @@ fn run_scenario(
     );
 
     // Final state: window, metas (imputed tuples, bit-exact), results,
-    // reported history, prune stats, and grid cells all identical.
+    // reported history and prune stats all identical.
     assert_eq!(
         &engine.export(),
         oracle_final,

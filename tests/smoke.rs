@@ -71,7 +71,8 @@ fn tiny_preset_pipeline_end_to_end() {
 }
 
 /// The engine must report the same pairs with pair-level pruning on and off
-/// (grid-only refines every surfaced candidate exactly) — a cheap guard
+/// (grid-only decides candidates by the index bounds and the exact
+/// probability alone) — a cheap guard
 /// that pruning is *sound* on the smoke data.
 #[test]
 fn tiny_preset_pruning_is_lossless() {
