@@ -5,7 +5,7 @@
 //! Three measured configurations over the same EBooks stream:
 //!
 //! * **library+wal** — the in-process durable loop (`log_batch` with
-//!   fsync-per-batch, then `step_batch` on a persistent pool session),
+//!   fsync-per-batch, then `step_batch`),
 //!   the fastest any durable consumer can go;
 //! * **daemon (request/reply)** — the same batches through `ter_serve`
 //!   over localhost TCP with one batch in flight (`Client::ingest_wait`,
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use ter_bench::{critical_path_json, header, prepare, RunStamp};
 use ter_datasets::{GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{Params, PruningMode};
+use ter_ids::{ErProcessor, Params, PruningMode};
 use ter_obs::trace::CriticalPath;
 use ter_serve::{Client, ServeOptions, ServeReport, Server};
 use ter_store::{context_fingerprint, TerStore};
@@ -80,13 +80,6 @@ fn main() {
         .unwrap_or(1.0);
     let preset = Preset::EBooks;
     let params = Params::default();
-    let exec = ExecConfig::new(
-        8,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4),
-    );
 
     header(
         "Figure 20",
@@ -94,11 +87,9 @@ fn main() {
     );
     println!(
         "preset={} scale={scale} window={} batch={BATCH} checkpoint_every={CHECKPOINT_EVERY} \
-         shards={} threads={}",
+",
         preset.name(),
         params.window,
-        exec.shards,
-        exec.threads
     );
 
     let prepared = prepare(
@@ -117,21 +108,23 @@ fn main() {
     let lib_dir = TempDir::new("lib");
     let fp = context_fingerprint(&prepared.ctx, &prepared.params);
     let mut store = TerStore::open(&lib_dir.0, fp).expect("open store");
-    let mut engine =
-        ShardedTerIdsEngine::new(&prepared.ctx, prepared.params, PruningMode::Full, exec);
+    let mut engine = ShardedTerIdsEngine::new(
+        &prepared.ctx,
+        prepared.params,
+        PruningMode::Full,
+        ExecConfig,
+    );
     let mut lib_matches: Vec<Vec<(u64, u64)>> = Vec::new();
     let start = Instant::now();
-    engine.with_pool(|pe| {
-        for batch in &batches {
-            let seq = store.log_batch(batch).expect("wal append");
-            lib_matches.extend(pe.step_batch(batch).into_iter().map(|o| o.new_matches));
-            if (seq + 1) % CHECKPOINT_EVERY == 0 {
-                store
-                    .checkpoint(&pe.engine().export_state())
-                    .expect("checkpoint");
-            }
+    for batch in &batches {
+        let seq = store.log_batch(batch).expect("wal append");
+        lib_matches.extend(engine.step_batch(batch).into_iter().map(|o| o.new_matches));
+        if (seq + 1) % CHECKPOINT_EVERY == 0 {
+            store
+                .checkpoint(&engine.export_state())
+                .expect("checkpoint");
         }
-    });
+    }
     let lib_secs = start.elapsed().as_secs_f64();
     let lib_tps = arrivals.len() as f64 / lib_secs;
     println!("library+wal         {lib_secs:>9.2}s {lib_tps:>12.1} tuples/s");
@@ -191,7 +184,6 @@ fn main() {
         };
     let base_opts = || ServeOptions {
         checkpoint_every: CHECKPOINT_EVERY,
-        exec,
         ..ServeOptions::default()
     };
 
@@ -329,8 +321,8 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"fig20_serve\",\n{}\n  \"preset\": \"{}\",\n  \"scale\": {},\n  \
-         \"window\": {},\n  \"batch\": {},\n  \"checkpoint_every\": {},\n  \"shards\": {},\n  \
-         \"threads\": {},\n  \"host_cpus\": {},\n  \"undersubscribed\": {},\n  \
+         \"window\": {},\n  \"batch\": {},\n  \"checkpoint_every\": {},\n  \
+         \"host_cpus\": {},\n  \"undersubscribed\": {},\n  \
          \"arrivals\": {},\n  \
          \"library_wal_tuples_per_sec\": {:.1},\n  \"daemon_tuples_per_sec\": {:.1},\n  \
          \"daemon_overhead_factor\": {:.3},\n  \"pipeline_window\": {},\n  \
@@ -347,8 +339,6 @@ fn main() {
         params.window,
         BATCH,
         CHECKPOINT_EVERY,
-        exec.shards,
-        exec.threads,
         host_cpus,
         undersubscribed,
         arrivals.len(),

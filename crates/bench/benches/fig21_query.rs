@@ -4,7 +4,7 @@
 //! from scratch at every window slide.
 //!
 //! Three representative patterns run the whole EBooks stream as
-//! standing queries over a sharded engine, all attached to the same
+//! standing queries over the batched engine, all attached to the same
 //! feed:
 //!
 //! * **pairs** — `match(a, b)`: the raw live result set;
@@ -209,24 +209,15 @@ fn main() {
         .unwrap_or(1.0);
     let preset = Preset::EBooks;
     let params = Params::default();
-    let exec = ExecConfig::new(
-        8,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4),
-    );
 
     header(
         "Figure 21",
         "declarative query layer: one-shot latency + differential standing-query throughput",
     );
     println!(
-        "preset={} scale={scale} window={} batch={BATCH} shards={} threads={}",
+        "preset={} scale={scale} window={} batch={BATCH}",
         preset.name(),
         params.window,
-        exec.shards,
-        exec.threads
     );
 
     let prepared = prepare(
@@ -239,8 +230,12 @@ fn main() {
     );
     let batches: Vec<&[ter_stream::Arrival]> = prepared.arrivals.chunks(BATCH).collect();
 
-    let mut engine =
-        ShardedTerIdsEngine::new(&prepared.ctx, prepared.params, PruningMode::Full, exec);
+    let mut engine = ShardedTerIdsEngine::new(
+        &prepared.ctx,
+        prepared.params,
+        PruningMode::Full,
+        ExecConfig,
+    );
     let mut runs: Vec<PatternRun> = PATTERNS
         .iter()
         .map(|&(tag, src)| {
@@ -407,12 +402,12 @@ fn main() {
         .unwrap_or(0);
     // The delta/reeval comparison is algorithmic, not a concurrency
     // claim, but the honesty flag rides along for the schema gate: a
-    // 1-CPU host time-slices the sharded engine under both paths.
+    // 1-CPU host time-slices the engine and the daemon's other stages.
     let undersubscribed = host_cpus < 2;
 
     let json = format!(
         "{{\n  \"bench\": \"fig21_query\",\n{}\n  \"preset\": \"{}\",\n  \"scale\": {},\n  \
-         \"window\": {},\n  \"batch\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \
+         \"window\": {},\n  \"batch\": {},\n  \
          \"host_cpus\": {},\n  \"undersubscribed\": {},\n  \
          \"arrivals\": {},\n  \"batches\": {},\n  \"oneshot_reps\": {},\n  \
          \"parity\": \"fold == from-scratch after every batch\",\n  \
@@ -426,8 +421,6 @@ fn main() {
         scale,
         params.window,
         BATCH,
-        exec.shards,
-        exec.threads,
         host_cpus,
         undersubscribed,
         prepared.arrivals.len(),

@@ -357,8 +357,7 @@ pub fn sweep<V: Copy + std::fmt::Display>(
 }
 
 /// Renders a critical-path attribution table as one JSON object — the
-/// `critical_path` field the bench artifacts (`BENCH_throughput.json`,
-/// `BENCH_serve.json`) record, keyed exactly like
+/// `critical_path` field `BENCH_serve.json` records, keyed exactly like
 /// [`ter_obs::trace::SEGMENTS`] with a `_micros` suffix.
 pub fn critical_path_json(cp: &ter_obs::trace::CriticalPath) -> String {
     let segs: Vec<String> = cp

@@ -1,5 +1,4 @@
-//! Candidate enumeration and pair accounting, shared by the sequential
-//! engine and the sharded batch-parallel engine (`ter_exec`).
+//! Candidate enumeration and pair accounting.
 //!
 //! The live tuples are kept in [`CandidateLists`]: one FIFO list per
 //! (stream, topicality) pair, each holding the tuples' ids and, beside
@@ -10,14 +9,11 @@
 //! kept, at lower cost; the cells' pivot and size bounds removed nothing
 //! the signature test does not.
 //!
-//! Both engines must take identical decisions about *which* live tuples
-//! are examined (stream filtering, Theorem 4.1's topical restriction, the
-//! per-entry token-signature bound) and how never-examined pairs are
-//! attributed in the pruning statistics — any divergence breaks the
-//! bit-identical-stats contract their differential tests enforce. So
-//! there is one enumeration, [`examined_ids`]: the sequential engine runs
-//! it over its single set of lists, the sharded engine over each worker's
-//! shard group, and the per-worker id lists merge as sorted vectors.
+//! Which live tuples are examined (stream filtering, Theorem 4.1's
+//! topical restriction, the per-entry token-signature bound) is decided
+//! by one scan, [`CandidateLists::examined_ids`], and how never-examined
+//! pairs are attributed in the pruning statistics by one function,
+//! [`account_pairs`].
 
 use std::collections::VecDeque;
 
@@ -34,7 +30,7 @@ struct SignatureList {
     words: VecDeque<u64>,
 }
 
-/// The live tuples of one shard, split into one signature list per
+/// The live tuples, split into one signature list per
 /// (stream, topicality) pair. Every list is a subsequence of the window,
 /// so the tuple the window evicts is always the front of its list:
 /// insert is a push at the back, expiry a pop at the front.
@@ -107,42 +103,34 @@ impl CandidateLists {
             }
         }
     }
-}
 
-/// The ids the pair-level cascade must examine for `probe`, ascending:
-/// every live tuple that comes from another stream (the problem statement
-/// pairs tuples "from two of n data streams"), may be topical unless the
-/// probe itself may be (Theorem 4.1), and shares tokens with the probe in
-/// more than `γ` attributes (Theorem 4.2 by the signature bound,
-/// [`ub_sim_signature`](crate::pruning::ub_sim_signature)). The first two
-/// tests pick the lists to scan: the other streams' topical lists, and
-/// their non-topical lists only for a possibly topical probe. The third
-/// runs per entry before its id is collected, so a rejected entry costs no
-/// sort, no metadata lookup and no [`decide_pair`](crate::decide_pair)
-/// call; it would have been `SimPruned` there, and [`account_pairs`]
-/// counts it as `sim`.
-///
-/// `shards` is every shard's lists or any group of them; the results of
-/// disjoint shard groups merge with a sorted-vector union.
-pub fn examined_ids<'l>(
-    shards: impl IntoIterator<Item = &'l CandidateLists>,
-    probe: &TupleMeta,
-    gamma: f64,
-) -> Vec<u64> {
-    let mut ids = Vec::new();
-    for shard in shards {
-        for (stream, [plain, topical]) in shard.lists.iter().enumerate() {
+    /// The ids the pair-level cascade must examine for `probe`, ascending:
+    /// every live tuple that comes from another stream (the problem
+    /// statement pairs tuples "from two of n data streams"), may be
+    /// topical unless the probe itself may be (Theorem 4.1), and shares
+    /// tokens with the probe in more than `γ` attributes (Theorem 4.2 by
+    /// the signature bound,
+    /// [`ub_sim_signature`](crate::pruning::ub_sim_signature)). The first
+    /// two tests pick the lists to scan: the other streams' topical lists,
+    /// and their non-topical lists only for a possibly topical probe. The
+    /// third runs per entry before its id is collected, so a rejected
+    /// entry costs no sort, no metadata lookup and no
+    /// [`decide_pair`](crate::decide_pair) call; it would have been
+    /// `SimPruned` there, and [`account_pairs`] counts it as `sim`.
+    pub fn examined_ids(&self, probe: &TupleMeta, gamma: f64) -> Vec<u64> {
+        let mut ids = Vec::new();
+        for (stream, [plain, topical]) in self.lists.iter().enumerate() {
             if stream == probe.stream_id {
                 continue;
             }
-            shard.scan(topical, &probe.signatures, gamma, &mut ids);
+            self.scan(topical, &probe.signatures, gamma, &mut ids);
             if probe.possibly_topical {
-                shard.scan(plain, &probe.signatures, gamma, &mut ids);
+                self.scan(plain, &probe.signatures, gamma, &mut ids);
             }
         }
+        ids.sort_unstable();
+        ids
     }
-    ids.sort_unstable();
-    ids
 }
 
 /// Live and possibly-topical tuple counts per stream — what

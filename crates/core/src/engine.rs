@@ -2,26 +2,34 @@
 //!
 //! Per arriving tuple:
 //!
-//! 1. **Expiry** — the tuple leaving the window is popped from its
+//! 1. **Imputation** ([`TerIdsEngine::impute`]) — applicable CDD rules
+//!    are selected through the CDD-indexes, matching samples retrieved
+//!    through the DR-index, and the imputed probabilistic tuple assembled
+//!    (line 9's `I_j ⋈ I_R` side; both phases timed separately for
+//!    Figure 6). A pure function of the context and the record.
+//! 2. **Expiry** — the tuple leaving the window is popped from its
 //!    candidate list and its pairs removed from the result set (lines
 //!    2–7).
-//! 2. **Imputation** — applicable CDD rules are selected through the
-//!    CDD-indexes, matching samples retrieved through the DR-index, and
-//!    the imputed probabilistic tuple assembled (line 9's
-//!    `I_j ⋈ I_R` side; both phases timed separately for Figure 6).
 //! 3. **Candidate retrieval** — the other streams' candidate lists are
 //!    scanned (the `⋈ G_ER` side of the 3-way join, with per-stream
 //!    signature lists in place of the paper's ER-grid): only the topical
 //!    lists unless the probe may be topical, and only entries whose token
 //!    signatures pass Theorem 4.2's signature bound, into the sorted
-//!    candidate id list ([`candidates::examined_ids`], lines 9, 14–25).
+//!    candidate id list
+//!    ([`CandidateLists::examined_ids`](crate::candidates::CandidateLists::examined_ids),
+//!    lines 9, 14–25).
 //! 4. **Pair pruning & refinement** — Theorems 4.1 → 4.2 → 4.3 in order,
 //!    then Theorem 4.4 early-terminated exact refinement; survivors enter
 //!    the result set (lines 15–26).
+//! 5. **Insert and finalize** — the new tuple joins its candidate list,
+//!    and the statistics, results and reported history take its step.
+//!
+//! Steps 2–5 are one function, [`TerIdsEngine::step_imputed`], which the
+//! batched engine in `ter_exec` runs too, after imputing its batch.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ter_impute::{ImputeConfig, RuleImputer, RuleRetrieval};
 use ter_repo::{DrIndex, PivotConfig, PivotTable, Repository};
@@ -30,7 +38,6 @@ use ter_stream::{Arrival, ProbTuple};
 use ter_text::fxhash::FxHashSet;
 use ter_text::KeywordSet;
 
-use crate::candidates;
 use crate::live::LiveState;
 use crate::meta::{AuxLayout, TupleMeta};
 use crate::metrics::{PhaseTiming, PruneStats};
@@ -105,11 +112,11 @@ impl TerContext {
         self.repo.schema().arity()
     }
 
-    /// Builds the CDD-indexed rule imputer that every TER-iDS engine
-    /// (sequential or sharded) drives over this context. Imputation is a
-    /// pure function of the context and the arriving record, which is what
-    /// lets the batch-parallel engine impute a whole batch concurrently
-    /// while staying bit-identical to the sequential engine.
+    /// Builds the CDD-indexed rule imputer that the TER-iDS engine drives
+    /// over this context. Imputation is a pure function of the context and
+    /// the arriving record, so the batched engine in `ter_exec` may impute
+    /// a whole batch before it steps the batch's first arrival and still
+    /// report what one-at-a-time processing reports.
     pub fn indexed_imputer(&self, cfg: ImputeConfig) -> RuleImputer<'_> {
         RuleImputer::new(
             "CDD-indexed",
@@ -125,6 +132,20 @@ impl TerContext {
     }
 }
 
+/// Wall time of the ER stages of [`TerIdsEngine::step_imputed`],
+/// accumulated over the arrivals it is passed for: the candidate scan
+/// (`traverse`), the pair cascade (`refine`), and the expiry plus the
+/// insert and bookkeeping of the new tuple (`merge`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageLaps {
+    /// Candidate-list scan.
+    pub traverse: Duration,
+    /// Pair-level pruning and refinement.
+    pub refine: Duration,
+    /// Expiry, list insert, statistics and result-set maintenance.
+    pub merge: Duration,
+}
+
 /// Output of processing one arrival.
 ///
 /// Together, `new_matches` / `retractions` / `expired` are the step's
@@ -133,11 +154,11 @@ impl TerContext {
 /// query layer subscribes to this stream and must stay bit-identical to
 /// a from-scratch evaluation after every step, so all three lists are
 /// deterministic functions of the arrival order — identical across the
-/// sequential and sharded engines.
+/// engine and the batched one in `ter_exec`.
 #[derive(Debug, Clone, Default)]
 pub struct StepOutput {
     /// Pairs newly reported at this timestamp, `(min, max)`-normalized and
-    /// sorted — identical across the sequential and sharded engines.
+    /// sorted.
     pub new_matches: Vec<(u64, u64)>,
     /// Pairs removed from the live result set by this step's expiry,
     /// `(min, max)`-normalized and sorted.
@@ -151,10 +172,10 @@ pub struct StepOutput {
 
 /// The TER-iDS engine. See the [module docs](self).
 ///
-/// Its dynamic state is a one-shard [`LiveState`], which it dereferences
-/// to: the window, result and metadata accessors and
+/// Its dynamic state is a [`LiveState`], which it dereferences to: the
+/// window, result and metadata accessors and
 /// [`LiveState::export_state`] / [`LiveState::import_state`] are the
-/// state's, shared with the sharded engine.
+/// state's.
 pub struct TerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
@@ -177,7 +198,7 @@ impl<'a> TerIdsEngine<'a> {
             mode,
             gamma: params.gamma(d),
             imputer,
-            live: LiveState::new(d, params.window, 1),
+            live: LiveState::new(d, params.window),
             name: match mode {
                 PruningMode::Full => "TER-iDS",
                 PruningMode::GridOnly => "Ij+GER",
@@ -188,6 +209,92 @@ impl<'a> TerIdsEngine<'a> {
     /// The similarity threshold `γ = ρ · d` in use.
     pub fn gamma(&self) -> f64 {
         self.gamma
+    }
+
+    /// Imputes `arrival` and derives its [`TupleMeta`], reading only the
+    /// static context. The returned timing counts one arrival, its rule
+    /// selection and imputation, and the metadata derivation as ER time.
+    pub fn impute(&self, arrival: &Arrival) -> (Arc<TupleMeta>, PhaseTiming) {
+        let mut timing = PhaseTiming {
+            arrivals: 1,
+            ..PhaseTiming::default()
+        };
+        let pt = if arrival.record.is_complete() {
+            ProbTuple::certain(arrival.record.clone())
+        } else {
+            let t = Instant::now();
+            let selected = self.imputer.select_rules(&arrival.record);
+            timing.rule_selection += t.elapsed();
+            let t = Instant::now();
+            let pt = self.imputer.impute_with_rules(&arrival.record, &selected);
+            timing.imputation += t.elapsed();
+            pt
+        };
+        let t = Instant::now();
+        let meta = TupleMeta::build(
+            arrival.record.id,
+            arrival.stream_id,
+            arrival.timestamp,
+            pt,
+            &self.ctx.pivots,
+            &self.ctx.layout,
+            &self.ctx.keywords,
+        );
+        timing.er += t.elapsed();
+        (Arc::new(meta), timing)
+    }
+
+    /// Steps an arrival already imputed by [`TerIdsEngine::impute`]:
+    /// expiry → candidate scan → refinement → insert → finalize. `timing`
+    /// is the imputation's; the step adds its ER time, folds it into the
+    /// running totals and returns it in the output. `laps` accumulates
+    /// the step's traverse/refine/merge split.
+    pub fn step_imputed(
+        &mut self,
+        arrival: &Arrival,
+        meta: Arc<TupleMeta>,
+        mut timing: PhaseTiming,
+        laps: &mut StageLaps,
+    ) -> StepOutput {
+        debug_assert_eq!(meta.id, arrival.record.id);
+        let t0 = Instant::now();
+        let mut out = self.live.advance_window(arrival);
+        let t1 = Instant::now();
+        let cands = self.live.lists.examined_ids(&meta, self.gamma);
+        let t2 = Instant::now();
+        let pair_ctx = PairContext {
+            keywords: &self.ctx.keywords,
+            gamma: self.gamma,
+            alpha: self.params.alpha,
+            aux_counts: &self.ctx.aux_counts,
+            mode: self.mode,
+        };
+        let mut outcome = RefineOutcome::default();
+        for id in &cands {
+            let other = &self.live.metas[id];
+            match decide_pair(&meta, other, &pair_ctx) {
+                PairDecision::SimPruned => outcome.sim += 1,
+                PairDecision::ProbPruned => outcome.prob += 1,
+                PairDecision::InstancePruned => outcome.instance += 1,
+                PairDecision::Match => outcome.matches.push(norm_pair(meta.id, other.id)),
+            }
+        }
+        // Candidates are examined in ascending-id order and pairs are
+        // normalized, so a step's match list is a deterministic function
+        // of the arrival order.
+        outcome.matches.sort_unstable();
+        let t3 = Instant::now();
+        out.new_matches = self
+            .live
+            .finalize_arrival(meta, cands.len() as u64, outcome);
+        let t4 = Instant::now();
+        laps.traverse += t2 - t1;
+        laps.refine += t3 - t2;
+        laps.merge += (t1 - t0) + (t4 - t3);
+        timing.er += t4 - t0;
+        self.live.accumulate_timing(&timing);
+        out.timing = timing;
+        out
     }
 }
 
@@ -211,85 +318,8 @@ impl ErProcessor for TerIdsEngine<'_> {
     }
 
     fn process(&mut self, arrival: &Arrival) -> StepOutput {
-        let mut step_timing = PhaseTiming {
-            arrivals: 1,
-            ..PhaseTiming::default()
-        };
-
-        // ---- expiry (Algorithm 2 lines 2–7) ----
-        let er_start = Instant::now();
-        let (evicted, mut out) = self.live.advance_window(arrival);
-        if let Some(old) = evicted {
-            self.live.shards[0].evict(&old);
-        }
-        step_timing.er += er_start.elapsed();
-
-        // ---- imputation (line 9, the I_j ⋈ I_R side) ----
-        let pt = if arrival.record.is_complete() {
-            ProbTuple::certain(arrival.record.clone())
-        } else {
-            let t = Instant::now();
-            let selected = self.imputer.select_rules(&arrival.record);
-            step_timing.rule_selection += t.elapsed();
-            let t = Instant::now();
-            let pt = self.imputer.impute_with_rules(&arrival.record, &selected);
-            step_timing.imputation += t.elapsed();
-            pt
-        };
-        let t = Instant::now();
-        let meta = TupleMeta::build(
-            arrival.record.id,
-            arrival.stream_id,
-            arrival.timestamp,
-            pt,
-            &self.ctx.pivots,
-            &self.ctx.layout,
-            &self.ctx.keywords,
-        );
-
-        // ---- candidate retrieval through the candidate lists ----
-        // The stream, Theorem 4.1 and signature filters, and the bulk
-        // attribution of never-examined pairs live in [`candidates`],
-        // shared with the sharded engine.
-        let gamma = self.gamma;
-        let aux_counts = &self.ctx.aux_counts;
-        let cands = candidates::examined_ids(&self.live.shards, &meta, gamma);
-        let examined = cands.len() as u64;
-
-        // ---- pair-level pruning + refinement ----
-        let pair_ctx = PairContext {
-            keywords: &self.ctx.keywords,
-            gamma,
-            alpha: self.params.alpha,
-            aux_counts,
-            mode: self.mode,
-        };
-        let mut outcome = RefineOutcome::default();
-        for id in &cands {
-            let other = &self.live.metas[id];
-            match decide_pair(&meta, other, &pair_ctx) {
-                PairDecision::SimPruned => outcome.sim += 1,
-                PairDecision::ProbPruned => outcome.prob += 1,
-                PairDecision::InstancePruned => outcome.instance += 1,
-                PairDecision::Match => outcome.matches.push(norm_pair(meta.id, other.id)),
-            }
-        }
-        // Candidates are examined in ascending-id order and pairs are
-        // normalized, so a step's match list is a deterministic function
-        // of the arrival order — directly comparable with the sharded
-        // engine's merged output.
-        outcome.matches.sort_unstable();
-
-        // ---- register the new tuple (lines 11–13) ----
-        self.live.shards[0].insert(&meta);
-        out.new_matches = self
-            .live
-            .finalize_arrival(Arc::new(meta), examined, outcome);
-        step_timing.er += t.elapsed();
-
-        self.live.accumulate_timing(&step_timing);
-        out.timing = step_timing;
-        out
+        let (meta, timing) = self.impute(arrival);
+        self.step_imputed(arrival, meta, timing, &mut StageLaps::default())
     }
 
     fn results(&self) -> &ResultSet {
@@ -617,30 +647,14 @@ mod tests {
         let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
         let (mut nonempty, mut plain_probes) = (0, 0);
         for a in streams.arrivals() {
-            let pt = if a.record.is_complete() {
-                ProbTuple::certain(a.record.clone())
-            } else {
-                let rules = engine.imputer.select_rules(&a.record);
-                engine.imputer.impute_with_rules(&a.record, &rules)
-            };
-            let probe = TupleMeta::build(
-                a.record.id,
-                a.stream_id,
-                a.timestamp,
-                pt,
-                &ctx.pivots,
-                &ctx.layout,
-                &ctx.keywords,
-            );
+            let (probe, _) = engine.impute(&a);
             // Expire first, as `process` does, so both definitions see
             // the window the probe is matched against.
             let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
             shadow.import_state(&engine.export_state()).unwrap();
-            if let (Some(old), _) = shadow.live.advance_window(&a) {
-                shadow.live.shards[0].evict(&old);
-            }
+            shadow.live.advance_window(&a);
             let expect = filtered_window(&shadow, &probe);
-            let got = candidates::examined_ids(&shadow.live.shards, &probe, shadow.gamma);
+            let got = shadow.live.lists.examined_ids(&probe, shadow.gamma);
             assert_eq!(got, expect, "arrival {}", a.record.id);
             nonempty += usize::from(!got.is_empty());
             plain_probes += usize::from(!probe.possibly_topical);
@@ -667,11 +681,11 @@ mod tests {
                 old.sim = topical_other - examined;
             }
             let mut new = PruneStats::default();
-            candidates::account_pairs(&probe, examined, &shadow.live.counts, &mut new);
+            crate::candidates::account_pairs(&probe, examined, &shadow.live.counts, &mut new);
             assert_eq!(new, old, "arrival {}", a.record.id);
 
             engine.process(&a);
-            assert_eq!(engine.live.shards[0].len(), engine.window_len());
+            assert_eq!(engine.live.lists.len(), engine.window_len());
         }
         assert!(nonempty > 100, "only {nonempty} arrivals had candidates");
         assert!(plain_probes > 50, "only {plain_probes} non-topical probes");

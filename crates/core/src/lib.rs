@@ -18,15 +18,14 @@
 //! * [`refine`] — exact `Pr_TER-iDS` (Equation 2) and the
 //!   instance-pair-level early termination of Theorem 4.4;
 //! * [`candidates`] — the per-stream FIFO signature lists that replace
-//!   the paper's ER-grid, the one candidate scan both engines run, and the
-//!   accounting of never-examined pairs;
+//!   the paper's ER-grid, the candidate scan, and the accounting of
+//!   never-examined pairs;
 //! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with
 //!   candidate-list maintenance and the imputation/pruning/refinement
-//!   pipeline;
-//! * [`live`] — the dynamic state both TER-iDS engines (this crate's and
-//!   the sharded one in `ter_exec`) keep, export and import
-//!   ([`LiveState`]), with the [`router`] that splits its candidate lists
-//!   into shards by tuple id;
+//!   pipeline, whose per-arrival loop the batched engine in `ter_exec`
+//!   runs too;
+//! * [`live`] — the dynamic state of a TER-iDS engine, its export and
+//!   import ([`LiveState`]);
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
 //!   `er+ER`, `con+ER`);
 //! * [`metrics`] — precision/recall/F-score (Equation 6) and pruning-power
@@ -45,21 +44,19 @@ pub mod params;
 pub mod pruning;
 pub mod refine;
 pub mod results;
-pub mod router;
 pub mod state;
 
 #[cfg(test)]
 mod proptests;
 
 pub use baselines::NaiveEngine;
-pub use engine::{PruningMode, StepOutput, TerContext, TerIdsEngine};
+pub use engine::{PruningMode, StageLaps, StepOutput, TerContext, TerIdsEngine};
 pub use live::LiveState;
 pub use meta::TupleMeta;
-pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats, StageMetrics};
+pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats};
 pub use params::Params;
 pub use refine::{decide_pair, PairContext, PairDecision, RefineOutcome};
 pub use results::ResultSet;
-pub use router::ShardRouter;
 pub use state::{delta_between, EngineState, StateDelta};
 
 use ter_stream::Arrival;
@@ -75,11 +72,11 @@ pub trait ErProcessor {
     fn process(&mut self, arrival: &Arrival) -> StepOutput;
 
     /// Consumes a batch of arrivals, returning one [`StepOutput`] per
-    /// arrival in arrival order. The default processes the batch one
+    /// arrival in arrival order, exactly what [`ErProcessor::process`]
+    /// returns for each in turn. The default processes the batch one
     /// tuple at a time, so every engine and baseline can be driven with
-    /// the same batched loop; batch-parallel engines override this with
-    /// an implementation that fans the batch out to worker threads while
-    /// producing identical outputs.
+    /// the same batched loop; the batched engine in `ter_exec` overrides
+    /// it to record per-batch stage telemetry.
     fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
         batch.iter().map(|a| self.process(a)).collect()
     }
@@ -96,12 +93,4 @@ pub trait ErProcessor {
 
     /// Cumulative per-phase timing.
     fn timing(&self) -> PhaseTiming;
-
-    /// Execution-shape counters of a staged run ([`StageMetrics`]):
-    /// barrier rounds, fanned refines, pooled batches. Purely
-    /// observational — results must not depend on them. Sequential
-    /// engines and baselines keep the all-zero default.
-    fn stage_metrics(&self) -> StageMetrics {
-        StageMetrics::default()
-    }
 }

@@ -3,29 +3,24 @@
 //! [`LiveState`] is everything that changes as tuples arrive and expire:
 //! the sliding window, the live tuples' metadata, the per-stream counts,
 //! the result set `ES`, the reported history, the pruning statistics, the
-//! phase timings, and the candidate lists
-//! ([`CandidateLists`]) as `S` shards whose tuples a [`ShardRouter`]
-//! assigns by id. The sequential [`TerIdsEngine`](crate::TerIdsEngine)
-//! keeps one shard; the sharded engine in `ter_exec` keeps `S` and hands
-//! them to its workers for the length of a batch.
+//! phase timings, and the candidate lists ([`CandidateLists`]).
 //!
-//! Both engines run the same per-arrival bookkeeping through it:
+//! The per-arrival loop ([`TerIdsEngine::step_imputed`](crate::TerIdsEngine::step_imputed),
+//! which the batched engine in `ter_exec` runs too) mutates it in two
+//! steps:
 //!
-//! 1. [`LiveState::advance_window`] — the window push and the expiry of
-//!    the tuple it evicts (Algorithm 2 lines 2–7). The list evict is left
-//!    to the engine, which owns the scan of its shards.
-//! 2. [`LiveState::finalize_arrival`] — statistics, the result set, the
-//!    reported history, the stream counts and the metadata of the new
-//!    tuple (lines 11–13, 15–26), again without the list insert.
+//! 1. `advance_window` — the window push and the expiry of
+//!    the tuple it evicts from the lists, the metadata, the stream counts
+//!    and the result set (Algorithm 2 lines 2–7).
+//! 2. `finalize_arrival` — statistics, the result set, the
+//!    reported history, and the new tuple's list entry, stream count and
+//!    metadata (lines 11–13, 15–26).
 //!
 //! Export and import of the canonical [`EngineState`] and every read
 //! accessor live here too, so a checkpoint taken from either engine
 //! restores into either, and the query layer reads both engines through
 //! one view. The engines dereference to their `LiveState`, which is how
 //! `engine.live_ids()` or `engine.export_state()` reach these methods.
-//! The other mutating methods are an engine's building blocks and keep
-//! the state consistent only in the order an engine calls them, with
-//! the list updates in between.
 
 use std::sync::Arc;
 
@@ -38,16 +33,13 @@ use crate::meta::TupleMeta;
 use crate::metrics::{PhaseTiming, PruneStats};
 use crate::refine::RefineOutcome;
 use crate::results::ResultSet;
-use crate::router::ShardRouter;
 use crate::state::EngineState;
 
 /// The dynamic state of one engine. See the [module docs](self).
 pub struct LiveState {
     arity: usize,
-    router: ShardRouter,
-    /// The partitioned candidate lists; shard `s` holds exactly the live
-    /// tuples with `router.shard_of(id) == s`.
-    pub(crate) shards: Vec<CandidateLists>,
+    /// The live tuples, split by stream and topicality.
+    pub(crate) lists: CandidateLists,
     pub(crate) window: SlidingWindow<u64>,
     pub(crate) metas: FxHashMap<u64, Arc<TupleMeta>>,
     /// Live and topical tuple counts per stream (O(streams) pair
@@ -61,13 +53,11 @@ pub struct LiveState {
 
 impl LiveState {
     /// An empty state: a window of capacity `window` over tuples of
-    /// arity `arity`, and candidate lists split into `shards` shards.
-    pub fn new(arity: usize, window: usize, shards: usize) -> Self {
-        let router = ShardRouter::new(shards);
+    /// arity `arity`.
+    pub fn new(arity: usize, window: usize) -> Self {
         Self {
             arity,
-            router,
-            shards: Self::empty_shards(arity, router),
+            lists: CandidateLists::new(arity),
             window: SlidingWindow::new(window),
             metas: FxHashMap::default(),
             counts: StreamCounts::default(),
@@ -78,61 +68,28 @@ impl LiveState {
         }
     }
 
-    fn empty_shards(arity: usize, router: ShardRouter) -> Vec<CandidateLists> {
-        (0..router.shard_count())
-            .map(|_| CandidateLists::new(arity))
-            .collect()
-    }
-
-    /// The router assigning tuples to shards.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// Takes the list shards out, in shard order, for a batch's scans.
-    /// They must come back through [`LiveState::restore_shards`] before
-    /// the state is read or exported again.
-    pub fn take_shards(&mut self) -> Vec<CandidateLists> {
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Puts back the shards [`LiveState::take_shards`] took, in shard
-    /// order.
-    pub fn restore_shards(&mut self, shards: Vec<CandidateLists>) {
-        debug_assert_eq!(shards.len(), self.router.shard_count());
-        self.shards = shards;
-    }
-
     /// Pushes `arrival` into the window and expires the tuple it evicts
-    /// from the metadata, the stream counts and the result set. Returns
-    /// the evicted tuple's metadata, which the caller must still evict
-    /// from its list shards, and the step's output with `expired` and
-    /// `retractions` (normalized, sorted) filled in.
-    pub fn advance_window(&mut self, arrival: &Arrival) -> (Option<Arc<TupleMeta>>, StepOutput) {
+    /// from the lists, the metadata, the stream counts and the result
+    /// set. Returns the step's output with `expired` and `retractions`
+    /// (normalized, sorted) filled in.
+    pub(crate) fn advance_window(&mut self, arrival: &Arrival) -> StepOutput {
         let mut out = StepOutput::default();
-        let evicted = self
-            .window
-            .push(arrival.timestamp, arrival.record.id)
-            .and_then(|(_, old_id)| {
-                out.expired.push(old_id);
-                let meta = self.metas.remove(&old_id)?;
+        if let Some((_, old_id)) = self.window.push(arrival.timestamp, arrival.record.id) {
+            out.expired.push(old_id);
+            if let Some(meta) = self.metas.remove(&old_id) {
+                self.lists.evict(&meta);
                 self.counts.remove(&meta);
                 out.retractions = self.results.remove_involving(old_id);
-                Some(meta)
-            });
-        (evicted, out)
-    }
-
-    /// The metadata of the examined candidates, in id order.
-    pub fn candidate_metas(&self, ids: &[u64]) -> Vec<Arc<TupleMeta>> {
-        ids.iter().map(|id| Arc::clone(&self.metas[id])).collect()
+            }
+        }
+        out
     }
 
     /// The merge step for one arrival: folds the refine outcome (matches
     /// sorted by normalized pair) into the statistics, attributes the
     /// never-examined pairs, publishes the matches, and registers the new
-    /// tuple everywhere but in the lists. Returns the step's new matches.
-    pub fn finalize_arrival(
+    /// tuple. Returns the step's new matches.
+    pub(crate) fn finalize_arrival(
         &mut self,
         meta: Arc<TupleMeta>,
         examined: u64,
@@ -148,6 +105,7 @@ impl LiveState {
             self.results.insert(a, b);
             self.reported.insert((a, b));
         }
+        self.lists.insert(&meta);
         self.counts.add(&meta);
         let id = meta.id;
         let prev = self.metas.insert(id, meta);
@@ -156,13 +114,8 @@ impl LiveState {
     }
 
     /// Adds one step's phase timings to the running totals.
-    pub fn accumulate_timing(&mut self, step: &PhaseTiming) {
+    pub(crate) fn accumulate_timing(&mut self, step: &PhaseTiming) {
         self.timing.accumulate(step);
-    }
-
-    /// The sliding window of `(timestamp, id)` entries.
-    pub fn window(&self) -> &SlidingWindow<u64> {
-        &self.window
     }
 
     /// Number of unexpired tuples.
@@ -181,11 +134,6 @@ impl LiveState {
         self.metas.get(&id).map(Arc::as_ref)
     }
 
-    /// The shared metadata of a live tuple, for handing to workers.
-    pub fn meta_arc(&self, id: u64) -> Option<&Arc<TupleMeta>> {
-        self.metas.get(&id)
-    }
-
     /// Ids of the unexpired tuples, ascending.
     pub fn live_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.metas.keys().copied().collect();
@@ -193,21 +141,13 @@ impl LiveState {
         ids
     }
 
-    /// The lengths of the non-empty candidate lists, over all shards: one
-    /// per (shard, stream, topicality) that holds a live tuple. A
-    /// diagnostic of how the window splits; the benchmark reports their
-    /// count and the largest one's share of the window.
+    /// The lengths of the non-empty candidate lists: one per (stream,
+    /// topicality) that holds a live tuple. A diagnostic of how the
+    /// window splits; the benchmark reports their count and the largest
+    /// one's share of the window. The name predates the lists, from when
+    /// they were the cells of a grid.
     pub fn cell_entry_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .flat_map(CandidateLists::list_lengths)
-            .collect()
-    }
-
-    /// Live tuples per shard (diagnostics: shows how the router spreads
-    /// the lists).
-    pub fn shard_entry_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(CandidateLists::len).collect()
+        self.lists.list_lengths().collect()
     }
 
     /// Live tuple count per stream id.
@@ -242,9 +182,9 @@ impl LiveState {
 
     /// Snapshots the state in the canonical [`EngineState`]
     /// representation: window order and sorted pairs. The candidate lists
-    /// are not exported; they are the window split by stream, topicality
-    /// and shard. The export is therefore independent of the shard count,
-    /// and equal across engines at the same stream position.
+    /// are not exported; they are the window split by stream and
+    /// topicality. The export is therefore equal across engines at the
+    /// same stream position.
     pub fn export_state(&self) -> EngineState {
         let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
         let metas = window
@@ -268,16 +208,15 @@ impl LiveState {
 
     /// Replaces the state with a validated snapshot (recovery: load the
     /// newest checkpoint, then replay the WAL suffix), rebuilding the
-    /// candidate lists by inserting the window in order, each tuple into
-    /// its owning shard. Snapshots from either engine
-    /// and any shard count are accepted. Phase timings restart at zero
+    /// candidate lists by inserting the window in order. Snapshots from
+    /// either engine are accepted. Phase timings restart at zero
     /// (wall clock is not recoverable state). On `Err` the state is left
     /// untouched — the recovery path must never panic or half-apply.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         state.validate(self.arity, self.window.capacity())?;
-        let mut shards = Self::empty_shards(self.arity, self.router);
+        let mut lists = CandidateLists::new(self.arity);
         for meta in &state.metas {
-            shards[self.router.shard_of(meta.id)].insert(meta);
+            lists.insert(meta);
         }
         let metas: FxHashMap<u64, Arc<TupleMeta>> = state
             .metas
@@ -294,7 +233,7 @@ impl LiveState {
         for &(a, b) in &state.results {
             results.insert(a, b);
         }
-        self.shards = shards;
+        self.lists = lists;
         self.window = window;
         self.metas = metas;
         self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);

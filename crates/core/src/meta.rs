@@ -3,7 +3,8 @@
 //! When a tuple arrives and is imputed, the engine derives everything the
 //! pruning rules will ever ask about it: main/auxiliary pivot-distance
 //! bounds and expectations (for Lemmas 4.2/4.3), token-set-size bounds
-//! (Lemma 4.1), and the topic vector over *possible* tokens (Theorem 4.1).
+//! (Lemma 4.1), and whether any *possible* token is a query keyword
+//! (Theorem 4.1).
 //! Each tuple also carries one 64-bit token signature per attribute, which
 //! the similarity bound [`crate::pruning::ub_sim_signature`] reads and the
 //! candidate lists ([`crate::candidates::CandidateLists`]) keep beside the
@@ -11,7 +12,7 @@
 
 use ter_repo::PivotTable;
 use ter_stream::ProbTuple;
-use ter_text::{Interval, KeywordSet, Token, TokenSet, TopicVector};
+use ter_text::{Interval, KeywordSet, Token, TokenSet};
 
 /// Flattened layout of per-(attribute, auxiliary-pivot) slots.
 #[derive(Debug, Clone)]
@@ -72,8 +73,6 @@ pub struct TupleMeta {
     pub aux_bounds: Vec<Interval>,
     /// Per-attribute token-set-size bounds `[|T⁻|, |T⁺|]` (Lemma 4.1).
     pub size_bounds: Vec<Interval>,
-    /// Keyword vector over tokens occurring in *any* instance.
-    pub topics: TopicVector,
     /// Whether some instance can contain a query keyword (`¬` this for
     /// both tuples ⇒ Theorem 4.1 prunes the pair).
     pub possibly_topical: bool,
@@ -127,7 +126,6 @@ impl TupleMeta {
             size_bounds.push(tuple.token_size_bounds(j));
         }
         let possible_tokens = tuple.possible_tokens();
-        let topics = keywords.topic_vector(&possible_tokens);
         let possibly_topical = keywords.matches(&possible_tokens);
         let signatures = Self::signatures_of(&tuple);
         Self {
@@ -139,7 +137,6 @@ impl TupleMeta {
             main_expect,
             aux_bounds,
             size_bounds,
-            topics,
             possibly_topical,
             signatures,
         }
@@ -282,7 +279,6 @@ mod tests {
         // Only a low-probability instance is topical — but "possibly" must
         // still be true (Theorem 4.1 needs certainty to prune).
         assert!(meta.possibly_topical);
-        assert_eq!(meta.topics.count_ones(), 1);
     }
 
     #[test]

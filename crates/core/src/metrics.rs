@@ -147,38 +147,6 @@ impl PhaseTiming {
     }
 }
 
-/// Execution-shape counters of a staged (pipelined) engine run. Unlike
-/// [`PruneStats`] these describe *how* the work was scheduled, not what
-/// it computed — two runs with different stage metrics must still produce
-/// bit-identical results, which is exactly what the parity suites check.
-/// Sequential engines, and the sharded engine's inline (one-thread)
-/// drive, report all zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageMetrics {
-    /// Synchronization rounds where the driving (merge) thread blocked on
-    /// worker responses. The pooled drive waits once per arrival for the
-    /// next traverse and a fanned refine together, plus once per batch
-    /// for the first traverse.
-    pub er_barriers: u64,
-    /// Arrivals whose refine stage was fanned out to the worker pool
-    /// (candidate set at or above the fan-out threshold).
-    pub fanned_refines: u64,
-    /// Batches executed against an attached worker pool.
-    pub pooled_batches: u64,
-}
-
-impl StageMetrics {
-    /// Barriers the merge thread paid per processed arrival (0 when no
-    /// arrival ever ran pooled).
-    pub fn barriers_per_arrival(&self, arrivals: u64) -> f64 {
-        if arrivals == 0 {
-            0.0
-        } else {
-            self.er_barriers as f64 / arrivals as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

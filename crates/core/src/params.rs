@@ -3,8 +3,8 @@
 use ter_impute::ImputeConfig;
 
 /// How much of the §4 pruning arsenal an engine applies. Shared by the
-/// sequential engine and the sharded batch-parallel engine (`ter_exec`),
-/// which must agree bit-for-bit under either mode.
+/// sequential engine and the batched one (`ter_exec`), which must agree
+/// bit-for-bit under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruningMode {
     /// All four pair-level prunings + early-terminated refinement — the

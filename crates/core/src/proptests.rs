@@ -9,7 +9,7 @@ use ter_repo::{PivotConfig, PivotTable, Record, Repository, Schema};
 use ter_stream::{AttrCandidates, ProbTuple};
 use ter_text::{Dictionary, KeywordSet, Token, TokenSet};
 
-use crate::candidates::{examined_ids, CandidateLists};
+use crate::candidates::CandidateLists;
 use crate::meta::{AuxLayout, TupleMeta};
 use crate::params::PruningMode;
 use crate::pruning;
@@ -315,7 +315,7 @@ proptest! {
         let aux_counts: Vec<usize> =
             (0..fx.pivots.arity()).map(|j| fx.pivots.aux_count(j)).collect();
         let exact = exact_probability(&a, &b, &kw, gamma);
-        if pruning::sim_prunable(&a, &b, gamma, &aux_counts) {
+        if pruning::ub_sim(&a, &b, &aux_counts) <= gamma {
             prop_assert!(exact <= 1e-12, "sim-pruned pair has Pr={exact}");
         }
         if pruning::prob_prunable(&a, &b, gamma, alpha) {
@@ -381,7 +381,7 @@ proptest! {
             lists.insert(meta);
         }
         let probe = signature_meta(&fx, 99, &probe);
-        let examined = examined_ids([&lists], &probe, gamma);
+        let examined = lists.examined_ids(&probe, gamma);
         for other in metas.iter().filter(|m| m.stream_id != probe.stream_id) {
             if pruning::ub_sim_signature(&probe, other) <= gamma {
                 prop_assert!(!examined.contains(&other.id), "dropped id {} examined", other.id);
@@ -393,12 +393,11 @@ proptest! {
         }
     }
 
-    /// Under FIFO churn (insert the newest, evict the oldest) with the
-    /// live tuples split over `S` ∈ {1, 3, 8} id shards, and tuples drawn
-    /// from three streams with mixed topicality, the scan over all shards
-    /// equals the brute-force filter over the live metadata at every
-    /// step: other stream, topical unless the probe may be, signatures
-    /// intersecting in more than `γ` attributes, ascending ids.
+    /// Under FIFO churn (insert the newest, evict the oldest), with tuples
+    /// drawn from three streams with mixed topicality, the scan equals the
+    /// brute-force filter over the live metadata at every step: other
+    /// stream, topical unless the probe may be, signatures intersecting in
+    /// more than `γ` attributes, ascending ids.
     #[test]
     fn examined_ids_equal_brute_force_under_fifo_churn(
         stream in proptest::collection::vec(
@@ -423,28 +422,85 @@ proptest! {
                 meta
             })
             .collect();
-        for shards in [1usize, 3, 8] {
-            let router = crate::ShardRouter::new(shards);
-            let mut lists: Vec<CandidateLists> =
-                (0..shards).map(|_| CandidateLists::new(3)).collect();
-            for (i, probe) in metas.iter().enumerate() {
-                // The engines' order: expire, scan, insert.
-                if i >= w {
-                    let old = &metas[i - w];
-                    lists[router.shard_of(old.id)].evict(old);
-                }
-                let live = &metas[(i + 1).saturating_sub(w)..i];
-                prop_assert_eq!(
-                    examined_ids(&lists, probe, gamma),
-                    brute_force_candidates(live, probe, gamma),
-                    "S = {}, arrival {}",
-                    shards,
-                    i
-                );
-                lists[router.shard_of(probe.id)].insert(probe);
-                let held: usize = lists.iter().map(CandidateLists::len).sum();
-                prop_assert_eq!(held, (i + 1).min(w));
+        let mut lists = CandidateLists::new(3);
+        for (i, probe) in metas.iter().enumerate() {
+            // The engines' order: expire, scan, insert.
+            if i >= w {
+                lists.evict(&metas[i - w]);
             }
+            let live = &metas[(i + 1).saturating_sub(w)..i];
+            prop_assert_eq!(
+                lists.examined_ids(probe, gamma),
+                brute_force_candidates(live, probe, gamma),
+                "arrival {}",
+                i
+            );
+            lists.insert(probe);
+            prop_assert_eq!(lists.len(), (i + 1).min(w));
         }
+    }
+
+    /// The lists are split by (stream, topicality). Replaying a
+    /// sliding-window history (evict the tuple leaving the window, scan
+    /// for the arriving one, insert it) through them leaves every live
+    /// tuple in the list of its group and nothing else: the list lengths
+    /// equal the live group sizes, and at every step the scan equals the
+    /// scan of lists rebuilt in one pass from the live window, as a
+    /// checkpoint import builds them. Signatures are four-bit words, so
+    /// entries often intersect the probe.
+    #[test]
+    fn sharded_window_churn_equals_monolithic(
+        parts in proptest::collection::vec(
+            (0usize..3, any::<bool>(), (0u64..16, 0u64..16, 0u64..16)),
+            1..32,
+        ),
+        window in 1usize..=6,
+        gamma in 0u32..3,
+    ) {
+        let fx = fixture3();
+        let empty: Vec<SigAttr> =
+            vec![(true, TokenSet::new(vec![]), vec![(TokenSet::new(vec![]), 1)]); 3];
+        let base = signature_meta(&fx, 0, &empty);
+        let gamma = f64::from(gamma);
+        let metas: Vec<TupleMeta> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, &(sid, topical, (a, b, c)))| {
+                let mut meta = base.clone();
+                meta.id = (i as u64 * 37) % 101;
+                meta.stream_id = sid;
+                meta.possibly_topical = topical;
+                meta.signatures = vec![a, b, c].into();
+                meta
+            })
+            .collect();
+        let mut lists = CandidateLists::new(3);
+        for (i, probe) in metas.iter().enumerate() {
+            if i >= window {
+                lists.evict(&metas[i - window]);
+            }
+            let mut rebuilt = CandidateLists::new(3);
+            for meta in &metas[(i + 1).saturating_sub(window)..i] {
+                rebuilt.insert(meta);
+            }
+            prop_assert_eq!(
+                lists.examined_ids(probe, gamma),
+                rebuilt.examined_ids(probe, gamma),
+                "arrival {}",
+                i
+            );
+            lists.insert(probe);
+        }
+        let live = &metas[metas.len().saturating_sub(window)..];
+        let mut groups = std::collections::BTreeMap::new();
+        for meta in live {
+            *groups.entry((meta.stream_id, meta.possibly_topical)).or_insert(0usize) += 1;
+        }
+        let mut expect: Vec<usize> = groups.into_values().collect();
+        expect.sort_unstable();
+        let mut lengths: Vec<usize> = lists.list_lengths().collect();
+        lengths.sort_unstable();
+        prop_assert_eq!(lengths, expect);
+        prop_assert_eq!(lists.len(), live.len());
     }
 }

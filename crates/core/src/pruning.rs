@@ -12,7 +12,7 @@
 //! Systems* 2020) counted per attribute. It costs a few word ANDs, and on
 //! streams where most window tuples share no token with the probe it
 //! rejects almost every pair the pivot and size bounds let through. The
-//! candidate scan ([`crate::candidates::examined_ids`]) applies it to each
+//! candidate scan ([`crate::candidates::CandidateLists::examined_ids`]) applies it to each
 //! live tuple's signatures before the tuple becomes a candidate. A pair it
 //! rejects there is never examined, and the engines count it as
 //! similarity-pruned with the other never-examined pairs. For the pairs
@@ -76,22 +76,6 @@ pub fn ub_sim_size(a: &TupleMeta, b: &TupleMeta) -> f64 {
         .zip(&b.size_bounds)
         .map(|(x, y)| ub_sim_attr_size(x, y))
         .sum()
-}
-
-/// Lemma 4.2: pivot-based similarity upper bound
-/// `ub_sim = d − Σ_k min_dist(r_i[A_k], r_j[A_k])`, using the main pivot
-/// only (the auxiliary-pivot refinement lives in [`ub_sim`]).
-pub fn ub_sim_pivot_main(a: &TupleMeta, b: &TupleMeta) -> f64 {
-    let d = a.arity() as f64;
-    let gap_sum: f64 = (0..a.arity())
-        .map(|k| a.main_bounds[k].min_gap(&b.main_bounds[k]))
-        .sum();
-    d - gap_sum
-}
-
-/// Combined Theorem 4.2 check: `min(ub_size, ub_pivot) ≤ γ` ⇒ prune.
-pub fn sim_prunable(a: &TupleMeta, b: &TupleMeta, gamma: f64, layout_counts: &[usize]) -> bool {
-    ub_sim(a, b, layout_counts) <= gamma
 }
 
 /// The tightest available similarity upper bound: the minimum of the
@@ -299,7 +283,7 @@ mod tests {
         );
         let counts = aux_counts(&fx);
         // identical tuples: similarity = 3 = d; any γ < d must not prune.
-        assert!(!sim_prunable(&a, &b, 2.9, &counts));
+        assert!(ub_sim(&a, &b, &counts) > 2.9);
     }
 
     #[test]
@@ -395,9 +379,9 @@ mod tests {
         );
         let counts = aux_counts(&fx);
         // Completely disjoint tuples: true similarity 0; a tight γ close to
-        // d should allow pruning via at least one bound.
+        // d should allow pruning via at least one bound, so `ub_sim ≤ γ`
+        // holds for some γ below d.
         let ub = ub_sim(&a, &b, &counts);
         assert!(ub < 3.0);
-        assert!(sim_prunable(&a, &b, ub + 1e-9, &counts));
     }
 }

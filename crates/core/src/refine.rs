@@ -18,7 +18,7 @@
 //! neither similarity bound of Theorem 4.2 (the token-signature count,
 //! then the pivot and token-size bounds) nor the probability bound of
 //! Theorem 4.3 rejects it. The `SimPruned` outcome counts both similarity
-//! bounds. The candidate scan ([`crate::candidates::examined_ids`]) already
+//! bounds. The candidate scan ([`crate::candidates::CandidateLists::examined_ids`]) already
 //! drops every entry the signature count rejects, so for the pairs the
 //! engines examine the signature test here is a re-check that passes;
 //! it stays so that `decide_pair` decides any pair on its own.
@@ -79,8 +79,7 @@ pub enum PairDecision {
     Match,
 }
 
-/// The [`PairDecision`] tallies of one arrival's examined candidates, or
-/// of one worker's slice of them.
+/// The [`PairDecision`] tallies of one arrival's examined candidates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefineOutcome {
     /// Pairs pruned by Theorem 4.2 (similarity upper bound).
@@ -93,22 +92,9 @@ pub struct RefineOutcome {
     pub matches: Vec<(u64, u64)>,
 }
 
-impl RefineOutcome {
-    /// Folds another worker's tallies into this one.
-    pub fn absorb(&mut self, other: RefineOutcome) {
-        self.sim += other.sim;
-        self.prob += other.prob;
-        self.instance += other.instance;
-        self.matches.extend(other.matches);
-    }
-}
-
 /// The pair-level pruning → refinement cascade (Theorems 4.2 → 4.3 → 4.4,
 /// in the paper's order) for one examined pair. A pure function of its
-/// inputs: the sequential engine and every shard worker of the
-/// batch-parallel engine route examined pairs through this single code
-/// path, which is what makes their per-pair decisions — and therefore the
-/// merged prune-statistics — bit-identical.
+/// inputs.
 pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairDecision {
     match ctx.mode {
         PruningMode::Full => {

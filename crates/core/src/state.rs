@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use ter_repo::{Record, Schema};
     use ter_stream::ProbTuple;
-    use ter_text::{Dictionary, TopicVector};
+    use ter_text::Dictionary;
 
     /// A minimal hand-built meta (field-literal; validation only looks at
     /// id/stream/timestamp/arity).
@@ -442,7 +442,6 @@ mod tests {
             main_expect: vec![0.1; 2],
             aux_bounds: vec![],
             size_bounds: vec![ter_text::Interval::point(1.0); 2],
-            topics: TopicVector::zeros(1),
             possibly_topical: false,
         }
     }

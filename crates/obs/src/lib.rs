@@ -4,7 +4,7 @@
 //!
 //! # Design constraints
 //!
-//! The engine's parity guarantee (sharded ≡ sequential, bit-for-bit)
+//! The engine's parity guarantee (batched ≡ sequential, bit-for-bit)
 //! means instrumentation must never feed back into computation: every
 //! metric here is write-only from the hot path's point of view.
 //! Counters and gauges are single `AtomicU64`s updated with relaxed
@@ -548,18 +548,16 @@ macro_rules! registry {
 }
 
 registry! {
-    /// Batches stepped by the sharded engine (any drive mode).
+    /// Batches stepped by the batched engine.
     engine_batches: Counter = "ter_engine_batches_total",
     /// Impute-stage wall time per batch.
     engine_impute_micros: Histogram = "ter_engine_impute_micros",
-    /// Traverse-stage wall time per batch (list ops + surfaced waits).
+    /// Traverse-stage wall time per batch (candidate-list scans).
     engine_traverse_micros: Histogram = "ter_engine_traverse_micros",
-    /// Refine-stage wall time per batch (candidate selection + cascade).
+    /// Refine-stage wall time per batch (pair cascade).
     engine_refine_micros: Histogram = "ter_engine_refine_micros",
-    /// Merge-stage wall time per batch (sequential finalize loop).
+    /// Merge-stage wall time per batch (expiry, insert, bookkeeping).
     engine_merge_micros: Histogram = "ter_engine_merge_micros",
-    /// Merge-thread barrier waits per batch (overlapped drive).
-    engine_barrier_wait_micros: Histogram = "ter_engine_barrier_wait_micros",
     /// Jobs sitting in the daemon's bounded ordered queue.
     engine_queue_depth: Gauge = "ter_engine_queue_depth",
     /// Bytes appended to the WAL (framed size).
@@ -1346,10 +1344,9 @@ mod tests {
         trace::add(5_000, tk::QUEUE_WAIT, base + 10, 40);
         trace::set_current(5_000);
         trace::add_current(tk::IMPUTE, base + 50, 100);
-        trace::add_current(tk::TRAVERSE, base + 150, 300);
-        // Two barrier laps accumulate.
-        trace::add_current(tk::BARRIER, base + 200, 30);
-        trace::add_current(tk::BARRIER, base + 300, 20);
+        // Two traverse laps accumulate.
+        trace::add_current(tk::TRAVERSE, base + 150, 250);
+        trace::add_current(tk::TRAVERSE, base + 400, 50);
         trace::add_current(tk::REFINE, base + 450, 200);
         trace::add_current(tk::MERGE, base + 650, 100);
         trace::add(5_000, tk::STEP, base + 50, 700);
@@ -1367,7 +1364,7 @@ mod tests {
             .expect("completed trace retained");
         assert_eq!(t.dur, 1_100);
         assert_eq!(t.covered, 4);
-        assert_eq!(t.span_dur(tk::BARRIER), 50, "barrier laps accumulate");
+        assert_eq!(t.span_dur(tk::TRAVERSE), 300, "traverse laps accumulate");
         assert_eq!(
             t.span_dur(tk::WRITE_BACK),
             100,
@@ -1386,8 +1383,8 @@ mod tests {
         let one = trace::CriticalPath::of(t);
         assert_eq!(one.frontend_micros, 10);
         assert_eq!(one.queue_wait_micros, 40);
-        assert_eq!(one.compute_micros, 100 + 300 + 200 + 100 - 50);
-        assert_eq!(one.barrier_micros, 50);
+        assert_eq!(one.compute_micros, 100 + 300 + 200 + 100);
+        assert_eq!(one.barrier_micros, 0);
         assert_eq!(one.wal_micros, 50);
         assert_eq!(
             one.fsync_exposed_micros,

@@ -12,8 +12,7 @@
 //! layers that run *inside* the engine step and don't carry the
 //! sequence ([`add_current`]) route through a thread-agnostic
 //! "current batch" register set by the step driver. A stage that runs
-//! several laps per batch (barrier waits, multi-subscriber notify
-//! fan-out) accumulates — `dur` is a `fetch_add`.
+//! several laps per batch (multi-subscriber notify fan-out) accumulates — `dur` is a `fetch_add`.
 //!
 //! Shared spans: one group-commit fsync covers many batches, so
 //! [`fsync_covering`] writes the *same* fsync span into every covered
@@ -65,10 +64,8 @@ pub mod kind {
     pub const REFINE: u8 = 9;
     /// Merge stage (child of [`STEP`]).
     pub const MERGE: u8 = 10;
-    /// Shard-barrier waits inside traverse/refine (child of [`STEP`];
-    /// the stage laps already contain this time — the analyzer
-    /// subtracts it back out of compute).
-    pub const BARRIER: u8 = 11;
+    // 11 was the barrier waits of the former multi-threaded drive; the
+    // number stays retired so the kinds after it keep theirs.
     /// Standing-query notify fan-out (accumulated over subscribers).
     pub const NOTIFY: u8 = 12;
     /// Ack release → reply buffered on the session writer.
@@ -78,7 +75,7 @@ pub mod kind {
 
     /// Parent kind of each span kind ([`ROOT`] is its own parent).
     pub const PARENT: [u8; NKINDS] = [
-        ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, STEP, STEP, STEP, STEP, STEP, ROOT, ROOT,
+        ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, STEP, STEP, STEP, STEP, ROOT, ROOT, ROOT,
     ];
 
     /// Stable text name (dump format + CLI).
@@ -95,7 +92,6 @@ pub mod kind {
             TRAVERSE => "traverse",
             REFINE => "refine",
             MERGE => "merge",
-            BARRIER => "barrier",
             NOTIFY => "notify",
             WRITE_BACK => "write_back",
             _ => "unknown",
@@ -157,8 +153,8 @@ impl Trace {
 /// (or the fold over many) split into *exclusive* segments that sum to
 /// exactly `total_micros`.
 ///
-/// Segment math per trace: stage compute is the stage laps minus the
-/// barrier waits they contain; fsync-exposed is the covering fsync's
+/// Segment math per trace: stage compute is the sum of the stage laps;
+/// fsync-exposed is the covering fsync's
 /// duration amortized over the batches it covered (group commit's whole
 /// point is that the other `covered - 1` batches don't pay it); each
 /// segment is then clamped so the running sum never exceeds the
@@ -166,7 +162,7 @@ impl Trace {
 /// lands in `other_micros`. The table is therefore a true partition:
 /// `segment_sum() == total_micros` by construction, and honesty is
 /// checked by comparing `total_micros` against independently measured
-/// wall time (fig18 asserts agreement within 5%).
+/// wall time (`tests/obs_guard.rs` asserts agreement within 5%).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Traces folded into this table.
@@ -179,10 +175,10 @@ pub struct CriticalPath {
     pub gate_micros: u64,
     /// Bounded ordered-queue wait.
     pub queue_wait_micros: u64,
-    /// Engine stage compute (impute + traverse + refine + merge, barrier
-    /// waits excluded).
+    /// Engine stage compute (impute + traverse + refine + merge).
     pub compute_micros: u64,
-    /// Shard-barrier waits.
+    /// Always 0: the multi-threaded drive whose barrier waits this
+    /// counted is gone. Kept so the wire and dump formats are unchanged.
     pub barrier_micros: u64,
     /// WAL append (unsynced).
     pub wal_micros: u64,
@@ -193,7 +189,7 @@ pub struct CriticalPath {
     /// Ack release → reply buffered.
     pub write_back_micros: u64,
     /// End-to-end time the spans did not explain (scheduling, channel
-    /// hops, pool overhead).
+    /// hops).
     pub other_micros: u64,
 }
 
@@ -244,14 +240,10 @@ impl CriticalPath {
         } else {
             fsync
         };
-        let stages = t.span_dur(kind::IMPUTE)
+        let compute = t.span_dur(kind::IMPUTE)
             + t.span_dur(kind::TRAVERSE)
             + t.span_dur(kind::REFINE)
             + t.span_dur(kind::MERGE);
-        // The traverse/refine laps include the barrier waits; count the
-        // wait once, under its own segment.
-        let barrier = t.span_dur(kind::BARRIER).min(stages);
-        let compute = stages - barrier;
         let mut left = t.dur;
         let mut take = |want: u64| {
             let got = want.min(left);
@@ -262,7 +254,6 @@ impl CriticalPath {
         self.gate_micros += take(t.span_dur(kind::GATE));
         self.queue_wait_micros += take(t.span_dur(kind::QUEUE_WAIT));
         self.compute_micros += take(compute);
-        self.barrier_micros += take(barrier);
         self.wal_micros += take(t.span_dur(kind::WAL));
         self.fsync_exposed_micros += take(fsync_exposed);
         self.notify_micros += take(t.span_dur(kind::NOTIFY));

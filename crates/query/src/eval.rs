@@ -21,7 +21,7 @@ use crate::plan::{plan, PlanStats};
 use ter_ids::{LiveState, ResultSet, TupleMeta};
 
 /// Read access to the live engine state a query runs against. Both the
-/// sequential and the sharded engine implement this through the
+/// sequential and the batched engine implement this through the
 /// [`LiveState`] they dereference to, which is what lets every
 /// differential suite run the same pattern against both sides.
 pub trait QueryView {

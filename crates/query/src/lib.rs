@@ -18,7 +18,7 @@
 //!   from-scratch re-evaluation after every batch.
 //!
 //! Every engine that dereferences to a [`ter_ids::LiveState`] — the
-//! sequential [`ter_ids::TerIdsEngine`] and the sharded
+//! sequential [`ter_ids::TerIdsEngine`] and the batched
 //! `ter_exec::ShardedTerIdsEngine` — implements [`QueryView`], so every
 //! suite can differential-test the layer across engines.
 
@@ -130,8 +130,7 @@ mod tests {
     fn one_shot_matches_brute_force_on_both_engines() {
         let (ctx, streams, params) = fixture();
         let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-        let mut par =
-            ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig::new(3, 2));
+        let mut par = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
         let patterns = fixed_patterns();
         for (i, chunk) in streams.arrival_batches(7).into_iter().enumerate() {
             seq.step_batch(&chunk);

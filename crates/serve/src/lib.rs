@@ -1,8 +1,8 @@
 //! `ter_serve`: the durable streaming TER-iDS service.
 //!
-//! PRs 2 and 3 made the engine sharded and its state durable, but both
-//! still required every consumer to link the crates and drive
-//! `step_batch` in-process. This crate is the missing subsystem that
+//! `ter_exec` steps the engine in batches and `ter_store` makes its state
+//! durable, but both still require every consumer to link the crates and
+//! drive `step_batch` in-process. This crate is the missing subsystem that
 //! turns the library into a long-lived daemon:
 //!
 //! * [`wire`] — the length-prefixed binary protocol (CRC-32-framed,
@@ -12,8 +12,8 @@
 //! * [`server`] — the daemon: a bounded pool of `poll(2)` I/O threads
 //!   serving every connection, one bounded ordered queue into a
 //!   two-stage engine pipeline (WAL/checkpoint stage overlapping batch
-//!   `n+1`'s fsync with batch `n`'s step on a persistent worker-pool
-//!   session; WAL-before-ack per sequence, checkpoint cadence,
+//!   `n+1`'s fsync with batch `n`'s step; WAL-before-ack per sequence,
+//!   checkpoint cadence,
 //!   two-generation WAL compaction, `Busy`/`IngestBusy` backpressure,
 //!   per-connection go-back-N ingest gate);
 //! * [`client`] — the client library: request/reply calls, the windowed
@@ -64,7 +64,6 @@ mod tests {
     use std::path::{Path, PathBuf};
     use std::time::Duration;
 
-    use ter_exec::ExecConfig;
     use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
     use ter_repo::{PivotConfig, Record, Repository, Schema};
     use ter_rules::DiscoveryConfig;
@@ -160,17 +159,8 @@ mod tests {
         ServeOptions {
             queue_depth: 4,
             checkpoint_every: 2,
-            exec: ExecConfig::new(2, 2),
             ..ServeOptions::default()
         }
-    }
-
-    /// The daemon runs the inline drive unless told otherwise: the
-    /// pooled drive pays a barrier per arrival, which costs more than an
-    /// arrival's work.
-    #[test]
-    fn default_options_run_the_inline_drive() {
-        assert_eq!(ServeOptions::default().exec.threads, 1);
     }
 
     /// Full daemon round trip: serve, ingest, introspect, shut down —

@@ -79,10 +79,8 @@
 //! one) bounds disk. On startup the daemon recovers via the `ter_store`
 //! ladder and resumes at
 //! [`Recovery::resume_seq`](ter_store::Recovery::resume_seq). The engine
-//! itself runs a persistent worker-pool session
-//! ([`ShardedTerIdsEngine::with_pool`]) for the daemon's lifetime —
-//! recovery replay included — so no per-batch thread spawn sits on the
-//! ingest path.
+//! steps each batch on the step stage's own thread, recovery replay
+//! included.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -94,7 +92,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minipoll::{Event, Interest, Poller, WakeReceiver, Waker};
-use ter_exec::{ExecConfig, PooledEngine, ShardedTerIdsEngine};
+use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext};
 use ter_query::{BatchDelta, Pattern, StandingQuery};
 use ter_store::{context_fingerprint, CompactionPolicy, StoreError, TerStore};
@@ -138,7 +136,7 @@ pub struct ServeOptions {
     /// cadence only). Bounds replay *work* directly — batch counts are a
     /// poor proxy when batch sizes vary, e.g. under bursty arrivals.
     pub checkpoint_bytes: u64,
-    /// Engine parallelism.
+    /// Engine execution settings; none are left, see [`ExecConfig`].
     pub exec: ExecConfig,
     /// Store retention. Defaults to the bounded-disk two-generation
     /// policy — the daemon is a long-lived process.
@@ -182,7 +180,7 @@ impl Default for ServeOptions {
             checkpoint_every: 8,
             ckpt_mode: CkptMode::Full,
             checkpoint_bytes: 0,
-            exec: ExecConfig::default(),
+            exec: ExecConfig,
             compaction: CompactionPolicy::two_generation(),
             ingest_hold: Duration::ZERO,
             io_threads: 2,
@@ -772,52 +770,49 @@ impl Server {
                 }
             });
 
-            // ---- step stage (single total order of operations), with a
-            // persistent worker-pool session for the daemon's lifetime ----
+            // ---- step stage (single total order of operations) ----
             // A panicking step must still run the teardown below: the
             // commit stage, acceptor, and I/O threads only exit once the
             // store sender drops and the shutdown flag rises, and the
             // scope joins them before this panic can propagate.
             let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.with_pool(|pe| {
-                    for batch in &recovery.suffix {
-                        pe.step_batch(batch);
-                    }
-                    report.replayed = recovery.suffix.iter().map(Vec::len).sum();
-                    let mut stage = StepStage {
-                        pe,
-                        store_tx: &store_tx,
-                        store_rx: &store_rx,
-                        opts,
-                        report: &mut report,
-                        ckpt_due: &ckpt_due,
-                        subs: BTreeMap::new(),
+                for batch in &recovery.suffix {
+                    engine.step_batch(batch);
+                }
+                report.replayed = recovery.suffix.iter().map(Vec::len).sum();
+                let mut stage = StepStage {
+                    engine: &mut engine,
+                    store_tx: &store_tx,
+                    store_rx: &store_rx,
+                    opts,
+                    report: &mut report,
+                    ckpt_due: &ckpt_due,
+                    subs: BTreeMap::new(),
+                };
+                let mut graceful = false;
+                loop {
+                    let job = match job_rx.recv() {
+                        Ok(job) => job,
+                        Err(_) => break,
                     };
-                    let mut graceful = false;
-                    loop {
-                        let job = match job_rx.recv() {
-                            Ok(job) => job,
-                            Err(_) => break,
-                        };
-                        let is_shutdown = matches!(job.request, Request::Shutdown);
-                        stage.handle(job);
-                        if is_shutdown {
-                            graceful = true;
-                            break;
-                        }
+                    let is_shutdown = matches!(job.request, Request::Shutdown);
+                    stage.handle(job);
+                    if is_shutdown {
+                        graceful = true;
+                        break;
                     }
-                    if !graceful {
-                        // The listener died under us — still leave a fresh
-                        // checkpoint (graceful shutdown already wrote one).
-                        let _ = stage.request_checkpoint(None);
-                    }
-                    // Final store round-trip: flushes any open window (so
-                    // every owed ack is en route before teardown) and folds
-                    // the fsync counter into the report.
-                    let (_, _, fsyncs) = stage.store_stats();
-                    stage.report.fsyncs = fsyncs;
-                    ter_obs::dump_now("shutdown");
-                });
+                }
+                if !graceful {
+                    // The listener died under us — still leave a fresh
+                    // checkpoint (graceful shutdown already wrote one).
+                    let _ = stage.request_checkpoint(None);
+                }
+                // Final store round-trip: flushes any open window (so
+                // every owed ack is en route before teardown) and folds
+                // the fsync counter into the report.
+                let (_, _, fsyncs) = stage.store_stats();
+                stage.report.fsyncs = fsyncs;
+                ter_obs::dump_now("shutdown");
             }));
             drop(store_tx);
             // Release the acceptor and I/O threads. Each I/O thread
@@ -852,11 +847,11 @@ struct Subscription {
     handle: ReplyHandle,
 }
 
-/// The engine thread's state: the pooled engine, the channel pair to the
+/// The engine thread's state: the engine, the channel pair to the
 /// group-commit stage, the standing-query registry, and the run
 /// counters.
-struct StepStage<'x, 's, 'a> {
-    pe: &'x mut PooledEngine<'s, 'a>,
+struct StepStage<'x, 'a> {
+    engine: &'x mut ShardedTerIdsEngine<'a>,
     store_tx: &'x mpsc::SyncSender<StoreReq>,
     store_rx: &'x mpsc::Receiver<StoreResp>,
     opts: &'x ServeOptions,
@@ -871,7 +866,7 @@ struct StepStage<'x, 's, 'a> {
     subs: BTreeMap<(u64, u64), Subscription>,
 }
 
-impl StepStage<'_, '_, '_> {
+impl StepStage<'_, '_> {
     fn send_store(&self, req: StoreReq) {
         self.store_tx.send(req).expect("store stage hung up");
     }
@@ -880,7 +875,7 @@ impl StepStage<'_, '_, '_> {
     /// open flush window first) and waits for it. Returns the stamp's
     /// byte size and whether it was an incremental delta.
     fn request_checkpoint(&mut self, wal_seq: Option<u64>) -> Result<(u64, bool), String> {
-        let state = Box::new(self.pe.engine().export_state());
+        let state = Box::new(self.engine.export_state());
         self.send_store(StoreReq::Checkpoint { wal_seq, state });
         match self.store_rx.recv().expect("store stage hung up") {
             StoreResp::Checkpointed { result, delta } => result.map(|bytes| (bytes, delta)),
@@ -946,12 +941,12 @@ impl StepStage<'_, '_, '_> {
             ter_obs::trace::add(seq, kind::GATE, t_enq, 0);
             // Queue wait: gate admission to engine pickup.
             ter_obs::trace::add(seq, kind::QUEUE_WAIT, t_enq, t_now - t_enq);
-            // Stage spans (impute/traverse/refine/merge/barrier) and the
+            // Stage spans (impute/traverse/refine/merge) and the
             // notify fan-out attach themselves to the current register.
             ter_obs::trace::set_current(seq);
         }
         let step_t0 = ter_obs::timer();
-        let outputs = self.pe.step_batch(&batch);
+        let outputs = self.engine.step_batch(&batch);
         let step_us = ter_obs::OBS.step_micros.observe_since(step_t0);
         if t_now > 0 {
             ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::STEP, step_us);
@@ -1022,7 +1017,7 @@ impl StepStage<'_, '_, '_> {
     /// without bound; a gauge reading [`CONN_GONE`] means the connection
     /// itself died, so the subscription is pruned silently.
     fn notify_subs(&mut self, delta: &BatchDelta, seq: u64) {
-        let eng = self.pe.engine();
+        let eng = &*self.engine;
         let mut shed: Vec<(u64, u64)> = Vec::new();
         for (&key, sub) in self.subs.iter_mut() {
             let backlog = sub.handle.gauge.load(Ordering::Acquire);
@@ -1082,7 +1077,7 @@ impl StepStage<'_, '_, '_> {
                 return; // acked by the group-commit stage after the fsync
             }
             Request::Query(Query::Window) => {
-                let eng = self.pe.engine();
+                let eng = &*self.engine;
                 Reply::Window(WindowInfo {
                     len: eng.window_len(),
                     capacity: eng.window_capacity(),
@@ -1090,7 +1085,7 @@ impl StepStage<'_, '_, '_> {
                 })
             }
             Request::Query(Query::Entity(id)) => {
-                let eng = self.pe.engine();
+                let eng = &*self.engine;
                 match eng.meta(id) {
                     Some(meta) => {
                         let mut partners: Vec<u64> = eng
@@ -1115,7 +1110,7 @@ impl StepStage<'_, '_, '_> {
                 }
             }
             Request::Query(Query::Results) => {
-                let mut pairs: Vec<(u64, u64)> = self.pe.engine().results().iter().collect();
+                let mut pairs: Vec<(u64, u64)> = self.engine.results().iter().collect();
                 pairs.sort_unstable();
                 Reply::Matches(pairs)
             }
@@ -1123,7 +1118,7 @@ impl StepStage<'_, '_, '_> {
                 Ok(pattern) => {
                     let seq = self.report.resumed_at + self.report.batches;
                     let t0 = ter_obs::timer();
-                    let (rows, trace) = ter_query::evaluate_traced(&pattern, self.pe.engine());
+                    let (rows, trace) = ter_query::evaluate_traced(&pattern, self.engine);
                     let us = ter_obs::OBS.eval_micros.observe_since(t0);
                     ter_obs::OBS.oneshot_queries.inc();
                     ter_obs::OBS.oneshot_rows.add(trace.rows);
@@ -1161,7 +1156,7 @@ impl StepStage<'_, '_, '_> {
                 // server-side replay state.
                 Ok(pattern) => {
                     let mut standing = StandingQuery::new(pattern);
-                    let rows = standing.seed(self.pe.engine());
+                    let rows = standing.seed(self.engine);
                     let seq = self.report.resumed_at + self.report.batches;
                     self.subs.insert(
                         (reply.token, sub_id),
@@ -1182,7 +1177,7 @@ impl StepStage<'_, '_, '_> {
             }
             Request::Stats => {
                 let (next_seq, wal_bytes, fsyncs) = self.store_stats();
-                let eng = self.pe.engine();
+                let eng = &*self.engine;
                 Reply::Stats(StatsInfo {
                     next_batch_seq: next_seq,
                     session_arrivals: self.report.arrivals + self.report.replayed as u64,

@@ -39,10 +39,11 @@ use crate::StoreError;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TERCKPT1";
 /// Magic prefix of the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TERMANI1";
-/// Current payload version of both file kinds. Version 3 dropped the
-/// ER-grid's cells from the engine state (importers rebuild the candidate
-/// lists from the window), version 2 each tuple's possible-token set.
-pub const FORMAT_VERSION: u32 = 3;
+/// Current payload version of both file kinds. Version 4 dropped each
+/// tuple's keyword bit vector, version 3 the ER-grid's cells from the
+/// engine state (importers rebuild the candidate lists from the window),
+/// version 2 each tuple's possible-token set.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A decoded checkpoint: the engine state after `wal_seq` WAL batches.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,7 +269,7 @@ mod tests {
     /// then falls back to an older consistent pair or a full WAL replay.
     #[test]
     fn checkpoint_rejects_older_format_version() {
-        for version in [1, 2] {
+        for version in [1, 2, 3] {
             let path = temp(&format!("v{version}"));
             let ck = sample();
             let mut payload = Encoder::new();

@@ -23,7 +23,7 @@ use ter_ids::meta::TupleMeta;
 use ter_ids::{EngineState, PruneStats, StateDelta};
 use ter_repo::Record;
 use ter_stream::{Arrival, AttrCandidates, ProbTuple};
-use ter_text::{Interval, Token, TokenSet, TopicVector};
+use ter_text::{Interval, Token, TokenSet};
 
 /// Why decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -354,33 +354,6 @@ impl Codec for Interval {
     }
 }
 
-impl Codec for TopicVector {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.len());
-        for &w in self.words() {
-            enc.u64(w);
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let len = dec.usize()?;
-        let want_words = len.div_ceil(64);
-        if want_words
-            .checked_mul(8)
-            .is_none_or(|b| b > dec.remaining())
-        {
-            return Err(CodecError::LengthOverrun);
-        }
-        let mut words = Vec::with_capacity(want_words);
-        for _ in 0..want_words {
-            words.push(dec.u64()?);
-        }
-        if len % 64 != 0 && words.last().is_some_and(|w| w >> (len % 64) != 0) {
-            return Err(CodecError::Invalid("topic vector stray bits"));
-        }
-        Ok(TopicVector::from_words(len, words))
-    }
-}
-
 impl Codec for Record {
     fn encode(&self, enc: &mut Encoder) {
         enc.u64(self.id);
@@ -455,7 +428,6 @@ impl Codec for TupleMeta {
         self.main_expect.encode(enc);
         self.aux_bounds.encode(enc);
         self.size_bounds.encode(enc);
-        self.topics.encode(enc);
         enc.bool(self.possibly_topical);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
@@ -472,7 +444,6 @@ impl Codec for TupleMeta {
             main_expect: Vec::decode(dec)?,
             aux_bounds: Vec::decode(dec)?,
             size_bounds: Vec::decode(dec)?,
-            topics: TopicVector::decode(dec)?,
             possibly_topical: dec.bool()?,
             signatures,
         })

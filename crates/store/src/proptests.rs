@@ -13,7 +13,7 @@ use ter_ids::meta::TupleMeta;
 use ter_ids::{EngineState, PruneStats};
 use ter_repo::Record;
 use ter_stream::{Arrival, AttrCandidates, ProbTuple};
-use ter_text::{Interval, Token, TokenSet, TopicVector};
+use ter_text::{Interval, Token, TokenSet};
 
 use crate::codec::{decode_exact, encode_to_vec, Codec};
 use crate::frame::{decode_single_frame, read_frame, write_frame};
@@ -34,18 +34,6 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             Interval::new(lo as f64 / 100.0, hi as f64 / 100.0)
         }
-    })
-}
-
-fn arb_topics() -> impl Strategy<Value = TopicVector> {
-    proptest::collection::vec(any::<bool>(), 0..130).prop_map(|bits| {
-        let mut v = TopicVector::zeros(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            if *b {
-                v.set(i);
-            }
-        }
-        v
     })
 }
 
@@ -96,10 +84,10 @@ fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
         proptest::collection::vec(arb_interval(), 1..4),
         proptest::collection::vec((0u32..=1000).prop_map(|v| v as f64 / 1000.0), 1..4),
         proptest::collection::vec(arb_interval(), 0..7),
-        (arb_topics(), any::<bool>()),
+        any::<bool>(),
     )
         .prop_map(
-            |(tuple, (stream_id, timestamp), bounds, expect, aux, (topics, topical))| {
+            |(tuple, (stream_id, timestamp), bounds, expect, aux, topical)| {
                 TupleMeta {
                     id: tuple.base.id,
                     stream_id,
@@ -112,7 +100,6 @@ fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
                     main_expect: expect,
                     aux_bounds: aux,
                     size_bounds: bounds,
-                    topics,
                     possibly_topical: topical,
                 }
             },
@@ -177,11 +164,6 @@ proptest! {
     }
 
     #[test]
-    fn topic_vectors_round_trip(tv in arb_topics()) {
-        round_trip(&tv);
-    }
-
-    #[test]
     fn prob_tuples_round_trip(pt in arb_prob_tuple()) {
         round_trip(&pt.base);
         round_trip(&pt);
@@ -233,7 +215,6 @@ proptest! {
         let _ = read_frame(&soup, &mut pos);
         let _ = decode_single_frame(&soup);
         let _ = decode_exact::<TokenSet>(&soup);
-        let _ = decode_exact::<TopicVector>(&soup);
         let _ = decode_exact::<Interval>(&soup);
         let _ = decode_exact::<Record>(&soup);
         let _ = decode_exact::<Arrival>(&soup);

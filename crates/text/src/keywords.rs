@@ -1,10 +1,7 @@
-//! Query topic keywords and Boolean topic vectors.
+//! Query topic keywords.
 //!
 //! The TER-iDS problem statement filters pairs by `ϖ(r, K)`: whether a
-//! tuple's token set contains at least one query keyword `k ∈ K`. The
-//! indexes of §5 store per-node/per-cell *Boolean vectors* whose bits mark
-//! the (non-)existence of each keyword under that node — enabling topic
-//! keyword pruning (Theorem 4.1) without visiting the tuples.
+//! tuple's token set contains at least one query keyword `k ∈ K`.
 
 use crate::dict::Dictionary;
 use crate::tokenize::tokenize_readonly;
@@ -70,116 +67,6 @@ impl KeywordSet {
     pub fn matches(&self, ts: &TokenSet) -> bool {
         self.universe || self.keywords.intersects(ts)
     }
-
-    /// Builds the per-tuple topic vector: bit `i` set iff keyword `i`
-    /// (in token order) occurs in `ts`.
-    pub fn topic_vector(&self, ts: &TokenSet) -> TopicVector {
-        if self.universe {
-            return TopicVector::all_set(1);
-        }
-        let mut v = TopicVector::zeros(self.keywords.len());
-        for (i, &k) in self.keywords.tokens().iter().enumerate() {
-            if ts.contains(k) {
-                v.set(i);
-            }
-        }
-        v
-    }
-}
-
-/// A compact bit vector marking keyword (non-)existence.
-///
-/// This is the aggregate `V` §5.1–5.2 store in index nodes and with
-/// imputed tuples: an OR over the vectors of everything beneath.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TopicVector {
-    bits: Vec<u64>,
-    len: usize,
-}
-
-impl TopicVector {
-    /// An all-zero vector for `len` keywords.
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            bits: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// An all-one vector for `len` keywords.
-    pub fn all_set(len: usize) -> Self {
-        let mut v = Self::zeros(len);
-        for i in 0..len {
-            v.set(i);
-        }
-        v
-    }
-
-    /// Number of keyword slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector tracks zero keywords.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets bit `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.bits[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Reads bit `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Whether any bit is set — i.e. whether anything under this aggregate
-    /// can satisfy the topic constraint.
-    #[inline]
-    pub fn any(&self) -> bool {
-        self.bits.iter().any(|&w| w != 0)
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The packed 64-bit words backing the vector (persistence hook:
-    /// round-trips through [`TopicVector::from_words`] bit-exactly).
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Rebuilds a vector from its packed words (inverse of
-    /// [`TopicVector::words`]).
-    ///
-    /// # Panics
-    /// Panics if `words` is not exactly `len.div_ceil(64)` words long or
-    /// sets bits at positions `>= len` — decoders validate before calling.
-    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
-        if len % 64 != 0 {
-            if let Some(last) = words.last() {
-                assert_eq!(last >> (len % 64), 0, "stray bits beyond len");
-            }
-        }
-        Self { bits: words, len }
-    }
-
-    /// ORs `other` into `self` (aggregate merge when a child is added).
-    pub fn or_assign(&mut self, other: &TopicVector) {
-        assert_eq!(self.len, other.len, "topic vector length mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,49 +111,5 @@ mod tests {
         let k = KeywordSet::parse("zebra diabetes", &d);
         assert_eq!(k.len(), 1);
         assert!(k.matches(&a));
-    }
-
-    #[test]
-    fn topic_vector_marks_present_keywords() {
-        let (d, a, _) = setup();
-        let k = KeywordSet::parse("diabetes fever", &d);
-        let v = k.topic_vector(&a);
-        assert_eq!(v.count_ones(), 1);
-        assert!(v.any());
-    }
-
-    #[test]
-    fn topic_vector_or_merge() {
-        let (d, a, b) = setup();
-        let k = KeywordSet::parse("diabetes fever", &d);
-        let mut va = k.topic_vector(&a);
-        let vb = k.topic_vector(&b);
-        va.or_assign(&vb);
-        assert_eq!(va.count_ones(), 2);
-    }
-
-    #[test]
-    fn topic_vector_bits_over_64() {
-        let mut v = TopicVector::zeros(130);
-        v.set(0);
-        v.set(64);
-        v.set(129);
-        assert!(v.get(0) && v.get(64) && v.get(129));
-        assert!(!v.get(1) && !v.get(65) && !v.get(128));
-        assert_eq!(v.count_ones(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn topic_vector_out_of_range_panics() {
-        let mut v = TopicVector::zeros(4);
-        v.set(4);
-    }
-
-    #[test]
-    fn all_set_vector() {
-        let v = TopicVector::all_set(70);
-        assert_eq!(v.count_ones(), 70);
-        assert!(v.get(69));
     }
 }

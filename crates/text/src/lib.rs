@@ -14,8 +14,7 @@
 //!   Jaccard similarity/distance ([`TokenSet::jaccard`],
 //!   [`TokenSet::jaccard_distance`]);
 //! * [`tokenize()`](tokenize::tokenize) — the tokenizer used for every attribute value;
-//! * [`KeywordSet`] / [`TopicVector`] — query-topic membership and the
-//!   Boolean aggregate vectors stored in index nodes and imputed tuples;
+//! * [`KeywordSet`] — query-topic membership;
 //! * [`Interval`] — closed `f64` intervals used by rules, aggregates, and
 //!   pruning bounds throughout the system.
 
@@ -28,7 +27,7 @@ pub mod tokenset;
 
 pub use dict::{Dictionary, Token};
 pub use interval::Interval;
-pub use keywords::{KeywordSet, TopicVector};
+pub use keywords::KeywordSet;
 pub use tokenize::tokenize;
 pub use tokenset::TokenSet;
 

@@ -39,27 +39,11 @@ for f in "${files[@]}"; do
         echo "${f}: git_commit is not a sha (or 'unknown')" >&2
         file_ok=0
     fi
-    # The throughput bench additionally records per-stage wall-time
-    # histogram summaries from the telemetry registry; each stage row
-    # must carry the full {count, sum, p50, p95, p99} summary.
-    if grep -q '"bench": "fig18_throughput"' "$f"; then
-        if ! grep -q '"stage_micros":' "$f"; then
-            echo "${f}: missing required field \"stage_micros\"" >&2
-            file_ok=0
-        fi
-        for stage in impute traverse refine merge barrier_wait; do
-            if ! grep -Eq "\"${stage}\": \\{\"count\": [0-9]+, \"sum\": [0-9]+, \"p50\": [0-9]+, \"p95\": [0-9]+, \"p99\": [0-9]+\\}" "$f"; then
-                echo "${f}: stage_micros.${stage} missing or malformed (need count/sum/p50/p95/p99)" >&2
-                file_ok=0
-            fi
-        done
-    fi
-    # The two end-to-end benches (fig18 library drive, fig20 daemon
-    # drive) record the causal-trace critical-path table: a complete
-    # attribution object whose segment keys mirror
+    # The daemon bench (fig20) records the causal-trace critical-path
+    # table: a complete attribution object whose segment keys mirror
     # ter_obs::trace::SEGMENTS, so regressions in where latency goes are
     # diffable from the committed artifacts alone.
-    if grep -Eq '"bench": "(fig18_throughput|fig20_serve)"' "$f"; then
+    if grep -q '"bench": "fig20_serve"' "$f"; then
         cp_line=$(grep '"critical_path":' "$f" || true)
         if [[ -z "$cp_line" ]]; then
             echo "${f}: missing required field \"critical_path\"" >&2

@@ -4,8 +4,7 @@
 //! ```text
 //! ter_serve serve --dir DIR [--addr 127.0.0.1:7341] [--preset ebooks]
 //!                 [--scale 1.0] [--window 400] [--checkpoint-every 8]
-//!                 [--queue-depth 16] [--shards 8] [--threads 1]
-//!                 [--io-threads 2] [--flush-window 1]
+//!                 [--queue-depth 16] [--io-threads 2] [--flush-window 1]
 //!                 [--flush-interval-ms 5] [--fsync-delay-ms 0]
 //! ter_serve feed  --addr ADDR [--preset ebooks] [--scale 1.0]
 //!                 [--window 400] [--batch 64] [--from auto|N]
@@ -23,7 +22,8 @@
 //! resolves to a real port), so harnesses can scrape the address. Both
 //! `serve` and `feed` build the *same* deterministic generated dataset
 //! from `(--preset, --scale, --window)`; the context fingerprint
-//! guarantees a store directory is never mixed across datasets.
+//! guarantees a store directory is never mixed across datasets. A flag
+//! the subcommand does not take is an error, not silently ignored.
 //!
 //! `feed --from auto` (the default) asks the daemon where its WAL ends
 //! and resumes the stream cursor there — after a `kill -9`, rerunning the
@@ -63,7 +63,6 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::ExecConfig;
 use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
@@ -73,14 +72,13 @@ use ter_stream::StreamSet;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ter_serve <serve|feed|query|shutdown> [flags]\n\
+        "usage: ter_serve <serve|feed|query|subscribe|metrics|trace|shutdown> [flags]\n\
          \n\
          serve    --dir DIR [--addr 127.0.0.1:7341] [--preset ebooks] [--scale 1.0]\n\
          \x20        [--window 400] [--checkpoint-every 8] [--queue-depth 16]\n\
          \x20        [--ckpt-mode full|delta] [--checkpoint-bytes N]\n\
          \x20        [--max-chain-len 16] [--max-chain-bytes 0]\n\
-         \x20        [--shards 8] [--threads 1] [--io-threads 2]\n\
-         \x20        [--flush-window 1] [--flush-interval-ms 5]\n\
+         \x20        [--io-threads 2] [--flush-window 1] [--flush-interval-ms 5]\n\
          \x20        [--notify-buffer 262144] [--metrics-text PATH|-]\n\
          feed     --addr ADDR [--preset ebooks] [--scale 1.0] [--window 400]\n\
          \x20        [--batch 64] [--from auto|N] [--batches N]\n\
@@ -96,11 +94,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Flag parser: `--key value` pairs after the subcommand.
-struct Flags(Vec<(String, String)>);
+/// Flag parser: `--key value` pairs after the subcommand, each key one
+/// the subcommand takes.
+struct Flags {
+    pairs: Vec<(String, String)>,
+    known: &'static [&'static str],
+}
 
 impl Flags {
-    fn parse(args: &[String]) -> Self {
+    /// Parses `args`, exiting through [`usage`] on a key outside `known`.
+    fn parse(args: &[String], known: &'static [&'static str]) -> Self {
         let mut out = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -108,6 +111,10 @@ impl Flags {
                 eprintln!("unexpected argument: {}", args[i]);
                 usage();
             };
+            if !known.contains(&key) {
+                eprintln!("unknown flag --{key}");
+                usage();
+            }
             // Boolean flags take no value.
             if matches!(key, "oracle-check" | "quiet" | "resilient" | "follow") {
                 out.push((key.to_string(), "true".to_string()));
@@ -121,11 +128,12 @@ impl Flags {
             out.push((key.to_string(), value.clone()));
             i += 2;
         }
-        Self(out)
+        Self { pairs: out, known }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.0
+        debug_assert!(self.known.contains(&key), "--{key} is not declared");
+        self.pairs
             .iter()
             .rev()
             .find(|(k, _)| k == key)
@@ -223,10 +231,6 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
             ),
             ..CompactionPolicy::two_generation()
         },
-        exec: ExecConfig::new(
-            flags.parsed("shards", 8),
-            flags.parsed("threads", ExecConfig::default().threads),
-        ),
         // Test-harness knob: slows the step stage so crash tests can pin
         // the daemon mid-stream deterministically. Zero in production.
         ingest_hold: Duration::from_millis(flags.parsed("ingest-hold-ms", 0)),
@@ -250,6 +254,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
                 usage();
             })
         }),
+        ..ServeOptions::default()
     };
     if let Some(target) = flags.get("metrics-text") {
         ter_obs::set_dump_path(Some(std::path::PathBuf::from(target)));
@@ -733,18 +738,62 @@ fn cmd_shutdown(flags: &Flags) -> ExitCode {
     }
 }
 
+/// Each subcommand with the flags it takes.
+type Command = (fn(&Flags) -> ExitCode, &'static [&'static str]);
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let flags = Flags::parse(&args[1..]);
-    match cmd.as_str() {
-        "serve" => cmd_serve(&flags),
-        "feed" => cmd_feed(&flags),
-        "query" => cmd_query(&flags),
-        "subscribe" => cmd_subscribe(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "trace" => cmd_trace(&flags),
-        "shutdown" => cmd_shutdown(&flags),
+    let (run, known): Command = match cmd.as_str() {
+        "serve" => (
+            cmd_serve,
+            &[
+                "dir",
+                "addr",
+                "preset",
+                "scale",
+                "window",
+                "queue-depth",
+                "checkpoint-every",
+                "ckpt-mode",
+                "checkpoint-bytes",
+                "max-chain-len",
+                "max-chain-bytes",
+                "ingest-hold-ms",
+                "io-threads",
+                "flush-window",
+                "flush-interval-ms",
+                "fsync-delay-ms",
+                "notify-buffer",
+                "panic-on-batch",
+                "metrics-text",
+            ],
+        ),
+        "feed" => (
+            cmd_feed,
+            &[
+                "addr",
+                "preset",
+                "scale",
+                "window",
+                "batch",
+                "from",
+                "batches",
+                "pipeline",
+                "resilient",
+                "oracle-check",
+                "quiet",
+            ],
+        ),
+        "query" => (cmd_query, &["addr", "id", "pattern"]),
+        "subscribe" => (
+            cmd_subscribe,
+            &["addr", "pattern", "sub-id", "resync-seq", "events"],
+        ),
+        "metrics" => (cmd_metrics, &["addr", "watch"]),
+        "trace" => (cmd_trace, &["addr", "slowest", "follow"]),
+        "shutdown" => (cmd_shutdown, &["addr"]),
         _ => usage(),
-    }
+    };
+    run(&Flags::parse(&args[1..], known))
 }

@@ -222,7 +222,7 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
             ctx,
             params,
             PruningMode::Full,
-            ExecConfig::new(3, 2),
+            ExecConfig,
         ))
     } else {
         Box::new(TerIdsEngine::new(ctx, params, PruningMode::Full))

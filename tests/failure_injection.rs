@@ -137,12 +137,7 @@ fn all_attributes_missing_mid_window_is_skipped_with_count_not_fatal() {
     assert!(seq.reported().contains(&(1, 2)));
 
     // The sharded engine must take the identical decisions, batched.
-    let mut par = ShardedTerIdsEngine::new(
-        &ctx,
-        Params::default(),
-        PruningMode::Full,
-        ExecConfig::new(2, 2),
-    );
+    let mut par = ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, ExecConfig);
     par.step_batch(&arrivals); // must not panic either
     let mut seq_rep: Vec<_> = seq.reported().iter().copied().collect();
     let mut par_rep: Vec<_> = par.reported().iter().copied().collect();

@@ -78,10 +78,6 @@ impl Daemon {
                 &WINDOW.to_string(),
                 "--checkpoint-every",
                 "4",
-                "--shards",
-                "4",
-                "--threads",
-                "2",
             ])
             .args(extra)
             .stdout(Stdio::piped())
@@ -182,8 +178,7 @@ pub fn oracle_run<'a>(
     params: Params,
     batches: &[Vec<Arrival>],
 ) -> (Vec<Vec<(u64, u64)>>, ShardedTerIdsEngine<'a>) {
-    let mut engine =
-        ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig::new(4, 2));
+    let mut engine = ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig);
     let mut per_arrival = Vec::new();
     for b in batches {
         per_arrival.extend(engine.step_batch(b).into_iter().map(|o| o.new_matches));

@@ -1,4 +1,5 @@
-//! The overhead guard: the telemetry layer must be effectively free.
+//! The overhead guard: the telemetry layer must be effectively free, and
+//! the traces it keeps must account for the time they claim.
 //!
 //! Two contracts, checked over identical engine runs with metrics
 //! globally on vs. off:
@@ -17,7 +18,13 @@
 //! the tracing-off arm (spans share `set_enabled`), and the on-arm must
 //! show traces were actually completed and retained — the guard must
 //! not pass because tracing silently no-opped.
+//!
+//! A third contract is checked on its own run: in library mode each batch
+//! roots its own trace, and the critical-path table built from those
+//! traces must account for the `step_batch` time measured around the
+//! calls.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ter_datasets::{preset, GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
@@ -25,6 +32,10 @@ use ter_ids::{ErProcessor, Params, PruningMode, TerContext};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_stream::Arrival;
+
+/// The registry, the kill switch and the trace table are process-global,
+/// so the tests of this file take turns.
+static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
 fn fixture() -> (TerContext, Vec<Vec<Arrival>>, Params) {
     let ds = preset(
@@ -56,8 +67,7 @@ fn run_once(
     params: Params,
     batches: &[Vec<Arrival>],
 ) -> (Duration, Vec<Vec<(u64, u64)>>) {
-    let mut engine =
-        ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig::new(4, 2));
+    let mut engine = ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig);
     let t0 = Instant::now();
     let mut reported = Vec::new();
     for b in batches {
@@ -68,6 +78,7 @@ fn run_once(
 
 #[test]
 fn metrics_overhead_is_within_noise_and_outputs_bit_identical() {
+    let _turn = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     let (ctx, batches, params) = fixture();
     let runs = 3;
 
@@ -154,5 +165,39 @@ fn metrics_overhead_is_within_noise_and_outputs_bit_identical() {
             .iter()
             .all(|t| t.spans.iter().any(|s| s.kind == ter_obs::trace::kind::STEP)),
         "every retained library-mode trace carries its STEP span"
+    );
+}
+
+/// Causal-trace honesty: the critical-path analyzer's segments must
+/// account for the latency measured from the outside — within 5% plus
+/// 2 µs of rounding per trace (each span truncates to whole
+/// microseconds) plus 100 µs.
+#[test]
+fn library_critical_path_accounts_for_measured_step_time() {
+    let _turn = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
+    ter_obs::set_enabled(true);
+    let (ctx, batches, params) = fixture();
+    let mut engine = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
+    let (cp0, _) = ter_obs::trace::snapshot();
+    let mut stepped_us = 0u64;
+    for b in &batches {
+        let t0 = Instant::now();
+        engine.step_batch(b);
+        stepped_us += t0.elapsed().as_micros() as u64;
+    }
+    let (cp1, _) = ter_obs::trace::snapshot();
+    let cp = cp1.delta(&cp0);
+    assert_eq!(cp.traces, batches.len() as u64, "one trace per batch");
+    assert_eq!(
+        cp.segment_sum(),
+        cp.total_micros,
+        "attribution table does not partition its own total"
+    );
+    assert_eq!(cp.barrier_micros, 0);
+    let tol = stepped_us / 20 + 2 * cp.traces + 100;
+    assert!(
+        stepped_us.abs_diff(cp.total_micros) <= tol,
+        "trace attribution accounts for {}us of {stepped_us}us measured (tolerance {tol}us)",
+        cp.total_micros
     );
 }

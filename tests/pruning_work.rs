@@ -12,7 +12,7 @@
 //! are deterministic.
 
 use ter_datasets::{preset, Dataset, GenOptions, Preset};
-use ter_ids::candidates::{examined_ids, CandidateLists};
+use ter_ids::candidates::CandidateLists;
 use ter_ids::pruning::{prob_prunable, topic_prunable, ub_sim};
 use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
@@ -102,7 +102,7 @@ fn list_scan_hands_on_a_tenth_of_eligible_entries() {
             lists.evict(&live.remove(id).expect("expired tuple was live"));
         }
         let probe = engine.meta(a.record.id).expect("probe is live").clone();
-        examined += examined_ids([&lists], &probe, gamma).len();
+        examined += lists.examined_ids(&probe, gamma).len();
         eligible += live
             .values()
             .filter(|m| m.stream_id != probe.stream_id)

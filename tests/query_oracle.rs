@@ -145,7 +145,7 @@ proptest! {
 
         let mut seq_eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
         let mut par_eng =
-            ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig::new(3, 2));
+            ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig);
         let mut sq_seq = StandingQuery::new(pattern.clone());
         let mut sq_par = StandingQuery::new(pattern.clone());
         let mut fold_seq: BTreeSet<Vec<u64>> = sq_seq.seed(&seq_eng).into_iter().collect();
@@ -191,17 +191,14 @@ proptest! {
     }
 }
 
-/// The delta hook itself, differentially: per batch, the sharded and
-/// sequential engines must report identical expiry/retraction streams
-/// (the sharded engine's per-shard result removal folds back to the
-/// same normalized pair list) — the foundation every standing query
-/// stands on.
+/// The delta hook itself, differentially: per batch, the batched and
+/// sequential engines must report identical expiry/retraction streams —
+/// the foundation every standing query stands on.
 #[test]
 fn window_delta_streams_are_identical_across_engines() {
     let (ctx, streams, params) = &fixtures()[0];
     let mut seq_eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
-    let mut par_eng =
-        ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig::new(4, 2));
+    let mut par_eng = ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig);
     for (bi, chunk) in streams
         .arrival_batches(BATCH)
         .into_iter()

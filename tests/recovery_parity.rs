@@ -104,7 +104,7 @@ fn make_engine<'a>(
             ctx,
             params,
             PruningMode::Full,
-            ExecConfig::new(3, 2),
+            ExecConfig,
         )),
     }
 }
@@ -313,8 +313,7 @@ fn cross_engine_recovery() {
 
     let store = TerStore::open(dir.path(), fp).unwrap();
     let rec = store.recover().unwrap();
-    let mut sharded =
-        ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig::new(4, 2));
+    let mut sharded = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
     sharded
         .import_state(rec.state.as_ref().unwrap())
         .expect("sequential checkpoint into sharded engine");

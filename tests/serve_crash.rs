@@ -288,8 +288,7 @@ fn subscriber_survives_sigkill_via_resubscribe_resync() {
     let pattern = Pattern::parse(pattern_src).expect("pattern");
 
     // ---- the never-crashed subscriber: in-process standing fold ----
-    let mut oracle_eng =
-        ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig::new(4, 2));
+    let mut oracle_eng = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
     let mut oracle_sq = StandingQuery::new(pattern.clone());
     let mut oracle_fold: BTreeSet<Vec<u64>> = oracle_sq.seed(&oracle_eng).into_iter().collect();
     let mut oracle_rows_at_cut: Vec<Vec<u64>> = Vec::new();
@@ -543,4 +542,39 @@ fn sigkill_under_burst_with_delta_checkpoints_is_bit_identical() {
     assert_eq!(window.live_ids, oracle.live_ids());
     client.shutdown().expect("graceful shutdown");
     daemon.wait_graceful();
+}
+
+/// A flag the subcommand does not take — the removed `--threads`, or a
+/// typo like `--flush-windw` — exits through the usage text instead of
+/// being ignored. A daemon that started anyway is killed after a
+/// deadline and fails the test rather than hanging it.
+#[test]
+fn unknown_serve_flag_is_refused() {
+    let dir = TempDir::new("unknown_flag");
+    for flag in ["--threads", "--flush-windw"] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ter_serve"))
+            .args(["serve", "--dir", dir.path().to_str().unwrap()])
+            .args(["--addr", "127.0.0.1:0", flag, "2"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn ter_serve");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait on ter_serve") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("ter_serve accepted {flag} and kept running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut err = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut err).unwrap();
+        assert_eq!(status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        assert!(err.contains("usage: ter_serve"), "{err}");
+    }
 }

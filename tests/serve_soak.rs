@@ -114,7 +114,7 @@ fn soak_connections_bounded_threads_and_oracle_parity() {
         (served_stats, peak)
     });
 
-    // The pool is fixed: engine + commit + acceptor + 2 I/O + worker
+    // The thread set is fixed: engine + commit + acceptor + 2 I/O
     // threads. 16 is generous headroom for all of those and still orders
     // of magnitude below a thread-per-connection front end at 256 conns.
     assert!(
