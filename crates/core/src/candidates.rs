@@ -16,6 +16,7 @@
 //! [`account_pairs`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
@@ -146,7 +147,7 @@ impl StreamCounts {
     /// Counts for a restored window: the persisted per-stream live counts
     /// (which may carry zero entries for streams with no live tuple) and
     /// topical counts derived from the live metadata.
-    pub fn restore(live: &[usize], metas: &[TupleMeta]) -> Self {
+    pub fn restore(live: &[usize], metas: &[Arc<TupleMeta>]) -> Self {
         let mut topical = vec![0; live.len()];
         for meta in metas.iter().filter(|m| m.possibly_topical) {
             topical[meta.stream_id] += 1;

@@ -45,6 +45,7 @@ use crate::params::Params;
 pub use crate::params::PruningMode;
 use crate::refine::{decide_pair, PairContext, PairDecision, RefineOutcome};
 use crate::results::{norm_pair, ResultSet};
+use crate::state::EngineState;
 use crate::ErProcessor;
 
 /// Everything built in the offline pre-computation phase (Algorithm 1
@@ -174,8 +175,9 @@ pub struct StepOutput {
 ///
 /// Its dynamic state is a [`LiveState`], which it dereferences to: the
 /// window, result and metadata accessors and
-/// [`LiveState::export_state`] / [`LiveState::import_state`] are the
-/// state's.
+/// [`LiveState::export_state`] are the state's. Import
+/// ([`TerIdsEngine::import_state`]) is the engine's, because it rebuilds
+/// each live tuple's metadata from the context.
 pub struct TerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
@@ -231,17 +233,41 @@ impl<'a> TerIdsEngine<'a> {
             pt
         };
         let t = Instant::now();
-        let meta = TupleMeta::build(
-            arrival.record.id,
-            arrival.stream_id,
-            arrival.timestamp,
-            pt,
+        let meta = self.derive_meta(arrival.timestamp, arrival.stream_id, pt);
+        timing.er += t.elapsed();
+        (meta, timing)
+    }
+
+    /// The metadata of an imputed tuple: the one derivation both arrival
+    /// and import run, so a restored tuple's metadata is the arrival's.
+    fn derive_meta(&self, timestamp: u64, stream_id: usize, tuple: ProbTuple) -> Arc<TupleMeta> {
+        Arc::new(TupleMeta::build(
+            tuple.base.id,
+            stream_id,
+            timestamp,
+            tuple,
             &self.ctx.pivots,
             &self.ctx.layout,
             &self.ctx.keywords,
-        );
-        timing.er += t.elapsed();
-        (Arc::new(meta), timing)
+        ))
+    }
+
+    /// Replaces the dynamic state with a snapshot (recovery: load the
+    /// newest checkpoint, then replay the WAL suffix). The snapshot holds
+    /// each live tuple's imputed tuple; its metadata is derived here as
+    /// at arrival, so it always agrees with the tuple and the context.
+    /// Snapshots from either engine are accepted. On `Err` the engine is
+    /// left untouched — the recovery path must never panic or
+    /// half-apply.
+    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
+        state.validate(self.ctx.arity(), self.live.window_capacity())?;
+        let metas = state
+            .live
+            .iter()
+            .map(|e| self.derive_meta(e.timestamp, e.stream_id, e.tuple.clone()))
+            .collect();
+        self.live.restore(state, metas);
+        Ok(())
     }
 
     /// Steps an arrival already imputed by [`TerIdsEngine::impute`]:
@@ -343,7 +369,7 @@ impl ErProcessor for TerIdsEngine<'_> {
 mod tests {
     use super::*;
     use ter_repo::{Record, Schema};
-    use ter_stream::StreamSet;
+    use ter_stream::{AttrCandidates, StreamSet};
     use ter_text::Dictionary;
 
     /// Builds a small 2-stream scenario with an obvious match.
@@ -691,28 +717,51 @@ mod tests {
         assert!(plain_probes > 50, "only {plain_probes} non-topical probes");
     }
 
+    /// A refused import leaves the engine as it was, and usable. Refused
+    /// are a window capacity other than the engine's and the tuples the
+    /// metadata derivation cannot take: a wrong arity, an imputation that
+    /// does not cover exactly the missing attributes.
     #[test]
-    fn import_rejects_mismatched_window() {
+    fn refused_imports_leave_the_engine_untouched() {
         let (ctx, streams, _) = scenario();
-        let mut engine = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
-        for a in streams.arrivals() {
-            engine.process(&a);
+        let arrivals = streams.arrivals();
+        let mut full = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        for a in &arrivals {
+            full.process(a);
         }
-        let state = engine.export_state();
-        let mut other = TerIdsEngine::new(
-            &ctx,
-            Params {
-                window: 7,
-                ..Params::default()
+        let corruptions: [fn(&mut EngineState); 4] = [
+            |s| s.window_capacity = 7,
+            // Three attributes against a two-attribute schema.
+            |s| {
+                s.live[0]
+                    .tuple
+                    .base
+                    .attrs
+                    .push(Some(ter_text::TokenSet::empty()))
             },
-            PruningMode::Full,
-        );
-        assert!(other.import_state(&state).is_err());
-        // The failed import must leave the engine untouched and usable.
-        assert_eq!(other.window_len(), 0);
-        for a in streams.arrivals() {
-            other.process(&a);
+            // A missing attribute left without candidates.
+            |s| s.live[0].tuple.base.attrs[1] = None,
+            // Candidates for a present attribute.
+            |s| {
+                s.live[0]
+                    .tuple
+                    .imputed
+                    .push(AttrCandidates::normalized(0, vec![]))
+            },
+        ];
+        for corrupt in corruptions {
+            let mut bad = full.export_state();
+            corrupt(&mut bad);
+            let mut engine = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+            engine.process(&arrivals[0]);
+            let before = engine.export_state();
+            assert!(engine.import_state(&bad).is_err(), "{bad:?} accepted");
+            assert_eq!(engine.export_state(), before);
+            assert_eq!(engine.meta(1).map(|m| m.id), Some(1));
+            for a in &arrivals[1..] {
+                engine.process(a);
+            }
+            assert!(engine.results().contains(1, 2));
         }
-        assert!(other.results().contains(1, 2));
     }
 }

@@ -24,8 +24,8 @@
 //!   candidate-list maintenance and the imputation/pruning/refinement
 //!   pipeline, whose per-arrival loop the batched engine in `ter_exec`
 //!   runs too;
-//! * [`live`] — the dynamic state of a TER-iDS engine, its export and
-//!   import ([`LiveState`]);
+//! * [`live`] — the dynamic state of a TER-iDS engine and its export
+//!   ([`LiveState`]);
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
 //!   `er+ER`, `con+ER`);
 //! * [`metrics`] — precision/recall/F-score (Equation 6) and pruning-power
@@ -57,7 +57,7 @@ pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats};
 pub use params::Params;
 pub use refine::{decide_pair, PairContext, PairDecision, RefineOutcome};
 pub use results::ResultSet;
-pub use state::{delta_between, EngineState, StateDelta};
+pub use state::{delta_between, EngineState, LiveEntry, StateDelta};
 
 use ter_stream::Arrival;
 

@@ -16,11 +16,15 @@
 //!    reported history, and the new tuple's list entry, stream count and
 //!    metadata (lines 11–13, 15–26).
 //!
-//! Export and import of the canonical [`EngineState`] and every read
-//! accessor live here too, so a checkpoint taken from either engine
-//! restores into either, and the query layer reads both engines through
-//! one view. The engines dereference to their `LiveState`, which is how
+//! Export of the canonical [`EngineState`] and every read accessor live
+//! here too, so a checkpoint taken from either engine restores into
+//! either, and the query layer reads both engines through one view. The
+//! engines dereference to their `LiveState`, which is how
 //! `engine.live_ids()` or `engine.export_state()` reach these methods.
+//! Import needs the static context to rebuild each live tuple's
+//! metadata, so it is the engine's
+//! ([`TerIdsEngine::import_state`](crate::TerIdsEngine::import_state)),
+//! which hands the rebuilt state to `restore` here.
 
 use std::sync::Arc;
 
@@ -33,7 +37,7 @@ use crate::meta::TupleMeta;
 use crate::metrics::{PhaseTiming, PruneStats};
 use crate::refine::RefineOutcome;
 use crate::results::ResultSet;
-use crate::state::EngineState;
+use crate::state::{EngineState, LiveEntry};
 
 /// The dynamic state of one engine. See the [module docs](self).
 pub struct LiveState {
@@ -181,15 +185,22 @@ impl LiveState {
     }
 
     /// Snapshots the state in the canonical [`EngineState`]
-    /// representation: window order and sorted pairs. The candidate lists
-    /// are not exported; they are the window split by stream and
-    /// topicality. The export is therefore equal across engines at the
-    /// same stream position.
+    /// representation: window order and sorted pairs, each live tuple as
+    /// the inputs of its metadata. Neither the metadata nor the candidate
+    /// lists are exported; an importing engine derives both. The export
+    /// is therefore equal across engines at the same stream position.
     pub fn export_state(&self) -> EngineState {
-        let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
-        let metas = window
+        let live = self
+            .window
             .iter()
-            .map(|(_, id)| self.metas[id].as_ref().clone())
+            .map(|(timestamp, id)| {
+                let meta = &self.metas[id];
+                LiveEntry {
+                    timestamp,
+                    stream_id: meta.stream_id,
+                    tuple: meta.tuple.clone(),
+                }
+            })
             .collect();
         let mut results: Vec<(u64, u64)> = self.results.iter().collect();
         results.sort_unstable();
@@ -197,8 +208,7 @@ impl LiveState {
         reported.sort_unstable();
         EngineState {
             window_capacity: self.window.capacity(),
-            window,
-            metas,
+            live,
             stream_counts: self.counts.live().to_vec(),
             results,
             reported,
@@ -206,41 +216,31 @@ impl LiveState {
         }
     }
 
-    /// Replaces the state with a validated snapshot (recovery: load the
-    /// newest checkpoint, then replay the WAL suffix), rebuilding the
-    /// candidate lists by inserting the window in order. Snapshots from
-    /// either engine are accepted. Phase timings restart at zero
-    /// (wall clock is not recoverable state). On `Err` the state is left
-    /// untouched — the recovery path must never panic or half-apply.
-    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
-        state.validate(self.arity, self.window.capacity())?;
+    /// Replaces the state with a snapshot already validated against this
+    /// state's arity and capacity, whose live tuples' metadata `metas`
+    /// the engine derived in window order. Rebuilds the window and the
+    /// candidate lists by inserting the tuples in order. Phase timings
+    /// restart at zero (wall clock is not recoverable state).
+    pub(crate) fn restore(&mut self, state: &EngineState, metas: Vec<Arc<TupleMeta>>) {
         let mut lists = CandidateLists::new(self.arity);
-        for meta in &state.metas {
-            lists.insert(meta);
-        }
-        let metas: FxHashMap<u64, Arc<TupleMeta>> = state
-            .metas
-            .iter()
-            .map(|meta| (meta.id, Arc::new(meta.clone())))
-            .collect();
         let mut window = SlidingWindow::new(self.window.capacity());
-        for &(ts, id) in &state.window {
-            // validate() bounds the length by the capacity and checks
+        for meta in &metas {
+            lists.insert(meta);
+            // Validation bounds the length by the capacity and checks
             // monotonic timestamps, so no push can evict or assert.
-            window.push(ts, id);
+            window.push(meta.timestamp, meta.id);
         }
         let mut results = ResultSet::new();
         for &(a, b) in &state.results {
             results.insert(a, b);
         }
+        self.counts = StreamCounts::restore(&state.stream_counts, &metas);
         self.lists = lists;
         self.window = window;
-        self.metas = metas;
-        self.counts = StreamCounts::restore(&state.stream_counts, &state.metas);
+        self.metas = metas.into_iter().map(|meta| (meta.id, meta)).collect();
         self.results = results;
         self.reported = state.reported.iter().copied().collect();
         self.stats = state.stats;
         self.timing = PhaseTiming::default();
-        Ok(())
     }
 }

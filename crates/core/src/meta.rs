@@ -9,6 +9,11 @@
 //! the similarity bound [`crate::pruning::ub_sim_signature`] reads and the
 //! candidate lists ([`crate::candidates::CandidateLists`]) keep beside the
 //! tuple's id.
+//!
+//! All of it is a function of the imputed tuple and the static context,
+//! so none of it is persisted: a checkpoint stores the imputed tuple
+//! ([`crate::state::LiveEntry`]) and import rebuilds the metadata with
+//! [`TupleMeta::build`], as arrival does.
 
 use ter_repo::PivotTable;
 use ter_stream::ProbTuple;
@@ -50,9 +55,6 @@ impl AuxLayout {
 }
 
 /// Everything the pruning rules need to know about one (imputed) tuple.
-///
-/// `PartialEq` is exact (every `f64` compared bitwise) — checkpoint
-/// round-trips and recovery parity are asserted as bit-identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleMeta {
     /// Tuple id (unique across all streams).
@@ -77,8 +79,7 @@ pub struct TupleMeta {
     /// both tuples ⇒ Theorem 4.1 prunes the pair).
     pub possibly_topical: bool,
     /// Per-attribute token signatures over the attribute's *possible*
-    /// tokens (see [`TupleMeta::signatures_of`]). Derived from `tuple`
-    /// alone, so checkpoints do not store them.
+    /// tokens (see [`TupleMeta::signatures_of`]).
     pub signatures: Box<[u64]>,
 }
 

@@ -1,35 +1,61 @@
 //! Engine-agnostic snapshot of a TER-iDS engine's dynamic state.
 //!
-//! [`EngineState`] captures everything that changes as arrivals are
-//! consumed — the sliding window, per-tuple metadata (including the
-//! imputed probabilistic tuples), per-stream live counts, the live result
-//! set `ES`, the reported-pair history and cumulative prune statistics.
-//! Everything an engine derives from the static
-//! [`TerContext`](crate::TerContext) (pivots, rules, indexes, keywords) is
-//! deliberately *not* here: the offline pre-computation is a deterministic
-//! function of the repository, so a restarted service rebuilds it and
-//! grafts this state on top. Neither are the candidate lists
-//! ([`CandidateLists`](crate::candidates::CandidateLists)): they are the
-//! window split by stream and topicality, and an importing engine rebuilds
-//! them by inserting the window in order.
+//! [`EngineState`] holds the inputs of everything that changes as
+//! arrivals are consumed — each live tuple's arrival timestamp, stream and
+//! imputed probabilistic tuple, in window order — plus the per-stream live
+//! counts, the live result set `ES`, the reported-pair history and
+//! cumulative prune statistics. Nothing derived is here:
 //!
-//! The representation is canonical — window entries in arrival order,
+//! * the per-tuple [`TupleMeta`](crate::TupleMeta) (pivot-distance
+//!   bounds and expectations, token-size bounds, the topical flag, token
+//!   signatures) is a function of the imputed tuple and the static
+//!   [`TerContext`](crate::TerContext), so an importing engine rebuilds
+//!   it with the same [`TupleMeta::build`](crate::TupleMeta::build) call
+//!   the arrival path makes, and the two can never disagree;
+//! * the context itself (pivots, rules, indexes, keywords) is a
+//!   deterministic function of the repository, so a restarted service
+//!   rebuilds it and grafts this state on top;
+//! * the candidate lists
+//!   ([`CandidateLists`](crate::candidates::CandidateLists)) are the
+//!   window split by stream and topicality, rebuilt by inserting the
+//!   window in order.
+//!
+//! The representation is canonical — live entries in arrival order,
 //! result/reported pairs sorted — so the sequential `TerIdsEngine` and the
-//! sharded `ShardedTerIdsEngine` export *equal* states at the same stream
+//! batched `ShardedTerIdsEngine` export *equal* states at the same stream
 //! position, and a checkpoint taken from one engine restores into the
 //! other.
 //!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
-//! every cross-field invariant (window/meta agreement, timestamp
+//! every invariant the metadata derivation and the engine rely on (tuple
+//! arity, imputation covering exactly the missing attributes, timestamp
 //! monotonicity, id uniqueness, stream-count consistency, pair liveness)
-//! and returns `Err` instead of panicking, because the
-//! recovery path must survive arbitrary on-disk corruption that slipped
-//! past the frame CRCs.
+//! and returns `Err` instead of panicking, because the recovery path must
+//! survive arbitrary on-disk corruption that slipped past the frame CRCs.
 
+use ter_stream::ProbTuple;
 use ter_text::fxhash::FxHashSet;
 
-use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
+
+/// One live tuple as persisted: the inputs its metadata is derived from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiveEntry {
+    /// Arrival timestamp.
+    pub timestamp: u64,
+    /// Source stream.
+    pub stream_id: usize,
+    /// The imputed probabilistic tuple `r^p`; its base record carries the
+    /// tuple id.
+    pub tuple: ProbTuple,
+}
+
+impl LiveEntry {
+    /// The tuple id.
+    pub fn id(&self) -> u64 {
+        self.tuple.base.id
+    }
+}
 
 /// A snapshot of one engine's dynamic state. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -38,10 +64,8 @@ pub struct EngineState {
     /// engine with a different `w` is refused — the result set would not
     /// be comparable).
     pub window_capacity: usize,
-    /// `(timestamp, tuple id)` of every unexpired tuple, oldest first.
-    pub window: Vec<(u64, u64)>,
-    /// Metadata of the unexpired tuples, in window (arrival) order.
-    pub metas: Vec<TupleMeta>,
+    /// The unexpired tuples, oldest first.
+    pub live: Vec<LiveEntry>,
     /// Live tuple count per stream. Kept verbatim (not re-derived) because
     /// trailing zero entries from fully-expired streams are part of the
     /// engine's observable accounting state.
@@ -65,68 +89,51 @@ impl EngineState {
                 self.window_capacity, window_capacity
             ));
         }
-        if self.window.len() > window_capacity {
+        if self.live.len() > window_capacity {
             return Err(format!(
-                "{} window entries exceed capacity {}",
-                self.window.len(),
+                "{} live tuples exceed capacity {}",
+                self.live.len(),
                 window_capacity
-            ));
-        }
-        if self.metas.len() != self.window.len() {
-            return Err(format!(
-                "{} metas for {} window entries",
-                self.metas.len(),
-                self.window.len()
             ));
         }
         let mut ids: FxHashSet<u64> = FxHashSet::default();
         let mut prev_ts: Option<u64> = None;
-        for ((ts, id), meta) in self.window.iter().zip(&self.metas) {
-            if prev_ts.is_some_and(|p| p > *ts) {
+        // Stream counts must agree with the live tuples: each live
+        // stream's count exact, extra (historical) entries zero.
+        let mut derived = vec![0usize; self.stream_counts.len()];
+        for entry in &self.live {
+            let (id, ts) = (entry.id(), entry.timestamp);
+            if prev_ts.is_some_and(|p| p > ts) {
                 return Err(format!("window timestamps decrease at {ts}"));
             }
-            prev_ts = Some(*ts);
-            if meta.id != *id || meta.timestamp != *ts {
+            prev_ts = Some(ts);
+            let base = &entry.tuple.base;
+            if base.attrs.len() != arity {
                 return Err(format!(
-                    "meta ({}, t={}) does not match window entry ({id}, t={ts})",
-                    meta.id, meta.timestamp
+                    "tuple {id} has arity {} but engine schema has {arity}",
+                    base.attrs.len()
                 ));
             }
-            if meta.arity() != arity {
+            // `ProbTuple::new`'s invariants, which the metadata
+            // derivation and the instance enumeration index by.
+            let imputed = entry.tuple.imputed.iter().map(|c| c.attr);
+            if !imputed.eq(base.missing_attrs())
+                || entry.tuple.imputed.iter().any(|c| c.candidates.is_empty())
+            {
                 return Err(format!(
-                    "meta {id} has arity {} but engine schema has {arity}",
-                    meta.arity()
+                    "tuple {id}: imputation does not cover exactly its missing attributes"
                 ));
             }
-            // The candidate lists store `arity` signature words per entry.
-            if meta.signatures.len() != arity {
-                return Err(format!(
-                    "meta {id} has {} signature words for arity {arity}",
-                    meta.signatures.len()
-                ));
-            }
-            if !ids.insert(*id) {
+            if !ids.insert(id) {
                 return Err(format!("duplicate tuple id {id}"));
             }
+            let Some(count) = derived.get_mut(entry.stream_id) else {
+                let sid = entry.stream_id;
+                return Err(format!("tuple {id} is on stream {sid}, past stream_counts"));
+            };
+            *count += 1;
         }
-        // Stream counts must agree with the live metas: each live stream's
-        // count exact, extra (historical) entries zero.
-        let mut derived: Vec<usize> = Vec::new();
-        for meta in &self.metas {
-            if derived.len() <= meta.stream_id {
-                derived.resize(meta.stream_id + 1, 0);
-            }
-            derived[meta.stream_id] += 1;
-        }
-        if self.stream_counts.len() < derived.len() {
-            return Err(format!(
-                "stream_counts has {} entries but live tuples span {} streams",
-                self.stream_counts.len(),
-                derived.len()
-            ));
-        }
-        for (sid, &count) in self.stream_counts.iter().enumerate() {
-            let expect = derived.get(sid).copied().unwrap_or(0);
+        for (sid, (&count, &expect)) in self.stream_counts.iter().zip(&derived).enumerate() {
             if count != expect {
                 return Err(format!(
                     "stream {sid} count {count} but {expect} live tuples"
@@ -151,7 +158,7 @@ impl EngineState {
 
     /// Number of live tuples in the snapshot.
     pub fn live_count(&self) -> usize {
-        self.window.len()
+        self.live.len()
     }
 }
 
@@ -161,16 +168,16 @@ impl EngineState {
 ///
 /// Legality rests on the window discipline: entries are appended at the
 /// back and evicted from the front, never reordered or mutated in place,
-/// so the base's window splits into an evicted prefix and a surviving
-/// suffix that is bit-identical in the successor. The delta then carries
-/// exactly the evicted ids, the new arrivals (with their metas), the
+/// so the base's live entries split into an evicted prefix and a
+/// surviving suffix that is bit-identical in the successor. The delta
+/// then carries exactly the evicted ids, the new arrivals' entries, the
 /// result-set adds/removes, the reported-pair additions (reported is
-/// append-only), plus the small whole-copy fields (stream counts, prune counters) whose
-/// size does not grow with the window. At low churn the encoded delta is
-/// proportional to the churn, not to the window.
+/// append-only), plus the small whole-copy fields (stream counts, prune
+/// counters) whose size does not grow with the window. At low churn the
+/// encoded delta is proportional to the churn, not to the window.
 ///
 /// [`delta_between`] refuses (returns `Err`) whenever the two snapshots
-/// do not satisfy the append/evict-only relationship — a surviving meta
+/// do not satisfy the append/evict-only relationship — a surviving entry
 /// that changed, a reported pair that vanished — so a caller can always
 /// fall back to a full checkpoint instead of persisting a lie.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -179,11 +186,8 @@ pub struct StateDelta {
     pub window_capacity: usize,
     /// Ids evicted from the window front since the base, oldest first.
     pub evicted: Vec<u64>,
-    /// `(timestamp, id)` of entries appended since the base, in arrival
-    /// order.
-    pub arrivals: Vec<(u64, u64)>,
-    /// Metadata of the appended entries, in the same order.
-    pub arrival_metas: Vec<TupleMeta>,
+    /// Entries appended since the base, in arrival order.
+    pub arrivals: Vec<LiveEntry>,
     /// Full replacement of the per-stream live counts (small).
     pub stream_counts: Vec<usize>,
     /// Result pairs present in the successor but not the base, sorted.
@@ -228,32 +232,23 @@ impl StateDelta {
                 self.window_capacity, base.window_capacity
             ));
         }
-        if self.arrival_metas.len() != self.arrivals.len() {
-            return Err(format!(
-                "{} metas for {} delta arrivals",
-                self.arrival_metas.len(),
-                self.arrivals.len()
-            ));
-        }
         let e = self.evicted.len();
-        if e > base.window.len() {
+        if e > base.live.len() {
             return Err(format!(
                 "delta evicts {e} of {} base entries",
-                base.window.len()
+                base.live.len()
             ));
         }
-        for (i, id) in self.evicted.iter().enumerate() {
-            if base.window[i].1 != *id {
+        for (entry, id) in base.live.iter().zip(&self.evicted) {
+            if entry.id() != *id {
                 return Err(format!(
                     "evicted id {id} does not match base window front {}",
-                    base.window[i].1
+                    entry.id()
                 ));
             }
         }
-        let mut window = base.window[e..].to_vec();
-        window.extend_from_slice(&self.arrivals);
-        let mut metas = base.metas[e..].to_vec();
-        metas.extend(self.arrival_metas.iter().cloned());
+        let mut live = base.live[e..].to_vec();
+        live.extend_from_slice(&self.arrivals);
         let results = apply_pair_delta(
             &base.results,
             &self.results_added,
@@ -263,8 +258,7 @@ impl StateDelta {
         let reported = apply_pair_delta(&base.reported, &self.reported_added, &[], "reported")?;
         Ok(EngineState {
             window_capacity: self.window_capacity,
-            window,
-            metas,
+            live,
             stream_counts: self.stream_counts.clone(),
             results,
             reported,
@@ -340,26 +334,19 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
     // Survivors of the base window are exactly its entries whose id is
     // still live in `next`; evict-only-from-front means they must form a
     // suffix of the base *and* a prefix of the successor, bit-identical
-    // metas included. Any mismatch refuses the delta.
-    let next_ids: FxHashSet<u64> = next.window.iter().map(|&(_, id)| id).collect();
+    // tuples included. Any mismatch refuses the delta.
+    let next_ids: FxHashSet<u64> = next.live.iter().map(LiveEntry::id).collect();
     let evict_count = base
-        .window
+        .live
         .iter()
-        .take_while(|(_, id)| !next_ids.contains(id))
+        .take_while(|entry| !next_ids.contains(&entry.id()))
         .count();
-    let survivors = base.window.len() - evict_count;
-    if survivors > next.window.len() || base.window[evict_count..] != next.window[..survivors] {
+    let survivors = base.live.len() - evict_count;
+    if survivors > next.live.len() || base.live[evict_count..] != next.live[..survivors] {
         return Err("base window is not an evict-prefix of the successor".into());
     }
-    if base.metas[evict_count..] != next.metas[..survivors] {
-        return Err("a surviving window entry's meta changed".into());
-    }
-    let evicted: Vec<u64> = base.window[..evict_count]
-        .iter()
-        .map(|&(_, id)| id)
-        .collect();
-    let arrivals: Vec<(u64, u64)> = next.window[survivors..].to_vec();
-    let arrival_metas: Vec<TupleMeta> = next.metas[survivors..].to_vec();
+    let evicted: Vec<u64> = base.live[..evict_count].iter().map(LiveEntry::id).collect();
+    let arrivals = next.live[survivors..].to_vec();
 
     let (results_added, results_removed) = diff_sorted_pairs(&base.results, &next.results);
     let (reported_added, reported_removed) = diff_sorted_pairs(&base.reported, &next.reported);
@@ -374,7 +361,6 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
         window_capacity: next.window_capacity,
         evicted,
         arrivals,
-        arrival_metas,
         stream_counts: next.stream_counts.clone(),
         results_added,
         results_removed,
@@ -421,36 +407,27 @@ fn diff_sorted_pairs(base: &[(u64, u64)], next: &[(u64, u64)]) -> PairDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ter_repo::{Record, Schema};
-    use ter_stream::ProbTuple;
-    use ter_text::Dictionary;
+    use ter_repo::Record;
+    use ter_stream::AttrCandidates;
+    use ter_text::TokenSet;
 
-    /// A minimal hand-built meta (field-literal; validation only looks at
-    /// id/stream/timestamp/arity).
-    fn meta(id: u64, stream_id: usize, timestamp: u64) -> TupleMeta {
-        let schema = Schema::new(vec!["a", "b"]);
-        let mut dict = Dictionary::new();
-        let rec = Record::from_texts(&schema, id, &[Some("x"), Some("y")], &mut dict);
-        let tuple = ProbTuple::certain(rec);
-        TupleMeta {
+    /// A complete two-attribute tuple.
+    fn entry(id: u64, stream_id: usize, timestamp: u64) -> LiveEntry {
+        let base = Record {
             id,
-            stream_id,
+            attrs: vec![Some(TokenSet::empty()); 2],
+        };
+        LiveEntry {
             timestamp,
-            signatures: TupleMeta::signatures_of(&tuple),
-            tuple,
-            main_bounds: vec![ter_text::Interval::point(0.1); 2],
-            main_expect: vec![0.1; 2],
-            aux_bounds: vec![],
-            size_bounds: vec![ter_text::Interval::point(1.0); 2],
-            possibly_topical: false,
+            stream_id,
+            tuple: ProbTuple::certain(base),
         }
     }
 
     fn valid_state() -> EngineState {
         EngineState {
             window_capacity: 4,
-            window: vec![(0, 10), (1, 11)],
-            metas: vec![meta(10, 0, 0), meta(11, 1, 1)],
+            live: vec![entry(10, 0, 0), entry(11, 1, 1)],
             stream_counts: vec![1, 1],
             results: vec![(10, 11)],
             reported: vec![(10, 11)],
@@ -469,13 +446,21 @@ mod tests {
     fn rejections() {
         let cases: Vec<(&str, Mutation)> = vec![
             ("capacity", Box::new(|s| s.window_capacity = 8)),
-            ("meta count", Box::new(|s| s.metas.truncate(1))),
-            ("timestamps", Box::new(|s| s.window[1].0 = 0)),
-            ("id mismatch", Box::new(|s| s.window[1].1 = 99)),
+            ("timestamps", Box::new(|s| s.live[0].timestamp = 5)),
+            ("duplicate id", Box::new(|s| s.live[1].tuple.base.id = 10)),
             ("stream counts", Box::new(|s| s.stream_counts = vec![2, 0])),
+            ("unknown stream", Box::new(|s| s.live[1].stream_id = 2)),
+            // Wrong arity and imputations of other than the missing
+            // attributes: see `refused_imports_leave_the_engine_untouched`.
             (
-                "signature width",
-                Box::new(|s| s.metas[1].signatures = vec![0; 3].into()),
+                "empty candidate distribution",
+                Box::new(|s| {
+                    s.live[1].tuple.base.attrs[1] = None;
+                    s.live[1].tuple.imputed = vec![AttrCandidates {
+                        attr: 1,
+                        candidates: vec![],
+                    }];
+                }),
             ),
             ("result liveness", Box::new(|s| s.results = vec![(10, 99)])),
             (
@@ -501,8 +486,7 @@ mod tests {
     fn successor_state() -> EngineState {
         EngineState {
             window_capacity: 4,
-            window: vec![(1, 11), (2, 12), (3, 13)],
-            metas: vec![meta(11, 1, 1), meta(12, 0, 2), meta(13, 0, 3)],
+            live: vec![entry(11, 1, 1), entry(12, 0, 2), entry(13, 0, 3)],
             stream_counts: vec![2, 1],
             results: vec![(11, 12)],
             reported: vec![(10, 11), (11, 12)],
@@ -519,7 +503,7 @@ mod tests {
         let next = successor_state();
         let d = delta_between(&base, &next).unwrap();
         assert_eq!(d.evicted, vec![10]);
-        assert_eq!(d.arrivals, vec![(2, 12), (3, 13)]);
+        assert_eq!(d.arrivals, vec![entry(12, 0, 2), entry(13, 0, 3)]);
         assert_eq!(d.churn(), 3);
         assert_eq!(d.results_added, vec![(11, 12)]);
         assert_eq!(d.results_removed, vec![(10, 11)]);
@@ -543,8 +527,7 @@ mod tests {
         // Nothing survives: both base entries evicted, two fresh ones.
         let next = EngineState {
             window_capacity: 4,
-            window: vec![(5, 20), (6, 21)],
-            metas: vec![meta(20, 0, 5), meta(21, 1, 6)],
+            live: vec![entry(20, 0, 5), entry(21, 1, 6)],
             stream_counts: vec![1, 1],
             results: vec![],
             reported: vec![(10, 11)],
@@ -565,12 +548,11 @@ mod tests {
         assert!(delta_between(&base, &next).is_err());
         // Reordered window (survivor out of order is not append/evict).
         let mut next = base.clone();
-        next.window.swap(0, 1);
-        next.metas.swap(0, 1);
+        next.live.swap(0, 1);
         assert!(delta_between(&base, &next).is_err());
-        // A surviving meta mutated in place.
+        // A surviving entry mutated in place.
         let mut next = successor_state();
-        next.metas[0].stream_id = 0;
+        next.live[0].stream_id = 0;
         assert!(delta_between(&base, &next).is_err());
         // Reported history lost a pair.
         let mut next = successor_state();
@@ -597,10 +579,6 @@ mod tests {
         // Removes a result pair the base does not have.
         let mut d = good.clone();
         d.results_removed = vec![(1, 2)];
-        assert!(d.apply(&base).is_err());
-        // Meta count disagrees with arrivals.
-        let mut d = good.clone();
-        d.arrival_metas.pop();
         assert!(d.apply(&base).is_err());
         // Unsorted result pairs.
         let mut d = good.clone();

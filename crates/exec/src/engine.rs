@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ter_ids::{
-    ErProcessor, LiveState, Params, PhaseTiming, PruneStats, PruningMode, ResultSet, StageLaps,
-    StepOutput, TerContext, TerIdsEngine, TupleMeta,
+    EngineState, ErProcessor, LiveState, Params, PhaseTiming, PruneStats, PruningMode, ResultSet,
+    StageLaps, StepOutput, TerContext, TerIdsEngine, TupleMeta,
 };
 use ter_stream::Arrival;
 use ter_text::fxhash::FxHashSet;
@@ -48,7 +48,7 @@ impl ExecConfig {
 ///
 /// Like the sequential engine it dereferences to its [`LiveState`], which
 /// holds the window, the metadata, the results and the candidate lists,
-/// and provides the accessors and the state export and import.
+/// and provides the accessors and the state export.
 pub struct ShardedTerIdsEngine<'a> {
     engine: TerIdsEngine<'a>,
     name: &'static str,
@@ -64,6 +64,12 @@ impl<'a> ShardedTerIdsEngine<'a> {
                 PruningMode::GridOnly => "Ij+GER(shard)",
             },
         }
+    }
+
+    /// Replaces the dynamic state with a snapshot; see
+    /// [`TerIdsEngine::import_state`].
+    pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
+        self.engine.import_state(state)
     }
 }
 

@@ -39,11 +39,15 @@ use crate::StoreError;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TERCKPT1";
 /// Magic prefix of the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TERMANI1";
-/// Current payload version of both file kinds. Version 4 dropped each
-/// tuple's keyword bit vector, version 3 the ER-grid's cells from the
-/// engine state (importers rebuild the candidate lists from the window),
-/// version 2 each tuple's possible-token set.
-pub const FORMAT_VERSION: u32 = 4;
+/// Current payload version of the checkpoint, delta and manifest files.
+/// Version 5 stores each live tuple as its inputs only (timestamp,
+/// stream, imputed tuple) and drops the derived pivot-distance bounds,
+/// expectations, token-size bounds and topical flag, which import
+/// rebuilds; version 4 dropped each tuple's keyword bit vector, version 3
+/// the ER-grid's cells from the engine state (importers rebuild the
+/// candidate lists from the window), version 2 each tuple's
+/// possible-token set.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A decoded checkpoint: the engine state after `wal_seq` WAL batches.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,13 +267,13 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
-    /// A checkpoint written by an older format (version 1 still stored
-    /// each tuple's possible-token set, version 2 the ER-grid's cells) is
-    /// refused with the version error rather than misdecoded; recovery
-    /// then falls back to an older consistent pair or a full WAL replay.
+    /// A checkpoint written by an older format (versions 1–4 stored
+    /// derived per-tuple fields, see [`FORMAT_VERSION`]) is refused with
+    /// the version error rather than misdecoded; recovery then falls back
+    /// to an older consistent pair or a full WAL replay.
     #[test]
     fn checkpoint_rejects_older_format_version() {
-        for version in [1, 2, 3] {
+        for version in [1, 2, 3, 4] {
             let path = temp(&format!("v{version}"));
             let ck = sample();
             let mut payload = Encoder::new();

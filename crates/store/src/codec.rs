@@ -6,8 +6,9 @@
 //! the two together per type. Design rules:
 //!
 //! * **Bit-exact floats** — `f64` travels as `to_bits`/`from_bits`, so a
-//!   decoded checkpoint is bitwise the state that was exported (the
-//!   recovery parity contract is exact equality, not approximation).
+//!   decoded checkpoint holds bitwise the candidate probabilities that
+//!   were exported (the recovery parity contract is exact equality, not
+//!   approximation).
 //! * **No panics on malformed input** — every read is bounds-checked,
 //!   collection lengths are validated against the remaining byte budget
 //!   before allocation, and semantic invariants (sorted token sets,
@@ -19,11 +20,10 @@
 //!   encode∘decode is the identity and decode∘encode reproduces the
 //!   input bytes (property-tested in `proptests.rs`).
 
-use ter_ids::meta::TupleMeta;
-use ter_ids::{EngineState, PruneStats, StateDelta};
+use ter_ids::{EngineState, LiveEntry, PruneStats, StateDelta};
 use ter_repo::Record;
 use ter_stream::{Arrival, AttrCandidates, ProbTuple};
-use ter_text::{Interval, Token, TokenSet};
+use ter_text::{Token, TokenSet};
 
 /// Why decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,8 +107,8 @@ impl Encoder {
         self.u64(v as u64);
     }
 
-    /// Writes an `f64` bit pattern (exact, including `-0.0`, infinities,
-    /// and the empty-interval sentinels).
+    /// Writes an `f64` bit pattern (exact, including `-0.0` and
+    /// infinities).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -336,24 +336,6 @@ impl Codec for TokenSet {
     }
 }
 
-impl Codec for Interval {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.f64(self.lo);
-        enc.f64(self.hi);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        // Constructed as a literal: `Interval::new` debug-asserts
-        // `lo <= hi`, but the empty accumulator `[+∞, −∞]` is a legal
-        // persisted value (and CRCs already vouch for the bytes).
-        let lo = dec.f64()?;
-        let hi = dec.f64()?;
-        if lo.is_nan() || hi.is_nan() {
-            return Err(CodecError::Invalid("NaN interval endpoint"));
-        }
-        Ok(Interval { lo, hi })
-    }
-}
-
 impl Codec for Record {
     fn encode(&self, enc: &mut Encoder) {
         enc.u64(self.id);
@@ -418,34 +400,17 @@ impl Codec for ProbTuple {
     }
 }
 
-impl Codec for TupleMeta {
+impl Codec for LiveEntry {
     fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.id);
-        enc.usize(self.stream_id);
         enc.u64(self.timestamp);
+        enc.usize(self.stream_id);
         self.tuple.encode(enc);
-        self.main_bounds.encode(enc);
-        self.main_expect.encode(enc);
-        self.aux_bounds.encode(enc);
-        self.size_bounds.encode(enc);
-        enc.bool(self.possibly_topical);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let (id, stream_id, timestamp) = (dec.u64()?, dec.usize()?, dec.u64()?);
-        let tuple = ProbTuple::decode(dec)?;
-        // Signatures are derived from the tuple, never stored.
-        let signatures = TupleMeta::signatures_of(&tuple);
-        Ok(TupleMeta {
-            id,
-            stream_id,
-            timestamp,
-            tuple,
-            main_bounds: Vec::decode(dec)?,
-            main_expect: Vec::decode(dec)?,
-            aux_bounds: Vec::decode(dec)?,
-            size_bounds: Vec::decode(dec)?,
-            possibly_topical: dec.bool()?,
-            signatures,
+        Ok(LiveEntry {
+            timestamp: dec.u64()?,
+            stream_id: dec.usize()?,
+            tuple: ProbTuple::decode(dec)?,
         })
     }
 }
@@ -474,8 +439,7 @@ impl Codec for PruneStats {
 impl Codec for EngineState {
     fn encode(&self, enc: &mut Encoder) {
         enc.usize(self.window_capacity);
-        self.window.encode(enc);
-        self.metas.encode(enc);
+        self.live.encode(enc);
         self.stream_counts.encode(enc);
         self.results.encode(enc);
         self.reported.encode(enc);
@@ -484,8 +448,7 @@ impl Codec for EngineState {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(EngineState {
             window_capacity: dec.usize()?,
-            window: Vec::decode(dec)?,
-            metas: Vec::decode(dec)?,
+            live: Vec::decode(dec)?,
             stream_counts: Vec::decode(dec)?,
             results: Vec::decode(dec)?,
             reported: Vec::decode(dec)?,
@@ -499,7 +462,6 @@ impl Codec for StateDelta {
         enc.usize(self.window_capacity);
         self.evicted.encode(enc);
         self.arrivals.encode(enc);
-        self.arrival_metas.encode(enc);
         self.stream_counts.encode(enc);
         self.results_added.encode(enc);
         self.results_removed.encode(enc);
@@ -511,7 +473,6 @@ impl Codec for StateDelta {
             window_capacity: dec.usize()?,
             evicted: Vec::decode(dec)?,
             arrivals: Vec::decode(dec)?,
-            arrival_metas: Vec::decode(dec)?,
             stream_counts: Vec::decode(dec)?,
             results_added: Vec::decode(dec)?,
             results_removed: Vec::decode(dec)?,

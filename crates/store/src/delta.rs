@@ -133,13 +133,27 @@ mod tests {
     use super::*;
     use std::fs;
     use std::path::PathBuf;
-    use ter_ids::PruneStats;
+    use ter_ids::{LiveEntry, PruneStats};
+    use ter_repo::Record;
+    use ter_stream::ProbTuple;
+    use ter_text::TokenSet;
 
     fn temp(tag: &str) -> PathBuf {
         let p =
             std::env::temp_dir().join(format!("ter_store_delt_{}_{tag}.bin", std::process::id()));
         let _ = fs::remove_file(&p);
         p
+    }
+
+    fn entry(timestamp: u64, id: u64) -> LiveEntry {
+        LiveEntry {
+            timestamp,
+            stream_id: 0,
+            tuple: ProbTuple::certain(Record {
+                id,
+                attrs: vec![Some(TokenSet::empty())],
+            }),
+        }
     }
 
     fn sample() -> DeltaFile {
@@ -150,7 +164,7 @@ mod tests {
             delta: StateDelta {
                 window_capacity: 8,
                 evicted: vec![3, 4],
-                arrivals: vec![(7, 21), (8, 22)],
+                arrivals: vec![entry(7, 21), entry(8, 22)],
                 results_added: vec![(21, 22)],
                 stats: PruneStats {
                     total_pairs: 5,
@@ -175,9 +189,6 @@ mod tests {
     fn delta_file_round_trip() {
         let path = temp("rt");
         let d = sample();
-        // The delta's metas list is empty while arrivals is not — that
-        // inconsistency is apply()'s to reject, not the file codec's;
-        // persistence round-trips any structurally-decodable payload.
         d.write(&path).unwrap();
         assert_eq!(DeltaFile::load(&path, 0xFEED).unwrap(), d);
         let _ = fs::remove_file(&path);

@@ -9,11 +9,10 @@
 //!    any decoder returns without panicking.
 
 use proptest::prelude::*;
-use ter_ids::meta::TupleMeta;
-use ter_ids::{EngineState, PruneStats};
+use ter_ids::{EngineState, LiveEntry, PruneStats, StateDelta};
 use ter_repo::Record;
 use ter_stream::{Arrival, AttrCandidates, ProbTuple};
-use ter_text::{Interval, Token, TokenSet};
+use ter_text::{Token, TokenSet};
 
 use crate::codec::{decode_exact, encode_to_vec, Codec};
 use crate::frame::{decode_single_frame, read_frame, write_frame};
@@ -21,20 +20,6 @@ use crate::frame::{decode_single_frame, read_frame, write_frame};
 fn arb_tokenset() -> impl Strategy<Value = TokenSet> {
     proptest::collection::vec(0u32..400, 0..6)
         .prop_map(|v| TokenSet::new(v.into_iter().map(Token).collect()))
-}
-
-fn arb_interval() -> impl Strategy<Value = Interval> {
-    // Mix of regular, point, empty-accumulator, and missing-sentinel
-    // intervals — every shape the engine persists.
-    ((0u32..=100), (0u32..=100), 0u8..4).prop_map(|(a, b, kind)| match kind {
-        0 => Interval::empty(),
-        1 => Interval::missing(),
-        2 => Interval::point(a as f64 / 100.0),
-        _ => {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            Interval::new(lo as f64 / 100.0, hi as f64 / 100.0)
-        }
-    })
 }
 
 /// Per-attribute spec: present value, or a (non-empty) candidate
@@ -77,33 +62,14 @@ fn arb_prob_tuple() -> impl Strategy<Value = ProbTuple> {
         .prop_map(|(id, specs)| assemble_prob_tuple(id, &specs))
 }
 
-fn arb_tuple_meta() -> impl Strategy<Value = TupleMeta> {
-    (
-        arb_prob_tuple(),
-        (0usize..4, any::<u64>()),
-        proptest::collection::vec(arb_interval(), 1..4),
-        proptest::collection::vec((0u32..=1000).prop_map(|v| v as f64 / 1000.0), 1..4),
-        proptest::collection::vec(arb_interval(), 0..7),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(tuple, (stream_id, timestamp), bounds, expect, aux, topical)| {
-                TupleMeta {
-                    id: tuple.base.id,
-                    stream_id,
-                    timestamp,
-                    // Decode re-derives the signatures from the tuple, so
-                    // the round trip checks that derivation.
-                    signatures: TupleMeta::signatures_of(&tuple),
-                    tuple,
-                    main_bounds: bounds.clone(),
-                    main_expect: expect,
-                    aux_bounds: aux,
-                    size_bounds: bounds,
-                    possibly_topical: topical,
-                }
-            },
-        )
+fn arb_live_entry() -> impl Strategy<Value = LiveEntry> {
+    (arb_prob_tuple(), 0usize..4, any::<u64>()).prop_map(|(tuple, stream_id, timestamp)| {
+        LiveEntry {
+            timestamp,
+            stream_id,
+            tuple,
+        }
+    })
 }
 
 fn arb_prune_stats() -> impl Strategy<Value = PruneStats> {
@@ -126,20 +92,39 @@ fn arb_engine_state() -> impl Strategy<Value = EngineState> {
     // invariants `EngineState::validate` enforces at import).
     (
         (0usize..500, proptest::collection::vec(any::<u64>(), 0..6)),
-        proptest::collection::vec(arb_tuple_meta(), 0..4),
+        proptest::collection::vec(arb_live_entry(), 0..4),
         (arb_pairs(), arb_pairs(), arb_prune_stats()),
     )
         .prop_map(
-            |((cap, counts), metas, (results, reported, stats))| EngineState {
+            |((cap, counts), live, (results, reported, stats))| EngineState {
                 window_capacity: cap,
-                window: metas.iter().map(|m| (m.timestamp, m.id)).collect(),
-                metas,
+                live,
                 stream_counts: counts.into_iter().map(|c| c as usize).collect(),
                 results,
                 reported,
                 stats,
             },
         )
+}
+
+fn arb_state_delta() -> impl Strategy<Value = StateDelta> {
+    // The whole-state fields stand in for the delta's lists of the same
+    // types.
+    (
+        arb_engine_state(),
+        proptest::collection::vec(any::<u64>(), 0..6),
+        arb_pairs(),
+    )
+        .prop_map(|(s, evicted, results_removed)| StateDelta {
+            window_capacity: s.window_capacity,
+            evicted,
+            arrivals: s.live,
+            stream_counts: s.stream_counts,
+            results_added: s.results,
+            results_removed,
+            reported_added: s.reported,
+            stats: s.stats,
+        })
 }
 
 fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(v: &T) {
@@ -159,11 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn intervals_round_trip(iv in arb_interval()) {
-        round_trip(&iv);
-    }
-
-    #[test]
     fn prob_tuples_round_trip(pt in arb_prob_tuple()) {
         round_trip(&pt.base);
         round_trip(&pt);
@@ -179,13 +159,18 @@ proptest! {
     }
 
     #[test]
-    fn tuple_metas_round_trip(meta in arb_tuple_meta()) {
-        round_trip(&meta);
+    fn live_entries_round_trip(entry in arb_live_entry()) {
+        round_trip(&entry);
     }
 
     #[test]
     fn engine_states_round_trip(state in arb_engine_state()) {
         round_trip(&state);
+    }
+
+    #[test]
+    fn state_deltas_round_trip(delta in arb_state_delta()) {
+        round_trip(&delta);
     }
 
     /// Any single-byte change to a single-frame file is rejected: a CRC or
@@ -215,13 +200,13 @@ proptest! {
         let _ = read_frame(&soup, &mut pos);
         let _ = decode_single_frame(&soup);
         let _ = decode_exact::<TokenSet>(&soup);
-        let _ = decode_exact::<Interval>(&soup);
         let _ = decode_exact::<Record>(&soup);
         let _ = decode_exact::<Arrival>(&soup);
         let _ = decode_exact::<ProbTuple>(&soup);
-        let _ = decode_exact::<TupleMeta>(&soup);
+        let _ = decode_exact::<LiveEntry>(&soup);
         let _ = decode_exact::<PruneStats>(&soup);
         let _ = decode_exact::<EngineState>(&soup);
+        let _ = decode_exact::<StateDelta>(&soup);
     }
 
     /// Truncating an encoded value at any point yields `Err`, not a panic

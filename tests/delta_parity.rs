@@ -13,23 +13,23 @@
 //! corrupts one delta frame on disk, then recovers and finishes the
 //! stream, comparing every observable against an uninterrupted oracle.
 
+mod restore;
+
 use std::fs;
-use std::ops::DerefMut;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ter_datasets::{preset, GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{
-    delta_between, EngineState, ErProcessor, LiveState, Params, PruningMode, TerContext,
-    TerIdsEngine,
+    delta_between, EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine,
 };
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_store::{context_fingerprint, TerStore};
 use ter_stream::Arrival;
+
+use restore::{live_metas, Restorable, TempDir};
 
 /// Arrivals per batch and batches per case: enough to fill and slide the
 /// 16-tuple window several times, so deltas carry evictions as well as
@@ -75,53 +75,6 @@ fn fixtures() -> &'static Vec<(TerContext, Vec<Arrival>, Params)> {
     })
 }
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let p = std::env::temp_dir().join(format!(
-            "ter_delta_parity_{}_{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&p);
-        Self(p)
-    }
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The minimal engine surface a restore needs (the state hooks live on
-/// the `LiveState` both engines dereference to, not on `ErProcessor`).
-trait Restorable {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>>;
-    fn export(&self) -> EngineState;
-    fn import(&mut self, state: &EngineState) -> Result<(), String>;
-}
-
-impl<E: ErProcessor + DerefMut<Target = LiveState>> Restorable for E {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
-        self.step_batch(batch)
-            .into_iter()
-            .map(|o| o.new_matches)
-            .collect()
-    }
-    fn export(&self) -> EngineState {
-        self.export_state()
-    }
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
-    }
-}
-
 /// One crash-and-recover scenario against the delta-checkpoint ladder.
 ///
 /// * `cut`: crash after this many batches (1 ≤ cut ≤ TOTAL). Phase 1
@@ -137,14 +90,16 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
     let (ctx, arrivals, params) = &fixtures()[fix];
     let params = *params;
     let fp = context_fingerprint(ctx, &params);
-    let dir = TempDir::new();
+    let dir = TempDir::new("delta");
     let cut_at = cut * BATCH;
 
-    // Uninterrupted oracle.
+    // Uninterrupted oracle, with its metadata after every batch.
     let mut oracle = TerIdsEngine::new(ctx, params, PruningMode::Full);
     let mut oracle_steps: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut oracle_metas = Vec::new();
     for batch in arrivals[..TOTAL * BATCH].chunks(BATCH) {
-        oracle_steps.extend(oracle.step_batch(batch).into_iter().map(|o| o.new_matches));
+        oracle_steps.extend(oracle.step(batch));
+        oracle_metas.push(live_metas(&oracle));
     }
     let oracle_final = oracle.export_state();
 
@@ -230,6 +185,10 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
     engine
         .import(rec.state.as_ref().expect("a base always survives"))
         .expect("import recovered state");
+    assert!(
+        live_metas(&engine) == oracle_metas[expected_stamp as usize - 1],
+        "rebuilt metadata differs from the metadata arrival derived"
+    );
 
     // WAL-suffix replay re-emits the oracle's matches for exactly the
     // batches between the recovered stamp and the crash.
@@ -253,7 +212,7 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
         &oracle_steps[cut_at..],
         "post-recovery steps diverged"
     );
-    assert_eq!(&engine.export(), &oracle_final, "final state diverged");
+    assert_eq!(engine.export_state(), oracle_final, "final state diverged");
 }
 
 /// Deterministic sweep: the chain cut at every position (1..=TOTAL

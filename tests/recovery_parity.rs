@@ -4,7 +4,9 @@
 //! and for everything processed after recovery), same live result set,
 //! same reported history, same prune-statistic totals, and same imputed
 //! tuples — for both `TerIdsEngine` and `ShardedTerIdsEngine` across all
-//! five dataset presets.
+//! five dataset presets. Right after the import, every live tuple's
+//! metadata, which the checkpoint does not store, must equal what the
+//! engine derived at arrival.
 //!
 //! Each scenario simulates the full production protocol:
 //!
@@ -21,17 +23,19 @@
 //! arrival 60) — the spot where expiry bookkeeping is most likely to be
 //! dropped from a snapshot.
 
+mod restore;
+
 use std::fs;
-use std::ops::DerefMut;
-use std::path::{Path, PathBuf};
 
 use ter_datasets::{preset, GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{EngineState, ErProcessor, LiveState, Params, PruningMode, TerContext, TerIdsEngine};
+use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_store::{context_fingerprint, TerStore};
 use ter_stream::Arrival;
+
+use restore::{live_metas, Restorable, TempDir};
 
 const BATCH: usize = 16;
 const WINDOW: usize = 60;
@@ -40,26 +44,6 @@ const WINDOW: usize = 60;
 /// checkpoint right past the first eviction boundary, and a long-replay
 /// configuration with many evictions on both sides of the cut.
 const SCENARIOS: [(u64, u64); 3] = [(1, 3), (4, 5), (2, 6)];
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let p =
-            std::env::temp_dir().join(format!("ter_recovery_parity_{}_{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
-        Self(p)
-    }
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 fn build_ctx(p: Preset, scale: f64) -> (TerContext, Vec<Arrival>, Params) {
     let ds = preset(
@@ -93,11 +77,7 @@ enum Kind {
     Sharded,
 }
 
-fn make_engine<'a>(
-    kind: Kind,
-    ctx: &'a TerContext,
-    params: Params,
-) -> Box<dyn EngineUnderTest + 'a> {
+fn make_engine<'a>(kind: Kind, ctx: &'a TerContext, params: Params) -> Box<dyn Restorable + 'a> {
     match kind {
         Kind::Sequential => Box::new(TerIdsEngine::new(ctx, params, PruningMode::Full)),
         Kind::Sharded => Box::new(ShardedTerIdsEngine::new(
@@ -106,30 +86,6 @@ fn make_engine<'a>(
             PruningMode::Full,
             ExecConfig,
         )),
-    }
-}
-
-/// The engine surface a recovery scenario needs: processing plus the
-/// state hooks (which live on the `LiveState` both engines dereference
-/// to, not on `ErProcessor`).
-trait EngineUnderTest {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>>;
-    fn export(&self) -> EngineState;
-    fn import(&mut self, state: &EngineState) -> Result<(), String>;
-}
-
-impl<E: ErProcessor + DerefMut<Target = LiveState>> EngineUnderTest for E {
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
-        self.step_batch(batch)
-            .into_iter()
-            .map(|o| o.new_matches)
-            .collect()
-    }
-    fn export(&self) -> EngineState {
-        self.export_state()
-    }
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
     }
 }
 
@@ -158,18 +114,25 @@ fn run_scenario(
     let crash_at = (crash_batch as usize * BATCH).min(arrivals.len());
 
     // Phase 1: normal operation until the crash. WAL first, then step.
-    {
+    // The metadata the engine derived at arrival is kept for comparison
+    // with the metadata import rebuilds.
+    let ckpt_metas = {
         let mut store = TerStore::open(dir.path(), fp).expect("open store");
         let mut engine = make_engine(kind, ctx, params);
+        let mut ckpt_metas = Vec::new();
         for (i, batch) in arrivals[..crash_at].chunks(BATCH).enumerate() {
             store.log_batch(batch).expect("log batch");
             engine.step(batch);
             if i as u64 + 1 == ckpt_batch {
-                store.checkpoint(&engine.export()).expect("checkpoint");
+                store
+                    .checkpoint(&engine.export_state())
+                    .expect("checkpoint");
+                ckpt_metas = live_metas(&engine);
             }
         }
         // Crash: engine and store dropped, nothing flushed beyond fsyncs.
-    }
+        ckpt_metas
+    };
 
     // Phase 2: recover.
     let store = TerStore::open(dir.path(), fp).expect("reopen store");
@@ -178,6 +141,10 @@ fn run_scenario(
     let mut engine = make_engine(kind, ctx, params);
     let state = rec.state.as_ref().expect("checkpoint state");
     engine.import(state).expect("import checkpoint");
+    assert!(
+        live_metas(&engine) == ckpt_metas,
+        "{name}: rebuilt metadata differs from the metadata arrival derived"
+    );
 
     // The replayed WAL suffix must re-emit the oracle's matches for
     // exactly the arrivals between checkpoint and crash.
@@ -209,10 +176,10 @@ fn run_scenario(
         "{name}: post-recovery steps diverged"
     );
 
-    // Final state: window, metas (imputed tuples, bit-exact), results,
-    // reported history and prune stats all identical.
+    // Final state: window, imputed tuples (bit-exact), results, reported
+    // history and prune stats all identical.
     assert_eq!(
-        &engine.export(),
+        &engine.export_state(),
         oracle_final,
         "{name}: final state diverged"
     );
