@@ -96,24 +96,26 @@ fn bench_imputation(c: &mut Criterion) {
         ImputeConfig::default(),
     );
     // The DR-index's range search alone: every present value of the
-    // tuple against its own attribute's domain, through the token
-    // postings (`hi < 1`) — the retrieval step indexed imputation runs
-    // per determinant and per voting value.
+    // tuple against its own attribute's domain — the retrieval step
+    // indexed imputation runs per determinant and per voting value.
+    // `[0, 0.5]` merges the token postings; `[0, 0]` is the exact-match
+    // lookup.
     let present: Vec<(usize, &TokenSet)> = (0..ctx.arity())
         .filter_map(|j| incomplete.attr(j).map(|v| (j, v)))
         .collect();
-    c.bench_function("dr_index/values_within [0, 0.5]", |bench| {
-        bench.iter(|| {
-            present
-                .iter()
-                .map(|&(j, v)| {
-                    ctx.dr_index
-                        .values_within(&ctx.repo, j, v, Interval::new(0.0, 0.5))
-                        .len()
-                })
-                .sum::<usize>()
-        })
-    });
+    for (name, range) in [
+        ("dr_index/values_within [0, 0.5]", Interval::new(0.0, 0.5)),
+        ("dr_index/values_within [0, 0]", Interval::new(0.0, 0.0)),
+    ] {
+        c.bench_function(name, |bench| {
+            bench.iter(|| {
+                present
+                    .iter()
+                    .map(|&(j, v)| ctx.dr_index.values_within(&ctx.repo, j, v, range).len())
+                    .sum::<usize>()
+            })
+        });
+    }
     let ictx = ImputeContext::default();
     c.bench_function("impute/indexed (CDD-index + DR-index)", |bench| {
         bench.iter(|| std::hint::black_box(indexed.impute(&incomplete, &ictx).instance_count()))

@@ -9,7 +9,8 @@
 //!    satisfying the determinant constraints w.r.t. `r`. Indexed retrieval
 //!    turns each determinant into the exact set of domain values that
 //!    pass it — a constant's own id, or the values within the interval of
-//!    `r[A_x]` found through the DR-index `I_R`'s token postings — then
+//!    `r[A_x]` found through the DR-index `I_R` (a lookup of `r[A_x]` for
+//!    `[0, 0]`, a merge of its tokens' postings otherwise) — then
 //!    enumerates the samples of the most selective determinant through
 //!    `I_R`'s value postings and checks the others by domain id. `I_R` is
 //!    an inverted index rather than the paper's pivot aR-tree because the
@@ -22,7 +23,12 @@
 //!    and normalized into existence probabilities (Equation 4). The vote
 //!    runs once per distinct `s[A_j]` of a rule's matches, adding its
 //!    multiplicity, and finds the values in `A_j.I` with the same exact
-//!    range search as step 2 (a domain scan under linear retrieval).
+//!    range search as step 2 (a domain scan under linear retrieval). The
+//!    vote is sparse: it keeps a `(value id, weight)` pair per value it
+//!    reaches and sums them per id after sorting, so it costs the values
+//!    voted for rather than `|dom(A_j)|`, and emits the candidates in
+//!    ascending id order — the order, and hence the probabilities, of a
+//!    dense scan over the domain.
 //!
 //! The two retrieval modes return identical candidates (property-tested),
 //! which is why the paper reports identical F-scores for `TER-iDS`,
@@ -120,8 +126,9 @@ impl<'a> RuleImputer<'a> {
     }
 
     /// Ids of the values of `dom(A_attr)` at a Jaccard distance in `range`
-    /// from `q`, ascending: through the DR-index's token postings when
-    /// indexed, by a domain scan when linear. Both are exact.
+    /// from `q`, ascending: through the DR-index (a lookup or a merge of
+    /// its token postings) when indexed, by a domain scan when linear.
+    /// Both are exact.
     fn values_within(&self, attr: usize, q: &TokenSet, range: Interval) -> Vec<u32> {
         match &self.retrieval {
             RuleRetrieval::Linear => self.repo.domain(attr).scan_within(q, range),
@@ -182,7 +189,9 @@ impl<'a> RuleImputer<'a> {
         rules: &[&'a Cdd],
     ) -> AttrCandidates {
         let domain = self.repo.domain(attr);
-        let mut freq = vec![0u32; domain.len()];
+        // Sparse vote: one `(vid, weight)` per value a vote reaches,
+        // summed per id after sorting, so only touched ids cost anything.
+        let mut votes: Vec<(u32, u32)> = Vec::new();
         for rule in rules {
             // One vote per distinct dependent value, weighted by how many
             // matching samples hold it.
@@ -194,16 +203,23 @@ impl<'a> RuleImputer<'a> {
             dependents.sort_unstable();
             for run in dependents.chunk_by(|a, b| a == b) {
                 let q = domain.value(run[0]);
-                for vid in self.values_within(attr, q, rule.dependent_interval) {
-                    freq[vid as usize] += run.len() as u32;
-                }
+                let weight = run.len() as u32;
+                votes.extend(
+                    self.values_within(attr, q, rule.dependent_interval)
+                        .into_iter()
+                        .map(|vid| (vid, weight)),
+                );
             }
         }
-        let candidates = freq
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f > 0)
-            .map(|(vid, &f)| (domain.value(vid as u32).clone(), f as f64))
+        votes.sort_unstable_by_key(|&(vid, _)| vid);
+        // Ascending ids, so the candidates keep the order a dense scan of
+        // the domain gives them.
+        let candidates = votes
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let freq: u32 = run.iter().map(|&(_, w)| w).sum();
+                (domain.value(run[0].0).clone(), freq as f64)
+            })
             .collect();
         AttrCandidates::normalized(attr, candidates)
     }
@@ -409,8 +425,17 @@ mod tests {
                 // Same rules in, same candidates out: retrieval and
                 // vote alone, then the whole path with rule selection.
                 let selected = linear.select_rules(&r);
+                let imputed = indexed.impute_with_rules(&r, &selected).imputed;
+                // Uncapped candidates come in ascending domain id, the
+                // order the stable top-k cut breaks ties by.
+                for cand in &imputed {
+                    let domain = repo.domain(cand.attr);
+                    let ids: Vec<Option<u32>> =
+                        cand.candidates.iter().map(|(v, _)| domain.lookup(v)).collect();
+                    prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {:?}", ids);
+                }
                 prop_assert_eq!(
-                    indexed.impute_with_rules(&r, &selected).imputed,
+                    imputed,
                     linear.impute_with_rules(&r, &selected).imputed,
                     "seed {} record {:?}",
                     seed,

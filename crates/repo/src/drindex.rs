@@ -16,19 +16,33 @@
 //!
 //! * **value postings** — domain id → positions of the samples holding
 //!   that value ([`DrIndex::samples_with_value`]);
-//! * **token postings** — token → ids of the domain values containing it.
+//! * **token postings** — token → ids of the domain values containing it,
+//!   ascending;
+//! * **value sizes** — the token count of each domain value, stored beside
+//!   the postings so the distance test reads no [`TokenSet`].
 //!
 //! [`DrIndex::values_within`] answers "which values of `dom(A_j)` lie at a
-//! Jaccard distance in `[lo, hi]` of `q`" by counting each value's token
-//! overlap `o` with `q` through the token postings: its distance is
-//! `1 − o/(|q|+|v|−o)`, the same integers and formula as
-//! [`TokenSet::jaccard_distance`]. A value that shares no token with a
-//! non-empty `q` is at distance 1, so for `hi < 1` only values reached
-//! through the postings can qualify. The work scales with the values that
-//! share a token with `q`, not with the domain. Value postings then turn
-//! the qualifying values into samples.
+//! Jaccard distance in `[lo, hi]` of `q`" in one of three ways:
 //!
-//! Both postings are sized to what the repository holds: the token
+//! * **lookup** (`hi ≤ 0`) — distance 0 means equal sets, so the answer is
+//!   `q`'s own domain id, if `q` occurs in the domain and the range holds
+//!   0. No postings are read.
+//! * **merge** (`0 < hi < 1`, `q` non-empty) — a value that shares no token
+//!   with `q` is at distance 1, so only values reached through the token
+//!   postings can qualify. The postings of `q`'s tokens are walked as a
+//!   k-way merge over their ascending heads; a value's overlap `o` is the
+//!   number of lists it heads at once, and its distance is
+//!   `1 − o/(|q|+|v|−o)` — the same integers and formula as
+//!   [`TokenSet::jaccard_distance`], so the result is bit-identical to a
+//!   scan. The work scales with the posting entries of `q`'s tokens, not
+//!   with the domain, and nothing is sorted (Li, Lu, Lu, ICDE 2008).
+//! * **scan** (`hi ≥ 1`, or an empty `q` that shares no token with
+//!   anything) — values at distance 1 may qualify, so the domain is
+//!   scanned.
+//!
+//! Value postings then turn the qualifying values into samples.
+//!
+//! The postings are sized to what the repository holds: the token
 //! postings are a hash map over the tokens present, not a table over the
 //! whole dictionary.
 
@@ -46,6 +60,8 @@ struct AttrPostings {
     values: Vec<Vec<u32>>,
     /// Token → ids of the domain values containing it, ascending.
     tokens: FxHashMap<Token, Vec<u32>>,
+    /// `lens[v]` = number of tokens of the value with domain id `v`.
+    lens: Vec<u32>,
 }
 
 /// The DR-index over a repository (see the [module docs](self)).
@@ -101,8 +117,10 @@ impl DrIndex {
             // new value extends the value postings by exactly its id.
             while postings.values.len() <= vid {
                 let id = postings.values.len() as u32;
+                let value = domain.value(id);
                 postings.values.push(Vec::new());
-                for &t in domain.value(id).tokens() {
+                postings.lens.push(value.len() as u32);
+                for &t in value.tokens() {
                     postings.tokens.entry(t).or_default().push(id);
                 }
             }
@@ -131,13 +149,12 @@ impl DrIndex {
     }
 
     /// Ids of the values of `dom(A_j)` whose Jaccard distance to `q` lies
-    /// in `range`, ascending. Exact: the same set as
+    /// in `range`, ascending. Exact: the same ids as
     /// [`Domain::scan_within`](crate::repository::Domain::scan_within).
     ///
-    /// For `range.hi < 1` and a non-empty `q` only values sharing a token
-    /// with `q` can qualify, and they are found through the token
-    /// postings. Otherwise (every value at distance 1 may qualify, or `q`
-    /// is empty and shares no token with anything) the domain is scanned.
+    /// `range.hi ≤ 0` is a lookup of `q` itself; `range.hi < 1` with a
+    /// non-empty `q` merges the token postings of `q`'s tokens; anything
+    /// else scans the domain (see the [module docs](self)).
     pub fn values_within(
         &self,
         repo: &Repository,
@@ -146,26 +163,48 @@ impl DrIndex {
         range: Interval,
     ) -> Vec<u32> {
         let domain = repo.domain(j);
+        if range.hi <= 0.0 {
+            // Jaccard distance 0 holds for equal sets only.
+            return domain
+                .lookup(q)
+                .filter(|_| range.contains(0.0))
+                .into_iter()
+                .collect();
+        }
         if range.hi >= 1.0 || q.is_empty() {
             return domain.scan_within(q, range);
         }
-        let tokens = &self.attrs[j].tokens;
-        let mut hits: Vec<u32> = q
+        let postings = &self.attrs[j];
+        let mut lists: Vec<&[u32]> = q
             .tokens()
             .iter()
-            .filter_map(|t| tokens.get(t))
-            .flatten()
-            .copied()
+            .filter_map(|t| postings.tokens.get(t))
+            .map(Vec::as_slice)
             .collect();
-        hits.sort_unstable();
-        hits.chunk_by(|a, b| a == b)
-            .filter(|run| {
-                let v = domain.value(run[0]);
-                let d = 1.0 - TokenSet::jaccard_from_counts(run.len(), q.len(), v.len());
-                range.contains(d)
-            })
-            .map(|run| run[0])
-            .collect()
+        // k-way merge over the list heads: the smallest head is the next
+        // value, and the lists it heads are exactly its shared tokens. An
+        // exhausted list heads `u32::MAX`, past every domain id; the
+        // advance is branch-free, as which lists a value heads is
+        // unpredictable.
+        let head = |l: &[u32]| l.first().copied().unwrap_or(u32::MAX);
+        let mut out = Vec::new();
+        loop {
+            let v = lists.iter().map(|l| head(l)).min().unwrap_or(u32::MAX);
+            if v == u32::MAX {
+                return out;
+            }
+            let mut overlap = 0;
+            for l in &mut lists {
+                let hit = usize::from(head(l) == v);
+                overlap += hit;
+                *l = &l[hit..];
+            }
+            let len = postings.lens[v as usize] as usize;
+            let d = 1.0 - TokenSet::jaccard_from_counts(overlap, q.len(), len);
+            if range.contains(d) {
+                out.push(v);
+            }
+        }
     }
 }
 
@@ -174,6 +213,8 @@ mod tests {
     use super::*;
     use crate::pivot::PivotConfig;
     use crate::record::{Record, Schema};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use ter_text::Dictionary;
 
     fn setup() -> (Repository, PivotTable, Dictionary) {
@@ -289,5 +330,97 @@ mod tests {
         // An existing value gains the new sample in its postings.
         let vldb = repo.value_id(pos, 1);
         assert_eq!(idx.samples_with_value(1, vldb), &[2, 3, pos as u32]);
+    }
+
+    #[test]
+    fn exact_match_is_a_lookup() {
+        let (repo, pivots, mut dict) = setup();
+        let idx = DrIndex::build(&repo, &pivots, &KeywordSet::universe(), 4);
+        let q = ter_text::tokenize("topic aware entity matching", &mut dict);
+        let own = repo.domain(0).lookup(&q).unwrap();
+        for range in [Interval::new(0.0, 0.0), Interval::new(-0.5, 0.0)] {
+            assert_eq!(idx.values_within(&repo, 0, &q, range), vec![own]);
+        }
+        // A subset of a value is not equal to it, and a value absent from
+        // the domain has no id to return.
+        for text in ["topic aware entity", "unseen words only"] {
+            let absent = ter_text::tokenize(text, &mut dict);
+            assert_eq!(repo.domain(0).lookup(&absent), None);
+            let got = idx.values_within(&repo, 0, &absent, Interval::new(0.0, 0.0));
+            assert!(got.is_empty(), "q = {text:?} got {got:?}");
+        }
+        // A range that excludes 0 never returns the query's own id.
+        let near = idx.values_within(&repo, 0, &q, Interval::new(0.1, 0.5));
+        assert!(!near.contains(&own), "{near:?}");
+        // The empty value is found by lookup too.
+        let empty = TokenSet::empty();
+        let got = idx.values_within(&repo, 0, &empty, Interval::new(0.0, 0.0));
+        assert_eq!(got, vec![repo.domain(0).lookup(&empty).unwrap()]);
+    }
+
+    /// Interval endpoints for `values_within_equals_scan`: `[0, 0]`,
+    /// `[0, h]`, `[l, h]` with `l > 0`, `[l, 1]`, and bounds outside
+    /// `[0, 1]`.
+    const GRID: [f64; 9] = [-0.5, 0.0, 0.2, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, 1.5];
+
+    /// A value over a small token alphabet, so values repeat and overlap
+    /// partly; `extra` widens the alphabet to tokens no sample holds.
+    fn random_value(rng: &mut TestRng, extra: u32) -> TokenSet {
+        let n = rng.gen_usize(0, 5, false);
+        TokenSet::new(
+            (0..n)
+                .map(|_| Token(rng.gen_u32(0, 8 + extra, false)))
+                .collect(),
+        )
+    }
+
+    fn random_record(rng: &mut TestRng, schema: &Schema, id: u64) -> Record {
+        let attrs = (0..schema.arity())
+            .map(|_| Some(random_value(rng, 0)))
+            .collect();
+        Record::new(schema, id, attrs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every path of the range search (lookup, merge, scan) returns
+        /// the ids a domain scan returns, ascending — also for samples
+        /// added after the index was built.
+        #[test]
+        fn values_within_equals_scan(seed in any::<u64>()) {
+            let mut rng = TestRng::seeded(seed);
+            let schema = Schema::new(vec!["a", "b"]);
+            let n = rng.gen_usize(1, 24, true);
+            let mut repo = Repository::from_records(
+                schema.clone(),
+                (0..n as u64).map(|id| random_record(&mut rng, &schema, id)).collect(),
+            );
+            let pivots = PivotTable::select(&repo, &PivotConfig::default());
+            let kw = KeywordSet::universe();
+            let mut idx = DrIndex::build(&repo, &pivots, &kw, 4);
+            for id in 0..rng.gen_usize(0, 8, true) as u64 {
+                repo.insert(random_record(&mut rng, &schema, 1000 + id));
+                idx.insert_sample(&repo, &pivots, &kw, repo.len() - 1);
+            }
+            prop_assert_eq!(idx.len(), repo.len());
+            for _ in 0..16 {
+                let j = rng.gen_usize(0, schema.arity(), false);
+                let domain = repo.domain(j);
+                // A value of the domain (the lookup hits), a random one
+                // that may hold absent tokens, or the empty query.
+                let q = match rng.gen_usize(0, 3, false) {
+                    0 => domain.value(rng.gen_u32(0, domain.len() as u32, false)).clone(),
+                    1 => random_value(&mut rng, 4),
+                    _ => TokenSet::empty(),
+                };
+                let a = GRID[rng.gen_usize(0, GRID.len(), false)];
+                let b = GRID[rng.gen_usize(0, GRID.len(), false)];
+                let range = Interval::new(a.min(b), a.max(b));
+                let got = idx.values_within(&repo, j, &q, range);
+                prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", got);
+                prop_assert_eq!(got, domain.scan_within(&q, range), "q = {:?}, range = {:?}", q, range);
+            }
+        }
     }
 }
