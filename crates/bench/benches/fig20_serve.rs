@@ -18,12 +18,14 @@
 //!
 //! plus two sweeps over the event-driven front end:
 //!
-//! * **group-commit sweep** — the same pipelined feed (depth 8) at
-//!   `flush_window ∈ {1, 8}` with the checkpoint cadence off, counting
-//!   WAL fsyncs via [`ServeReport::fsyncs`]. `W=1` must fsync once per
-//!   batch (the pre-group-commit contract, bit-identical output); `W=8`
-//!   must cover the same batches with at least 4× fewer fsyncs — the
-//!   cross-connection group-commit claim, asserted, not just recorded.
+//! * **group-commit sweep** — the same arrivals in eight times as many
+//!   batches, pipelined 8 deep, at `flush_window ∈ {1, 8}` with the
+//!   checkpoint cadence off, counting WAL fsyncs via
+//!   [`ServeReport::fsyncs`]. `W=1` must fsync once per batch (the
+//!   pre-group-commit contract, bit-identical output); `W=8` must cover
+//!   the same batches with at least 4× fewer fsyncs, and with one fsync
+//!   per filled window — the cross-connection group-commit claim,
+//!   asserted, not just recorded.
 //!   Each arm runs five times, alternating, and the per-batch
 //!   fsync-exposed time is compared between the arms' median runs;
 //! * **connection herd** — the headline pipelined run repeated with
@@ -55,6 +57,7 @@ use ter_ids::{ErProcessor, Params, PruningMode};
 use ter_obs::trace::CriticalPath;
 use ter_serve::{Client, ServeOptions, ServeReport, Server};
 use ter_store::{context_fingerprint, TerStore};
+use ter_stream::Arrival;
 
 const BATCH: usize = 256;
 const CHECKPOINT_EVERY: u64 = 16;
@@ -103,8 +106,7 @@ fn main() {
         params,
     );
     let arrivals = &prepared.arrivals;
-    let batches: Vec<&[ter_stream::Arrival]> = arrivals.chunks(BATCH).collect();
-    let owned_batches: Vec<Vec<ter_stream::Arrival>> = batches.iter().map(|b| b.to_vec()).collect();
+    let batches: Vec<Vec<Arrival>> = arrivals.chunks(BATCH).map(<[_]>::to_vec).collect();
 
     // ---- library+wal: the in-process durable loop ----
     let lib_dir = TempDir::new("lib");
@@ -131,9 +133,9 @@ fn main() {
     let lib_tps = arrivals.len() as f64 / lib_secs;
     println!("library+wal         {lib_secs:>9.2}s {lib_tps:>12.1} tuples/s");
 
-    // One daemon run over a fresh directory; `window == 1` feeds one
-    // batch at a time through `ingest_wait`, `window > 1` runs the
-    // windowed `ingest_pipelined` driver. `idle_conns` standing
+    // One daemon run of `feed` over a fresh directory; `window == 1`
+    // feeds one batch at a time through `ingest_wait`, `window > 1` runs
+    // the windowed `ingest_pipelined` driver. `idle_conns` standing
     // connections are parked on the poll loop for the duration. The
     // daemon runs in-process (a scoped thread), so the returned
     // critical-path table is the trace registry's delta across the run:
@@ -141,56 +143,59 @@ fn main() {
     // (wall secs, per-batch served matches, report, trace-table delta,
     // most batches the client had unacked at once)
     type DaemonRun = (f64, Vec<Vec<(u64, u64)>>, ServeReport, CriticalPath, usize);
-    let daemon_run =
-        |tag: &str, window: usize, opts: ServeOptions, idle_conns: usize| -> DaemonRun {
-            let serve_dir = TempDir::new(tag);
-            let server = Server::bind("127.0.0.1:0").expect("bind");
-            let addr = server.addr().expect("addr");
-            let (cp0, _) = ter_obs::trace::snapshot();
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(|| {
-                    server
-                        .run(&prepared.ctx, prepared.params, &serve_dir.0, &opts)
-                        .expect("serve")
-                });
-                let herd: Vec<std::net::TcpStream> = (0..idle_conns)
-                    .map(|_| std::net::TcpStream::connect(addr).expect("herd connect"))
-                    .collect();
-                let mut client =
-                    Client::connect_retry(addr, Duration::from_secs(30)).expect("connect");
-                let mut served: Vec<Vec<(u64, u64)>> = Vec::new();
-                let start = Instant::now();
-                let max_in_flight = if window <= 1 {
-                    for batch in &batches {
-                        served.extend(client.ingest_wait(batch).expect("ingest"));
-                    }
-                    1
-                } else {
-                    // `ingest_pipelined` fails the run on an ack whose sequence
-                    // number is not the next one expected, so a run that
-                    // completes got every ack back in sequence order.
-                    let run = client
-                        .ingest_pipelined(&owned_batches, window)
-                        .expect("pipelined ingest: acks out of sequence order?");
-                    served.extend(run.per_batch.into_iter().flatten());
-                    run.max_in_flight
-                };
-                let secs = start.elapsed().as_secs_f64();
-                drop(herd);
-                client.shutdown().expect("shutdown");
-                let report = handle.join().expect("daemon thread");
-                assert_eq!(report.batches, batches.len() as u64);
-                let (cp1, _) = ter_obs::trace::snapshot();
-                (secs, served, report, cp1.delta(&cp0), max_in_flight)
-            })
-        };
+    let daemon_run = |tag: &str,
+                      feed: &[Vec<Arrival>],
+                      window: usize,
+                      opts: ServeOptions,
+                      idle_conns: usize|
+     -> DaemonRun {
+        let serve_dir = TempDir::new(tag);
+        let server = Server::bind("127.0.0.1:0").expect("bind");
+        let addr = server.addr().expect("addr");
+        let (cp0, _) = ter_obs::trace::snapshot();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| {
+                server
+                    .run(&prepared.ctx, prepared.params, &serve_dir.0, &opts)
+                    .expect("serve")
+            });
+            let herd: Vec<std::net::TcpStream> = (0..idle_conns)
+                .map(|_| std::net::TcpStream::connect(addr).expect("herd connect"))
+                .collect();
+            let mut client = Client::connect_retry(addr, Duration::from_secs(30)).expect("connect");
+            let mut served: Vec<Vec<(u64, u64)>> = Vec::new();
+            let start = Instant::now();
+            let max_in_flight = if window <= 1 {
+                for batch in feed {
+                    served.extend(client.ingest_wait(batch).expect("ingest"));
+                }
+                1
+            } else {
+                // `ingest_pipelined` fails the run on an ack whose sequence
+                // number is not the next one expected, so a run that
+                // completes got every ack back in sequence order.
+                let run = client
+                    .ingest_pipelined(feed, window)
+                    .expect("pipelined ingest: acks out of sequence order?");
+                served.extend(run.per_batch.into_iter().flatten());
+                run.max_in_flight
+            };
+            let secs = start.elapsed().as_secs_f64();
+            drop(herd);
+            client.shutdown().expect("shutdown");
+            let report = handle.join().expect("daemon thread");
+            assert_eq!(report.batches, feed.len() as u64);
+            let (cp1, _) = ter_obs::trace::snapshot();
+            (secs, served, report, cp1.delta(&cp0), max_in_flight)
+        })
+    };
     let base_opts = || ServeOptions {
         checkpoint_every: CHECKPOINT_EVERY,
         ..ServeOptions::default()
     };
 
     // ---- daemon, strict request/reply (one batch in flight) ----
-    let (reqrep_secs, reqrep_matches, _, _, _) = daemon_run("reqrep", 1, base_opts(), 0);
+    let (reqrep_secs, reqrep_matches, _, _, _) = daemon_run("reqrep", &batches, 1, base_opts(), 0);
     // Parity gate: throughput of a wrong answer is meaningless.
     assert_eq!(
         reqrep_matches, lib_matches,
@@ -206,7 +211,7 @@ fn main() {
     // ---- daemon, pipelined ingest (W unacked batches) ----
     const PIPELINE_WINDOW: usize = 4;
     let (piped_secs, piped_matches, _, piped_cp, piped_in_flight) =
-        daemon_run("pipelined", PIPELINE_WINDOW, base_opts(), 0);
+        daemon_run("pipelined", &batches, PIPELINE_WINDOW, base_opts(), 0);
     assert_eq!(
         piped_matches, lib_matches,
         "pipelined daemon results diverged from the library engine"
@@ -222,12 +227,22 @@ fn main() {
     // Checkpoint cadence off so every fsync on the counter is a WAL
     // commit; a generous flush interval so the pipelined feed (the step
     // stage is the bottleneck) can actually fill an 8-deep window before
-    // the time bound fires.
+    // the time bound fires. Both arms feed the arrivals split evenly into
+    // `GC_WINDOW` times as many batches as the headline feed (an eighth
+    // of `BATCH` arrivals each, on average), so the batch count is a
+    // multiple of the window and every W=8 window closes on its count
+    // bound instead of idling out the interval.
     const GC_WINDOW: usize = 8;
-    // Each arm covers only a handful of batches, so one run's per-batch
-    // fsync exposure is a coin flip on a busy host. The arms run
-    // `GC_REPS` times, alternating so host drift hits both alike, and
-    // the exposure claim compares their medians.
+    let gc_count = GC_WINDOW * batches.len();
+    let gc_batches: Vec<Vec<Arrival>> = (0..gc_count)
+        .map(|i| {
+            arrivals[i * arrivals.len() / gc_count..(i + 1) * arrivals.len() / gc_count].to_vec()
+        })
+        .collect();
+    // One run's per-batch fsync exposure rests on a few fsyncs, so it is
+    // a coin flip on a busy host. The arms run `GC_REPS` times,
+    // alternating so host drift hits both alike, and the exposure claim
+    // compares their medians.
     const GC_REPS: usize = 5;
     let gc_opts = |flush_window: usize| ServeOptions {
         checkpoint_every: 0,
@@ -238,7 +253,8 @@ fn main() {
     let mut gc1_runs = Vec::with_capacity(GC_REPS);
     let mut gc8_runs = Vec::with_capacity(GC_REPS);
     for _ in 0..GC_REPS {
-        let (secs, matches, report, cp, _) = daemon_run("gc_w1", GC_WINDOW, gc_opts(1), 0);
+        let (secs, matches, report, cp, _) =
+            daemon_run("gc_w1", &gc_batches, GC_WINDOW, gc_opts(1), 0);
         assert_eq!(
             matches, lib_matches,
             "flush_window=1 daemon results diverged from the library engine"
@@ -248,7 +264,8 @@ fn main() {
             "flush_window=1 must degenerate to fsync-per-batch"
         );
         gc1_runs.push((secs, report, cp));
-        let (secs, matches, report, cp, _) = daemon_run("gc_w8", GC_WINDOW, gc_opts(GC_WINDOW), 0);
+        let (secs, matches, report, cp, _) =
+            daemon_run("gc_w8", &gc_batches, GC_WINDOW, gc_opts(GC_WINDOW), 0);
         assert_eq!(
             matches, lib_matches,
             "flush_window=8 daemon results diverged from the library engine"
@@ -261,6 +278,15 @@ fn main() {
              least 4x fewer fsyncs (got {})",
             report.batches,
             report.fsyncs
+        );
+        // Windows close on their count: one fsync per 8 batches, plus at
+        // most one for a window the interval closes early.
+        assert!(
+            report.fsyncs <= report.batches.div_ceil(GC_WINDOW as u64) + 1,
+            "group commit at flush_window=8 used {} fsyncs for {} batches: \
+             windows are not closing on their count bound",
+            report.fsyncs,
+            report.batches
         );
         gc8_runs.push((secs, report, cp));
     }
@@ -306,7 +332,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(256);
     let (herd_secs, herd_matches, _, _, _) =
-        daemon_run("herd", PIPELINE_WINDOW, base_opts(), herd_conns);
+        daemon_run("herd", &batches, PIPELINE_WINDOW, base_opts(), herd_conns);
     assert_eq!(
         herd_matches, lib_matches,
         "daemon results under the connection herd diverged from the library engine"

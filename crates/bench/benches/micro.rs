@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the hot primitives: Jaccard on token
-//! sets, aR-tree maintenance/queries, the DR-index's range search,
+//! sets, CDD-index rule selection, the DR-index's range search,
 //! imputation of one tuple, refinement of one imputed pair, and one full
 //! engine step.
 
@@ -9,8 +9,7 @@ use ter_datasets::{preset, GenOptions, Preset};
 use ter_ids::refine::{exact_probability, refine_pair};
 use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine, TupleMeta};
 use ter_impute::{ImputeConfig, ImputeContext, Imputer, RuleImputer, RuleRetrieval};
-use ter_index::{ArTree, Rect};
-use ter_repo::PivotConfig;
+use ter_repo::{PivotConfig, Record};
 use ter_rules::DiscoveryConfig;
 use ter_text::{Dictionary, Interval, Token, TokenSet};
 
@@ -24,33 +23,6 @@ fn bench_jaccard(c: &mut Criterion) {
     let long_b: TokenSet = (0..512u32).step_by(3).map(Token).collect();
     c.bench_function("jaccard/512-token sets", |bench| {
         bench.iter(|| std::hint::black_box(long_a.jaccard(&long_b)))
-    });
-}
-
-fn bench_artree(c: &mut Criterion) {
-    let points: Vec<Vec<f64>> = (0..2_000)
-        .map(|i| vec![(i as f64 * 0.137) % 1.0, (i as f64 * 0.311) % 1.0])
-        .collect();
-    c.bench_function("artree/insert-2000", |bench| {
-        bench.iter_batched(
-            || points.clone(),
-            |pts| {
-                let mut t: ArTree<u32, ()> = ArTree::new(2, 16);
-                for (i, p) in pts.into_iter().enumerate() {
-                    t.insert(p, i as u32, ());
-                }
-                t
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut tree: ArTree<u32, ()> = ArTree::new(2, 16);
-    for (i, p) in points.iter().enumerate() {
-        tree.insert(p.clone(), i as u32, ());
-    }
-    let range = Rect::new(vec![Interval::new(0.2, 0.4), Interval::new(0.2, 0.4)]);
-    c.bench_function("artree/range-query-2000", |bench| {
-        bench.iter(|| std::hint::black_box(tree.range_query(&range).len()))
     });
 }
 
@@ -79,7 +51,6 @@ fn bench_imputation(c: &mut Criterion) {
     let indexed = RuleImputer::new(
         "indexed",
         &ctx.repo,
-        &ctx.pivots,
         &ctx.cdds,
         RuleRetrieval::Indexed {
             cdd_indexes: &ctx.cdd_indexes,
@@ -90,11 +61,37 @@ fn bench_imputation(c: &mut Criterion) {
     let linear = RuleImputer::new(
         "linear",
         &ctx.repo,
-        &ctx.pivots,
         &ctx.cdds,
         RuleRetrieval::Linear,
         ImputeConfig::default(),
     );
+    // Rule selection through the CDD-index alone: one iteration selects
+    // the rules for every missing attribute of every incomplete arrival
+    // of the dataset; the line printed first gives the call count that
+    // turns the iteration time into a cost per call.
+    let arrivals = ds.streams.arrivals();
+    let selections: Vec<(usize, &Record)> = arrivals
+        .iter()
+        .flat_map(|a| {
+            a.record
+                .missing_attrs()
+                .into_iter()
+                .map(move |j| (j, &a.record))
+        })
+        .collect();
+    println!(
+        "cdd_index/applicable_rules: {} calls per iteration over {} rules",
+        selections.len(),
+        ctx.cdds.len()
+    );
+    c.bench_function("cdd_index/applicable_rules (all calls)", |bench| {
+        bench.iter(|| {
+            selections
+                .iter()
+                .map(|&(j, r)| ctx.cdd_indexes[j].applicable_rules(r).len())
+                .sum::<usize>()
+        })
+    });
     // The DR-index's range search alone: every present value of the
     // tuple against its own attribute's domain — the retrieval step
     // indexed imputation runs per determinant and per voting value.
@@ -226,6 +223,6 @@ fn bench_tokenize(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_jaccard, bench_tokenize, bench_artree, bench_imputation, bench_refine, bench_engine_step
+    targets = bench_jaccard, bench_tokenize, bench_imputation, bench_refine, bench_engine_step
 }
 criterion_main!(benches);

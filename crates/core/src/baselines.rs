@@ -77,7 +77,6 @@ impl<'a> NaiveEngine<'a> {
         let imputer = RuleImputer::new(
             "CDD-linear",
             &ctx.repo,
-            &ctx.pivots,
             &ctx.cdds,
             RuleRetrieval::Linear,
             params.impute,
@@ -90,7 +89,6 @@ impl<'a> NaiveEngine<'a> {
         let imputer = RuleImputer::new(
             "DD-linear",
             &ctx.repo,
-            &ctx.pivots,
             &ctx.dds,
             RuleRetrieval::Linear,
             params.impute,
@@ -103,7 +101,6 @@ impl<'a> NaiveEngine<'a> {
         let imputer = RuleImputer::new(
             "er-linear",
             &ctx.repo,
-            &ctx.pivots,
             &ctx.editing_rules,
             RuleRetrieval::Linear,
             params.impute,

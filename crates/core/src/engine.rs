@@ -122,7 +122,6 @@ impl TerContext {
         RuleImputer::new(
             "CDD-indexed",
             &self.repo,
-            &self.pivots,
             &self.cdds,
             RuleRetrieval::Indexed {
                 cdd_indexes: &self.cdd_indexes,

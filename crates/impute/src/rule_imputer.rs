@@ -4,7 +4,10 @@
 //!
 //! 1. **Rule selection** — find the applicable rules `X → A_j` (all
 //!    determinants present in `r`, constants matching). Indexed retrieval
-//!    uses the CDD-index `I_j`; linear retrieval scans the rule list.
+//!    filters the CDD-index `I_j`, which holds the rules whose dependent
+//!    is `A_j` (the paper's aR-tree over pivot-converted constants is not
+//!    built, as these lists are small; see `ter_rules::cddindex`); linear
+//!    retrieval scans the whole rule list. Both keep rule-list order.
 //! 2. **Sample retrieval** — for each rule, find repository samples `s`
 //!    satisfying the determinant constraints w.r.t. `r`. Indexed retrieval
 //!    turns each determinant into the exact set of domain values that
@@ -34,7 +37,7 @@
 //! which is why the paper reports identical F-scores for `TER-iDS`,
 //! `I_j+G_ER`, and `CDD+ER` — they differ only in wall-clock time.
 
-use ter_repo::{DrIndex, PivotTable, Record, Repository};
+use ter_repo::{DrIndex, Record, Repository};
 use ter_rules::{Cdd, CddIndex, Constraint};
 use ter_stream::{AttrCandidates, ProbTuple};
 use ter_text::{Interval, TokenSet};
@@ -60,7 +63,6 @@ pub enum RuleRetrieval<'a> {
 pub struct RuleImputer<'a> {
     name: &'static str,
     repo: &'a Repository,
-    pivots: &'a PivotTable,
     rules: &'a [Cdd],
     retrieval: RuleRetrieval<'a>,
     cfg: ImputeConfig,
@@ -71,7 +73,6 @@ impl<'a> RuleImputer<'a> {
     pub fn new(
         name: &'static str,
         repo: &'a Repository,
-        pivots: &'a PivotTable,
         rules: &'a [Cdd],
         retrieval: RuleRetrieval<'a>,
         cfg: ImputeConfig,
@@ -79,7 +80,6 @@ impl<'a> RuleImputer<'a> {
         Self {
             name,
             repo,
-            pivots,
             rules,
             retrieval,
             cfg,
@@ -100,7 +100,7 @@ impl<'a> RuleImputer<'a> {
                         .filter(|r| r.dependent == j && r.applicable_to(record))
                         .collect(),
                     RuleRetrieval::Indexed { cdd_indexes, .. } => {
-                        cdd_indexes[j].applicable_rules(record, self.pivots)
+                        cdd_indexes[j].applicable_rules(record)
                     }
                 };
                 (j, rules)
@@ -244,12 +244,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
-    use ter_repo::{PivotConfig, Schema};
+    use ter_repo::{PivotConfig, PivotTable, Schema};
     use ter_rules::{detect_cdds, DiscoveryConfig};
     use ter_text::{Dictionary, KeywordSet, Token};
 
     /// Repository in which gender+symptom determine diagnosis tightly.
-    fn setup() -> (Repository, PivotTable, Dictionary) {
+    fn setup() -> (Repository, Dictionary) {
         let schema = Schema::new(vec!["gender", "symptom", "diagnosis"]);
         let mut dict = Dictionary::new();
         let rows = [
@@ -270,8 +270,7 @@ mod tests {
             })
             .collect();
         let repo = Repository::from_records(schema, recs);
-        let pivots = PivotTable::select(&repo, &PivotConfig::default());
-        (repo, pivots, dict)
+        (repo, dict)
     }
 
     fn incomplete(dict: &mut Dictionary) -> Record {
@@ -286,13 +285,12 @@ mod tests {
 
     #[test]
     fn linear_imputation_suggests_diabetes() {
-        let (repo, pivots, mut dict) = setup();
+        let (repo, mut dict) = setup();
         let rules = detect_cdds(&repo, &DiscoveryConfig::default());
         assert!(!rules.is_empty());
         let imputer = RuleImputer::new(
             "CDD",
             &repo,
-            &pivots,
             &rules,
             RuleRetrieval::Linear,
             ImputeConfig::default(),
@@ -410,11 +408,10 @@ mod tests {
                 (0..ARITY).map(|j| CddIndex::build(j, &rules, &pivots)).collect();
             let cfg = ImputeConfig { max_candidates_per_attr: usize::MAX };
             let linear =
-                RuleImputer::new("CDD", &repo, &pivots, &rules, RuleRetrieval::Linear, cfg);
+                RuleImputer::new("CDD", &repo, &rules, RuleRetrieval::Linear, cfg);
             let indexed = RuleImputer::new(
                 "TER-iDS",
                 &repo,
-                &pivots,
                 &rules,
                 RuleRetrieval::Indexed { cdd_indexes: &cdd_indexes, dr_index: &dr },
                 cfg,
@@ -454,12 +451,11 @@ mod tests {
 
     #[test]
     fn complete_record_passes_through() {
-        let (repo, pivots, mut dict) = setup();
+        let (repo, mut dict) = setup();
         let rules = detect_cdds(&repo, &DiscoveryConfig::default());
         let imputer = RuleImputer::new(
             "CDD",
             &repo,
-            &pivots,
             &rules,
             RuleRetrieval::Linear,
             ImputeConfig::default(),
@@ -478,12 +474,11 @@ mod tests {
 
     #[test]
     fn no_applicable_rule_stays_missing() {
-        let (repo, pivots, mut dict) = setup();
+        let (repo, mut dict) = setup();
         // No rules at all.
         let imputer = RuleImputer::new(
             "CDD",
             &repo,
-            &pivots,
             &[],
             RuleRetrieval::Linear,
             ImputeConfig::default(),
@@ -497,12 +492,12 @@ mod tests {
 
     #[test]
     fn candidate_cap_is_respected() {
-        let (repo, pivots, mut dict) = setup();
+        let (repo, mut dict) = setup();
         let rules = detect_cdds(&repo, &DiscoveryConfig::default());
         let cfg = ImputeConfig {
             max_candidates_per_attr: 2,
         };
-        let imputer = RuleImputer::new("CDD", &repo, &pivots, &rules, RuleRetrieval::Linear, cfg);
+        let imputer = RuleImputer::new("CDD", &repo, &rules, RuleRetrieval::Linear, cfg);
         let r = incomplete(&mut dict);
         let pt = imputer.impute(&r, &ImputeContext::default());
         assert!(pt.imputed[0].candidates.len() <= 2);
@@ -512,12 +507,11 @@ mod tests {
 
     #[test]
     fn multiple_missing_attributes() {
-        let (repo, pivots, mut dict) = setup();
+        let (repo, mut dict) = setup();
         let rules = detect_cdds(&repo, &DiscoveryConfig::default());
         let imputer = RuleImputer::new(
             "CDD",
             &repo,
-            &pivots,
             &rules,
             RuleRetrieval::Linear,
             ImputeConfig::default(),

@@ -77,7 +77,7 @@ impl DrIndex {
     ///
     /// `_pivots`, `_keywords` and `_max_fanout` are unused: they configured
     /// the pivot aR-tree this index replaces, and the signature is kept for
-    /// callers that build it alongside the pivot-based CDD-indexes.
+    /// the benchmark harness, which builds and extends the index through it.
     pub fn build(
         repo: &Repository,
         _pivots: &PivotTable,

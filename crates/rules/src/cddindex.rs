@@ -1,110 +1,41 @@
-//! The CDD-index `I_j` (§5.1, Figure 2): a lattice of determinant-set
-//! groups, each indexed by an aR-tree over constraint points.
+//! The CDD-index `I_j` (§5.1, Figure 2): the rules whose dependent is
+//! `A_j`, in rule-list order, filtered exactly per record.
 //!
-//! Rules with dependent attribute `A_j` are grouped by their determinant
-//! attribute set `X` (the lattice levels of Figure 2 are the group sizes
-//! `|X| = 1, 2, …`). Within a group, each rule becomes a point whose
-//! coordinate on determinant `A_x` is
-//!
-//! * `dist(v, piv_1[A_x])` for a constant constraint `v` (the paper's
-//!   pivot conversion of textual constants), or
-//! * the sentinel `-1` for an interval constraint, which does not restrict
-//!   the tuple's absolute value (the paper reserves `-1` for unconstrained
-//!   dimensions; interval constraints restrict *pair* distances and are
-//!   verified exactly after retrieval).
-//!
-//! Tree nodes aggregate the minimal interval bounding the dependent
-//! constraints `A_j.I` beneath them — the coarse dependent ranges of the
-//! 3-way index join (§5.3).
+//! The paper groups these rules into a lattice by determinant set and
+//! indexes each group with an aR-tree over pivot-converted constant
+//! constraints. That tree is not built here: the rule lists are small
+//! (tens to a few hundred CDDs), and a scan of them selected the same
+//! rules as the tree in less time on every dataset preset (see the
+//! README's paper mapping). The scan also keeps the rule-list order, so
+//! selection through `I_j` equals the linear scan of the `CDD+ER`
+//! baseline element for element.
 
-use ter_index::{ArTree, Rect};
 use ter_repo::{PivotTable, Record};
-use ter_text::Interval;
 
-use crate::rule::{Cdd, Constraint};
-
-/// Node aggregate: bounds the dependent intervals of the rules beneath.
-#[derive(Debug, Clone)]
-pub struct CddAggregate {
-    /// Minimal interval covering every `A_j.I` under the node
-    /// (`A_j.I_e` in §5.1's aggregate list).
-    pub dependent_interval: Interval,
-}
-
-impl ter_index::Aggregate for CddAggregate {
-    fn merge(&mut self, other: &Self) {
-        self.dependent_interval
-            .expand_interval(&other.dependent_interval);
-    }
-}
-
-/// One lattice node: all rules sharing a determinant attribute set.
-#[derive(Debug, Clone)]
-struct Group {
-    /// Sorted determinant attributes `X`.
-    attrs: Vec<usize>,
-    /// Rule indices (into [`CddIndex::rules`]) indexed by constraint point.
-    tree: ArTree<usize, CddAggregate>,
-}
+use crate::rule::Cdd;
 
 /// The CDD-index for one dependent attribute. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct CddIndex {
     dependent: usize,
     rules: Vec<Cdd>,
-    /// Groups ordered by lattice level (`|X|` ascending, then by attrs).
-    groups: Vec<Group>,
 }
 
 impl CddIndex {
     /// Builds the index from the rules whose dependent is `dependent`.
     /// Rules with other dependents are ignored (callers typically build one
     /// `I_j` per attribute from one global rule list, Algorithm 1 line 3).
-    pub fn build(dependent: usize, all_rules: &[Cdd], pivots: &PivotTable) -> Self {
-        let rules: Vec<Cdd> = all_rules
+    ///
+    /// `_pivots` is unused: it converted constants for the aR-tree this
+    /// index replaces, and the signature is kept for the benchmark
+    /// harness, which builds the index through it.
+    pub fn build(dependent: usize, all_rules: &[Cdd], _pivots: &PivotTable) -> Self {
+        let rules = all_rules
             .iter()
             .filter(|r| r.dependent == dependent)
             .cloned()
             .collect();
-
-        // Partition rule indices by determinant attribute set.
-        let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-        for (ri, rule) in rules.iter().enumerate() {
-            let attrs: Vec<usize> = rule.determinant_attrs().collect();
-            match sets.iter_mut().find(|(a, _)| *a == attrs) {
-                Some((_, v)) => v.push(ri),
-                None => sets.push((attrs, vec![ri])),
-            }
-        }
-        // Lattice order: level (set size) ascending, then lexicographic.
-        sets.sort_by(|a, b| (a.0.len(), &a.0).cmp(&(b.0.len(), &b.0)));
-
-        let groups = sets
-            .into_iter()
-            .map(|(attrs, rule_ids)| {
-                let dim = attrs.len();
-                let entries = rule_ids
-                    .into_iter()
-                    .map(|ri| ter_index::Entry {
-                        point: rule_point(&rules[ri], &attrs, pivots).into_boxed_slice(),
-                        payload: ri,
-                        agg: CddAggregate {
-                            dependent_interval: rules[ri].dependent_interval,
-                        },
-                    })
-                    .collect();
-                Group {
-                    attrs,
-                    tree: ArTree::bulk_load(dim, 16, entries),
-                }
-            })
-            .collect();
-
-        Self {
-            dependent,
-            rules,
-            groups,
-        }
+        Self { dependent, rules }
     }
 
     /// The dependent attribute `A_j` this index serves.
@@ -127,96 +58,25 @@ impl CddIndex {
         self.rules.is_empty()
     }
 
-    /// Number of lattice groups (distinct determinant sets).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+    /// Rules applicable to `record` for imputing its missing `A_j`
+    /// (every determinant present in `record`, constants matching
+    /// exactly), in rule-list order.
+    pub fn applicable_rules(&self, record: &Record) -> Vec<&Cdd> {
+        self.rules
+            .iter()
+            .filter(|r| r.applicable_to(record))
+            .collect()
     }
-
-    /// Rules applicable to `record` for imputing its missing `A_j`:
-    /// every determinant present in `record`, constants matching exactly.
-    ///
-    /// Retrieval descends each compatible lattice group's aR-tree with the
-    /// 2^k boxes covering {constant-match, interval-sentinel} per dimension
-    /// and verifies candidates exactly.
-    pub fn applicable_rules<'a>(&'a self, record: &Record, pivots: &PivotTable) -> Vec<&'a Cdd> {
-        let mut out = Vec::new();
-        for group in &self.groups {
-            // Lattice-level filter: X must be fully present in the record.
-            if group.attrs.iter().any(|&a| record.is_missing(a)) {
-                continue;
-            }
-            // Per-dimension admissible coordinates.
-            let coords: Vec<f64> = group
-                .attrs
-                .iter()
-                .map(|&a| pivots.convert_value(a, record.attr(a).unwrap()))
-                .collect();
-            // Enumerate the 2^k sentinel/constant boxes (k is the lattice
-            // level, small by construction; fall back to one wide box that
-            // covers both options per dimension beyond 8 determinants).
-            let k = group.attrs.len();
-            if k <= 8 {
-                for mask in 0u32..(1 << k) {
-                    let rect = Rect::new(
-                        (0..k)
-                            .map(|i| {
-                                if mask & (1 << i) != 0 {
-                                    Interval::point(coords[i])
-                                } else {
-                                    Interval::missing()
-                                }
-                            })
-                            .collect(),
-                    );
-                    for e in group.tree.range_query(&rect) {
-                        let rule = &self.rules[e.payload];
-                        if rule.applicable_to(record) {
-                            out.push(rule);
-                        }
-                    }
-                }
-            } else {
-                let rect = Rect::new(
-                    coords
-                        .iter()
-                        .map(|&c| Interval::new(-1.0, c.max(-1.0)))
-                        .collect(),
-                );
-                for e in group.tree.range_query(&rect) {
-                    let rule = &self.rules[e.payload];
-                    if rule.applicable_to(record) {
-                        out.push(rule);
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The constraint point of `rule` within its group (see module docs).
-fn rule_point(rule: &Cdd, attrs: &[usize], pivots: &PivotTable) -> Vec<f64> {
-    attrs
-        .iter()
-        .map(|&a| {
-            let (_, c) = rule
-                .determinants()
-                .iter()
-                .find(|(x, _)| *x == a)
-                .expect("group attr must be a determinant");
-            match c {
-                Constraint::Constant(v) => pivots.convert_value(a, v),
-                Constraint::Interval(_) => -1.0,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Constraint;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use ter_repo::{PivotConfig, Record, Repository, Schema};
-    use ter_text::{Dictionary, TokenSet};
+    use ter_text::{Dictionary, Interval, Token, TokenSet};
 
     fn schema() -> Schema {
         Schema::new(vec!["gender", "symptom", "diagnosis"])
@@ -293,12 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn build_filters_by_dependent_and_forms_lattice() {
+    fn build_filters_by_dependent() {
         let (_, pivots, mut dict) = setup();
         let rules = test_rules(&mut dict);
         let idx = CddIndex::build(2, &rules, &pivots);
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.group_count(), 3); // {gender}, {symptom}, {gender,symptom}
+        assert_eq!(idx.rules(), &rules[..3]);
         assert_eq!(idx.dependent(), 2);
     }
 
@@ -320,21 +180,11 @@ mod tests {
             Record::from_texts(&s, 13, &[None, None, None], &mut dict),
         ];
         for rec in &cases {
-            let mut got: Vec<_> = idx
-                .applicable_rules(rec, &pivots)
-                .into_iter()
-                .cloned()
-                .collect();
-            let mut expect: Vec<Cdd> = idx
-                .rules()
+            let expect: Vec<&Cdd> = rules
                 .iter()
-                .filter(|r| r.applicable_to(rec))
-                .cloned()
+                .filter(|r| r.dependent == 2 && r.applicable_to(rec))
                 .collect();
-            let key = |r: &Cdd| format!("{r:?}");
-            got.sort_by_key(key);
-            expect.sort_by_key(key);
-            assert_eq!(got, expect, "record {}", rec.id);
+            assert_eq!(idx.applicable_rules(rec), expect, "record {}", rec.id);
         }
     }
 
@@ -350,7 +200,7 @@ mod tests {
             &[Some("female"), Some("weight loss"), None],
             &mut dict,
         );
-        let applicable = idx.applicable_rules(&female_rec, &pivots);
+        let applicable = idx.applicable_rules(&female_rec);
         // Only the pure interval rule applies (constants demand "male").
         assert_eq!(applicable.len(), 1);
         assert!(applicable[0].is_dd());
@@ -363,7 +213,7 @@ mod tests {
         let idx = CddIndex::build(2, &rules, &pivots);
         let s = schema();
         let all_missing = Record::from_texts(&s, 40, &[None, None, None], &mut dict);
-        assert!(idx.applicable_rules(&all_missing, &pivots).is_empty());
+        assert!(idx.applicable_rules(&all_missing).is_empty());
     }
 
     #[test]
@@ -373,6 +223,94 @@ mod tests {
         assert!(idx.is_empty());
         let s = schema();
         let rec = Record::from_texts(&s, 50, &[Some("male"), Some("x"), None], &mut dict);
-        assert!(idx.applicable_rules(&rec, &pivots).is_empty());
+        assert!(idx.applicable_rules(&rec).is_empty());
+    }
+
+    // Random rule lists for `applicable_rules_equal_linear_filter`, over a
+    // small token alphabet so that record values hit rule constants often.
+    fn value(rng: &mut TestRng) -> TokenSet {
+        let n = rng.gen_usize(0, 3, true);
+        TokenSet::new((0..n).map(|_| Token(rng.gen_u32(0, 6, false))).collect())
+    }
+
+    fn pick<T: Clone>(rng: &mut TestRng, items: &[T]) -> T {
+        items[rng.gen_usize(0, items.len(), false)].clone()
+    }
+
+    /// A rule over `pools.len()` attributes with one to three determinants,
+    /// each a constant from its attribute's pool or an interval.
+    fn random_rule(rng: &mut TestRng, pools: &[Vec<TokenSet>]) -> Cdd {
+        let arity = pools.len();
+        let dependent = rng.gen_usize(0, arity, false);
+        let mut others: Vec<usize> = (0..arity).filter(|&a| a != dependent).collect();
+        let k = rng.gen_usize(1, others.len().min(3), true);
+        let determinants = (0..k)
+            .map(|_| {
+                let a = others.remove(rng.gen_usize(0, others.len(), false));
+                let c = if rng.gen_usize(0, 2, true) == 0 {
+                    Constraint::Interval(Interval::new(0.0, rng.gen_f64(0.1, 1.0)))
+                } else {
+                    Constraint::Constant(pick(rng, &pools[a]))
+                };
+                (a, c)
+            })
+            .collect();
+        Cdd::new(
+            determinants,
+            dependent,
+            Interval::new(0.0, rng.gen_f64(0.1, 1.0)),
+        )
+    }
+
+    /// A record whose attributes are missing a third of the time and
+    /// otherwise take a rule constant or a fresh value.
+    fn random_record(rng: &mut TestRng, id: u64, pools: &[Vec<TokenSet>]) -> Record {
+        let names: Vec<String> = (0..pools.len()).map(|a| format!("a{a}")).collect();
+        let attrs = pools
+            .iter()
+            .map(|pool| match rng.gen_usize(0, 3, false) {
+                0 => None,
+                1 => Some(value(rng)),
+                _ => Some(pick(rng, pool)),
+            })
+            .collect();
+        Record::new(&Schema::new(names), id, attrs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `I_j` selects exactly the rules a scan of the whole rule list
+        /// selects for dependent `j`, in the same order.
+        #[test]
+        fn applicable_rules_equal_linear_filter(seed in any::<u64>()) {
+            let mut rng = TestRng::seeded(seed);
+            let arity = rng.gen_usize(3, 4, true);
+            let pools: Vec<Vec<TokenSet>> = (0..arity)
+                .map(|_| (0..rng.gen_usize(1, 4, true)).map(|_| value(&mut rng)).collect())
+                .collect();
+            let rules: Vec<Cdd> =
+                (0..rng.gen_usize(0, 24, true)).map(|_| random_rule(&mut rng, &pools)).collect();
+            let pivots = PivotTable::from_pivots(Vec::new());
+            let indexes: Vec<CddIndex> =
+                (0..arity).map(|j| CddIndex::build(j, &rules, &pivots)).collect();
+            for id in 0..16 {
+                let rec = random_record(&mut rng, id, &pools);
+                for (j, idx) in indexes.iter().enumerate() {
+                    let linear: Vec<&Cdd> = rules
+                        .iter()
+                        .filter(|r| r.dependent == j && r.applicable_to(&rec))
+                        .collect();
+                    prop_assert_eq!(
+                        idx.applicable_rules(&rec),
+                        linear,
+                        "seed {} dependent {} record {:?}",
+                        seed,
+                        j,
+                        rec
+                    );
+                }
+            }
+        }
     }
 }

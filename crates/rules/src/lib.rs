@@ -16,15 +16,14 @@
 //!   (bucketed pair statistics for interval rules, frequent-constant
 //!   refinement for conditional/editing rules), used both offline
 //!   (Algorithm 1 line 2, Figure 12) and for the §5.5 dynamic updates;
-//! * [`CddIndex`] — the CDD-index `I_j` of §5.1: rules grouped into a
-//!   lattice by determinant attribute set, each group indexed by an
-//!   aR-tree over pivot-converted constant constraints with
-//!   dependent-interval aggregates.
+//! * [`CddIndex`] — the CDD-index `I_j` of §5.1: the rules whose
+//!   dependent is `A_j`, filtered exactly per record in rule-list order
+//!   (the paper's lattice of aR-trees is not built; see [`cddindex`]).
 
 pub mod cddindex;
 pub mod discovery;
 pub mod rule;
 
-pub use cddindex::{CddAggregate, CddIndex};
+pub use cddindex::CddIndex;
 pub use discovery::{detect_cdds, detect_dds, detect_editing_rules, DiscoveryConfig};
 pub use rule::{Cdd, Constraint};

@@ -2,9 +2,8 @@
 //!
 //! Intervals appear everywhere in the paper: CDD distance constraints
 //! `[ε.min, ε.max]` (Definition 3), token-set-size bounds
-//! `[|T⁻|, |T⁺|]` (Lemma 4.1), pivot-distance bounds `[lb_X, ub_X]`
-//! (Lemmas 4.2/4.3), and the per-node aggregate intervals of the aR-tree
-//! (§5.1).
+//! `[|T⁻|, |T⁺|]` (Lemma 4.1) and pivot-distance bounds `[lb_X, ub_X]`
+//! (Lemmas 4.2/4.3).
 
 /// A closed interval `[lo, hi]` over `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -9,7 +9,6 @@ pub use ter_datasets as datasets;
 pub use ter_exec as exec;
 pub use ter_ids as core;
 pub use ter_impute as impute;
-pub use ter_index as index;
 pub use ter_repo as repo;
 pub use ter_rules as rules;
 pub use ter_stream as stream;
