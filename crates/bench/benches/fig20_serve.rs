@@ -54,7 +54,7 @@ use ter_bench::{critical_path_json, header, prepare, RunStamp};
 use ter_datasets::{GenOptions, Preset};
 use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{ErProcessor, Params, PruningMode};
-use ter_obs::trace::CriticalPath;
+use ter_obs::trace::{seg, CriticalPath};
 use ter_serve::{Client, ServeOptions, ServeReport, Server};
 use ter_store::{context_fingerprint, TerStore};
 use ter_stream::Arrival;
@@ -313,7 +313,7 @@ fn main() {
     let exposure = |runs: &[(f64, ServeReport, CriticalPath)]| {
         let mut per_run: Vec<u64> = runs
             .iter()
-            .map(|(_, _, cp)| cp.fsync_exposed_micros / cp.traces.max(1))
+            .map(|(_, _, cp)| cp.segments[seg::FSYNC_EXPOSED] / cp.traces.max(1))
             .collect();
         per_run.sort_unstable();
         let traces: u64 = runs.iter().map(|(_, _, cp)| cp.traces).sum();

@@ -360,9 +360,9 @@ pub fn sweep<V: Copy + std::fmt::Display>(
 /// `critical_path` field `BENCH_serve.json` records, keyed exactly like
 /// [`ter_obs::trace::SEGMENTS`] with a `_micros` suffix.
 pub fn critical_path_json(cp: &ter_obs::trace::CriticalPath) -> String {
-    let segs: Vec<String> = cp
-        .segments()
+    let segs: Vec<String> = ter_obs::trace::SEGMENTS
         .iter()
+        .zip(&cp.segments)
         .map(|(name, us)| format!("\"{name}_micros\": {us}"))
         .collect();
     format!(
@@ -424,20 +424,20 @@ mod tests {
 
     #[test]
     fn critical_path_json_shape() {
-        let cp = ter_obs::trace::CriticalPath {
+        let mut cp = ter_obs::trace::CriticalPath {
             traces: 2,
             total_micros: 100,
-            compute_micros: 60,
-            other_micros: 40,
-            ..ter_obs::trace::CriticalPath::ZERO
+            ..Default::default()
         };
+        cp.segments[ter_obs::trace::seg::COMPUTE] = 60;
+        cp.segments[ter_obs::trace::seg::OTHER] = 40;
         let j = critical_path_json(&cp);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"traces\": 2"));
         assert!(j.contains("\"total_micros\": 100"));
         assert!(j.contains("\"compute_micros\": 60"));
         // Every segment appears, zero or not — schema checkers rely on it.
-        for (name, _) in cp.segments() {
+        for name in ter_obs::trace::SEGMENTS {
             assert!(j.contains(&format!("\"{name}_micros\"")), "{name}");
         }
     }

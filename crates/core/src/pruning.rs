@@ -286,15 +286,32 @@ mod tests {
         assert!(ub_sim(&a, &b, &counts) > 2.9);
     }
 
+    /// Example 7: E(X)=0.7, E(Y)=1.2, [lb_X, ub_X]=[0.3, 1.1],
+    /// [lb_Y, ub_Y]=[1.1, 1.3], d=3, γ=2.8. Y − X ≥ 0 surely (case 2), so
+    /// UB = 1 − (1 − 0.2/0.5)² · 0.5/1.0 = 0.82; with the tuples swapped
+    /// X − Y ≥ 0 surely (case 1) and the bound is the same.
     #[test]
     fn prob_upper_bound_example_7_shape() {
-        // Reconstruct Example 7's numbers through synthetic metas is
-        // impractical; instead verify the closed form directly.
-        // E(X)=0.7, E(Y)=1.2, lb_X=0.3, ub_X=1.1, lb_Y=1.1, ub_Y=1.3,
-        // d=3, γ=2.8 → UB = 1 − (1 − 0.2/0.5)² · 0.5/1.0 = 0.82
-        let theta: f64 = (3.0 - 2.8) / (1.2 - 0.7);
-        let ub = 1.0 - (1.0 - theta).powi(2) * (1.2 - 0.7) / (1.3 - 0.3);
-        assert!((ub - 0.82).abs() < 1e-9);
+        let mut fx = fixture();
+        let kw = KeywordSet::universe();
+        // Arity-3 metas whose first attribute carries the example's totals.
+        let mut with_bounds = |id, lo: f64, hi: f64, expect: f64| {
+            let mut m = meta_of(&mut fx, id, &["a", "b", "c"], &kw);
+            m.main_bounds = vec![
+                Interval::new(lo, hi),
+                Interval::point(0.0),
+                Interval::point(0.0),
+            ];
+            m.main_expect = vec![expect, 0.0, 0.0];
+            m
+        };
+        let x = with_bounds(1, 0.3, 1.1, 0.7);
+        let y = with_bounds(2, 1.1, 1.3, 1.2);
+        assert_eq!(x.arity(), 3);
+        let case2 = prob_upper_bound(&x, &y, 2.8);
+        assert!((case2 - 0.82).abs() < 1e-9, "case 2 gives {case2}");
+        let case1 = prob_upper_bound(&y, &x, 2.8);
+        assert!((case1 - 0.82).abs() < 1e-9, "case 1 gives {case1}");
     }
 
     #[test]

@@ -4,26 +4,26 @@
 //! batch at a time:
 //!
 //! 1. **Impute** — every arrival of the batch is imputed and its
-//!    [`TupleMeta`] derived ([`TerIdsEngine::impute`]);
+//!    [`ter_ids::TupleMeta`] derived ([`TerIdsEngine::impute`]);
 //!    imputation reads only the static context, so imputing ahead of the
 //!    batch's expiries changes nothing.
 //! 2. **Step** — each arrival in turn runs
 //!    [`TerIdsEngine::step_imputed`]: expiry, candidate scan (traverse),
 //!    pair cascade (refine), insert and bookkeeping (merge).
 //!
-//! Per batch, the impute, traverse, refine and merge wall times are
-//! recorded once each in the `ter_obs` histograms, the flight recorder and
-//! the batch's causal trace. A batch with no trace attached (library mode)
-//! roots its own and closes it with a `STEP` span.
+//! Per batch, the impute, traverse, refine and merge wall times and the
+//! whole step are recorded once each as `ter_obs` events; the kind table
+//! routes them to the histograms, the flight recorder and the batch's
+//! causal trace. A batch with no trace attached (library mode) roots its
+//! own and closes it after the `STEP` event.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-use std::time::Duration;
 
 use ter_ids::{
     EngineState, ErProcessor, LiveState, Params, PhaseTiming, PruneStats, PruningMode, ResultSet,
-    StageLaps, StepOutput, TerContext, TerIdsEngine, TupleMeta,
+    StageLaps, StepOutput, TerContext, TerIdsEngine,
 };
+use ter_obs::kind;
 use ter_stream::Arrival;
 use ter_text::fxhash::FxHashSet;
 
@@ -87,64 +87,6 @@ impl DerefMut for ShardedTerIdsEngine<'_> {
     }
 }
 
-fn micros(d: Duration) -> u64 {
-    d.as_micros() as u64
-}
-
-/// Records one batch's per-stage wall times into the global
-/// observability registry — one histogram observation per stage per
-/// batch. No-op when observability is disabled.
-fn record_stage_batch(laps: &StageLaps) {
-    if !ter_obs::enabled() {
-        return;
-    }
-    let seq = ter_obs::OBS.engine_batches.get();
-    for (us, hist, flight, span) in [
-        (
-            micros(laps.traverse),
-            &ter_obs::OBS.engine_traverse_micros,
-            ter_obs::kind::TRAVERSE,
-            ter_obs::trace::kind::TRAVERSE,
-        ),
-        (
-            micros(laps.refine),
-            &ter_obs::OBS.engine_refine_micros,
-            ter_obs::kind::REFINE,
-            ter_obs::trace::kind::REFINE,
-        ),
-        (
-            micros(laps.merge),
-            &ter_obs::OBS.engine_merge_micros,
-            ter_obs::kind::MERGE,
-            ter_obs::trace::kind::MERGE,
-        ),
-    ] {
-        hist.record(us);
-        ter_obs::flight(flight, seq, 0, 0, us);
-        ter_obs::trace::add_current_elapsed(span, us);
-    }
-}
-
-/// Imputes a batch and records it as one observation of the impute
-/// stage.
-fn impute_stage(
-    engine: &TerIdsEngine<'_>,
-    batch: &[Arrival],
-) -> Vec<(Arc<TupleMeta>, PhaseTiming)> {
-    let t0 = ter_obs::timer();
-    let imputed = batch.iter().map(|a| engine.impute(a)).collect();
-    let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
-    ter_obs::flight(
-        ter_obs::kind::IMPUTE,
-        ter_obs::OBS.engine_batches.get(),
-        batch.len() as u64,
-        0,
-        impute_us,
-    );
-    ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
-    imputed
-}
-
 impl ErProcessor for ShardedTerIdsEngine<'_> {
     fn name(&self) -> &'static str {
         self.name
@@ -157,8 +99,8 @@ impl ErProcessor for ShardedTerIdsEngine<'_> {
     }
 
     /// Imputes the batch, then steps each arrival through
-    /// [`TerIdsEngine::step_imputed`], recording the stage telemetry once
-    /// for the batch. The outputs are those of [`ErProcessor::process`]
+    /// [`TerIdsEngine::step_imputed`], recording one event per stage and
+    /// one for the step. The outputs are those of [`ErProcessor::process`]
     /// called on each arrival in turn.
     fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
         if batch.is_empty() {
@@ -166,12 +108,14 @@ impl ErProcessor for ShardedTerIdsEngine<'_> {
         }
         let batch_t0 = ter_obs::timer();
         ter_obs::OBS.engine_batches.inc();
-        // Library mode: no outer driver owns a causal trace for this
-        // batch, so it roots its own (keyed by the engine batch ordinal).
-        // In daemon mode the serve step stage owns the trace and this is
-        // a no-op.
-        let self_rooted = ter_obs::trace::root_if_unattached(ter_obs::OBS.engine_batches.get());
-        let imputed = impute_stage(&self.engine, batch);
+        // In the daemon the step stage has opened this batch's trace; a
+        // library caller's batch roots its own, keyed by the engine batch
+        // ordinal. Every stage records under that trace's sequence.
+        let (seq, rooted) = ter_obs::trace::attach(ter_obs::OBS.engine_batches.get());
+        let n = batch.len() as u64;
+        let impute_t0 = ter_obs::timer();
+        let imputed: Vec<_> = batch.iter().map(|a| self.engine.impute(a)).collect();
+        ter_obs::record(kind::IMPUTE, seq, n, 0, ter_obs::since(impute_t0));
         let mut laps = StageLaps::default();
         let outputs = batch
             .iter()
@@ -180,18 +124,16 @@ impl ErProcessor for ShardedTerIdsEngine<'_> {
                 self.engine.step_imputed(arrival, meta, timing, &mut laps)
             })
             .collect();
-        record_stage_batch(&laps);
-        let batch_us = batch_t0.map_or(0, |t| micros(t.elapsed()));
-        ter_obs::flight(
-            ter_obs::kind::BATCH,
-            ter_obs::OBS.engine_batches.get(),
-            batch.len() as u64,
-            0,
-            batch_us,
-        );
-        if self_rooted {
-            ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::STEP, batch_us);
-            ter_obs::trace::end_current();
+        for (k, lap) in [
+            (kind::TRAVERSE, laps.traverse),
+            (kind::REFINE, laps.refine),
+            (kind::MERGE, laps.merge),
+        ] {
+            ter_obs::record(k, seq, 0, 0, lap.as_micros() as u64);
+        }
+        ter_obs::record(kind::STEP, seq, n, 0, ter_obs::since(batch_t0));
+        if rooted {
+            ter_obs::trace::end(seq, ter_obs::trace::now());
         }
         outputs
     }

@@ -4,7 +4,8 @@
 //! ([`ter_ids::ErProcessor::step_batch`]): it imputes the batch, then runs
 //! the sequential engine's own per-arrival loop
 //! ([`ter_ids::TerIdsEngine::step_imputed`]) over it, and records one
-//! observation per stage per batch in the `ter_obs` registry and the
+//! `ter_obs` event per stage and one for the whole step per batch, which
+//! the kind table routes to the registry, the flight recorder and the
 //! batch's causal trace. Its output is therefore the sequential engine's,
 //! arrival for arrival, for every batch size — enforced by the
 //! differential suite in `tests/parallel_parity.rs`.

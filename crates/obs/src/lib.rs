@@ -1,6 +1,18 @@
 //! `ter_obs`: unified observability for every TER-iDS layer — a
-//! lock-light metric registry plus a bounded flight recorder of
-//! structured trace events.
+//! lock-light metric registry, a bounded flight recorder of structured
+//! events and per-batch causal traces ([`trace`]), fed through one event
+//! model.
+//!
+//! # One event model
+//!
+//! Every timed or notable thing the layers do is an event of one
+//! [`kind`]. The [kind table](kind::TABLE) declares, once per kind, its
+//! stable name and the sinks it feeds: a registry histogram, the flight
+//! ring, the batch's trace slot (with the span's parent and
+//! critical-path segment), and whether it marks an anomaly for the tail
+//! sampler. A site makes one call, [`record`] (or [`record_at`] for a
+//! span with a known start), and the table decides the rest. Counters
+//! and gauges that are not durations are updated directly.
 //!
 //! # Design constraints
 //!
@@ -11,11 +23,11 @@
 //! ordering; histograms are 64 fixed log₂ buckets of `AtomicU64` (one
 //! relaxed add per observation, p50/p95/p99 derivable from the buckets
 //! at read time). Nothing on the hot path allocates, locks, or branches
-//! on metric *values*. The only mutex in the crate guards the flight
-//! recorder's ring buffer, and both timing capture ([`timer`]) and event
-//! recording ([`flight`]) collapse to a single relaxed load when the
-//! global enable flag is off — which is how the overhead-guard bench
-//! measures the metrics-off baseline.
+//! on metric *values*. The only mutexes in the crate guard the flight
+//! recorder's ring buffer and the trace sampler, and both timing capture
+//! ([`timer`]) and event recording ([`record`]) collapse to a single
+//! relaxed load when the global enable flag is off — which is how the
+//! overhead-guard bench measures the metrics-off baseline.
 //!
 //! # Surfaces
 //!
@@ -217,19 +229,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the microseconds elapsed since an enabled [`timer`] and
-    /// returns them (0 and no record when the timer was disabled).
-    pub fn observe_since(&self, t0: Option<Instant>) -> u64 {
-        match t0 {
-            Some(t0) => {
-                let us = t0.elapsed().as_micros() as u64;
-                self.record(us);
-                us
-            }
-            None => 0,
-        }
-    }
-
     /// Observations so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -348,101 +347,164 @@ impl MetricRow {
 // Flight recorder
 // ---------------------------------------------------------------------
 
-/// Trace-event kinds. `seq`/`a`/`b` are kind-specific coordinates (batch
-/// sequence, connection token, sub id, byte counts — see each constant).
+/// The one event vocabulary. Every kind is declared once, in [`TABLE`](kind::TABLE)
+/// order, with its stable name and the sinks a [`record`] of it feeds: a
+/// registry histogram, the flight ring, and — for span kinds — the
+/// batch's trace slot under a fixed parent. `seq`/`a`/`b` are
+/// kind-specific coordinates (see each constant). Span kinds come first,
+/// because their numbers index the trace slots.
 pub mod kind {
-    /// One served ingest batch; `seq` = wire batch seq, `a` = arrivals.
-    pub const BATCH: u8 = 1;
-    /// Engine impute stage for one batch; `seq` = engine batch ordinal.
-    pub const IMPUTE: u8 = 2;
-    /// Engine traverse stage (list maintenance + candidate-scan waits).
-    pub const TRAVERSE: u8 = 3;
-    /// Engine refine stage (cascade over examined candidates).
-    pub const REFINE: u8 = 4;
-    /// Engine merge stage (window/result/statistics updates).
-    pub const MERGE: u8 = 5;
-    /// WAL append; `seq` = batch seq, `a` = frame bytes.
-    pub const WAL_APPEND: u8 = 6;
-    /// WAL group-commit fsync; `seq` = durable seq after, `a` = batches
-    /// the sync covered.
-    pub const FSYNC: u8 = 7;
-    /// Checkpoint write; `seq` = stamped WAL position.
-    pub const CHECKPOINT: u8 = 8;
-    /// Connection admitted; `a` = connection token.
-    pub const CONN_OPEN: u8 = 9;
-    /// Connection dropped; `a` = connection token.
-    pub const CONN_CLOSE: u8 = 10;
-    /// Standing-query push; `seq` = batch position, `a` = sub id, `b` =
-    /// added+retracted rows.
-    pub const NOTIFY: u8 = 11;
-    /// Subscriber shed (lag or dead peer); `seq` = resync position,
-    /// `a` = sub id.
-    pub const SHED: u8 = 12;
-    /// Backpressure rejection (Busy/IngestBusy); `a` = connection token.
-    pub const BUSY: u8 = 13;
-    /// One-shot pattern query; `seq` = engine position, `a` = planned
-    /// atoms, `b` = result rows.
-    pub const QUERY: u8 = 14;
-    /// One planned atom of a one-shot query; `seq` = engine position,
-    /// `a` = atom index in plan order, `b` = bindings alive after it.
-    pub const QUERY_ATOM: u8 = 15;
-    /// Step-stage panic (the dump that follows is the post-mortem).
-    pub const PANIC: u8 = 16;
-    /// Delta-checkpoint write; `seq` = stamped WAL position, `a` = file
-    /// bytes, `b` = chain length after the write.
-    pub const DELTA: u8 = 17;
+    use crate::trace::seg;
+    use crate::{Histogram, OBS};
 
-    /// Stable text name of a kind (dump format + CLI).
-    pub fn name(k: u8) -> &'static str {
-        match k {
-            BATCH => "batch",
-            IMPUTE => "impute",
-            TRAVERSE => "traverse",
-            REFINE => "refine",
-            MERGE => "merge",
-            WAL_APPEND => "wal_append",
-            FSYNC => "fsync",
-            CHECKPOINT => "checkpoint",
-            CONN_OPEN => "conn_open",
-            CONN_CLOSE => "conn_close",
-            NOTIFY => "notify",
-            SHED => "shed",
-            BUSY => "busy",
-            QUERY => "query",
-            QUERY_ATOM => "query_atom",
-            PANIC => "panic",
-            DELTA => "delta",
-            _ => "unknown",
-        }
+    /// Where one kind's events go.
+    #[derive(Debug)]
+    pub struct Info {
+        /// Stable text name (dump format + CLI).
+        pub name: &'static str,
+        /// The registry histogram the duration feeds.
+        pub hist: Option<&'static Histogram>,
+        /// Whether the event enters the flight ring.
+        pub flight: bool,
+        /// Whether the event marks an anomaly for the tail sampler.
+        pub anomaly: bool,
+        /// For span kinds, the parent span: the duration accumulates into
+        /// the batch's trace slot.
+        pub parent: Option<u8>,
+        /// The span is shared by the `a` batches below `seq` and charged
+        /// to each at `1/a` (a covering fsync).
+        pub shared: bool,
+        /// The critical-path segment ([`crate::trace::SEGMENTS`]) the
+        /// span's time is attributed to.
+        pub segment: Option<usize>,
     }
 
-    /// Inverse of [`name`] (0 for unknown text).
-    pub fn from_name(s: &str) -> u8 {
-        match s {
-            "batch" => BATCH,
-            "impute" => IMPUTE,
-            "traverse" => TRAVERSE,
-            "refine" => REFINE,
-            "merge" => MERGE,
-            "wal_append" => WAL_APPEND,
-            "fsync" => FSYNC,
-            "checkpoint" => CHECKPOINT,
-            "conn_open" => CONN_OPEN,
-            "conn_close" => CONN_CLOSE,
-            "notify" => NOTIFY,
-            "shed" => SHED,
-            "busy" => BUSY,
-            "query" => QUERY,
-            "query_atom" => QUERY_ATOM,
-            "panic" => PANIC,
-            "delta" => DELTA,
-            _ => 0,
-        }
+    const NONE: Info = Info {
+        name: "",
+        hist: None,
+        flight: false,
+        anomaly: false,
+        parent: None,
+        shared: false,
+        segment: None,
+    };
+
+    /// Declares the kind constants, numbered in declaration order, and
+    /// [`TABLE`] from one list.
+    macro_rules! kinds {
+        ($($(#[$m:meta])* $k:ident = $name:literal { $($f:ident: $v:expr),* },)*) => {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[repr(u8)]
+            enum Number { $($k,)* End }
+            $($(#[$m])* pub const $k: u8 = Number::$k as u8;)*
+            /// Number of kinds.
+            pub const NKINDS: usize = Number::End as usize;
+            /// The kind table, indexed by kind number.
+            pub static TABLE: [Info; NKINDS] = [$(Info { name: $name, $($f: $v,)* ..NONE },)*];
+        };
+    }
+
+    kinds! {
+        /// The whole batch, socket read to ack write-back (the span-tree
+        /// root, its own parent).
+        ROOT = "batch" { parent: Some(ROOT) },
+        /// Frontend read + parse, up to the go-back-N gate.
+        FRONTEND = "frontend" { parent: Some(ROOT), segment: Some(seg::FRONTEND) },
+        /// Go-back-N gate admission (zero-duration marker; rejected
+        /// frames never start a trace).
+        GATE = "gate" { parent: Some(ROOT), segment: Some(seg::GATE) },
+        /// Wait in the bounded ordered queue before the engine picks the
+        /// batch up.
+        QUEUE_WAIT = "queue_wait" { parent: Some(ROOT), segment: Some(seg::QUEUE_WAIT) },
+        /// WAL append without fsync; `seq` = batch seq, `a` = frame bytes.
+        WAL = "wal" {
+            hist: Some(&OBS.wal_append_micros), flight: true, parent: Some(ROOT),
+            segment: Some(seg::WAL)
+        },
+        /// WAL group-commit fsync; `seq` = durable seq after, `a` =
+        /// batches the sync covered, each of which shares its span.
+        FSYNC = "fsync" {
+            hist: Some(&OBS.fsync_micros), flight: true, parent: Some(ROOT), shared: true,
+            segment: Some(seg::FSYNC_EXPOSED)
+        },
+        /// One engine batch step; `seq` = the batch's trace seq, `a` =
+        /// arrivals. Parent of the four stage spans.
+        STEP = "step" { hist: Some(&OBS.step_micros), flight: true, parent: Some(ROOT) },
+        /// Engine impute stage; `seq` = trace seq, `a` = arrivals.
+        IMPUTE = "impute" {
+            hist: Some(&OBS.engine_impute_micros), flight: true, parent: Some(STEP),
+            segment: Some(seg::COMPUTE)
+        },
+        /// Engine traverse stage (list upkeep + candidate scan).
+        TRAVERSE = "traverse" {
+            hist: Some(&OBS.engine_traverse_micros), flight: true, parent: Some(STEP),
+            segment: Some(seg::COMPUTE)
+        },
+        /// Engine refine stage (cascade over examined candidates).
+        REFINE = "refine" {
+            hist: Some(&OBS.engine_refine_micros), flight: true, parent: Some(STEP),
+            segment: Some(seg::COMPUTE)
+        },
+        /// Engine merge stage (expiry, insert and bookkeeping).
+        MERGE = "merge" {
+            hist: Some(&OBS.engine_merge_micros), flight: true, parent: Some(STEP),
+            segment: Some(seg::COMPUTE)
+        },
+        /// One standing query advanced past a batch; `seq` = batch seq,
+        /// `a` = sub id, `b` = rows pushed (0: nothing pushed).
+        NOTIFY = "notify" { flight: true, parent: Some(ROOT), segment: Some(seg::NOTIFY) },
+        /// Ack release → reply buffered (recorded open with zero
+        /// duration; the trace's end closes it).
+        WRITE_BACK = "write_back" { parent: Some(ROOT), segment: Some(seg::WRITE_BACK) },
+        /// Full checkpoint write; `seq` = stamped WAL position, `a` = bytes.
+        CHECKPOINT = "checkpoint" { hist: Some(&OBS.checkpoint_micros), flight: true },
+        /// Delta-checkpoint write; `seq` = stamped WAL position, `a` =
+        /// file bytes, `b` = chain length after the write.
+        DELTA = "delta" { hist: Some(&OBS.checkpoint_micros), flight: true },
+        /// Connection admitted; `a` = connection token.
+        CONN_OPEN = "conn_open" { flight: true },
+        /// Connection dropped; `a` = connection token.
+        CONN_CLOSE = "conn_close" { flight: true },
+        /// Subscriber shed (lag or dead peer); `seq` = resync position,
+        /// `a` = sub id.
+        SHED = "shed" { flight: true, anomaly: true },
+        /// Backpressure rejection (Busy/IngestBusy); `a` = connection token.
+        BUSY = "busy" { flight: true, anomaly: true },
+        /// One-shot pattern query; `seq` = engine position, `a` = planned
+        /// atoms, `b` = result rows.
+        QUERY = "query" { hist: Some(&OBS.eval_micros), flight: true },
+        /// One planned atom of a one-shot query; `seq` = engine position,
+        /// `a` = atom index in plan order, `b` = bindings alive after it.
+        QUERY_ATOM = "query_atom" { flight: true },
+        /// Step-stage panic (the dump that follows is the post-mortem).
+        PANIC = "panic" { flight: true, anomaly: true },
+        /// One I/O-thread read + frame + parse pass.
+        READ_PARSE = "read_parse" { hist: Some(&OBS.read_parse_micros) },
+        /// One socket write-flush call.
+        WRITE = "write" { hist: Some(&OBS.write_micros) },
+    }
+
+    /// Number of span kinds (the trace-slot width).
+    pub const NSPANS: usize = WRITE_BACK as usize + 1;
+
+    /// Stable text name of a kind (`"unknown"` outside the table).
+    pub fn name(k: u8) -> &'static str {
+        TABLE.get(k as usize).map_or("unknown", |i| i.name)
+    }
+
+    /// Inverse of [`name`] (`None` for unknown text).
+    pub fn from_name(s: &str) -> Option<u8> {
+        (0..NKINDS as u8).find(|&k| name(k) == s)
+    }
+
+    /// The parent span of a span kind (`None` for other kinds).
+    pub fn parent(k: u8) -> Option<u8> {
+        TABLE.get(k as usize).and_then(|i| i.parent)
     }
 }
 
 /// One structured trace event in the flight ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Microseconds since the process's observability epoch.
     pub ts_micros: u64,
@@ -543,6 +605,12 @@ macro_rules! registry {
             pub fn reset(&self) {
                 $( self.$field.reset(); )*
             }
+
+            /// Every metric's name and address, in declaration order.
+            #[cfg(test)]
+            fn addresses(&self) -> Vec<(&'static str, *const ())> {
+                vec![ $( ($name, &self.$field as *const $ty as *const ()), )* ]
+            }
         }
     };
 }
@@ -594,7 +662,7 @@ registry! {
     write_micros: Histogram = "ter_serve_write_micros",
     /// Backpressure rejections (Busy + IngestBusy + go-back-N gate).
     busy: Counter = "ter_serve_busy_total",
-    /// Step-stage wall time per served batch (engine step only).
+    /// Engine step wall time per batch (impute through merge).
     step_micros: Histogram = "ter_serve_step_micros",
     /// Appended-but-unfsynced ingest acks (the open flush window).
     unacked_ingests: Gauge = "ter_serve_unacked_ingests",
@@ -650,13 +718,18 @@ pub fn epoch_micros() -> u64 {
 }
 
 /// Starts a stage timer: `Some(now)` when enabled, `None` (free) when
-/// not. Pair with [`Histogram::observe_since`].
+/// not. Pair with [`since`] and [`record`].
 pub fn timer() -> Option<Instant> {
     if enabled() {
         Some(Instant::now())
     } else {
         None
     }
+}
+
+/// Microseconds elapsed since a [`timer`] (0 for a disabled timer).
+pub fn since(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t0| t0.elapsed().as_micros() as u64)
 }
 
 fn flight_ring() -> MutexGuard<'static, Option<FlightRing>> {
@@ -667,27 +740,57 @@ fn flight_ring() -> MutexGuard<'static, Option<FlightRing>> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Records one flight event (no-op when disabled). Timestamped here.
-pub fn flight(k: u8, seq: u64, a: u64, b: u64, dur_micros: u64) {
+/// Records one event of kind `k` that took `dur_us` and ends now: feeds
+/// every sink the [kind table](kind::TABLE) names for `k`. A span kind's
+/// span starts at `now - dur_us`. No-op when disabled.
+pub fn record(k: u8, seq: u64, a: u64, b: u64, dur_us: u64) {
     if !enabled() {
         return;
     }
+    let now = epoch_micros();
+    emit(k, seq, a, b, now, now.saturating_sub(dur_us), dur_us);
+}
+
+/// [`record`] for a span that started at `start_us` (a [`trace::now`]
+/// stamp) rather than `dur_us` ago.
+pub fn record_at(k: u8, seq: u64, a: u64, b: u64, start_us: u64, dur_us: u64) {
+    if !enabled() {
+        return;
+    }
+    emit(k, seq, a, b, epoch_micros(), start_us, dur_us);
+}
+
+fn emit(k: u8, seq: u64, a: u64, b: u64, now: u64, start: u64, dur_micros: u64) {
+    let info = &kind::TABLE[k as usize];
+    if let Some(h) = info.hist {
+        h.record(dur_micros);
+    }
     // Anomalous events mark the moment for the tail sampler: any trace
     // whose lifetime overlaps it is retained unconditionally.
-    if matches!(k, kind::PANIC | kind::BUSY | kind::SHED) {
-        trace::note_anomaly();
+    if info.anomaly {
+        trace::note_anomaly(now);
     }
-    let ev = TraceEvent {
-        ts_micros: epoch_micros(),
-        kind: k,
-        seq,
-        a,
-        b,
-        dur_micros,
-    };
-    flight_ring()
-        .get_or_insert_with(|| FlightRing::new(FLIGHT_CAPACITY))
-        .push(ev);
+    if info.parent.is_some() {
+        let start = start.max(1);
+        if info.shared {
+            trace::add_shared(seq.saturating_sub(a), a, k, start, dur_micros);
+        } else {
+            trace::add(seq, k, start, dur_micros);
+        }
+    }
+    if info.flight {
+        let ev = TraceEvent {
+            ts_micros: now,
+            kind: k,
+            seq,
+            a,
+            b,
+            dur_micros,
+        };
+        flight_ring()
+            .get_or_insert_with(|| FlightRing::new(FLIGHT_CAPACITY))
+            .push(ev);
+    }
 }
 
 /// The registry as owned rows.
@@ -750,7 +853,7 @@ pub fn render_traces_into(out: &mut String, cp: &trace::CriticalPath, traces: &[
         "# critical_path traces={} total={}",
         cp.traces, cp.total_micros
     ));
-    for (label, micros) in cp.segments() {
+    for (label, micros) in trace::SEGMENTS.iter().zip(cp.segments) {
         out.push_str(&format!(" {label}={micros}"));
     }
     out.push('\n');
@@ -763,8 +866,8 @@ pub fn render_traces_into(out: &mut String, cp: &trace::CriticalPath, traces: &[
             out.push_str(&format!(
                 "# span seq={} kind={} parent={} start={} dur={}\n",
                 s.batch_seq,
-                trace::kind::name(s.kind),
-                trace::kind::name(s.parent),
+                kind::name(s.kind),
+                kind::name(s.parent),
                 s.start,
                 s.dur
             ));
@@ -851,13 +954,49 @@ fn parse_kv(tok: &str, key: &str) -> Option<String> {
         .map(str::to_string)
 }
 
+/// Applies every `key=value` field of a `# <what>` line through `set`,
+/// which answers `Ok(false)` for a key the line does not have and `Err`
+/// for a value it cannot take.
+fn fields(
+    rest: &str,
+    what: &str,
+    ln: usize,
+    mut set: impl FnMut(&str, &str) -> Result<bool, ()>,
+) -> Result<(), String> {
+    for tok in rest.split_whitespace() {
+        let (key, val) = tok
+            .split_once('=')
+            .ok_or_else(|| format!("line {ln}: bad {what} field {tok:?}"))?;
+        match set(key, val) {
+            Ok(true) => {}
+            Ok(false) => return Err(format!("line {ln}: unknown {what} field {key:?}")),
+            Err(()) => return Err(format!("line {ln}: bad {what} {key} {val:?}")),
+        }
+    }
+    Ok(())
+}
+
+fn num(val: &str) -> Result<u64, ()> {
+    val.parse().map_err(drop)
+}
+
+/// The span kind named `s` (an error for unknown text or a kind that is
+/// not a span).
+fn span_kind(s: &str) -> Result<u8, ()> {
+    kind::from_name(s)
+        .filter(|&k| kind::parent(k).is_some())
+        .ok_or(())
+}
+
 /// Parses a text exposition produced by [`render`]. Strict: a malformed
-/// sample or flight line is an error (the crash tests use this to prove
-/// a pre-kill dump is complete), but unknown comment lines are skipped.
+/// sample, flight, critical-path, trace or span line — an unknown kind
+/// or field included — is an error (the crash tests use this to prove a
+/// pre-kill dump is complete), but unknown comment lines are skipped.
 pub fn parse_dump(text: &str) -> Result<ParsedDump, String> {
     let mut dump = ParsedDump::default();
     let mut saw_header = false;
     for (ln, line) in text.lines().enumerate() {
+        let ln = ln + 1;
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -868,148 +1007,81 @@ pub fn parse_dump(text: &str) -> Result<ParsedDump, String> {
                 if let Some(v) = parse_kv(tok, "reason") {
                     dump.reason = v;
                 } else if let Some(v) = parse_kv(tok, "uptime_micros") {
-                    dump.uptime_micros = v
-                        .parse()
-                        .map_err(|_| format!("line {}: bad uptime", ln + 1))?;
+                    dump.uptime_micros = v.parse().map_err(|_| format!("line {ln}: bad uptime"))?;
                 }
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix("# flight ") {
-            let mut ev = TraceEvent {
-                ts_micros: 0,
-                kind: 0,
-                seq: 0,
-                a: 0,
-                b: 0,
-                dur_micros: 0,
-            };
-            for tok in rest.split_whitespace() {
-                let (key, val) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad flight field {tok:?}", ln + 1))?;
-                let num = || {
-                    val.parse::<u64>()
-                        .map_err(|_| format!("line {}: bad flight value {val:?}", ln + 1))
-                };
+            let mut ev = TraceEvent::default();
+            fields(rest, "flight", ln, |key, val| {
                 match key {
-                    "ts" => ev.ts_micros = num()?,
-                    "kind" => ev.kind = kind::from_name(val),
-                    "seq" => ev.seq = num()?,
-                    "a" => ev.a = num()?,
-                    "b" => ev.b = num()?,
-                    "dur" => ev.dur_micros = num()?,
-                    _ => return Err(format!("line {}: unknown flight field {key:?}", ln + 1)),
+                    "ts" => ev.ts_micros = num(val)?,
+                    "kind" => ev.kind = kind::from_name(val).ok_or(())?,
+                    "seq" => ev.seq = num(val)?,
+                    "a" => ev.a = num(val)?,
+                    "b" => ev.b = num(val)?,
+                    "dur" => ev.dur_micros = num(val)?,
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             dump.flight.push(ev);
             continue;
         }
         if let Some(rest) = line.strip_prefix("# critical_path ") {
             let mut cp = trace::CriticalPath::default();
-            for tok in rest.split_whitespace() {
-                let (key, val) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad critical_path field {tok:?}", ln + 1))?;
-                let num: u64 = val
-                    .parse()
-                    .map_err(|_| format!("line {}: bad critical_path value {val:?}", ln + 1))?;
-                match key {
-                    "traces" => cp.traces = num,
-                    "total" => cp.total_micros = num,
-                    "frontend" => cp.frontend_micros = num,
-                    "gate" => cp.gate_micros = num,
-                    "queue_wait" => cp.queue_wait_micros = num,
-                    "compute" => cp.compute_micros = num,
-                    "barrier" => cp.barrier_micros = num,
-                    "wal" => cp.wal_micros = num,
-                    "fsync_exposed" => cp.fsync_exposed_micros = num,
-                    "notify" => cp.notify_micros = num,
-                    "write_back" => cp.write_back_micros = num,
-                    "other" => cp.other_micros = num,
-                    _ => {
-                        return Err(format!(
-                            "line {}: unknown critical_path field {key:?}",
-                            ln + 1
-                        ))
-                    }
-                }
-            }
+            fields(rest, "critical_path", ln, |key, val| {
+                let slot = match key {
+                    "traces" => &mut cp.traces,
+                    "total" => &mut cp.total_micros,
+                    _ => match trace::SEGMENTS.iter().position(|s| *s == key) {
+                        Some(i) => &mut cp.segments[i],
+                        None => return Ok(false),
+                    },
+                };
+                *slot = num(val)?;
+                Ok(true)
+            })?;
             dump.critical_path = Some(cp);
             continue;
         }
         if let Some(rest) = line.strip_prefix("# trace ") {
-            let mut t = trace::Trace {
-                batch_seq: 0,
-                start: 0,
-                dur: 0,
-                covered: 0,
-                anomaly: false,
-                spans: Vec::new(),
-            };
-            for tok in rest.split_whitespace() {
-                let (key, val) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad trace field {tok:?}", ln + 1))?;
-                let num = || {
-                    val.parse::<u64>()
-                        .map_err(|_| format!("line {}: bad trace value {val:?}", ln + 1))
-                };
+            let mut t = trace::Trace::default();
+            fields(rest, "trace", ln, |key, val| {
                 match key {
-                    "seq" => t.batch_seq = num()?,
-                    "start" => t.start = num()?,
-                    "dur" => t.dur = num()?,
-                    "covered" => t.covered = num()?,
-                    "anomaly" => t.anomaly = num()? != 0,
-                    _ => return Err(format!("line {}: unknown trace field {key:?}", ln + 1)),
+                    "seq" => t.batch_seq = num(val)?,
+                    "start" => t.start = num(val)?,
+                    "dur" => t.dur = num(val)?,
+                    "covered" => t.covered = num(val)?,
+                    "anomaly" => t.anomaly = num(val)? != 0,
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             dump.traces.push(t);
             continue;
         }
         if let Some(rest) = line.strip_prefix("# span ") {
-            let mut s = trace::Span {
-                batch_seq: 0,
-                kind: 0,
-                parent: 0,
-                start: 0,
-                dur: 0,
-            };
-            for tok in rest.split_whitespace() {
-                let (key, val) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad span field {tok:?}", ln + 1))?;
-                let num = || {
-                    val.parse::<u64>()
-                        .map_err(|_| format!("line {}: bad span value {val:?}", ln + 1))
-                };
+            let mut s = trace::Span::default();
+            fields(rest, "span", ln, |key, val| {
                 match key {
-                    "seq" => s.batch_seq = num()?,
-                    "kind" => {
-                        s.kind = trace::kind::from_name(val)
-                            .ok_or_else(|| format!("line {}: unknown span kind {val:?}", ln + 1))?
-                    }
-                    "parent" => {
-                        s.parent = trace::kind::from_name(val).ok_or_else(|| {
-                            format!("line {}: unknown span parent {val:?}", ln + 1)
-                        })?
-                    }
-                    "start" => s.start = num()?,
-                    "dur" => s.dur = num()?,
-                    _ => return Err(format!("line {}: unknown span field {key:?}", ln + 1)),
+                    "seq" => s.batch_seq = num(val)?,
+                    "kind" => s.kind = span_kind(val)?,
+                    "parent" => s.parent = span_kind(val)?,
+                    "start" => s.start = num(val)?,
+                    "dur" => s.dur = num(val)?,
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             let owner = dump
                 .traces
                 .iter_mut()
                 .rev()
                 .find(|t| t.batch_seq == s.batch_seq)
                 .ok_or_else(|| {
-                    format!(
-                        "line {}: span for seq {} without its trace",
-                        ln + 1,
-                        s.batch_seq
-                    )
+                    format!("line {ln}: span for seq {} without its trace", s.batch_seq)
                 })?;
             owner.spans.push(s);
             continue;
@@ -1019,11 +1091,11 @@ pub fn parse_dump(text: &str) -> Result<ParsedDump, String> {
         }
         let (name, value) = line
             .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: not a sample: {line:?}", ln + 1))?;
+            .ok_or_else(|| format!("line {ln}: not a sample: {line:?}"))?;
         let value: u64 = value
             .trim()
             .parse()
-            .map_err(|_| format!("line {}: bad sample value: {line:?}", ln + 1))?;
+            .map_err(|_| format!("line {ln}: bad sample value: {line:?}"))?;
         dump.values.insert(name.trim().to_string(), value);
     }
     if !saw_header {
@@ -1145,7 +1217,7 @@ mod tests {
         for i in 0..10u64 {
             ring.push(TraceEvent {
                 ts_micros: i,
-                kind: kind::BATCH,
+                kind: kind::STEP,
                 seq: i,
                 a: 0,
                 b: 0,
@@ -1220,6 +1292,73 @@ mod tests {
         let mut bad = text.clone();
         bad.push_str("torn line without value_\n");
         assert!(parse_dump(&bad).is_err(), "malformed samples are rejected");
+        for line in [
+            "# flight ts=1 kind=bogus seq=0 a=0 b=0 dur=0",
+            "# critical_path traces=1 total=5 barrier=0",
+            "# trace seq=3 start=1 dur=5 covered=0 anomaly=0\n# span seq=3 kind=checkpoint parent=batch start=1 dur=1",
+        ] {
+            let bad = format!("{text}{line}\n");
+            assert!(parse_dump(&bad).is_err(), "unknown kind or field accepted: {line}");
+        }
+    }
+
+    /// The kind table is one consistent vocabulary: unique names that
+    /// round-trip, span parents that are span kinds, span kinds numbered
+    /// below the slot width, and histograms that are registry metrics.
+    #[test]
+    fn kind_table_is_consistent() {
+        let histograms: Vec<*const ()> = OBS
+            .addresses()
+            .into_iter()
+            .filter(|(name, _)| {
+                snapshot()
+                    .iter()
+                    .any(|r| r.name == *name && r.kind == KIND_HISTOGRAM)
+            })
+            .map(|(_, addr)| addr)
+            .collect();
+        for (k, info) in kind::TABLE.iter().enumerate() {
+            let k = k as u8;
+            assert_eq!(
+                kind::from_name(info.name),
+                Some(k),
+                "{} round-trips",
+                info.name
+            );
+            if let Some(parent) = info.parent {
+                assert!(
+                    (k as usize) < kind::NSPANS,
+                    "{} has a trace slot",
+                    info.name
+                );
+                assert!(
+                    kind::parent(parent).is_some(),
+                    "{}'s parent is a span",
+                    info.name
+                );
+            } else {
+                assert!(
+                    (k as usize) >= kind::NSPANS,
+                    "{} is numbered as a span",
+                    info.name
+                );
+                assert!(
+                    !info.shared && info.segment.is_none(),
+                    "{} is no span",
+                    info.name
+                );
+            }
+            if let Some(h) = info.hist {
+                let addr = h as *const Histogram as *const ();
+                assert!(
+                    histograms.contains(&addr),
+                    "{}'s histogram is registered",
+                    info.name
+                );
+            }
+        }
+        assert_eq!(kind::from_name("bogus"), None);
+        assert_eq!(kind::name(kind::NKINDS as u8), "unknown");
     }
 
     #[test]
@@ -1227,10 +1366,14 @@ mod tests {
         // The global registry is shared across in-process tests; assert
         // on deltas and structure, not absolutes.
         let before = OBS.fsyncs.get();
+        let hist_before = OBS.fsync_micros.count();
         OBS.fsyncs.inc();
-        OBS.fsync_micros.record(250);
-        flight(kind::FSYNC, 1, 1, 0, 250);
+        record(kind::FSYNC, 1, 1, 0, 250);
         assert_eq!(OBS.fsyncs.get(), before + 1);
+        assert!(
+            OBS.fsync_micros.count() > hist_before,
+            "the table's histogram fed"
+        );
         let rows = snapshot();
         let fsync_row = rows.iter().find(|r| r.name == "ter_store_fsyncs_total");
         assert!(fsync_row.is_some_and(|r| r.kind == KIND_COUNTER && r.value >= 1));
@@ -1249,11 +1392,9 @@ mod tests {
         set_enabled(false);
         assert!(timer().is_none());
         let before = flight_snapshot().len();
-        flight(kind::BATCH, 99, 0, 0, 0);
+        record(kind::STEP, 99, 0, 0, 0);
         assert_eq!(flight_snapshot().len(), before, "flight gated off");
-        let h = Histogram::new();
-        assert_eq!(h.observe_since(timer()), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(since(timer()), 0);
         set_enabled(true);
         assert!(timer().is_some());
     }
@@ -1326,7 +1467,7 @@ mod tests {
         );
     }
 
-    /// The span layer end to end: begin/add/fsync-share/end, the
+    /// The span layer end to end: begin/record/shared fsync/end, the
     /// critical-path partition property, tail retention, and the text
     /// round trip. One test (not several) because the pending table and
     /// sampler are process-global.
@@ -1334,27 +1475,30 @@ mod tests {
     fn trace_lifecycle_sampler_and_attribution() {
         set_enabled(true);
         trace::reset();
-        use trace::kind as tk;
+        use kind as k;
+        use trace::seg;
 
         // --- one fully-populated trace, exact math ---
         let base = 1_000;
         trace::begin(5_000, base);
-        trace::add(5_000, tk::FRONTEND, base, 10);
-        trace::add(5_000, tk::GATE, base + 10, 0);
-        trace::add(5_000, tk::QUEUE_WAIT, base + 10, 40);
+        record_at(k::FRONTEND, 5_000, 0, 0, base, 10);
+        record_at(k::GATE, 5_000, 0, 0, base + 10, 0);
+        record_at(k::QUEUE_WAIT, 5_000, 0, 0, base + 10, 40);
         trace::set_current(5_000);
-        trace::add_current(tk::IMPUTE, base + 50, 100);
+        assert_eq!(trace::attach(77), (5_000, false), "the driver's trace");
+        record_at(k::IMPUTE, 5_000, 0, 0, base + 50, 100);
         // Two traverse laps accumulate.
-        trace::add_current(tk::TRAVERSE, base + 150, 250);
-        trace::add_current(tk::TRAVERSE, base + 400, 50);
-        trace::add_current(tk::REFINE, base + 450, 200);
-        trace::add_current(tk::MERGE, base + 650, 100);
-        trace::add(5_000, tk::STEP, base + 50, 700);
+        record_at(k::TRAVERSE, 5_000, 0, 0, base + 150, 250);
+        record_at(k::TRAVERSE, 5_000, 0, 0, base + 400, 50);
+        record_at(k::REFINE, 5_000, 0, 0, base + 450, 200);
+        record_at(k::MERGE, 5_000, 0, 0, base + 650, 100);
+        record_at(k::STEP, 5_000, 0, 0, base + 50, 700);
         trace::clear_current();
-        trace::add(5_000, tk::WAL, base + 750, 50);
-        trace::fsync_covering(4_997, 4, 400); // shared by 4 batches
-        trace::add(5_000, tk::NOTIFY, base + 800, 25);
-        trace::add(5_000, tk::WRITE_BACK, base + 1_000, 0); // open marker
+        record_at(k::WAL, 5_000, 0, 0, base + 750, 50);
+        // One fsync making 4_997..5_001 durable: shared by 4 batches.
+        record_at(k::FSYNC, 5_001, 4, 0, base + 800, 400);
+        record_at(k::NOTIFY, 5_000, 0, 0, base + 800, 25);
+        record_at(k::WRITE_BACK, 5_000, 0, 0, base + 1_000, 0); // open marker
         trace::end(5_000, base + 1_100);
 
         let (cp, traces) = trace::snapshot();
@@ -1364,35 +1508,32 @@ mod tests {
             .expect("completed trace retained");
         assert_eq!(t.dur, 1_100);
         assert_eq!(t.covered, 4);
-        assert_eq!(t.span_dur(tk::TRAVERSE), 300, "traverse laps accumulate");
+        assert_eq!(t.span_dur(k::TRAVERSE), 300, "traverse laps accumulate");
         assert_eq!(
-            t.span_dur(tk::WRITE_BACK),
+            t.span_dur(k::WRITE_BACK),
             100,
             "open write-back closed at end"
         );
-        assert_eq!(t.span_dur(tk::FSYNC), 400);
-        assert_eq!(t.spans[0].kind, tk::ROOT);
+        assert_eq!(t.span_dur(k::FSYNC), 400);
+        assert_eq!(t.spans[0].kind, k::ROOT);
         assert!(t.spans.iter().all(|s| s.batch_seq == 5_000));
         assert!(
-            t.spans
-                .iter()
-                .all(|s| s.parent == tk::PARENT[s.kind as usize]),
-            "span tree parents follow the static table"
+            t.spans.iter().all(|s| Some(s.parent) == k::parent(s.kind)),
+            "span tree parents follow the kind table"
         );
 
         let one = trace::CriticalPath::of(t);
-        assert_eq!(one.frontend_micros, 10);
-        assert_eq!(one.queue_wait_micros, 40);
-        assert_eq!(one.compute_micros, 100 + 300 + 200 + 100);
-        assert_eq!(one.barrier_micros, 0);
-        assert_eq!(one.wal_micros, 50);
+        assert_eq!(one.segments[seg::FRONTEND], 10);
+        assert_eq!(one.segments[seg::QUEUE_WAIT], 40);
+        assert_eq!(one.segments[seg::COMPUTE], 100 + 300 + 200 + 100);
+        assert_eq!(one.segments[seg::WAL], 50);
         assert_eq!(
-            one.fsync_exposed_micros,
+            one.segments[seg::FSYNC_EXPOSED],
             400 / 4,
             "fsync amortized over cover"
         );
-        assert_eq!(one.notify_micros, 25);
-        assert_eq!(one.write_back_micros, 100);
+        assert_eq!(one.segments[seg::NOTIFY], 25);
+        assert_eq!(one.segments[seg::WRITE_BACK], 100);
         assert_eq!(
             one.segment_sum(),
             one.total_micros,
@@ -1401,7 +1542,7 @@ mod tests {
         assert_eq!(cp.delta(&trace::CriticalPath::default()).traces, cp.traces);
 
         // --- uncovered batches no-op cleanly ---
-        trace::add(9_999, tk::WAL, 5, 5); // no begin: ignored
+        record(k::WAL, 9_999, 0, 0, 5); // no begin: ignored
         trace::abandon(5_000); // already ended: ignored
 
         // --- tail sampling: a full window keeps the K slowest ---
@@ -1411,7 +1552,7 @@ mod tests {
             trace::begin(i, start);
             // Batches 10 and 42 are the slow tail.
             let dur = if i == 10 || i == 42 { 90 } else { 5 };
-            trace::add(i, tk::STEP, start, dur);
+            record_at(k::STEP, i, 0, 0, start, dur);
             trace::end(i, start + dur);
         }
         let (cp, traces) = trace::snapshot();
@@ -1427,7 +1568,7 @@ mod tests {
 
         // --- anomaly overlap forces retention even for a fast trace ---
         trace::begin(70, trace::now());
-        flight(kind::BUSY, 0, 1, 0, 0);
+        record(k::BUSY, 0, 1, 0, 0);
         trace::end(70, trace::now());
         let (_, traces) = trace::snapshot();
         assert!(
@@ -1454,7 +1595,8 @@ mod tests {
         set_enabled(false);
         assert_eq!(trace::now(), 0);
         trace::begin(500, 123);
-        trace::add(500, tk::STEP, 123, 10);
+        assert_eq!(trace::attach(500), (500, false), "nothing rooted");
+        record_at(k::STEP, 500, 0, 0, 123, 10);
         trace::end(500, 223);
         set_enabled(true);
         let (_, traces) = trace::snapshot();

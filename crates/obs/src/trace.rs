@@ -7,17 +7,18 @@
 //! The hot path never allocates. Spans for in-flight batches live in a
 //! fixed table of `SLOTS` slots of plain `AtomicU64` words (relaxed
 //! orderings, like the registry): slot `seq % SLOTS` holds, per span
-//! [`kind`], a start timestamp and an accumulated duration. Layers that
-//! know their batch sequence ([`add`]) write straight into the slot;
-//! layers that run *inside* the engine step and don't carry the
-//! sequence ([`add_current`]) route through a thread-agnostic
-//! "current batch" register set by the step driver. A stage that runs
-//! several laps per batch (multi-subscriber notify fan-out) accumulates — `dur` is a `fetch_add`.
+//! kind (the [kind table](crate::kind::TABLE)'s kinds with a parent), a
+//! start timestamp and an accumulated duration. Spans reach the slot
+//! through [`crate::record`] with the batch's sequence; the engine, which
+//! does not carry it, finds it in a "current batch" register set by the
+//! step driver ([`attach`]). A stage that runs several laps per batch
+//! (multi-subscriber notify fan-out) accumulates — `dur` is a
+//! `fetch_add`.
 //!
-//! Shared spans: one group-commit fsync covers many batches, so
-//! [`fsync_covering`] writes the *same* fsync span into every covered
-//! batch's slot and stamps how many batches shared it — the analyzer
-//! amortizes the exposed time by that count.
+//! Shared spans: one group-commit fsync covers many batches, so its
+//! kind is marked `shared` and the *same* span is written into every
+//! covered batch's slot, stamped with how many batches shared it — the
+//! analyzer amortizes the exposed time by that count.
 //!
 //! A batch's trace closes on [`end`] (ack written back, or the step
 //! returning in library mode): the slot is materialized into an owned
@@ -36,82 +37,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Span kinds: the fixed vocabulary of the per-batch span tree. The
-/// numeric values index the slot arrays, so they are dense from 0.
-pub mod kind {
-    /// The whole batch, socket read to ack write-back (the tree root).
-    pub const ROOT: u8 = 0;
-    /// Frontend read + parse (+ the go-back-N sequence gate).
-    pub const FRONTEND: u8 = 1;
-    /// Go-back-N gate admission marker (zero-duration; rejected frames
-    /// never start a trace).
-    pub const GATE: u8 = 2;
-    /// Wait in the bounded ordered queue before the step stage picks
-    /// the batch up.
-    pub const QUEUE_WAIT: u8 = 3;
-    /// WAL `append_nosync` (the unsynced half of group commit).
-    pub const WAL: u8 = 4;
-    /// The covering group-commit fsync — shared: the same span is
-    /// written into every batch the fsync covered.
-    pub const FSYNC: u8 = 5;
-    /// The engine step (parent of the stage spans).
-    pub const STEP: u8 = 6;
-    /// Impute stage (child of [`STEP`]).
-    pub const IMPUTE: u8 = 7;
-    /// Traverse stage (child of [`STEP`]).
-    pub const TRAVERSE: u8 = 8;
-    /// Refine stage (child of [`STEP`]).
-    pub const REFINE: u8 = 9;
-    /// Merge stage (child of [`STEP`]).
-    pub const MERGE: u8 = 10;
-    // 11 was the barrier waits of the former multi-threaded drive; the
-    // number stays retired so the kinds after it keep theirs.
-    /// Standing-query notify fan-out (accumulated over subscribers).
-    pub const NOTIFY: u8 = 12;
-    /// Ack release → reply buffered on the session writer.
-    pub const WRITE_BACK: u8 = 13;
-    /// Number of span kinds (slot array width).
-    pub const NKINDS: usize = 14;
-
-    /// Parent kind of each span kind ([`ROOT`] is its own parent).
-    pub const PARENT: [u8; NKINDS] = [
-        ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, ROOT, STEP, STEP, STEP, STEP, ROOT, ROOT, ROOT,
-    ];
-
-    /// Stable text name (dump format + CLI).
-    pub fn name(k: u8) -> &'static str {
-        match k {
-            ROOT => "batch",
-            FRONTEND => "frontend",
-            GATE => "gate",
-            QUEUE_WAIT => "queue_wait",
-            WAL => "wal",
-            FSYNC => "fsync",
-            STEP => "step",
-            IMPUTE => "impute",
-            TRAVERSE => "traverse",
-            REFINE => "refine",
-            MERGE => "merge",
-            NOTIFY => "notify",
-            WRITE_BACK => "write_back",
-            _ => "unknown",
-        }
-    }
-
-    /// Inverse of [`name`] (`None` for unknown text).
-    pub fn from_name(s: &str) -> Option<u8> {
-        (0..NKINDS as u8).find(|&k| name(k) == s)
-    }
-}
+use crate::kind::{self, NSPANS};
 
 /// One completed span, owned form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Span {
     /// The batch this span belongs to.
     pub batch_seq: u64,
-    /// A [`kind`] constant.
+    /// A span [`kind`] constant.
     pub kind: u8,
-    /// The parent span's kind ([`kind::PARENT`]).
+    /// The parent span's kind ([`kind::parent`]).
     pub parent: u8,
     /// Start, microseconds since the observability epoch.
     pub start: u64,
@@ -120,7 +55,7 @@ pub struct Span {
 }
 
 /// One completed per-batch trace, owned form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// The batch sequence this trace followed.
     pub batch_seq: u64,
@@ -149,17 +84,57 @@ impl Trace {
 // Critical-path attribution
 // ---------------------------------------------------------------------
 
+/// Critical-path segment labels, in fold order.
+pub const SEGMENTS: [&str; NSEGMENTS] = [
+    "frontend",
+    "gate",
+    "queue_wait",
+    "compute",
+    "wal",
+    "fsync_exposed",
+    "notify",
+    "write_back",
+    "other",
+];
+
+/// Number of critical-path segments.
+pub const NSEGMENTS: usize = 9;
+
+/// Index of each segment in [`SEGMENTS`] and [`CriticalPath::segments`].
+pub mod seg {
+    /// Frontend read + parse.
+    pub const FRONTEND: usize = 0;
+    /// Gate admission (zero-duration marker today).
+    pub const GATE: usize = 1;
+    /// Bounded ordered-queue wait.
+    pub const QUEUE_WAIT: usize = 2;
+    /// Engine stage compute (impute + traverse + refine + merge).
+    pub const COMPUTE: usize = 3;
+    /// WAL append (unsynced).
+    pub const WAL: usize = 4;
+    /// Covering-fsync time amortized per covered batch.
+    pub const FSYNC_EXPOSED: usize = 5;
+    /// Standing-query notify fan-out.
+    pub const NOTIFY: usize = 6;
+    /// Ack release → reply buffered.
+    pub const WRITE_BACK: usize = 7;
+    /// End-to-end time the spans did not explain (scheduling, channel
+    /// hops).
+    pub const OTHER: usize = 8;
+}
+
 /// The per-segment attribution table: end-to-end latency of one trace
 /// (or the fold over many) split into *exclusive* segments that sum to
 /// exactly `total_micros`.
 ///
-/// Segment math per trace: stage compute is the sum of the stage laps;
-/// fsync-exposed is the covering fsync's
-/// duration amortized over the batches it covered (group commit's whole
-/// point is that the other `covered - 1` batches don't pay it); each
-/// segment is then clamped so the running sum never exceeds the
-/// measured end-to-end duration, and whatever the spans did not explain
-/// lands in `other_micros`. The table is therefore a true partition:
+/// Segment math per trace: each span's time goes to the segment the
+/// [kind table](crate::kind::TABLE) names for its kind (stage compute is
+/// the sum of the stage laps); a shared span — the covering fsync — is
+/// amortized over the batches it covered (group commit's whole point is
+/// that the other `covered - 1` batches don't pay it); each segment is
+/// then clamped so the running sum never exceeds the measured end-to-end
+/// duration, and whatever the spans did not explain lands in
+/// [`seg::OTHER`]. The table is therefore a true partition:
 /// `segment_sum() == total_micros` by construction, and honesty is
 /// checked by comparing `total_micros` against independently measured
 /// wall time (`tests/obs_guard.rs` asserts agreement within 5%).
@@ -169,64 +144,14 @@ pub struct CriticalPath {
     pub traces: u64,
     /// Summed end-to-end trace duration, microseconds.
     pub total_micros: u64,
-    /// Frontend read + parse + gate.
-    pub frontend_micros: u64,
-    /// Gate admission (zero-duration marker today).
-    pub gate_micros: u64,
-    /// Bounded ordered-queue wait.
-    pub queue_wait_micros: u64,
-    /// Engine stage compute (impute + traverse + refine + merge).
-    pub compute_micros: u64,
-    /// Always 0: the multi-threaded drive whose barrier waits this
-    /// counted is gone. Kept so the wire and dump formats are unchanged.
-    pub barrier_micros: u64,
-    /// WAL append (unsynced).
-    pub wal_micros: u64,
-    /// Covering-fsync time amortized per covered batch.
-    pub fsync_exposed_micros: u64,
-    /// Standing-query notify fan-out.
-    pub notify_micros: u64,
-    /// Ack release → reply buffered.
-    pub write_back_micros: u64,
-    /// End-to-end time the spans did not explain (scheduling, channel
-    /// hops).
-    pub other_micros: u64,
+    /// Microseconds per segment, indexed like [`SEGMENTS`].
+    pub segments: [u64; NSEGMENTS],
 }
 
-/// Segment labels, in fold order (everything except `traces` and
-/// `total_micros`).
-pub const SEGMENTS: [&str; 10] = [
-    "frontend",
-    "gate",
-    "queue_wait",
-    "compute",
-    "barrier",
-    "wal",
-    "fsync_exposed",
-    "notify",
-    "write_back",
-    "other",
-];
-
 impl CriticalPath {
-    pub const ZERO: CriticalPath = CriticalPath {
-        traces: 0,
-        total_micros: 0,
-        frontend_micros: 0,
-        gate_micros: 0,
-        queue_wait_micros: 0,
-        compute_micros: 0,
-        barrier_micros: 0,
-        wal_micros: 0,
-        fsync_exposed_micros: 0,
-        notify_micros: 0,
-        write_back_micros: 0,
-        other_micros: 0,
-    };
-
     /// The attribution of a single trace.
     pub fn of(trace: &Trace) -> Self {
-        let mut cp = Self::ZERO;
+        let mut cp = Self::default();
         cp.fold(trace);
         cp
     }
@@ -234,55 +159,34 @@ impl CriticalPath {
     /// Folds one trace into the table (see the type docs for the
     /// segment math).
     pub fn fold(&mut self, t: &Trace) {
-        let fsync = t.span_dur(kind::FSYNC);
-        let fsync_exposed = if t.covered > 1 {
-            fsync / t.covered
-        } else {
-            fsync
-        };
-        let compute = t.span_dur(kind::IMPUTE)
-            + t.span_dur(kind::TRAVERSE)
-            + t.span_dur(kind::REFINE)
-            + t.span_dur(kind::MERGE);
+        let mut want = [0u64; NSEGMENTS];
+        for s in &t.spans {
+            let Some(info) = kind::TABLE.get(s.kind as usize) else {
+                continue;
+            };
+            if let Some(i) = info.segment {
+                want[i] += if info.shared && t.covered > 1 {
+                    s.dur / t.covered
+                } else {
+                    s.dur
+                };
+            }
+        }
         let mut left = t.dur;
-        let mut take = |want: u64| {
+        for (i, want) in want.into_iter().enumerate().take(seg::OTHER) {
             let got = want.min(left);
             left -= got;
-            got
-        };
-        self.frontend_micros += take(t.span_dur(kind::FRONTEND));
-        self.gate_micros += take(t.span_dur(kind::GATE));
-        self.queue_wait_micros += take(t.span_dur(kind::QUEUE_WAIT));
-        self.compute_micros += take(compute);
-        self.wal_micros += take(t.span_dur(kind::WAL));
-        self.fsync_exposed_micros += take(fsync_exposed);
-        self.notify_micros += take(t.span_dur(kind::NOTIFY));
-        self.write_back_micros += take(t.span_dur(kind::WRITE_BACK));
-        self.other_micros += left;
+            self.segments[i] += got;
+        }
+        self.segments[seg::OTHER] += left;
         self.traces += 1;
         self.total_micros += t.dur;
-    }
-
-    /// `(label, micros)` for every segment, in [`SEGMENTS`] order.
-    pub fn segments(&self) -> [(&'static str, u64); 10] {
-        [
-            ("frontend", self.frontend_micros),
-            ("gate", self.gate_micros),
-            ("queue_wait", self.queue_wait_micros),
-            ("compute", self.compute_micros),
-            ("barrier", self.barrier_micros),
-            ("wal", self.wal_micros),
-            ("fsync_exposed", self.fsync_exposed_micros),
-            ("notify", self.notify_micros),
-            ("write_back", self.write_back_micros),
-            ("other", self.other_micros),
-        ]
     }
 
     /// Sum of every segment — equals `total_micros` for any table built
     /// by [`CriticalPath::fold`].
     pub fn segment_sum(&self) -> u64 {
-        self.segments().iter().map(|(_, v)| v).sum()
+        self.segments.iter().sum()
     }
 
     /// Field-wise difference against an earlier snapshot of the same
@@ -291,22 +195,7 @@ impl CriticalPath {
         CriticalPath {
             traces: self.traces.saturating_sub(prev.traces),
             total_micros: self.total_micros.saturating_sub(prev.total_micros),
-            frontend_micros: self.frontend_micros.saturating_sub(prev.frontend_micros),
-            gate_micros: self.gate_micros.saturating_sub(prev.gate_micros),
-            queue_wait_micros: self
-                .queue_wait_micros
-                .saturating_sub(prev.queue_wait_micros),
-            compute_micros: self.compute_micros.saturating_sub(prev.compute_micros),
-            barrier_micros: self.barrier_micros.saturating_sub(prev.barrier_micros),
-            wal_micros: self.wal_micros.saturating_sub(prev.wal_micros),
-            fsync_exposed_micros: self
-                .fsync_exposed_micros
-                .saturating_sub(prev.fsync_exposed_micros),
-            notify_micros: self.notify_micros.saturating_sub(prev.notify_micros),
-            write_back_micros: self
-                .write_back_micros
-                .saturating_sub(prev.write_back_micros),
-            other_micros: self.other_micros.saturating_sub(prev.other_micros),
+            segments: std::array::from_fn(|i| self.segments[i].saturating_sub(prev.segments[i])),
         }
     }
 }
@@ -325,8 +214,8 @@ struct Slot {
     seq: AtomicU64,
     /// Batches sharing this batch's covering fsync.
     covered: AtomicU64,
-    start: [AtomicU64; kind::NKINDS],
-    dur: [AtomicU64; kind::NKINDS],
+    start: [AtomicU64; NSPANS],
+    dur: [AtomicU64; NSPANS],
 }
 
 impl Slot {
@@ -334,8 +223,8 @@ impl Slot {
         Slot {
             seq: AtomicU64::new(0),
             covered: AtomicU64::new(0),
-            start: [const { AtomicU64::new(0) }; kind::NKINDS],
-            dur: [const { AtomicU64::new(0) }; kind::NKINDS],
+            start: [const { AtomicU64::new(0) }; NSPANS],
+            dur: [const { AtomicU64::new(0) }; NSPANS],
         }
     }
 }
@@ -343,13 +232,13 @@ impl Slot {
 static PENDING: [Slot; SLOTS] = [const { Slot::new() }; SLOTS];
 
 /// The step driver's current batch (`seq + 1`; 0 = none) — the route by
-/// which code that doesn't carry a batch sequence (stage kernels,
-/// notify fan-out) reaches the right slot.
+/// which the engine, which doesn't carry the batch sequence, finds the
+/// trace its stages record into.
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 
-/// Epoch-micros stamp of the last anomalous flight event (PANIC, Busy
+/// Epoch-micros stamp of the last anomalous event (PANIC, Busy
 /// backpressure, subscriber shed); 0 = none yet. Written by
-/// [`crate::flight`].
+/// [`crate::record`].
 static ANOMALY: AtomicU64 = AtomicU64::new(0);
 
 fn slot_for(seq: u64) -> &'static Slot {
@@ -373,10 +262,10 @@ pub fn now() -> u64 {
     }
 }
 
-/// Called by [`crate::flight`] when an anomalous event (panic,
-/// backpressure rejection, subscriber shed) is recorded.
-pub(crate) fn note_anomaly() {
-    ANOMALY.store(crate::epoch_micros().max(1), Relaxed);
+/// Called by [`crate::record`] when an anomalous event (panic,
+/// backpressure rejection, subscriber shed) is recorded at `now`.
+pub(crate) fn note_anomaly(now: u64) {
+    ANOMALY.store(now.max(1), Relaxed);
 }
 
 /// Opens the trace for batch `seq`, rooted at `start_us` (a [`now`]
@@ -390,7 +279,7 @@ pub fn begin(seq: u64, start_us: u64) {
     let slot = slot_for(seq);
     slot.seq.store(seq + 1, Relaxed);
     slot.covered.store(0, Relaxed);
-    for k in 0..kind::NKINDS {
+    for k in 0..NSPANS {
         slot.start[k].store(0, Relaxed);
         slot.dur[k].store(0, Relaxed);
     }
@@ -401,33 +290,29 @@ pub fn begin(seq: u64, start_us: u64) {
 /// sticks on first write, the duration accumulates. No-op when the slot
 /// is not tracing `seq` — a layer fed outside a traced batch (library
 /// WAL use, recovery replay) costs one relaxed load.
-pub fn add(seq: u64, k: u8, start_us: u64, dur_us: u64) {
-    if !enabled() {
-        return;
-    }
+pub(crate) fn add(seq: u64, k: u8, start_us: u64, dur_us: u64) {
     let slot = slot_for(seq);
     if slot.seq.load(Relaxed) != seq + 1 {
         return;
     }
     let ki = k as usize;
     if slot.start[ki].load(Relaxed) == 0 {
-        slot.start[ki].store(start_us.max(1), Relaxed);
+        slot.start[ki].store(start_us, Relaxed);
     }
     slot.dur[ki].fetch_add(dur_us, Relaxed);
 }
 
-/// [`add`] with the start back-computed as `now - dur_us` — for layers
-/// that timed themselves with [`crate::timer`].
-pub fn add_elapsed(seq: u64, k: u8, dur_us: u64) {
-    if !enabled() {
-        return;
+/// Writes one shared span into every batch in
+/// `[first_seq, first_seq + covered)` and stamps how many shared it —
+/// one covering fsync, linked from every batch it made durable.
+pub(crate) fn add_shared(first_seq: u64, covered: u64, k: u8, start_us: u64, dur_us: u64) {
+    for seq in first_seq..first_seq.saturating_add(covered) {
+        add(seq, k, start_us, dur_us);
+        let slot = slot_for(seq);
+        if slot.seq.load(Relaxed) == seq + 1 {
+            slot.covered.store(covered, Relaxed);
+        }
     }
-    add(
-        seq,
-        k,
-        crate::epoch_micros().saturating_sub(dur_us).max(1),
-        dur_us,
-    );
 }
 
 /// Marks batch `seq` as the step driver's current batch.
@@ -442,62 +327,17 @@ pub fn clear_current() {
     CURRENT.store(0, Relaxed);
 }
 
-/// The current batch sequence, if a step is driving one.
-pub fn current() -> Option<u64> {
-    CURRENT.load(Relaxed).checked_sub(1)
-}
-
-/// [`add`] against the current batch (no-op without one).
-pub fn add_current(k: u8, start_us: u64, dur_us: u64) {
-    if let Some(seq) = current() {
-        add(seq, k, start_us, dur_us);
+/// The trace a batch step records into: the current batch when a driver
+/// set one (the daemon's step stage), else a trace rooted here for
+/// `seq` (library mode). Returns the trace's sequence and whether this
+/// call rooted it — the caller that rooted must also [`end`] it.
+pub fn attach(seq: u64) -> (u64, bool) {
+    if let Some(current) = CURRENT.load(Relaxed).checked_sub(1) {
+        return (current, false);
     }
-}
-
-/// [`add_elapsed`] against the current batch (no-op without one).
-pub fn add_current_elapsed(k: u8, dur_us: u64) {
-    if let Some(seq) = current() {
-        add_elapsed(seq, k, dur_us);
-    }
-}
-
-/// Library-mode self-rooting: when no outer driver owns a trace (no
-/// current batch), open one for `seq` and claim the register. Returns
-/// whether this call rooted — the caller that rooted must also
-/// [`end_current`]. In daemon mode the serve step stage owns the trace
-/// and this is a no-op.
-pub fn root_if_unattached(seq: u64) -> bool {
-    if !enabled() || current().is_some() {
-        return false;
-    }
-    begin(seq, now());
-    set_current(seq);
-    true
-}
-
-/// Ends the current batch's trace (the self-rooted library path).
-pub fn end_current() {
-    if let Some(seq) = current() {
-        clear_current();
-        end(seq, now());
-    }
-}
-
-/// Writes the shared covering-fsync span into every batch in
-/// `[first_seq, first_seq + covered)` — one fsync, linked from every
-/// batch it made durable.
-pub fn fsync_covering(first_seq: u64, covered: u64, dur_us: u64) {
-    if !enabled() || covered == 0 {
-        return;
-    }
-    let start = crate::epoch_micros().saturating_sub(dur_us).max(1);
-    for seq in first_seq..first_seq.saturating_add(covered) {
-        add(seq, kind::FSYNC, start, dur_us);
-        let slot = slot_for(seq);
-        if slot.seq.load(Relaxed) == seq + 1 {
-            slot.covered.store(covered, Relaxed);
-        }
-    }
+    let start = now();
+    begin(seq, start);
+    (seq, start != 0)
 }
 
 /// Abandons batch `seq`'s trace without retaining it (connection died
@@ -526,7 +366,7 @@ pub fn end(seq: u64, end_us: u64) {
         slot.dur[wb].store(end_us.saturating_sub(wb_start), Relaxed);
     }
     let root_start = slot.start[kind::ROOT as usize].load(Relaxed);
-    let mut spans = Vec::with_capacity(kind::NKINDS);
+    let mut spans = Vec::with_capacity(NSPANS);
     spans.push(Span {
         batch_seq: seq,
         kind: kind::ROOT,
@@ -534,7 +374,7 @@ pub fn end(seq: u64, end_us: u64) {
         start: root_start,
         dur: end_us.saturating_sub(root_start),
     });
-    for k in 1..kind::NKINDS {
+    for k in 1..NSPANS {
         let start = slot.start[k].load(Relaxed);
         let dur = slot.dur[k].load(Relaxed);
         if start == 0 && dur == 0 {
@@ -543,7 +383,7 @@ pub fn end(seq: u64, end_us: u64) {
         spans.push(Span {
             batch_seq: seq,
             kind: k as u8,
-            parent: kind::PARENT[k],
+            parent: kind::TABLE[k].parent.unwrap_or(kind::ROOT),
             start,
             dur,
         });
@@ -592,7 +432,11 @@ impl Sampler {
         Sampler {
             window: Vec::new(),
             retained: VecDeque::new(),
-            attr: CriticalPath::ZERO,
+            attr: CriticalPath {
+                traces: 0,
+                total_micros: 0,
+                segments: [0; NSEGMENTS],
+            },
         }
     }
 

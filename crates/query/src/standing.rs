@@ -124,25 +124,6 @@ impl StandingQuery {
         view: &V,
         delta: &BatchDelta,
     ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-        // The incremental evaluation is the notify fan-out's compute
-        // cost: charge it to the driving batch's causal trace
-        // (accumulating across subscribers).
-        let t0 = ter_obs::timer();
-        let out = self.apply_batch_inner(view, delta);
-        if let Some(t0) = t0 {
-            ter_obs::trace::add_current_elapsed(
-                ter_obs::trace::kind::NOTIFY,
-                t0.elapsed().as_micros() as u64,
-            );
-        }
-        out
-    }
-
-    fn apply_batch_inner<V: QueryView + ?Sized>(
-        &mut self,
-        view: &V,
-        delta: &BatchDelta,
-    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
         // Support per touched row *before* this batch, captured lazily.
         let mut before: FxHashMap<Vec<u64>, usize> = FxHashMap::default();
 

@@ -17,7 +17,6 @@ use crate::rule::Cdd;
 /// The CDD-index for one dependent attribute. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct CddIndex {
-    dependent: usize,
     rules: Vec<Cdd>,
 }
 
@@ -35,27 +34,7 @@ impl CddIndex {
             .filter(|r| r.dependent == dependent)
             .cloned()
             .collect();
-        Self { dependent, rules }
-    }
-
-    /// The dependent attribute `A_j` this index serves.
-    pub fn dependent(&self) -> usize {
-        self.dependent
-    }
-
-    /// All indexed rules.
-    pub fn rules(&self) -> &[Cdd] {
-        &self.rules
-    }
-
-    /// Number of indexed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the index holds no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        Self { rules }
     }
 
     /// Rules applicable to `record` for imputing its missing `A_j`
@@ -157,9 +136,23 @@ mod tests {
         let (_, pivots, mut dict) = setup();
         let rules = test_rules(&mut dict);
         let idx = CddIndex::build(2, &rules, &pivots);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.rules(), &rules[..3]);
-        assert_eq!(idx.dependent(), 2);
+        // A record on which every rule is applicable selects the three
+        // rules whose dependent is 2, in rule-list order, and not the
+        // fourth (dependent 1).
+        let s = schema();
+        let all_present = Record::from_texts(
+            &s,
+            30,
+            &[Some("male"), Some("weight loss"), Some("x")],
+            &mut dict,
+        );
+        assert!(rules.iter().all(|r| r.applicable_to(&all_present)));
+        let selected: Vec<Cdd> = idx
+            .applicable_rules(&all_present)
+            .into_iter()
+            .cloned()
+            .collect();
+        assert_eq!(selected, &rules[..3]);
     }
 
     #[test]
@@ -220,10 +213,16 @@ mod tests {
     fn empty_rule_list() {
         let (_, pivots, mut dict) = setup();
         let idx = CddIndex::build(2, &[], &pivots);
-        assert!(idx.is_empty());
         let s = schema();
         let rec = Record::from_texts(&s, 50, &[Some("male"), Some("x"), None], &mut dict);
         assert!(idx.applicable_rules(&rec).is_empty());
+        // The rules of another dependent alone leave the index as empty.
+        let rules = test_rules(&mut dict);
+        let idx = CddIndex::build(2, &rules[3..], &pivots);
+        let all_present =
+            Record::from_texts(&s, 51, &[Some("male"), Some("x"), Some("y")], &mut dict);
+        assert!(rules[3].applicable_to(&all_present));
+        assert!(idx.applicable_rules(&all_present).is_empty());
     }
 
     // Random rule lists for `applicable_rules_equal_linear_filter`, over a

@@ -78,11 +78,7 @@ fn arb_traces() -> impl Strategy<Value = Vec<ter_obs::trace::Trace>> {
             0u64..10,
             any::<bool>(),
             proptest::collection::vec(
-                (
-                    0u8..ter_obs::trace::kind::NKINDS as u8,
-                    any::<u64>(),
-                    any::<u64>(),
-                ),
+                (0u8..ter_obs::kind::NSPANS as u8, any::<u64>(), any::<u64>()),
                 0..6,
             ),
         ),
@@ -102,7 +98,7 @@ fn arb_traces() -> impl Strategy<Value = Vec<ter_obs::trace::Trace>> {
                         .map(|(kind, s, d)| ter_obs::trace::Span {
                             batch_seq: seq,
                             kind,
-                            parent: ter_obs::trace::kind::PARENT[kind as usize],
+                            parent: ter_obs::kind::parent(kind).unwrap(),
                             start: s,
                             dur: d,
                         })
@@ -150,9 +146,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 critical_path: ter_obs::trace::CriticalPath {
                     traces: a,
                     total_micros: b,
-                    queue_wait_micros: c,
-                    compute_micros: d as u64,
-                    ..ter_obs::trace::CriticalPath::ZERO
+                    segments: [0, 0, c, d as u64, a ^ b, 0, 0, 0, c ^ a],
                 },
                 traces,
             },

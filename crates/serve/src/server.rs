@@ -422,13 +422,12 @@ impl CommitStage {
         }
         match self.store.sync_wal() {
             Ok(()) => {
-                let now = ter_obs::trace::now();
                 for ack in self.pending.drain(..) {
                     // Open the write-back span here (zero duration so
                     // far); the I/O thread closes it — and the trace —
                     // when the ack reaches the connection's write
                     // buffer.
-                    ter_obs::trace::add(ack.seq, ter_obs::trace::kind::WRITE_BACK, now, 0);
+                    ter_obs::record(ter_obs::kind::WRITE_BACK, ack.seq, 0, 0, 0);
                     ack.handle.send_traced(ack.reply, ack.seq);
                 }
             }
@@ -830,7 +829,7 @@ impl Server {
                 // scope has joined them. The flight recorder's last act is
                 // the post-mortem dump — the in-memory ring would die with
                 // the process otherwise.
-                ter_obs::flight(ter_obs::kind::PANIC, 0, 0, 0, 0);
+                ter_obs::record(ter_obs::kind::PANIC, 0, 0, 0, 0);
                 ter_obs::dump_now("panic");
                 std::panic::resume_unwind(panic);
             }
@@ -927,7 +926,7 @@ impl StepStage<'_, '_> {
         // ---- causal trace: root this batch at its frontend receipt ----
         let t_now = ter_obs::trace::now();
         if t_now > 0 {
-            use ter_obs::trace::kind;
+            use ter_obs::{kind, record_at};
             // Stamps may be zero if tracing was off when the I/O thread
             // parsed the frame; fall back to "now" so the trace is still
             // well-formed (with empty frontend/queue-wait spans).
@@ -935,22 +934,18 @@ impl StepStage<'_, '_> {
             let t_enq = t_enqueue.clamp(t_recv, t_now);
             ter_obs::trace::begin(seq, t_recv);
             // Frontend: socket read + frame decode, up to the gate.
-            ter_obs::trace::add(seq, kind::FRONTEND, t_recv, t_enq - t_recv);
+            record_at(kind::FRONTEND, seq, 0, 0, t_recv, t_enq - t_recv);
             // The go-back-N gate admitted the batch at enqueue time; a
             // zero-duration marker keeps the admission visible.
-            ter_obs::trace::add(seq, kind::GATE, t_enq, 0);
+            record_at(kind::GATE, seq, 0, 0, t_enq, 0);
             // Queue wait: gate admission to engine pickup.
-            ter_obs::trace::add(seq, kind::QUEUE_WAIT, t_enq, t_now - t_enq);
-            // Stage spans (impute/traverse/refine/merge) and the
-            // notify fan-out attach themselves to the current register.
+            record_at(kind::QUEUE_WAIT, seq, 0, 0, t_enq, t_now - t_enq);
+            // The engine records its step and stage spans under the
+            // current register's sequence.
             ter_obs::trace::set_current(seq);
         }
-        let step_t0 = ter_obs::timer();
         let outputs = self.engine.step_batch(&batch);
-        let step_us = ter_obs::OBS.step_micros.observe_since(step_t0);
-        if t_now > 0 {
-            ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::STEP, step_us);
-        }
+        ter_obs::trace::clear_current();
         self.report.batches += 1;
         self.report.arrivals += batch.len() as u64;
         let delta = if self.subs.is_empty() {
@@ -971,13 +966,10 @@ impl StepStage<'_, '_> {
         // Push standing-query notifications for this batch. They
         // describe stepped (engine) state, not durable state — exactly
         // like the query verbs — and ride the same per-connection
-        // minipoll writer path as every other reply. The notify compute
-        // still charges to this batch's trace (the current register
-        // stays set through the fan-out).
+        // minipoll writer path as every other reply.
         if let Some(delta) = delta {
-            self.notify_subs(&delta, seq + 1);
+            self.notify_subs(&delta, seq);
         }
-        ter_obs::trace::clear_current();
         let count_due =
             self.opts.checkpoint_every > 0 && (seq + 1) % self.opts.checkpoint_every == 0;
         // The byte cadence fires on the first ingest after the commit
@@ -1007,9 +999,10 @@ impl StepStage<'_, '_> {
         }
     }
 
-    /// Advances every standing query past one ingested batch and pushes
-    /// the net notifications. `seq` is the engine position *after* the
-    /// batch — the position a resubscribing client resyncs at.
+    /// Advances every standing query past ingested batch `seq` and pushes
+    /// the net notifications, stamped with the engine position *after*
+    /// the batch — the position a resubscribing client resyncs at. Each
+    /// evaluation is one `NOTIFY` event, charged to the batch's trace.
     ///
     /// Backpressure: a subscriber whose connection gauge exceeds
     /// `opts.notify_buffer` is shed with one final [`Reply::Lagged`]
@@ -1018,12 +1011,13 @@ impl StepStage<'_, '_> {
     /// itself died, so the subscription is pruned silently.
     fn notify_subs(&mut self, delta: &BatchDelta, seq: u64) {
         let eng = &*self.engine;
+        let resync_seq = seq + 1;
         let mut shed: Vec<(u64, u64)> = Vec::new();
         for (&key, sub) in self.subs.iter_mut() {
             let backlog = sub.handle.gauge.load(Ordering::Acquire);
             if backlog == CONN_GONE {
                 ter_obs::OBS.shed.inc();
-                ter_obs::flight(ter_obs::kind::SHED, seq, key.1, 0, 0);
+                ter_obs::record(ter_obs::kind::SHED, resync_seq, key.1, 0, 0);
                 shed.push(key);
                 continue;
             }
@@ -1031,22 +1025,23 @@ impl StepStage<'_, '_> {
             if backlog > self.opts.notify_buffer {
                 sub.handle.send(Reply::Lagged {
                     sub_id: key.1,
-                    resync_seq: seq,
+                    resync_seq,
                 });
                 ter_obs::OBS.shed.inc();
-                ter_obs::flight(ter_obs::kind::SHED, seq, key.1, backlog as u64, 0);
+                ter_obs::record(ter_obs::kind::SHED, resync_seq, key.1, backlog as u64, 0);
                 shed.push(key);
                 continue;
             }
+            let t0 = ter_obs::timer();
             let (added, retracted) = sub.standing.apply_batch(eng, delta);
-            if !added.is_empty() || !retracted.is_empty() {
-                let rows = (added.len() + retracted.len()) as u64;
+            let rows = (added.len() + retracted.len()) as u64;
+            ter_obs::record(ter_obs::kind::NOTIFY, seq, key.1, rows, ter_obs::since(t0));
+            if rows > 0 {
                 ter_obs::OBS.notify_events.inc();
                 ter_obs::OBS.notify_rows.add(rows);
-                ter_obs::flight(ter_obs::kind::NOTIFY, seq, key.1, rows, 0);
                 sub.handle.send(Reply::Notify {
                     sub_id: key.1,
-                    seq,
+                    seq: resync_seq,
                     added,
                     retracted,
                 });
@@ -1119,26 +1114,15 @@ impl StepStage<'_, '_> {
                     let seq = self.report.resumed_at + self.report.batches;
                     let t0 = ter_obs::timer();
                     let (rows, trace) = ter_query::evaluate_traced(&pattern, self.engine);
-                    let us = ter_obs::OBS.eval_micros.observe_since(t0);
+                    let us = ter_obs::since(t0);
                     ter_obs::OBS.oneshot_queries.inc();
                     ter_obs::OBS.oneshot_rows.add(trace.rows);
-                    ter_obs::flight(
-                        ter_obs::kind::QUERY,
-                        seq,
-                        trace.order.len() as u64,
-                        trace.rows,
-                        us,
-                    );
-                    // Poor-man's EXPLAIN: one flight event per planned
-                    // atom, carrying the intermediate cardinality.
-                    for (k, &ai) in trace.order.iter().enumerate() {
-                        ter_obs::flight(
-                            ter_obs::kind::QUERY_ATOM,
-                            seq,
-                            ai as u64,
-                            trace.atom_rows[k],
-                            0,
-                        );
+                    let atoms = trace.order.len() as u64;
+                    ter_obs::record(ter_obs::kind::QUERY, seq, atoms, trace.rows, us);
+                    // Poor-man's EXPLAIN: one event per planned atom,
+                    // carrying the intermediate cardinality.
+                    for (&ai, &alive) in trace.order.iter().zip(&trace.atom_rows) {
+                        ter_obs::record(ter_obs::kind::QUERY_ATOM, seq, ai as u64, alive, 0);
                     }
                     Reply::Rows { seq, rows }
                 }
@@ -1371,7 +1355,7 @@ impl IoThread {
         );
         ter_obs::OBS.accepts.inc();
         ter_obs::OBS.connections.add(1);
-        ter_obs::flight(ter_obs::kind::CONN_OPEN, 0, token, 0, 0);
+        ter_obs::record(ter_obs::kind::CONN_OPEN, 0, token, 0, 0);
     }
 
     /// Buffers one reply from the engine side and pushes it toward the
@@ -1465,7 +1449,7 @@ impl IoThread {
             conn.gauge.store(CONN_GONE, Ordering::Release);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             ter_obs::OBS.connections.sub(1);
-            ter_obs::flight(ter_obs::kind::CONN_CLOSE, 0, token, 0, 0);
+            ter_obs::record(ter_obs::kind::CONN_CLOSE, 0, token, 0, 0);
         }
     }
 }
@@ -1512,7 +1496,9 @@ fn flush_writes(conn: &mut Conn) -> Action {
         conn.wpos = 0;
     }
     conn.sync_gauge();
-    ter_obs::OBS.write_micros.observe_since(t0);
+    if t0.is_some() {
+        ter_obs::record(ter_obs::kind::WRITE, 0, 0, 0, ter_obs::since(t0));
+    }
     Action::Keep
 }
 
@@ -1616,7 +1602,7 @@ fn read_and_parse(
         };
         if matches!((ingest_seq, conn.expected_seq), (Some(seq), Some(e)) if seq != e) {
             ter_obs::OBS.busy.inc();
-            ter_obs::flight(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
+            ter_obs::record(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
             append_reply(conn, &busy);
             continue;
         }
@@ -1634,7 +1620,7 @@ fn read_and_parse(
             }
             Err(mpsc::TrySendError::Full(_)) => {
                 ter_obs::OBS.busy.inc();
-                ter_obs::flight(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
+                ter_obs::record(ter_obs::kind::BUSY, ingest_seq.unwrap_or(0), token, 0, 0);
                 append_reply(conn, &busy);
             }
             Err(mpsc::TrySendError::Disconnected(_)) => {
@@ -1646,7 +1632,7 @@ fn read_and_parse(
     if pos > 0 {
         conn.rbuf.drain(..pos);
     }
-    ter_obs::OBS.read_parse_micros.observe_since(t0);
+    ter_obs::record(ter_obs::kind::READ_PARSE, 0, 0, 0, ter_obs::since(t0));
     if saw_eof {
         // Frames already received were processed above (they were on the
         // wire before the close); anything partial is abandoned.

@@ -44,9 +44,9 @@ use ter_store::{crc32, Codec, CodecError, Decoder, Encoder};
 use ter_stream::Arrival;
 
 /// The protocol version byte every payload carries. A peer speaking any
-/// other value is refused with [`WireError::Version`]: bytes 1–3 named
+/// other value is refused with [`WireError::Version`]: bytes 1–4 named
 /// earlier body layouts that no longer decode.
-pub const PROTO_VERSION: u8 = 4;
+pub const PROTO_VERSION: u8 = 5;
 
 /// Hard cap on a wire frame's payload (16 MiB) — a corrupt or hostile
 /// length field must not drive a pathological allocation.
@@ -399,33 +399,21 @@ fn decode_trace_event(dec: &mut Decoder<'_>) -> Result<TraceEvent, CodecError> {
 fn encode_critical_path(cp: &CriticalPath, enc: &mut Encoder) {
     enc.u64(cp.traces);
     enc.u64(cp.total_micros);
-    enc.u64(cp.frontend_micros);
-    enc.u64(cp.gate_micros);
-    enc.u64(cp.queue_wait_micros);
-    enc.u64(cp.compute_micros);
-    enc.u64(cp.barrier_micros);
-    enc.u64(cp.wal_micros);
-    enc.u64(cp.fsync_exposed_micros);
-    enc.u64(cp.notify_micros);
-    enc.u64(cp.write_back_micros);
-    enc.u64(cp.other_micros);
+    for &micros in &cp.segments {
+        enc.u64(micros);
+    }
 }
 
 fn decode_critical_path(dec: &mut Decoder<'_>) -> Result<CriticalPath, CodecError> {
-    Ok(CriticalPath {
+    let mut cp = CriticalPath {
         traces: dec.u64()?,
         total_micros: dec.u64()?,
-        frontend_micros: dec.u64()?,
-        gate_micros: dec.u64()?,
-        queue_wait_micros: dec.u64()?,
-        compute_micros: dec.u64()?,
-        barrier_micros: dec.u64()?,
-        wal_micros: dec.u64()?,
-        fsync_exposed_micros: dec.u64()?,
-        notify_micros: dec.u64()?,
-        write_back_micros: dec.u64()?,
-        other_micros: dec.u64()?,
-    })
+        ..CriticalPath::default()
+    };
+    for micros in &mut cp.segments {
+        *micros = dec.u64()?;
+    }
+    Ok(cp)
 }
 
 fn encode_trace(t: &Trace, enc: &mut Encoder) {
@@ -1038,16 +1026,7 @@ mod tests {
                 critical_path: CriticalPath {
                     traces: 3,
                     total_micros: 9000,
-                    frontend_micros: 100,
-                    gate_micros: 0,
-                    queue_wait_micros: 700,
-                    compute_micros: 5000,
-                    barrier_micros: 300,
-                    wal_micros: 400,
-                    fsync_exposed_micros: 1500,
-                    notify_micros: 200,
-                    write_back_micros: 500,
-                    other_micros: 300,
+                    segments: [100, 0, 700, 5000, 400, 1500, 200, 500, 600],
                 },
                 traces: vec![Trace {
                     batch_seq: 42,
@@ -1058,15 +1037,15 @@ mod tests {
                     spans: vec![
                         Span {
                             batch_seq: 42,
-                            kind: ter_obs::trace::kind::ROOT,
-                            parent: ter_obs::trace::kind::ROOT,
+                            kind: ter_obs::kind::ROOT,
+                            parent: ter_obs::kind::ROOT,
                             start: 1_000_000,
                             dur: 3_000,
                         },
                         Span {
                             batch_seq: 42,
-                            kind: ter_obs::trace::kind::FSYNC,
-                            parent: ter_obs::trace::kind::ROOT,
+                            kind: ter_obs::kind::FSYNC,
+                            parent: ter_obs::kind::ROOT,
                             start: 1_002_000,
                             dur: 600,
                         },
@@ -1094,12 +1073,12 @@ mod tests {
     }
 
     /// Every protocol byte but [`PROTO_VERSION`] is refused — the
-    /// retired bytes 1–3 included — on requests and replies alike.
+    /// retired bytes 1–4 included — on requests and replies alike.
     #[test]
     fn wrong_version_and_unknown_tags_rejected() {
         let request = encode_request(&Request::Stats);
         let reply = encode_reply(&Reply::Busy);
-        for version in [0, 1, 2, 3, 9] {
+        for version in [0, 1, 2, 3, 4, 9] {
             let mut payload = request.clone();
             payload[0] = version;
             assert!(

@@ -408,8 +408,8 @@ impl TerStore {
         ter_obs::OBS.checkpoints.inc();
         ter_obs::OBS.last_checkpoint_seq.set(wal_seq);
         ter_obs::OBS.delta_chain_length.set(0);
-        let us = ter_obs::OBS.checkpoint_micros.observe_since(t0);
-        ter_obs::flight(ter_obs::kind::CHECKPOINT, wal_seq, bytes, 0, us);
+        let us = ter_obs::since(t0);
+        ter_obs::record(ter_obs::kind::CHECKPOINT, wal_seq, bytes, 0, us);
         Ok(bytes)
     }
 
@@ -464,14 +464,8 @@ impl TerStore {
         ter_obs::OBS.delta_bytes.add(bytes);
         ter_obs::OBS.delta_chain_length.set(self.chain_len as u64);
         ter_obs::OBS.last_checkpoint_seq.set(wal_seq);
-        let us = ter_obs::OBS.checkpoint_micros.observe_since(t0);
-        ter_obs::flight(
-            ter_obs::kind::DELTA,
-            wal_seq,
-            bytes,
-            self.chain_len as u64,
-            us,
-        );
+        let (chain, us) = (self.chain_len as u64, ter_obs::since(t0));
+        ter_obs::record(ter_obs::kind::DELTA, wal_seq, bytes, chain, us);
         Ok(bytes)
     }
 

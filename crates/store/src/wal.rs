@@ -277,12 +277,11 @@ impl Wal {
         self.tail += framed.len() as u64;
         self.next_seq += 1;
         ter_obs::OBS.wal_append_bytes.add(framed.len() as u64);
-        let us = ter_obs::OBS.wal_append_micros.observe_since(t0);
-        ter_obs::flight(ter_obs::kind::WAL_APPEND, seq, framed.len() as u64, 0, us);
-        // No-op unless a causal trace is open for this batch sequence
-        // (the daemon's commit stage; library callers with a different
-        // sequence base cost one relaxed load).
-        ter_obs::trace::add_elapsed(seq, ter_obs::trace::kind::WAL, us);
+        // Its span lands only if a causal trace is open for this batch
+        // sequence (the daemon's commit stage; library callers with a
+        // different sequence base cost one relaxed load).
+        let bytes = framed.len() as u64;
+        ter_obs::record(ter_obs::kind::WAL, seq, bytes, 0, ter_obs::since(t0));
         Ok(seq)
     }
 
@@ -304,11 +303,10 @@ impl Wal {
         self.synced_seq = self.next_seq;
         ter_obs::OBS.fsyncs.inc();
         ter_obs::OBS.flush_window_batches.record(covered);
-        let us = ter_obs::OBS.fsync_micros.observe_since(t0);
-        ter_obs::flight(ter_obs::kind::FSYNC, self.synced_seq, covered, 0, us);
         // The group commit's shared span: the same fsync is linked from
         // every batch it just made durable.
-        ter_obs::trace::fsync_covering(self.synced_seq - covered, covered, us);
+        let us = ter_obs::since(t0);
+        ter_obs::record(ter_obs::kind::FSYNC, self.synced_seq, covered, 0, us);
         Ok(())
     }
 

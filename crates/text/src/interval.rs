@@ -35,17 +35,6 @@ impl Interval {
         Self::new(0.0, 1.0)
     }
 
-    /// The "missing attribute" sentinel `[-1, -1]` used by the CDD-index
-    /// (§5.1 indexes `A_x.I = [-1,-1]` for constrained-but-missing attributes).
-    pub fn missing() -> Self {
-        Self::new(-1.0, -1.0)
-    }
-
-    /// Whether this is the missing sentinel.
-    pub fn is_missing(&self) -> bool {
-        self.lo == -1.0 && self.hi == -1.0
-    }
-
     /// An empty accumulator: `[+∞, −∞]`. `expand`ing it with any value or
     /// interval yields that value/interval; useful for building minimal
     /// bounding intervals over a collection.
@@ -76,11 +65,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Whether `other` lies entirely inside `self`.
-    pub fn contains_interval(&self, other: &Interval) -> bool {
-        !other.is_empty() && self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Whether the two intervals share at least one point.
     #[inline]
     pub fn intersects(&self, other: &Interval) -> bool {
@@ -95,26 +79,6 @@ impl Interval {
         }
         if v > self.hi {
             self.hi = v;
-        }
-    }
-
-    /// Grows the interval to include all of `other`.
-    pub fn expand_interval(&mut self, other: &Interval) {
-        if other.is_empty() {
-            return;
-        }
-        self.expand(other.lo);
-        self.expand(other.hi);
-    }
-
-    /// Minimum distance from `v` to any point of the interval (0 if inside).
-    pub fn min_dist_to(&self, v: f64) -> f64 {
-        if v < self.lo {
-            self.lo - v
-        } else if v > self.hi {
-            v - self.hi
-        } else {
-            0.0
         }
     }
 
@@ -166,15 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn expand_interval_ignores_empty() {
-        let mut acc = Interval::new(0.2, 0.3);
-        acc.expand_interval(&Interval::empty());
-        assert_eq!(acc, Interval::new(0.2, 0.3));
-        acc.expand_interval(&Interval::new(0.0, 0.1));
-        assert_eq!(acc, Interval::new(0.0, 0.3));
-    }
-
-    #[test]
     fn min_gap_matches_lemma_4_2_cases() {
         // lb_X > ub_Y  → lb_X − ub_Y
         let x = Interval::new(0.7, 0.9);
@@ -188,31 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn min_dist_to_point() {
-        let i = Interval::new(0.3, 0.6);
-        assert!((i.min_dist_to(0.1) - 0.2).abs() < 1e-12);
-        assert!((i.min_dist_to(0.9) - 0.3).abs() < 1e-12);
-        assert_eq!(i.min_dist_to(0.45), 0.0);
-    }
-
-    #[test]
-    fn missing_sentinel() {
-        assert!(Interval::missing().is_missing());
-        assert!(!Interval::unit().is_missing());
-    }
-
-    #[test]
     fn width_of_empty_is_zero() {
         assert_eq!(Interval::empty().width(), 0.0);
         assert!((Interval::new(0.25, 0.75).width() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contains_interval_cases() {
-        let outer = Interval::new(0.0, 1.0);
-        assert!(outer.contains_interval(&Interval::new(0.2, 0.8)));
-        assert!(outer.contains_interval(&outer));
-        assert!(!Interval::new(0.2, 0.8).contains_interval(&outer));
-        assert!(!outer.contains_interval(&Interval::empty()));
     }
 }

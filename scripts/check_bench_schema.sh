@@ -50,7 +50,7 @@ for f in "${files[@]}"; do
             file_ok=0
         else
             for key in traces total_micros frontend_micros gate_micros \
-                queue_wait_micros compute_micros barrier_micros wal_micros \
+                queue_wait_micros compute_micros wal_micros \
                 fsync_exposed_micros notify_micros write_back_micros \
                 other_micros; do
                 if ! grep -Eq "\"critical_path\": \\{.*\"${key}\": [0-9]+" "$f"; then

@@ -13,7 +13,7 @@
 # spends its end-to-end latency.
 #
 # Span durations nest (the `step` span covers its impute/traverse/
-# refine/merge/barrier children), so parent frames are emitted with
+# refine/merge children), so parent frames are emitted with
 # their *self* time only — flamegraph semantics, no double counting.
 # Trace time not covered by any span surfaces as the root's self time.
 #

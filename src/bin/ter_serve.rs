@@ -650,7 +650,7 @@ fn print_attribution(cp: &ter_obs::trace::CriticalPath) {
         cp.traces,
         cp.total_micros / cp.traces
     );
-    for (name, us) in cp.segments() {
+    for (name, &us) in ter_obs::trace::SEGMENTS.iter().zip(&cp.segments) {
         let pct = 100.0 * us as f64 / cp.total_micros.max(1) as f64;
         println!("  {name:<14} {us:>12}us  {pct:>5.1}%");
     }
@@ -666,10 +666,10 @@ fn print_trace(t: &ter_obs::trace::Trace) {
         t.batch_seq, t.dur, t.covered
     );
     for s in &t.spans {
-        if s.kind == ter_obs::trace::kind::ROOT {
+        if s.kind == ter_obs::kind::ROOT {
             continue; // the header line above is the root span
         }
-        let depth = if s.parent == ter_obs::trace::kind::ROOT {
+        let depth = if s.parent == ter_obs::kind::ROOT {
             1
         } else {
             2
@@ -677,7 +677,7 @@ fn print_trace(t: &ter_obs::trace::Trace) {
         println!(
             "{:indent$}{} +{}us dur={}us",
             "",
-            ter_obs::trace::kind::name(s.kind),
+            ter_obs::kind::name(s.kind),
             s.start.saturating_sub(t.start),
             s.dur,
             indent = depth * 2

@@ -163,7 +163,7 @@ fn metrics_overhead_is_within_noise_and_outputs_bit_identical() {
     assert!(
         retained
             .iter()
-            .all(|t| t.spans.iter().any(|s| s.kind == ter_obs::trace::kind::STEP)),
+            .all(|t| t.spans.iter().any(|s| s.kind == ter_obs::kind::STEP)),
         "every retained library-mode trace carries its STEP span"
     );
 }
@@ -193,7 +193,6 @@ fn library_critical_path_accounts_for_measured_step_time() {
         cp.total_micros,
         "attribution table does not partition its own total"
     );
-    assert_eq!(cp.barrier_micros, 0);
     let tol = stepped_us / 20 + 2 * cp.traces + 100;
     assert!(
         stepped_us.abs_diff(cp.total_micros) <= tol,

@@ -116,9 +116,9 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
 
     // ---- flight recorder: batches, fsyncs, checkpoints, query trace ----
     for k in [
-        ter_obs::kind::BATCH,
+        ter_obs::kind::STEP,
         ter_obs::kind::IMPUTE,
-        ter_obs::kind::WAL_APPEND,
+        ter_obs::kind::WAL,
         ter_obs::kind::FSYNC,
         ter_obs::kind::CHECKPOINT,
         ter_obs::kind::CONN_OPEN,
@@ -156,7 +156,7 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
     // set: frontend read → gate → queue wait → step (+ its stages) →
     // WAL append → covering fsync → notify fan-out → ack write-back.
     {
-        use ter_obs::trace::kind;
+        use ter_obs::kind;
         for k in [
             kind::FRONTEND,
             kind::GATE,
@@ -261,7 +261,7 @@ fn panic_path_dump_survives_and_parses() {
         "the post-mortem must record the panic event itself"
     );
     assert!(
-        parsed.flight.iter().any(|e| e.kind == ter_obs::kind::BATCH),
+        parsed.flight.iter().any(|e| e.kind == ter_obs::kind::STEP),
         "the ring must still hold the batches leading up to the death"
     );
 }
