@@ -1302,6 +1302,18 @@ mod tests {
         }
     }
 
+    /// The dump `scripts/trace2folded.sh` is checked against is one this
+    /// parser accepts, so the converter is tested on a dump the daemon can
+    /// produce.
+    #[test]
+    fn trace2folded_fixture_parses() {
+        let fixture = include_str!("../../../scripts/fixtures/trace_dump.txt");
+        let dump = parse_dump(fixture).unwrap();
+        let cp = dump.critical_path.unwrap();
+        assert_eq!(cp.segments.iter().sum::<u64>(), cp.total_micros);
+        assert_eq!(dump.traces.len(), 2);
+    }
+
     /// The kind table is one consistent vocabulary: unique names that
     /// round-trip, span parents that are span kinds, span kinds numbered
     /// below the slot width, and histograms that are registry metrics.

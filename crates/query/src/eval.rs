@@ -172,44 +172,48 @@ fn extend<V: QueryView + ?Sized>(
 }
 
 /// Runs the atoms in `order` as a streaming iterator pipeline from the
-/// given seed binding, returning every fully-ground variable assignment.
-/// Seed bindings must already satisfy their variables' predicates. `live`
-/// may be shared by several calls against the same, unchanged view.
-pub(crate) fn eval_from<V: QueryView + ?Sized>(
-    pattern: &Pattern,
+/// given seed binding, yielding every binding that satisfies them. Seed
+/// bindings must already satisfy their variables' predicates. `live` may
+/// be shared by several calls against the same, unchanged view.
+pub(crate) fn bindings<'a, V: QueryView + ?Sized>(
+    pattern: &'a Pattern,
     order: &[usize],
-    view: &V,
-    live: &LiveSets,
+    view: &'a V,
+    live: &'a LiveSets,
     seed: Vec<Option<u64>>,
-) -> Vec<Vec<u64>> {
-    let mut it: Box<dyn Iterator<Item = Vec<Option<u64>>> + '_> = Box::new(std::iter::once(seed));
+) -> impl Iterator<Item = Vec<Option<u64>>> + 'a {
+    let mut it: Box<dyn Iterator<Item = Vec<Option<u64>>> + 'a> = Box::new(std::iter::once(seed));
     for &ai in order {
         let atom = pattern.atoms[ai];
         it = Box::new(it.flat_map(move |b| extend(pattern, view, live, &b, atom)));
     }
-    it.map(|b| {
-        b.into_iter()
-            .map(|v| v.expect("every variable appears in an atom"))
-            .collect()
-    })
-    .collect()
+    it
 }
 
-/// Every fully-ground assignment of the pattern's variables against the
-/// view (planned order, no projection applied).
-pub(crate) fn full_bindings<V: QueryView + ?Sized>(pattern: &Pattern, view: &V) -> Vec<Vec<u64>> {
+/// The ids of a binding whose every variable is bound.
+pub(crate) fn ground(b: Vec<Option<u64>>) -> Vec<u64> {
+    b.into_iter()
+        .map(|v| v.expect("every variable appears in an atom"))
+        .collect()
+}
+
+/// `row` of every full binding of the pattern's variables against the
+/// view (planned order), each taken as it is reached, so no list of the
+/// bindings themselves is built.
+pub(crate) fn full_bindings<V: QueryView + ?Sized, T>(
+    pattern: &Pattern,
+    view: &V,
+    row: impl FnMut(Vec<Option<u64>>) -> T,
+) -> Vec<T> {
     let plan = plan(pattern, &view.plan_stats());
     if plan.empty {
         return Vec::new();
     }
     let live = LiveSets::new(pattern);
-    eval_from(
-        pattern,
-        &plan.order,
-        view,
-        &live,
-        vec![None; pattern.vars.len()],
-    )
+    let seed = vec![None; pattern.vars.len()];
+    bindings(pattern, &plan.order, view, &live, seed)
+        .map(row)
+        .collect()
 }
 
 /// Projects one full binding onto the pattern's output columns.
@@ -220,10 +224,13 @@ pub(crate) fn project_one(pattern: &Pattern, b: &[u64]) -> Vec<u64> {
 /// One-shot evaluation: the projected result rows, sorted and deduped —
 /// the canonical form every oracle compares bit-for-bit.
 pub fn evaluate<V: QueryView + ?Sized>(pattern: &Pattern, view: &V) -> Vec<Vec<u64>> {
-    let mut rows: Vec<Vec<u64>> = full_bindings(pattern, view)
-        .iter()
-        .map(|b| project_one(pattern, b))
-        .collect();
+    let mut rows = full_bindings(pattern, view, |b| {
+        pattern
+            .projection
+            .iter()
+            .map(|&v| b[v].expect("every variable appears in an atom"))
+            .collect::<Vec<u64>>()
+    });
     rows.sort_unstable();
     rows.dedup();
     rows

@@ -30,7 +30,7 @@ use ter_ids::StepOutput;
 use ter_stream::Arrival;
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
-use crate::eval::{eval_from, full_bindings, project_one, var_ok, LiveSets, QueryView};
+use crate::eval::{bindings, full_bindings, ground, project_one, var_ok, LiveSets, QueryView};
 use crate::pattern::{Atom, Pattern};
 use crate::plan::plan;
 
@@ -98,7 +98,7 @@ impl StandingQuery {
     pub fn seed<V: QueryView + ?Sized>(&mut self, view: &V) -> Vec<Vec<u64>> {
         self.bindings.clear();
         self.support.clear();
-        for b in full_bindings(&self.pattern, view) {
+        for b in full_bindings(&self.pattern, view, ground) {
             let row = project_one(&self.pattern, &b);
             if self.bindings.insert(b) {
                 *self.support.entry(row).or_insert(0) += 1;
@@ -183,7 +183,9 @@ impl StandingQuery {
                                 let mut seed = vec![None; nvars];
                                 seed[x] = Some(ida);
                                 seed[y] = Some(idc);
-                                found.extend(eval_from(&self.pattern, &rest, view, &live, seed));
+                                found.extend(
+                                    bindings(&self.pattern, &rest, view, &live, seed).map(ground),
+                                );
                             }
                         }
                     }
@@ -194,7 +196,9 @@ impl StandingQuery {
                         if var_ok(&self.pattern, view, v, id) {
                             let mut seed = vec![None; nvars];
                             seed[v] = Some(id);
-                            found.extend(eval_from(&self.pattern, &rest, view, &live, seed));
+                            found.extend(
+                                bindings(&self.pattern, &rest, view, &live, seed).map(ground),
+                            );
                         }
                     }
                 }

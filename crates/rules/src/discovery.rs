@@ -20,6 +20,14 @@
 //! Pair statistics are subsampled deterministically above
 //! [`DiscoveryConfig::max_pairs`] so detection stays near-linear for the
 //! large repositories of the Songs-scale experiments.
+//!
+//! Each distance is computed once per pair list, into one dense vector per
+//! attribute: over the sampled pairs, read by every (determinant,
+//! dependent) pass of a call, and over each constant group's capped pair
+//! list, read by the group's constant and combined passes of every
+//! dependent and dropped before the next group. The sharing ends there:
+//! [`detect_cdds`] and [`detect_dds`] each compute the sampled vectors, and
+//! a value pair that recurs across row pairs is computed again.
 
 use ter_text::fxhash::FxHashMap;
 use ter_text::Interval;
@@ -44,8 +52,6 @@ pub struct DiscoveryConfig {
     /// Minimum number of repository samples sharing a constant value for
     /// constant-constraint mining.
     pub min_constant_support: usize,
-    /// Also mine 2-determinant (constant + interval) combined rules.
-    pub combine: bool,
 }
 
 impl Default for DiscoveryConfig {
@@ -56,42 +62,40 @@ impl Default for DiscoveryConfig {
             min_support: 4,
             max_pairs: 20_000,
             min_constant_support: 3,
-            combine: true,
         }
     }
 }
 
-/// Per-attribute-pair distance cache over domain value ids.
-struct DistCache<'a> {
-    repo: &'a Repository,
-    attr: usize,
-    cache: FxHashMap<(u32, u32), f64>,
-}
-
-impl<'a> DistCache<'a> {
-    fn new(repo: &'a Repository, attr: usize) -> Self {
-        Self {
-            repo,
-            attr,
-            cache: FxHashMap::default(),
-        }
+impl DiscoveryConfig {
+    /// Whether `cnt` pairs whose dependent distances span `dep` support an
+    /// acceptably tight rule.
+    fn accepts(&self, cnt: usize, dep: Interval) -> bool {
+        cnt >= self.min_support && !dep.is_empty() && dep.hi <= self.accept_max
     }
 
-    fn dist(&mut self, row_a: usize, row_b: usize) -> f64 {
-        let ia = self.repo.value_id(row_a, self.attr);
-        let ib = self.repo.value_id(row_b, self.attr);
-        let key = (ia.min(ib), ia.max(ib));
-        if key.0 == key.1 {
-            return 0.0;
+    /// Per equi-width bucket of the determinant distances `det`: the number
+    /// of pairs and the span of their dependent distances `dep`.
+    fn buckets(&self, det: &[f64], dep: &[f64]) -> Vec<(usize, Interval)> {
+        let n = (1.0 / self.bucket_width).ceil() as usize;
+        let mut out = vec![(0, Interval::empty()); n];
+        for (&dx, &dj) in det.iter().zip(dep) {
+            let b = ((dx / self.bucket_width) as usize).min(n - 1);
+            out[b].0 += 1;
+            out[b].1.expand(dj);
         }
-        *self.cache.entry(key).or_insert_with(|| {
-            let dom = self.repo.domain(self.attr);
-            dom.value(key.0).jaccard_distance(dom.value(key.1))
-        })
+        out
+    }
+
+    /// Bucket `b`'s determinant interval `[b·w, (b+1)·w]`, clipped at 1.
+    fn bucket_interval(&self, b: usize) -> Interval {
+        let w = self.bucket_width;
+        Interval::new(b as f64 * w, ((b + 1) as f64 * w).min(1.0))
     }
 }
 
-/// Deterministically enumerates up to `max_pairs` distinct row pairs.
+/// Deterministically lists `max_pairs` row pairs `(i, k)` with
+/// `i < k < n`: every pair in order when there are at most `max_pairs`,
+/// otherwise a pseudo-random draw that may repeat a pair.
 fn sample_pairs(n: usize, max_pairs: usize) -> Vec<(usize, usize)> {
     let total = n.saturating_mul(n.saturating_sub(1)) / 2;
     let mut out = Vec::with_capacity(total.min(max_pairs));
@@ -121,131 +125,110 @@ fn sample_pairs(n: usize, max_pairs: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Every attribute's distances over `pairs`, one dense vector per
+/// attribute: 0 for equal value ids, else the values' Jaccard distance.
+fn pair_distances(repo: &Repository, pairs: &[(usize, usize)]) -> Vec<Vec<f64>> {
+    (0..repo.schema().arity())
+        .map(|j| {
+            let dom = repo.domain(j);
+            pairs
+                .iter()
+                .map(|&(a, b)| {
+                    let (ia, ib) = (repo.value_id(a, j), repo.value_id(b, j));
+                    if ia == ib {
+                        0.0
+                    } else {
+                        dom.value(ia.min(ib))
+                            .jaccard_distance(dom.value(ia.max(ib)))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Detects CDD rules (interval, constant, and combined) for every
 /// dependent attribute. Output order is deterministic.
 pub fn detect_cdds(repo: &Repository, cfg: &DiscoveryConfig) -> Vec<Cdd> {
-    let mut rules = Vec::new();
     let d = repo.schema().arity();
     if repo.len() < 2 {
-        return rules;
+        return Vec::new();
     }
-    let pairs = sample_pairs(repo.len(), cfg.max_pairs);
+    let sampled = pair_distances(repo, &sample_pairs(repo.len(), cfg.max_pairs));
 
-    for dep in 0..d {
-        let mut dep_cache = DistCache::new(repo, dep);
-        for det in 0..d {
-            if det == dep {
-                continue;
-            }
-            let mut det_cache = DistCache::new(repo, det);
-
-            // ---- interval rules: bucket determinant distances ----
-            let n_buckets = (1.0 / cfg.bucket_width).ceil() as usize;
-            let mut bucket_dep: Vec<Interval> = vec![Interval::empty(); n_buckets];
-            let mut bucket_cnt = vec![0usize; n_buckets];
-            for &(i, k) in &pairs {
-                let dx = det_cache.dist(i, k);
-                let b = ((dx / cfg.bucket_width) as usize).min(n_buckets - 1);
-                bucket_dep[b].expand(dep_cache.dist(i, k));
-                bucket_cnt[b] += 1;
-            }
-            for b in 0..n_buckets {
-                if bucket_cnt[b] >= cfg.min_support
-                    && !bucket_dep[b].is_empty()
-                    && bucket_dep[b].hi <= cfg.accept_max
-                {
-                    let lo = b as f64 * cfg.bucket_width;
-                    let hi = ((b + 1) as f64 * cfg.bucket_width).min(1.0);
-                    rules.push(Cdd::new(
-                        vec![(det, Constraint::Interval(Interval::new(lo, hi)))],
+    // Mined determinant by determinant, so that one constant group's
+    // distances serve every dependent; listed dependent by dependent.
+    let mut found: Vec<Vec<Cdd>> = vec![Vec::new(); d * d];
+    for det in 0..d {
+        // ---- interval rules: bucket determinant distances ----
+        for dep in (0..d).filter(|&j| j != det) {
+            let buckets = cfg.buckets(&sampled[det], &sampled[dep]);
+            for (b, (cnt, dep_iv)) in buckets.into_iter().enumerate() {
+                if cfg.accepts(cnt, dep_iv) {
+                    found[dep * d + det].push(Cdd::new(
+                        vec![(det, Constraint::Interval(cfg.bucket_interval(b)))],
                         dep,
-                        bucket_dep[b],
+                        dep_iv,
                     ));
                 }
             }
+        }
 
-            // ---- constant refinement ----
-            let groups = constant_groups(repo, det, cfg.min_constant_support);
-            for (vid, rows) in &groups {
+        // ---- constant refinement ----
+        for (vid, rows) in constant_groups(repo, det, cfg.min_constant_support) {
+            // The constant pass reads one pair more than the combined pass.
+            let pairs: Vec<(usize, usize)> = rows
+                .iter()
+                .enumerate()
+                .flat_map(|(ai, &ra)| rows[ai + 1..].iter().map(move |&rb| (ra, rb)))
+                .take(cfg.max_pairs.saturating_add(1))
+                .collect();
+            let dists = pair_distances(repo, &pairs);
+            let combined_len = pairs.len().min(cfg.max_pairs);
+            let v = repo.domain(det).value(vid);
+            for dep in (0..d).filter(|&j| j != det) {
+                let rules = &mut found[dep * d + det];
                 let mut dep_iv = Interval::empty();
-                let mut cnt = 0usize;
-                for (ai, &ra) in rows.iter().enumerate() {
-                    for &rb in &rows[ai + 1..] {
-                        dep_iv.expand(dep_cache.dist(ra, rb));
-                        cnt += 1;
-                        if cnt > cfg.max_pairs {
-                            break;
-                        }
-                    }
-                    if cnt > cfg.max_pairs {
-                        break;
-                    }
+                dists[dep].iter().for_each(|&dj| dep_iv.expand(dj));
+                if pairs.len() < cfg.min_support || dep_iv.is_empty() {
+                    continue;
                 }
-                if cnt >= cfg.min_support && !dep_iv.is_empty() {
-                    let v = repo.domain(det).value(*vid).clone();
-                    let constant_accepted = dep_iv.hi <= cfg.accept_max;
-                    if constant_accepted {
-                        rules.push(Cdd::new(
-                            vec![(det, Constraint::Constant(v.clone()))],
-                            dep,
-                            dep_iv,
-                        ));
-                    }
+                let constant_accepted = dep_iv.hi <= cfg.accept_max;
+                if constant_accepted {
+                    rules.push(Cdd::new(
+                        vec![(det, Constraint::Constant(v.clone()))],
+                        dep,
+                        dep_iv,
+                    ));
+                }
 
-                    // ---- combined constant + interval rules ----
-                    // Mined regardless of whether the single-constant rule
-                    // was accepted: combining a second determinant is most
-                    // valuable exactly when the constant alone is too loose
-                    // (the paper's editing-rule refinement rationale).
-                    if cfg.combine {
-                        for det2 in 0..d {
-                            if det2 == dep || det2 == det {
-                                continue;
-                            }
-                            let mut det2_cache = DistCache::new(repo, det2);
-                            let mut bdep: Vec<Interval> = vec![Interval::empty(); n_buckets];
-                            let mut bcnt = vec![0usize; n_buckets];
-                            let mut budget = cfg.max_pairs;
-                            'outer: for (ai, &ra) in rows.iter().enumerate() {
-                                for &rb in &rows[ai + 1..] {
-                                    let dx = det2_cache.dist(ra, rb);
-                                    let b = ((dx / cfg.bucket_width) as usize).min(n_buckets - 1);
-                                    bdep[b].expand(dep_cache.dist(ra, rb));
-                                    bcnt[b] += 1;
-                                    budget -= 1;
-                                    if budget == 0 {
-                                        break 'outer;
-                                    }
-                                }
-                            }
-                            for b in 0..n_buckets {
-                                if bcnt[b] >= cfg.min_support
-                                    && !bdep[b].is_empty()
-                                    && bdep[b].hi <= cfg.accept_max
-                                    // When the single-constant rule was
-                                    // accepted, only keep a combined rule
-                                    // that is strictly tighter.
-                                    && (!constant_accepted || bdep[b].hi < dep_iv.hi)
-                                {
-                                    let lo = b as f64 * cfg.bucket_width;
-                                    let hi = ((b + 1) as f64 * cfg.bucket_width).min(1.0);
-                                    rules.push(Cdd::new(
-                                        vec![
-                                            (det, Constraint::Constant(v.clone())),
-                                            (det2, Constraint::Interval(Interval::new(lo, hi))),
-                                        ],
-                                        dep,
-                                        bdep[b],
-                                    ));
-                                }
-                            }
+                // ---- combined constant + interval rules ----
+                // Mined regardless of whether the single-constant rule was
+                // accepted: combining a second determinant is most valuable
+                // exactly when the constant alone is too loose (the paper's
+                // editing-rule refinement rationale).
+                for det2 in (0..d).filter(|&j| j != dep && j != det) {
+                    let buckets =
+                        cfg.buckets(&dists[det2][..combined_len], &dists[dep][..combined_len]);
+                    for (b, (cnt, iv)) in buckets.into_iter().enumerate() {
+                        // When the single-constant rule was accepted, only
+                        // keep a combined rule that is strictly tighter.
+                        if cfg.accepts(cnt, iv) && (!constant_accepted || iv.hi < dep_iv.hi) {
+                            rules.push(Cdd::new(
+                                vec![
+                                    (det, Constraint::Constant(v.clone())),
+                                    (det2, Constraint::Interval(cfg.bucket_interval(b))),
+                                ],
+                                dep,
+                                iv,
+                            ));
                         }
                     }
                 }
             }
         }
     }
-    rules
+    found.into_iter().flatten().collect()
 }
 
 /// Detects plain differential dependencies: interval-only rules with the
@@ -259,39 +242,29 @@ pub fn detect_dds(repo: &Repository, cfg: &DiscoveryConfig) -> Vec<Cdd> {
     if repo.len() < 2 {
         return rules;
     }
-    let pairs = sample_pairs(repo.len(), cfg.max_pairs);
-    let n_buckets = (1.0 / cfg.bucket_width).ceil() as usize;
-
+    let sampled = pair_distances(repo, &sample_pairs(repo.len(), cfg.max_pairs));
     for dep in 0..d {
-        let mut dep_cache = DistCache::new(repo, dep);
-        for det in 0..d {
-            if det == dep {
-                continue;
-            }
-            let mut det_cache = DistCache::new(repo, det);
+        for det in (0..d).filter(|&j| j != dep) {
             // Cumulative buckets [0, (b+1)·w]: classical zero-anchored DDs.
-            let mut cum_dep: Vec<Interval> = vec![Interval::empty(); n_buckets];
-            let mut cum_cnt = vec![0usize; n_buckets];
-            for &(i, k) in &pairs {
-                let dx = det_cache.dist(i, k);
-                let b = ((dx / cfg.bucket_width) as usize).min(n_buckets - 1);
-                // A pair in bucket b belongs to every cumulative bucket ≥ b.
-                for bb in b..n_buckets {
-                    cum_dep[bb].expand(dep_cache.dist(i, k));
-                    cum_cnt[bb] += 1;
+            // A pair in bucket b belongs to every cumulative bucket ≥ b.
+            let (mut cnt, mut span) = (0, Interval::empty());
+            for (b, (bcnt, iv)) in cfg
+                .buckets(&sampled[det], &sampled[dep])
+                .into_iter()
+                .enumerate()
+            {
+                cnt += bcnt;
+                if !iv.is_empty() {
+                    span.expand(iv.lo);
+                    span.expand(iv.hi);
                 }
-            }
-            for b in 0..n_buckets {
-                if cum_cnt[b] >= cfg.min_support && !cum_dep[b].is_empty() {
-                    let hi = ((b + 1) as f64 * cfg.bucket_width).min(1.0);
-                    let dep_iv = Interval::new(0.0, cum_dep[b].hi);
-                    if dep_iv.hi <= cfg.accept_max {
-                        rules.push(Cdd::new(
-                            vec![(det, Constraint::Interval(Interval::new(0.0, hi)))],
-                            dep,
-                            dep_iv,
-                        ));
-                    }
+                if cfg.accepts(cnt, span) {
+                    let hi = cfg.bucket_interval(b).hi;
+                    rules.push(Cdd::new(
+                        vec![(det, Constraint::Interval(Interval::new(0.0, hi)))],
+                        dep,
+                        Interval::new(0.0, span.hi),
+                    ));
                 }
             }
         }
@@ -304,13 +277,12 @@ pub fn detect_dds(repo: &Repository, cfg: &DiscoveryConfig) -> Vec<Cdd> {
 pub fn detect_editing_rules(repo: &Repository, cfg: &DiscoveryConfig) -> Vec<Cdd> {
     let mut rules = Vec::new();
     let d = repo.schema().arity();
+    let groups: Vec<_> = (0..d)
+        .map(|det| constant_groups(repo, det, cfg.min_constant_support))
+        .collect();
     for dep in 0..d {
-        for det in 0..d {
-            if det == dep {
-                continue;
-            }
-            let groups = constant_groups(repo, det, cfg.min_constant_support);
-            for (vid, rows) in &groups {
+        for det in (0..d).filter(|&j| j != dep) {
+            for (vid, rows) in &groups[det] {
                 let first_dep = repo.value_id(rows[0], dep);
                 if rows.iter().all(|&r| repo.value_id(r, dep) == first_dep) {
                     rules.push(Cdd::new(
@@ -472,14 +444,77 @@ mod tests {
     }
 
     #[test]
-    fn sample_pairs_caps_and_dedups_shape() {
+    fn sample_pairs_is_capped_ordered_and_deterministic() {
         let pairs = sample_pairs(100, 50);
         assert_eq!(pairs.len(), 50);
         for &(i, k) in &pairs {
             assert!(i < k && k < 100);
         }
+        assert_eq!(pairs, sample_pairs(100, 50));
+        // Below the cap every pair is listed once, in order.
         let all = sample_pairs(10, 1000);
-        assert_eq!(all.len(), 45);
+        let expected: Vec<(usize, usize)> = (0..10)
+            .flat_map(|i| ((i + 1)..10).map(move |k| (i, k)))
+            .collect();
+        assert_eq!(all, expected);
+    }
+
+    /// One constant group of four rows on `g`, so its pairs in enumeration
+    /// order are (0,1), (0,2), (0,3), (1,2), (1,3) and (2,3). With
+    /// `max_pairs` = 5 the constant pass sees all six pairs and the
+    /// combined pass the first five: only the last, (2,3), reaches the
+    /// dependent's widest distance.
+    #[test]
+    fn constant_pass_sees_one_pair_more_than_combined_pass() {
+        let schema = Schema::new(vec!["g", "dep", "other"]);
+        let mut dict = Dictionary::new();
+        let deps = ["a b c d", "a b c d", "a b c d x", "a b c d y"];
+        let recs = deps
+            .iter()
+            .enumerate()
+            .map(|(i, dep)| {
+                Record::from_texts(
+                    &schema,
+                    i as u64,
+                    &[Some("grp"), Some(dep), Some("same")],
+                    &mut dict,
+                )
+            })
+            .collect();
+        let repo = Repository::from_records(schema, recs);
+        let dist = |a: usize, b: usize| {
+            let (va, vb) = (repo.sample(a).attr(1), repo.sample(b).attr(1));
+            va.unwrap().jaccard_distance(vb.unwrap())
+        };
+        let (pair5, first5) = (dist(2, 3), dist(0, 2));
+        assert!(pair5 > first5 && pair5 <= 0.6);
+
+        let cfg = DiscoveryConfig {
+            max_pairs: 5,
+            ..DiscoveryConfig::default()
+        };
+        let rules = detect_cdds(&repo, &cfg);
+        let on_g = |r: &&Cdd| {
+            r.dependent == 1 && matches!(r.determinants()[0], (0, Constraint::Constant(_)))
+        };
+        let constant: Vec<&Cdd> = rules
+            .iter()
+            .filter(on_g)
+            .filter(|r| r.determinants().len() == 1)
+            .collect();
+        let combined: Vec<&Cdd> = rules
+            .iter()
+            .filter(on_g)
+            .filter(|r| r.determinants().len() == 2)
+            .collect();
+        assert_eq!(constant.len(), 1);
+        assert_eq!(constant[0].dependent_interval, Interval::new(0.0, pair5));
+        assert_eq!(combined.len(), 1);
+        assert_eq!(combined[0].dependent_interval, Interval::new(0.0, first5));
+        assert_eq!(
+            combined[0].determinants()[1],
+            (2, Constraint::Interval(Interval::new(0.0, 0.25)))
+        );
     }
 
     #[test]
