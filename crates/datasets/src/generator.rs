@@ -85,13 +85,6 @@ pub struct GenOptions {
     pub repo_ratio: f64,
     /// Stream size multiplier (scale experiments down/up).
     pub scale: f64,
-    /// Topic-popularity skew exponent. `0.0` (the default) keeps the
-    /// original uniform topic draw — and the exact historical RNG
-    /// stream, so every existing dataset stays byte-identical. `> 0.0`
-    /// draws topics Zipf-style (`P(t) ∝ 1/(t+1)^skew`): a few topics
-    /// run hot, the
-    /// skewed-entity/hot-key shape of production streams.
-    pub entity_skew: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -103,28 +96,9 @@ impl Default for GenOptions {
             missing_attrs: 1,
             repo_ratio: 0.3,
             scale: 1.0,
-            entity_skew: 0.0,
             seed: 7,
         }
     }
-}
-
-/// One Zipf-ish topic draw: `P(t) ∝ 1/(t+1)^skew`, via inverse-CDF over
-/// the (small) topic count. Consumes exactly one RNG draw, like the
-/// uniform path it replaces.
-fn skewed_topic(rng: &mut StdRng, topics: usize, skew: f64) -> usize {
-    let weights: Vec<f64> = (0..topics)
-        .map(|t| 1.0 / ((t + 1) as f64).powf(skew))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut u = rng.gen::<f64>() * total;
-    for (t, w) in weights.iter().enumerate() {
-        u -= w;
-        if u <= 0.0 {
-            return t;
-        }
-    }
-    topics - 1
 }
 
 /// A fully generated dataset.
@@ -261,11 +235,7 @@ pub fn generate(spec: &DatasetSpec, opts: &GenOptions) -> Dataset {
     // ---- entities ----
     let mut next_entity_word = 0u64;
     let mut make_entity = |rng: &mut StdRng, dict: &mut Dictionary| -> Entity {
-        let topic = if opts.entity_skew > 0.0 {
-            skewed_topic(rng, spec.topics, opts.entity_skew)
-        } else {
-            rng.gen_range(0..spec.topics)
-        };
+        let topic = rng.gen_range(0..spec.topics);
         let tv = &topic_vocab[topic];
         let attrs = spec
             .attrs
@@ -630,50 +600,6 @@ mod tests {
         assert!(topical.iter().all(|p| ds.entity_pairs.contains(p)));
         // With 3 topics, roughly a third of pairs are topic-0-related.
         assert!(!topical.is_empty());
-    }
-
-    #[test]
-    fn zero_skew_is_bit_identical_to_the_historical_generator() {
-        // The skew knob must not perturb the RNG stream when off: every
-        // parity suite and checked-in expectation depends on the
-        // default-options datasets staying byte-identical.
-        let base = generate(&small_spec(), &GenOptions::default());
-        let zero = generate(
-            &small_spec(),
-            &GenOptions {
-                entity_skew: 0.0,
-                ..GenOptions::default()
-            },
-        );
-        assert_eq!(base.streams.stream(0), zero.streams.stream(0));
-        assert_eq!(base.streams.stream(1), zero.streams.stream(1));
-        assert_eq!(base.entity_pairs, zero.entity_pairs);
-    }
-
-    #[test]
-    fn entity_skew_concentrates_topics() {
-        let count_top_topic = |skew: f64| -> usize {
-            let ds = generate(
-                &small_spec(),
-                &GenOptions {
-                    entity_skew: skew,
-                    ..GenOptions::default()
-                },
-            );
-            // cat0 is topic 0's category label; under skew it dominates.
-            let cat0 = ds.dict.lookup("cat0").unwrap();
-            ds.clean_streams
-                .stream(0)
-                .iter()
-                .filter(|r| r.attrs[0].as_ref().unwrap().contains(cat0))
-                .count()
-        };
-        let uniform = count_top_topic(0.0);
-        let skewed = count_top_topic(1.5);
-        assert!(
-            skewed > uniform + uniform / 2,
-            "skewed head {skewed} should clearly exceed uniform {uniform}"
-        );
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //! slowest" artifact shows up), attribute correlations that make CDD
 //! discovery productive, and ground-truth match pairs by construction.
 //!
-//! Everything is seeded and deterministic.
+//! [`preset`] builds one of the five datasets; [`GenOptions`] sets the
+//! missing-value rate and arity, the repository ratio, the stream scale
+//! and the seed. Topics are drawn uniformly. Everything is seeded and
+//! deterministic.
 
 pub mod generator;
 pub mod presets;
 
 pub use generator::{generate, AttrKind, AttrSpec, Dataset, DatasetSpec, GenOptions};
-pub use presets::{preset, Preset, ScaleProfile, ScaleShape};
+pub use presets::{preset, Preset};
 
 use ter_text::fxhash::FxHashSet;
 

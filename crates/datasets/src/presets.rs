@@ -202,166 +202,6 @@ pub fn preset(p: Preset, opts: &GenOptions) -> Dataset {
     generate(&p.spec(), opts)
 }
 
-/// Arrival-pattern shape of a [`ScaleProfile`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScaleShape {
-    /// Uniform topics, steady arrival rate (the baseline shape).
-    Uniform,
-    /// Zipf-skewed topic popularity — a few topics run hot, the
-    /// skewed-entity shape of production key distributions.
-    HotKey {
-        /// Skew exponent fed to [`GenOptions::entity_skew`].
-        skew: f64,
-    },
-    /// A steady trickle punctuated by large bursts: every `period`-th
-    /// batch carries `amplitude ×` the mean batch size, the rest shrink
-    /// to keep the long-run rate unchanged.
-    Bursty {
-        /// Burst size as a multiple of the mean batch size.
-        amplitude: usize,
-        /// Batches per burst cycle (burst + quiet tail).
-        period: usize,
-    },
-}
-
-/// A production-scale run shape: a preset pushed 10–100× past its Table-4
-/// size, with the window sized so ~10⁴–10⁵ tuples are live at once.
-/// These drive the incremental-checkpoint experiments (fig. 19): at
-/// these window sizes a full snapshot costs tens of megabytes, so
-/// checkpoint cost must track *churn*, not window size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleProfile {
-    /// Stable profile name (bench JSON + CLI).
-    pub name: &'static str,
-    /// The Table-4 preset being scaled.
-    pub preset: Preset,
-    /// Generator scale multiplier.
-    pub scale: f64,
-    /// Sliding-window capacity the profile is meant to run with.
-    pub window: usize,
-    /// Arrival/topic shape.
-    pub shape: ScaleShape,
-}
-
-impl ScaleProfile {
-    /// All scale profiles, smallest first.
-    pub fn all() -> [ScaleProfile; 4] {
-        [
-            Self::scale10(),
-            Self::scale100(),
-            Self::hotkey100(),
-            Self::burst100(),
-        ]
-    }
-
-    /// ~10× EBooks (the token-heaviest preset): ≈ 17.5 k arrivals,
-    /// 10⁴-tuple window.
-    pub fn scale10() -> Self {
-        Self {
-            name: "scale10",
-            preset: Preset::EBooks,
-            scale: 12.0,
-            window: 10_000,
-            shape: ScaleShape::Uniform,
-        }
-    }
-
-    /// ~120× Citations: ≈ 117 k arrivals, 10⁵-tuple window.
-    pub fn scale100() -> Self {
-        Self {
-            name: "scale100",
-            preset: Preset::Citations,
-            scale: 120.0,
-            window: 100_000,
-            shape: ScaleShape::Uniform,
-        }
-    }
-
-    /// [`ScaleProfile::scale100`] with hot-key topic skew.
-    pub fn hotkey100() -> Self {
-        Self {
-            name: "hotkey100",
-            preset: Preset::Citations,
-            scale: 120.0,
-            window: 100_000,
-            shape: ScaleShape::HotKey { skew: 1.2 },
-        }
-    }
-
-    /// [`ScaleProfile::scale100`] with bursty arrivals: every 10th batch
-    /// is an 8× burst.
-    pub fn burst100() -> Self {
-        Self {
-            name: "burst100",
-            preset: Preset::Citations,
-            scale: 120.0,
-            window: 100_000,
-            shape: ScaleShape::Bursty {
-                amplitude: 8,
-                period: 10,
-            },
-        }
-    }
-
-    /// Looks a profile up by [`ScaleProfile::name`].
-    pub fn by_name(name: &str) -> Option<ScaleProfile> {
-        Self::all().into_iter().find(|p| p.name == name)
-    }
-
-    /// Generator options for this profile. Starts from `base` (seed,
-    /// missing-value knobs) and overrides what the scale demands: the
-    /// stream multiplier, the topic skew, and a *small* repository ratio
-    /// — at 10⁵ arrivals the Table-4 ratio of 0.3 would spend the whole
-    /// run budget building the offline context, and imputation support
-    /// needs absolute repository size, not a fixed stream fraction.
-    pub fn gen_options(&self, base: GenOptions) -> GenOptions {
-        GenOptions {
-            scale: self.scale,
-            repo_ratio: (60.0 / (self.scale * 100.0)).min(base.repo_ratio),
-            entity_skew: match self.shape {
-                ScaleShape::HotKey { skew } => skew,
-                _ => base.entity_skew,
-            },
-            ..base
-        }
-    }
-
-    /// The deterministic batch-size schedule realizing this profile's
-    /// arrival shape over `total` arrivals at long-run mean `mean` per
-    /// batch. Uniform and hot-key shapes emit constant batches; the
-    /// bursty shape alternates `amplitude × mean` bursts with a quiet
-    /// tail of shrunken batches, preserving the long-run rate. Sizes are
-    /// positive and sum to exactly `total`.
-    pub fn batch_sizes(&self, total: usize, mean: usize) -> Vec<usize> {
-        let mean = mean.max(1);
-        let mut sizes = Vec::new();
-        let mut left = total;
-        let mut i = 0usize;
-        while left > 0 {
-            let want = match self.shape {
-                ScaleShape::Bursty { amplitude, period } => {
-                    let period = period.max(2);
-                    if i % period == 0 {
-                        mean * amplitude.max(1)
-                    } else {
-                        // Quiet tail: spread the remaining cycle budget
-                        // (period × mean − burst) over period − 1 batches.
-                        let cycle = mean * period;
-                        let quiet = cycle.saturating_sub(mean * amplitude.max(1));
-                        (quiet / (period - 1)).max(1)
-                    }
-                }
-                _ => mean,
-            };
-            let take = want.min(left);
-            sizes.push(take);
-            left -= take;
-            i += 1;
-        }
-        sizes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,38 +265,6 @@ mod tests {
         assert!(ebooks.size_b as f64 / ebooks.size_a as f64 > 1.8);
         let songs = Preset::Songs.spec();
         assert_eq!(songs.size_a, songs.size_b);
-    }
-
-    #[test]
-    fn scale_profiles_are_well_formed() {
-        for p in ScaleProfile::all() {
-            assert!(p.scale >= 10.0, "{}: production scale is ≥10×", p.name);
-            assert!(p.window >= 10_000, "{}", p.name);
-            assert_eq!(ScaleProfile::by_name(p.name), Some(p));
-            let opts = p.gen_options(GenOptions::default());
-            assert!(opts.repo_ratio <= 0.05, "{}: repo must stay small", p.name);
-            // Batch schedules cover the stream exactly, whatever the shape.
-            for total in [0usize, 1, 999, 10_000] {
-                let sizes = p.batch_sizes(total, 100);
-                assert_eq!(sizes.iter().sum::<usize>(), total, "{}", p.name);
-                assert!(sizes.iter().all(|&s| s > 0), "{}", p.name);
-            }
-        }
-        assert_eq!(ScaleProfile::by_name("nope"), None);
-    }
-
-    #[test]
-    fn bursty_schedule_alternates_bursts_and_trickle() {
-        let p = ScaleProfile::burst100();
-        let sizes = p.batch_sizes(10_000, 100);
-        assert_eq!(sizes[0], 800, "8× burst");
-        assert!(
-            sizes[1..10].iter().all(|&s| s == 22),
-            "quiet tail: {sizes:?}"
-        );
-        // Long-run rate preserved: one cycle carries ~period × mean.
-        let cycle: usize = sizes[..10].iter().sum();
-        assert!((900..=1100).contains(&cycle), "cycle {cycle}");
     }
 
     #[test]

@@ -438,7 +438,10 @@ mod tests {
                 // scope can join. The final checkpoint it writes is
                 // deleted below to simulate the crash having lost it.
                 client.shutdown().unwrap();
-                handle.join().unwrap().unwrap();
+                let report = handle.join().unwrap().unwrap();
+                // It is the run's first stamp, so a full snapshot: the
+                // deletion leaves no delta behind.
+                assert_eq!(report.delta_checkpoints, 0);
             });
             for entry in fs::read_dir(dir.path()).unwrap() {
                 let name = entry.unwrap().file_name().into_string().unwrap();
@@ -724,11 +727,11 @@ mod tests {
         });
     }
 
-    /// Delta checkpoint cadence end to end: a `ckpt_mode = delta` daemon
-    /// writes one full base then chains delta stamps, a `kill`-style
-    /// restart (checkpoint files intact, engine gone) recovers through
-    /// base + delta chain + WAL suffix, and the resumed run's matches
-    /// are bit-identical to an uninterrupted library engine.
+    /// Delta checkpoint cadence end to end: the daemon writes one full
+    /// base then chains delta stamps, a `kill`-style restart (checkpoint
+    /// files intact, engine gone) recovers through base + delta chain +
+    /// WAL suffix, and the resumed run's matches are bit-identical to an
+    /// uninterrupted library engine.
     #[test]
     fn delta_mode_daemon_recovers_bit_identical() {
         let (ctx, streams) = scenario();
@@ -754,7 +757,6 @@ mod tests {
 
         let delta_opts = ServeOptions {
             checkpoint_every: 1,
-            ckpt_mode: crate::server::CkptMode::Delta,
             ..opts()
         };
         let mut served: Vec<Vec<(u64, u64)>> = Vec::new();
@@ -772,8 +774,7 @@ mod tests {
                 // Cadence 1: batch 1 writes the full base, batches 2..=cut
                 // chain deltas onto it. The shutdown stamp lands at the
                 // same position as the last cadence stamp — it does not
-                // advance past the base, so it rebases to a full snapshot
-                // (a graceful shutdown always leaves a chain-free base).
+                // advance past the tip, so it is a full snapshot.
                 assert_eq!(report.checkpoints, cut as u64 + 1);
                 assert_eq!(
                     report.delta_checkpoints,

@@ -74,10 +74,13 @@
 //!
 //! Durability: `IngestSeq` acks only after the batch is stepped,
 //! WAL-appended, and covered by a group fsync. Every `checkpoint_every`
-//! batches the engine state is checkpointed, and the store's retention
-//! policy (two checkpoint generations, WAL compacted beneath the older
-//! one) bounds disk. On startup the daemon recovers via the `ter_store`
-//! ladder and resumes at
+//! batches (and on `Checkpoint` and `Shutdown`) the engine state is
+//! stamped on one delta ladder: the first stamp of the run is a full
+//! snapshot, later stamps are deltas chained to it, and a full rebase is
+//! written once the chain outgrows its [`CompactionPolicy`] bounds. The
+//! store's retention policy (two checkpoint generations, WAL compacted
+//! beneath the older one) bounds disk. On startup the daemon recovers
+//! via the `ter_store` ladder and resumes at
 //! [`Recovery::resume_seq`](ter_store::Recovery::resume_seq). The engine
 //! steps each batch on the step stage's own thread, recovery replay
 //! included.
@@ -103,19 +106,17 @@ use crate::wire::{
     WindowInfo, MAX_WIRE_LEN,
 };
 
-/// What the checkpoint cadence writes.
+/// What the checkpoint cadence writes. The daemon has one cadence, the
+/// delta ladder of the [module docs](self); this type and
+/// [`ServeOptions::ckpt_mode`] remain only because callers name
+/// `CkptMode::Delta`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CkptMode {
-    /// Every checkpoint is a full [`EngineState`] snapshot (the
-    /// historical behavior, and the default).
+    /// Full snapshots and the incremental deltas
+    /// ([`TerStore::checkpoint_delta_at`]) chained to them. A delta costs
+    /// bytes proportional to the *churn* since the last stamp, not to
+    /// the window.
     #[default]
-    Full,
-    /// Cadence checkpoints are incremental deltas chained to the last
-    /// full snapshot ([`TerStore::checkpoint_delta_at`]); a full rebase
-    /// is written whenever the chain outgrows the
-    /// [`CompactionPolicy`] bounds (or no base exists yet). At
-    /// production window sizes a delta costs bytes proportional to the
-    /// *churn* since the last stamp, not to the window.
     Delta,
 }
 
@@ -129,7 +130,7 @@ pub struct ServeOptions {
     /// Checkpoint every N ingested batches (0 = only on graceful
     /// shutdown / explicit `Checkpoint` verbs).
     pub checkpoint_every: u64,
-    /// Full-snapshot vs incremental-delta checkpoint cadence.
+    /// Nothing reads this field: [`CkptMode`] has one variant.
     pub ckpt_mode: CkptMode,
     /// Byte-based cadence: additionally checkpoint once this many WAL
     /// bytes have been appended since the last checkpoint (0 = count
@@ -178,7 +179,7 @@ impl Default for ServeOptions {
         Self {
             queue_depth: 16,
             checkpoint_every: 8,
-            ckpt_mode: CkptMode::Full,
+            ckpt_mode: CkptMode::Delta,
             checkpoint_bytes: 0,
             exec: ExecConfig,
             compaction: CompactionPolicy::two_generation(),
@@ -206,8 +207,8 @@ pub struct ServeReport {
     pub arrivals: u64,
     /// Checkpoints written (cadence + explicit + shutdown).
     pub checkpoints: u64,
-    /// Of those, how many were incremental delta stamps
-    /// (`ckpt_mode = delta`; the rest were full snapshots / rebases).
+    /// Of those, how many were incremental delta stamps (the rest were
+    /// full snapshots).
     pub delta_checkpoints: u64,
     /// WAL commit fsyncs this run — group commit's instrumented counter.
     /// Equals `batches` at `flush_window = 1`; a filled window of W
@@ -395,11 +396,10 @@ struct CommitStage {
     pending: Vec<PendingAck>,
     window_opened: Instant,
     append_failed: bool,
-    mode: CkptMode,
-    /// Delta mode's in-memory base: the state and stamp of the last
-    /// successful checkpoint, the `prev` side of the next
-    /// `delta_between`. `None` until the first full snapshot of the run
-    /// (so the first cadence stamp is always a full base).
+    /// The in-memory base: the state and stamp of the last successful
+    /// checkpoint, the `prev` side of the next `delta_between`. `None`
+    /// until the first full snapshot of the run (so the first stamp is
+    /// always a full base).
     last_state: Option<(u64, EngineState)>,
     /// Byte-based cadence threshold (0 = disabled) and the WAL bytes
     /// appended since the last successful checkpoint.
@@ -485,17 +485,17 @@ impl CommitStage {
         }
     }
 
-    /// Writes the checkpoint for `state` at WAL position `seq`. In delta
-    /// mode, when a base exists at the store's chain tip, the stamp
-    /// advances past it, and the chain is within its bounds, the stamp is
-    /// an incremental delta (`delta_between(base, state)`); otherwise —
-    /// first checkpoint of the run, chain bound exceeded (rebase), or a
-    /// non-advancing stamp — it is a full snapshot. A failed delta write
-    /// errors loudly and leaves the base and chain tip untouched: the
-    /// durable ladder still recovers to the old tip, and the next cadence
-    /// retries. Returns `(result, was_delta)`.
+    /// Writes the checkpoint for `state` at WAL position `seq`. When a
+    /// base exists at the store's chain tip, the stamp advances past it,
+    /// and the chain is within its bounds, the stamp is an incremental
+    /// delta (`delta_between(base, state)`); otherwise — first checkpoint
+    /// of the run, chain bound exceeded (rebase), a non-advancing stamp,
+    /// or a pair `delta_between` refuses — it is a full snapshot. A
+    /// failed delta write errors loudly and leaves the base and chain tip
+    /// untouched: the durable ladder still recovers to the old tip, and
+    /// the next cadence retries. Returns `(result, was_delta)`.
     fn write_checkpoint(&mut self, seq: u64, state: &EngineState) -> (Result<u64, String>, bool) {
-        if self.mode == CkptMode::Delta && !self.store.needs_rebase() {
+        if !self.store.needs_rebase() {
             if let Some((base_seq, base_state)) = &self.last_state {
                 if self.store.tip_seq() == Some(*base_seq) && seq > *base_seq {
                     if let Ok(d) = ter_ids::delta_between(base_state, state) {
@@ -509,9 +509,7 @@ impl CommitStage {
             }
         }
         let r = self.store.checkpoint_at(seq, state);
-        if r.is_ok() && self.mode == CkptMode::Delta {
-            // Keep the base only in delta mode — a full-mode daemon never
-            // pays the resident snapshot copy.
+        if r.is_ok() {
             self.last_state = Some((seq, state.clone()));
         }
         (r.map_err(|e| e.to_string()), false)
@@ -700,7 +698,6 @@ impl Server {
             pending: Vec::new(),
             window_opened: Instant::now(),
             append_failed: false,
-            mode: opts.ckpt_mode,
             last_state: None,
             ckpt_bytes: opts.checkpoint_bytes,
             appended_since_ckpt: 0,

@@ -189,7 +189,10 @@ pub enum Request {
     /// traces, answered with [`Reply::Traces`]. Read-only and
     /// engine-thread serialized like [`Request::MetricsDump`].
     TraceDump,
-    /// Force a checkpoint now (cadence-independent).
+    /// Force a checkpoint now (cadence-independent). Like a cadence
+    /// stamp it lands on the delta ladder: a delta chained to the tip, or
+    /// a full snapshot when it is the run's first stamp, a rebase, or
+    /// does not advance past the tip.
     Checkpoint,
     /// Checkpoint and stop the daemon gracefully.
     Shutdown,

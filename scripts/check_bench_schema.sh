@@ -60,29 +60,6 @@ for f in "${files[@]}"; do
             done
         fi
     fi
-    # The recovery bench records the full-vs-delta checkpoint sweep over
-    # the production-scale window profiles: every sweep row must carry
-    # the measured churn ratio, both stamp byte counts (full snapshot vs
-    # incremental delta), and the delta-chain length the recovery ladder
-    # replayed — the fields the delta-checkpoint guarantee is asserted
-    # against.
-    if grep -q '"bench": "fig19_recovery"' "$f"; then
-        if ! grep -q '"sweep":' "$f"; then
-            echo "${f}: missing required field \"sweep\"" >&2
-            file_ok=0
-        fi
-        for key in churn_ratio full_bytes delta_bytes delta_over_full chain_len; do
-            if ! grep -Eq "\"${key}\": [0-9]" "$f"; then
-                echo "${f}: sweep field \"${key}\" missing or malformed" >&2
-                file_ok=0
-            fi
-        done
-        # The ≥1e5-tuple-window profile the delta guarantee is proven at.
-        if ! grep -q '"window": 100000' "$f"; then
-            echo "${f}: sweep lacks a 100000-tuple-window profile" >&2
-            file_ok=0
-        fi
-    fi
     # The query bench records the standing-herd fan-out vs the
     # --notify-buffer backpressure bound: notify totals and the peak
     # un-drained backlog for both the draining and stalled herds.

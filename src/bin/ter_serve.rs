@@ -24,6 +24,10 @@
 //! from `(--preset, --scale, --window)`; the context fingerprint
 //! guarantees a store directory is never mixed across datasets. A flag
 //! the subcommand does not take is an error, not silently ignored.
+//! `serve` stamps its checkpoints on one delta ladder: the first stamp
+//! of a run is a full snapshot, later ones are deltas chained to it, and
+//! a full rebase follows once the chain outgrows `--max-chain-len` or
+//! `--max-chain-bytes`.
 //!
 //! `feed --from auto` (the default) asks the daemon where its WAL ends
 //! and resumes the stream cursor there — after a `kill -9`, rerunning the
@@ -66,7 +70,7 @@ use ter_datasets::{preset, GenOptions, Preset};
 use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
-use ter_serve::{CkptMode, Client, ResilientClient, ServeOptions, Server};
+use ter_serve::{Client, ResilientClient, ServeOptions, Server};
 use ter_store::CompactionPolicy;
 use ter_stream::StreamSet;
 
@@ -76,8 +80,7 @@ fn usage() -> ! {
          \n\
          serve    --dir DIR [--addr 127.0.0.1:7341] [--preset ebooks] [--scale 1.0]\n\
          \x20        [--window 400] [--checkpoint-every 8] [--queue-depth 16]\n\
-         \x20        [--ckpt-mode full|delta] [--checkpoint-bytes N]\n\
-         \x20        [--max-chain-len 16] [--max-chain-bytes 0]\n\
+         \x20        [--checkpoint-bytes N] [--max-chain-len 16] [--max-chain-bytes 0]\n\
          \x20        [--io-threads 2] [--flush-window 1] [--flush-interval-ms 5]\n\
          \x20        [--notify-buffer 262144] [--metrics-text PATH|-]\n\
          feed     --addr ADDR [--preset ebooks] [--scale 1.0] [--window 400]\n\
@@ -209,14 +212,6 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     let opts = ServeOptions {
         queue_depth: flags.parsed("queue-depth", 16),
         checkpoint_every: flags.parsed("checkpoint-every", 8),
-        ckpt_mode: match flags.get("ckpt-mode").unwrap_or("full") {
-            "full" => CkptMode::Full,
-            "delta" => CkptMode::Delta,
-            other => {
-                eprintln!("invalid --ckpt-mode {other} (full|delta)");
-                usage();
-            }
-        },
         // Byte-based cadence on top of the count cadence (0 = off):
         // bounds replay work directly when batch sizes vary.
         checkpoint_bytes: flags.parsed("checkpoint-bytes", 0),
@@ -755,7 +750,6 @@ fn main() -> ExitCode {
                 "window",
                 "queue-depth",
                 "checkpoint-every",
-                "ckpt-mode",
                 "checkpoint-bytes",
                 "max-chain-len",
                 "max-chain-bytes",

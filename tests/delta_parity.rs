@@ -12,6 +12,10 @@
 //! per batch), phase 2 "crashes" (drops everything unsynced), optionally
 //! corrupts one delta frame on disk, then recovers and finishes the
 //! stream, comparing every observable against an uninterrupted oracle.
+//!
+//! The ladder exists because a delta stamp costs bytes in proportion to
+//! the churn since its base, not to the window; the last test pins that
+//! on every preset.
 
 mod restore;
 
@@ -255,5 +259,76 @@ proptest! {
             None
         };
         run_case(fix, cut, damage, shard_restore);
+    }
+}
+
+/// Churn at or below this share of the live window must buy a delta
+/// stamp of at most `DELTA_RATIO_CEILING` × the full snapshot.
+const CHURN_GATE: f64 = 0.2;
+const DELTA_RATIO_CEILING: f64 = 0.5;
+
+/// A delta stamp pays for churn, not for the window: on every preset and
+/// at windows of 64, 200 and 400 tuples, a delta taken after a tenth of
+/// the window has arrived again (churn ≈ 0.2: as many evictions as
+/// arrivals) encodes to at most half the full snapshot of the same
+/// state. The byte counts are what the store's `checkpoint_delta_at` and
+/// `checkpoint_at` return for that state.
+#[test]
+fn low_churn_delta_stamp_is_at_most_half_a_full_snapshot() {
+    for p in Preset::all() {
+        let ds = preset(
+            p,
+            &GenOptions {
+                scale: 0.5,
+                ..GenOptions::default()
+            },
+        );
+        let ctx = TerContext::build(
+            ds.repo.clone(),
+            ds.keywords(),
+            &PivotConfig::default(),
+            &DiscoveryConfig::default(),
+            Params::default().fanout,
+        );
+        let arrivals = ds.streams.arrivals();
+        for window in [64, 200, 400] {
+            let params = Params {
+                window,
+                ..Params::default()
+            };
+            let (fill, more) = (&arrivals[..window], &arrivals[window..window + window / 10]);
+            let dir = TempDir::new("delta_size");
+            let mut store =
+                TerStore::open(dir.path(), context_fingerprint(&ctx, &params)).expect("open");
+            let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+
+            // The base: a full window.
+            store.log_batch(fill).expect("log fill");
+            engine.step_batch(fill);
+            let base = engine.export_state();
+            store.checkpoint_at(1, &base).expect("base stamp");
+
+            // A tenth of the window arrives again and evicts as many.
+            store.log_batch(more).expect("log churn");
+            engine.step_batch(more);
+            let next = engine.export_state();
+            // Churn from the window itself, not from the delta under test.
+            let evicted = base.live_count() + more.len() - next.live_count();
+            let churn = (more.len() + evicted) as f64 / next.live_count() as f64;
+            assert!(
+                churn <= CHURN_GATE,
+                "{} w={window}: churn {churn:.3} above the gate",
+                p.name()
+            );
+            let d = delta_between(&base, &next).expect("delta");
+            let delta_bytes = store.checkpoint_delta_at(1, 2, &d).expect("delta stamp");
+            let full_bytes = store.checkpoint_at(2, &next).expect("full stamp");
+            assert!(
+                delta_bytes as f64 <= DELTA_RATIO_CEILING * full_bytes as f64,
+                "{} w={window}: delta stamp {delta_bytes} B vs full {full_bytes} B \
+                 at churn {churn:.3}",
+                p.name()
+            );
+        }
     }
 }

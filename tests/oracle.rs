@@ -46,7 +46,6 @@ fn run_and_compare(seed: u64, missing_rate: f64, missing_attrs: usize, params: P
             missing_attrs,
             repo_ratio: 0.4,
             scale: 1.0,
-            entity_skew: 0.0,
             seed,
         },
     );

@@ -467,7 +467,7 @@ fn sigkill_mid_flush_window_never_loses_acked_batch() {
 }
 
 /// SIGKILL under bursty arrivals with incremental delta checkpoints: the
-/// daemon runs `--ckpt-mode delta` with both cadences armed (every 2
+/// daemon runs with both checkpoint cadences armed (every 2
 /// batches *and* every 64 KiB of WAL — the byte cadence exists exactly
 /// because batch counts are a poor replay bound when an 8× burst lands),
 /// is killed right after a burst batch, and must restart through the
@@ -491,14 +491,7 @@ fn sigkill_under_burst_with_delta_checkpoints_is_bit_identical() {
     let (oracle_matches, oracle) = oracle_run(&ctx, params, &batches);
 
     let dir = TempDir::new("burst_delta");
-    let flags = [
-        "--ckpt-mode",
-        "delta",
-        "--checkpoint-every",
-        "2",
-        "--checkpoint-bytes",
-        "65536",
-    ];
+    let flags = ["--checkpoint-every", "2", "--checkpoint-bytes", "65536"];
     let mut served: Vec<Vec<(u64, u64)>> = Vec::new();
 
     let daemon = Daemon::spawn(dir.path(), &flags);
@@ -544,14 +537,14 @@ fn sigkill_under_burst_with_delta_checkpoints_is_bit_identical() {
     daemon.wait_graceful();
 }
 
-/// A flag the subcommand does not take — the removed `--threads`, or a
-/// typo like `--flush-windw` — exits through the usage text instead of
-/// being ignored. A daemon that started anyway is killed after a
-/// deadline and fails the test rather than hanging it.
+/// A flag the subcommand does not take — the removed `--threads` and
+/// `--ckpt-mode`, or a typo like `--flush-windw` — exits through the
+/// usage text instead of being ignored. A daemon that started anyway is
+/// killed after a deadline and fails the test rather than hanging it.
 #[test]
 fn unknown_serve_flag_is_refused() {
     let dir = TempDir::new("unknown_flag");
-    for flag in ["--threads", "--flush-windw"] {
+    for flag in ["--threads", "--flush-windw", "--ckpt-mode"] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ter_serve"))
             .args(["serve", "--dir", dir.path().to_str().unwrap()])
             .args(["--addr", "127.0.0.1:0", flag, "2"])

@@ -7,12 +7,12 @@
 //!    fsync's latency has elapsed: group commit never acks an unsynced
 //!    batch, even when syncing is arbitrarily slow.
 //! 2. **Checkpoint write failure** — a directory squatting on the
-//!    checkpoint's temp path makes the atomic write fail like a full or
-//!    broken disk. The verb must fail loudly, the daemon must keep
+//!    temp path of the run's first stamp (always a full snapshot) makes
+//!    the atomic write fail like a full or broken disk. The verb must fail loudly, the daemon must keep
 //!    serving, and a restart must recover every acked batch from the
 //!    WAL.
 //! 3. **Delta-stamp write failure** — the same full-disk shim aimed at
-//!    an incremental delta frame (`ckpt_mode = delta`): the failed stamp
+//!    an incremental delta frame: the failed stamp
 //!    errors loudly, the chain tip and in-memory base stay untouched,
 //!    and the *next* stamp chains past the gap.
 //! 4. **Rebase write failure** — the full snapshot a chain-bound rebase
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use harness::{build_oracle_inputs, oracle_run, TempDir, BATCH};
 use ter_ids::ErProcessor;
-use ter_serve::{CkptMode, Client, ClientError, ServeOptions, Server};
+use ter_serve::{Client, ClientError, ServeOptions, Server};
 use ter_store::checkpoint::checkpoint_file_name;
 use ter_store::delta::delta_file_name;
 use ter_store::CompactionPolicy;
@@ -117,8 +117,9 @@ fn checkpoint_write_failure_keeps_serving_and_loses_nothing() {
     let (_, oracle) = oracle_run(&ctx, params, &batches[..6]);
     let dir = TempDir::new("fault_ckpt");
 
-    // The explicit checkpoint below will be stamped at wal_seq = 4, so
-    // its atomic write lands on `<name>.tmp` first — squat on that path.
+    // The explicit checkpoint below is the run's first stamp, so it is a
+    // full snapshot at wal_seq = 4 and its atomic write lands on
+    // `<name>.tmp` first — squat on that path.
     let tmp_path = dir
         .path()
         .join(checkpoint_file_name(4))
@@ -162,6 +163,10 @@ fn checkpoint_write_failure_keeps_serving_and_loses_nothing() {
         let report = handle.join().unwrap();
         assert_eq!(report.batches, 6);
         assert_eq!(report.checkpoints, 1, "only the shutdown checkpoint");
+        assert_eq!(
+            report.delta_checkpoints, 0,
+            "with no base yet, both stamps are full snapshots"
+        );
     });
 
     // Restart on the same directory: every acked batch is there.
@@ -200,10 +205,7 @@ fn delta_stamp_write_failure_keeps_chain_and_loses_nothing() {
 
     let server = Server::bind("127.0.0.1:0").unwrap();
     let addr = server.addr().unwrap();
-    let run_opts = ServeOptions {
-        ckpt_mode: CkptMode::Delta,
-        ..opts()
-    };
+    let run_opts = opts();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run(&ctx, params, dir.path(), &run_opts).unwrap());
         let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
@@ -280,7 +282,6 @@ fn rebase_write_failure_keeps_serving_and_loses_nothing() {
     let server = Server::bind("127.0.0.1:0").unwrap();
     let addr = server.addr().unwrap();
     let run_opts = ServeOptions {
-        ckpt_mode: CkptMode::Delta,
         compaction: CompactionPolicy {
             max_chain_len: 1,
             ..CompactionPolicy::two_generation()
@@ -367,7 +368,6 @@ fn slow_fsync_at_production_window_keeps_delta_cadence_durable() {
     let server = Server::bind("127.0.0.1:0").unwrap();
     let addr = server.addr().unwrap();
     let run_opts = ServeOptions {
-        ckpt_mode: CkptMode::Delta,
         checkpoint_every: 2,
         fsync_delay: SHIM,
         ..opts()
@@ -396,10 +396,7 @@ fn slow_fsync_at_production_window_keeps_delta_cadence_durable() {
     // Restart recovers through the chain at the big window.
     let server = Server::bind("127.0.0.1:0").unwrap();
     let addr = server.addr().unwrap();
-    let reopen_opts = ServeOptions {
-        ckpt_mode: CkptMode::Delta,
-        ..opts()
-    };
+    let reopen_opts = opts();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run(&ctx, params, dir.path(), &reopen_opts).unwrap());
         let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();

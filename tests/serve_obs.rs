@@ -81,8 +81,13 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
     let fsyncs = value_of(&metric_rows, "ter_store_fsyncs_total");
     assert!(fsyncs >= 1, "at least one group-commit fsync");
     assert_eq!(value_of(&metric_rows, "ter_store_fsync_micros"), fsyncs);
-    // checkpoint-every 4 (harness base flags), 12 batches in.
-    assert_eq!(value_of(&metric_rows, "ter_store_checkpoints_total"), 3);
+    // checkpoint-every 4 (harness base flags), 12 batches in: the full
+    // base at 4, then deltas at 8 and 12.
+    assert_eq!(value_of(&metric_rows, "ter_store_checkpoints_total"), 1);
+    assert_eq!(
+        value_of(&metric_rows, "ter_store_delta_checkpoints_total"),
+        2
+    );
     assert_eq!(value_of(&metric_rows, "ter_store_last_checkpoint_seq"), 12);
     // ---- serve front end ----
     assert!(value_of(&metric_rows, "ter_serve_accepts_total") >= 2);
