@@ -52,8 +52,7 @@ use std::time::{Duration, Instant};
 
 use ter_bench::{critical_path_json, header, prepare, RunStamp};
 use ter_datasets::{GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{ErProcessor, Params, PruningMode};
+use ter_ids::{ErProcessor, Params, PruningMode, TerIdsEngine};
 use ter_obs::trace::{seg, CriticalPath};
 use ter_serve::{Client, ServeOptions, ServeReport, Server};
 use ter_store::{context_fingerprint, TerStore};
@@ -112,12 +111,7 @@ fn main() {
     let lib_dir = TempDir::new("lib");
     let fp = context_fingerprint(&prepared.ctx, &prepared.params);
     let mut store = TerStore::open(&lib_dir.0, fp).expect("open store");
-    let mut engine = ShardedTerIdsEngine::new(
-        &prepared.ctx,
-        prepared.params,
-        PruningMode::Full,
-        ExecConfig,
-    );
+    let mut engine = TerIdsEngine::new(&prepared.ctx, prepared.params, PruningMode::Full);
     let mut lib_matches: Vec<Vec<(u64, u64)>> = Vec::new();
     let start = Instant::now();
     for batch in &batches {

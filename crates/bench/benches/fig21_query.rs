@@ -4,8 +4,8 @@
 //! from scratch at every window slide.
 //!
 //! Three representative patterns run the whole EBooks stream as
-//! standing queries over the batched engine, all attached to the same
-//! feed:
+//! standing queries over the engine stepped in batches, all attached to
+//! the same feed:
 //!
 //! * **pairs** — `match(a, b)`: the raw live result set;
 //! * **join** — `match(a, b), live(c) where topical(a)`: a cross join
@@ -48,8 +48,7 @@ use std::time::{Duration, Instant};
 
 use ter_bench::{header, prepare, RunStamp};
 use ter_datasets::{GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{ErProcessor, Params, PruningMode};
+use ter_ids::{ErProcessor, Params, PruningMode, TerIdsEngine};
 use ter_query::{evaluate, fold_notification, BatchDelta, Pattern, StandingQuery};
 use ter_serve::{Client, ServeOptions, Server, SubEvent};
 
@@ -230,12 +229,7 @@ fn main() {
     );
     let batches: Vec<&[ter_stream::Arrival]> = prepared.arrivals.chunks(BATCH).collect();
 
-    let mut engine = ShardedTerIdsEngine::new(
-        &prepared.ctx,
-        prepared.params,
-        PruningMode::Full,
-        ExecConfig,
-    );
+    let mut engine = TerIdsEngine::new(&prepared.ctx, prepared.params, PruningMode::Full);
     let mut runs: Vec<PatternRun> = PATTERNS
         .iter()
         .map(|&(tag, src)| {

@@ -2,7 +2,7 @@
 //!
 //! Per arriving tuple:
 //!
-//! 1. **Imputation** ([`TerIdsEngine::impute`]) — applicable CDD rules
+//! 1. **Imputation** (`TerIdsEngine::impute`) — applicable CDD rules
 //!    are selected through the CDD-indexes, matching samples retrieved
 //!    through the DR-index, and the imputed probabilistic tuple assembled
 //!    (line 9's `I_j ⋈ I_R` side; both phases timed separately for
@@ -24,14 +24,26 @@
 //! 5. **Insert and finalize** — the new tuple joins its candidate list,
 //!    and the statistics, results and reported history take its step.
 //!
-//! Steps 2–5 are one function, [`TerIdsEngine::step_imputed`], which the
-//! batched engine in `ter_exec` runs too, after imputing its batch.
+//! Steps 2–5 are one function, `TerIdsEngine::step_imputed`. Both drives
+//! run it: [`ErProcessor::process`] imputes and steps one arrival, and
+//! [`ErProcessor::step_batch`] imputes a whole batch first (imputation
+//! reads only the static context, so imputing ahead of the batch's
+//! expiries changes nothing), then steps each arrival in turn. The two
+//! report the same outputs arrival for arrival.
+//!
+//! Only the batched drive is instrumented. Per batch, it records the
+//! impute, traverse, refine and merge wall times and the whole step once
+//! each as `ter_obs` events; the kind table routes them to the
+//! histograms, the flight recorder and the batch's causal trace. A batch
+//! with no trace attached (library mode) roots its own and closes it
+//! after the `STEP` event. `process` records nothing.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ter_impute::{ImputeConfig, RuleImputer, RuleRetrieval};
+use ter_obs::kind;
 use ter_repo::{DrIndex, PivotConfig, PivotTable, Repository};
 use ter_rules::{detect_cdds, detect_dds, detect_editing_rules, Cdd, CddIndex, DiscoveryConfig};
 use ter_stream::{Arrival, ProbTuple};
@@ -115,8 +127,8 @@ impl TerContext {
 
     /// Builds the CDD-indexed rule imputer that the TER-iDS engine drives
     /// over this context. Imputation is a pure function of the context and
-    /// the arriving record, so the batched engine in `ter_exec` may impute
-    /// a whole batch before it steps the batch's first arrival and still
+    /// the arriving record, so [`ErProcessor::step_batch`] may impute a
+    /// whole batch before it steps the batch's first arrival and still
     /// report what one-at-a-time processing reports.
     pub fn indexed_imputer(&self, cfg: ImputeConfig) -> RuleImputer<'_> {
         RuleImputer::new(
@@ -132,18 +144,15 @@ impl TerContext {
     }
 }
 
-/// Wall time of the ER stages of [`TerIdsEngine::step_imputed`],
+/// Wall time of the ER stages of `TerIdsEngine::step_imputed`,
 /// accumulated over the arrivals it is passed for: the candidate scan
 /// (`traverse`), the pair cascade (`refine`), and the expiry plus the
 /// insert and bookkeeping of the new tuple (`merge`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageLaps {
-    /// Candidate-list scan.
-    pub traverse: Duration,
-    /// Pair-level pruning and refinement.
-    pub refine: Duration,
-    /// Expiry, list insert, statistics and result-set maintenance.
-    pub merge: Duration,
+#[derive(Debug, Clone, Copy, Default)]
+struct StageLaps {
+    traverse: Duration,
+    refine: Duration,
+    merge: Duration,
 }
 
 /// Output of processing one arrival.
@@ -153,8 +162,8 @@ pub struct StageLaps {
 /// engine's live result set and window membership exactly. The standing
 /// query layer subscribes to this stream and must stay bit-identical to
 /// a from-scratch evaluation after every step, so all three lists are
-/// deterministic functions of the arrival order — identical across the
-/// engine and the batched one in `ter_exec`.
+/// deterministic functions of the arrival order — identical whether the
+/// engine is driven one arrival or one batch at a time.
 #[derive(Debug, Clone, Default)]
 pub struct StepOutput {
     /// Pairs newly reported at this timestamp, `(min, max)`-normalized and
@@ -215,7 +224,7 @@ impl<'a> TerIdsEngine<'a> {
     /// Imputes `arrival` and derives its [`TupleMeta`], reading only the
     /// static context. The returned timing counts one arrival, its rule
     /// selection and imputation, and the metadata derivation as ER time.
-    pub fn impute(&self, arrival: &Arrival) -> (Arc<TupleMeta>, PhaseTiming) {
+    fn impute(&self, arrival: &Arrival) -> (Arc<TupleMeta>, PhaseTiming) {
         let mut timing = PhaseTiming {
             arrivals: 1,
             ..PhaseTiming::default()
@@ -255,9 +264,8 @@ impl<'a> TerIdsEngine<'a> {
     /// newest checkpoint, then replay the WAL suffix). The snapshot holds
     /// each live tuple's imputed tuple; its metadata is derived here as
     /// at arrival, so it always agrees with the tuple and the context.
-    /// Snapshots from either engine are accepted. On `Err` the engine is
-    /// left untouched — the recovery path must never panic or
-    /// half-apply.
+    /// On `Err` the engine is left untouched — the recovery path must
+    /// never panic or half-apply.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         state.validate(self.ctx.arity(), self.live.window_capacity())?;
         let metas = state
@@ -269,12 +277,12 @@ impl<'a> TerIdsEngine<'a> {
         Ok(())
     }
 
-    /// Steps an arrival already imputed by [`TerIdsEngine::impute`]:
+    /// Steps an arrival already imputed by `TerIdsEngine::impute`:
     /// expiry → candidate scan → refinement → insert → finalize. `timing`
     /// is the imputation's; the step adds its ER time, folds it into the
     /// running totals and returns it in the output. `laps` accumulates
     /// the step's traverse/refine/merge split.
-    pub fn step_imputed(
+    fn step_imputed(
         &mut self,
         arrival: &Arrival,
         meta: Arc<TupleMeta>,
@@ -345,6 +353,44 @@ impl ErProcessor for TerIdsEngine<'_> {
     fn process(&mut self, arrival: &Arrival) -> StepOutput {
         let (meta, timing) = self.impute(arrival);
         self.step_imputed(arrival, meta, timing, &mut StageLaps::default())
+    }
+
+    /// Imputes the batch, then steps each arrival through the loop
+    /// [`ErProcessor::process`] runs, recording one event per stage and
+    /// one for the step (see the [module docs](self)). The outputs are
+    /// those of `process` called on each arrival in turn.
+    fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        let batch_t0 = ter_obs::timer();
+        ter_obs::OBS.engine_batches.inc();
+        // In the daemon the step stage has opened this batch's trace; a
+        // library caller's batch roots its own, keyed by the engine batch
+        // ordinal. Every stage records under that trace's sequence.
+        let (seq, rooted) = ter_obs::trace::attach(ter_obs::OBS.engine_batches.get());
+        let n = batch.len() as u64;
+        let impute_t0 = ter_obs::timer();
+        let imputed: Vec<_> = batch.iter().map(|a| self.impute(a)).collect();
+        ter_obs::record(kind::IMPUTE, seq, n, 0, ter_obs::since(impute_t0));
+        let mut laps = StageLaps::default();
+        let outputs = batch
+            .iter()
+            .zip(imputed)
+            .map(|(arrival, (meta, timing))| self.step_imputed(arrival, meta, timing, &mut laps))
+            .collect();
+        for (k, lap) in [
+            (kind::TRAVERSE, laps.traverse),
+            (kind::REFINE, laps.refine),
+            (kind::MERGE, laps.merge),
+        ] {
+            ter_obs::record(k, seq, 0, 0, lap.as_micros() as u64);
+        }
+        ter_obs::record(kind::STEP, seq, n, 0, ter_obs::since(batch_t0));
+        if rooted {
+            ter_obs::trace::end(seq, ter_obs::trace::now());
+        }
+        outputs
     }
 
     fn results(&self) -> &ResultSet {
@@ -548,9 +594,136 @@ mod tests {
         for a in streams.arrivals() {
             engine.process(&a);
         }
-        let t = engine.timing();
-        assert_eq!(t.arrivals, 4);
-        assert!(t.total().as_nanos() > 0);
+        let mut batched = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        batched.step_batch(&streams.arrivals());
+        for t in [engine.timing(), batched.timing()] {
+            assert_eq!(t.arrivals, 4);
+            assert!(t.total().as_nanos() > 0);
+        }
+    }
+
+    #[test]
+    fn finds_the_obvious_match_in_one_batch() {
+        let (ctx, streams, _) = scenario();
+        let mut e = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        let outs = e.step_batch(&streams.arrivals());
+        let all: Vec<(u64, u64)> = outs.iter().flat_map(|o| o.new_matches.clone()).collect();
+        assert_eq!(all, vec![(1, 2)]);
+        assert!(e.results().contains(1, 2));
+        assert_eq!(e.window_len(), 4);
+    }
+
+    /// `step_batch` at every batch size reports what `process` reports,
+    /// arrival for arrival.
+    #[test]
+    fn agrees_with_sequential_engine_across_batch_sizes() {
+        let (ctx, streams, _) = scenario();
+        let mut seq = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        let seq_steps: Vec<_> = streams
+            .arrivals()
+            .iter()
+            .map(|a| seq.process(a).new_matches)
+            .collect();
+        for batch in 1..=5 {
+            let mut par = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+            let mut par_steps = Vec::new();
+            for chunk in streams.arrival_batches(batch) {
+                par_steps.extend(par.step_batch(&chunk).into_iter().map(|o| o.new_matches));
+            }
+            assert_eq!(par_steps, seq_steps, "batch {batch}");
+            assert_eq!(par.prune_stats(), seq.prune_stats(), "batch {batch}");
+            assert_eq!(par.export_state(), seq.export_state(), "batch {batch}");
+        }
+    }
+
+    /// One engine kept across several batches must be bit-identical to a
+    /// transient engine per batch, each restored from the state the
+    /// previous one exported: everything a later batch depends on is in
+    /// the exported state between batches, candidate lists included.
+    #[test]
+    fn persistent_session_agrees_with_transient_batches() {
+        let (ctx, streams, _) = scenario();
+        let params = Params {
+            window: 3, // forces an eviction in the second batch
+            ..Params::default()
+        };
+        let arrivals = streams.arrivals();
+
+        let mut persistent = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let mut p_steps = Vec::new();
+        let mut p_states = Vec::new();
+        for chunk in arrivals.chunks(2) {
+            p_steps.extend(
+                persistent
+                    .step_batch(chunk)
+                    .into_iter()
+                    .map(|o| o.new_matches),
+            );
+            p_states.push(persistent.export_state());
+        }
+
+        let mut t_steps = Vec::new();
+        let mut t_states = Vec::new();
+        for chunk in arrivals.chunks(2) {
+            let mut transient = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+            if let Some(prev) = t_states.last() {
+                transient.import_state(prev).unwrap();
+            }
+            t_steps.extend(
+                transient
+                    .step_batch(chunk)
+                    .into_iter()
+                    .map(|o| o.new_matches),
+            );
+            t_states.push(transient.export_state());
+        }
+
+        assert_eq!(p_steps, t_steps);
+        assert_eq!(p_states, t_states);
+        assert_eq!(p_states.len(), 2);
+        assert_eq!(persistent.prune_stats(), t_states[1].stats);
+        assert_eq!(persistent.window_len(), 3);
+    }
+
+    #[test]
+    fn expiry_matches_sequential_semantics() {
+        let (ctx, streams, _) = scenario();
+        let params = Params {
+            window: 2,
+            ..Params::default()
+        };
+        let mut e = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let arrivals = streams.arrivals();
+        e.step_batch(&arrivals[..2]);
+        assert!(e.results().contains(1, 2));
+        e.step_batch(&arrivals[2..3]);
+        assert!(!e.results().contains(1, 2), "pair must expire with tuple 1");
+        assert!(e.reported().contains(&(1, 2)));
+        assert_eq!(e.window_len(), 2);
+    }
+
+    /// A window smaller than the batch forces in-batch arrivals to expire
+    /// before the batch ends, after the whole batch was imputed; the
+    /// batched drive must still agree with the per-arrival one.
+    #[test]
+    fn in_batch_expiry_is_bit_identical_across_drives() {
+        let (ctx, streams, _) = scenario();
+        let params = Params {
+            window: 1,
+            ..Params::default()
+        };
+        let arrivals = streams.arrivals();
+        let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let seq_outs: Vec<_> = arrivals.iter().map(|a| seq.process(a)).collect();
+        let mut par = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let par_outs = par.step_batch(&arrivals);
+        for (s, p) in seq_outs.iter().zip(&par_outs) {
+            assert_eq!(
+                (&s.new_matches, &s.retractions, &s.expired),
+                (&p.new_matches, &p.retractions, &p.expired)
+            );
+        }
+        assert_eq!(par.export_state(), seq.export_state());
     }
 
     /// Export at every prefix, import into a fresh engine, continue — the

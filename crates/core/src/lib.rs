@@ -22,8 +22,8 @@
 //!   never-examined pairs;
 //! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with
 //!   candidate-list maintenance and the imputation/pruning/refinement
-//!   pipeline, whose per-arrival loop the batched engine in `ter_exec`
-//!   runs too;
+//!   pipeline, driven one arrival or one batch at a time, and the
+//!   per-batch stage telemetry of the batched drive;
 //! * [`live`] — the dynamic state of a TER-iDS engine and its export
 //!   ([`LiveState`]);
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
@@ -50,7 +50,7 @@ pub mod state;
 mod proptests;
 
 pub use baselines::NaiveEngine;
-pub use engine::{PruningMode, StageLaps, StepOutput, TerContext, TerIdsEngine};
+pub use engine::{PruningMode, StepOutput, TerContext, TerIdsEngine};
 pub use live::LiveState;
 pub use meta::TupleMeta;
 pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats};
@@ -75,8 +75,8 @@ pub trait ErProcessor {
     /// arrival in arrival order, exactly what [`ErProcessor::process`]
     /// returns for each in turn. The default processes the batch one
     /// tuple at a time, so every engine and baseline can be driven with
-    /// the same batched loop; the batched engine in `ter_exec` overrides
-    /// it to record per-batch stage telemetry.
+    /// the same batched loop; [`TerIdsEngine`] overrides it to impute the
+    /// batch ahead of its steps and to record per-batch stage telemetry.
     fn step_batch(&mut self, batch: &[Arrival]) -> Vec<StepOutput> {
         batch.iter().map(|a| self.process(a)).collect()
     }

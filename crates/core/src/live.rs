@@ -1,13 +1,12 @@
-//! The dynamic state of a TER-iDS engine, held once for both engines.
+//! The dynamic state of a TER-iDS engine.
 //!
 //! [`LiveState`] is everything that changes as tuples arrive and expire:
 //! the sliding window, the live tuples' metadata, the per-stream counts,
 //! the result set `ES`, the reported history, the pruning statistics, the
 //! phase timings, and the candidate lists ([`CandidateLists`]).
 //!
-//! The per-arrival loop ([`TerIdsEngine::step_imputed`](crate::TerIdsEngine::step_imputed),
-//! which the batched engine in `ter_exec` runs too) mutates it in two
-//! steps:
+//! The engine's per-arrival loop, which both of its drives run, mutates
+//! it in two steps:
 //!
 //! 1. `advance_window` — the window push and the expiry of
 //!    the tuple it evicts from the lists, the metadata, the stream counts
@@ -17,9 +16,8 @@
 //!    metadata (lines 11–13, 15–26).
 //!
 //! Export of the canonical [`EngineState`] and every read accessor live
-//! here too, so a checkpoint taken from either engine restores into
-//! either, and the query layer reads both engines through one view. The
-//! engines dereference to their `LiveState`, which is how
+//! here too, and the query layer reads the engine through them. The
+//! engine dereferences to its `LiveState`, which is how
 //! `engine.live_ids()` or `engine.export_state()` reach these methods.
 //! Import needs the static context to rebuild each live tuple's
 //! metadata, so it is the engine's

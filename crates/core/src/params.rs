@@ -2,9 +2,8 @@
 
 use ter_impute::ImputeConfig;
 
-/// How much of the §4 pruning arsenal an engine applies. Shared by the
-/// sequential engine and the batched one (`ter_exec`), which must agree
-/// bit-for-bit under either mode.
+/// How much of the §4 pruning arsenal an engine applies. The batched and
+/// the per-arrival drive must agree bit-for-bit under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruningMode {
     /// All four pair-level prunings + early-terminated refinement — the

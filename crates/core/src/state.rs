@@ -21,9 +21,9 @@
 //!   window in order.
 //!
 //! The representation is canonical — live entries in arrival order,
-//! result/reported pairs sorted — so the sequential `TerIdsEngine` and the
-//! batched `ShardedTerIdsEngine` export *equal* states at the same stream
-//! position, and a checkpoint taken from one engine restores into the
+//! result/reported pairs sorted — so an engine driven one arrival at a
+//! time and one driven in batches export *equal* states at the same
+//! stream position, and a checkpoint taken from either restores into the
 //! other.
 //!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
@@ -323,7 +323,7 @@ fn apply_pair_delta(
 ///
 /// Guaranteed inverse of [`StateDelta::apply`]:
 /// `delta_between(base, next)?.apply(base)? == *next` — the delta-chain
-/// parity tests assert this bit-for-bit across both engines.
+/// parity tests assert this bit-for-bit.
 pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelta, String> {
     if base.window_capacity != next.window_capacity {
         return Err(format!(

@@ -616,7 +616,7 @@ macro_rules! registry {
 }
 
 registry! {
-    /// Batches stepped by the batched engine.
+    /// Batches stepped through `step_batch`.
     engine_batches: Counter = "ter_engine_batches_total",
     /// Impute-stage wall time per batch.
     engine_impute_micros: Histogram = "ter_engine_impute_micros",
@@ -638,8 +638,9 @@ registry! {
     fsync_micros: Histogram = "ter_store_fsync_micros",
     /// Flush-window occupancy (pending appends) at each group commit.
     flush_window_batches: Histogram = "ter_store_flush_window_batches",
-    /// Checkpoints written.
-    checkpoints: Counter = "ter_store_checkpoints_total",
+    /// Full checkpoints (snapshots) written; delta stamps count in
+    /// `delta_checkpoints`.
+    full_checkpoints: Counter = "ter_store_full_checkpoints_total",
     /// Checkpoint write duration.
     checkpoint_micros: Histogram = "ter_store_checkpoint_micros",
     /// WAL position stamped by the most recent checkpoint.
@@ -1418,11 +1419,11 @@ mod tests {
         let path = dir.join("metrics.txt");
         assert!(!dump_now("none"), "no-op without a configured path");
         set_dump_path(Some(path.clone()));
-        OBS.checkpoints.inc();
+        OBS.full_checkpoints.inc();
         assert!(dump_now("checkpoint"));
         let dump = parse_dump(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(dump.reason, "checkpoint");
-        assert!(dump.value("ter_store_checkpoints_total").unwrap() >= 1);
+        assert!(dump.value("ter_store_full_checkpoints_total").unwrap() >= 1);
         assert!(
             !path.with_extension("obs_tmp").exists(),
             "tmp file renamed away"

@@ -20,10 +20,8 @@ use crate::pattern::{Atom, Pattern, Pred, VarId};
 use crate::plan::{plan, PlanStats};
 use ter_ids::{LiveState, ResultSet, TupleMeta};
 
-/// Read access to the live engine state a query runs against. Both the
-/// sequential and the batched engine implement this through the
-/// [`LiveState`] they dereference to, which is what lets every
-/// differential suite run the same pattern against both sides.
+/// Read access to the live engine state a query runs against. An engine
+/// implements this through the [`LiveState`] it dereferences to.
 pub trait QueryView {
     /// Ids of the unexpired tuples, ascending.
     fn live_ids(&self) -> Vec<u64>;

@@ -17,10 +17,8 @@
 //!   additions/retractions per batch whose fold is bit-identical to
 //!   from-scratch re-evaluation after every batch.
 //!
-//! Every engine that dereferences to a [`ter_ids::LiveState`] — the
-//! sequential [`ter_ids::TerIdsEngine`] and the batched
-//! `ter_exec::ShardedTerIdsEngine` — implements [`QueryView`], so every
-//! suite can differential-test the layer across engines.
+//! Every engine that dereferences to a [`ter_ids::LiveState`], such as
+//! [`ter_ids::TerIdsEngine`], implements [`QueryView`].
 
 pub mod eval;
 pub mod pattern;
@@ -38,7 +36,6 @@ mod tests {
     use std::collections::BTreeSet;
 
     use ter_datasets::{preset, GenOptions, Preset};
-    use ter_exec::{ExecConfig, ShardedTerIdsEngine};
     use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
     use ter_repo::PivotConfig;
     use ter_rules::DiscoveryConfig;
@@ -126,14 +123,17 @@ mod tests {
         .collect()
     }
 
+    /// One engine steps arrival by arrival, the other batch by batch.
     #[test]
     fn one_shot_matches_brute_force_on_both_engines() {
         let (ctx, streams, params) = fixture();
         let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-        let mut par = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
+        let mut par = TerIdsEngine::new(&ctx, params, PruningMode::Full);
         let patterns = fixed_patterns();
         for (i, chunk) in streams.arrival_batches(7).into_iter().enumerate() {
-            seq.step_batch(&chunk);
+            for a in &chunk {
+                seq.process(a);
+            }
             par.step_batch(&chunk);
             // Checking every batch is quadratic in the run; every 3rd
             // batch crosses plenty of window slides already.
@@ -143,7 +143,7 @@ mod tests {
             for p in &patterns {
                 let want = brute(p, &seq);
                 assert_eq!(evaluate(p, &seq), want, "seq vs brute, batch {i}");
-                assert_eq!(evaluate(p, &par), want, "sharded vs brute, batch {i}");
+                assert_eq!(evaluate(p, &par), want, "batched vs brute, batch {i}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! `ter_serve`: the durable streaming TER-iDS service.
 //!
-//! `ter_exec` steps the engine in batches and `ter_store` makes its state
+//! `ter_ids` steps the engine in batches and `ter_store` makes its state
 //! durable, but both still require every consumer to link the crates and
 //! drive `step_batch` in-process. This crate is the missing subsystem that
 //! turns the library into a long-lived daemon:

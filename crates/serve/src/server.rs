@@ -95,8 +95,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minipoll::{Event, Interest, Poller, WakeReceiver, Waker};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext};
+use ter_exec::ExecConfig;
+use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_query::{BatchDelta, Pattern, StandingQuery};
 use ter_store::{context_fingerprint, CompactionPolicy, StoreError, TerStore};
 use ter_stream::Arrival;
@@ -137,7 +137,8 @@ pub struct ServeOptions {
     /// cadence only). Bounds replay *work* directly — batch counts are a
     /// poor proxy when batch sizes vary, e.g. under bursty arrivals.
     pub checkpoint_bytes: u64,
-    /// Engine execution settings; none are left, see [`ExecConfig`].
+    /// Nothing reads this field: [`ExecConfig`] carries no setting. It
+    /// stays only because the benchmark sets it.
     pub exec: ExecConfig,
     /// Store retention. Defaults to the bounded-disk two-generation
     /// policy — the daemon is a long-lived process.
@@ -660,7 +661,7 @@ impl Server {
         store.set_compaction(opts.compaction);
         store.set_fsync_delay(opts.fsync_delay);
         let recovery = store.recover()?;
-        let mut engine = ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, opts.exec);
+        let mut engine = TerIdsEngine::new(ctx, params, PruningMode::Full);
         if let Some(state) = &recovery.state {
             engine.import_state(state).map_err(ServeError::Recovery)?;
         }
@@ -772,10 +773,7 @@ impl Server {
             // store sender drops and the shutdown flag rises, and the
             // scope joins them before this panic can propagate.
             let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for batch in &recovery.suffix {
-                    engine.step_batch(batch);
-                }
-                report.replayed = recovery.suffix.iter().map(Vec::len).sum();
+                report.replayed = recovery.replay_into(&mut engine);
                 let mut stage = StepStage {
                     engine: &mut engine,
                     store_tx: &store_tx,
@@ -847,7 +845,7 @@ struct Subscription {
 /// group-commit stage, the standing-query registry, and the run
 /// counters.
 struct StepStage<'x, 'a> {
-    engine: &'x mut ShardedTerIdsEngine<'a>,
+    engine: &'x mut TerIdsEngine<'a>,
     store_tx: &'x mpsc::SyncSender<StoreReq>,
     store_rx: &'x mpsc::Receiver<StoreResp>,
     opts: &'x ServeOptions,

@@ -117,13 +117,20 @@ fn read_single_frame_file(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, Store
 }
 
 impl Checkpoint {
-    /// Serializes and atomically writes the checkpoint to `path`.
-    pub fn write(&self, path: &Path) -> Result<u64, StoreError> {
+    /// Serializes the checkpoint of `state` after `wal_seq` WAL batches
+    /// and atomically writes it to `path`, returning its byte size. The
+    /// state is encoded where it lies, never copied.
+    pub fn write(
+        path: &Path,
+        fingerprint: u64,
+        wal_seq: u64,
+        state: &EngineState,
+    ) -> Result<u64, StoreError> {
         let mut payload = Encoder::new();
         payload.u32(FORMAT_VERSION);
-        payload.u64(self.fingerprint);
-        payload.u64(self.wal_seq);
-        self.state.encode(&mut payload);
+        payload.u64(fingerprint);
+        payload.u64(wal_seq);
+        state.encode(&mut payload);
         let mut bytes = CHECKPOINT_MAGIC.to_vec();
         write_frame(&mut bytes, &payload.into_bytes());
         let total = bytes.len() as u64;
@@ -244,7 +251,7 @@ mod tests {
     fn checkpoint_round_trip() {
         let path = temp("rt");
         let ck = sample();
-        ck.write(&path).unwrap();
+        Checkpoint::write(&path, ck.fingerprint, ck.wal_seq, &ck.state).unwrap();
         assert_eq!(Checkpoint::load(&path, 0xABCD).unwrap(), ck);
         let _ = fs::remove_file(&path);
     }
@@ -252,7 +259,8 @@ mod tests {
     #[test]
     fn checkpoint_rejects_wrong_fingerprint_and_any_corruption() {
         let path = temp("fp");
-        sample().write(&path).unwrap();
+        let ck = sample();
+        Checkpoint::write(&path, ck.fingerprint, ck.wal_seq, &ck.state).unwrap();
         assert!(Checkpoint::load(&path, 0x1234).is_err());
         let bytes = fs::read(&path).unwrap();
         for i in 0..bytes.len() {

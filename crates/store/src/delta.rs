@@ -72,15 +72,22 @@ pub fn delta_seqs_of(name: &str) -> Option<(u64, u64)> {
 }
 
 impl DeltaFile {
-    /// Serializes and atomically writes the delta to `path`, returning
-    /// its total byte size.
-    pub fn write(&self, path: &Path) -> Result<u64, StoreError> {
+    /// Serializes the delta taking the state at `base_seq` to the one at
+    /// `wal_seq` and atomically writes it to `path`, returning its total
+    /// byte size. The delta is encoded where it lies, never copied.
+    pub fn write(
+        path: &Path,
+        fingerprint: u64,
+        base_seq: u64,
+        wal_seq: u64,
+        delta: &StateDelta,
+    ) -> Result<u64, StoreError> {
         let mut payload = Encoder::new();
         payload.u32(FORMAT_VERSION);
-        payload.u64(self.fingerprint);
-        payload.u64(self.base_seq);
-        payload.u64(self.wal_seq);
-        self.delta.encode(&mut payload);
+        payload.u64(fingerprint);
+        payload.u64(base_seq);
+        payload.u64(wal_seq);
+        delta.encode(&mut payload);
         let mut bytes = DELTA_MAGIC.to_vec();
         write_frame(&mut bytes, &payload.into_bytes());
         let total = bytes.len() as u64;
@@ -185,11 +192,15 @@ mod tests {
         assert_eq!(delta_seqs_of("delt-junk.bin"), None);
     }
 
+    fn write(path: &Path, d: &DeltaFile) {
+        DeltaFile::write(path, d.fingerprint, d.base_seq, d.wal_seq, &d.delta).unwrap();
+    }
+
     #[test]
     fn delta_file_round_trip() {
         let path = temp("rt");
         let d = sample();
-        d.write(&path).unwrap();
+        write(&path, &d);
         assert_eq!(DeltaFile::load(&path, 0xFEED).unwrap(), d);
         let _ = fs::remove_file(&path);
     }
@@ -197,16 +208,16 @@ mod tests {
     #[test]
     fn rejects_wrong_fingerprint_stale_stamps_and_any_corruption() {
         let path = temp("bad");
-        sample().write(&path).unwrap();
+        write(&path, &sample());
         assert!(DeltaFile::load(&path, 0x1234).is_err());
         let mut regress = sample();
         regress.wal_seq = regress.base_seq;
-        regress.write(&path).unwrap();
+        write(&path, &regress);
         assert!(
             DeltaFile::load(&path, 0xFEED).is_err(),
             "stamp must advance"
         );
-        sample().write(&path).unwrap();
+        write(&path, &sample());
         let bytes = fs::read(&path).unwrap();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();

@@ -3,7 +3,7 @@
 //!
 //! A TER-iDS service must not lose its sliding-window state and result
 //! set on restart — without persistence a crash means replaying
-//! the whole stream from tuple 0. This crate makes both engines durable:
+//! the whole stream from tuple 0. This crate makes the engine durable:
 //!
 //! * [`codec`] — a hand-rolled, versioned binary codec (the workspace is
 //!   offline; no serde) with bit-exact `f64` transport;
@@ -20,9 +20,8 @@
 //! The recovery contract is the repo's gold standard: an engine restored
 //! from (checkpoint + WAL-suffix replay) at *any* cut point emits
 //! **bit-identical** results, statistics, and per-step match lists to a
-//! never-crashed run, for both `TerIdsEngine` and `ShardedTerIdsEngine`
-//! (`tests/recovery_parity.rs` enforces this across all five dataset
-//! presets).
+//! never-crashed run (`tests/recovery_parity.rs` enforces this across all
+//! five dataset presets).
 
 pub mod checkpoint;
 pub mod codec;

@@ -358,12 +358,7 @@ impl TerStore {
         // any open flush window before the checkpoint becomes visible.
         self.wal.sync()?;
         let name = checkpoint_file_name(wal_seq);
-        let bytes = Checkpoint {
-            fingerprint: self.fingerprint,
-            wal_seq,
-            state: state.clone(),
-        }
-        .write(&self.dir.join(&name))?;
+        let bytes = Checkpoint::write(&self.dir.join(&name), self.fingerprint, wal_seq, state)?;
         Manifest {
             fingerprint: self.fingerprint,
             wal_seq,
@@ -405,7 +400,7 @@ impl TerStore {
         self.tip_seq = Some(wal_seq);
         self.chain_len = 0;
         self.chain_bytes = 0;
-        ter_obs::OBS.checkpoints.inc();
+        ter_obs::OBS.full_checkpoints.inc();
         ter_obs::OBS.last_checkpoint_seq.set(wal_seq);
         ter_obs::OBS.delta_chain_length.set(0);
         let us = ter_obs::since(t0);
@@ -450,13 +445,8 @@ impl TerStore {
         // a position the log could lose.
         self.wal.sync()?;
         let name = delta_file_name(base_seq, wal_seq);
-        let bytes = DeltaFile {
-            fingerprint: self.fingerprint,
-            base_seq,
-            wal_seq,
-            delta: delta.clone(),
-        }
-        .write(&self.dir.join(&name))?;
+        let path = self.dir.join(&name);
+        let bytes = DeltaFile::write(&path, self.fingerprint, base_seq, wal_seq, delta)?;
         self.tip_seq = Some(wal_seq);
         self.chain_len += 1;
         self.chain_bytes += bytes;

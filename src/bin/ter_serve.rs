@@ -7,9 +7,8 @@
 //!                 [--queue-depth 16] [--io-threads 2] [--flush-window 1]
 //!                 [--flush-interval-ms 5] [--fsync-delay-ms 0]
 //! ter_serve feed  --addr ADDR [--preset ebooks] [--scale 1.0]
-//!                 [--window 400] [--batch 64] [--from auto|N]
-//!                 [--pipeline W] [--resilient] [--batches N]
-//!                 [--oracle-check] [--quiet]
+//!                 [--window 400] [--batch 64] [--pipeline W]
+//!                 [--batches N] [--oracle-check] [--quiet]
 //! ter_serve query --addr ADDR [--id ID] [--pattern 'match(a, b)']
 //! ter_serve subscribe --addr ADDR --pattern 'match(a, b)'
 //!                 [--sub-id 1] [--resync-seq 0] [--events N]
@@ -29,16 +28,15 @@
 //! a full rebase follows once the chain outgrows `--max-chain-len` or
 //! `--max-chain-bytes`.
 //!
-//! `feed --from auto` (the default) asks the daemon where its WAL ends
-//! and resumes the stream cursor there — after a `kill -9`, rerunning the
-//! same `feed` command completes the stream without double-feeding.
-//! `--pipeline W` keeps up to `W` unacked batches on the wire (the daemon
-//! overlaps each batch's fsync with the previous batch's compute; the
-//! default `W = 1` is request/reply); `--resilient` additionally
-//! survives daemon restarts mid-feed by re-dialing and resuming from the
-//! daemon's own committed position. `--oracle-check` replays the whole
-//! stream through an in-process engine and insists the daemon's final
-//! statistics are bit-identical.
+//! `feed` asks the daemon where its committed stream ends and resumes
+//! there — after a `kill -9`, rerunning the same `feed` command completes
+//! the stream without double-feeding — and it survives daemon restarts
+//! mid-feed by re-dialing and resuming the same way. `--pipeline W` keeps
+//! up to `W` unacked batches on the wire (the daemon overlaps each
+//! batch's fsync with the previous batch's compute; the default `W = 1`
+//! is request/reply). `--oracle-check` replays the whole stream through
+//! an in-process engine and insists the daemon's final statistics are
+//! bit-identical.
 //!
 //! `query --pattern` runs a one-shot declarative pattern query;
 //! `subscribe` registers the pattern as a *standing* query and
@@ -84,9 +82,9 @@ fn usage() -> ! {
          \x20        [--io-threads 2] [--flush-window 1] [--flush-interval-ms 5]\n\
          \x20        [--notify-buffer 262144] [--metrics-text PATH|-]\n\
          feed     --addr ADDR [--preset ebooks] [--scale 1.0] [--window 400]\n\
-         \x20        [--batch 64] [--from auto|N] [--batches N]\n\
+         \x20        [--batch 64] [--batches N]\n\
          \x20        [--pipeline W (unacked batches in flight; 1 = request/reply)]\n\
-         \x20        [--resilient] [--oracle-check] [--quiet]\n\
+         \x20        [--oracle-check] [--quiet]\n\
          query    --addr ADDR [--id ID] [--pattern 'match(a, b)']\n\
          subscribe --addr ADDR --pattern 'match(a, b)' [--sub-id 1]\n\
          \x20        [--resync-seq 0] [--events N]\n\
@@ -119,7 +117,7 @@ impl Flags {
                 usage();
             }
             // Boolean flags take no value.
-            if matches!(key, "oracle-check" | "quiet" | "resilient" | "follow") {
+            if matches!(key, "oracle-check" | "quiet" | "follow") {
                 out.push((key.to_string(), "true".to_string()));
                 i += 1;
                 continue;
@@ -180,7 +178,7 @@ fn parse_preset(name: &str) -> Preset {
 }
 
 /// Builds the deterministic dataset + offline context shared by `serve`,
-/// `feed --from auto`, and the oracle check.
+/// `feed`, and the oracle check.
 fn build(flags: &Flags) -> (TerContext, StreamSet, Params) {
     let p = parse_preset(flags.get("preset").unwrap_or("ebooks"));
     let scale: f64 = flags.parsed("scale", 1.0);
@@ -310,18 +308,17 @@ fn connect(flags: &Flags) -> Client {
     }
 }
 
-/// Replays the whole stream through an in-process engine and compares the
-/// daemon's final statistics bit-for-bit.
+/// Replays the whole stream through an in-process engine, one arrival at
+/// a time, and compares the daemon's final statistics bit-for-bit.
 fn oracle_check(
     ctx: &TerContext,
     params: Params,
     streams: &StreamSet,
-    batch: usize,
     stats: &ter_serve::StatsInfo,
 ) -> bool {
     let mut oracle = TerIdsEngine::new(ctx, params, PruningMode::Full);
-    for b in streams.cursor_at(0, batch) {
-        oracle.step_batch(&b);
+    for a in streams.arrivals() {
+        oracle.process(&a);
     }
     if stats.stats == oracle.prune_stats() && stats.window_len == oracle.window_len() {
         println!("PARITY OK: daemon statistics bit-identical to the library engine");
@@ -347,102 +344,49 @@ fn cmd_feed(flags: &Flags) -> ExitCode {
     let limit: usize = flags.parsed("batches", usize::MAX);
     let (ctx, streams, params) = build(flags);
 
-    // ---- resilient mode: the wrapper owns resume + reconnect ----
-    if flags.has("resilient") {
-        let addr = parse_addr(flags);
-        let mut rc = ResilientClient::new(addr, Duration::from_secs(30));
-        let all: Vec<Vec<ter_stream::Arrival>> = streams.cursor_at(0, batch).collect();
-        let already = match rc.stats() {
-            Ok(s) => s.next_batch_seq as usize,
-            Err(e) => {
-                eprintln!("stats: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let end = all.len().min(already.saturating_add(limit));
-        if !quiet {
-            println!(
-                "feeding resiliently: {} of {} batches committed, window {}",
-                already, end, pipeline
-            );
+    // The wrapper resumes from the daemon's committed position and
+    // re-dials across daemon restarts.
+    let mut rc = ResilientClient::new(parse_addr(flags), Duration::from_secs(30));
+    let all: Vec<Vec<ter_stream::Arrival>> = streams.cursor_at(0, batch).collect();
+    let already = match rc.stats() {
+        Ok(s) => s.next_batch_seq as usize,
+        Err(e) => {
+            eprintln!("stats: {e}");
+            return ExitCode::from(1);
         }
-        let start = Instant::now();
-        let report = match rc.feed(&all[..end], pipeline) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("resilient feed failed: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let secs = start.elapsed().as_secs_f64();
-        println!(
-            "fed {} arrivals in {secs:.2}s ({:.0} tuples/s), {} busy retries, {} reconnects",
-            report.arrivals,
-            report.arrivals as f64 / secs.max(1e-9),
-            report.busy_retries,
-            report.reconnects
-        );
-        if flags.has("oracle-check") {
-            let stats = match rc.stats() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("stats: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            if !oracle_check(&ctx, params, &streams, batch, &stats) {
-                return ExitCode::from(1);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut client = connect(flags);
-    let from = match flags.get("from").unwrap_or("auto") {
-        "auto" => {
-            let stats = client.stats().expect("stats");
-            // The feeder always sends full `batch`-sized batches (only the
-            // final one may be short), so the committed batch count maps
-            // directly to an arrival offset.
-            (stats.next_batch_seq as usize) * batch
-        }
-        raw => raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --from (auto or an arrival index)");
-            usage();
-        }),
     };
-    let cursor = streams.cursor_at(from, batch);
-    let total = cursor.remaining();
+    let end = all.len().min(already.saturating_add(limit));
     if !quiet {
         println!(
-            "feeding {} arrivals (from arrival {}, batch {}, pipeline {})",
-            total, from, batch, pipeline
+            "feeding batches {already}..{end} of {} (batch {batch}, pipeline {pipeline})",
+            all.len()
         );
     }
     let start = Instant::now();
-    // ---- one go-back-N run over the tail, `pipeline` batches in flight ----
-    let batches: Vec<Vec<ter_stream::Arrival>> = cursor.take(limit).collect();
-    let fed: usize = batches.iter().map(Vec::len).sum();
-    let matches = match client.ingest_pipelined(&batches, pipeline) {
-        Ok(run) => {
-            if !quiet && run.busy_retries > 0 {
-                println!("absorbed {} busy retries", run.busy_retries);
-            }
-            run.per_batch.iter().flatten().map(Vec::len).sum::<usize>()
-        }
+    let report = match rc.feed(&all[..end], pipeline) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("ingest failed: {e}");
+            eprintln!("feed failed: {e}");
             return ExitCode::from(1);
         }
     };
     let secs = start.elapsed().as_secs_f64();
     println!(
-        "fed {fed} arrivals in {secs:.2}s ({:.0} tuples/s), {matches} matches reported",
-        fed as f64 / secs.max(1e-9)
+        "fed {} arrivals in {secs:.2}s ({:.0} tuples/s), {} busy retries, {} reconnects",
+        report.arrivals,
+        report.arrivals as f64 / secs.max(1e-9),
+        report.busy_retries,
+        report.reconnects
     );
     if flags.has("oracle-check") {
-        let stats = client.stats().expect("stats");
-        if !oracle_check(&ctx, params, &streams, batch, &stats) {
+        let stats = match rc.stats() {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("stats: {e}");
+                return ExitCode::from(1);
+            }
+        };
+        if !oracle_check(&ctx, params, &streams, &stats) {
             return ExitCode::from(1);
         }
     }
@@ -771,10 +715,8 @@ fn main() -> ExitCode {
                 "scale",
                 "window",
                 "batch",
-                "from",
                 "batches",
                 "pipeline",
-                "resilient",
                 "oracle-check",
                 "quiet",
             ],

@@ -6,7 +6,6 @@
 //! for the whole system build from one place.
 
 pub use ter_datasets as datasets;
-pub use ter_exec as exec;
 pub use ter_ids as core;
 pub use ter_impute as impute;
 pub use ter_repo as repo;

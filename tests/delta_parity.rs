@@ -2,9 +2,8 @@
 //! delta-chain replay + WAL suffix) at **any** cut point must be
 //! bit-identical to one that never crashed — with the chain cut at every
 //! position, with any single delta link damaged (degrading recovery to
-//! the older consistent prefix, never failing), and across engine kinds
-//! (a chain written against the sequential engine restores into the
-//! sharded engine).
+//! the older consistent prefix, never failing). The restored engine steps
+//! whole batches; the never-crashed oracle steps one arrival at a time.
 //!
 //! This mirrors `tests/recovery_parity.rs` for the incremental-checkpoint
 //! ladder introduced with `TerStore::checkpoint_delta_at`: phase 1 runs a
@@ -24,7 +23,6 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{
     delta_between, EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine,
 };
@@ -33,7 +31,7 @@ use ter_rules::DiscoveryConfig;
 use ter_store::{context_fingerprint, TerStore};
 use ter_stream::Arrival;
 
-use restore::{live_metas, Restorable, TempDir};
+use restore::{live_metas, step, TempDir};
 
 /// Arrivals per batch and batches per case: enough to fill and slide the
 /// 16-tuple window several times, so deltas carry evictions as well as
@@ -88,9 +86,7 @@ fn fixtures() -> &'static Vec<(TerContext, Vec<Arrival>, Params)> {
 /// * `damage`: corrupt the delta file at this index (ascending order) —
 ///   recovery must degrade to the stamp *before* the damaged link and
 ///   re-derive the rest from the WAL, never erroring.
-/// * `shard_restore`: restore into the sharded engine (the chain was
-///   written from sequential exports — the cross-engine contract).
-fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) {
+fn run_case(fix: usize, cut: usize, damage: Option<usize>) {
     let (ctx, arrivals, params) = &fixtures()[fix];
     let params = *params;
     let fp = context_fingerprint(ctx, &params);
@@ -102,7 +98,7 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
     let mut oracle_steps: Vec<Vec<(u64, u64)>> = Vec::new();
     let mut oracle_metas = Vec::new();
     for batch in arrivals[..TOTAL * BATCH].chunks(BATCH) {
-        oracle_steps.extend(oracle.step(batch));
+        oracle_steps.extend(batch.iter().map(|a| oracle.process(a).new_matches));
         oracle_metas.push(live_metas(&oracle));
     }
     let oracle_final = oracle.export_state();
@@ -176,18 +172,9 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
         "suffix reaches the crash point"
     );
 
-    let mut engine: Box<dyn Restorable> = if shard_restore {
-        Box::new(ShardedTerIdsEngine::new(
-            ctx,
-            params,
-            PruningMode::Full,
-            ExecConfig,
-        ))
-    } else {
-        Box::new(TerIdsEngine::new(ctx, params, PruningMode::Full))
-    };
+    let mut engine = TerIdsEngine::new(ctx, params, PruningMode::Full);
     engine
-        .import(rec.state.as_ref().expect("a base always survives"))
+        .import_state(rec.state.as_ref().expect("a base always survives"))
         .expect("import recovered state");
     assert!(
         live_metas(&engine) == oracle_metas[expected_stamp as usize - 1],
@@ -198,7 +185,7 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
     // batches between the recovered stamp and the crash.
     let mut replay_steps = Vec::new();
     for batch in &rec.suffix {
-        replay_steps.extend(engine.step(batch));
+        replay_steps.extend(step(&mut engine, batch));
     }
     assert_eq!(
         replay_steps,
@@ -209,7 +196,7 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
     // Phase 3: finish the stream live; then the full-state bit-identity.
     let mut post_steps = Vec::new();
     for batch in arrivals[cut_at..TOTAL * BATCH].chunks(BATCH) {
-        post_steps.extend(engine.step(batch));
+        post_steps.extend(step(&mut engine, batch));
     }
     assert_eq!(
         post_steps,
@@ -220,12 +207,11 @@ fn run_case(fix: usize, cut: usize, damage: Option<usize>, shard_restore: bool) 
 }
 
 /// Deterministic sweep: the chain cut at every position (1..=TOTAL
-/// batches), alternating restore engine kinds — no cut point may lose or
-/// duplicate a single match.
+/// batches) — no cut point may lose or duplicate a single match.
 #[test]
 fn every_chain_cut_recovers_bit_identical() {
     for cut in 1..=TOTAL {
-        run_case(0, cut, None, cut % 2 == 0);
+        run_case(0, cut, None);
     }
 }
 
@@ -235,7 +221,7 @@ fn every_chain_cut_recovers_bit_identical() {
 #[test]
 fn every_damaged_link_degrades_to_consistent_prefix() {
     for d in 0..TOTAL - 1 {
-        run_case(0, TOTAL, Some(d), d % 2 == 0);
+        run_case(0, TOTAL, Some(d));
     }
 }
 
@@ -243,13 +229,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Randomized cross product: any preset × any cut × intact-or-damaged
-    /// chain × either restore engine.
+    /// chain.
     #[test]
     fn delta_chain_recovery_parity(
         fix in 0usize..5,
         cut in 1usize..=TOTAL,
         damage_raw in 0usize..64,
-        shard_restore in any::<bool>(),
     ) {
         // Half the cases damage a uniformly chosen link (only possible
         // once the chain has at least one delta).
@@ -258,7 +243,7 @@ proptest! {
         } else {
             None
         };
-        run_case(fix, cut, damage, shard_restore);
+        run_case(fix, cut, damage);
     }
 }
 

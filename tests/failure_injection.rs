@@ -2,7 +2,6 @@
 //! panicking and with sensible semantics.
 
 use ter_datasets::{generate, preset, AttrKind, AttrSpec, DatasetSpec, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{ErProcessor, NaiveEngine, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::{PivotConfig, Record, Repository, Schema};
 use ter_rules::DiscoveryConfig;
@@ -91,8 +90,8 @@ fn all_attributes_missing_tuple_is_survivable() {
 #[test]
 fn all_attributes_missing_mid_window_is_skipped_with_count_not_fatal() {
     // Previously only tested as the *first* arrival; here the fully-missing
-    // tuple lands mid-window, with live tuples on both streams, for both
-    // the sequential and the sharded engine. Contract: the arrival is
+    // tuple lands mid-window, with live tuples on both streams, stepped
+    // one arrival and one batch at a time. Contract: the arrival is
     // *skipped with count* — it enters the window and is accounted as a
     // candidate pair for later arrivals (no silent drop), but with zero
     // present determinants no rule fires, its imputation is empty, and it
@@ -136,8 +135,8 @@ fn all_attributes_missing_mid_window_is_skipped_with_count_not_fatal() {
     assert!(seq.reported().iter().all(|&(a, b)| a != 3 && b != 3));
     assert!(seq.reported().contains(&(1, 2)));
 
-    // The sharded engine must take the identical decisions, batched.
-    let mut par = ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, ExecConfig);
+    // The batched drive must take the identical decisions.
+    let mut par = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
     par.step_batch(&arrivals); // must not panic either
     let mut seq_rep: Vec<_> = seq.reported().iter().copied().collect();
     let mut par_rep: Vec<_> = par.reported().iter().copied().collect();

@@ -15,8 +15,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{ErProcessor, Params, PruningMode, TerContext};
+use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_serve::Client;
@@ -171,17 +170,18 @@ pub fn build_oracle_inputs() -> (TerContext, StreamSet, Params) {
     (ctx, ds.streams, params)
 }
 
-/// A never-crashed in-process `ShardedTerIdsEngine` run: per-arrival
-/// match lists plus the final engine.
+/// A never-crashed in-process run, one arrival at a time (the daemon
+/// steps whole batches): per-arrival match lists plus the final engine.
 pub fn oracle_run<'a>(
     ctx: &'a TerContext,
     params: Params,
     batches: &[Vec<Arrival>],
-) -> (Vec<Vec<(u64, u64)>>, ShardedTerIdsEngine<'a>) {
-    let mut engine = ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig);
-    let mut per_arrival = Vec::new();
-    for b in batches {
-        per_arrival.extend(engine.step_batch(b).into_iter().map(|o| o.new_matches));
-    }
+) -> (Vec<Vec<(u64, u64)>>, TerIdsEngine<'a>) {
+    let mut engine = TerIdsEngine::new(ctx, params, PruningMode::Full);
+    let per_arrival = batches
+        .iter()
+        .flatten()
+        .map(|a| engine.process(a).new_matches)
+        .collect();
     (per_arrival, engine)
 }

@@ -1,18 +1,17 @@
-//! Differential parity: the batched engine must be **bit-identical** to
-//! the sequential `TerIdsEngine` — same reported pairs at the same
-//! arrivals, same live result set, same prune-statistic totals, and same
-//! imputed probabilistic tuples — for every `ter_datasets` preset at
-//! batch sizes 1 (the `process` path) and 17 (neither 1 nor a divisor of
-//! the stream length, so batch boundaries and a final partial batch are
-//! exercised), and in GridOnly mode.
+//! Differential parity: `TerIdsEngine::step_batch` must be
+//! **bit-identical** to `TerIdsEngine::process` called on each arrival —
+//! same reported pairs at the same arrivals, same live result set, same
+//! prune-statistic totals, and same imputed probabilistic tuples — for
+//! every `ter_datasets` preset at batch sizes 1 and 17 (neither 1 nor a
+//! divisor of the stream length, so batch boundaries and a final partial
+//! batch are exercised), and in GridOnly mode.
 //!
-//! Exact float equality is intentional: both engines run the same
+//! Exact float equality is intentional: both drives run the same
 //! per-arrival loop, and the batched one imputes a whole batch before
 //! stepping it, so any divergence — numeric, ordering, or accounting —
 //! is a bug, not noise.
 
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{ErProcessor, Params, PruneStats, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
@@ -42,34 +41,25 @@ fn sorted_pairs(iter: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
     v
 }
 
-fn trace_sequential(ctx: &TerContext, arrivals: &[Arrival], params: Params) -> RunTrace {
-    let mut e = TerIdsEngine::new(ctx, params, PruningMode::Full);
-    let mut step_matches = Vec::with_capacity(arrivals.len());
-    for a in arrivals {
-        let mut m = e.process(a).new_matches;
-        m.sort_unstable();
-        step_matches.push(m);
-    }
-    RunTrace {
-        step_matches,
-        reported: sorted_pairs(e.reported().iter().copied()),
-        results: sorted_pairs(e.results().iter()),
-        stats: e.prune_stats(),
-        live_tuples: e
-            .live_ids()
-            .into_iter()
-            .map(|id| (id, format!("{:?}", e.meta(id).unwrap().tuple)))
+/// Drives one engine over `arrivals` and records its trace: one arrival
+/// at a time through `process` when `batch` is `None`, else in batches of
+/// `batch` through `step_batch`.
+fn trace(
+    ctx: &TerContext,
+    arrivals: &[Arrival],
+    params: Params,
+    mode: PruningMode,
+    batch: Option<usize>,
+) -> RunTrace {
+    let mut e = TerIdsEngine::new(ctx, params, mode);
+    let step_matches = match batch {
+        None => arrivals.iter().map(|a| e.process(a).new_matches).collect(),
+        Some(b) => arrivals
+            .chunks(b)
+            .flat_map(|chunk| e.step_batch(chunk))
+            .map(|o| o.new_matches)
             .collect(),
-    }
-}
-
-/// The batched run's trace.
-fn trace_batched(ctx: &TerContext, arrivals: &[Arrival], params: Params, batch: usize) -> RunTrace {
-    let mut e = ShardedTerIdsEngine::new(ctx, params, PruningMode::Full, ExecConfig);
-    let mut step_matches = Vec::with_capacity(arrivals.len());
-    for chunk in arrivals.chunks(batch) {
-        step_matches.extend(e.step_batch(chunk).into_iter().map(|o| o.new_matches));
-    }
+    };
     RunTrace {
         step_matches,
         reported: sorted_pairs(e.reported().iter().copied()),
@@ -106,7 +96,7 @@ fn prepare(p: Preset, scale: f64) -> (TerContext, Vec<Arrival>) {
 }
 
 /// Runs one preset at batch sizes 1 and 17 and asserts each run
-/// reproduces the sequential trace exactly.
+/// reproduces the per-arrival trace exactly.
 fn assert_parity(p: Preset, scale: f64) {
     let (ctx, arrivals) = prepare(p, scale);
     let params = Params {
@@ -118,7 +108,7 @@ fn assert_parity(p: Preset, scale: f64) {
         "{}: stream too small to churn",
         p.name()
     );
-    let seq = trace_sequential(&ctx, &arrivals, params);
+    let seq = trace(&ctx, &arrivals, params, PruningMode::Full, None);
     assert!(
         seq.stats.total_pairs > 0,
         "{}: degenerate run, nothing compared",
@@ -126,9 +116,9 @@ fn assert_parity(p: Preset, scale: f64) {
     );
     for batch in [1, 17] {
         assert_eq!(
-            trace_batched(&ctx, &arrivals, params, batch),
+            trace(&ctx, &arrivals, params, PruningMode::Full, Some(batch)),
             seq,
-            "{}: batches of {batch} diverged from sequential",
+            "{}: batches of {batch} diverged from per-arrival steps",
             p.name()
         );
     }
@@ -168,17 +158,8 @@ fn grid_only_mode_parity() {
         window: 50,
         ..Params::default()
     };
-    let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::GridOnly);
-    for a in &arrivals {
-        seq.process(a);
-    }
-    let mut par = ShardedTerIdsEngine::new(&ctx, params, PruningMode::GridOnly, ExecConfig);
-    for chunk in arrivals.chunks(23) {
-        par.step_batch(chunk);
-    }
     assert_eq!(
-        sorted_pairs(par.reported().iter().copied()),
-        sorted_pairs(seq.reported().iter().copied())
+        trace(&ctx, &arrivals, params, PruningMode::GridOnly, Some(23)),
+        trace(&ctx, &arrivals, params, PruningMode::GridOnly, None)
     );
-    assert_eq!(par.prune_stats(), seq.prune_stats());
 }

@@ -1,8 +1,7 @@
 //! Differential re-evaluation oracle for the declarative query layer:
 //! proptest-generated patterns, run as standing queries over every
 //! dataset preset, must fold to exactly the from-scratch evaluation
-//! after **every** arrival batch — on the sequential engine and the
-//! sharded engine alike, with both engines agreeing row-for-row.
+//! after **every** arrival batch.
 //!
 //! This is the repo's gold standard applied to the query layer: the
 //! incremental path (delta application in `ter_query::StandingQuery`)
@@ -17,7 +16,6 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_query::{evaluate, fold_notification, BatchDelta, Pattern, StandingQuery};
 use ter_repo::PivotConfig;
@@ -133,8 +131,7 @@ proptest! {
     /// The headline guarantee, property-tested: for any generated
     /// pattern and any preset, the accumulated notification stream of a
     /// standing query is bit-identical to re-running the query from
-    /// scratch after every single batch — under both engines, which
-    /// must also agree with each other.
+    /// scratch after every single batch.
     #[test]
     fn standing_fold_equals_from_scratch_on_all_presets(
         pi in 0usize..5,
@@ -143,13 +140,9 @@ proptest! {
         let (ctx, streams, params) = &fixtures()[pi];
         let pattern = Pattern::parse(&src).expect("generated pattern parses");
 
-        let mut seq_eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
-        let mut par_eng =
-            ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig);
-        let mut sq_seq = StandingQuery::new(pattern.clone());
-        let mut sq_par = StandingQuery::new(pattern.clone());
-        let mut fold_seq: BTreeSet<Vec<u64>> = sq_seq.seed(&seq_eng).into_iter().collect();
-        let mut fold_par: BTreeSet<Vec<u64>> = sq_par.seed(&par_eng).into_iter().collect();
+        let mut eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
+        let mut sq = StandingQuery::new(pattern.clone());
+        let mut fold: BTreeSet<Vec<u64>> = sq.seed(&eng).into_iter().collect();
 
         for (bi, chunk) in streams
             .arrival_batches(BATCH)
@@ -157,55 +150,36 @@ proptest! {
             .take(BATCHES)
             .enumerate()
         {
-            let out_seq = seq_eng.step_batch(&chunk);
-            let out_par = par_eng.step_batch(&chunk);
-
-            let delta = BatchDelta::from_steps(&chunk, &out_seq);
-            let (added, retracted) = sq_seq.apply_batch(&seq_eng, &delta);
-            fold_notification(&mut fold_seq, &added, &retracted);
-            let fresh_seq = evaluate(&pattern, &seq_eng);
+            let outputs = eng.step_batch(&chunk);
+            let delta = BatchDelta::from_steps(&chunk, &outputs);
+            let (added, retracted) = sq.apply_batch(&eng, &delta);
+            fold_notification(&mut fold, &added, &retracted);
             prop_assert_eq!(
-                fold_seq.iter().cloned().collect::<Vec<_>>(),
-                fresh_seq.clone(),
-                "sequential fold ≡ from-scratch, preset {}, batch {}, pattern {}",
-                pi, bi, src
-            );
-
-            let delta = BatchDelta::from_steps(&chunk, &out_par);
-            let (added, retracted) = sq_par.apply_batch(&par_eng, &delta);
-            fold_notification(&mut fold_par, &added, &retracted);
-            let fresh_par = evaluate(&pattern, &par_eng);
-            prop_assert_eq!(
-                fold_par.iter().cloned().collect::<Vec<_>>(),
-                fresh_par.clone(),
-                "sharded fold ≡ from-scratch, preset {}, batch {}, pattern {}",
-                pi, bi, src
-            );
-
-            prop_assert_eq!(
-                fresh_seq, fresh_par,
-                "engines disagree, preset {}, batch {}, pattern {}",
+                fold.iter().cloned().collect::<Vec<_>>(),
+                evaluate(&pattern, &eng),
+                "fold ≡ from-scratch, preset {}, batch {}, pattern {}",
                 pi, bi, src
             );
         }
     }
 }
 
-/// The delta hook itself, differentially: per batch, the batched and
-/// sequential engines must report identical expiry/retraction streams —
-/// the foundation every standing query stands on.
+/// The delta hook itself, differentially: per batch, an engine stepped
+/// one arrival at a time and one stepped a batch at a time must report
+/// identical expiry/retraction streams — the foundation every standing
+/// query stands on.
 #[test]
 fn window_delta_streams_are_identical_across_engines() {
     let (ctx, streams, params) = &fixtures()[0];
     let mut seq_eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
-    let mut par_eng = ShardedTerIdsEngine::new(ctx, *params, PruningMode::Full, ExecConfig);
+    let mut par_eng = TerIdsEngine::new(ctx, *params, PruningMode::Full);
     for (bi, chunk) in streams
         .arrival_batches(BATCH)
         .into_iter()
         .take(BATCHES)
         .enumerate()
     {
-        let out_seq = seq_eng.step_batch(&chunk);
+        let out_seq: Vec<_> = chunk.iter().map(|a| seq_eng.process(a)).collect();
         let out_par = par_eng.step_batch(&chunk);
         let d_seq = BatchDelta::from_steps(&chunk, &out_seq);
         let d_par = BatchDelta::from_steps(&chunk, &out_par);

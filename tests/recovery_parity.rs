@@ -3,10 +3,11 @@
 //! crashed — same per-step match lists (both for the replayed WAL suffix
 //! and for everything processed after recovery), same live result set,
 //! same reported history, same prune-statistic totals, and same imputed
-//! tuples — for both `TerIdsEngine` and `ShardedTerIdsEngine` across all
-//! five dataset presets. Right after the import, every live tuple's
-//! metadata, which the checkpoint does not store, must equal what the
-//! engine derived at arrival.
+//! tuples — across all five dataset presets. The restored engine steps
+//! whole batches; the never-crashed oracle steps one arrival at a time.
+//! Right after the import, every live tuple's metadata, which the
+//! checkpoint does not store, must equal what the engine derived at
+//! arrival.
 //!
 //! Each scenario simulates the full production protocol:
 //!
@@ -28,14 +29,13 @@ mod restore;
 use std::fs;
 
 use ter_datasets::{preset, GenOptions, Preset};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
 use ter_ids::{EngineState, ErProcessor, Params, PruningMode, TerContext, TerIdsEngine};
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
 use ter_store::{context_fingerprint, TerStore};
 use ter_stream::Arrival;
 
-use restore::{live_metas, Restorable, TempDir};
+use restore::{live_metas, step, TempDir};
 
 const BATCH: usize = 16;
 const WINDOW: usize = 60;
@@ -70,31 +70,11 @@ fn build_ctx(p: Preset, scale: f64) -> (TerContext, Vec<Arrival>, Params) {
     (ctx, arrivals, params)
 }
 
-/// Which engine kind a scenario drives.
-#[derive(Clone, Copy)]
-enum Kind {
-    Sequential,
-    Sharded,
-}
-
-fn make_engine<'a>(kind: Kind, ctx: &'a TerContext, params: Params) -> Box<dyn Restorable + 'a> {
-    match kind {
-        Kind::Sequential => Box::new(TerIdsEngine::new(ctx, params, PruningMode::Full)),
-        Kind::Sharded => Box::new(ShardedTerIdsEngine::new(
-            ctx,
-            params,
-            PruningMode::Full,
-            ExecConfig,
-        )),
-    }
-}
-
 /// Runs one kill-and-recover scenario and asserts bit-identity against
 /// the oracle's per-step matches and final state.
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
     name: &str,
-    kind: Kind,
     ctx: &TerContext,
     arrivals: &[Arrival],
     params: Params,
@@ -103,13 +83,7 @@ fn run_scenario(
     ckpt_batch: u64,
     crash_batch: u64,
 ) {
-    let dir = TempDir::new(&format!(
-        "{name}_{}_{ckpt_batch}_{crash_batch}",
-        match kind {
-            Kind::Sequential => "seq",
-            Kind::Sharded => "shard",
-        }
-    ));
+    let dir = TempDir::new(&format!("{name}_{ckpt_batch}_{crash_batch}"));
     let fp = context_fingerprint(ctx, &params);
     let crash_at = (crash_batch as usize * BATCH).min(arrivals.len());
 
@@ -118,11 +92,11 @@ fn run_scenario(
     // with the metadata import rebuilds.
     let ckpt_metas = {
         let mut store = TerStore::open(dir.path(), fp).expect("open store");
-        let mut engine = make_engine(kind, ctx, params);
+        let mut engine = TerIdsEngine::new(ctx, params, PruningMode::Full);
         let mut ckpt_metas = Vec::new();
         for (i, batch) in arrivals[..crash_at].chunks(BATCH).enumerate() {
             store.log_batch(batch).expect("log batch");
-            engine.step(batch);
+            engine.step_batch(batch);
             if i as u64 + 1 == ckpt_batch {
                 store
                     .checkpoint(&engine.export_state())
@@ -138,9 +112,9 @@ fn run_scenario(
     let store = TerStore::open(dir.path(), fp).expect("reopen store");
     let rec = store.recover().expect("recover");
     assert_eq!(rec.checkpoint_seq, ckpt_batch, "{name}: checkpoint seq");
-    let mut engine = make_engine(kind, ctx, params);
+    let mut engine = TerIdsEngine::new(ctx, params, PruningMode::Full);
     let state = rec.state.as_ref().expect("checkpoint state");
-    engine.import(state).expect("import checkpoint");
+    engine.import_state(state).expect("import checkpoint");
     assert!(
         live_metas(&engine) == ckpt_metas,
         "{name}: rebuilt metadata differs from the metadata arrival derived"
@@ -151,7 +125,7 @@ fn run_scenario(
     let replay_from = rec.checkpoint_seq as usize * BATCH;
     let mut replay_steps = Vec::new();
     for batch in &rec.suffix {
-        replay_steps.extend(engine.step(batch));
+        replay_steps.extend(step(&mut engine, batch));
     }
     assert_eq!(
         replay_steps,
@@ -168,7 +142,7 @@ fn run_scenario(
     // stream; every subsequent step must match the oracle bit-for-bit.
     let mut post_steps = Vec::new();
     for batch in arrivals[crash_at..].chunks(BATCH) {
-        post_steps.extend(engine.step(batch));
+        post_steps.extend(step(&mut engine, batch));
     }
     assert_eq!(
         post_steps,
@@ -193,8 +167,7 @@ fn assert_recovery_parity(p: Preset, scale: f64) {
         p.name()
     );
 
-    // Uninterrupted oracle (sequential; the sharded engine is bit-identical
-    // to it by the PR 2 parity suite).
+    // Uninterrupted oracle, stepped one arrival at a time.
     let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
     let oracle_steps: Vec<Vec<(u64, u64)>> = arrivals
         .iter()
@@ -208,19 +181,16 @@ fn assert_recovery_parity(p: Preset, scale: f64) {
     let oracle_final = oracle.export_state();
 
     for &(ckpt_batch, crash_batch) in &SCENARIOS {
-        for kind in [Kind::Sequential, Kind::Sharded] {
-            run_scenario(
-                p.name(),
-                kind,
-                &ctx,
-                &arrivals,
-                params,
-                &oracle_steps,
-                &oracle_final,
-                ckpt_batch,
-                crash_batch,
-            );
-        }
+        run_scenario(
+            p.name(),
+            &ctx,
+            &arrivals,
+            params,
+            &oracle_steps,
+            &oracle_final,
+            ckpt_batch,
+            crash_batch,
+        );
     }
 }
 
@@ -247,51 +217,6 @@ fn ebooks_recovery_parity() {
 #[test]
 fn songs_recovery_parity() {
     assert_recovery_parity(Preset::Songs, 0.06);
-}
-
-/// A checkpoint written by the sequential engine must restore into the
-/// sharded engine (and vice versa) and continue bit-identically — the
-/// snapshot representation is engine-agnostic, so operators can change
-/// the execution configuration across a restart.
-#[test]
-fn cross_engine_recovery() {
-    let (ctx, arrivals, params) = build_ctx(Preset::Citations, 0.14);
-    let dir = TempDir::new("cross");
-    let fp = context_fingerprint(&ctx, &params);
-    let crash_at = 5 * BATCH;
-
-    let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-    let oracle_steps: Vec<Vec<(u64, u64)>> = arrivals
-        .iter()
-        .map(|a| oracle.process(a).new_matches)
-        .collect();
-
-    {
-        let mut store = TerStore::open(dir.path(), fp).unwrap();
-        let mut seq = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-        for (i, batch) in arrivals[..crash_at].chunks(BATCH).enumerate() {
-            store.log_batch(batch).unwrap();
-            seq.step_batch(batch);
-            if i == 3 {
-                store.checkpoint(&seq.export_state()).unwrap();
-            }
-        }
-    }
-
-    let store = TerStore::open(dir.path(), fp).unwrap();
-    let rec = store.recover().unwrap();
-    let mut sharded = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
-    sharded
-        .import_state(rec.state.as_ref().unwrap())
-        .expect("sequential checkpoint into sharded engine");
-    rec.replay_into(&mut sharded);
-
-    let mut steps = Vec::new();
-    for batch in arrivals[crash_at..].chunks(BATCH) {
-        steps.extend(sharded.step_batch(batch).into_iter().map(|o| o.new_matches));
-    }
-    assert_eq!(steps, &oracle_steps[crash_at..]);
-    assert_eq!(sharded.export_state(), oracle.export_state());
 }
 
 /// Torn WAL tails lose only the torn batch: cutting the log mid-frame
@@ -323,8 +248,8 @@ fn torn_wal_tail_recovers_to_prefix() {
 
     // Replaying the surviving prefix matches the oracle over it.
     let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
-    for batch in arrivals[..(batches - 1) * BATCH].chunks(BATCH) {
-        oracle.step_batch(batch);
+    for a in &arrivals[..(batches - 1) * BATCH] {
+        oracle.process(a);
     }
     let mut recovered = TerIdsEngine::new(&ctx, params, PruningMode::Full);
     rec.replay_into(&mut recovered);

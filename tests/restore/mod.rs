@@ -1,40 +1,21 @@
 //! Shared by the recovery suites (`recovery_parity`, `delta_parity`):
-//! the engine surface a restore needs, the metadata a restore must
-//! rebuild, and temporary store directories.
+//! the batched step a restored engine is driven with, the metadata a
+//! restore must rebuild, and temporary store directories.
 
 use std::fs;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ter_exec::ShardedTerIdsEngine;
-use ter_ids::{EngineState, ErProcessor, LiveState, TerIdsEngine, TupleMeta};
+use ter_ids::{ErProcessor, LiveState, TerIdsEngine, TupleMeta};
 use ter_stream::Arrival;
 
-/// Processing, the `LiveState` both engines dereference to, and the
-/// import each engine implements itself.
-pub trait Restorable: ErProcessor + Deref<Target = LiveState> {
-    fn import(&mut self, state: &EngineState) -> Result<(), String>;
-
-    /// Steps a batch and returns each arrival's new matches.
-    fn step(&mut self, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
-        self.step_batch(batch)
-            .into_iter()
-            .map(|o| o.new_matches)
-            .collect()
-    }
-}
-
-impl Restorable for TerIdsEngine<'_> {
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
-    }
-}
-
-impl Restorable for ShardedTerIdsEngine<'_> {
-    fn import(&mut self, state: &EngineState) -> Result<(), String> {
-        self.import_state(state)
-    }
+/// Steps a batch and returns each arrival's new matches.
+pub fn step(engine: &mut TerIdsEngine<'_>, batch: &[Arrival]) -> Vec<Vec<(u64, u64)>> {
+    engine
+        .step_batch(batch)
+        .into_iter()
+        .map(|o| o.new_matches)
+        .collect()
 }
 
 /// Every live tuple's metadata, ascending by id. The exported state

@@ -10,8 +10,8 @@
 //!    `Recovery::resume_seq`, and feed the rest of the stream;
 //! 4. require the **concatenated** per-arrival match lists, final pruning
 //!    statistics, window contents, and live result set to be
-//!    bit-identical to a never-crashed in-process
-//!    `ShardedTerIdsEngine` run over the same preset.
+//!    bit-identical to a never-crashed in-process `TerIdsEngine` run
+//!    over the same preset.
 //!
 //! Further scenarios kill the daemon *while requests are in flight* —
 //! including with group commit holding a multi-batch flush window open —
@@ -26,8 +26,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use harness::{build_oracle_inputs, oracle_run, Daemon, TempDir, BATCH};
-use ter_exec::{ExecConfig, ShardedTerIdsEngine};
-use ter_ids::{ErProcessor, PruningMode};
+use ter_ids::{ErProcessor, PruningMode, TerIdsEngine};
 use ter_query::{fold_notification, BatchDelta, Pattern, StandingQuery};
 use ter_serve::wire::{encode_ingest_seq, read_message, write_message};
 use ter_serve::{Client, ClientError, Reply, ResilientClient, SubscriptionFold};
@@ -288,7 +287,7 @@ fn subscriber_survives_sigkill_via_resubscribe_resync() {
     let pattern = Pattern::parse(pattern_src).expect("pattern");
 
     // ---- the never-crashed subscriber: in-process standing fold ----
-    let mut oracle_eng = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, ExecConfig);
+    let mut oracle_eng = TerIdsEngine::new(&ctx, params, PruningMode::Full);
     let mut oracle_sq = StandingQuery::new(pattern.clone());
     let mut oracle_fold: BTreeSet<Vec<u64>> = oracle_sq.seed(&oracle_eng).into_iter().collect();
     let mut oracle_rows_at_cut: Vec<Vec<u64>> = Vec::new();
@@ -537,16 +536,24 @@ fn sigkill_under_burst_with_delta_checkpoints_is_bit_identical() {
     daemon.wait_graceful();
 }
 
-/// A flag the subcommand does not take — the removed `--threads` and
-/// `--ckpt-mode`, or a typo like `--flush-windw` — exits through the
-/// usage text instead of being ignored. A daemon that started anyway is
-/// killed after a deadline and fails the test rather than hanging it.
+/// A flag the subcommand does not take — the removed `serve --threads`,
+/// `serve --ckpt-mode`, `feed --from` and `feed --resilient`, or a typo
+/// like `--flush-windw` — exits through the usage text instead of being
+/// ignored. A process that started anyway is killed after a deadline and
+/// fails the test rather than hanging it.
 #[test]
 fn unknown_serve_flag_is_refused() {
     let dir = TempDir::new("unknown_flag");
-    for flag in ["--threads", "--flush-windw", "--ckpt-mode"] {
+    let serve = ["serve", "--dir", dir.path().to_str().unwrap()];
+    for (cmd, flag) in [
+        (&serve[..], "--threads"),
+        (&serve[..], "--flush-windw"),
+        (&serve[..], "--ckpt-mode"),
+        (&["feed"][..], "--from"),
+        (&["feed"][..], "--resilient"),
+    ] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ter_serve"))
-            .args(["serve", "--dir", dir.path().to_str().unwrap()])
+            .args(cmd)
             .args(["--addr", "127.0.0.1:0", flag, "2"])
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::piped())

@@ -83,7 +83,10 @@ fn metrics_dump_reports_every_layer_of_a_live_daemon() {
     assert_eq!(value_of(&metric_rows, "ter_store_fsync_micros"), fsyncs);
     // checkpoint-every 4 (harness base flags), 12 batches in: the full
     // base at 4, then deltas at 8 and 12.
-    assert_eq!(value_of(&metric_rows, "ter_store_checkpoints_total"), 1);
+    assert_eq!(
+        value_of(&metric_rows, "ter_store_full_checkpoints_total"),
+        1
+    );
     assert_eq!(
         value_of(&metric_rows, "ter_store_delta_checkpoints_total"),
         2
