@@ -15,20 +15,29 @@
 //! pairs are attributed in the pruning statistics by one function,
 //! [`account_pairs`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
-use crate::pruning::signature_overlap;
+use crate::pruning::{overlap_threshold, signature_overlap};
 
-/// One FIFO list of live tuples, structure-of-arrays: the ids in arrival
-/// order, and beside them each entry's `d` signature words, entry after
-/// entry.
+/// One FIFO list of live tuples in one contiguous buffer: entry after
+/// entry, each the tuple's id followed by its `d` signature words. The
+/// entries before `head` are expired; they are dropped once they make up
+/// half the buffer, so expiry costs amortized O(1) and the scan reads one
+/// slice front to back.
 #[derive(Debug, Clone, Default)]
 struct SignatureList {
-    ids: VecDeque<u64>,
-    words: VecDeque<u64>,
+    entries: Vec<u64>,
+    /// Offset of the oldest live entry.
+    head: usize,
+}
+
+impl SignatureList {
+    /// The live entries, `stride` words each.
+    fn live(&self) -> &[u64] {
+        &self.entries[self.head..]
+    }
 }
 
 /// The live tuples, split into one signature list per
@@ -51,6 +60,11 @@ impl CandidateLists {
         }
     }
 
+    /// Words per list entry: the id and the `d` signature words.
+    fn stride(&self) -> usize {
+        self.arity + 1
+    }
+
     /// Appends a tuple entering the window to its list.
     pub fn insert(&mut self, meta: &TupleMeta) {
         debug_assert_eq!(meta.signatures.len(), self.arity);
@@ -58,26 +72,30 @@ impl CandidateLists {
             self.lists.resize_with(meta.stream_id + 1, Default::default);
         }
         let list = &mut self.lists[meta.stream_id][usize::from(meta.possibly_topical)];
-        list.ids.push_back(meta.id);
-        list.words.extend(meta.signatures.iter().copied());
+        list.entries.push(meta.id);
+        list.entries.extend_from_slice(&meta.signatures);
     }
 
     /// Removes a tuple leaving the window, which is the oldest entry of
     /// its list.
     pub fn evict(&mut self, meta: &TupleMeta) {
+        let stride = self.stride();
         let list = &mut self.lists[meta.stream_id][usize::from(meta.possibly_topical)];
-        let front = list.ids.pop_front();
         debug_assert_eq!(
-            front,
-            Some(meta.id),
+            list.live().first(),
+            Some(&meta.id),
             "evicted tuple is not its list's oldest"
         );
-        list.words.drain(..self.arity);
+        list.head += stride;
+        if 2 * list.head >= list.entries.len() {
+            list.entries.drain(..list.head);
+            list.head = 0;
+        }
     }
 
     /// Number of entries over all lists.
     pub fn len(&self) -> usize {
-        self.lists.iter().flatten().map(|l| l.ids.len()).sum()
+        self.list_lengths().sum()
     }
 
     /// Whether no list holds an entry.
@@ -87,20 +105,20 @@ impl CandidateLists {
 
     /// The lengths of the non-empty lists.
     pub fn list_lengths(&self) -> impl Iterator<Item = usize> + '_ {
+        let stride = self.stride();
         self.lists
             .iter()
             .flatten()
-            .map(|l| l.ids.len())
+            .map(move |l| l.live().len() / stride)
             .filter(|&n| n > 0)
     }
 
-    /// Pushes the ids of `list` whose signatures intersect `probe` in
-    /// more than `gamma` attributes.
-    fn scan(&self, list: &SignatureList, probe: &[u64], gamma: f64, out: &mut Vec<u64>) {
-        let mut words = list.words.iter();
-        for &id in &list.ids {
-            if signature_overlap(probe, words.by_ref().take(self.arity)) > gamma {
-                out.push(id);
+    /// Pushes the ids of `list` whose signatures intersect `probe` in at
+    /// least `min_overlap` attributes.
+    fn scan(&self, list: &SignatureList, probe: &[u64], min_overlap: usize, out: &mut Vec<u64>) {
+        for entry in list.live().chunks_exact(self.stride()) {
+            if signature_overlap(probe, &entry[1..]) >= min_overlap {
+                out.push(entry[0]);
             }
         }
     }
@@ -119,14 +137,15 @@ impl CandidateLists {
     /// [`decide_pair`](crate::decide_pair) call; it would have been
     /// `SimPruned` there, and [`account_pairs`] counts it as `sim`.
     pub fn examined_ids(&self, probe: &TupleMeta, gamma: f64) -> Vec<u64> {
+        let min_overlap = overlap_threshold(gamma);
         let mut ids = Vec::new();
         for (stream, [plain, topical]) in self.lists.iter().enumerate() {
             if stream == probe.stream_id {
                 continue;
             }
-            self.scan(topical, &probe.signatures, gamma, &mut ids);
+            self.scan(topical, &probe.signatures, min_overlap, &mut ids);
             if probe.possibly_topical {
-                self.scan(plain, &probe.signatures, gamma, &mut ids);
+                self.scan(plain, &probe.signatures, min_overlap, &mut ids);
             }
         }
         ids.sort_unstable();
@@ -223,5 +242,89 @@ pub fn account_pairs(
         let topical_eligible = other(&counts.topical);
         stats.topic += eligible - topical_eligible;
         stats.sim += topical_eligible - examined;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use ter_repo::Record;
+    use ter_stream::ProbTuple;
+    use ter_text::TokenSet;
+
+    /// Metadata carrying only what the lists read: the ids, the
+    /// topicality and the signatures.
+    fn meta(id: u64, stream_id: usize, possibly_topical: bool, signatures: Vec<u64>) -> TupleMeta {
+        let base = Record {
+            id,
+            attrs: vec![Some(TokenSet::empty()); signatures.len()],
+        };
+        TupleMeta {
+            id,
+            stream_id,
+            timestamp: id,
+            tuple: Arc::new(ProbTuple::certain(base)),
+            main_bounds: Vec::new(),
+            main_expect: Vec::new(),
+            aux_bounds: Vec::new(),
+            size_bounds: Vec::new(),
+            possibly_topical,
+            signatures: signatures.into(),
+        }
+    }
+
+    /// Over a sliding window of random four-attribute signatures, the
+    /// contiguous scan's integer test keeps exactly the entries whose
+    /// overlap exceeds `γ` as an `f64`, at integer thresholds (where `>`
+    /// and `≥` part), fractional ones, and the edges; and expiry with its
+    /// compaction keeps every list in window order.
+    #[test]
+    fn scan_keeps_exactly_the_overlaps_above_gamma() {
+        const GAMMAS: [f64; 11] = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, f64::NAN];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut lists = CandidateLists::new(4);
+        let mut window: VecDeque<TupleMeta> = VecDeque::new();
+        let mut seen = [0usize; GAMMAS.len()];
+        for id in 0..300 {
+            // Two of eight bits per word, so overlaps spread over 0..=4.
+            let sigs = (0..4)
+                .map(|_| (1 << (next() % 8)) | (1 << (next() % 8)))
+                .collect();
+            let probe = meta(id, (next() % 3) as usize, next() % 3 == 0, sigs);
+            if window.len() == 24 {
+                lists.evict(&window.pop_front().unwrap());
+            }
+            for (g, &gamma) in GAMMAS.iter().enumerate() {
+                let mut expect: Vec<u64> = window
+                    .iter()
+                    .filter(|m| m.stream_id != probe.stream_id)
+                    .filter(|m| probe.possibly_topical || m.possibly_topical)
+                    .filter(|m| signature_overlap(&probe.signatures, &m.signatures) as f64 > gamma)
+                    .map(|m| m.id)
+                    .collect();
+                expect.sort_unstable();
+                assert_eq!(
+                    lists.examined_ids(&probe, gamma),
+                    expect,
+                    "γ {gamma}, arrival {id}"
+                );
+                seen[g] += expect.len();
+            }
+            lists.insert(&probe);
+            window.push_back(probe);
+            assert_eq!(lists.len(), window.len());
+        }
+        // Every threshold below the arity keeps some entries; NaN and 4
+        // keep none.
+        assert!(seen[..9].iter().all(|&n| n > 0), "{seen:?}");
+        assert_eq!(seen[9..], [0, 0]);
     }
 }

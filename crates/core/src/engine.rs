@@ -248,7 +248,15 @@ impl<'a> TerIdsEngine<'a> {
 
     /// The metadata of an imputed tuple: the one derivation both arrival
     /// and import run, so a restored tuple's metadata is the arrival's.
-    fn derive_meta(&self, timestamp: u64, stream_id: usize, tuple: ProbTuple) -> Arc<TupleMeta> {
+    /// Import hands in the snapshot's shared tuple, which the metadata
+    /// then shares too.
+    fn derive_meta(
+        &self,
+        timestamp: u64,
+        stream_id: usize,
+        tuple: impl Into<Arc<ProbTuple>>,
+    ) -> Arc<TupleMeta> {
+        let tuple: Arc<ProbTuple> = tuple.into();
         Arc::new(TupleMeta::build(
             tuple.base.id,
             stream_id,
@@ -271,7 +279,7 @@ impl<'a> TerIdsEngine<'a> {
         let metas = state
             .live
             .iter()
-            .map(|e| self.derive_meta(e.timestamp, e.stream_id, e.tuple.clone()))
+            .map(|e| self.derive_meta(e.timestamp, e.stream_id, Arc::clone(&e.tuple)))
             .collect();
         self.live.restore(state, metas);
         Ok(())
@@ -726,6 +734,26 @@ mod tests {
         assert_eq!(par.export_state(), seq.export_state());
     }
 
+    /// An export copies one pointer per live tuple: each entry's tuple is
+    /// the live metadata's own, and an import shares the snapshot's
+    /// tuples in turn. A return to deep copies fails here.
+    #[test]
+    fn export_and_import_share_the_metadata_tuples() {
+        let (ctx, streams, _) = scenario();
+        let mut engine = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        for a in streams.arrivals() {
+            engine.process(&a);
+        }
+        let state = engine.export_state();
+        assert!(!state.live.is_empty());
+        let mut restored = TerIdsEngine::new(&ctx, Params::default(), PruningMode::Full);
+        restored.import_state(&state).unwrap();
+        for e in &state.live {
+            assert!(Arc::ptr_eq(&e.tuple, &engine.meta(e.id()).unwrap().tuple));
+            assert!(Arc::ptr_eq(&e.tuple, &restored.meta(e.id()).unwrap().tuple));
+        }
+    }
+
     /// Export at every prefix, import into a fresh engine, continue — the
     /// restored run must be bit-identical to the uninterrupted one.
     #[test]
@@ -765,16 +793,16 @@ mod tests {
     /// The candidate definition, spelled out over the live metadata
     /// instead of the lists: every live tuple of another stream, topical
     /// unless the probe may be, whose token signatures intersect the
-    /// probe's in more than `γ` attributes, ascending. Kept here only as
-    /// the reference for the test below.
-    fn filtered_window(engine: &TerIdsEngine<'_>, probe: &TupleMeta) -> Vec<u64> {
+    /// probe's in more than `gamma` attributes, ascending. Kept here only
+    /// as the reference for the tests below.
+    fn filtered_window(engine: &TerIdsEngine<'_>, probe: &TupleMeta, gamma: f64) -> Vec<u64> {
         let mut ids: Vec<u64> = engine
             .live
             .metas
             .values()
             .filter(|m| m.stream_id != probe.stream_id)
             .filter(|m| probe.possibly_topical || m.possibly_topical)
-            .filter(|m| crate::pruning::ub_sim_signature(probe, m) > engine.gamma)
+            .filter(|m| crate::pruning::ub_sim_signature(probe, m) > gamma)
             .map(|m| m.id)
             .collect();
         ids.sort_unstable();
@@ -851,7 +879,7 @@ mod tests {
             let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
             shadow.import_state(&engine.export_state()).unwrap();
             shadow.live.advance_window(&a);
-            let expect = filtered_window(&shadow, &probe);
+            let expect = filtered_window(&shadow, &probe, shadow.gamma);
             let got = shadow.live.lists.examined_ids(&probe, shadow.gamma);
             assert_eq!(got, expect, "arrival {}", a.record.id);
             nonempty += usize::from(!got.is_empty());
@@ -889,6 +917,34 @@ mod tests {
         assert!(plain_probes > 50, "only {plain_probes} non-topical probes");
     }
 
+    /// The scan's whole-number test equals `overlap > γ` off the
+    /// configured `γ = 1.0` too: at the arity (2.0, which keeps nothing
+    /// on these two attributes) and at fractional thresholds.
+    #[test]
+    fn list_scan_candidates_equal_filtered_window_at_other_gammas() {
+        let (ctx, streams) = generated_scenario(240);
+        let params = Params {
+            window: 30,
+            ..Params::default()
+        };
+        let mut engine = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        let mut kept = [0usize; 3];
+        for a in streams.arrivals() {
+            let (probe, _) = engine.impute(&a);
+            let mut shadow = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+            shadow.import_state(&engine.export_state()).unwrap();
+            shadow.live.advance_window(&a);
+            for (k, gamma) in [0.5, 1.5, 2.0].into_iter().enumerate() {
+                let got = shadow.live.lists.examined_ids(&probe, gamma);
+                assert_eq!(got, filtered_window(&shadow, &probe, gamma), "γ {gamma}");
+                kept[k] += got.len();
+            }
+            engine.process(&a);
+        }
+        assert!(kept[0] > kept[1] && kept[1] > 0, "{kept:?}");
+        assert_eq!(kept[2], 0);
+    }
+
     /// A refused import leaves the engine as it was, and usable. Refused
     /// are a window capacity other than the engine's and the tuples the
     /// metadata derivation cannot take: a wrong arity, an imputation that
@@ -905,18 +961,16 @@ mod tests {
             |s| s.window_capacity = 7,
             // Three attributes against a two-attribute schema.
             |s| {
-                s.live[0]
-                    .tuple
+                Arc::make_mut(&mut s.live[0].tuple)
                     .base
                     .attrs
                     .push(Some(ter_text::TokenSet::empty()))
             },
             // A missing attribute left without candidates.
-            |s| s.live[0].tuple.base.attrs[1] = None,
+            |s| Arc::make_mut(&mut s.live[0].tuple).base.attrs[1] = None,
             // Candidates for a present attribute.
             |s| {
-                s.live[0]
-                    .tuple
+                Arc::make_mut(&mut s.live[0].tuple)
                     .imputed
                     .push(AttrCandidates::normalized(0, vec![]))
             },

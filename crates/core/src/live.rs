@@ -187,6 +187,8 @@ impl LiveState {
     /// the inputs of its metadata. Neither the metadata nor the candidate
     /// lists are exported; an importing engine derives both. The export
     /// is therefore equal across engines at the same stream position.
+    /// Each entry shares its imputed tuple with the live metadata, so the
+    /// export copies a pointer per live tuple, not the tuple.
     pub fn export_state(&self) -> EngineState {
         let live = self
             .window
@@ -196,7 +198,7 @@ impl LiveState {
                 LiveEntry {
                     timestamp,
                     stream_id: meta.stream_id,
-                    tuple: meta.tuple.clone(),
+                    tuple: Arc::clone(&meta.tuple),
                 }
             })
             .collect();

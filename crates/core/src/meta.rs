@@ -14,6 +14,14 @@
 //! so none of it is persisted: a checkpoint stores the imputed tuple
 //! ([`crate::state::LiveEntry`]) and import rebuilds the metadata with
 //! [`TupleMeta::build`], as arrival does.
+//!
+//! The imputed tuple itself is held by `Arc`: one allocation per live
+//! tuple, shared by its metadata, every [`crate::EngineState`] exported
+//! while it is live and every [`crate::StateDelta`] that carries its
+//! arrival. Export, snapshot clones, delta application and import copy
+//! the pointer, never the tuple.
+
+use std::sync::Arc;
 
 use ter_repo::PivotTable;
 use ter_stream::ProbTuple;
@@ -63,8 +71,9 @@ pub struct TupleMeta {
     pub stream_id: usize,
     /// Arrival timestamp.
     pub timestamp: u64,
-    /// The imputed probabilistic tuple `r^p`.
-    pub tuple: ProbTuple,
+    /// The imputed probabilistic tuple `r^p`, shared with the exported
+    /// states that hold it (see the [module docs](self)).
+    pub tuple: Arc<ProbTuple>,
     /// Per-attribute bounds `[lb_X_k, ub_X_k]` of the main-pivot distance
     /// over all instances (Lemma 4.2).
     pub main_bounds: Vec<Interval>,
@@ -96,16 +105,18 @@ fn value_signature(v: &TokenSet) -> u64 {
 }
 
 impl TupleMeta {
-    /// Derives the metadata for an imputed tuple.
+    /// Derives the metadata for an imputed tuple, given by value or
+    /// already shared.
     pub fn build(
         id: u64,
         stream_id: usize,
         timestamp: u64,
-        tuple: ProbTuple,
+        tuple: impl Into<Arc<ProbTuple>>,
         pivots: &PivotTable,
         layout: &AuxLayout,
         keywords: &KeywordSet,
     ) -> Self {
+        let tuple: Arc<ProbTuple> = tuple.into();
         let d = pivots.arity();
         let mut main_bounds = Vec::with_capacity(d);
         let mut main_expect = Vec::with_capacity(d);

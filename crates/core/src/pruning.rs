@@ -57,16 +57,31 @@ pub fn ub_sim_attr_size(a: &Interval, b: &Interval) -> f64 {
 /// and a float sum of `k` terms each at most 1 is at most `k`.
 #[inline]
 pub fn ub_sim_signature(a: &TupleMeta, b: &TupleMeta) -> f64 {
-    signature_overlap(&a.signatures, b.signatures.iter())
+    signature_overlap(&a.signatures, &b.signatures) as f64
 }
 
-/// The number of attributes whose signature words intersect, as the
-/// `f64` that [`ub_sim_signature`] compares with `γ`. Takes words, not
-/// tuples, so the candidate scan tests the words it keeps beside each
-/// live tuple's id against the probe.
+/// The number of attributes whose signature words intersect. Takes
+/// words, not tuples, so the candidate scan tests the words it keeps
+/// beside each live tuple's id against the probe, in whole numbers
+/// against [`overlap_threshold`].
 #[inline]
-pub fn signature_overlap<'w>(a: &[u64], b: impl IntoIterator<Item = &'w u64>) -> f64 {
-    a.iter().zip(b).filter(|(x, y)| *x & **y != 0).count() as f64
+pub fn signature_overlap(a: &[u64], b: &[u64]) -> usize {
+    a.iter().zip(b).filter(|(x, y)| *x & *y != 0).count()
+}
+
+/// The least whole overlap `n` with `n > gamma`, which makes the
+/// candidate scan's integer test `n >= overlap_threshold(γ)` exactly
+/// [`signature_overlap`]` > γ`: `⌊γ⌋ + 1` for `γ ≥ 0` (saturating), 0 for
+/// `γ < 0`, and `usize::MAX` (no overlap passes) for NaN.
+pub fn overlap_threshold(gamma: f64) -> usize {
+    if gamma.is_nan() {
+        usize::MAX
+    } else if gamma < 0.0 {
+        0
+    } else {
+        // `as` saturates, so `+∞` and huge thresholds pass nothing.
+        (gamma.floor() as usize).saturating_add(1)
+    }
 }
 
 /// Lemma 4.1 summed over attributes: `ub_sim(r_i, r_j) = Σ_k ub_k`.

@@ -26,6 +26,15 @@
 //! stream position, and a checkpoint taken from either restores into the
 //! other.
 //!
+//! Each live tuple is an `Arc<ProbTuple>`, the same allocation the
+//! engine's [`TupleMeta`](crate::TupleMeta) holds. An export copies one
+//! pointer per live tuple; cloning a snapshot, applying a
+//! [`StateDelta`] and importing a snapshot share the tuples instead of
+//! copying them; and [`delta_between`] recognises a surviving tuple by
+//! pointer before it compares contents. Equality stays by value, so a
+//! state decoded from checkpoint bytes, which shares nothing, compares
+//! and diffs exactly as the export it was written from.
+//!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
 //! every invariant the metadata derivation and the engine rely on (tuple
 //! arity, imputation covering exactly the missing attributes, timestamp
@@ -33,27 +42,39 @@
 //! and returns `Err` instead of panicking, because the recovery path must
 //! survive arbitrary on-disk corruption that slipped past the frame CRCs.
 
+use std::sync::Arc;
+
 use ter_stream::ProbTuple;
 use ter_text::fxhash::FxHashSet;
 
 use crate::metrics::PruneStats;
 
 /// One live tuple as persisted: the inputs its metadata is derived from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LiveEntry {
     /// Arrival timestamp.
     pub timestamp: u64,
     /// Source stream.
     pub stream_id: usize,
-    /// The imputed probabilistic tuple `r^p`; its base record carries the
-    /// tuple id.
-    pub tuple: ProbTuple,
+    /// The imputed probabilistic tuple `r^p`, shared with the engine's
+    /// metadata; its base record carries the tuple id.
+    pub tuple: Arc<ProbTuple>,
 }
 
 impl LiveEntry {
     /// The tuple id.
     pub fn id(&self) -> u64 {
         self.tuple.base.id
+    }
+}
+
+/// By value; a shared tuple is equal to itself without a deep
+/// comparison.
+impl PartialEq for LiveEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.timestamp == other.timestamp
+            && self.stream_id == other.stream_id
+            && (Arc::ptr_eq(&self.tuple, &other.tuple) || self.tuple == other.tuple)
     }
 }
 
@@ -247,7 +268,9 @@ impl StateDelta {
                 ));
             }
         }
-        let mut live = base.live[e..].to_vec();
+        // The survivors' tuples are shared with the base, not copied.
+        let mut live = Vec::with_capacity(base.live.len() - e + self.arrivals.len());
+        live.extend_from_slice(&base.live[e..]);
         live.extend_from_slice(&self.arrivals);
         let results = apply_pair_delta(
             &base.results,
@@ -334,7 +357,9 @@ pub fn delta_between(base: &EngineState, next: &EngineState) -> Result<StateDelt
     // Survivors of the base window are exactly its entries whose id is
     // still live in `next`; evict-only-from-front means they must form a
     // suffix of the base *and* a prefix of the successor, bit-identical
-    // tuples included. Any mismatch refuses the delta.
+    // tuples included. Any mismatch refuses the delta. Between two
+    // exports of one engine the survivors share their tuples, so the
+    // comparison stops at the pointer (see `LiveEntry`'s `PartialEq`).
     let next_ids: FxHashSet<u64> = next.live.iter().map(LiveEntry::id).collect();
     let evict_count = base
         .live
@@ -420,7 +445,7 @@ mod tests {
         LiveEntry {
             timestamp,
             stream_id,
-            tuple: ProbTuple::certain(base),
+            tuple: ProbTuple::certain(base).into(),
         }
     }
 
@@ -447,7 +472,10 @@ mod tests {
         let cases: Vec<(&str, Mutation)> = vec![
             ("capacity", Box::new(|s| s.window_capacity = 8)),
             ("timestamps", Box::new(|s| s.live[0].timestamp = 5)),
-            ("duplicate id", Box::new(|s| s.live[1].tuple.base.id = 10)),
+            (
+                "duplicate id",
+                Box::new(|s| Arc::make_mut(&mut s.live[1].tuple).base.id = 10),
+            ),
             ("stream counts", Box::new(|s| s.stream_counts = vec![2, 0])),
             ("unknown stream", Box::new(|s| s.live[1].stream_id = 2)),
             // Wrong arity and imputations of other than the missing
@@ -455,8 +483,9 @@ mod tests {
             (
                 "empty candidate distribution",
                 Box::new(|s| {
-                    s.live[1].tuple.base.attrs[1] = None;
-                    s.live[1].tuple.imputed = vec![AttrCandidates {
+                    let tuple = Arc::make_mut(&mut s.live[1].tuple);
+                    tuple.base.attrs[1] = None;
+                    tuple.imputed = vec![AttrCandidates {
                         attr: 1,
                         candidates: vec![],
                     }];
@@ -510,6 +539,29 @@ mod tests {
         assert_eq!(d.reported_added, vec![(11, 12)]);
         assert_eq!(d.apply(&base).unwrap(), next);
         next.validate(2, 4).unwrap();
+    }
+
+    /// `apply` shares the survivors' tuples with its base and the
+    /// arrivals' with the delta, and a deep copy of each side diffs as
+    /// the shared original does.
+    #[test]
+    fn apply_shares_surviving_tuples_with_its_base() {
+        let base = valid_state();
+        let d = delta_between(&base, &successor_state()).unwrap();
+        let next = d.apply(&base).unwrap();
+        assert!(Arc::ptr_eq(&next.live[0].tuple, &base.live[1].tuple));
+        for (got, arrival) in next.live[1..].iter().zip(&d.arrivals) {
+            assert!(Arc::ptr_eq(&got.tuple, &arrival.tuple));
+        }
+        let unshared = |s: &EngineState| {
+            let mut s = s.clone();
+            for e in &mut s.live {
+                e.tuple = Arc::new((*e.tuple).clone());
+            }
+            s
+        };
+        let deep = delta_between(&unshared(&base), &unshared(&next)).unwrap();
+        assert_eq!(deep, delta_between(&base, &next).unwrap());
     }
 
     #[test]

@@ -649,6 +649,9 @@ registry! {
     delta_checkpoints: Counter = "ter_store_delta_checkpoints_total",
     /// Bytes written as delta-checkpoint files.
     delta_bytes: Counter = "ter_store_delta_bytes_total",
+    /// Bytes the store read from disk: the WAL, manifest, checkpoint and
+    /// delta files that open and recovery load (each once per open).
+    read_bytes: Counter = "ter_store_read_bytes_total",
     /// Links on the current delta chain (0 right after a full
     /// checkpoint — recovery replays the whole chain, so this gauge is
     /// the recovery-time exposure).

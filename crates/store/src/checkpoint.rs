@@ -31,8 +31,8 @@ use std::path::Path;
 
 use ter_ids::EngineState;
 
-use crate::codec::{encode_to_vec, Codec, Decoder, Encoder};
-use crate::frame::{decode_single_frame, write_frame};
+use crate::codec::{encode_to_vec, Codec, Decoder};
+use crate::frame::{decode_single_frame, encode_frame};
 use crate::StoreError;
 
 /// Magic prefix of a checkpoint file.
@@ -105,15 +105,16 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
     Ok(())
 }
 
-/// Reads a single-frame file with `magic`, returning the frame payload.
-fn read_single_frame_file(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, StoreError> {
-    let bytes = fs::read(path)?;
+/// The payload of a single-frame file's bytes, which must start with
+/// `magic`; borrowed from `bytes`, not copied.
+pub(crate) fn single_frame_payload<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+) -> Result<&'a [u8], StoreError> {
     if bytes.len() < 8 || &bytes[..8] != magic {
         return Err(StoreError::Mismatch("bad file magic".into()));
     }
-    Ok(decode_single_frame(&bytes[8..])
-        .map_err(StoreError::Frame)?
-        .to_vec())
+    decode_single_frame(&bytes[8..]).map_err(StoreError::Frame)
 }
 
 impl Checkpoint {
@@ -126,22 +127,25 @@ impl Checkpoint {
         wal_seq: u64,
         state: &EngineState,
     ) -> Result<u64, StoreError> {
-        let mut payload = Encoder::new();
-        payload.u32(FORMAT_VERSION);
-        payload.u64(fingerprint);
-        payload.u64(wal_seq);
-        state.encode(&mut payload);
-        let mut bytes = CHECKPOINT_MAGIC.to_vec();
-        write_frame(&mut bytes, &payload.into_bytes());
-        let total = bytes.len() as u64;
+        let bytes = encode_frame(CHECKPOINT_MAGIC.to_vec(), |payload| {
+            payload.u32(FORMAT_VERSION);
+            payload.u64(fingerprint);
+            payload.u64(wal_seq);
+            state.encode(payload);
+        });
         write_atomic(path, &bytes)?;
-        Ok(total)
+        Ok(bytes.len() as u64)
     }
 
     /// Loads and validates a checkpoint file.
     pub fn load(path: &Path, fingerprint: u64) -> Result<Self, StoreError> {
-        let payload = read_single_frame_file(path, CHECKPOINT_MAGIC)?;
-        let mut dec = Decoder::new(&payload);
+        Self::from_bytes(&fs::read(path)?, fingerprint)
+    }
+
+    /// Validates and decodes a checkpoint file's bytes.
+    pub fn from_bytes(bytes: &[u8], fingerprint: u64) -> Result<Self, StoreError> {
+        let payload = single_frame_payload(bytes, CHECKPOINT_MAGIC)?;
+        let mut dec = Decoder::new(payload);
         let version = dec.u32().map_err(StoreError::Codec)?;
         if version != FORMAT_VERSION {
             return Err(StoreError::Mismatch(format!(
@@ -170,20 +174,24 @@ impl Checkpoint {
 impl Manifest {
     /// Serializes and atomically writes the manifest to `path`.
     pub fn write(&self, path: &Path) -> Result<(), StoreError> {
-        let mut payload = Encoder::new();
-        payload.u32(FORMAT_VERSION);
-        payload.u64(self.fingerprint);
-        payload.u64(self.wal_seq);
-        payload.str(&self.checkpoint);
-        let mut bytes = MANIFEST_MAGIC.to_vec();
-        write_frame(&mut bytes, &payload.into_bytes());
+        let bytes = encode_frame(MANIFEST_MAGIC.to_vec(), |payload| {
+            payload.u32(FORMAT_VERSION);
+            payload.u64(self.fingerprint);
+            payload.u64(self.wal_seq);
+            payload.str(&self.checkpoint);
+        });
         write_atomic(path, &bytes)
     }
 
     /// Loads and validates the manifest.
     pub fn load(path: &Path, fingerprint: u64) -> Result<Self, StoreError> {
-        let payload = read_single_frame_file(path, MANIFEST_MAGIC)?;
-        let mut dec = Decoder::new(&payload);
+        Self::from_bytes(&fs::read(path)?, fingerprint)
+    }
+
+    /// Validates and decodes the manifest's bytes.
+    pub fn from_bytes(bytes: &[u8], fingerprint: u64) -> Result<Self, StoreError> {
+        let payload = single_frame_payload(bytes, MANIFEST_MAGIC)?;
+        let mut dec = Decoder::new(payload);
         let version = dec.u32().map_err(StoreError::Codec)?;
         if version != FORMAT_VERSION {
             return Err(StoreError::Mismatch(format!(
@@ -223,6 +231,8 @@ pub fn encoded_state_len(state: &EngineState) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encoder;
+    use crate::frame::write_frame;
     use std::path::PathBuf;
 
     fn temp(tag: &str) -> PathBuf {

@@ -63,6 +63,12 @@ impl Encoder {
         Self::default()
     }
 
+    /// An encoder that appends to `buf`, keeping its bytes (a file's
+    /// magic, an open frame's header) in front of what it writes.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -410,7 +416,7 @@ impl Codec for LiveEntry {
         Ok(LiveEntry {
             timestamp: dec.u64()?,
             stream_id: dec.usize()?,
-            tuple: ProbTuple::decode(dec)?,
+            tuple: ProbTuple::decode(dec)?.into(),
         })
     }
 }

@@ -29,9 +29,9 @@ use std::path::Path;
 
 use ter_ids::StateDelta;
 
-use crate::checkpoint::FORMAT_VERSION;
-use crate::codec::{Codec, Decoder, Encoder};
-use crate::frame::{decode_single_frame, write_frame};
+use crate::checkpoint::{write_atomic, FORMAT_VERSION};
+use crate::codec::{Codec, Decoder};
+use crate::frame::{decode_single_frame, encode_frame};
 use crate::StoreError;
 
 /// Magic prefix of a delta-checkpoint file (embeds the format version).
@@ -82,22 +82,24 @@ impl DeltaFile {
         wal_seq: u64,
         delta: &StateDelta,
     ) -> Result<u64, StoreError> {
-        let mut payload = Encoder::new();
-        payload.u32(FORMAT_VERSION);
-        payload.u64(fingerprint);
-        payload.u64(base_seq);
-        payload.u64(wal_seq);
-        delta.encode(&mut payload);
-        let mut bytes = DELTA_MAGIC.to_vec();
-        write_frame(&mut bytes, &payload.into_bytes());
-        let total = bytes.len() as u64;
-        crate::checkpoint::write_atomic(path, &bytes)?;
-        Ok(total)
+        let bytes = encode_frame(DELTA_MAGIC.to_vec(), |payload| {
+            payload.u32(FORMAT_VERSION);
+            payload.u64(fingerprint);
+            payload.u64(base_seq);
+            payload.u64(wal_seq);
+            delta.encode(payload);
+        });
+        write_atomic(path, &bytes)?;
+        Ok(bytes.len() as u64)
     }
 
     /// Loads and validates a delta file.
     pub fn load(path: &Path, fingerprint: u64) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path)?;
+        Self::from_bytes(&std::fs::read(path)?, fingerprint)
+    }
+
+    /// Validates and decodes a delta file's bytes.
+    pub fn from_bytes(bytes: &[u8], fingerprint: u64) -> Result<Self, StoreError> {
         if bytes.len() < 8 || &bytes[..8] != DELTA_MAGIC {
             return Err(StoreError::Mismatch("bad delta file magic".into()));
         }
@@ -159,7 +161,8 @@ mod tests {
             tuple: ProbTuple::certain(Record {
                 id,
                 attrs: vec![Some(TokenSet::empty())],
-            }),
+            })
+            .into(),
         }
     }
 

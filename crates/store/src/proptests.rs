@@ -67,7 +67,7 @@ fn arb_live_entry() -> impl Strategy<Value = LiveEntry> {
         LiveEntry {
             timestamp,
             stream_id,
-            tuple,
+            tuple: tuple.into(),
         }
     })
 }

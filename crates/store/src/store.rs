@@ -23,10 +23,23 @@
 //! 3. manifest missing/corrupt or checkpoint damaged → fall back to any
 //!    other on-disk checkpoint (newest first), else the empty state plus
 //!    a full WAL replay.
+//!
+//! Each byte is read, checked and decoded once per restart. Open must
+//! read the manifest, its checkpoint, the delta chain and the whole WAL
+//! to find the chain tip and truncate a torn log; it applies the chain
+//! to the checkpoint as it walks it, keeps the state at the tip and the
+//! WAL batches from the tip on, and the first [`TerStore::recover`]
+//! takes them instead of reading the files again. Recovery reads the
+//! disk only for a fallback rung open did not settle, or after a write
+//! through the store has made open's record stale.
+//! [`TerStore::read_bytes`] and `ter_store_read_bytes_total` count what
+//! was read.
 
 use std::fs;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, PoisonError};
 
 use ter_ids::{EngineState, ErProcessor, Params, StateDelta, TerContext};
 use ter_stream::Arrival;
@@ -35,7 +48,7 @@ use ter_text::Token;
 
 use crate::checkpoint::{checkpoint_file_name, checkpoint_seq_of, Checkpoint, Manifest};
 use crate::delta::{delta_file_name, delta_seqs_of, DeltaFile};
-use crate::wal::Wal;
+use crate::wal::{count_read, Batches, Wal};
 use crate::StoreError;
 
 /// File name of the WAL inside a store directory.
@@ -81,31 +94,6 @@ fn delta_files_in(dir: &Path) -> Vec<(u64, u64, String)> {
     };
     files.sort();
     files
-}
-
-/// Walks the longest valid delta chain rooted at stamp `base` and
-/// returns `(tip stamp, links, cumulative file bytes)`. Only files that
-/// load and validate count; the first damaged link ends the chain.
-fn scan_chain(dir: &Path, fingerprint: u64, base: u64) -> (u64, usize, u64) {
-    let files = delta_files_in(dir);
-    let mut tip = base;
-    let mut len = 0usize;
-    let mut bytes = 0u64;
-    loop {
-        // Furthest-reaching valid link from the current tip wins.
-        let next = files.iter().rev().find_map(|(b, t, name)| {
-            (*b == tip && *t > tip && DeltaFile::load(&dir.join(name), fingerprint).is_ok())
-                .then_some((*t, name))
-        });
-        match next {
-            Some((t, name)) => {
-                bytes += fs::metadata(dir.join(name)).map(|m| m.len()).unwrap_or(0);
-                tip = t;
-                len += 1;
-            }
-            None => return (tip, len, bytes),
-        }
-    }
 }
 
 /// What [`TerStore::recover`] reconstructed.
@@ -218,6 +206,110 @@ pub struct TerStore {
     chain_len: usize,
     /// Cumulative bytes of the current chain's delta files.
     chain_bytes: u64,
+    /// What open validated, until the first recovery takes it or a
+    /// write makes it stale (see [`Loaded`]).
+    opened: Mutex<Option<Loaded>>,
+    /// Bytes of manifest, checkpoint and delta files read from disk; the
+    /// WAL counts its own (see [`TerStore::read_bytes`]).
+    read_bytes: AtomicU64,
+}
+
+/// What [`TerStore::open`] read, checked and decoded on its way to the
+/// chain tip, kept for the first [`TerStore::recover`] so that it reads,
+/// checks and decodes none of it again. A write through the store drops
+/// it, so recovery after a write reads the disk.
+#[derive(Debug, Default)]
+struct Loaded {
+    /// The recovery ladder's first rung as open walked it: the
+    /// manifest's checkpoint with every link of its delta chain applied,
+    /// the stamp reached and the links applied. `None` when that rung
+    /// failed or open's walk could not settle it (recovery then walks
+    /// the ladder on disk).
+    tip: Option<(EngineState, u64, usize)>,
+    /// The WAL batches from `batches_from` on, as open's scan decoded
+    /// them.
+    batches: Batches,
+    /// The first sequence `batches` covers: the tip recovery will replay
+    /// from, 0 when no checkpoint exists (a full replay), or `u64::MAX`
+    /// when recovery falls back to a checkpoint open did not load. A
+    /// recovery landing below it reads the WAL from disk.
+    batches_from: u64,
+}
+
+/// `ckpt-*.bin` files present in `dir`, newest (highest seq) first.
+fn checkpoint_files_in(dir: &Path) -> Result<Vec<String>, StoreError> {
+    let mut names: Vec<String> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
+        .collect();
+    names.sort();
+    names.reverse();
+    Ok(names)
+}
+
+/// Reads and validates a store directory's single-frame files, counting
+/// the bytes read.
+struct Files<'a> {
+    dir: &'a Path,
+    fingerprint: u64,
+    read_bytes: &'a AtomicU64,
+}
+
+impl Files<'_> {
+    /// The bytes of file `name`.
+    fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        let bytes = fs::read(self.dir.join(name))?;
+        count_read(self.read_bytes, bytes.len());
+        Ok(bytes)
+    }
+
+    /// The manifest, if it loads.
+    fn manifest(&self) -> Option<Manifest> {
+        Manifest::from_bytes(&self.read(MANIFEST_FILE).ok()?, self.fingerprint).ok()
+    }
+
+    /// Checkpoint `name`, if it loads.
+    fn checkpoint(&self, name: &str) -> Option<Checkpoint> {
+        Checkpoint::from_bytes(&self.read(name).ok()?, self.fingerprint).ok()
+    }
+
+    /// Delta file `name` and its byte size, if it loads.
+    fn delta(&self, name: &str) -> Option<(DeltaFile, u64)> {
+        let bytes = self.read(name).ok()?;
+        let delta = DeltaFile::from_bytes(&bytes, self.fingerprint).ok()?;
+        Some((delta, bytes.len() as u64))
+    }
+
+    /// Walks the longest valid delta chain rooted at stamp `base` and
+    /// returns `(tip stamp, links, cumulative file bytes)`. Only files
+    /// that load and validate count; the first damaged link ends the
+    /// chain. Each link is applied to `state` as it is loaded, so no
+    /// delta is held beyond its step; a link that does not apply (which
+    /// recovery would step around) drops `state`. Returns the state
+    /// reached last.
+    fn scan_chain(
+        &self,
+        base: u64,
+        mut state: Option<EngineState>,
+    ) -> (u64, usize, u64, Option<EngineState>) {
+        let files = delta_files_in(self.dir);
+        let (mut tip, mut len, mut bytes) = (base, 0, 0);
+        loop {
+            // Furthest-reaching valid link from the current tip wins.
+            let next = files.iter().rev().find_map(|(b, t, name)| {
+                (*b == tip && *t > tip)
+                    .then(|| self.delta(name))
+                    .flatten()
+                    .map(|(df, size)| (*t, df, size))
+            });
+            let Some((t, df, size)) = next else {
+                return (tip, len, bytes, state);
+            };
+            state = state.and_then(|s| df.delta.apply(&s).ok());
+            (tip, len, bytes) = (t, len + 1, bytes + size);
+        }
+    }
 }
 
 impl TerStore {
@@ -229,27 +321,54 @@ impl TerStore {
     /// numbering — and with it every later checkpoint and resume
     /// position — keeps counting the logical stream instead of restarting
     /// at 0.
+    ///
+    /// Open applies each delta to the checkpoint as its chain walk loads
+    /// it, and keeps the state at the tip for the first
+    /// [`TerStore::recover`], with the WAL batches its scan decodes from
+    /// the tip on; earlier batches and each applied delta are dropped as
+    /// the walk passes them, so open holds no more decoded than recovery
+    /// returns.
     pub fn open(dir: impl Into<PathBuf>, fingerprint: u64) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut wal = Wal::open(dir.join(WAL_FILE), fingerprint)?;
-        let mut tip_seq = None;
-        let mut chain_len = 0;
-        let mut chain_bytes = 0;
-        if let Ok(m) = Manifest::load(&dir.join(MANIFEST_FILE), fingerprint) {
-            if Checkpoint::load(&dir.join(&m.checkpoint), fingerprint).is_ok() {
+        let read_bytes = AtomicU64::new(0);
+        let files = Files {
+            dir: &dir,
+            fingerprint,
+            read_bytes: &read_bytes,
+        };
+        let mut loaded = Loaded::default();
+        let mut chain = None;
+        if let Some(m) = files.manifest() {
+            if let Some(ck) = files.checkpoint(&m.checkpoint) {
                 // Walk the durable delta chain off the manifest's
                 // checkpoint so new deltas keep chaining where the last
                 // run stopped, and so a lost WAL re-bases at the *chain
-                // tip*, not just the full checkpoint beneath it.
-                let (tip, len, bytes) = scan_chain(&dir, fingerprint, m.wal_seq);
-                tip_seq = Some(tip);
-                chain_len = len;
-                chain_bytes = bytes;
-                if tip > wal.next_seq() {
-                    wal.reset_to(tip)?;
-                }
+                // tip*, not just the full checkpoint beneath it. On the
+                // way, fold the chain into the state recovery's first
+                // rung reaches (its walk starts at the checkpoint's own
+                // stamp).
+                let base = (ck.wal_seq == m.wal_seq).then_some(ck.state);
+                let (tip, len, bytes, state) = files.scan_chain(m.wal_seq, base);
+                loaded.tip = state.map(|state| (state, tip, len));
+                chain = Some((tip, len, bytes));
             }
+        }
+        loaded.batches_from = match (&loaded.tip, chain) {
+            (Some((_, tip, _)), _) => *tip,
+            (None, None) if checkpoint_files_in(&dir)?.is_empty() => 0,
+            _ => u64::MAX,
+        };
+        let (mut wal, batches) =
+            Wal::open_scanned(dir.join(WAL_FILE), fingerprint, loaded.batches_from)?;
+        loaded.batches = batches;
+        let (tip_seq, chain_len, chain_bytes) = match chain {
+            Some((tip, len, bytes)) => (Some(tip), len, bytes),
+            None => (None, 0, 0),
+        };
+        if let Some(tip) = tip_seq.filter(|&tip| tip > wal.next_seq()) {
+            wal.reset_to(tip)?;
+            loaded.batches.clear();
         }
         Ok(Self {
             dir,
@@ -259,7 +378,34 @@ impl TerStore {
             tip_seq,
             chain_len,
             chain_bytes,
+            opened: Mutex::new(Some(loaded)),
+            read_bytes,
         })
+    }
+
+    /// The store's file reader.
+    fn files(&self) -> Files<'_> {
+        Files {
+            dir: &self.dir,
+            fingerprint: self.fingerprint,
+            read_bytes: &self.read_bytes,
+        }
+    }
+
+    /// Drops what open validated: after a write it no longer describes
+    /// the disk.
+    fn forget_opened(&mut self) {
+        *self
+            .opened
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
+    /// Bytes this store has read from disk since it was opened: WAL,
+    /// manifest, checkpoint and delta files, open's reads included. An
+    /// open followed by a recovery reads each file it needs once.
+    pub fn read_bytes(&self) -> u64 {
+        self.read_bytes.load(std::sync::atomic::Ordering::Relaxed) + self.wal.read_bytes()
     }
 
     /// Sets the checkpoint/WAL retention policy (see [`CompactionPolicy`]).
@@ -289,6 +435,7 @@ impl TerStore {
     /// its sequence number. Call *before* feeding the batch to the engine
     /// — write-ahead means the log is never behind the state.
     pub fn log_batch(&mut self, batch: &[Arrival]) -> Result<u64, StoreError> {
+        self.forget_opened();
         self.wal.append(batch)
     }
 
@@ -298,6 +445,7 @@ impl TerStore {
     /// sync returns (acked ⇒ fsynced is the service's durability
     /// contract).
     pub fn log_batch_nosync(&mut self, batch: &[Arrival]) -> Result<u64, StoreError> {
+        self.forget_opened();
         self.wal.append_nosync(batch)
     }
 
@@ -347,6 +495,7 @@ impl TerStore {
     /// log cannot replay from would create an unbridgeable gap.
     pub fn checkpoint_at(&mut self, wal_seq: u64, state: &EngineState) -> Result<u64, StoreError> {
         let t0 = ter_obs::timer();
+        self.forget_opened();
         if wal_seq < self.wal.base_seq() || wal_seq > self.wal.next_seq() {
             return Err(StoreError::Mismatch(format!(
                 "checkpoint stamp {wal_seq} outside the committed WAL range [{}, {}]",
@@ -423,6 +572,7 @@ impl TerStore {
         delta: &StateDelta,
     ) -> Result<u64, StoreError> {
         let t0 = ter_obs::timer();
+        self.forget_opened();
         if self.tip_seq != Some(base_seq) {
             return Err(StoreError::Mismatch(format!(
                 "delta base {base_seq} does not chain onto the durable tip {:?}",
@@ -485,25 +635,19 @@ impl TerStore {
     /// `ckpt-*.bin` files present in the directory, newest (highest seq)
     /// first.
     fn checkpoint_files(&self) -> Result<Vec<String>, StoreError> {
-        let mut names: Vec<String> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
-            .collect();
-        names.sort();
-        names.reverse();
-        Ok(names)
+        checkpoint_files_in(&self.dir)
     }
 
-    /// Reconstructs the newest consistent (state, WAL suffix) pair. Never
-    /// panics: damaged manifests or checkpoints degrade to older
-    /// checkpoints and ultimately to a full WAL replay from the empty
-    /// state (see the [module docs](self) for the ladder).
-    pub fn recover(&self) -> Result<Recovery, StoreError> {
+    /// The ladder's state rungs read from disk: the newest checkpoint
+    /// that loads (the manifest's first, then the others newest first)
+    /// and as much of its delta chain as loads and applies. Returns the
+    /// state (`None` without a checkpoint), its stamp and the links
+    /// applied.
+    fn walk_ladder(&self) -> Result<(Option<EngineState>, u64, usize), StoreError> {
         // Candidate checkpoints: the manifest's first, then any others on
         // disk, newest first.
         let mut candidates: Vec<String> = Vec::new();
-        if let Ok(m) = Manifest::load(&self.dir.join(MANIFEST_FILE), self.fingerprint) {
+        if let Some(m) = self.files().manifest() {
             candidates.push(m.checkpoint);
         }
         for name in self.checkpoint_files()? {
@@ -511,43 +655,56 @@ impl TerStore {
                 candidates.push(name);
             }
         }
-        let mut state = None;
-        let mut checkpoint_seq = 0;
-        for name in candidates {
-            if let Ok(ck) = Checkpoint::load(&self.dir.join(&name), self.fingerprint) {
-                state = Some(ck.state);
-                checkpoint_seq = ck.wal_seq;
-                break;
-            }
-        }
+        let Some(ck) = candidates
+            .iter()
+            .find_map(|name| self.files().checkpoint(name))
+        else {
+            return Ok((None, 0, 0));
+        };
         // Extend the base along its delta chain: each link must load,
         // validate, and apply cleanly onto the state reached so far. The
         // first damaged link ends the chain — recovery degrades to the
         // older consistent prefix (base + surviving links) and lets the
         // WAL suffix bridge the rest. Never a panic, never a skip.
-        let mut chain_applied = 0;
-        if let Some(base_state) = state.take() {
-            let files = delta_files_in(&self.dir);
-            let mut cur = base_state;
-            loop {
-                let applied = files.iter().rev().find_map(|(b, t, name)| {
-                    if *b != checkpoint_seq || *t <= checkpoint_seq {
-                        return None;
-                    }
-                    let df = DeltaFile::load(&self.dir.join(name), self.fingerprint).ok()?;
-                    df.delta.apply(&cur).ok().map(|next| (*t, next))
-                });
-                match applied {
-                    Some((t, next)) => {
-                        cur = next;
-                        checkpoint_seq = t;
-                        chain_applied += 1;
-                    }
-                    None => break,
+        let files = delta_files_in(&self.dir);
+        let (mut cur, mut seq, mut applied) = (ck.state, ck.wal_seq, 0);
+        loop {
+            let next = files.iter().rev().find_map(|(b, t, name)| {
+                if *b != seq || *t <= seq {
+                    return None;
                 }
+                let (df, _) = self.files().delta(name)?;
+                df.delta.apply(&cur).ok().map(|next| (*t, next))
+            });
+            match next {
+                Some((t, next)) => (cur, seq, applied) = (next, t, applied + 1),
+                None => return Ok((Some(cur), seq, applied)),
             }
-            state = Some(cur);
         }
+    }
+
+    /// Reconstructs the newest consistent (state, WAL suffix) pair. Never
+    /// panics: damaged manifests or checkpoints degrade to older
+    /// checkpoints and ultimately to a full WAL replay from the empty
+    /// state (see the [module docs](self) for the ladder).
+    ///
+    /// The first recovery after [`TerStore::open`], with no write in
+    /// between, takes the tip state and WAL batches open already built
+    /// instead of reading them again; it reads from disk only for a
+    /// fallback rung open did not settle. Every other recovery reads the
+    /// disk. Both follow the same ladder, so they return the same
+    /// [`Recovery`].
+    pub fn recover(&self) -> Result<Recovery, StoreError> {
+        let mut opened = self
+            .opened
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let (state, checkpoint_seq, chain_applied) =
+            match opened.as_mut().and_then(|loaded| loaded.tip.take()) {
+                Some((state, tip, links)) => (Some(state), tip, links),
+                None => self.walk_ladder()?,
+            };
         // The log covers `[base_seq, next_seq)`. A newest-consistent
         // state (checkpoint + chain) older than the base means the store
         // lost both the state the base was advanced for *and* the frames
@@ -569,9 +726,13 @@ impl TerStore {
         let suffix = if checkpoint_seq >= self.wal.next_seq() {
             Vec::new()
         } else {
-            self.wal
-                .read_batches(checkpoint_seq)?
+            let batches = match opened {
+                Some(loaded) if checkpoint_seq >= loaded.batches_from => loaded.batches,
+                _ => self.wal.read_batches(checkpoint_seq)?,
+            };
+            batches
                 .into_iter()
+                .filter(|(seq, _)| *seq >= checkpoint_seq)
                 .map(|(_, b)| b)
                 .collect()
         };
@@ -927,6 +1088,47 @@ mod tests {
 
     fn delta(from: u64, to: u64) -> StateDelta {
         ter_ids::delta_between(&state_at(from), &state_at(to)).unwrap()
+    }
+
+    /// Open then recover reads every file of a checkpoint + delta + WAL
+    /// image exactly once: open reads them all to find the chain tip, and
+    /// the first recovery takes what open decoded. A recovery after an
+    /// append reads them all again and equals a fresh store's.
+    #[test]
+    fn open_then_recover_reads_each_file_once() {
+        let dir = TempDir::new("readonce");
+        {
+            let mut store = TerStore::open(dir.path(), 1).unwrap();
+            store.log_batch(&batch(2, 0)).unwrap();
+            store.checkpoint(&state_at(1)).unwrap();
+            store.log_batch(&batch(2, 10)).unwrap();
+            store.checkpoint_delta_at(1, 2, &delta(1, 2)).unwrap();
+            store.log_batch(&batch(2, 20)).unwrap();
+        }
+        let on_disk = || -> u64 {
+            let files = fs::read_dir(dir.path()).unwrap();
+            files.map(|e| e.unwrap().metadata().unwrap().len()).sum()
+        };
+        let image = on_disk();
+        let mut store = TerStore::open(dir.path(), 1).unwrap();
+        assert_eq!(store.read_bytes(), image, "open reads each file once");
+        let rec = store.recover().unwrap();
+        assert_eq!(store.read_bytes(), image, "recover reads nothing again");
+        assert_eq!(rec.state, Some(state_at(2)));
+        assert_eq!((rec.checkpoint_seq, rec.chain_applied), (2, 1));
+        assert_eq!(rec.suffix, vec![batch(2, 20)]);
+
+        store.log_batch(&batch(2, 30)).unwrap();
+        let before = store.read_bytes();
+        let again = store.recover().unwrap();
+        assert_eq!(
+            store.read_bytes() - before,
+            on_disk(),
+            "stale after a write"
+        );
+        assert_eq!(again.suffix, vec![batch(2, 20), batch(2, 30)]);
+        let fresh = TerStore::open(dir.path(), 1).unwrap().recover().unwrap();
+        assert_eq!(again, fresh);
     }
 
     #[test]

@@ -28,11 +28,12 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ter_stream::Arrival;
 
 use crate::codec::{decode_exact, Codec, Encoder};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame, FRAME_HEADER_LEN};
 use crate::StoreError;
 
 /// Magic prefix of a WAL file (embeds the format version).
@@ -83,7 +84,12 @@ pub struct Wal {
     /// Fault-injection shim: artificial latency added to every commit
     /// fsync. Zero outside fault-injection tests.
     sync_delay: std::time::Duration,
+    /// Bytes read from the file so far (see [`Wal::read_bytes`]).
+    read_bytes: AtomicU64,
 }
+
+/// The batches a WAL holds, in sequence order, as `(seq, arrivals)`.
+pub type Batches = Vec<(u64, Vec<Arrival>)>;
 
 impl Wal {
     /// Opens (creating if absent) the WAL at `path`, validating the
@@ -95,6 +101,18 @@ impl Wal {
     /// would silently corrupt results — that is an operator error, not
     /// recoverable corruption).
     pub fn open(path: impl Into<PathBuf>, fingerprint: u64) -> Result<Self, StoreError> {
+        Self::open_scanned(path, fingerprint, u64::MAX).map(|(wal, _)| wal)
+    }
+
+    /// [`Wal::open`], also returning the batches with sequence
+    /// `>= keep_from` that its scan validated and decoded, so a caller
+    /// about to replay them need not read, check and decode the file a
+    /// second time. Earlier batches are dropped as the scan passes them.
+    pub fn open_scanned(
+        path: impl Into<PathBuf>,
+        fingerprint: u64,
+        keep_from: u64,
+    ) -> Result<(Self, Batches), StoreError> {
         let path = path.into();
         let mut file = OpenOptions::new()
             .read(true)
@@ -104,6 +122,8 @@ impl Wal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
+        let read_bytes = AtomicU64::new(0);
+        count_read(&read_bytes, bytes.len());
 
         let header_ok = bytes.len() >= HEADER_LEN as usize && &bytes[..8] == WAL_MAGIC;
         if !header_ok {
@@ -122,9 +142,10 @@ impl Wal {
                 synced_seq: 0,
                 fsyncs: 0,
                 sync_delay: std::time::Duration::ZERO,
+                read_bytes,
             };
             wal.write_header(0)?;
-            return Ok(wal);
+            return Ok((wal, Vec::new()));
         }
         let found = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         if found != fingerprint {
@@ -137,6 +158,7 @@ impl Wal {
         // Scan frames; stop at the first inconsistency.
         let mut pos = HEADER_LEN as usize;
         let mut next_seq = base_seq;
+        let mut batches = Vec::new();
         loop {
             let mut probe = pos;
             match read_frame(&bytes, &mut probe) {
@@ -144,6 +166,9 @@ impl Wal {
                     Ok(rec) if rec.seq == next_seq => {
                         next_seq += 1;
                         pos = probe;
+                        if rec.seq >= keep_from {
+                            batches.push((rec.seq, rec.arrivals));
+                        }
                     }
                     _ => break, // wrong seq or undecodable — cut here
                 },
@@ -158,7 +183,7 @@ impl Wal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(pos as u64))?;
-        Ok(Self {
+        let wal = Self {
             file,
             path,
             fingerprint,
@@ -171,7 +196,9 @@ impl Wal {
             synced_seq: next_seq,
             fsyncs: 0,
             sync_delay: std::time::Duration::ZERO,
-        })
+            read_bytes,
+        };
+        Ok((wal, batches))
     }
 
     /// Rewrites the 24-byte header (truncating the file) so the empty log
@@ -231,6 +258,12 @@ impl Wal {
         self.synced_seq
     }
 
+    /// Bytes read from the file since open, the open's own scan included:
+    /// the disk-read side of the store's `ter_store_read_bytes_total`.
+    pub fn read_bytes(&self) -> u64 {
+        self.read_bytes.load(Ordering::Relaxed)
+    }
+
     /// Commit-path fsyncs issued so far ([`Wal::sync`] calls that reached
     /// the disk, including the one inside [`Wal::append`]). Group commit's
     /// whole point is to make this grow slower than `next_seq`.
@@ -263,15 +296,15 @@ impl Wal {
         let t0 = ter_obs::timer();
         let seq = self.next_seq;
         // Mirrors `BatchRecord::encode` without cloning the batch into a
-        // throwaway record — this is the per-commit ingest path.
-        let mut enc = Encoder::new();
-        enc.u64(seq);
-        enc.usize(arrivals.len());
-        for a in arrivals {
-            a.encode(&mut enc);
-        }
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &enc.into_bytes());
+        // throwaway record — this is the per-commit ingest path — and
+        // encodes it straight into its frame.
+        let framed = encode_frame(Vec::new(), |enc| {
+            enc.u64(seq);
+            enc.usize(arrivals.len());
+            for a in arrivals {
+                a.encode(enc);
+            }
+        });
         self.file.seek(SeekFrom::Start(self.tail))?;
         self.file.write_all(&framed)?;
         self.tail += framed.len() as u64;
@@ -321,22 +354,45 @@ impl Wal {
     /// Callers must only drop frames that a *durable* checkpoint already
     /// covers — the store layer enforces its two-generation policy before
     /// calling this.
+    ///
+    /// The surviving frames are copied as they lie, not decoded and
+    /// re-encoded: the committed region was validated at open or written
+    /// by this log, and the encoding is canonical, so the copy is the
+    /// byte sequence a re-encode would produce. Only the frame lengths
+    /// are walked, to find the first survivor and to check that the
+    /// frames still end exactly at the committed tail.
     pub fn truncate_before(&mut self, before_seq: u64) -> Result<u64, StoreError> {
         let before_seq = before_seq.clamp(self.base_seq, self.next_seq);
         if before_seq == self.base_seq {
             return Ok(0);
         }
-        let survivors = self.read_batches(before_seq)?;
-        let mut bytes = Vec::with_capacity(HEADER_LEN as usize);
+        let committed = self.read_committed()?;
+        let mut pos = HEADER_LEN as usize;
+        let mut cut = None;
+        for seq in self.base_seq..self.next_seq {
+            if seq == before_seq {
+                cut = Some(pos);
+            }
+            let len = committed
+                .get(pos..pos + 4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize);
+            pos = match len {
+                Some(len) if committed.len() - pos >= FRAME_HEADER_LEN + len => {
+                    pos + FRAME_HEADER_LEN + len
+                }
+                _ => return Err(StoreError::Mismatch("WAL frames changed on disk".into())),
+            };
+        }
+        if pos != committed.len() {
+            return Err(StoreError::Mismatch("WAL frames changed on disk".into()));
+        }
+        // Compacting the whole log keeps no frame.
+        let cut = cut.unwrap_or(pos);
+        let mut bytes = Vec::with_capacity(HEADER_LEN as usize + committed.len() - cut);
         bytes.extend_from_slice(WAL_MAGIC);
         bytes.extend_from_slice(&self.fingerprint.to_le_bytes());
         bytes.extend_from_slice(&before_seq.to_le_bytes());
-        for (seq, arrivals) in &survivors {
-            let mut enc = Encoder::new();
-            enc.u64(*seq);
-            arrivals.encode(&mut enc);
-            write_frame(&mut bytes, &enc.into_bytes());
-        }
+        bytes.extend_from_slice(&committed[cut..]);
         let tmp = self.path.with_extension("compact");
         let mut file = OpenOptions::new()
             .read(true)
@@ -371,18 +427,31 @@ impl Wal {
         Ok(reclaimed)
     }
 
-    /// Re-reads the committed batches with sequence `>= from_seq`, in
-    /// order. The committed region was validated at open and every append
-    /// since went through the encoder, so errors here indicate the file
-    /// changed underneath us — reported, never panicked.
-    pub fn read_batches(&self, from_seq: u64) -> Result<Vec<(u64, Vec<Arrival>)>, StoreError> {
-        let mut file = File::open(&self.path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        bytes.truncate(self.tail as usize);
+    /// The committed bytes of the file, header included, read from disk
+    /// (and counted in [`Wal::read_bytes`]).
+    fn read_committed(&self) -> Result<Vec<u8>, StoreError> {
+        let mut bytes = Vec::with_capacity(self.tail as usize);
+        File::open(&self.path)?
+            .take(self.tail)
+            .read_to_end(&mut bytes)?;
+        count_read(&self.read_bytes, bytes.len());
         if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
             return Err(StoreError::Mismatch("WAL header vanished".into()));
         }
+        Ok(bytes)
+    }
+
+    /// Reads the committed batches with sequence `>= from_seq` back from
+    /// disk, in order: the whole committed region is read, every frame's
+    /// CRC checked and every payload decoded, because the sequence check
+    /// walks from the base. The committed region was validated at open
+    /// and every append since went through the encoder, so errors here
+    /// indicate the file changed underneath us — reported, never
+    /// panicked. A caller that has just opened the log already holds
+    /// these batches from [`Wal::open_scanned`]; the store's recovery
+    /// uses those and reads the file again only after a write.
+    pub fn read_batches(&self, from_seq: u64) -> Result<Batches, StoreError> {
+        let bytes = self.read_committed()?;
         let mut pos = HEADER_LEN as usize;
         let mut out = Vec::new();
         let mut expect = self.base_seq;
@@ -402,6 +471,13 @@ impl Wal {
         }
         Ok(out)
     }
+}
+
+/// Adds `n` bytes read from disk to a per-file count and to
+/// `ter_store_read_bytes_total`.
+pub(crate) fn count_read(counter: &AtomicU64, n: usize) {
+    counter.fetch_add(n as u64, Ordering::Relaxed);
+    ter_obs::OBS.read_bytes.add(n as u64);
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 
 mod restore;
 
+use std::collections::HashSet;
 use std::fs;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use ter_datasets::{preset, GenOptions, Preset};
@@ -28,7 +29,7 @@ use ter_ids::{
 };
 use ter_repo::PivotConfig;
 use ter_rules::DiscoveryConfig;
-use ter_store::{context_fingerprint, TerStore};
+use ter_store::{context_fingerprint, decode_exact, encode_to_vec, TerStore};
 use ter_stream::Arrival;
 
 use restore::{live_metas, step, TempDir};
@@ -244,6 +245,101 @@ proptest! {
             None
         };
         run_case(fix, cut, damage);
+    }
+}
+
+/// What a churn case passed through between two stamps: a tuple that
+/// arrived and expired, and a match reported and retracted, within one
+/// interval.
+#[derive(Debug, Default)]
+struct Crossed {
+    arrive_expire: usize,
+    report_retract: usize,
+}
+
+/// Drives fixture `fix` one arrival at a time and stamps after each
+/// interval of `intervals` arrivals (cycled), as the stamp paths do:
+/// export, diff against the previous export, keep the export. At every
+/// stamp the delta between the two shared exports equals the delta
+/// between the same states decoded from their checkpoint encoding,
+/// which share nothing; applied to the previous export it gives the new
+/// one; and the applied state and the export both share each surviving
+/// tuple with the previous export.
+fn churn_case(fix: usize, intervals: &[usize]) -> Crossed {
+    let (ctx, arrivals, params) = &fixtures()[fix];
+    let decoded = |s: &EngineState| -> EngineState {
+        decode_exact(&encode_to_vec(s)).expect("checkpoint encoding decodes")
+    };
+    let mut engine = TerIdsEngine::new(ctx, *params, PruningMode::Full);
+    let mut prev = engine.export_state();
+    let mut prev_decoded = decoded(&prev);
+    let mut crossed = Crossed::default();
+    let mut arrived: HashSet<u64> = HashSet::new();
+    let mut reported: HashSet<(u64, u64)> = HashSet::new();
+    let mut stamps = 0;
+    let mut due = intervals[0];
+    for (i, a) in arrivals.iter().enumerate() {
+        let out = engine.process(a);
+        arrived.insert(a.record.id);
+        crossed.arrive_expire += out.expired.iter().filter(|id| arrived.contains(id)).count();
+        reported.extend(out.new_matches.iter().copied());
+        crossed.report_retract += out
+            .retractions
+            .iter()
+            .filter(|p| reported.contains(p))
+            .count();
+        if i + 1 < due && i + 1 < arrivals.len() {
+            continue;
+        }
+        let next = engine.export_state();
+        let next_decoded = decoded(&next);
+        let shared = delta_between(&prev, &next).expect("exports of one engine diff");
+        let deep = delta_between(&prev_decoded, &next_decoded).expect("decoded states diff");
+        assert_eq!(
+            shared, deep,
+            "stamp {stamps}: shared and decoded deltas differ"
+        );
+        let applied = shared.apply(&prev).expect("delta applies to its base");
+        assert_eq!(applied, next, "stamp {stamps}");
+        let survivors = &prev.live[shared.evicted.len()..];
+        for state in [&applied, &next] {
+            for (got, base) in state.live.iter().zip(survivors) {
+                assert!(
+                    Arc::ptr_eq(&got.tuple, &base.tuple),
+                    "stamp {stamps}: copied"
+                );
+            }
+        }
+        (prev, prev_decoded) = (next, next_decoded);
+        arrived.clear();
+        reported.clear();
+        stamps += 1;
+        due += intervals[stamps % intervals.len()];
+    }
+    crossed
+}
+
+/// A stamp interval longer than the window folds a tuple that arrived
+/// and expired, and a match reported and retracted, out of its delta;
+/// shared and decoded states agree across it.
+#[test]
+fn churn_deltas_fold_in_interval_arrivals_and_retractions() {
+    let crossed = churn_case(0, &[24, 5]);
+    assert!(crossed.arrive_expire > 0, "{crossed:?}");
+    assert!(crossed.report_retract > 0, "{crossed:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12 })]
+
+    /// Any preset, any stamp cadence: deltas between shared exports equal
+    /// deltas between decoded states.
+    #[test]
+    fn churn_deltas_of_shared_and_decoded_states_agree(
+        fix in 0usize..5,
+        intervals in proptest::collection::vec(1usize..40, 1..6),
+    ) {
+        churn_case(fix, &intervals);
     }
 }
 
